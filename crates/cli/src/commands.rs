@@ -45,10 +45,10 @@ commands:
   simulate --tree1 <tree> --tree2 <tree> [--procs <n>] [--disks <n>]
            [--buffer <pages>] [--variant lsr|gsrr|gd|best]
   serve    --trees <tree>[,<tree>...] [--addr 127.0.0.1:7878] [--workers <n>]
-           [--queue-bound <n>] [--batch-window-us <us>] [--max-batch <n>]
-           [--cache <pages>] [--cache-shards <n>] [--join-threads <n>]
-           [--join-morsel-cands <n>] [--join-steal busiest|rr|seeded]
-           [--join-steal-seed <n>] [--join-engine rtree|partition|auto]
+           [--queue-bound <n>] [--cache <pages>] [--cache-shards <n>]
+           [--join-threads <n>] [--join-morsel-cands <n>]
+           [--join-steal busiest|rr|seeded] [--join-steal-seed <n>]
+           [--join-engine rtree|partition|auto]
            [--lenient] [--inject-faults <spec>] [--retry-attempts <n>]
            [--trace <file.jsonl>] [--shard-id <n>] — --trace writes the
            trace at shutdown; the --join-* tuning flags mirror `join`'s
@@ -467,8 +467,6 @@ pub fn serve(args: &Args) -> CmdResult {
                 .unwrap_or(4),
         )?,
         queue_bound: args.parse_or("queue-bound", 256)?,
-        batch_window: std::time::Duration::from_micros(args.parse_or("batch-window-us", 2_000u64)?),
-        max_batch: args.parse_or("max-batch", 32)?,
         cache_pages: args.parse_or("cache", 4096)?,
         cache_shards: args.parse_or("cache-shards", 16)?,
         join_threads: args.parse_or("join-threads", 4)?,

@@ -11,8 +11,7 @@
 //! psj simulate --tree1 tree1.psjt --tree2 tree2.psjt [--procs 8] [--disks 8]
 //!              [--buffer 800] [--variant lsr|gsrr|gd|best]
 //! psj serve    --trees tree1.psjt,tree2.psjt [--addr 127.0.0.1:7878]
-//!              [--workers 4] [--queue-bound 256] [--batch-window-us 2000]
-//!              [--shard-id 0]
+//!              [--workers 4] [--queue-bound 256] [--shard-id 0]
 //! psj shard-plan --map1 map1.psjm --map2 map2.psjm --shards 3 --out cluster/
 //!              [--host 127.0.0.1] [--base-port 7001]
 //! psj cluster-serve --topology cluster/topology.txt [--addr 127.0.0.1:7900]

@@ -3,9 +3,9 @@
 //!
 //! Every metric is a relaxed atomic: recording is a handful of uncontended
 //! `fetch_add`s, cheap enough for the hot path of every response. The
-//! histogram uses logarithmic (power-of-two) buckets over microseconds, so
-//! percentiles carry ~±50% resolution across nine orders of magnitude with
-//! 40 fixed buckets and zero allocation.
+//! histogram uses logarithmic (power-of-two) buckets over microseconds:
+//! nine orders of magnitude in 40 fixed buckets with zero allocation, and
+//! percentiles interpolated by rank inside the bucket that holds them.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,6 +75,10 @@ pub struct Histogram {
     /// Sum of all recorded values in microseconds (saturating), for the
     /// Prometheus `_sum` series.
     sum_micros: AtomicU64,
+    /// Smallest and largest recorded values in microseconds; they bound
+    /// the interpolation in the first and last occupied buckets.
+    min_micros: AtomicU64,
+    max_micros: AtomicU64,
 }
 
 impl Default for Histogram {
@@ -82,6 +86,8 @@ impl Default for Histogram {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum_micros: AtomicU64::new(0),
+            min_micros: AtomicU64::new(u64::MAX),
+            max_micros: AtomicU64::new(0),
         }
     }
 }
@@ -119,6 +125,8 @@ impl Histogram {
     pub fn record_micros(&self, micros: u64) {
         self.buckets[Self::bucket_of(micros)].fetch_add(1, Ordering::Relaxed);
         saturating_add(&self.sum_micros, micros);
+        self.min_micros.fetch_min(micros, Ordering::Relaxed);
+        self.max_micros.fetch_max(micros, Ordering::Relaxed);
     }
 
     /// Total number of observations.
@@ -145,25 +153,49 @@ impl Histogram {
             saturating_add(mine, theirs.load(Ordering::Relaxed));
         }
         saturating_add(&self.sum_micros, other.sum_micros());
+        self.min_micros
+            .fetch_min(other.min_micros.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.max_micros
+            .fetch_max(other.max_micros.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
-    /// The `q`-quantile (`0 < q <= 1`) in milliseconds, estimated as the
-    /// geometric midpoint of the bucket holding the rank; 0 when empty.
+    /// The `q`-quantile (`0 <= q <= 1`) in milliseconds; 0 when empty.
+    ///
+    /// Finds the bucket holding rank `q * count` and interpolates linearly
+    /// by rank between its edges, as Prometheus `histogram_quantile` does;
+    /// the edges are first narrowed to the smallest and largest values
+    /// recorded, so a bucket the samples only partly cover (and the
+    /// unbounded last bucket) is not read as if they filled it.
     pub fn quantile_ms(&self, q: f64) -> f64 {
         let counts = self.bucket_counts();
         let total: u64 = counts.iter().fold(0, |acc, &c| acc.saturating_add(c));
         if total == 0 {
             return 0.0;
         }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+        let rank = (q * total as f64).clamp(0.0, total as f64);
+        let (min, max) = (
+            self.min_micros.load(Ordering::Relaxed) as f64,
+            self.max_micros.load(Ordering::Relaxed) as f64,
+        );
         let mut seen = 0u64;
         for (i, &c) in counts.iter().enumerate() {
+            let below = seen;
             seen = seen.saturating_add(c);
-            if seen >= rank {
-                // Bucket i covers [2^i, 2^(i+1)) µs; report its geometric
-                // midpoint, in ms.
-                let lo = (1u64 << i) as f64;
-                return lo * std::f64::consts::SQRT_2 / 1_000.0;
+            if c > 0 && seen as f64 >= rank {
+                // Bucket i covers [2^i, 2^(i+1)) µs; bucket 0 starts at
+                // zero and the last bucket has no upper edge.
+                let edge_lo = if i == 0 { 0.0 } else { (1u64 << i) as f64 };
+                let edge_hi = if i == BUCKETS - 1 {
+                    f64::INFINITY
+                } else {
+                    (1u64 << (i + 1)) as f64
+                };
+                // Clamping keeps the estimate inside the bucket even when
+                // min/max lag the counts under a racing `record`.
+                let lo = min.clamp(edge_lo, edge_hi);
+                let hi = max.clamp(lo, edge_hi);
+                let within = (rank - below as f64) / c as f64;
+                return (lo + (hi - lo) * within) / 1_000.0;
             }
         }
         unreachable!("rank <= total")
@@ -553,6 +585,22 @@ mod tests {
             assert!(v >= last, "cumulative buckets must be nondecreasing");
             last = v;
         }
+    }
+
+    #[test]
+    fn quantile_interpolates_inside_the_bucket() {
+        // 100..=199 µs straddles the 128 µs bucket edge; the geometric
+        // midpoint of the rank's bucket used to report 181 µs whatever
+        // the samples were.
+        let h = Histogram::new();
+        for i in 0..1_000 {
+            h.record_micros(100 + i / 10);
+        }
+        let p50_us = h.quantile_ms(0.5) * 1_000.0;
+        assert!((p50_us - 150.0).abs() <= 7.5, "p50 {p50_us} µs");
+        // The ends are the recorded extremes, not bucket edges.
+        assert_eq!(h.quantile_ms(0.0) * 1_000.0, 100.0);
+        assert_eq!(h.quantile_ms(1.0) * 1_000.0, 199.0);
     }
 
     #[test]

@@ -7,24 +7,17 @@
 //! cross-request sharing. Page keys combine the tree index (upper bits)
 //! with the page number (lower [`TREE_SHIFT`] bits).
 //!
-//! Two traversals live here:
-//!
-//! * [`window_batch`] — a *shared* descent for a batch of window queries on
-//!   one tree: each directory node is fetched once and tested against every
-//!   query that reached it, amortizing directory-page faults across the
-//!   batch (the inter-query analogue of the paper's intra-join buffering).
-//! * [`nearest`] — best-first kNN through the cache.
-//!
-//! Both check their deadline cooperatively at every node fetch; an expired
-//! query is dropped from the traversal (its partial results discarded)
-//! without disturbing batch-mates.
+//! Two traversals live here, one query each: [`window`], a depth-first
+//! descent, and [`nearest`], best-first kNN. Both check their deadline
+//! cooperatively at every node fetch; an expired query stops at once and
+//! its partial results are discarded.
 //!
 //! # Storage failures
 //!
 //! Every traversal returns an [`Outcome`]: a page that cannot be read —
 //! quarantined by the cache, poisoned at (lenient) load time, or failed by
 //! an injected [`FaultPlan`] — degrades only the queries that needed that
-//! page, to [`Outcome::Storage`]; batch-mates on healthy subtrees complete
+//! page, to [`Outcome::Storage`]; queries on healthy subtrees complete
 //! normally, and other trees are entirely unaffected. A query never
 //! returns a silently partial result: if any page it touched was
 //! unreadable, the whole query reports the storage error.
@@ -219,7 +212,7 @@ impl NodeAccess for CachedNodes<'_> {
     }
 }
 
-/// How one query (or batch member) ended.
+/// How one query ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Outcome<T> {
     /// The query completed; results are exact.
@@ -247,118 +240,52 @@ impl<T> Outcome<T> {
     }
 }
 
-/// One member of a window batch.
-#[derive(Debug, Clone, Copy)]
-pub struct WindowQuery {
-    /// The query window.
-    pub rect: Rect,
-    /// Absolute deadline; `None` = unbounded.
-    pub deadline: Option<Instant>,
-}
-
-/// Runs a batch of window queries on tree `tree` with one shared descent
-/// through `cache`. `worker` indexes the cache's per-worker statistics.
-///
-/// `results[i]` is `Outcome::Ok(oids)` exactly matching a direct
-/// [`PagedTree::window_query`]; `Outcome::DeadlineExceeded` if query `i`'s
-/// deadline expired mid-traversal; `Outcome::Storage` if a page it needed
-/// was unreadable. Either way partial results are discarded and batch-mates
-/// on healthy subtrees are unaffected.
-pub fn window_batch(
+/// Window query on tree `tree` through `cache`; `worker` indexes the
+/// cache's per-worker statistics. `Outcome::Ok(oids)` exactly matches a
+/// direct [`PagedTree::window_query`], in the same order. Reports an
+/// expired deadline or an unreadable page as the corresponding non-`Ok`
+/// [`Outcome`].
+pub fn window(
     trees: &TreeSet,
     cache: &SharedPageCache<Node>,
     worker: usize,
     tree: u16,
-    queries: &[WindowQuery],
-) -> Vec<Outcome<Vec<u64>>> {
-    let n = queries.len();
-    let mut out: Vec<Outcome<Vec<u64>>> = (0..n).map(|_| Outcome::Ok(Vec::new())).collect();
-    if n == 0 {
-        return out;
-    }
+    rect: &Rect,
+    deadline: Option<Instant>,
+) -> Outcome<Vec<u64>> {
     let t = &trees.trees[tree as usize];
-    let tree_idx = tree as usize;
-
-    // Expired members drop out as a group whenever the earliest live
-    // deadline passes; `next_deadline` keeps the per-node check to one
-    // clock read and one comparison.
-    let mut dead = vec![false; n];
-    let expire = |dead: &mut Vec<bool>, out: &mut Vec<Outcome<Vec<u64>>>, now: Instant| {
-        let mut next: Option<Instant> = None;
-        for (i, q) in queries.iter().enumerate() {
-            if dead[i] {
-                continue;
-            }
-            match q.deadline {
-                Some(d) if d <= now => {
-                    dead[i] = true;
-                    out[i] = Outcome::DeadlineExceeded;
-                }
-                Some(d) => next = Some(next.map_or(d, |n: Instant| n.min(d))),
-                None => {}
-            }
-        }
-        next
-    };
-    let mut next_deadline = expire(&mut dead, &mut out, Instant::now());
-
+    let mut out = Vec::new();
     if t.is_empty() {
-        return out;
+        return Outcome::Ok(out);
     }
-    let live: Vec<u16> = (0..n as u16).filter(|&i| !dead[i as usize]).collect();
-    if live.is_empty() {
-        return out;
-    }
-    let mut access = CachedNodes::new(trees, cache, worker, tree_idx);
-    let mut stack: Vec<(PageId, Vec<u16>)> = vec![(t.root(), live)];
-    while let Some((page, live)) = stack.pop() {
-        if next_deadline.is_some_and(|d| Instant::now() >= d) {
-            next_deadline = expire(&mut dead, &mut out, Instant::now());
+    let mut access = CachedNodes::new(trees, cache, worker, tree as usize);
+    let mut stack = vec![t.root()];
+    while let Some(page) = stack.pop() {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return Outcome::DeadlineExceeded;
         }
         let node = match access.read(page) {
             Ok(node) => node,
-            Err(e) => {
-                // Only the members that needed this subtree degrade; their
-                // partial results are replaced by the typed error.
-                for &q in &live {
-                    if !dead[q as usize] {
-                        dead[q as usize] = true;
-                        out[q as usize] = Outcome::Storage(e.clone());
-                    }
-                }
-                continue;
-            }
+            Err(e) => return Outcome::Storage(e),
         };
         match &node.kind {
             NodeKind::Dir(entries) => {
                 for e in entries {
-                    let sub: Vec<u16> = live
-                        .iter()
-                        .copied()
-                        .filter(|&q| {
-                            !dead[q as usize] && e.mbr.intersects(&queries[q as usize].rect)
-                        })
-                        .collect();
-                    if !sub.is_empty() {
-                        stack.push((PageId(e.child), sub));
+                    if e.mbr.intersects(rect) {
+                        stack.push(PageId(e.child));
                     }
                 }
             }
             NodeKind::Leaf(entries) => {
                 for e in entries {
-                    for &q in &live {
-                        if !dead[q as usize] && e.mbr.intersects(&queries[q as usize].rect) {
-                            match &mut out[q as usize] {
-                                Outcome::Ok(oids) => oids.push(e.oid),
-                                _ => unreachable!("live query has output"),
-                            }
-                        }
+                    if e.mbr.intersects(rect) {
+                        out.push(e.oid);
                     }
                 }
             }
         }
     }
-    out
+    Outcome::Ok(out)
 }
 
 struct HeapItem {
@@ -633,28 +560,27 @@ mod tests {
         TreeSet::new(vec![tree(1200, 0.0), tree(900, 0.3)]).unwrap()
     }
 
+    fn direct(trees: &TreeSet, tree: u16, rect: &Rect) -> Vec<u64> {
+        trees.trees[tree as usize]
+            .window_query(rect)
+            .iter()
+            .map(|e| e.oid)
+            .collect()
+    }
+
     #[test]
     fn window_batch_matches_direct_queries() {
         let trees = set();
         let cache = SharedPageCache::new(1, 256, 4, Policy::Lru);
         for tree_idx in 0..2u16 {
-            let queries: Vec<WindowQuery> = (0..12)
-                .map(|i| WindowQuery {
-                    rect: Rect::new((i * 3) as f64, 2.0, (i * 3 + 6) as f64, 9.0),
-                    deadline: None,
-                })
-                .collect();
-            let got = window_batch(&trees, &cache, 0, tree_idx, &queries);
-            for (i, q) in queries.iter().enumerate() {
-                let mut got_i = got[i].clone().ok().expect("no deadline set");
-                let mut want: Vec<u64> = trees.trees[tree_idx as usize]
-                    .window_query(&q.rect)
-                    .iter()
-                    .map(|e| e.oid)
-                    .collect();
-                got_i.sort_unstable();
-                want.sort_unstable();
-                assert_eq!(got_i, want, "tree {tree_idx} query {i}");
+            for i in 0..12 {
+                let rect = Rect::new((i * 3) as f64, 2.0, (i * 3 + 6) as f64, 9.0);
+                let got = window(&trees, &cache, 0, tree_idx, &rect, None);
+                assert_eq!(
+                    got,
+                    Outcome::Ok(direct(&trees, tree_idx, &rect)),
+                    "tree {tree_idx} query {i}: same oids in the same order"
+                );
             }
         }
     }
@@ -663,15 +589,9 @@ mod tests {
     fn window_batch_under_tiny_cache_still_correct() {
         let trees = set();
         let cache = SharedPageCache::new(1, 2, 1, Policy::Lru);
-        let queries = vec![WindowQuery {
-            rect: Rect::new(0.0, 0.0, 40.0, 40.0),
-            deadline: None,
-        }];
-        let got = window_batch(&trees, &cache, 0, 0, &queries);
-        assert_eq!(
-            got[0].clone().ok().unwrap().len(),
-            trees.trees[0].window_query(&queries[0].rect).len()
-        );
+        let rect = Rect::new(0.0, 0.0, 40.0, 40.0);
+        let got = window(&trees, &cache, 0, 0, &rect, None);
+        assert_eq!(got, Outcome::Ok(direct(&trees, 0, &rect)));
         assert!(cache.total_stats().evictions > 0, "tiny cache thrashes");
     }
 
@@ -679,25 +599,41 @@ mod tests {
     fn expired_member_gets_none_others_complete() {
         let trees = set();
         let cache = SharedPageCache::new(1, 256, 4, Policy::Lru);
+        let rect = Rect::new(0.0, 0.0, 10.0, 10.0);
         let past = Instant::now() - Duration::from_millis(5);
-        let queries = vec![
-            WindowQuery {
-                rect: Rect::new(0.0, 0.0, 10.0, 10.0),
-                deadline: Some(past),
-            },
-            WindowQuery {
-                rect: Rect::new(0.0, 0.0, 10.0, 10.0),
-                deadline: None,
-            },
-        ];
-        let got = window_batch(&trees, &cache, 0, 0, &queries);
-        assert_eq!(got[0], Outcome::DeadlineExceeded, "expired member dropped");
-        let want = trees.trees[0].window_query(&queries[1].rect).len();
         assert_eq!(
-            got[1].clone().ok().unwrap().len(),
-            want,
-            "live member served"
+            window(&trees, &cache, 0, 0, &rect, Some(past)),
+            Outcome::DeadlineExceeded,
+            "expired before the root is read"
         );
+        assert_eq!(
+            window(&trees, &cache, 0, 0, &rect, None),
+            Outcome::Ok(direct(&trees, 0, &rect)),
+            "the next query on the same cache is served"
+        );
+    }
+
+    #[test]
+    fn deadline_expiring_mid_descent_discards_partial_results() {
+        // Every page fill sleeps 400 ms against a 200 ms deadline: the root
+        // is read in time, the deadline passes during that read, and the
+        // check before the second node stops the descent.
+        let plan = Arc::new(FaultPlan::new(1).with_latency(1.0, Duration::from_millis(400)));
+        let trees = set().with_fault(Arc::clone(&plan));
+        let cache = SharedPageCache::new(1, 256, 4, Policy::Lru);
+        let deadline = Instant::now() + Duration::from_millis(200);
+        assert_eq!(
+            window(
+                &trees,
+                &cache,
+                0,
+                0,
+                &Rect::new(0.0, 0.0, 40.0, 40.0),
+                Some(deadline)
+            ),
+            Outcome::DeadlineExceeded
+        );
+        assert_eq!(plan.latency_injected(), 1, "stopped after the root");
     }
 
     #[test]
@@ -788,15 +724,10 @@ mod tests {
         // return results.
         let trees = set().with_fault(Arc::new(FaultPlan::new(3).with_flip(1.0)));
         let cache = SharedPageCache::new(1, 256, 4, Policy::Lru);
-        let queries = vec![WindowQuery {
-            rect: Rect::new(0.0, 0.0, 40.0, 40.0),
-            deadline: None,
-        }];
-        let got = window_batch(&trees, &cache, 0, 0, &queries);
+        let got = window(&trees, &cache, 0, 0, &Rect::new(0.0, 0.0, 40.0, 40.0), None);
         assert!(
-            matches!(&got[0], Outcome::Storage(e) if e.is_corrupt()),
-            "{:?}",
-            got[0]
+            matches!(&got, Outcome::Storage(e) if e.is_corrupt()),
+            "{got:?}"
         );
         let nn = nearest(&trees, &cache, 0, 0, Point::new(1.0, 1.0), 3, None);
         assert!(matches!(nn, Outcome::Storage(_)), "{nn:?}");
@@ -817,29 +748,17 @@ mod tests {
             let cache = SharedPageCache::new(1, 256, 4, Policy::Lru);
             // Small tiles: each touches only a few pages, so a 30% flip
             // rate leaves many queries with an all-clean path.
-            let queries: Vec<WindowQuery> = (0..16)
-                .map(|i| {
-                    let (x, y) = (((i % 4) * 9) as f64, ((i / 4) * 7) as f64);
-                    WindowQuery {
-                        rect: Rect::new(x, y, x + 3.0, y + 3.0),
-                        deadline: None,
-                    }
-                })
-                .collect();
-            let got = window_batch(&trees, &cache, 0, 0, &queries);
-            for (i, (outcome, q)) in got.iter().zip(&queries).enumerate() {
-                match outcome {
+            for i in 0..16 {
+                let (x, y) = (((i % 4) * 9) as f64, ((i / 4) * 7) as f64);
+                let rect = Rect::new(x, y, x + 3.0, y + 3.0);
+                match window(&trees, &cache, 0, 0, &rect, None) {
                     Outcome::Ok(oids) => {
                         completed += 1;
-                        let mut got_i = oids.clone();
-                        let mut want: Vec<u64> = trees.trees[0]
-                            .window_query(&q.rect)
-                            .iter()
-                            .map(|e| e.oid)
-                            .collect();
-                        got_i.sort_unstable();
-                        want.sort_unstable();
-                        assert_eq!(got_i, want, "seed {seed} query {i} completed but wrong");
+                        assert_eq!(
+                            oids,
+                            direct(&trees, 0, &rect),
+                            "seed {seed} query {i} completed but wrong"
+                        );
                     }
                     Outcome::Storage(e) => {
                         failed += 1;
@@ -881,11 +800,7 @@ mod tests {
         );
         // The healthy tree still serves window queries.
         let cache = SharedPageCache::new(1, 256, 4, Policy::Lru);
-        let queries = vec![WindowQuery {
-            rect: Rect::new(0.0, 0.0, 40.0, 40.0),
-            deadline: None,
-        }];
-        let got = window_batch(&trees, &cache, 0, 1, &queries);
-        assert!(got[0].is_ok(), "healthy tree unaffected");
+        let got = window(&trees, &cache, 0, 1, &Rect::new(0.0, 0.0, 40.0, 40.0), None);
+        assert!(got.is_ok(), "healthy tree unaffected");
     }
 }

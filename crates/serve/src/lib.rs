@@ -10,11 +10,11 @@
 //!
 //! * [`protocol`] — length-prefixed binary frames; decoding is total
 //!   (malformed bytes produce errors, never panics).
-//! * [`exec`] — cache-routed query execution: shared-descent window
-//!   batches, best-first k-NN, deadline-checked joins.
-//! * [`server`] — acceptor, connection threads, a per-tree batching
-//!   stage, and a work-stealing worker pool; admission control sheds
-//!   load past a bound, deadlines cancel cooperatively.
+//! * [`exec`] — cache-routed query execution: window descent,
+//!   best-first k-NN, deadline-checked joins.
+//! * [`server`] — acceptor and connection threads that execute their own
+//!   requests under a bounded set of execution slots; admission control
+//!   sheds load past a bound, deadlines cancel cooperatively.
 //! * [`telemetry`] — lock-free counters and a log-bucket latency
 //!   histogram (p50/p95/p99) on the [`psj_obs`] registry, rendered as
 //!   Prometheus text by the `Metrics` request.
@@ -31,7 +31,7 @@ pub mod server;
 pub mod telemetry;
 
 pub use client::{BackoffPolicy, Client, ClientError};
-pub use exec::{JoinRun, Outcome, TreeSet, WindowQuery};
+pub use exec::{JoinRun, Outcome, TreeSet};
 pub use loadgen::{LoadConfig, LoadReport};
 pub use protocol::{
     EncodeError, Request, Response, ServerStats, StorageErrorKind, TreeInfo, ROUTER_SHARD,
@@ -57,11 +57,10 @@ mod e2e {
         Arc::new(PagedTree::freeze(&t, |_| None))
     }
 
-    fn start(batch_window_ms: u64) -> (Server, std::net::SocketAddr, Vec<Arc<PagedTree>>) {
+    fn start() -> (Server, std::net::SocketAddr, Vec<Arc<PagedTree>>) {
         let trees = vec![tree(2000, 0.0), tree(1500, 0.4)];
         let cfg = ServeConfig {
             workers: 2,
-            batch_window: Duration::from_millis(batch_window_ms),
             cache_pages: 512,
             join_threads: 2,
             read_timeout: Duration::from_millis(50),
@@ -74,43 +73,41 @@ mod e2e {
 
     #[test]
     fn end_to_end_queries_match_direct_calls() {
-        for batch_ms in [0, 2] {
-            let (server, addr, trees) = start(batch_ms);
-            let mut c = Client::connect(addr).unwrap();
+        let (server, addr, trees) = start();
+        let mut c = Client::connect(addr).unwrap();
 
-            let info = c.info().unwrap();
-            assert_eq!(info.len(), 2);
-            assert_eq!(info[0].len, trees[0].len());
+        let info = c.info().unwrap();
+        assert_eq!(info.len(), 2);
+        assert_eq!(info[0].len, trees[0].len());
 
-            let rect = Rect::new(3.0, 3.0, 17.0, 11.0);
-            let mut got = c.window(0, rect, 0).unwrap();
-            let mut want: Vec<u64> = trees[0].window_query(&rect).iter().map(|e| e.oid).collect();
-            got.sort_unstable();
-            want.sort_unstable();
-            assert_eq!(got, want, "window batch_ms={batch_ms}");
+        let rect = Rect::new(3.0, 3.0, 17.0, 11.0);
+        let mut got = c.window(0, rect, 0).unwrap();
+        let mut want: Vec<u64> = trees[0].window_query(&rect).iter().map(|e| e.oid).collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "window");
 
-            let nn = c.nearest(1, 7.7, 9.1, 5, 0).unwrap();
-            let direct = trees[1].nearest_neighbors(&psj_geom::Point::new(7.7, 9.1), 5);
-            assert_eq!(nn.len(), direct.len());
-            for ((gd, go), (wd, we)) in nn.iter().zip(&direct) {
-                assert_eq!(gd, wd);
-                assert_eq!(*go, we.oid);
-            }
-
-            let pairs = c.join(0, 1, true, 0).unwrap();
-            let want = psj_core::join_refined(&trees[0], &trees[1]);
-            assert_eq!(pairs.len(), want.len(), "join batch_ms={batch_ms}");
-
-            let stats = c.stats().unwrap();
-            assert!(stats.completed >= 3);
-            let report = server.stop();
-            assert_eq!(report.stats.queue_depth, 0, "drained at shutdown");
+        let nn = c.nearest(1, 7.7, 9.1, 5, 0).unwrap();
+        let direct = trees[1].nearest_neighbors(&psj_geom::Point::new(7.7, 9.1), 5);
+        assert_eq!(nn.len(), direct.len());
+        for ((gd, go), (wd, we)) in nn.iter().zip(&direct) {
+            assert_eq!(gd, wd);
+            assert_eq!(*go, we.oid);
         }
+
+        let pairs = c.join(0, 1, true, 0).unwrap();
+        let want = psj_core::join_refined(&trees[0], &trees[1]);
+        assert_eq!(pairs.len(), want.len(), "join");
+
+        let stats = c.stats().unwrap();
+        assert!(stats.completed >= 3);
+        let report = server.stop();
+        assert_eq!(report.stats.queue_depth, 0, "drained at shutdown");
     }
 
     #[test]
     fn unknown_tree_is_an_error_not_a_panic() {
-        let (server, addr, _) = start(0);
+        let (server, addr, _) = start();
         let mut c = Client::connect(addr).unwrap();
         let err = c.window(99, Rect::new(0.0, 0.0, 1.0, 1.0), 0);
         assert!(matches!(
@@ -124,7 +121,7 @@ mod e2e {
 
     #[test]
     fn client_shutdown_request_stops_wait() {
-        let (server, addr, _) = start(2);
+        let (server, addr, _) = start();
         let h = std::thread::spawn(move || server.wait());
         let mut c = Client::connect(addr).unwrap();
         c.window(0, Rect::new(0.0, 0.0, 5.0, 5.0), 0).unwrap();

@@ -124,9 +124,10 @@ pub struct ServerStats {
     pub proto_errors: u64,
     /// Requests admitted but not yet answered, at report time.
     pub queue_depth: u32,
-    /// Query batches executed (a batch of one still counts).
+    /// Window / nearest queries executed. The server no longer batches;
+    /// this and the equal `batched_queries` remain for `benchmark/`.
     pub batches: u64,
-    /// Queries that travelled inside those batches.
+    /// Window / nearest queries executed (always equals `batches`).
     pub batched_queries: u64,
     /// Latency percentiles over completed requests, milliseconds.
     pub p50_ms: f64,
@@ -159,7 +160,8 @@ pub struct ServerStats {
     pub quarantined_pages: u64,
     /// Page fetches retried by the cache's retry policy since start.
     pub page_retries: u64,
-    /// Worker panics caught and recovered (the pool kept serving).
+    /// Request-handler panics caught and recovered (the server kept
+    /// serving).
     pub worker_panics: u64,
 }
 
@@ -180,11 +182,7 @@ impl std::fmt::Display for ServerStats {
             "latency:    p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms",
             self.p50_ms, self.p95_ms, self.p99_ms
         )?;
-        writeln!(
-            f,
-            "batching:   {} batches, {} queries batched",
-            self.batches, self.batched_queries
-        )?;
+        writeln!(f, "queries:    {} window / nearest executed", self.batches)?;
         writeln!(
             f,
             "page cache: {} requests, {} hits, {} misses, {} evictions, {}/{} pages resident",

@@ -1,47 +1,45 @@
-//! The server: acceptor, per-connection threads, a batching stage, and a
-//! work-stealing worker pool sharing one page cache.
+//! The server: an acceptor and one thread per connection, each of which
+//! executes its own requests against the shared page cache.
 //!
 //! ```text
-//! acceptor ──► connection threads ──► batcher ──► injector ──► workers
-//!                    ▲                (window/nearest,            │
-//!                    │                 grouped per tree)          │
-//!                    └──────────────── mpsc reply ◄───────────────┘
+//! acceptor ──► connection thread: read ─► admit ─► slot ─► execute ─► reply
 //! ```
 //!
 //! * **Admission control** — a request is *admitted* by incrementing the
 //!   `queued` counter; if that pushes past `queue_bound` (or the server is
 //!   draining) it is immediately un-admitted and answered
 //!   [`Response::Overloaded`]. `queued` counts admitted-but-unanswered
-//!   requests, so the bound covers the batcher, the injector, and
-//!   in-flight execution alike.
-//! * **Batching** — window and nearest queries landing within
-//!   `batch_window` of the oldest pending query are grouped per (tree,
-//!   kind) and executed together; a group reaching `max_batch` flushes
-//!   immediately. `batch_window == 0` disables the stage (every query is a
-//!   batch of one, dispatched straight to the injector).
+//!   requests, so the bound covers requests waiting for a slot and
+//!   requests executing alike.
+//! * **Execution slots** — an admitted request takes one of `workers`
+//!   slots and runs on its own connection thread; the slot number is the
+//!   worker index of the cache's per-worker statistics, and at most
+//!   `workers` requests (joins included) execute at once. When every slot
+//!   is busy the thread waits; a released slot is handed to the longest
+//!   waiter, so a new arrival cannot barge past the queue.
 //! * **Deadlines** — `deadline_ms` is converted to an absolute instant at
-//!   arrival; executors check it cooperatively and expired requests get
-//!   [`Response::DeadlineExceeded`] with partial work discarded.
-//! * **Shutdown** — admission closes first, then the drain loop flushes
-//!   the batcher until `queued` reaches zero, then workers and the
-//!   acceptor are halted and joined. Connection threads notice the halt
-//!   flag at their next read timeout.
+//!   arrival; a request whose deadline passes while it waits for a slot is
+//!   answered [`Response::DeadlineExceeded`] without executing, executors
+//!   check it cooperatively at every node, and expired requests discard
+//!   their partial work.
+//! * **Shutdown** — admission closes first, then the drain waits until
+//!   `queued` reaches zero, then the acceptor is halted and joined.
+//!   Connection threads notice the halt flag at their next read timeout.
 
-use crate::exec::{self, Outcome, TreeSet, WindowQuery};
+use crate::exec::{self, Outcome, TreeSet};
 use crate::protocol::{
     read_frame, write_frame, Request, Response, ServerStats, StorageErrorKind, TreeInfo,
     MAX_REQUEST_FRAME,
 };
 use crate::telemetry::{GaugeSnapshot, Telemetry};
 use psj_buffer::{Policy, SharedPageCache};
-use psj_core::deque::{Injector, Steal, Worker};
 use psj_core::StealPolicy;
 use psj_geom::Point;
 use psj_obs::trace::TID_SERVE;
 use psj_obs::TraceSink;
 use psj_rtree::{Node, PagedTree};
 use psj_store::{FaultPlan, PageError, RetryPolicy};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -50,11 +48,11 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-// A worker that panicked while holding (or racing for) one of the server's
-// locks must not wedge every later request and the shutdown drain — the
-// protected state (batch maps, join-handle lists, condvar companions) stays
-// structurally valid across a panic, so `lock_clean` recovers the guard and
-// the panic is surfaced through the `worker_panics` counter instead.
+// A thread that panicked while holding one of the server's locks must not
+// wedge every later request and the shutdown drain — the protected state
+// (slot lists, join-handle lists) stays structurally valid across a panic,
+// so `lock_clean` recovers the guard and the panic is surfaced through the
+// `worker_panics` counter instead.
 use psj_store::lock_clean;
 
 /// Server configuration.
@@ -62,15 +60,14 @@ use psj_store::lock_clean;
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (`:0` picks a free port).
     pub addr: String,
-    /// Query worker threads (each also indexes per-worker cache stats).
+    /// Execution slots: how many requests run at once (each slot also
+    /// indexes per-worker cache stats).
     pub workers: usize,
     /// Admission bound: maximum admitted-but-unanswered requests.
     pub queue_bound: usize,
-    /// Batching window measured from the oldest pending query; zero
-    /// disables batching.
+    /// Ignored: the server no longer batches, and nothing reads this. The
+    /// field remains only because `benchmark/` still sets it.
     pub batch_window: Duration,
-    /// A (tree, kind) group reaching this size flushes immediately.
-    pub max_batch: usize,
     /// Shared page-cache capacity, in decoded nodes.
     pub cache_pages: usize,
     /// Page-cache lock shards.
@@ -94,10 +91,9 @@ pub struct ServeConfig {
     pub fault: Option<Arc<FaultPlan>>,
     /// Retry policy for failed page-cache fills.
     pub retry: RetryPolicy,
-    /// Structured-trace sink: when set, admissions, sheds, and batch
-    /// flushes emit instants on the server's trace row and the query
-    /// cache emits page events. `None` (the default) costs one pointer
-    /// check per admission.
+    /// Structured-trace sink: when set, admissions and sheds emit instants
+    /// on the server's trace row and the query cache emits page events.
+    /// `None` (the default) costs one pointer check per admission.
     pub trace: Option<Arc<TraceSink>>,
     /// This server's shard id, echoed in [`Response::Info`] so cluster
     /// routers can verify a dialed address is the shard their topology
@@ -111,8 +107,7 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
             queue_bound: 256,
-            batch_window: Duration::from_millis(2),
-            max_batch: 32,
+            batch_window: Duration::ZERO,
             cache_pages: 4096,
             cache_shards: 16,
             join_threads: 4,
@@ -129,65 +124,78 @@ impl Default for ServeConfig {
     }
 }
 
-/// Reply routing for one admitted request.
-struct ReqCtx {
-    arrival: Instant,
-    reply: mpsc::Sender<Response>,
-}
-
-struct NearestQuery {
-    point: Point,
-    k: usize,
-    deadline: Option<Instant>,
-}
-
-enum WorkItem {
-    Windows {
-        tree: u16,
-        members: Vec<(WindowQuery, ReqCtx)>,
-    },
-    Nearests {
-        tree: u16,
-        members: Vec<(NearestQuery, ReqCtx)>,
-    },
-    Join {
-        tree_a: u16,
-        tree_b: u16,
-        refine: bool,
-        deadline: Option<Instant>,
-        owner: Option<(f64, f64)>,
-        ctx: ReqCtx,
-    },
-    /// Test-only: a work item whose handler panics, for exercising the
-    /// pool's panic containment.
-    #[cfg(test)]
-    Panic,
-}
-
-/// Pending not-yet-flushed query groups.
 #[derive(Default)]
-struct BatchState {
-    windows: HashMap<u16, Vec<(WindowQuery, ReqCtx)>>,
-    nearests: HashMap<u16, Vec<(NearestQuery, ReqCtx)>>,
-    /// Arrival of the oldest pending query; the flush timer's origin.
-    oldest: Option<Instant>,
+struct SlotState {
+    /// Slot numbers nobody holds. Non-empty only while `waiters` is empty.
+    idle: Vec<usize>,
+    /// Threads waiting for a slot, longest wait first: arrival ticket and
+    /// the condvar that thread waits on (one each, so a release wakes
+    /// exactly the thread it hands the slot to).
+    waiters: VecDeque<(u64, Arc<Condvar>)>,
+    /// Slots handed to a waiter that has not woken yet: (ticket, slot).
+    handed: Vec<(u64, usize)>,
+    next_ticket: u64,
 }
 
-impl BatchState {
-    fn is_empty(&self) -> bool {
-        self.windows.is_empty() && self.nearests.is_empty()
+/// The `workers` execution slots, handed out first come, first served.
+struct Slots {
+    state: Mutex<SlotState>,
+}
+
+impl Slots {
+    fn new(n: usize) -> Self {
+        Slots {
+            state: Mutex::new(SlotState {
+                idle: (0..n).rev().collect(),
+                ..SlotState::default()
+            }),
+        }
     }
 
-    fn drain(&mut self) -> Vec<WorkItem> {
-        let mut items = Vec::with_capacity(self.windows.len() + self.nearests.len());
-        for (tree, members) in self.windows.drain() {
-            items.push(WorkItem::Windows { tree, members });
+    /// Takes an idle slot, or waits in arrival order for a released one.
+    /// `None` when `deadline` passes first.
+    fn acquire(&self, deadline: Option<Instant>) -> Option<usize> {
+        let mut st = lock_clean(&self.state);
+        if let Some(slot) = st.idle.pop() {
+            return Some(slot);
         }
-        for (tree, members) in self.nearests.drain() {
-            items.push(WorkItem::Nearests { tree, members });
+        let ticket = st.next_ticket;
+        st.next_ticket += 1;
+        let ready = Arc::new(Condvar::new());
+        st.waiters.push_back((ticket, Arc::clone(&ready)));
+        loop {
+            if let Some(i) = st.handed.iter().position(|&(t, _)| t == ticket) {
+                return Some(st.handed.swap_remove(i).1);
+            }
+            st = match deadline {
+                None => ready.wait(st).unwrap_or_else(|e| e.into_inner()),
+                Some(d) => {
+                    let now = Instant::now();
+                    if now >= d {
+                        // Not handed a slot, so still queued: leave.
+                        st.waiters.retain(|&(t, _)| t != ticket);
+                        return None;
+                    }
+                    let (st, _) = ready
+                        .wait_timeout(st, d - now)
+                        .unwrap_or_else(|e| e.into_inner());
+                    st
+                }
+            };
         }
-        self.oldest = None;
-        items
+    }
+
+    /// Returns `slot`: to the longest waiter if there is one, else to the
+    /// idle list.
+    fn release(&self, slot: usize) {
+        let mut st = lock_clean(&self.state);
+        match st.waiters.pop_front() {
+            Some((ticket, ready)) => {
+                st.handed.push((ticket, slot));
+                ready.notify_one();
+            }
+            None => st.idle.push(slot),
+        }
     }
 }
 
@@ -200,23 +208,14 @@ struct Shared {
     queued: AtomicUsize,
     /// Admission closed (drain in progress).
     shutting_down: AtomicBool,
-    /// Workers / batcher / connection threads must exit.
+    /// The acceptor and connection threads must exit.
     halt: AtomicBool,
-    injector: Injector<WorkItem>,
-    work_mutex: Mutex<()>,
-    work_signal: Condvar,
-    batch: Mutex<BatchState>,
-    batch_signal: Condvar,
+    slots: Slots,
     /// Signalled by a client [`Request::Shutdown`]; `Server::wait` listens.
     shutdown_tx: Mutex<Option<mpsc::Sender<()>>>,
 }
 
 impl Shared {
-    fn notify_workers(&self) {
-        let _g = lock_clean(&self.work_mutex);
-        self.work_signal.notify_all();
-    }
-
     fn halted(&self) -> bool {
         self.halt.load(Ordering::Acquire)
     }
@@ -293,18 +292,6 @@ impl Shared {
             })
             .collect()
     }
-
-    /// Moves every pending batch group to the injector, regardless of age.
-    fn flush_batches(&self) {
-        let items = lock_clean(&self.batch).drain();
-        if !items.is_empty() {
-            self.trace_instant("batch_flush", &[("groups", items.len() as u64)]);
-            for item in items {
-                self.injector.push(item);
-            }
-            self.notify_workers();
-        }
-    }
 }
 
 /// A running server. Dropping the handle without calling [`Server::stop`]
@@ -314,8 +301,7 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Connection threads still running as of the last accept.
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     shutdown_rx: mpsc::Receiver<()>,
 }
@@ -333,9 +319,13 @@ impl std::fmt::Display for ServerReport {
     }
 }
 
+/// Pause before retrying after `accept` fails, so a persistent error
+/// (EMFILE, say) does not spin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 impl Server {
     /// Binds `cfg.addr`, loads `trees` behind a fresh shared cache, and
-    /// starts the acceptor, batcher, and worker threads.
+    /// starts the acceptor.
     pub fn start(cfg: ServeConfig, trees: Vec<Arc<PagedTree>>) -> io::Result<Server> {
         let mut trees =
             TreeSet::new(trees).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
@@ -364,32 +354,10 @@ impl Server {
             queued: AtomicUsize::new(0),
             shutting_down: AtomicBool::new(false),
             halt: AtomicBool::new(false),
-            injector: Injector::new(),
-            work_mutex: Mutex::new(()),
-            work_signal: Condvar::new(),
-            batch: Mutex::new(BatchState::default()),
-            batch_signal: Condvar::new(),
+            slots: Slots::new(workers),
             shutdown_tx: Mutex::new(Some(shutdown_tx)),
             cfg,
         });
-
-        let worker_handles: Vec<JoinHandle<()>> = (0..workers)
-            .map(|idx| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("psj-serve-worker-{idx}"))
-                    .spawn(move || worker_loop(&shared, idx))
-                    .expect("spawn worker")
-            })
-            .collect();
-
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("psj-serve-batcher".into())
-                .spawn(move || batcher_loop(&shared))
-                .expect("spawn batcher")
-        };
 
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
@@ -402,13 +370,18 @@ impl Server {
                         if shared.halted() {
                             break;
                         }
-                        let Ok(stream) = stream else { continue };
+                        let Ok(stream) = stream else {
+                            std::thread::sleep(ACCEPT_BACKOFF);
+                            continue;
+                        };
                         let shared = Arc::clone(&shared);
                         let h = std::thread::Builder::new()
                             .name("psj-serve-conn".into())
                             .spawn(move || handle_conn(&shared, stream))
                             .expect("spawn connection thread");
-                        lock_clean(&conns).push(h);
+                        let mut conns = lock_clean(&conns);
+                        conns.retain(|c| !c.is_finished());
+                        conns.push(h);
                     }
                 })
                 .expect("spawn acceptor")
@@ -418,8 +391,6 @@ impl Server {
             shared,
             addr,
             acceptor: Some(acceptor),
-            batcher: Some(batcher),
-            workers: worker_handles,
             conns,
             shutdown_rx,
         })
@@ -443,31 +414,18 @@ impl Server {
         let shared = &self.shared;
         // 1. Close admission; new requests get Overloaded.
         shared.shutting_down.store(true, Ordering::SeqCst);
-        // 2. Drain: flush the batcher until every admitted request has
-        //    been answered. Workers are still running here.
+        // 2. Drain: every admitted request, executing or waiting for a
+        //    slot, is answered by its own connection thread.
         while shared.queued.load(Ordering::SeqCst) > 0 {
-            shared.flush_batches();
             std::thread::sleep(Duration::from_millis(1));
         }
-        // 3. Halt workers and the batcher.
+        // 3. Halt, unblock the acceptor with a dummy connection, join it.
         shared.halt.store(true, Ordering::SeqCst);
-        shared.notify_workers();
-        {
-            let _g = lock_clean(&shared.batch);
-            shared.batch_signal.notify_all();
-        }
-        if let Some(b) = self.batcher.take() {
-            let _ = b.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        // 4. Unblock the acceptor with a dummy connection and join it.
         let _ = TcpStream::connect(self.addr);
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
-        // 5. Connection threads exit at their next read timeout (or when
+        // 4. Connection threads exit at their next read timeout (or when
         //    their client hangs up).
         let conns: Vec<JoinHandle<()>> = std::mem::take(&mut *lock_clean(&self.conns));
         for c in conns {
@@ -475,87 +433,6 @@ impl Server {
         }
         ServerReport {
             stats: shared.stats(),
-        }
-    }
-}
-
-fn batcher_loop(shared: &Shared) {
-    let mut st = lock_clean(&shared.batch);
-    loop {
-        // Wait for pending queries (or halt).
-        while st.is_empty() {
-            if shared.halted() {
-                return;
-            }
-            let (g, _) = shared
-                .batch_signal
-                .wait_timeout(st, Duration::from_millis(50))
-                .unwrap_or_else(|e| e.into_inner());
-            st = g;
-        }
-        // Run the window down from the oldest pending arrival. New
-        // arrivals join the same flush (the timer origin never moves
-        // later), so no query waits more than `batch_window`.
-        let flush_at = st.oldest.expect("non-empty batch has an origin") + shared.cfg.batch_window;
-        loop {
-            let now = Instant::now();
-            if now >= flush_at || shared.halted() {
-                break;
-            }
-            let (g, _) = shared
-                .batch_signal
-                .wait_timeout(st, flush_at - now)
-                .unwrap_or_else(|e| e.into_inner());
-            st = g;
-            if st.is_empty() {
-                break; // a max_batch flush emptied the state under us
-            }
-        }
-        let items = st.drain();
-        drop(st);
-        if !items.is_empty() {
-            shared.trace_instant("batch_flush", &[("groups", items.len() as u64)]);
-            for item in items {
-                shared.injector.push(item);
-            }
-            shared.notify_workers();
-        }
-        st = lock_clean(&shared.batch);
-    }
-}
-
-fn worker_loop(shared: &Shared, idx: usize) {
-    let local: Worker<WorkItem> = Worker::new_lifo();
-    loop {
-        let item = local.pop().or_else(|| loop {
-            match shared.injector.steal_batch_and_pop(&local) {
-                Steal::Success(item) => break Some(item),
-                Steal::Empty => break None,
-                Steal::Retry => {}
-            }
-        });
-        match item {
-            Some(item) => {
-                // A panicking handler must not take the worker (or the
-                // pool) down: contain it, count it, keep serving. The
-                // request's reply sender is dropped with the work item, so
-                // its connection thread gets a typed error, not a hang.
-                if catch_unwind(AssertUnwindSafe(|| execute(shared, idx, item))).is_err() {
-                    shared.telemetry.worker_panics.inc();
-                }
-            }
-            None => {
-                if shared.halted() {
-                    return;
-                }
-                let g = lock_clean(&shared.work_mutex);
-                // Re-check under the lock so a notify between the failed
-                // steal and this wait is not lost for long.
-                let _ = shared
-                    .work_signal
-                    .wait_timeout(g, Duration::from_millis(20))
-                    .unwrap_or_else(|e| e.into_inner());
-            }
         }
     }
 }
@@ -596,77 +473,78 @@ fn storage_response(e: &PageError) -> Response {
     }
 }
 
-fn execute(shared: &Shared, worker: usize, item: WorkItem) {
-    let t = &shared.telemetry;
-    match item {
-        WorkItem::Windows { tree, members } => {
-            t.batches.inc();
-            t.batched_queries.add(members.len() as u64);
-            let queries: Vec<WindowQuery> = members.iter().map(|(q, _)| *q).collect();
-            let results = exec::window_batch(&shared.trees, &shared.cache, worker, tree, &queries);
-            for ((_, ctx), result) in members.into_iter().zip(results) {
-                let latency = ctx.arrival.elapsed();
-                let resp = respond(t, latency, result, Response::Entries);
-                let _ = ctx.reply.send(resp);
-            }
+/// An admitted request: holds its admission count and, once it has one,
+/// its execution slot. Dropping it releases both, on every path out of
+/// [`execute`] including an unwinding one.
+struct Admitted<'a> {
+    shared: &'a Shared,
+    slot: Option<usize>,
+}
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        if let Some(slot) = self.slot {
+            self.shared.slots.release(slot);
         }
-        WorkItem::Nearests { tree, members } => {
-            t.batches.inc();
-            t.batched_queries.add(members.len() as u64);
-            for (q, ctx) in members {
-                let result = exec::nearest(
-                    &shared.trees,
-                    &shared.cache,
-                    worker,
-                    tree,
-                    q.point,
-                    q.k,
-                    q.deadline,
-                );
-                let latency = ctx.arrival.elapsed();
-                let resp = respond(t, latency, result, Response::Neighbors);
-                let _ = ctx.reply.send(resp);
-            }
-        }
-        WorkItem::Join {
-            tree_a,
-            tree_b,
-            refine,
-            deadline,
-            owner,
-            ctx,
-        } => {
-            let result = exec::join(
-                &shared.trees,
-                tree_a,
-                tree_b,
-                refine,
-                owner,
-                exec::JoinTuning {
-                    threads: shared.cfg.join_threads,
-                    morsel_candidates: shared.cfg.join_morsel_candidates,
-                    steal: shared.cfg.join_steal,
-                    steal_seed: shared.cfg.join_steal_seed,
-                    engine: shared.cfg.join_engine,
-                },
-                deadline,
-            );
-            if let Outcome::Ok(run) = &result {
-                t.join_tasks.add(run.tasks);
-                t.join_steals.add(run.steals);
-            }
-            let latency = ctx.arrival.elapsed();
-            let resp = respond(t, latency, result, |run| Response::Pairs(run.pairs));
-            let _ = ctx.reply.send(resp);
-        }
-        #[cfg(test)]
-        WorkItem::Panic => panic!("injected worker panic (test)"),
+        self.shared.queued.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// Converts a wire deadline to an absolute instant.
-fn abs_deadline(arrival: Instant, deadline_ms: u32) -> Option<Instant> {
-    (deadline_ms > 0).then(|| arrival + Duration::from_millis(u64::from(deadline_ms)))
+/// Admission control: the admitted request, or `None` when it is shed.
+/// Increment-then-check closes the race against concurrent admitters — the
+/// counter can transiently overshoot the bound but admitted requests never
+/// exceed it.
+fn admit(shared: &Shared) -> Option<Admitted<'_>> {
+    let q = shared.queued.fetch_add(1, Ordering::SeqCst) + 1;
+    if shared.shutting_down.load(Ordering::SeqCst) || q > shared.cfg.queue_bound {
+        shared.queued.fetch_sub(1, Ordering::SeqCst);
+        shared.telemetry.shed.inc();
+        shared.trace_instant("shed", &[("queued", q as u64)]);
+        return None;
+    }
+    shared.trace_instant("admit", &[("queued", q as u64)]);
+    Some(Admitted { shared, slot: None })
+}
+
+/// One query or join request, start to reply, on the calling connection
+/// thread: checks `trees` are loaded, admits, takes an execution slot
+/// (waiting at most until the deadline), runs `work` with the slot number
+/// and the absolute deadline, and maps its outcome to the reply.
+fn execute<T>(
+    shared: &Shared,
+    trees: &[u16],
+    deadline_ms: u32,
+    work: impl FnOnce(usize, Option<Instant>) -> Outcome<T>,
+    ok: impl FnOnce(T) -> Response,
+) -> Response {
+    let t = &shared.telemetry;
+    if let Some(&tree) = trees.iter().find(|&&tree| shared.trees.get(tree).is_none()) {
+        t.proto_errors.inc();
+        return Response::Error(format!(
+            "unknown tree {tree} ({} loaded)",
+            shared.trees.len()
+        ));
+    }
+    let Some(mut admitted) = admit(shared) else {
+        return Response::Overloaded;
+    };
+    let arrival = Instant::now();
+    let deadline =
+        (deadline_ms > 0).then(|| arrival + Duration::from_millis(u64::from(deadline_ms)));
+    admitted.slot = shared.slots.acquire(deadline);
+    let Some(worker) = admitted.slot else {
+        t.timeout(arrival.elapsed());
+        return Response::DeadlineExceeded;
+    };
+    // A panicking executor must not take the connection (or the slot)
+    // down: contain it, count it, answer with a typed error, keep serving.
+    match catch_unwind(AssertUnwindSafe(|| work(worker, deadline))) {
+        Ok(outcome) => respond(t, arrival.elapsed(), outcome, ok),
+        Err(_) => {
+            t.worker_panics.inc();
+            Response::Error("server dropped the request".into())
+        }
+    }
 }
 
 fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
@@ -721,8 +599,9 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
             }
         };
 
+        let t = &shared.telemetry;
         let resp = match req {
-            Request::Stats => shared.stats_response(),
+            Request::Stats => Response::Stats(shared.stats()),
             Request::Metrics => Response::Metrics(shared.metrics_text()),
             Request::Info => Response::Info {
                 shard: shared.cfg.shard_id,
@@ -739,89 +618,74 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                 tree,
                 rect,
                 deadline_ms,
-            } => {
-                if shared.trees.get(tree).is_none() {
-                    bad_tree(shared, tree)
-                } else {
-                    match admit(shared) {
-                        Err(resp) => *resp,
-                        Ok(arrival) => {
-                            let deadline = abs_deadline(arrival, deadline_ms);
-                            if sheds_at_admission(shared, arrival, deadline) {
-                                shed_expired(shared, arrival)
-                            } else {
-                                let (tx, rx) = mpsc::channel();
-                                let ctx = ReqCtx { arrival, reply: tx };
-                                let q = WindowQuery { rect, deadline };
-                                enqueue_window(shared, tree, q, ctx);
-                                finish(shared, &rx)
-                            }
-                        }
-                    }
-                }
-            }
+            } => execute(
+                shared,
+                &[tree],
+                deadline_ms,
+                |worker, deadline| {
+                    count_query(t);
+                    exec::window(&shared.trees, &shared.cache, worker, tree, &rect, deadline)
+                },
+                Response::Entries,
+            ),
             Request::Nearest {
                 tree,
                 x,
                 y,
                 k,
                 deadline_ms,
-            } => {
-                if shared.trees.get(tree).is_none() {
-                    bad_tree(shared, tree)
-                } else {
-                    match admit(shared) {
-                        Err(resp) => *resp,
-                        Ok(arrival) => {
-                            let deadline = abs_deadline(arrival, deadline_ms);
-                            if sheds_at_admission(shared, arrival, deadline) {
-                                shed_expired(shared, arrival)
-                            } else {
-                                let (tx, rx) = mpsc::channel();
-                                let ctx = ReqCtx { arrival, reply: tx };
-                                let q = NearestQuery {
-                                    point: Point::new(x, y),
-                                    k: k as usize,
-                                    deadline,
-                                };
-                                enqueue_nearest(shared, tree, q, ctx);
-                                finish(shared, &rx)
-                            }
-                        }
-                    }
-                }
-            }
+            } => execute(
+                shared,
+                &[tree],
+                deadline_ms,
+                |worker, deadline| {
+                    count_query(t);
+                    exec::nearest(
+                        &shared.trees,
+                        &shared.cache,
+                        worker,
+                        tree,
+                        Point::new(x, y),
+                        k as usize,
+                        deadline,
+                    )
+                },
+                Response::Neighbors,
+            ),
             Request::Join {
                 tree_a,
                 tree_b,
                 refine,
                 deadline_ms,
                 owner,
-            } => {
-                if shared.trees.get(tree_a).is_none() {
-                    bad_tree(shared, tree_a)
-                } else if shared.trees.get(tree_b).is_none() {
-                    bad_tree(shared, tree_b)
-                } else {
-                    match admit(shared) {
-                        Err(resp) => *resp,
-                        Ok(arrival) => {
-                            let deadline = abs_deadline(arrival, deadline_ms);
-                            let (tx, rx) = mpsc::channel();
-                            shared.injector.push(WorkItem::Join {
-                                tree_a,
-                                tree_b,
-                                refine,
-                                deadline,
-                                owner,
-                                ctx: ReqCtx { arrival, reply: tx },
-                            });
-                            shared.notify_workers();
-                            finish(shared, &rx)
-                        }
+            } => execute(
+                shared,
+                &[tree_a, tree_b],
+                deadline_ms,
+                |_, deadline| {
+                    let result = exec::join(
+                        &shared.trees,
+                        tree_a,
+                        tree_b,
+                        refine,
+                        owner,
+                        exec::JoinTuning {
+                            threads: shared.cfg.join_threads,
+                            morsel_candidates: shared.cfg.join_morsel_candidates,
+                            steal: shared.cfg.join_steal,
+                            steal_seed: shared.cfg.join_steal_seed,
+                            engine: shared.cfg.join_engine,
+                        },
+                        deadline,
+                    );
+                    if let Outcome::Ok(run) = &result {
+                        t.join_tasks.add(run.tasks);
+                        t.join_steals.add(run.steals);
                     }
-                }
-            }
+                    result
+                },
+                |run| Response::Pairs(run.pairs),
+            ),
         };
         if write_frame(&mut writer, &resp.encode_or_error()).is_err() {
             return;
@@ -829,126 +693,19 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
     }
 }
 
-impl Shared {
-    fn stats_response(&self) -> Response {
-        Response::Stats(self.stats())
-    }
-}
-
-fn bad_tree(shared: &Shared, tree: u16) -> Response {
-    shared.telemetry.proto_errors.inc();
-    Response::Error(format!(
-        "unknown tree {tree} ({} loaded)",
-        shared.trees.len()
-    ))
-}
-
-/// Admission control: returns the arrival instant, or the shed response.
-/// Increment-then-check closes the race against concurrent admitters — the
-/// counter can transiently overshoot the bound but admitted requests never
-/// exceed it.
-fn admit(shared: &Shared) -> Result<Instant, Box<Response>> {
-    let q = shared.queued.fetch_add(1, Ordering::SeqCst) + 1;
-    if shared.shutting_down.load(Ordering::SeqCst) || q > shared.cfg.queue_bound {
-        shared.queued.fetch_sub(1, Ordering::SeqCst);
-        shared.telemetry.shed.inc();
-        shared.trace_instant("shed", &[("queued", q as u64)]);
-        return Err(Box::new(Response::Overloaded));
-    }
-    shared.trace_instant("admit", &[("queued", q as u64)]);
-    Ok(Instant::now())
-}
-
-/// Pre-admission deadline check for batchable queries: a deadline that
-/// cannot outlive the batch window is guaranteed to expire while (or right
-/// after) waiting to be grouped, so grouping it only wastes a descent on
-/// work the executor will discard. Shedding it here answers the client
-/// just as fast and keeps the batcher's groups free of dead weight.
-fn sheds_at_admission(shared: &Shared, arrival: Instant, deadline: Option<Instant>) -> bool {
-    !shared.cfg.batch_window.is_zero()
-        && deadline.is_some_and(|d| d <= arrival + shared.cfg.batch_window)
-}
-
-/// Answers a pre-admission shed: releases the slot [`admit`] took and
-/// counts the miss like any other expiry.
-fn shed_expired(shared: &Shared, arrival: Instant) -> Response {
-    shared.queued.fetch_sub(1, Ordering::SeqCst);
-    shared.telemetry.timeout(arrival.elapsed());
-    shared.trace_instant("early_shed", &[]);
-    Response::DeadlineExceeded
-}
-
-/// Waits for the worker's reply and releases the admission slot.
-fn finish(shared: &Shared, rx: &mpsc::Receiver<Response>) -> Response {
-    let resp = rx
-        .recv()
-        .unwrap_or_else(|_| Response::Error("server dropped the request".into()));
-    shared.queued.fetch_sub(1, Ordering::SeqCst);
-    resp
-}
-
-fn enqueue_window(shared: &Shared, tree: u16, q: WindowQuery, ctx: ReqCtx) {
-    if shared.cfg.batch_window.is_zero() {
-        shared.injector.push(WorkItem::Windows {
-            tree,
-            members: vec![(q, ctx)],
-        });
-        shared.notify_workers();
-        return;
-    }
-    let mut st = lock_clean(&shared.batch);
-    if st.oldest.is_none() {
-        st.oldest = Some(ctx.arrival);
-    }
-    let group = st.windows.entry(tree).or_default();
-    group.push((q, ctx));
-    if group.len() >= shared.cfg.max_batch {
-        let members = st.windows.remove(&tree).expect("group exists");
-        if st.is_empty() {
-            st.oldest = None;
-        }
-        drop(st);
-        shared.injector.push(WorkItem::Windows { tree, members });
-        shared.notify_workers();
-    } else {
-        drop(st);
-        shared.batch_signal.notify_all();
-    }
-}
-
-fn enqueue_nearest(shared: &Shared, tree: u16, q: NearestQuery, ctx: ReqCtx) {
-    if shared.cfg.batch_window.is_zero() {
-        shared.injector.push(WorkItem::Nearests {
-            tree,
-            members: vec![(q, ctx)],
-        });
-        shared.notify_workers();
-        return;
-    }
-    let mut st = lock_clean(&shared.batch);
-    if st.oldest.is_none() {
-        st.oldest = Some(ctx.arrival);
-    }
-    let group = st.nearests.entry(tree).or_default();
-    group.push((q, ctx));
-    if group.len() >= shared.cfg.max_batch {
-        let members = st.nearests.remove(&tree).expect("group exists");
-        if st.is_empty() {
-            st.oldest = None;
-        }
-        drop(st);
-        shared.injector.push(WorkItem::Nearests { tree, members });
-        shared.notify_workers();
-    } else {
-        drop(st);
-        shared.batch_signal.notify_all();
-    }
+/// Counts one executed window / nearest query. Both counters survive from
+/// the batching server because `benchmark/` reads them; every query is now
+/// a batch of one.
+fn count_query(t: &Telemetry) {
+    t.batches.inc();
+    t.batched_queries.inc();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::ClientError;
     use psj_geom::Rect;
     use psj_rtree::RTree;
 
@@ -962,69 +719,92 @@ mod tests {
         Arc::new(PagedTree::freeze(&t, |_| None))
     }
 
-    fn start() -> Server {
+    fn start_with(cfg: ServeConfig) -> Server {
         let cfg = ServeConfig {
-            workers: 2,
-            batch_window: Duration::from_millis(1),
             read_timeout: Duration::from_millis(50),
-            ..ServeConfig::default()
+            ..cfg
         };
         Server::start(cfg, vec![tree(900)]).expect("bind loopback")
     }
 
+    fn start() -> Server {
+        start_with(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        })
+    }
+
+    /// Spins until `cond` holds; the tests use it to observe that another
+    /// thread has reached a blocking point before they act on it.
+    fn until(what: &str, cond: impl Fn() -> bool) {
+        let give_up = Instant::now() + Duration::from_secs(30);
+        while !cond() {
+            assert!(Instant::now() < give_up, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    fn waiting(shared: &Shared) -> usize {
+        lock_clean(&shared.slots.state).waiters.len()
+    }
+
     #[test]
     fn panicking_handler_leaves_the_server_serving() {
-        let server = start();
-        let addr = server.local_addr();
-        let mut c = Client::connect(addr).unwrap();
+        // One slot, and a fault plan that panics inside the first fill of
+        // the root page — on the connection thread, mid-execution.
+        let root = tree(900).root().0;
+        let server = start_with(ServeConfig {
+            workers: 1,
+            fault: Some(Arc::new(FaultPlan::new(0).with_panic_page(root))),
+            ..ServeConfig::default()
+        });
+        let mut c = Client::connect(server.local_addr()).unwrap();
         let rect = Rect::new(0.0, 0.0, 10.0, 10.0);
-        let before = c.window(0, rect, 0).unwrap();
 
-        // Inject work whose handler panics — repeatedly, so with two
-        // workers both absorb at least one panic with high likelihood.
-        for _ in 0..8 {
-            server.shared.injector.push(WorkItem::Panic);
-        }
-        server.shared.notify_workers();
-
-        // Every later request is still answered, by the same pool.
-        for _ in 0..10 {
-            let got = c.window(0, rect, 0).unwrap();
-            assert_eq!(got.len(), before.len());
+        match c.window(0, rect, 0) {
+            Err(ClientError::Unexpected(r)) => {
+                assert!(matches!(*r, Response::Error(_)), "typed error, got {r:?}")
+            }
+            other => panic!("expected an Error reply, got {other:?}"),
         }
         let stats = c.stats().unwrap();
-        assert_eq!(
-            stats.worker_panics, 8,
-            "each injected panic is counted, none kills a worker"
-        );
+        assert_eq!(stats.worker_panics, 1, "the panic is counted");
+        assert_eq!(stats.queue_depth, 0, "its admission count was released");
+
+        // The same connection keeps serving, through the only slot — so
+        // the unwinding request released it.
+        for _ in 0..10 {
+            assert!(!c.window(0, rect, 0).unwrap().is_empty());
+        }
         let report = server.stop();
-        assert_eq!(report.stats.worker_panics, 8);
+        assert_eq!(report.stats.worker_panics, 1);
         assert_eq!(report.stats.queue_depth, 0, "shutdown drain unaffected");
     }
 
     #[test]
-    fn poisoned_batch_lock_does_not_wedge_requests_or_shutdown() {
+    fn poisoned_slot_lock_does_not_wedge_requests_or_shutdown() {
         let server = start();
         let addr = server.local_addr();
 
-        // Poison the batch mutex deliberately: a thread panics while
-        // holding it. Pre-fix, every subsequent lock().unwrap() on the
-        // batcher/enqueue/flush path would propagate the poison and wedge
-        // admission and the shutdown drain.
+        // Poison the slot mutex deliberately: a thread panics while
+        // holding it. Every request takes and returns a slot through this
+        // lock, so a propagated poison would wedge admission and the
+        // shutdown drain.
         {
             let shared = Arc::clone(&server.shared);
             let _ = std::thread::spawn(move || {
-                let _g = shared.batch.lock().unwrap();
-                panic!("poison the batch lock (test)");
+                let _g = shared.slots.state.lock().unwrap();
+                panic!("poison the slot lock (test)");
             })
             .join();
         }
-        assert!(server.shared.batch.is_poisoned(), "lock really is poisoned");
+        assert!(
+            server.shared.slots.state.is_poisoned(),
+            "lock really is poisoned"
+        );
 
         let mut c = Client::connect(addr).unwrap();
         let rect = Rect::new(0.0, 0.0, 8.0, 8.0);
-        // Batched queries route through the poisoned lock and must still
-        // be answered.
         for _ in 0..5 {
             assert!(!c.window(0, rect, 0).unwrap().is_empty());
         }
@@ -1034,45 +814,117 @@ mod tests {
     }
 
     #[test]
-    fn near_expired_requests_shed_before_batching() {
-        // A long batch window makes the expiry deterministic: a 5 ms
-        // deadline cannot survive a 200 ms grouping wait.
-        let cfg = ServeConfig {
-            workers: 2,
-            batch_window: Duration::from_millis(200),
-            read_timeout: Duration::from_millis(50),
+    fn deadline_passing_while_waiting_for_a_slot_is_answered_without_executing() {
+        let server = start_with(ServeConfig {
+            workers: 1,
             ..ServeConfig::default()
-        };
-        let server = Server::start(cfg, vec![tree(100)]).expect("bind loopback");
-        let addr = server.local_addr();
-        let mut c = Client::connect(addr).unwrap();
+        });
+        let mut c = Client::connect(server.local_addr()).unwrap();
         let rect = Rect::new(0.0, 0.0, 5.0, 5.0);
 
-        let start = Instant::now();
-        match c.window(0, rect, 5) {
-            Err(crate::ClientError::Unexpected(r)) => {
-                assert_eq!(*r, Response::DeadlineExceeded)
-            }
+        // The test holds the only slot, so the requests below can only
+        // wait — for exactly as long as their deadline allows.
+        let held = server.shared.slots.acquire(None).expect("idle slot");
+        match c.window(0, rect, 20) {
+            Err(ClientError::Unexpected(r)) => assert_eq!(*r, Response::DeadlineExceeded),
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
-        assert!(
-            start.elapsed() < Duration::from_millis(150),
-            "shed at admission, not after the batch window: {:?}",
-            start.elapsed()
-        );
-        match c.nearest(0, 1.0, 1.0, 4, 5) {
-            Err(crate::ClientError::Unexpected(r)) => {
-                assert_eq!(*r, Response::DeadlineExceeded)
-            }
+        match c.nearest(0, 1.0, 1.0, 4, 20) {
+            Err(ClientError::Unexpected(r)) => assert_eq!(*r, Response::DeadlineExceeded),
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
         let stats = c.stats().unwrap();
-        assert_eq!(stats.timeouts, 2, "pre-admission sheds count as expiries");
-        assert_eq!(stats.batches, 0, "no batch was ever formed for them");
-        assert_eq!(stats.queue_depth, 0, "admission slots were released");
+        assert_eq!(stats.timeouts, 2, "expiries while waiting are counted");
+        assert_eq!(stats.batches, 0, "neither query executed");
+        assert_eq!(stats.cache_requests, 0, "no page was touched for them");
+        assert_eq!(stats.queue_depth, 0, "admission counts were released");
+        assert_eq!(waiting(&server.shared), 0, "both left the slot queue");
 
-        // A viable deadline still rides the batcher normally.
+        // With the slot back, a viable deadline is served normally.
+        server.shared.slots.release(held);
         assert!(!c.window(0, rect, 5_000).unwrap().is_empty());
+        server.stop();
+    }
+
+    #[test]
+    fn waiters_get_the_slot_in_arrival_order() {
+        let slots = Slots::new(1);
+        let held = slots.acquire(None).expect("idle slot");
+        let order = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for i in 0..8 {
+                let (slots, order) = (&slots, &order);
+                scope.spawn(move || {
+                    let slot = slots.acquire(None).expect("no deadline");
+                    order.lock().unwrap().push(i);
+                    slots.release(slot);
+                });
+                // Thread i is queued before thread i + 1 starts.
+                until("the waiter to queue", || {
+                    lock_clean(&slots.state).waiters.len() == i + 1
+                });
+            }
+            slots.release(held);
+        });
+        assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
+        let st = lock_clean(&slots.state);
+        assert_eq!(st.idle, vec![0], "the slot ends up idle again");
+        assert!(st.waiters.is_empty() && st.handed.is_empty());
+    }
+
+    #[test]
+    fn stop_drains_requests_waiting_for_a_slot() {
+        let server = start_with(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let addr = server.local_addr();
+        let shared = Arc::clone(&server.shared);
+        let held = shared.slots.acquire(None).expect("idle slot");
+        let rect = Rect::new(0.0, 0.0, 8.0, 8.0);
+
+        let report = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(move || {
+                        let mut c = Client::connect(addr).unwrap();
+                        c.window(0, rect, 0)
+                    })
+                })
+                .collect();
+            until("three requests to wait for the slot", || {
+                waiting(&shared) == 3
+            });
+            let stopper = scope.spawn(move || server.stop());
+            until("admission to close", || {
+                shared.shutting_down.load(Ordering::SeqCst)
+            });
+            assert_eq!(shared.queued.load(Ordering::SeqCst), 3, "still admitted");
+            shared.slots.release(held);
+            for c in clients {
+                let got = c.join().unwrap().expect("answered during the drain");
+                assert!(!got.is_empty());
+            }
+            stopper.join().unwrap()
+        });
+        assert_eq!(report.stats.queue_depth, 0, "drained");
+        assert_eq!(report.stats.completed, 3);
+    }
+
+    #[test]
+    fn finished_connection_handles_are_dropped_at_accept() {
+        let server = start();
+        let addr = server.local_addr();
+        for _ in 0..200 {
+            Client::connect(addr).unwrap().stats().unwrap();
+        }
+        // Each accept drops the handles of threads that have exited; a
+        // hung-up client's thread exits as soon as it reads EOF, so a few
+        // more accepts see all 200 gone.
+        until("finished handles to be dropped", || {
+            drop(Client::connect(addr));
+            lock_clean(&server.conns).len() <= 4
+        });
         server.stop();
     }
 

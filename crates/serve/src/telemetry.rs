@@ -4,8 +4,8 @@
 //! handful of uncontended increments, cheap enough to sit on the hot path
 //! of every response. The latency histogram is the shared
 //! [`psj_obs::Histogram`]: logarithmic (power-of-two) buckets over
-//! microseconds, so percentiles carry ~±50% resolution across nine orders
-//! of magnitude with [`BUCKETS`] fixed buckets and zero allocation.
+//! microseconds, nine orders of magnitude in [`BUCKETS`] fixed buckets
+//! with zero allocation, percentiles interpolated by rank inside a bucket.
 //!
 //! All counters and the histogram live in one [`Registry`], so the same
 //! values that feed [`crate::protocol::ServerStats`] render as
@@ -33,15 +33,17 @@ pub struct Telemetry {
     pub timeouts: Arc<Counter>,
     /// Malformed frames / payloads.
     pub proto_errors: Arc<Counter>,
-    /// Query batches executed.
+    /// Window / nearest queries executed. Kept, with the equal
+    /// `batched_queries`, only because `benchmark/` reads both.
     pub batches: Arc<Counter>,
-    /// Queries carried inside those batches.
+    /// Window / nearest queries executed (always equals `batches`).
     pub batched_queries: Arc<Counter>,
     /// Requests answered with a corrupt-storage error.
     pub storage_corrupt: Arc<Counter>,
     /// Requests answered with an unavailable-storage error.
     pub storage_unavailable: Arc<Counter>,
-    /// Worker panics caught and recovered (the pool keeps serving).
+    /// Request-handler panics caught and recovered (the server keeps
+    /// serving).
     pub worker_panics: Arc<Counter>,
     /// Phase-1 tasks created by join requests.
     pub join_tasks: Arc<Counter>,
@@ -91,10 +93,10 @@ impl Default for Telemetry {
                 "Requests that missed their deadline",
             ),
             proto_errors: r.counter("psj_proto_errors_total", "Malformed frames / payloads"),
-            batches: r.counter("psj_batches_total", "Query batches executed"),
+            batches: r.counter("psj_batches_total", "Window / nearest queries executed"),
             batched_queries: r.counter(
                 "psj_batched_queries_total",
-                "Queries carried inside batches",
+                "Window / nearest queries executed",
             ),
             storage_corrupt: r.counter("psj_storage_corrupt_total", "Corrupt-storage replies"),
             storage_unavailable: r.counter(
@@ -103,7 +105,7 @@ impl Default for Telemetry {
             ),
             worker_panics: r.counter(
                 "psj_worker_panics_total",
-                "Worker panics caught and recovered",
+                "Request-handler panics caught and recovered",
             ),
             join_tasks: r.counter("psj_join_tasks_total", "Phase-1 join tasks created"),
             join_steals: r.counter("psj_join_steals_total", "Successful steals inside joins"),

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Smoke test for the query service: generate a small workload, start
 # `psj serve` on loopback, drive it with `psj bench-serve`, and assert the
-# run completed requests and the server shut down cleanly within a bound.
+# run completed requests, a lone client's median request stays well under
+# a timer's worth of waiting, and the server shut down cleanly within a
+# bound.
 set -euo pipefail
 
 PSJ="${PSJ:-target/release/psj}"
@@ -30,6 +32,20 @@ for _ in $(seq 1 100); do
   fi
   sleep 0.1
 done
+
+echo "== bench-serve, one client: request latency =="
+# One closed-loop client never waits for a slot, so its median is the
+# request path itself (tens of µs). The 2 ms batch timer that used to sit on
+# that path read 2.4 ms here; anything like it fails this bound.
+P50_LIMIT_MS=1.5
+"$PSJ" bench-serve --addr "$ADDR" --clients 1 --requests 500 --seed 7 \
+  --out "$WORK/latency.json" | tee "$WORK/latency.log"
+P50=$(sed -n 's/.*"p50_ms": \([0-9.]*\).*/\1/p' "$WORK/latency.json" | head -1)
+if [ -z "$P50" ] || ! awk -v p="$P50" -v lim="$P50_LIMIT_MS" 'BEGIN { exit !(p < lim) }'; then
+  echo "FAIL: single-client p50 ${P50:-unset} ms is not below ${P50_LIMIT_MS} ms"
+  cat "$WORK/latency.json"; kill "$SERVER_PID"; exit 1
+fi
+echo "single-client p50: $P50 ms (limit $P50_LIMIT_MS ms)"
 
 echo "== bench-serve =="
 "$PSJ" bench-serve --addr "$ADDR" --clients 4 --requests 50 --seed 7 \

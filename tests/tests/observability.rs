@@ -10,7 +10,6 @@ use psj_obs::{validate_jsonl, Histogram, TraceSink};
 use psj_rtree::{PagedTree, RTree};
 use psj_serve::{Client, ServeConfig, Server};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn grid_tree(n: usize, offset: f64) -> PagedTree {
     let mut t = RTree::new();
@@ -108,7 +107,6 @@ fn metrics_scrape_matches_stats_report_end_to_end() {
         workers: 2,
         join_threads: 2,
         cache_pages: 256,
-        batch_window: Duration::from_millis(0),
         ..ServeConfig::default()
     };
     let trees = vec![

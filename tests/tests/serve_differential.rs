@@ -1,7 +1,7 @@
 //! Differential acceptance for psj-serve: every query answered by the
 //! server must return exactly the same result set as a direct
 //! psj_rtree / psj_core call on the same trees, swept over concurrent
-//! client threads × batched/unbatched dispatch × cache budgets.
+//! client threads × cache budgets.
 
 use psj_geom::{Point, Rect};
 use psj_integration::harness::JoinScenario;
@@ -74,11 +74,10 @@ fn client_workload(
     }
 }
 
-fn run_sweep_point(batch_window: Duration, cache_pages: usize) {
+fn run_sweep_point(cache_pages: usize) {
     let trees = scenario_trees();
     let cfg = ServeConfig {
         workers: 4,
-        batch_window,
         cache_pages,
         cache_shards: 4,
         join_threads: 2,
@@ -111,10 +110,8 @@ fn run_sweep_point(batch_window: Duration, cache_pages: usize) {
     assert_eq!(stats.shed, 0, "differential sweep must not shed");
     assert_eq!(stats.timeouts, 0, "no deadlines were set");
     assert!(stats.completed > 4 * 40, "4 clients x 40 queries + 1 join");
-    if !batch_window.is_zero() {
-        assert!(stats.batches > 0, "batched mode never built a batch");
-        assert!(stats.batched_queries >= stats.batches);
-    }
+    assert_eq!(stats.batches, 4 * 40, "every query executed exactly once");
+    assert_eq!(stats.batched_queries, stats.batches);
     assert!(
         stats.cache_requests > 0 && stats.cache_hits > 0,
         "queries must run through the shared cache: {stats:?}"
@@ -125,21 +122,11 @@ fn run_sweep_point(batch_window: Duration, cache_pages: usize) {
 
 #[test]
 fn unbatched_large_cache_matches_direct() {
-    run_sweep_point(Duration::ZERO, 4096);
-}
-
-#[test]
-fn batched_large_cache_matches_direct() {
-    run_sweep_point(Duration::from_millis(2), 4096);
+    run_sweep_point(4096);
 }
 
 #[test]
 fn unbatched_tiny_cache_matches_direct() {
     // Far below the working set: correctness under eviction pressure.
-    run_sweep_point(Duration::ZERO, 16);
-}
-
-#[test]
-fn batched_tiny_cache_matches_direct() {
-    run_sweep_point(Duration::from_millis(2), 16);
+    run_sweep_point(16);
 }

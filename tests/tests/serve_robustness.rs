@@ -7,6 +7,7 @@ use psj_geom::Rect;
 use psj_rtree::{PagedTree, RTree};
 use psj_serve::protocol::{read_frame, write_frame, Request, Response, MAX_REQUEST_FRAME};
 use psj_serve::{Client, ClientError, ServeConfig, Server};
+use psj_store::FaultPlan;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier, OnceLock};
@@ -26,6 +27,19 @@ fn start(cfg: ServeConfig) -> (Server, SocketAddr) {
     let server = Server::start(cfg, vec![grid_tree(4000)]).expect("bind loopback");
     let addr = server.local_addr();
     (server, addr)
+}
+
+/// One execution slot over a one-page cache whose every fill sleeps for
+/// `fill`: each node a query reads costs that long, so a query holds the
+/// slot for a time the test chooses.
+fn slow_cfg(fill: Duration) -> ServeConfig {
+    ServeConfig {
+        workers: 1,
+        cache_pages: 1,
+        cache_shards: 1,
+        fault: Some(Arc::new(FaultPlan::new(7).with_latency(1.0, fill))),
+        ..quick_cfg()
+    }
 }
 
 fn quick_cfg() -> ServeConfig {
@@ -128,19 +142,17 @@ fn client_disconnect_mid_request_leaves_server_healthy() {
 
 #[test]
 fn overload_sheds_with_overloaded_not_a_panic() {
-    // Tiny admission bound and a long batching window: the first admitted
-    // query parks in the batcher, so concurrent arrivals exceed the bound
-    // deterministically.
+    // Tiny admission bound and one slow slot: the first admitted query
+    // holds the slot for tens of milliseconds (each of the few hundred
+    // nodes it reads is a 100 µs fill), so concurrent arrivals exceed the
+    // bound deterministically.
     let (server, addr) = start(ServeConfig {
-        workers: 1,
         queue_bound: 2,
-        batch_window: Duration::from_millis(40),
-        max_batch: 1_000,
-        ..quick_cfg()
+        ..slow_cfg(Duration::from_micros(100))
     });
 
     let threads = 12;
-    let per_thread = 4; // 48 offered >= 2x queue bound while batcher parks
+    let per_thread = 4; // 48 offered >= 2x queue bound while the slot is held
     let barrier = Arc::new(Barrier::new(threads));
     let (mut shed, mut completed) = (0u64, 0u64);
     std::thread::scope(|scope| {
@@ -185,12 +197,9 @@ fn overload_sheds_with_overloaded_not_a_panic() {
 
 #[test]
 fn expired_deadline_returns_timeout_and_server_keeps_serving() {
-    // The batching window (25 ms) exceeds the deadline (1 ms), so the
-    // query is already expired when its batch executes — deterministic.
-    let (server, addr) = start(ServeConfig {
-        batch_window: Duration::from_millis(25),
-        ..quick_cfg()
-    });
+    // Reading the root alone (a 5 ms fill) outlasts the deadline (1 ms),
+    // so the query expires mid-descent — deterministic.
+    let (server, addr) = start(slow_cfg(Duration::from_millis(5)));
     let mut c = Client::connect(addr).unwrap();
     let err = c.window(0, Rect::new(0.0, 0.0, 64.0, 64.0), 1);
     assert!(
