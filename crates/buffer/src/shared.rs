@@ -100,7 +100,7 @@ use crate::stats::{BufferStats, OptStats};
 use psj_store::{lock_clean, wait_clean, FaultPlan, Page, PageError, PageId, RetryPolicy};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Where a page's bytes come from on a cache miss.
 ///
@@ -153,6 +153,11 @@ struct ShardState<T> {
     /// Pages whose fill returned a corrupt (unrecoverable) error: the
     /// stored error is replayed to every later requester.
     quarantined: HashMap<PageId, PageError>,
+    /// Requesters blocked on [`Shard::loaded`] for an in-flight fill.
+    /// `std`'s condvar does not track waiters, so every `notify_all` is a
+    /// futex syscall; a fill consults this (under the mutex the waiter
+    /// registered under) and skips the wake when nobody is waiting.
+    waiters: usize,
 }
 
 /// Validation attempts an optimistic read makes before falling back to the
@@ -265,6 +270,18 @@ impl<T> Shard<T> {
     #[inline]
     fn tag_of(page: PageId) -> u64 {
         page.0 as u64 + 1
+    }
+
+    /// Releases the shard lock after a fill cleared its in-flight marker
+    /// and wakes the requesters waiting on it, if any. A waiter registers
+    /// under this same lock before `wait` atomically releases it, so a
+    /// zero count here proves no one can miss the wake-up.
+    fn release_fill(&self, state: MutexGuard<'_, ShardState<T>>) {
+        let wake = state.waiters > 0;
+        drop(state);
+        if wake {
+            self.loaded.notify_all();
+        }
     }
 
     /// Begins a structural mutation: flips the version odd. Callers hold
@@ -412,8 +429,7 @@ impl<T> Drop for LoadingGuard<'_, T> {
         if self.armed {
             let mut state = lock_clean(&self.shard.state);
             state.loading.remove(&self.page);
-            drop(state);
-            self.shard.loaded.notify_all();
+            self.shard.release_fill(state);
         }
     }
 }
@@ -620,6 +636,7 @@ impl<T> SharedPageCache<T> {
                         owner: HashMap::with_capacity(per_shard),
                         loading: HashSet::new(),
                         quarantined: HashMap::new(),
+                        waiters: 0,
                     }),
                     loaded: Condvar::new(),
                     capacity: per_shard,
@@ -887,8 +904,13 @@ impl<T> SharedPageCache<T> {
     /// Core of the guard acquisition: [`SharedPageCache::opt_get`]'s
     /// protocol, but the winning read *keeps* its pin instead of cloning
     /// the `Arc` under it — the pin is the guard's lease on the payload.
-    /// Returns `Err(retries)` when the caller must go pessimistic.
-    fn guard_acquire(&self, worker: usize, page: PageId) -> Result<PageGuard<'_, T>, u64> {
+    /// Books nothing: the caller books the read with
+    /// [`SharedPageCache::book_guard_hit`] only once it hands the guard
+    /// out, so a guard dropped unused (broken chain) is not counted as a
+    /// read ahead of the caller's pessimistic re-read of the same page.
+    /// Returns `Ok((guard, retries))` on a validated pin, `Err(retries)`
+    /// when the caller must go pessimistic.
+    fn guard_acquire(&self, worker: usize, page: PageId) -> Result<(PageGuard<'_, T>, u64), u64> {
         let shard_idx = self.shard_index(page);
         let shard = &self.shards[shard_idx];
         let tag = Shard::<T>::tag_of(page);
@@ -929,26 +951,33 @@ impl<T> SharedPageCache<T> {
                 } else {
                     SharedAccess::HitRemote { owner }
                 };
-                let s = &self.stats[worker];
-                s.guard_hits.fetch_add(1, Ordering::Relaxed);
-                if retries > 0 {
-                    s.opt_retries.fetch_add(retries, Ordering::Relaxed);
-                }
-                self.bump(worker, access, false, 0);
-                self.sampled_touch(worker, shard, page);
-                return Ok(PageGuard {
+                let guard = PageGuard {
                     slot,
                     raw,
                     shard_idx,
                     version: v1,
                     page,
                     access,
-                });
+                };
+                return Ok((guard, retries));
             }
             slot.pins.fetch_sub(1, Ordering::SeqCst);
             retries += 1;
         }
         Err(retries)
+    }
+
+    /// Books a guard read that is being handed out: one local/remote hit
+    /// in [`BufferStats`], one [`OptStats::guard_hits`], the validation
+    /// retries it took, and the sampled replacement touch.
+    fn book_guard_hit(&self, worker: usize, guard: &PageGuard<'_, T>, retries: u64) {
+        let s = &self.stats[worker];
+        s.guard_hits.fetch_add(1, Ordering::Relaxed);
+        if retries > 0 {
+            s.opt_retries.fetch_add(retries, Ordering::Relaxed);
+        }
+        self.bump(worker, guard.access, false, 0);
+        self.sampled_touch(worker, &self.shards[guard.shard_idx], guard.page);
     }
 
     /// Borrowing optimistic read: a [`PageGuard`] handing out `&T` with
@@ -958,7 +987,10 @@ impl<T> SharedPageCache<T> {
     /// ladder; the failure accounting matches the Arc fast path exactly).
     pub fn guard_get(&self, worker: usize, page: PageId) -> Option<PageGuard<'_, T>> {
         match self.guard_acquire(worker, page) {
-            Ok(g) => Some(g),
+            Ok((g, retries)) => {
+                self.book_guard_hit(worker, &g, retries);
+                Some(g)
+            }
             Err(retries) => {
                 self.note_opt_failure(worker, retries);
                 None
@@ -981,8 +1013,8 @@ impl<T> SharedPageCache<T> {
         page: PageId,
         chain: &mut OptCoupling,
     ) -> Option<PageGuard<'_, T>> {
-        let guard = match self.guard_acquire(worker, page) {
-            Ok(g) => g,
+        let (guard, retries) = match self.guard_acquire(worker, page) {
+            Ok(v) => v,
             Err(retries) => {
                 self.note_opt_failure(worker, retries);
                 *chain = OptCoupling::root();
@@ -998,14 +1030,19 @@ impl<T> SharedPageCache<T> {
             } else {
                 // The parent left its shard mid-descent. The pages are
                 // frozen, but the protocol treats a broken chain as a
-                // failed validation: drop the child pin and let the
-                // caller re-read pessimistically, restarting the chain.
+                // failed validation: drop the child pin unbooked and let
+                // the caller's pessimistic re-read count the one read,
+                // restarting the chain.
+                if retries > 0 {
+                    s.opt_retries.fetch_add(retries, Ordering::Relaxed);
+                }
                 s.opt_fallbacks.fetch_add(1, Ordering::Relaxed);
                 *chain = OptCoupling::root();
                 drop(guard);
                 return None;
             }
         }
+        self.book_guard_hit(worker, &guard, retries);
         *chain = guard.coupling();
         Some(guard)
     }
@@ -1146,7 +1183,9 @@ impl<T> SharedPageCache<T> {
                 // us around the loop to retry the fetch ourselves (or to
                 // pick up the quarantine entry if it was corrupt).
                 waited = true;
+                state.waiters += 1;
                 state = wait_clean(&shard.loaded, state);
+                state.waiters -= 1;
                 continue;
             }
             // We fetch. Mark in flight and release the shard lock so other
@@ -1219,8 +1258,7 @@ impl<T> SharedPageCache<T> {
                             );
                         }
                     }
-                    drop(state);
-                    shard.loaded.notify_all();
+                    shard.release_fill(state);
                     self.bump_retries(worker, retries);
                     return Err(e);
                 }
@@ -1242,8 +1280,7 @@ impl<T> SharedPageCache<T> {
             state.data.insert(page, Arc::clone(&value));
             state.owner.insert(page, worker);
             shard.mirror_insert(page, worker, &value);
-            drop(state);
-            shard.loaded.notify_all();
+            shard.release_fill(state);
             self.bump(worker, SharedAccess::Miss, evicted, retries);
             return Ok((value, SharedAccess::Miss));
         }
@@ -1339,6 +1376,12 @@ impl<T> SharedPageCache<T> {
                 return Err(format!(
                     "shard {i}: {} loads still marked in flight at rest",
                     state.loading.len()
+                ));
+            }
+            if state.waiters != 0 {
+                return Err(format!(
+                    "shard {i}: {} fill waiters still registered at rest",
+                    state.waiters
                 ));
             }
             for page in state.quarantined.keys() {
@@ -1874,6 +1917,104 @@ mod tests {
         );
         assert_eq!(ok.load(Ordering::Relaxed), 8 * 16 - 3);
         cache.check_invariants().unwrap();
+    }
+
+    /// A source whose fetches block until [`Gated::open`], holding a fill
+    /// in flight; the page in `fail_once` fails its first fetch.
+    struct Gated {
+        open: Mutex<bool>,
+        opened: Condvar,
+        fail_once: Mutex<Option<u32>>,
+    }
+
+    impl Gated {
+        fn new(fail_once: Option<u32>) -> Self {
+            Gated {
+                open: Mutex::new(false),
+                opened: Condvar::new(),
+                fail_once: Mutex::new(fail_once),
+            }
+        }
+
+        fn open(&self) {
+            *self.open.lock().unwrap() = true;
+            self.opened.notify_all();
+        }
+    }
+
+    impl PageSource for Gated {
+        type Item = u32;
+
+        fn fetch_page(&self, page: PageId) -> Result<u32, PageError> {
+            let mut open = self.open.lock().unwrap();
+            while !*open {
+                open = self.opened.wait(open).unwrap();
+            }
+            drop(open);
+            if self
+                .fail_once
+                .lock()
+                .unwrap()
+                .take_if(|f| *f == page.0)
+                .is_some()
+            {
+                return Err(PageError::io(page, io::ErrorKind::Other, "gated failure"));
+            }
+            Ok(page.0)
+        }
+
+        fn page_count(&self) -> usize {
+            100
+        }
+    }
+
+    /// Satellite: fills skip the condvar wake-up when nobody waits, so a
+    /// registered waiter must still be woken — by a successful fill (it
+    /// takes the value as an in-flight hit) and by a failed one (it
+    /// retries the fetch itself). A missed wake-up fails the test after a
+    /// deadline instead of hanging it.
+    #[test]
+    fn waiter_on_an_in_flight_fill_is_woken_by_success_and_by_failure() {
+        for fail in [false, true] {
+            let cache: SharedPageCache<u32> =
+                SharedPageCache::new(2, 8, 1, Policy::Lru).with_retry(RetryPolicy::none());
+            let src = Gated::new(fail.then_some(3));
+            let shard = &cache.shards[0];
+            let poll = |done: &dyn Fn() -> bool| {
+                while !done() {
+                    std::thread::yield_now();
+                }
+            };
+            std::thread::scope(|s| {
+                let filler = s.spawn(|| cache.try_get(0, p(3), &src).map(|(v, _)| *v));
+                poll(&|| lock_clean(&shard.state).loading.contains(&p(3)));
+                let waiter = s.spawn(|| cache.try_get(1, p(3), &src));
+                poll(&|| lock_clean(&shard.state).waiters == 1);
+                src.open();
+                let filled = filler.join().unwrap();
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while !waiter.is_finished() && std::time::Instant::now() < deadline {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                if !waiter.is_finished() {
+                    shard.loaded.notify_all(); // unblock it so the scope can end
+                    panic!(
+                        "waiter not woken by a {} fill",
+                        if fail { "failed" } else { "successful" }
+                    );
+                }
+                let (v, access) = waiter.join().unwrap().expect("the waiter recovers");
+                assert_eq!(*v, 3);
+                if fail {
+                    assert!(filled.is_err(), "the gated fill failed");
+                    assert_eq!(access, SharedAccess::Miss, "the waiter refetched");
+                } else {
+                    assert_eq!(filled.unwrap(), 3);
+                    assert_eq!(access, SharedAccess::HitInFlight);
+                }
+            });
+            cache.check_invariants().unwrap();
+        }
     }
 
     #[test]

@@ -1025,8 +1025,8 @@ fn close_segment(
         delta.requests()
     } else {
         // Unbuffered fetches bypass the cache counters: each processed
-        // node pair reads its two nodes, each candidate its two leaves.
-        2 * node_pairs + 2 * candidates
+        // node pair reads its two nodes, and nothing else is read.
+        2 * node_pairs
     };
     let tt = TaskTrace {
         worker: id,
@@ -1262,25 +1262,20 @@ fn run_worker(
                 children.clear();
                 cands.clear();
                 expand_pair(&na, &nb, &pair, &mut scratch, &mut children, &mut cands);
-                drop((na, nb));
                 for c in children.drain(..).rev() {
                     stack.push(c);
                 }
+                // Every candidate of this expansion lies in the pair just
+                // swept (PAPER.md §1): resolve them from the two nodes in
+                // hand, so a node pair costs exactly two page reads.
+                if cands.is_empty() {
+                    continue;
+                }
+                local_candidates += cands.len() as u64;
+                let (da, db) = (na.data_entries(), nb.data_entries());
                 for c in &cands {
-                    local_candidates += 1;
-                    let fetched = fetcher
-                        .node_a(c.page_a)
-                        .and_then(|na| fetcher.node_b(c.page_b).map(|nb| (na, nb)));
-                    let (na, nb) = match fetched {
-                        Ok(v) => v,
-                        Err(e) => {
-                            fail.record(e);
-                            dirty = true;
-                            break 'morsel;
-                        }
-                    };
-                    let ea = na.data_entries()[c.idx_a as usize];
-                    let eb = nb.data_entries()[c.idx_b as usize];
+                    let ea = da[c.idx_a as usize];
+                    let eb = db[c.idx_b as usize];
                     if cfg.refine {
                         // Refinement geometry lives in the cluster store,
                         // outside the page budget: the paper reads clusters

@@ -23,6 +23,14 @@ echo "== traced join =="
 grep -q "task segments:" "$WORK/join.log" || {
   echo "FAIL: join printed no task attribution"; exit 1
 }
+# A node pair's candidates resolve from its two pages: a fault-free join
+# makes exactly two cache requests per node pair. More means a
+# per-candidate re-fetch or a read booked twice came back.
+PAIRS=$(sed -n 's/^node pairs: *\([0-9]*\)$/\1/p' "$WORK/join.log")
+REQS=$(sed -n 's/^page cache (global): *\([0-9]*\) requests.*/\1/p' "$WORK/join.log")
+if [ -z "$PAIRS" ] || [ -z "$REQS" ] || [ "$REQS" -ne $((2 * PAIRS)) ]; then
+  echo "FAIL: ${REQS:-no} page cache requests for ${PAIRS:-no} node pairs (want 2 per pair)"; exit 1
+fi
 
 echo "== trace-check =="
 # Exits nonzero unless every line parses, spans nest per thread row, and

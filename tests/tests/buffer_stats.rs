@@ -72,36 +72,41 @@ fn tiny_cache_thrashes_but_stays_correct() {
 #[test]
 fn stats_internally_consistent_across_configs() {
     let s = JoinScenario::dense_grid("stats-consistency", 900, 0.5);
-    for (org, capacity) in [
-        (BufferOrg::Global, s.total_pages() * 2),
-        (BufferOrg::Global, 8),
-        (BufferOrg::Local, 64),
-    ] {
-        let buffer = BufferConfig {
-            org,
-            capacity_pages: capacity,
-            shards: 4,
-            policy: Policy::Lru,
-        };
-        let mut cfg = NativeConfig::buffered(4, buffer);
-        cfg.refine = false;
-        let res = run_native_join(&s.a, &s.b, &cfg);
-        let total = res.buffer.unwrap();
-        // The aggregate equals the sum of the per-worker counters.
-        let summed = res
-            .buffer_per_worker
-            .iter()
-            .fold(psj_buffer::BufferStats::default(), |acc, w| acc.merged(w));
-        assert_eq!(summed, total, "{org:?}/{capacity}");
-        // requests() is definitionally hits + misses; each node pair visit
-        // touches one page of each tree, so requests ≥ 2 × node pairs.
-        assert!(
-            total.requests() >= 2 * res.node_pairs,
-            "{org:?}/{capacity}: {total:?} vs {} node pairs",
-            res.node_pairs
-        );
-        if org == BufferOrg::Local {
-            assert_eq!(total.hits_remote, 0, "local caches cannot hit remotely");
+    for org in [BufferOrg::Global, BufferOrg::Local] {
+        for capacity in [s.total_pages() * 2, 8, 64] {
+            for threads in [1, 2, 4] {
+                let buffer = BufferConfig {
+                    org,
+                    capacity_pages: capacity,
+                    shards: 4,
+                    policy: Policy::Lru,
+                };
+                let mut cfg = NativeConfig::buffered(threads, buffer);
+                cfg.refine = false;
+                let res = run_native_join(&s.a, &s.b, &cfg);
+                let at = format!("{org:?}/{capacity}/T={threads}");
+                let total = res.buffer.unwrap();
+                // The aggregate equals the sum of the per-worker counters.
+                let summed = res
+                    .buffer_per_worker
+                    .iter()
+                    .fold(psj_buffer::BufferStats::default(), |acc, w| acc.merged(w));
+                assert_eq!(summed, total, "{at}");
+                // requests() is definitionally hits + misses. A node pair
+                // reads one page of each tree and its candidates resolve
+                // from those two nodes, so a fault-free join makes exactly
+                // two requests per node pair — a per-candidate re-fetch or
+                // a read booked twice breaks the equality.
+                assert_eq!(
+                    total.requests(),
+                    2 * res.node_pairs,
+                    "{at}: {total:?} vs {} node pairs",
+                    res.node_pairs
+                );
+                if org == BufferOrg::Local {
+                    assert_eq!(total.hits_remote, 0, "local caches cannot hit remotely");
+                }
+            }
         }
     }
 }
@@ -114,4 +119,9 @@ fn unbuffered_run_reports_no_stats() {
     let res = run_native_join(&s.a, &s.b, &cfg);
     assert!(res.buffer.is_none());
     assert!(res.buffer_per_worker.is_empty());
+    // The unbuffered page model matches the buffered count: two reads per
+    // node pair, none per candidate.
+    assert!(res.candidates > 0);
+    let pages: u64 = res.task_traces.iter().map(|t| t.pages).sum();
+    assert_eq!(pages, 2 * res.node_pairs);
 }
