@@ -11,16 +11,20 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses the raw argument list. Accepted token shapes:
+    /// Parses the raw argument list of a subcommand that accepts the
+    /// valued options `opts` and the bare flags `flags`. Accepted token
+    /// shapes:
     ///
     /// * `--key=value` — one token, split at the first `=`;
-    /// * `--key value` — `--key` consumes the next token as its value
-    ///   unless that token also starts with `--`;
-    /// * `--flag` — a `--` token not followed by a value.
+    /// * `--key value` — `--key` consumes the next token as its value,
+    ///   which must not itself start with `--`;
+    /// * `--flag` — a key from `flags`, which never takes a value.
     ///
-    /// Any other token is a hard error (a stray positional is almost
-    /// always a typo — e.g. `--scale0.5` or a forgotten `--`).
-    pub fn parse(argv: &[String]) -> Result<Args, String> {
+    /// Any other token is a hard error: a key the subcommand does not
+    /// declare, an option with no value, a flag given a value, or a stray
+    /// positional (almost always a typo — e.g. `--scale0.5` or a forgotten
+    /// `--`).
+    pub fn parse(argv: &[String], opts: &[&str], flags: &[&str]) -> Result<Args, String> {
         let mut args = Args::default();
         let mut i = 0;
         while i < argv.len() {
@@ -33,18 +37,29 @@ impl Args {
             if key.is_empty() {
                 return Err("bare -- is not a valid option".into());
             }
-            if let Some((k, v)) = key.split_once('=') {
-                if k.is_empty() {
-                    return Err(format!("malformed option: {token}"));
+            let (key, inline) = match key.split_once('=') {
+                Some(("", _)) => return Err(format!("malformed option: {token}")),
+                Some((k, v)) => (k, Some(v)),
+                None => (key, None),
+            };
+            i += 1;
+            if opts.contains(&key) {
+                let value = match inline {
+                    Some(v) => v,
+                    None if i < argv.len() && !argv[i].starts_with("--") => {
+                        i += 1;
+                        &argv[i - 1]
+                    }
+                    None => return Err(format!("option --{key} needs a value")),
+                };
+                args.opts.insert(key.to_string(), value.to_string());
+            } else if flags.contains(&key) {
+                if inline.is_some() {
+                    return Err(format!("flag --{key} takes no value"));
                 }
-                args.opts.insert(k.to_string(), v.to_string());
-                i += 1;
-            } else if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                args.opts.insert(key.to_string(), argv[i + 1].clone());
-                i += 2;
-            } else {
                 args.flags.push(key.to_string());
-                i += 1;
+            } else {
+                return Err(format!("unknown option: --{key}"));
             }
         }
         Ok(args)
@@ -71,6 +86,14 @@ impl Args {
         }
     }
 
+    /// A count that must be at least one (threads, processors, disks).
+    pub fn count_or(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.parse_or(key, default)? {
+            0 => Err(format!("invalid value for --{key}: 0 (must be at least 1)")),
+            n => Ok(n),
+        }
+    }
+
     /// Whether a bare flag was given.
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
@@ -81,12 +104,25 @@ impl Args {
 mod tests {
     use super::*;
 
+    const OPTS: &[&str] = &[
+        "scale", "seed", "out", "tag", "procs", "disks", "tree", "map",
+    ];
+    const FLAGS: &[&str] = &["str"];
+
+    fn try_parse(s: &[&str]) -> Result<Args, String> {
+        Args::parse(
+            &s.iter().map(|x| x.to_string()).collect::<Vec<_>>(),
+            OPTS,
+            FLAGS,
+        )
+    }
+
     fn parse(s: &[&str]) -> Args {
-        Args::parse(&s.iter().map(|x| x.to_string()).collect::<Vec<_>>()).unwrap()
+        try_parse(s).unwrap()
     }
 
     fn parse_err(s: &[&str]) -> String {
-        Args::parse(&s.iter().map(|x| x.to_string()).collect::<Vec<_>>()).unwrap_err()
+        try_parse(s).unwrap_err()
     }
 
     #[test]
@@ -118,12 +154,14 @@ mod tests {
         let e = parse_err(&["--scale", "0.5", "oops"]);
         assert!(e.contains("oops"), "{e}");
         assert!(parse_err(&["build", "--map", "x"]).contains("build"));
+        // A flag never swallows the token after it.
+        assert!(parse_err(&["--str", "x.bin"]).contains("x.bin"));
     }
 
     #[test]
     fn malformed_dashes_are_errors() {
-        assert!(Args::parse(&["--".to_string()]).is_err());
-        assert!(Args::parse(&["--=v".to_string()]).is_err());
+        assert!(try_parse(&["--"]).is_err());
+        assert!(try_parse(&["--=v"]).is_err());
     }
 
     #[test]
@@ -138,6 +176,9 @@ mod tests {
     fn invalid_value_is_an_error() {
         let a = parse(&["--procs", "twelve"]);
         assert!(a.parse_or::<usize>("procs", 1).is_err());
+        let a = parse(&["--procs", "0"]);
+        assert!(a.count_or("procs", 8).unwrap_err().contains("at least 1"));
+        assert_eq!(a.count_or("disks", 8).unwrap(), 8);
     }
 
     #[test]
@@ -151,5 +192,18 @@ mod tests {
         let a = parse(&["--str", "--out", "x.bin"]);
         assert!(a.flag("str"));
         assert_eq!(a.get("out"), Some("x.bin"));
+    }
+
+    #[test]
+    fn undeclared_keys_are_errors() {
+        assert!(parse_err(&["--sede", "7"]).contains("unknown option: --sede"));
+        assert!(parse_err(&["--missing"]).contains("unknown option: --missing"));
+        assert!(parse_err(&["--str=yes"]).contains("takes no value"));
+    }
+
+    #[test]
+    fn option_without_value_is_an_error() {
+        assert!(parse_err(&["--procs"]).contains("--procs needs a value"));
+        assert!(parse_err(&["--procs", "--str"]).contains("--procs needs a value"));
     }
 }

@@ -1,15 +1,11 @@
-//! The cluster subcommands: shard planning, the router process, and the
-//! in-process cluster benchmark.
+//! The cluster subcommands: shard planning and the router process.
 
 use crate::args::Args;
 use psj_cluster::{format_topology, parse_topology, plan_shards, Router, RouterConfig, ShardAddr};
 use psj_datagen::io::load_map;
-use psj_datagen::Scenario;
 use psj_rtree::{bulk::bulk_load_str, PagedTree, RTree};
-use psj_serve::{loadgen, LoadConfig, ServeConfig, Server};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 type CmdResult = Result<(), String>;
 
@@ -142,204 +138,5 @@ pub fn cluster_serve(args: &Args) -> CmdResult {
     );
     router.wait();
     println!("router stopped");
-    Ok(())
-}
-
-/// One measured cluster configuration.
-struct ClusterRow {
-    id: String,
-    shards: usize,
-    degraded: bool,
-    throughput_rps: f64,
-    completed: u64,
-    partials: u64,
-    p50_ms: f64,
-    p99_ms: f64,
-}
-
-/// Stands up `n` in-process shard servers plus a router over them,
-/// returning the handles (shard 0 first).
-fn start_cluster(
-    items1: &[(psj_geom::Rect, u64)],
-    items2: &[(psj_geom::Rect, u64)],
-    n: usize,
-) -> Result<(Vec<Server>, Router), String> {
-    let plan = plan_shards(items1, items2, n);
-    let buckets1 = plan.assign(items1);
-    let buckets2 = plan.assign(items2);
-    let empty = HashMap::new();
-    let mut servers = Vec::with_capacity(plan.len());
-    let mut shards = Vec::with_capacity(plan.len());
-    for (i, spec) in plan.shards.iter().enumerate() {
-        let ta = Arc::new(shard_tree(&buckets1[i], &empty));
-        let tb = Arc::new(shard_tree(&buckets2[i], &empty));
-        let cfg = ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            join_threads: 2,
-            cache_pages: 2048,
-            shard_id: spec.id,
-            read_timeout: std::time::Duration::from_millis(100),
-            ..ServeConfig::default()
-        };
-        let server = Server::start(cfg, vec![ta, tb]).map_err(io_err)?;
-        shards.push(ShardAddr {
-            id: spec.id,
-            addr: server.local_addr(),
-            x_lo: spec.x_lo,
-            x_hi: spec.x_hi,
-        });
-        servers.push(server);
-    }
-    let router = Router::start(RouterConfig {
-        shards,
-        ..RouterConfig::default()
-    })
-    .map_err(io_err)?;
-    Ok((servers, router))
-}
-
-/// `psj bench-cluster` — in-process cluster benchmark: the same seeded
-/// closed-loop workload through a router over 1, 2, and 4 shards, plus a
-/// degraded run (3 shards, one stopped) that exercises partial answers.
-/// Writes `results/cluster_baseline.json` with the scaling ratio
-/// `cluster_scaling_4v1` that `bench-check --min-cluster-scaling` gates.
-pub fn bench_cluster(args: &Args) -> CmdResult {
-    let scale: f64 = args.parse_or("scale", 0.05)?;
-    let seed: u64 = args.parse_or("seed", 1996u64)?;
-    let clients: usize = args.parse_or("clients", 2usize)?;
-    let requests: usize = args.parse_or("requests", 150usize)?;
-    let out = args.get("out").unwrap_or("results/cluster_baseline.json");
-
-    println!("generating scenario (scale {scale}, seed {seed})...");
-    let (m1, m2) = Scenario::scaled(seed, scale).generate();
-    let items1: Vec<(psj_geom::Rect, u64)> = m1.iter().map(|o| (o.mbr(), o.oid)).collect();
-    let items2: Vec<(psj_geom::Rect, u64)> = m2.iter().map(|o| (o.mbr(), o.oid)).collect();
-    println!("{} + {} objects", items1.len(), items2.len());
-
-    let load = |addr| LoadConfig {
-        addr,
-        clients,
-        requests_per_client: requests,
-        seed,
-        // Mostly windows and nearests with a sliver of joins, under a
-        // deadline so a degraded cluster sheds instead of stalling.
-        window_frac: 0.75,
-        nearest_frac: 0.2,
-        deadline_ms: 2_000,
-        reconnect: true,
-        ..LoadConfig::default()
-    };
-
-    let mut rows: Vec<ClusterRow> = Vec::new();
-    for &n in &[1usize, 2, 4] {
-        let (servers, router) = start_cluster(&items1, &items2, n)?;
-        let cfg = load(router.local_addr());
-        let report = loadgen::run(&cfg).map_err(io_err)?;
-        println!(
-            "shards={n}: {:.1} req/s, {} completed ({} partial), {} errors, \
-             p50 {:.2} ms, p99 {:.2} ms",
-            report.throughput_rps,
-            report.completed,
-            report.partials,
-            report.errors,
-            report.p50_ms,
-            report.p99_ms
-        );
-        rows.push(ClusterRow {
-            id: format!("shards{n}"),
-            shards: n,
-            degraded: false,
-            throughput_rps: report.throughput_rps,
-            completed: report.completed,
-            partials: report.partials,
-            p50_ms: report.p50_ms,
-            p99_ms: report.p99_ms,
-        });
-        router.stop();
-        for s in servers {
-            s.stop();
-        }
-    }
-
-    // Degraded mode: three shards, one stopped before the run. The router
-    // marks it down and degrades to partial answers; the workload must
-    // still mostly complete.
-    {
-        let (mut servers, router) = start_cluster(&items1, &items2, 3)?;
-        servers.remove(1).stop();
-        let cfg = load(router.local_addr());
-        let report = loadgen::run(&cfg).map_err(io_err)?;
-        println!(
-            "shards=3 degraded (shard 1 down): {:.1} req/s, {} completed \
-             ({} partial), {} errors",
-            report.throughput_rps, report.completed, report.partials, report.errors
-        );
-        if report.completed == 0 {
-            return Err("degraded cluster completed nothing".into());
-        }
-        rows.push(ClusterRow {
-            id: "shards3_degraded".to_string(),
-            shards: 3,
-            degraded: true,
-            throughput_rps: report.throughput_rps,
-            completed: report.completed,
-            partials: report.partials,
-            p50_ms: report.p50_ms,
-            p99_ms: report.p99_ms,
-        });
-        router.stop();
-        for s in servers {
-            s.stop();
-        }
-    }
-
-    let tp = |id: &str| {
-        rows.iter()
-            .find(|r| r.id == id)
-            .map(|r| r.throughput_rps)
-            .unwrap_or(0.0)
-    };
-    let scaling_4v1 = if tp("shards1") > 0.0 {
-        tp("shards4") / tp("shards1")
-    } else {
-        0.0
-    };
-    println!("cluster scaling (4 shards vs 1): {scaling_4v1:.3}x");
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"psj-bench-cluster-v1\",\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"scale\": {scale},\n"));
-    json.push_str(&format!("  \"clients\": {clients},\n"));
-    json.push_str(&format!("  \"requests_per_client\": {requests},\n"));
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"id\": \"{}\", \"shards\": {}, \"degraded\": {}, \
-             \"throughput_rps\": {:.3}, \"completed\": {}, \"partials\": {}, \
-             \"p50_ms\": {:.6}, \"p99_ms\": {:.6}}}{}\n",
-            r.id,
-            r.shards,
-            r.degraded,
-            r.throughput_rps,
-            r.completed,
-            r.partials,
-            r.p50_ms,
-            r.p99_ms,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"cluster_scaling_4v1\": {scaling_4v1:.4}\n"));
-    json.push_str("}\n");
-    if let Some(dir) = Path::new(out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(io_err)?;
-        }
-    }
-    std::fs::write(out, &json).map_err(io_err)?;
-    println!("wrote {out}");
     Ok(())
 }

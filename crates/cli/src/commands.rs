@@ -2,14 +2,11 @@
 
 use crate::args::Args;
 use psj_core::{
-    create_tasks, expand_pair, morselize, run_join, run_native_join, run_sim_join, try_run_join,
-    Assignment, BufferConfig, BufferOrg, CandidateEstimator, JoinEngine, KernelScratch,
-    MorselOptions, NativeConfig, NativeError, RectItem, RunControl, SimConfig, StealPolicy,
-    TaskOrigin,
+    run_sim_join, try_run_join, BufferConfig, BufferOrg, JoinEngine, NativeConfig, NativeError,
+    RunControl, SimConfig, StealPolicy, TaskOrigin,
 };
 use psj_datagen::io::{load_map, save_map};
 use psj_datagen::Scenario;
-use psj_desim::{simulate_schedule, ScheduleAssign, ScheduleSpec};
 use psj_obs::TraceSink;
 use psj_rtree::{bulk::bulk_load_str, fsck_file, PagedTree, RTree};
 use psj_serve::{loadgen, Client, ClientError, LoadConfig, Response, ServeConfig, Server};
@@ -61,11 +58,6 @@ commands:
            router over `psj serve --shard-id <n>` shard processes; speaks
            the same wire protocol as a single server, degrades to partial
            answers when shards are down
-  bench-cluster [--scale <f>] [--seed <n>] [--clients <n>] [--requests <n>]
-           [--out <file.json>] — in-process cluster benchmark: the same
-           workload through a router over 1/2/4 shards plus a degraded run
-           (3 shards, one down); writes results/cluster_baseline.json with
-           cluster_scaling_4v1 for bench-check
   query    --addr <host:port> [--tree <n>] (--window xl,yl,xu,yu |
            --nearest x,y [--k <n>] | --join-with <n> | --stats | --shutdown)
            — partial answers from a degraded cluster print a
@@ -79,44 +71,10 @@ commands:
            [--k <n>] [--window-extent <f>] [--reconnect] [--out <file.json>]
            [--shutdown] — --reconnect retries dropped connections with
            bounded backoff (for load against a cluster router)
-  bench-join [--scale <f>] [--seed <n>] [--reps <n>] [--quick]
-           [--out <file.json>] — in-process join benchmark: scalar-vs-SoA
-           sweep kernel plus a join matrix (1/2/4/8 threads × assignment ×
-           buffer org; --quick: 1/2/4 threads) and an in-memory engine
-           comparison (R-tree vs partition on identical unbuffered joins,
-           both pre-indexed and from raw streams where the R-tree engine
-           pays index construction; reported as `engines` rows with both
-           partition/rtree wall ratios), plus a contended-read row (N
-           workers re-reading one tree through a shared cache over three
-           read paths — locked mutex, Arc-clone optimistic, borrowing
-           guard — reporting the seqlock hit shares and the
-           opt-vs-locked / guard-vs-arc wall speedups).
-           speedup_vs_t1 is the *scheduled* speedup: the t=1 run's
-           per-morsel wall costs replayed through the deterministic
-           scheduler simulation with n virtual workers (machine-
-           independent; wall_speedup_vs_t1 reports the raw wall ratio).
-           Writes BENCH_join.json unless --out is given
-  bench-check --baseline <file.json> --candidate <file.json>
-           [--tolerance <f>] [--min <id>=<floor>[,...]] [--require-steals]
-           [--min-partition <f>] — compare two bench-join reports on their
-           machine-independent ratios (kernel speedup, scheduled speedup vs
-           t=1); --min adds absolute floors on named rows (e.g.
-           t4_gd_global=1.2); --require-steals fails unless some candidate
-           row stole; --min-partition puts an absolute floor on the
-           candidate's stream-input partition-vs-rtree wall ratio (index
-           build counted on the rtree side); --min-opt-share <f> puts a
-           floor on the candidate's contended-read optimistic-hit share
-           (which code path served resident-page reads — machine-
-           independent); --min-opt-speedup <f> and --min-guard-speedup
-           <f> put floors on the contended-read wall ratios (optimistic
-           vs locked, guard vs arc — same-process relative cost of the
-           read paths); --min-cluster-scaling <f>
-           [--cluster <file.json>] puts a floor on bench-cluster's 4-shard
-           vs 1-shard throughput ratio (standalone: baseline/candidate may
-           be omitted); exits nonzero on any regression
   help
 
-options may be written --key value or --key=value
+options may be written --key value or --key=value; an option a command
+does not list, or one given without its value, is an error
 
 fault spec grammar (comma-separated key=value):
   seed=<u64> transient=<p> burst=<n> flip=<p> torn=<p> latency-us=<n> latency-p=<p>
@@ -235,7 +193,7 @@ pub fn stats(args: &Args) -> CmdResult {
 pub fn join(args: &Args) -> CmdResult {
     let a = PagedTree::load_from(Path::new(args.require("tree1")?)).map_err(io_err)?;
     let b = PagedTree::load_from(Path::new(args.require("tree2")?)).map_err(io_err)?;
-    let threads: usize = args.parse_or(
+    let threads = args.count_or(
         "threads",
         std::thread::available_parallelism()
             .map(|p| p.get())
@@ -727,8 +685,8 @@ pub fn bench_serve(args: &Args) -> CmdResult {
 pub fn simulate(args: &Args) -> CmdResult {
     let a = PagedTree::load_from(Path::new(args.require("tree1")?)).map_err(io_err)?;
     let b = PagedTree::load_from(Path::new(args.require("tree2")?)).map_err(io_err)?;
-    let procs: usize = args.parse_or("procs", 8)?;
-    let disks: usize = args.parse_or("disks", procs)?;
+    let procs = args.count_or("procs", 8)?;
+    let disks = args.count_or("disks", procs)?;
     let buffer: usize = args.parse_or("buffer", 100 * procs)?;
     let variant = args.get("variant").unwrap_or("best");
     let cfg = match variant {
@@ -758,997 +716,4 @@ pub fn simulate(args: &Args) -> CmdResult {
     println!("reassignments:      {}", m.reassignments);
     println!("total busy time:    {:.1} s", m.total_busy_secs());
     Ok(())
-}
-
-/// Builds an in-memory STR-packed tree over `objects`, with geometry
-/// attached so the join's refinement step is exercised.
-fn bench_tree(objects: &[psj_datagen::MapObject]) -> PagedTree {
-    let items: Vec<(psj_geom::Rect, u64)> = objects.iter().map(|o| (o.mbr(), o.oid)).collect();
-    let tree = bulk_load_str(&items);
-    let geoms: HashMap<u64, psj_geom::Polyline> =
-        objects.iter().map(|o| (o.oid, o.geom.clone())).collect();
-    PagedTree::freeze_with_attrs(&tree, |oid| geoms.get(&oid).cloned(), 1365)
-}
-
-/// One row of the bench-join matrix.
-struct BenchJoinRow {
-    id: String,
-    threads: usize,
-    assignment: &'static str,
-    org: &'static str,
-    wall_ms: f64,
-    /// Scheduled (critical-path) speedup: the t=1 run's per-morsel costs
-    /// replayed through `psj_desim::simulate_schedule` with this row's
-    /// worker count and assignment. Machine-independent — meaningful even
-    /// when the host has fewer physical cores than `threads`.
-    speedup_vs_t1: f64,
-    /// Raw wall-clock ratio vs. the t=1 run of the same combo. Reported
-    /// for context, never gated: on a single-core host it hovers near 1x.
-    wall_speedup_vs_t1: f64,
-    morsels: usize,
-    steals: u64,
-    pairs: usize,
-    hits_local: u64,
-    hits_l1: u64,
-    hits_remote: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-/// `psj bench-join` — in-process join benchmark. Times the sweep kernel
-/// (pre-change scalar path with its per-call MBR copy vs. the SoA chunked
-/// path) over the real node-pair stream of a join, then runs a matrix of
-/// full joins (threads × assignment × buffer organization) and writes one
-/// JSON report. The committed `BENCH_join.json` at the repo root is the
-/// baseline `bench-check` compares against.
-pub fn bench_join(args: &Args) -> CmdResult {
-    let quick = args.flag("quick");
-    let scale: f64 = args.parse_or("scale", if quick { 0.08 } else { 0.25 })?;
-    let seed: u64 = args.parse_or("seed", 1996)?;
-    let reps: u32 = args.parse_or("reps", if quick { 3 } else { 7 })?;
-    let out = args.get("out").unwrap_or("BENCH_join.json");
-
-    println!("generating scenario (scale {scale}, seed {seed})...");
-    let (m1, m2) = Scenario::scaled(seed, scale).generate();
-    let a = bench_tree(&m1);
-    let b = bench_tree(&m2);
-    let total_pages = a.num_pages() + b.num_pages();
-    println!(
-        "trees: {} + {} objects, {} pages total",
-        a.len(),
-        b.len(),
-        total_pages
-    );
-
-    // --- Kernel micro-benchmark -------------------------------------------
-    // Collect the equal-level node-pair stream a join actually sweeps, by
-    // expanding the phase-1 task set to exhaustion.
-    let tc = create_tasks(&a, &b, 64);
-    let mut stream = Vec::new();
-    {
-        let mut scratch = KernelScratch::default();
-        let mut stack = tc.tasks.clone();
-        let mut candidates = Vec::new();
-        while let Some(p) = stack.pop() {
-            if p.la == p.lb {
-                stream.push(p);
-            }
-            let na = a.node(p.a);
-            let nb = b.node(p.b);
-            expand_pair(na, nb, &p, &mut scratch, &mut stack, &mut candidates);
-        }
-    }
-    println!("kernel stream: {} node pairs", stream.len());
-
-    use psj_geom::sweep::{sweep_pairs_restricted, sweep_pairs_soa, SweepScratch};
-    let mut filt_a = Vec::new();
-    let mut filt_b = Vec::new();
-    let mut sweep_scratch = SweepScratch::default();
-    let mut pairs = Vec::new();
-    let mut mbrs_a: Vec<psj_geom::Rect> = Vec::new();
-    let mut mbrs_b: Vec<psj_geom::Rect> = Vec::new();
-
-    // Scalar baseline: the pre-SoA kernel copied every entry MBR into a
-    // scratch vector on each call, then ran the scalar restricted sweep.
-    let mut scalar_pairs = 0u64;
-    let mut scalar_ns = u128::MAX;
-    // SoA path: the frozen per-node SoA view feeds the chunked filter.
-    let mut soa_pairs = 0u64;
-    let mut soa_ns = u128::MAX;
-    // The two passes interleave and each path keeps its *minimum* rep time:
-    // the minimum is the least contaminated by scheduler noise and frequency
-    // scaling, which on small containers can double a single rep's time.
-    for rep in 0..=reps {
-        // rep 0 is an untimed warm-up for both paths.
-        let t0 = Instant::now();
-        let mut produced = 0u64;
-        for p in &stream {
-            let na = a.node(p.a);
-            let nb = b.node(p.b);
-            mbrs_a.clear();
-            mbrs_b.clear();
-            if p.la == 0 {
-                mbrs_a.extend(na.data_entries().iter().map(|e| e.mbr));
-                mbrs_b.extend(nb.data_entries().iter().map(|e| e.mbr));
-            } else {
-                mbrs_a.extend(na.dir_entries().iter().map(|e| e.mbr));
-                mbrs_b.extend(nb.dir_entries().iter().map(|e| e.mbr));
-            }
-            pairs.clear();
-            sweep_pairs_restricted(
-                &mbrs_a,
-                &mbrs_b,
-                &p.window,
-                &mut filt_a,
-                &mut filt_b,
-                &mut pairs,
-            );
-            produced += pairs.len() as u64;
-        }
-        if rep > 0 {
-            scalar_ns = scalar_ns.min(t0.elapsed().as_nanos());
-            scalar_pairs = produced;
-        }
-
-        let t1 = Instant::now();
-        let mut produced = 0u64;
-        for p in &stream {
-            let na = a.node(p.a);
-            let nb = b.node(p.b);
-            pairs.clear();
-            sweep_pairs_soa(
-                na.soa_mbrs(),
-                nb.soa_mbrs(),
-                &p.window,
-                &mut sweep_scratch,
-                &mut pairs,
-            );
-            produced += pairs.len() as u64;
-        }
-        if rep > 0 {
-            soa_ns = soa_ns.min(t1.elapsed().as_nanos());
-            soa_pairs = produced;
-        }
-    }
-    if scalar_pairs != soa_pairs {
-        return Err(format!(
-            "kernel mismatch: scalar produced {scalar_pairs} pairs, SoA {soa_pairs}"
-        ));
-    }
-    let scalar_pps = scalar_pairs as f64 / (scalar_ns as f64 / 1e9);
-    let soa_pps = soa_pairs as f64 / (soa_ns as f64 / 1e9);
-    let kernel_speedup = soa_pps / scalar_pps;
-    println!(
-        "kernel: scalar {:.2} Mpairs/s, SoA {:.2} Mpairs/s, speedup {kernel_speedup:.2}x",
-        scalar_pps / 1e6,
-        soa_pps / 1e6
-    );
-
-    // --- Join matrix ------------------------------------------------------
-    // Every run of a combo shares one morsel plan: phase 1 is pinned to the
-    // same task count (min_tasks_factor × threads = 64) and the morsel
-    // budget is resolved once up front, so the t=1 run's measured per-morsel
-    // wall costs apply exactly to every other thread count. The gated
-    // `speedup_vs_t1` is the *scheduled* speedup: those costs replayed
-    // through `psj_desim::simulate_schedule` with this row's worker count —
-    // a machine-independent critical-path metric. The raw wall-clock ratio
-    // is reported alongside (`wall_speedup_vs_t1`) but never gated, because
-    // on a host with fewer physical cores than `threads` it is bounded by
-    // ~1x no matter how good the schedule is.
-    let thread_list: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    let combos: &[(Assignment, &str, BufferOrg, &str)] = if quick {
-        // Keep the static round-robin combo in quick mode: its skewed deal
-        // is what forces idle workers through the steal path.
-        &[
-            (Assignment::Dynamic, "gd", BufferOrg::Global, "global"),
-            (
-                Assignment::StaticRoundRobin,
-                "gsrr",
-                BufferOrg::Global,
-                "global",
-            ),
-        ]
-    } else {
-        &[
-            (Assignment::Dynamic, "gd", BufferOrg::Global, "global"),
-            (Assignment::Dynamic, "gd", BufferOrg::Local, "local"),
-            (
-                Assignment::StaticRoundRobin,
-                "gsrr",
-                BufferOrg::Global,
-                "global",
-            ),
-        ]
-    };
-    let est = CandidateEstimator::new(&a, &b);
-    let pinned_budget = morselize(&a, &b, &tc.tasks, &est, &MorselOptions::new(8)).budget;
-    println!("morsel budget pinned at {pinned_budget} estimated candidates");
-    let capacity = (total_pages / 2).max(8);
-    let mut rows: Vec<BenchJoinRow> = Vec::new();
-    for &(assignment, aname, org, oname) in combos {
-        let mut t1_ms = 0.0f64;
-        let mut t1_costs: Vec<u64> = Vec::new();
-        for &threads in thread_list {
-            let mut buffer = BufferConfig::global(capacity);
-            buffer.org = org;
-            let mut cfg = NativeConfig::buffered(threads, buffer);
-            cfg.assignment = assignment;
-            cfg.min_tasks_factor = 64 / threads;
-            cfg.morsel_candidates = pinned_budget;
-            let res = run_native_join(&a, &b, &cfg);
-            let stats = res.buffer.unwrap_or_default();
-            let wall_ms = res.elapsed.as_secs_f64() * 1e3;
-            if threads == 1 {
-                t1_ms = wall_ms;
-                let mut timed: Vec<(u32, u64)> = res
-                    .task_traces
-                    .iter()
-                    .map(|t| (t.morsel, (t.wall.as_nanos() as u64).max(1)))
-                    .collect();
-                timed.sort_unstable();
-                t1_costs = timed.into_iter().map(|(_, ns)| ns).collect();
-            }
-            if t1_costs.len() != res.morsels {
-                return Err(format!(
-                    "morsel plan drifted across thread counts: t=1 planned {} \
-                     morsels, t={threads} planned {}",
-                    t1_costs.len(),
-                    res.morsels
-                ));
-            }
-            let sim = simulate_schedule(
-                &t1_costs,
-                &ScheduleSpec {
-                    workers: threads,
-                    assign: match assignment {
-                        Assignment::Dynamic => ScheduleAssign::Shared,
-                        Assignment::StaticRange => ScheduleAssign::Range,
-                        Assignment::StaticRoundRobin => ScheduleAssign::RoundRobin,
-                    },
-                    steal: true,
-                    seed: None,
-                },
-            );
-            let speedup = sim.speedup();
-            let wall_speedup = if t1_ms > 0.0 { t1_ms / wall_ms } else { 1.0 };
-            println!(
-                "join t={threads} {aname}/{oname}: {:.1} ms, scheduled {:.2}x vs t=1 \
-                 (wall {:.2}x), {} morsels, {} steals, {} pairs, \
-                 L1 {} / local {} / remote {} hits, {} misses",
-                wall_ms,
-                speedup,
-                wall_speedup,
-                res.morsels,
-                res.steals,
-                res.pairs.len(),
-                stats.hits_l1,
-                stats.hits_local,
-                stats.hits_remote,
-                stats.misses
-            );
-            rows.push(BenchJoinRow {
-                id: format!("t{threads}_{aname}_{oname}"),
-                threads,
-                assignment: aname,
-                org: oname,
-                wall_ms,
-                speedup_vs_t1: speedup,
-                wall_speedup_vs_t1: wall_speedup,
-                morsels: res.morsels,
-                steals: res.steals,
-                pairs: res.pairs.len(),
-                hits_local: stats.hits_local,
-                hits_l1: stats.hits_l1,
-                hits_remote: stats.hits_remote,
-                misses: stats.misses,
-                evictions: stats.evictions,
-            });
-        }
-    }
-
-    // --- Contended-read micro-benchmark -----------------------------------
-    // N workers re-read one small tree through a shared cache whose budget
-    // covers every page, so after a single warm pass the whole tree stays
-    // resident and every timed read is a hit. What this measures is *which
-    // code path* serves those hits: the gated `opt_hit_share` is the
-    // fraction served by the seqlock optimistic path (no shard mutex
-    // taken) — a pure path-count ratio, machine-independent — while
-    // reads/sec is reported for context and never gated. Capacity is 2x
-    // the page count because the shard hash can skew pages across shards;
-    // an exactly-covering budget could overflow one shard's slice and
-    // evict, which would poison the share with refill misses.
-    struct ContendedRow {
-        workers: usize,
-        pages: usize,
-        reads: u64,
-        wall_ms: f64,
-        reads_per_sec: f64,
-        opt: psj_buffer::OptStats,
-        opt_hit_share: f64,
-        guard_hit_share: f64,
-        locked_wall_ms: f64,
-        guard_wall_ms: f64,
-        /// Arc-clone optimistic path vs the all-mutex pessimistic path.
-        opt_speedup_vs_locked: f64,
-        /// Borrowing-guard path vs the Arc-clone optimistic path.
-        guard_speedup_vs_arc: f64,
-    }
-    let contended = {
-        use psj_buffer::{PageSource, Policy, SharedPageCache};
-        use psj_rtree::Node;
-        use psj_store::{PageError, PageId};
-
-        struct TreeSource<'t> {
-            t: &'t PagedTree,
-        }
-        impl PageSource for TreeSource<'_> {
-            type Item = Node;
-            fn fetch_page(&self, page: PageId) -> Result<Node, PageError> {
-                Ok(Node::decode(self.t.pages().read(page)))
-            }
-            fn page_count(&self) -> usize {
-                self.t.num_pages()
-            }
-        }
-
-        const WORKERS: usize = 4;
-        let pages = b.num_pages();
-        let reads_per_worker: usize = if quick { 40_000 } else { 150_000 };
-        let cache: SharedPageCache<Node> = SharedPageCache::new(WORKERS, pages * 2, 8, Policy::Lru);
-        let src = TreeSource { t: &b };
-        for p in 0..pages {
-            let _ = cache.get(0, PageId(p as u32), &src);
-        }
-
-        // One timed pass per read path over the identical resident working
-        // set: `locked` forces every read through the shard mutex
-        // (`try_get_locked`), `arc` is the seqlock optimistic path
-        // returning an owned Arc (`get`), `guard` is the borrowing
-        // pin-guarded read (`guard_get`, derefed in place — no Arc
-        // clone). Minimum over `reps` runs, the usual noise defense; the
-        // two speedup ratios are same-machine same-process wall ratios.
-        let reps = if quick { 2 } else { 3 };
-        let pass = |read: &(dyn Fn(usize, PageId) + Sync)| -> f64 {
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                std::thread::scope(|s| {
-                    for w in 0..WORKERS {
-                        s.spawn(move || {
-                            for i in 0..reads_per_worker {
-                                // Strides co-prime with typical page
-                                // counts, offset per worker: workers
-                                // collide on the same pages, which is the
-                                // contention being measured.
-                                let p = (i * 7 + w * 13) % pages;
-                                read(w, PageId(p as u32));
-                            }
-                        });
-                    }
-                });
-                best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-            }
-            best
-        };
-        let locked_wall_ms = pass(&|w, p| {
-            let _ = cache.try_get_locked(w, p, &src);
-        });
-        let base = cache.opt_stats();
-        let wall_ms = pass(&|w, p| {
-            let _ = cache.get(w, p, &src);
-        });
-        let arc_opt = cache.opt_stats().since(&base);
-        let base = cache.opt_stats();
-        let guard_wall_ms = pass(&|w, p| match cache.guard_get(w, p) {
-            Some(g) => {
-                std::hint::black_box(&*g);
-            }
-            None => {
-                let _ = cache.get(w, p, &src);
-            }
-        });
-        let guard_opt = cache.opt_stats().since(&base);
-        let opt = arc_opt.merged(&guard_opt);
-
-        let reads = (WORKERS * reads_per_worker) as u64;
-        let pass_reads = reads * reps as u64;
-        let reads_per_sec = reads as f64 / (wall_ms / 1e3);
-        // Path-count shares are per pass set: the arc passes feed `hits`,
-        // the guard passes feed `guard_hits`.
-        let opt_hit_share = arc_opt.hits as f64 / pass_reads as f64;
-        let guard_hit_share = guard_opt.guard_hits as f64 / pass_reads as f64;
-        let opt_speedup_vs_locked = locked_wall_ms / wall_ms;
-        let guard_speedup_vs_arc = wall_ms / guard_wall_ms;
-        println!(
-            "contended: {WORKERS} workers x {reads_per_worker} reads over {pages} pages\n\
-             \x20 locked {locked_wall_ms:.1} ms, arc {wall_ms:.1} ms ({:.1} Mreads/s), \
-             guard {guard_wall_ms:.1} ms\n\
-             \x20 opt share {opt_hit_share:.3}, guard share {guard_hit_share:.3} \
-             ({} opt hits, {} guard hits, {} retries, {} fallbacks)\n\
-             \x20 opt vs locked {opt_speedup_vs_locked:.2}x, \
-             guard vs arc {guard_speedup_vs_arc:.2}x",
-            reads_per_sec / 1e6,
-            opt.hits,
-            opt.guard_hits,
-            opt.retries,
-            opt.fallbacks
-        );
-        ContendedRow {
-            workers: WORKERS,
-            pages,
-            reads,
-            wall_ms,
-            reads_per_sec,
-            opt,
-            opt_hit_share,
-            guard_hit_share,
-            locked_wall_ms,
-            guard_wall_ms,
-            opt_speedup_vs_locked,
-            guard_speedup_vs_arc,
-        }
-    };
-
-    // --- Engine comparison (in-memory) ------------------------------------
-    // Both engines answer the *identical* unbuffered filter-step join (no
-    // page cache, no refinement, same datasets): the R-tree engine's
-    // synchronized traversal vs. the partition engine's uniform grid +
-    // per-cell sweep. Per-row wall is the minimum over `reps` runs (same
-    // noise rationale as the kernel micro-benchmark); the gated ratio is
-    // rtree_wall / partition_wall at the highest thread count — > 1 means
-    // the partition engine wins in memory, which is the Tsitsigkos et al.
-    // result this bench reproduces.
-    struct EngineRow {
-        id: String,
-        engine: &'static str,
-        threads: usize,
-        wall_ms: f64,
-        pairs: usize,
-        morsels: usize,
-        steals: u64,
-        replicated: u64,
-        deduped: u64,
-    }
-    let engine_threads: &[usize] = if quick { &[1, 2] } else { &[1, 4] };
-    let mut engine_rows: Vec<EngineRow> = Vec::new();
-    for &threads in engine_threads {
-        for engine in [JoinEngine::RTree, JoinEngine::Partition] {
-            let mut cfg = NativeConfig::new(threads);
-            cfg.refine = false;
-            cfg.engine = engine;
-            let mut wall_ms = f64::INFINITY;
-            let mut last = None;
-            for _ in 0..reps.max(1) {
-                let res = run_join(&a, &b, &cfg);
-                wall_ms = wall_ms.min(res.elapsed.as_secs_f64() * 1e3);
-                last = Some(res);
-            }
-            let res = last.expect("reps >= 1");
-            println!(
-                "engine t={threads} {}: {:.1} ms, {} pairs, {} morsels, {} steals{}",
-                engine.short(),
-                wall_ms,
-                res.pairs.len(),
-                res.morsels,
-                res.steals,
-                if engine == JoinEngine::Partition {
-                    format!(", {} replicated, {} deduped", res.replicated, res.deduped)
-                } else {
-                    String::new()
-                }
-            );
-            engine_rows.push(EngineRow {
-                id: format!("t{threads}_{}_mem", engine.short()),
-                engine: engine.short(),
-                threads,
-                wall_ms,
-                pairs: res.pairs.len(),
-                morsels: res.morsels,
-                steals: res.steals,
-                replicated: res.replicated,
-                deduped: res.deduped,
-            });
-        }
-    }
-    // Sanity: the engines must agree exactly on the filter-step output size.
-    for pair in engine_rows.chunks(2) {
-        if pair.len() == 2 && pair[0].pairs != pair[1].pairs {
-            return Err(format!(
-                "engine mismatch at t={}: rtree produced {} pairs, partition {}",
-                pair[0].threads, pair[0].pairs, pair[1].pairs
-            ));
-        }
-    }
-    let top = *engine_threads.last().expect("non-empty");
-    let find_wall = |rows: &[EngineRow], engine: &str, suffix: &str| {
-        rows.iter()
-            .find(|r| r.threads == top && r.engine == engine && r.id.ends_with(suffix))
-            .map(|r| r.wall_ms)
-            .expect("row exists")
-    };
-    let partition_vs_rtree_indexed =
-        find_wall(&engine_rows, "rtree", "_mem") / find_wall(&engine_rows, "partition", "_mem");
-    println!(
-        "engines: pre-indexed, partition is {partition_vs_rtree_indexed:.2}x the rtree \
-         engine (t={top}, >1 = partition faster)"
-    );
-
-    // --- Engine comparison (stream input) ---------------------------------
-    // Neither side is indexed: the R-tree engine first has to *build* its
-    // indexes (STR bulk load + freeze, the cheapest construction this
-    // workspace has) before it can traverse, while the partition engine
-    // plans its grid directly from the rectangle streams. This is the
-    // comparison the partitioning literature makes — a one-off join where
-    // no index pre-exists — and the config the gated
-    // `partition_speedup_vs_rtree` ratio is computed from.
-    {
-        let items_a: Vec<(psj_geom::Rect, u64)> = m1.iter().map(|o| (o.mbr(), o.oid)).collect();
-        let items_b: Vec<(psj_geom::Rect, u64)> = m2.iter().map(|o| (o.mbr(), o.oid)).collect();
-        let ra: Vec<RectItem> = m1
-            .iter()
-            .map(|o| RectItem {
-                mbr: o.mbr(),
-                oid: o.oid,
-            })
-            .collect();
-        let rb: Vec<RectItem> = m2
-            .iter()
-            .map(|o| RectItem {
-                mbr: o.mbr(),
-                oid: o.oid,
-            })
-            .collect();
-        let mut cfg = NativeConfig::new(top);
-        cfg.refine = false;
-        let mut rt_wall = f64::INFINITY;
-        let mut rt_last = None;
-        for _ in 0..reps.max(1) {
-            let t0 = Instant::now();
-            let sa = PagedTree::freeze(&bulk_load_str(&items_a), |_| None);
-            let sb = PagedTree::freeze(&bulk_load_str(&items_b), |_| None);
-            let res = run_join(&sa, &sb, &cfg);
-            rt_wall = rt_wall.min(t0.elapsed().as_secs_f64() * 1e3);
-            rt_last = Some(res);
-        }
-        let rt_res = rt_last.expect("reps >= 1");
-        let mut pt_wall = f64::INFINITY;
-        let mut pt_last = None;
-        for _ in 0..reps.max(1) {
-            let res = psj_core::run_partition_join(
-                psj_core::PartitionInput::Rects(&ra),
-                psj_core::PartitionInput::Rects(&rb),
-                &cfg,
-            );
-            pt_wall = pt_wall.min(res.elapsed.as_secs_f64() * 1e3);
-            pt_last = Some(res);
-        }
-        let pt_res = pt_last.expect("reps >= 1");
-        if rt_res.pairs.len() != pt_res.pairs.len() {
-            return Err(format!(
-                "engine mismatch on stream input: rtree produced {} pairs, partition {}",
-                rt_res.pairs.len(),
-                pt_res.pairs.len()
-            ));
-        }
-        println!(
-            "engine t={top} rtree (stream, index build included): {rt_wall:.1} ms, {} pairs",
-            rt_res.pairs.len()
-        );
-        println!(
-            "engine t={top} partition (stream): {pt_wall:.1} ms, {} pairs, \
-             {} replicated, {} deduped",
-            pt_res.pairs.len(),
-            pt_res.replicated,
-            pt_res.deduped
-        );
-        engine_rows.push(EngineRow {
-            id: format!("t{top}_rtree_stream"),
-            engine: "rtree",
-            threads: top,
-            wall_ms: rt_wall,
-            pairs: rt_res.pairs.len(),
-            morsels: rt_res.morsels,
-            steals: rt_res.steals,
-            replicated: 0,
-            deduped: 0,
-        });
-        engine_rows.push(EngineRow {
-            id: format!("t{top}_partition_stream"),
-            engine: "partition",
-            threads: top,
-            wall_ms: pt_wall,
-            pairs: pt_res.pairs.len(),
-            morsels: pt_res.morsels,
-            steals: pt_res.steals,
-            replicated: pt_res.replicated,
-            deduped: pt_res.deduped,
-        });
-    }
-    let partition_vs_rtree = find_wall(&engine_rows, "rtree", "_stream")
-        / find_wall(&engine_rows, "partition", "_stream");
-    println!(
-        "engines: on unindexed streams, partition is {partition_vs_rtree:.2}x the rtree \
-         engine (t={top}, index build counted, >1 = partition faster)"
-    );
-
-    // --- Report -----------------------------------------------------------
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"psj-bench-join-v2\",\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"scale\": {scale},\n"));
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"total_pages\": {total_pages},\n"));
-    json.push_str("  \"kernel\": {\n");
-    json.push_str(&format!("    \"node_pairs\": {},\n", stream.len()));
-    json.push_str(&format!("    \"sweep_pairs\": {scalar_pairs},\n"));
-    json.push_str(&format!("    \"reps\": {reps},\n"));
-    json.push_str(&format!("    \"scalar_ns\": {scalar_ns},\n"));
-    json.push_str(&format!("    \"soa_ns\": {soa_ns},\n"));
-    json.push_str(&format!(
-        "    \"scalar_pairs_per_sec\": {:.1},\n",
-        scalar_pps
-    ));
-    json.push_str(&format!("    \"soa_pairs_per_sec\": {:.1},\n", soa_pps));
-    json.push_str(&format!("    \"speedup\": {:.4}\n", kernel_speedup));
-    json.push_str("  },\n");
-    json.push_str("  \"contended\": {\n");
-    json.push_str(&format!("    \"workers\": {},\n", contended.workers));
-    json.push_str(&format!("    \"pages\": {},\n", contended.pages));
-    json.push_str(&format!("    \"reads\": {},\n", contended.reads));
-    json.push_str(&format!("    \"wall_ms\": {:.3},\n", contended.wall_ms));
-    json.push_str(&format!(
-        "    \"reads_per_sec\": {:.1},\n",
-        contended.reads_per_sec
-    ));
-    json.push_str(&format!("    \"opt_hits\": {},\n", contended.opt.hits));
-    json.push_str(&format!(
-        "    \"opt_retries\": {},\n",
-        contended.opt.retries
-    ));
-    json.push_str(&format!(
-        "    \"opt_fallbacks\": {},\n",
-        contended.opt.fallbacks
-    ));
-    json.push_str(&format!(
-        "    \"guard_hits\": {},\n",
-        contended.opt.guard_hits
-    ));
-    json.push_str(&format!(
-        "    \"opt_hit_share\": {:.4},\n",
-        contended.opt_hit_share
-    ));
-    json.push_str(&format!(
-        "    \"guard_hit_share\": {:.4},\n",
-        contended.guard_hit_share
-    ));
-    json.push_str(&format!(
-        "    \"locked_wall_ms\": {:.3},\n",
-        contended.locked_wall_ms
-    ));
-    json.push_str(&format!(
-        "    \"guard_wall_ms\": {:.3},\n",
-        contended.guard_wall_ms
-    ));
-    json.push_str(&format!(
-        "    \"opt_speedup_vs_locked\": {:.4},\n",
-        contended.opt_speedup_vs_locked
-    ));
-    json.push_str(&format!(
-        "    \"guard_speedup_vs_arc\": {:.4}\n",
-        contended.guard_speedup_vs_arc
-    ));
-    json.push_str("  },\n");
-    json.push_str("  \"joins\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"id\": \"{}\", \"threads\": {}, \"assignment\": \"{}\", \"org\": \"{}\", \
-             \"wall_ms\": {:.3}, \"speedup_vs_t1\": {:.4}, \"wall_speedup_vs_t1\": {:.4}, \
-             \"morsels\": {}, \"steals\": {}, \"pairs\": {}, \
-             \"hits_local\": {}, \"hits_l1\": {}, \"hits_remote\": {}, \
-             \"misses\": {}, \"evictions\": {}}}{}\n",
-            r.id,
-            r.threads,
-            r.assignment,
-            r.org,
-            r.wall_ms,
-            r.speedup_vs_t1,
-            r.wall_speedup_vs_t1,
-            r.morsels,
-            r.steals,
-            r.pairs,
-            r.hits_local,
-            r.hits_l1,
-            r.hits_remote,
-            r.misses,
-            r.evictions,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"engines\": {\n");
-    json.push_str("    \"rows\": [\n");
-    for (i, r) in engine_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"id\": \"{}\", \"engine\": \"{}\", \"threads\": {}, \
-             \"wall_ms\": {:.3}, \"pairs\": {}, \"morsels\": {}, \"steals\": {}, \
-             \"replicated\": {}, \"deduped\": {}}}{}\n",
-            r.id,
-            r.engine,
-            r.threads,
-            r.wall_ms,
-            r.pairs,
-            r.morsels,
-            r.steals,
-            r.replicated,
-            r.deduped,
-            if i + 1 < engine_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("    ],\n");
-    json.push_str(&format!(
-        "    \"partition_vs_rtree_preindexed\": {partition_vs_rtree_indexed:.4},\n"
-    ));
-    json.push_str(&format!(
-        "    \"partition_speedup_vs_rtree\": {partition_vs_rtree:.4}\n"
-    ));
-    json.push_str("  }\n}\n");
-    std::fs::write(out, &json).map_err(io_err)?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// Scans `text` for `"key": <number>` and returns the number, searching
-/// forward from `from`. Enough of a JSON reader for the reports this
-/// binary writes itself (no external JSON dependency in this workspace).
-fn json_number_after(text: &str, key: &str, from: usize) -> Option<(f64, usize)> {
-    let needle = format!("\"{key}\":");
-    let at = text[from..].find(&needle)? + from + needle.len();
-    let rest = text[at..].trim_start();
-    let off = at + (text[at..].len() - rest.len());
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse::<f64>().ok().map(|v| (v, off + end))
-}
-
-/// Extracts the per-join `id -> field` map from a bench-join report.
-fn bench_row_field(text: &str, field: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while let Some(i) = text[pos..].find("\"id\": \"") {
-        let start = pos + i + "\"id\": \"".len();
-        let Some(len) = text[start..].find('"') else {
-            break;
-        };
-        let id = text[start..start + len].to_string();
-        let Some((v, next)) = json_number_after(text, field, start + len) else {
-            break;
-        };
-        out.push((id, v));
-        pos = next;
-    }
-    out
-}
-
-/// `psj bench-check` — compare a fresh bench-join report against the
-/// committed baseline on machine-independent ratios: the kernel's SoA/scalar
-/// speedup and each matrix row's *scheduled* speedup vs. its own t=1 run.
-/// Absolute wall-clock numbers are reported but never compared, so the check
-/// is stable across machines. Exits nonzero if the candidate falls more than
-/// `--tolerance` (default 0.25) below the baseline on any compared ratio,
-/// below any `--min id=floor` absolute floor, or (with `--require-steals`)
-/// if no candidate row exercised the steal path.
-pub fn bench_check(args: &Args) -> CmdResult {
-    let mut failures = Vec::new();
-    // Cluster scaling gate — read from bench-cluster's own report, so it
-    // can run standalone (no --baseline/--candidate join reports needed).
-    let cluster_checked = check_cluster_scaling(args, &mut failures)?;
-    if cluster_checked && args.get("baseline").is_none() && args.get("candidate").is_none() {
-        return if failures.is_empty() {
-            println!("bench-check: ok (cluster scaling only)");
-            Ok(())
-        } else {
-            Err(format!("bench-check failed:\n  {}", failures.join("\n  ")))
-        };
-    }
-    let baseline_path = args.require("baseline")?;
-    let candidate_path = args.require("candidate")?;
-    let tolerance: f64 = args.parse_or("tolerance", 0.25)?;
-    let require_steals = args.flag("require-steals");
-    let mut min_floors: Vec<(String, f64)> = Vec::new();
-    if let Some(spec) = args.get("min") {
-        for part in spec.split(',').filter(|s| !s.is_empty()) {
-            let (id, v) = part
-                .split_once('=')
-                .ok_or_else(|| format!("--min entry '{part}' is not id=floor"))?;
-            let floor: f64 = v
-                .parse()
-                .map_err(|_| format!("--min floor '{v}' is not a number"))?;
-            min_floors.push((id.to_string(), floor));
-        }
-    }
-    let baseline = std::fs::read_to_string(Path::new(baseline_path))
-        .map_err(|e| format!("{baseline_path}: {e}"))?;
-    let candidate = std::fs::read_to_string(Path::new(candidate_path))
-        .map_err(|e| format!("{candidate_path}: {e}"))?;
-
-    let kernel_at = |t: &str| t.find("\"kernel\"").unwrap_or(0);
-    let base_kernel = json_number_after(&baseline, "speedup", kernel_at(&baseline))
-        .map(|(v, _)| v)
-        .ok_or_else(|| format!("{baseline_path}: no kernel speedup found"))?;
-    let cand_kernel = json_number_after(&candidate, "speedup", kernel_at(&candidate))
-        .map(|(v, _)| v)
-        .ok_or_else(|| format!("{candidate_path}: no kernel speedup found"))?;
-    let floor = base_kernel * (1.0 - tolerance);
-    println!(
-        "kernel speedup: baseline {base_kernel:.3}x, candidate {cand_kernel:.3}x \
-         (floor {floor:.3}x)"
-    );
-    if cand_kernel < floor {
-        failures.push(format!(
-            "kernel speedup regressed: {cand_kernel:.3}x < {floor:.3}x \
-             (baseline {base_kernel:.3}x - {:.0}%)",
-            tolerance * 100.0
-        ));
-    }
-
-    let base_rows = bench_row_field(&baseline, "speedup_vs_t1");
-    let cand_rows = bench_row_field(&candidate, "speedup_vs_t1");
-    for (id, cand_v) in &cand_rows {
-        let Some((_, base_v)) = base_rows.iter().find(|(b, _)| b == id) else {
-            println!("join {id}: not in baseline, skipped");
-            continue;
-        };
-        let floor = base_v * (1.0 - tolerance);
-        let verdict = if *cand_v < floor { "REGRESSED" } else { "ok" };
-        println!(
-            "join {id}: baseline {base_v:.3}x, candidate {cand_v:.3}x \
-             (floor {floor:.3}x) {verdict}"
-        );
-        if *cand_v < floor {
-            failures.push(format!(
-                "join {id} speedup_vs_t1 regressed: {cand_v:.3}x < {floor:.3}x"
-            ));
-        }
-    }
-    if cand_rows.is_empty() {
-        failures.push(format!("{candidate_path}: no join rows found"));
-    }
-
-    // Absolute floors on the scheduled speedup — machine-independent, so a
-    // hard target like the paper's 1.6x at 4 threads can be gated directly.
-    for (id, floor) in &min_floors {
-        match cand_rows.iter().find(|(c, _)| c == id) {
-            Some((_, v)) if v >= floor => {
-                println!("join {id}: {v:.3}x meets absolute floor {floor:.3}x");
-            }
-            Some((_, v)) => failures.push(format!(
-                "join {id} below absolute floor: {v:.3}x < {floor:.3}x"
-            )),
-            None => failures.push(format!("--min {id}: row not in candidate report")),
-        }
-    }
-
-    // Absolute floor on the in-memory engine comparison: the candidate's
-    // partition/rtree wall ratio must meet it. Wall ratios on the same
-    // machine in the same process are machine-independent enough to gate.
-    if let Some(floor) = args.get("min-partition") {
-        let floor: f64 = floor
-            .parse()
-            .map_err(|_| format!("--min-partition '{floor}' is not a number"))?;
-        match json_number_after(&candidate, "partition_speedup_vs_rtree", 0).map(|(v, _)| v) {
-            Some(v) if v >= floor => {
-                println!("engines: partition {v:.3}x vs rtree meets floor {floor:.3}x");
-            }
-            Some(v) => failures.push(format!(
-                "partition engine below floor: {v:.3}x vs rtree < {floor:.3}x"
-            )),
-            None => failures.push(format!(
-                "{candidate_path}: no partition_speedup_vs_rtree in report \
-                 (re-run bench-join)"
-            )),
-        }
-    }
-
-    // Absolute floor on the contended-read optimistic-hit share: which code
-    // path served resident-page hits is a pure count ratio, fully
-    // machine-independent — on a healthy seqlock read path it is ~1.0.
-    if let Some(floor) = args.get("min-opt-share") {
-        let floor: f64 = floor
-            .parse()
-            .map_err(|_| format!("--min-opt-share '{floor}' is not a number"))?;
-        match json_number_after(&candidate, "opt_hit_share", 0).map(|(v, _)| v) {
-            Some(v) if v >= floor => {
-                println!("contended: optimistic hit share {v:.3} meets floor {floor:.3}");
-            }
-            Some(v) => failures.push(format!(
-                "contended optimistic hit share below floor: {v:.3} < {floor:.3}"
-            )),
-            None => failures.push(format!(
-                "{candidate_path}: no opt_hit_share in report (re-run bench-join)"
-            )),
-        }
-    }
-
-    // Absolute floors on the contended-read wall ratios. Both are
-    // same-process, same-machine ratios of identical read sequences, so
-    // they gate the *relative* cost of the read paths, not the machine:
-    // `min-opt-speedup` requires the seqlock optimistic path to beat the
-    // all-mutex pessimistic path, `min-guard-speedup` requires the
-    // borrowing guard read to beat the Arc-clone optimistic read.
-    for (flag, key, what) in [
-        (
-            "min-opt-speedup",
-            "opt_speedup_vs_locked",
-            "optimistic vs locked",
-        ),
-        ("min-guard-speedup", "guard_speedup_vs_arc", "guard vs arc"),
-    ] {
-        if let Some(floor) = args.get(flag) {
-            let floor: f64 = floor
-                .parse()
-                .map_err(|_| format!("--{flag} '{floor}' is not a number"))?;
-            match json_number_after(&candidate, key, 0).map(|(v, _)| v) {
-                Some(v) if v >= floor => {
-                    println!("contended: {what} {v:.3}x meets floor {floor:.3}x");
-                }
-                Some(v) => failures.push(format!(
-                    "contended {what} below floor: {v:.3}x < {floor:.3}x"
-                )),
-                None => failures.push(format!(
-                    "{candidate_path}: no {key} in report (re-run bench-join)"
-                )),
-            }
-        }
-    }
-
-    if require_steals {
-        let steal_rows = bench_row_field(&candidate, "steals");
-        let total: f64 = steal_rows.iter().map(|(_, v)| v).sum();
-        println!(
-            "steals: {total:.0} across {} candidate rows",
-            steal_rows.len()
-        );
-        if steal_rows.is_empty() || total <= 0.0 {
-            failures
-                .push("--require-steals: no candidate row exercised the steal path".to_string());
-        }
-    }
-
-    if failures.is_empty() {
-        println!("bench-check: ok ({} rows compared)", cand_rows.len());
-        Ok(())
-    } else {
-        Err(format!("bench-check failed:\n  {}", failures.join("\n  ")))
-    }
-}
-
-/// The `--min-cluster-scaling` gate: reads `psj bench-cluster`'s report
-/// (default `results/cluster_baseline.json`, override with `--cluster`)
-/// and requires the 4-shard vs 1-shard throughput ratio to meet the
-/// floor. Returns whether the gate was requested at all.
-fn check_cluster_scaling(args: &Args, failures: &mut Vec<String>) -> Result<bool, String> {
-    let Some(floor) = args.get("min-cluster-scaling") else {
-        return Ok(false);
-    };
-    let floor: f64 = floor
-        .parse()
-        .map_err(|_| format!("--min-cluster-scaling '{floor}' is not a number"))?;
-    let path = args
-        .get("cluster")
-        .unwrap_or("results/cluster_baseline.json");
-    let text = std::fs::read_to_string(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-    match json_number_after(&text, "cluster_scaling_4v1", 0).map(|(v, _)| v) {
-        Some(v) if v >= floor => {
-            println!("cluster: 4-shard vs 1-shard throughput {v:.3}x meets floor {floor:.3}x");
-        }
-        Some(v) => failures.push(format!(
-            "cluster scaling below floor: {v:.3}x < {floor:.3}x"
-        )),
-        None => failures.push(format!(
-            "{path}: no cluster_scaling_4v1 in report (re-run bench-cluster)"
-        )),
-    }
-    Ok(true)
 }

@@ -15,25 +15,165 @@
 //! psj shard-plan --map1 map1.psjm --map2 map2.psjm --shards 3 --out cluster/
 //!              [--host 127.0.0.1] [--base-port 7001]
 //! psj cluster-serve --topology cluster/topology.txt [--addr 127.0.0.1:7900]
-//! psj bench-cluster [--scale 0.05] [--seed 1996] [--clients 2]
-//!              [--requests 150] [--out results/cluster_baseline.json]
 //! psj query    --addr 127.0.0.1:7878 --tree 0 --window 0,0,10,10
 //! psj metrics  --addr 127.0.0.1:7878
 //! psj trace-check join.jsonl
 //! psj bench-serve --addr 127.0.0.1:7878 [--clients 4] [--requests 250]
-//!              [--out results/serve_baseline.json] [--shutdown]
-//! psj bench-join [--scale 0.25] [--seed 1996] [--reps 7] [--quick]
-//!              [--out BENCH_join.json]
-//! psj bench-check --baseline BENCH_join.json --candidate /tmp/bench.json
-//!              [--tolerance 0.25]
+//!              [--out serve.json] [--shutdown]
 //! ```
 //!
-//! Options are accepted as `--key value` or `--key=value`; stray
-//! positional tokens are an error.
+//! Options are accepted as `--key value` or `--key=value`. Each subcommand
+//! declares the options and flags it takes; any other key, an option with
+//! no value, or a stray positional token is an error (exit 2).
 
 mod args;
 mod cluster;
 mod commands;
+
+use args::Args;
+
+/// One subcommand: its handler and the options and flags it accepts.
+struct Command {
+    name: &'static str,
+    run: fn(&Args) -> Result<(), String>,
+    opts: &'static [&'static str],
+    flags: &'static [&'static str],
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        run: commands::generate,
+        opts: &["scale", "seed", "out1", "out2"],
+        flags: &[],
+    },
+    Command {
+        name: "build",
+        run: commands::build,
+        opts: &["map", "out", "attrs"],
+        flags: &["str", "hilbert"],
+    },
+    Command {
+        name: "stats",
+        run: commands::stats,
+        opts: &["tree"],
+        flags: &[],
+    },
+    Command {
+        name: "join",
+        run: commands::join,
+        opts: &[
+            "tree1",
+            "tree2",
+            "threads",
+            "engine",
+            "morsel-cands",
+            "steal",
+            "steal-seed",
+            "cache",
+            "cache-org",
+            "cache-shards",
+            "inject-faults",
+            "retry-attempts",
+            "trace",
+        ],
+        flags: &["no-refine", "tasks"],
+    },
+    Command {
+        name: "fsck",
+        run: commands::fsck,
+        opts: &["tree"],
+        flags: &[],
+    },
+    Command {
+        name: "simulate",
+        run: commands::simulate,
+        opts: &["tree1", "tree2", "procs", "disks", "buffer", "variant"],
+        flags: &[],
+    },
+    Command {
+        name: "serve",
+        run: commands::serve,
+        opts: &[
+            "trees",
+            "addr",
+            "workers",
+            "queue-bound",
+            "cache",
+            "cache-shards",
+            "join-threads",
+            "join-morsel-cands",
+            "join-steal",
+            "join-steal-seed",
+            "join-engine",
+            "inject-faults",
+            "retry-attempts",
+            "trace",
+            "shard-id",
+        ],
+        flags: &["lenient"],
+    },
+    Command {
+        name: "shard-plan",
+        run: cluster::shard_plan,
+        opts: &["map1", "map2", "shards", "out", "host", "base-port"],
+        flags: &[],
+    },
+    Command {
+        name: "cluster-serve",
+        run: cluster::cluster_serve,
+        opts: &["topology", "addr"],
+        flags: &[],
+    },
+    Command {
+        name: "query",
+        run: commands::query,
+        opts: &[
+            "addr",
+            "tree",
+            "deadline-ms",
+            "window",
+            "nearest",
+            "k",
+            "join-with",
+        ],
+        flags: &["stats", "shutdown"],
+    },
+    Command {
+        name: "metrics",
+        run: commands::metrics,
+        opts: &["addr"],
+        flags: &[],
+    },
+    Command {
+        name: "trace-check",
+        run: commands::trace_check,
+        opts: &["file"],
+        flags: &[],
+    },
+    Command {
+        name: "bench-serve",
+        run: commands::bench_serve,
+        opts: &[
+            "addr",
+            "clients",
+            "requests",
+            "seed",
+            "window-frac",
+            "nearest-frac",
+            "deadline-ms",
+            "k",
+            "window-extent",
+            "out",
+        ],
+        flags: &["reconnect", "shutdown"],
+    },
+];
+
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("{msg}\n{}", commands::USAGE);
+    std::process::exit(2);
+}
 
 fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
@@ -42,49 +182,26 @@ fn main() {
         std::process::exit(2);
     }
     let cmd = argv.remove(0);
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{}", commands::USAGE);
+        return;
+    }
+    let Some(command) = COMMANDS.iter().find(|c| c.name == cmd) else {
+        usage_exit(&format!("unknown command: {cmd}"));
+    };
     // `psj fsck <index>` / `psj trace-check <trace>` are the natural
     // spellings; rewrite the bare path to the option the parser expects
     // (it rejects stray positionals).
-    if cmd == "fsck" && argv.len() == 1 && !argv[0].starts_with("--") {
-        argv[0] = format!("--tree={}", argv[0]);
+    if argv.len() == 1 && !argv[0].starts_with("--") {
+        match cmd.as_str() {
+            "fsck" => argv[0] = format!("--tree={}", argv[0]),
+            "trace-check" => argv[0] = format!("--file={}", argv[0]),
+            _ => {}
+        }
     }
-    if cmd == "trace-check" && argv.len() == 1 && !argv[0].starts_with("--") {
-        argv[0] = format!("--file={}", argv[0]);
-    }
-    let parsed = match args::Args::parse(&argv) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}\n{}", commands::USAGE);
-            std::process::exit(2);
-        }
-    };
-    let result = match cmd.as_str() {
-        "generate" => commands::generate(&parsed),
-        "build" => commands::build(&parsed),
-        "stats" => commands::stats(&parsed),
-        "join" => commands::join(&parsed),
-        "fsck" => commands::fsck(&parsed),
-        "simulate" => commands::simulate(&parsed),
-        "serve" => commands::serve(&parsed),
-        "shard-plan" => cluster::shard_plan(&parsed),
-        "cluster-serve" => cluster::cluster_serve(&parsed),
-        "bench-cluster" => cluster::bench_cluster(&parsed),
-        "query" => commands::query(&parsed),
-        "metrics" => commands::metrics(&parsed),
-        "trace-check" => commands::trace_check(&parsed),
-        "bench-serve" => commands::bench_serve(&parsed),
-        "bench-join" => commands::bench_join(&parsed),
-        "bench-check" => commands::bench_check(&parsed),
-        "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
-            Ok(())
-        }
-        other => {
-            eprintln!("unknown command: {other}\n{}", commands::USAGE);
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = result {
+    let parsed = Args::parse(&argv, command.opts, command.flags)
+        .unwrap_or_else(|e| usage_exit(&format!("error: {e}")));
+    if let Err(e) = (command.run)(&parsed) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

@@ -49,7 +49,6 @@ pub mod assign;
 pub mod cancel;
 pub mod cost;
 pub mod deque;
-pub mod distance_join;
 pub mod estimate;
 pub mod metrics;
 pub mod morsel;
@@ -64,7 +63,6 @@ pub mod task;
 pub use assign::Assignment;
 pub use cancel::{CancelToken, Cancelled};
 pub use cost::{CandidateEstimator, CostModel, Platform, TreeProfile};
-pub use distance_join::{distance_join, distance_join_candidates};
 pub use estimate::{estimate_join, JoinEstimate};
 pub use metrics::{JoinMetrics, TaskOrigin, TaskTrace};
 pub use morsel::{morselize, Morsel, MorselOptions, MorselPlan, StealPolicy};
@@ -77,10 +75,7 @@ pub use partition::{
     plan_partition, run_join, run_partition_join, select_engine, try_run_join,
     try_run_partition_join, JoinEngine, PartitionInput, PartitionPlan, RectItem,
 };
-pub use queries::{
-    batched_window_queries, batched_window_queries_cancellable, parallel_nn_queries,
-    parallel_window_queries,
-};
+pub use queries::{parallel_nn_queries, parallel_window_queries};
 pub use seq::{join_candidates, join_refined, SeqJoinResult};
 pub use shnothing::{
     run_sharded_join, Network, Placement, ShardedConfig, ShardedMetrics, ShardedResult,

@@ -119,14 +119,6 @@ pub struct MorselPlan {
     pub split_expansions: u64,
 }
 
-impl MorselPlan {
-    /// Per-morsel estimates in id order — the cost vector fed to
-    /// [`psj_desim::simulate_schedule`].
-    pub fn cost_vector(&self) -> Vec<u64> {
-        self.morsels.iter().map(|m| m.est).collect()
-    }
-}
-
 /// A task is split when its estimate exceeds this multiple of the budget;
 /// between 1× and 2× it is simply packed alone.
 const SPLIT_FACTOR: f64 = 2.0;

@@ -367,8 +367,8 @@ pub fn try_run_partition_join(
 ) -> Result<NativeResult, NativeError> {
     assert!(cfg.num_threads > 0, "need at least one thread");
     // The clock starts before planning: the grid, the replication pass and
-    // the per-side sorts are real costs of answering the join, and the
-    // engine comparison in `psj bench-join` is honest only if they count.
+    // the per-side sorts are real costs of answering the join, and any
+    // comparison with the R-tree engine is honest only if they count.
     let start = Instant::now();
     let cancel = ctl.cancel;
     let trace = ctl.trace.as_ref();

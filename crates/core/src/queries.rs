@@ -7,11 +7,9 @@
 //! set is the task set, distributed over worker threads through a shared
 //! injector with work stealing — the dynamic assignment that won for joins.
 
-use crate::cancel::{CancelToken, Cancelled};
 use crate::deque::{Injector, Steal};
 use psj_geom::{Point, Rect};
-use psj_rtree::{DataEntry, NodeKind, PagedTree};
-use psj_store::PageId;
+use psj_rtree::{DataEntry, PagedTree};
 
 /// Runs a batch of window queries in parallel on `threads` workers.
 /// `results[i]` holds the data entries intersecting `windows[i]`.
@@ -34,62 +32,6 @@ pub fn parallel_nn_queries(
     parallel_batch(queries.len(), threads, |i| {
         tree.nearest_neighbors(&queries[i], k)
     })
-}
-
-/// Runs a batch of window queries with **shared traversal**: the tree is
-/// descended once, each directory node tested against every query window
-/// that reached it, so a directory page touched by `k` queries of the batch
-/// is visited (and, in an out-of-core setting, faulted) once instead of `k`
-/// times. `results[i]` holds the data entries intersecting `windows[i]`,
-/// exactly as `k` separate [`PagedTree::window_query`] calls would.
-pub fn batched_window_queries(tree: &PagedTree, windows: &[Rect]) -> Vec<Vec<DataEntry>> {
-    batched_window_queries_cancellable(tree, windows, &CancelToken::new())
-        .expect("fresh token never fires")
-}
-
-/// As [`batched_window_queries`], checking `cancel` once per visited node;
-/// returns `Err(Cancelled)` (discarding partial results) once the token
-/// fires. The serving layer uses this to bound batch execution by the
-/// earliest member deadline.
-pub fn batched_window_queries_cancellable(
-    tree: &PagedTree,
-    windows: &[Rect],
-    cancel: &CancelToken,
-) -> Result<Vec<Vec<DataEntry>>, Cancelled> {
-    let mut out: Vec<Vec<DataEntry>> = (0..windows.len()).map(|_| Vec::new()).collect();
-    if windows.is_empty() || tree.is_empty() {
-        return Ok(out);
-    }
-    // Stack entries carry the subset of queries still alive at that subtree.
-    let live: Vec<u32> = (0..windows.len() as u32).collect();
-    let mut stack: Vec<(PageId, Vec<u32>)> = vec![(tree.root(), live)];
-    while let Some((page, live)) = stack.pop() {
-        cancel.check()?;
-        match &tree.node(page).kind {
-            NodeKind::Dir(entries) => {
-                for e in entries {
-                    let sub: Vec<u32> = live
-                        .iter()
-                        .copied()
-                        .filter(|&q| e.mbr.intersects(&windows[q as usize]))
-                        .collect();
-                    if !sub.is_empty() {
-                        stack.push((PageId(e.child), sub));
-                    }
-                }
-            }
-            NodeKind::Leaf(entries) => {
-                for e in entries {
-                    for &q in &live {
-                        if e.mbr.intersects(&windows[q as usize]) {
-                            out[q as usize].push(*e);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// Generic fan-out: evaluates `run(i)` for `i in 0..count` on `threads`
@@ -201,49 +143,6 @@ mod tests {
         let t = tree(100);
         assert!(parallel_window_queries(&t, &[], 4).is_empty());
         assert!(parallel_nn_queries(&t, &[], 3, 4).is_empty());
-    }
-
-    #[test]
-    fn batched_windows_match_individual() {
-        let t = tree(2500);
-        let windows: Vec<Rect> = (0..60)
-            .map(|k| {
-                let x = (k % 10) as f64 * 5.0;
-                let y = (k / 10) as f64 * 8.0;
-                Rect::new(x, y, x + 7.0, y + 6.0)
-            })
-            .collect();
-        let batched = batched_window_queries(&t, &windows);
-        assert_eq!(batched.len(), windows.len());
-        for (i, w) in windows.iter().enumerate() {
-            let mut got: Vec<u64> = batched[i].iter().map(|e| e.oid).collect();
-            let mut want: Vec<u64> = t.window_query(w).iter().map(|e| e.oid).collect();
-            got.sort_unstable();
-            want.sort_unstable();
-            assert_eq!(got, want, "window {i}");
-        }
-    }
-
-    #[test]
-    fn batched_windows_empty_batch_and_tree() {
-        let t = tree(100);
-        assert!(batched_window_queries(&t, &[]).is_empty());
-        let empty = PagedTree::freeze(&RTree::new(), |_| None);
-        let res = batched_window_queries(&empty, &[Rect::new(0.0, 0.0, 1.0, 1.0)]);
-        assert_eq!(res.len(), 1);
-        assert!(res[0].is_empty());
-    }
-
-    #[test]
-    fn batched_windows_cancel_fires() {
-        let t = tree(2000);
-        let windows = vec![Rect::new(0.0, 0.0, 50.0, 40.0)];
-        let token = CancelToken::new();
-        token.cancel();
-        assert_eq!(
-            batched_window_queries_cancellable(&t, &windows, &token),
-            Err(Cancelled)
-        );
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //!   (one disk); a request made at time `t` starts at `max(t, free_at)` and
 //!   occupies the server for its service time.
 //! * [`ResourcePool`] — a bank of FCFS resources (the disk array).
-//! * [`schedule`] — exact list scheduling of morsel cost vectors (scheduled
-//!   speedup) and the seeded steal-order shim behind adversarial
+//! * [`schedule`] — the seeded steal-order shim behind adversarial
 //!   interleaving tests.
 //!
 //! The engine deliberately has no notion of "process"; executors drive
@@ -24,9 +23,7 @@
 
 pub mod schedule;
 
-pub use schedule::{
-    simulate_schedule, splitmix64, ScheduleAssign, ScheduleResult, ScheduleSpec, StealOrder,
-};
+pub use schedule::{splitmix64, StealOrder};
 
 use psj_store::Nanos;
 use std::cmp::Reverse;

@@ -1,81 +1,10 @@
-//! Deterministic list-scheduling simulation of the morsel scheduler.
+//! Seeded steal-victim order for adversarial interleaving tests.
 //!
-//! Two consumers drive this module:
-//!
-//! * **Scheduled speedup**: `psj bench-join` measures per-morsel wall costs
-//!   in a 1-thread run and replays them through [`simulate_schedule`] with
-//!   `n` virtual workers. The resulting makespan ratio is the speedup the
-//!   morsel plan *admits* — a machine-independent critical-path metric that
-//!   stays meaningful on CI hosts with fewer physical cores than the
-//!   simulated worker count (wall-clock speedup on a 1-core container is
-//!   bounded by 1 no matter how good the scheduler is).
-//! * **Adversarial interleavings**: [`StealOrder`] is a fault-plan-style
-//!   seeded shim that perturbs the order in which an idle worker probes
-//!   steal victims. The native executor's `StealPolicy::Seeded` consults it,
-//!   so a test sweeping seeds forces many distinct steal interleavings and
-//!   can assert that the deterministic merge produces byte-identical output
-//!   under every one of them.
-//!
-//! The simulation is exact list scheduling: every worker has a private
-//! virtual clock; an idle worker acquires the next morsel from its own
-//! queue, then the shared queue, then by stealing one morsel from the
-//! victim with the most remaining estimated work (or in seeded order).
-//! Ties in virtual time break by event insertion order via [`EventQueue`],
-//! making every run bit-for-bit reproducible.
-
-use crate::EventQueue;
-use std::collections::VecDeque;
-
-/// How morsels are dealt to the simulated workers before execution starts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScheduleAssign {
-    /// One shared FIFO queue (the paper's dynamic assignment).
-    Shared,
-    /// Contiguous ranges of the morsel order, one per worker.
-    Range,
-    /// Round-robin deal over the morsel order.
-    RoundRobin,
-}
-
-/// Parameters of one scheduling simulation.
-#[derive(Debug, Clone, Copy)]
-pub struct ScheduleSpec {
-    /// Number of virtual workers.
-    pub workers: usize,
-    /// Initial morsel placement.
-    pub assign: ScheduleAssign,
-    /// Whether an idle worker may take a morsel from another worker's queue.
-    pub steal: bool,
-    /// `None`: steal from the victim with the most remaining cost.
-    /// `Some(seed)`: probe victims in the [`StealOrder`] shim's order.
-    pub seed: Option<u64>,
-}
-
-/// Outcome of one scheduling simulation.
-#[derive(Debug, Clone)]
-pub struct ScheduleResult {
-    /// Virtual time at which the last worker finishes.
-    pub makespan: u64,
-    /// Per-worker total executed cost (pure work, no idle time).
-    pub busy: Vec<u64>,
-    /// Morsels acquired from another worker's queue.
-    pub steals: u64,
-    /// `(morsel index, worker)` in acquisition order.
-    pub acquisitions: Vec<(u32, u32)>,
-}
-
-impl ScheduleResult {
-    /// `sum(costs) / makespan` — the speedup this schedule achieves over
-    /// executing every morsel back to back on one worker.
-    pub fn speedup(&self) -> f64 {
-        let total: u64 = self.busy.iter().sum();
-        if self.makespan == 0 {
-            1.0
-        } else {
-            total as f64 / self.makespan as f64
-        }
-    }
-}
+//! [`StealOrder`] is a fault-plan-style seeded shim that perturbs the order
+//! in which an idle worker probes steal victims. The native executor's
+//! `StealPolicy::Seeded` consults it, so a test sweeping seeds forces many
+//! distinct steal interleavings and can assert that the deterministic merge
+//! produces byte-identical output under every one of them.
 
 /// SplitMix64: the 64-bit finalizer used to derive per-decision hashes from
 /// a seed. Small, well-distributed, and dependency-free.
@@ -111,211 +40,9 @@ impl StealOrder {
     }
 }
 
-/// Replays `costs` (one entry per morsel, in morsel order) through `spec`
-/// and returns the schedule's makespan and accounting.
-pub fn simulate_schedule(costs: &[u64], spec: &ScheduleSpec) -> ScheduleResult {
-    assert!(spec.workers > 0, "need at least one worker");
-    let n = spec.workers;
-    let m = costs.len();
-
-    let mut shared: VecDeque<usize> = VecDeque::new();
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); n];
-    match spec.assign {
-        ScheduleAssign::Shared => shared.extend(0..m),
-        ScheduleAssign::Range => {
-            // Same contiguous split as `psj_core::assign::static_range`.
-            let big = m.div_ceil(n);
-            let small = m / n;
-            let bigs = m % n;
-            let mut pos = 0;
-            for (w, q) in queues.iter_mut().enumerate() {
-                let take = if w < bigs || m.is_multiple_of(n) {
-                    big
-                } else {
-                    small
-                };
-                let take = take.min(m - pos);
-                q.extend(pos..pos + take);
-                pos += take;
-            }
-        }
-        ScheduleAssign::RoundRobin => {
-            for i in 0..m {
-                queues[i % n].push_back(i);
-            }
-        }
-    }
-    let mut remaining: Vec<u64> = queues
-        .iter()
-        .map(|q| q.iter().map(|&i| costs[i]).sum())
-        .collect();
-
-    let mut result = ScheduleResult {
-        makespan: 0,
-        busy: vec![0; n],
-        steals: 0,
-        acquisitions: Vec::with_capacity(m),
-    };
-    let shim = spec.seed.map(StealOrder::new);
-    let mut attempts: Vec<u64> = vec![0; n];
-
-    // Every worker wakes at t=0; each wake-up acquires one morsel and
-    // schedules the next wake-up at its completion time.
-    let mut events: EventQueue<usize> = EventQueue::new();
-    for w in 0..n {
-        events.schedule(0, w);
-    }
-    while let Some((now, w)) = events.pop() {
-        let morsel = if let Some(i) = queues[w].pop_front() {
-            remaining[w] -= costs[i];
-            Some(i)
-        } else if let Some(i) = shared.pop_front() {
-            Some(i)
-        } else if spec.steal {
-            let victim = match shim {
-                Some(shim) => {
-                    attempts[w] += 1;
-                    let start = shim.first_victim(w, attempts[w], n);
-                    (0..n)
-                        .map(|k| (start + k) % n)
-                        .find(|&v| v != w && !queues[v].is_empty())
-                }
-                // Busiest victim: most remaining cost, ties to lowest id.
-                None => (0..n)
-                    .filter(|&v| v != w && !queues[v].is_empty())
-                    .max_by_key(|&v| (remaining[v], n - v)),
-            };
-            victim.map(|v| {
-                // Steal exactly one morsel from the far end of the victim's
-                // queue (the paper's "reassign one task").
-                let i = queues[v].pop_back().expect("probed non-empty");
-                remaining[v] -= costs[i];
-                result.steals += 1;
-                i
-            })
-        } else {
-            None
-        };
-        match morsel {
-            Some(i) => {
-                result.acquisitions.push((i as u32, w as u32));
-                result.busy[w] += costs[i];
-                let done = now + costs[i];
-                result.makespan = result.makespan.max(done);
-                events.schedule(done, w);
-            }
-            None => {
-                // Queues only drain; an idle worker that finds nothing
-                // retires for good.
-                result.makespan = result.makespan.max(now);
-            }
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn spec(workers: usize, assign: ScheduleAssign) -> ScheduleSpec {
-        ScheduleSpec {
-            workers,
-            assign,
-            steal: true,
-            seed: None,
-        }
-    }
-
-    #[test]
-    fn one_worker_runs_everything_sequentially() {
-        let costs = [5, 3, 7, 1];
-        let r = simulate_schedule(&costs, &spec(1, ScheduleAssign::Shared));
-        assert_eq!(r.makespan, 16);
-        assert_eq!(r.busy, vec![16]);
-        assert_eq!(r.steals, 0);
-        assert_eq!(
-            r.acquisitions,
-            vec![(0, 0), (1, 0), (2, 0), (3, 0)],
-            "shared queue preserves morsel order"
-        );
-    }
-
-    #[test]
-    fn even_work_splits_evenly() {
-        let costs = [10u64; 8];
-        for assign in [
-            ScheduleAssign::Shared,
-            ScheduleAssign::Range,
-            ScheduleAssign::RoundRobin,
-        ] {
-            let r = simulate_schedule(&costs, &spec(4, assign));
-            assert_eq!(r.makespan, 20, "{assign:?}");
-            assert!((r.speedup() - 4.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn stealing_rebalances_a_skewed_range_split() {
-        // Range assignment puts the four expensive morsels on worker 0.
-        let costs = [10, 10, 10, 10, 1, 1, 1, 1];
-        let balanced = simulate_schedule(&costs, &spec(2, ScheduleAssign::Range));
-        assert!(balanced.steals > 0, "idle worker must steal");
-        let mut no_steal = spec(2, ScheduleAssign::Range);
-        no_steal.steal = false;
-        let stuck = simulate_schedule(&costs, &no_steal);
-        assert!(
-            balanced.makespan < stuck.makespan,
-            "stealing must beat the static split: {} vs {}",
-            balanced.makespan,
-            stuck.makespan
-        );
-    }
-
-    #[test]
-    fn every_morsel_acquired_exactly_once() {
-        let costs: Vec<u64> = (1..=37).collect();
-        for workers in [1, 2, 4, 8] {
-            for assign in [
-                ScheduleAssign::Shared,
-                ScheduleAssign::Range,
-                ScheduleAssign::RoundRobin,
-            ] {
-                let r = simulate_schedule(&costs, &spec(workers, assign));
-                let mut seen = vec![0u32; costs.len()];
-                for &(m, _) in &r.acquisitions {
-                    seen[m as usize] += 1;
-                }
-                assert!(seen.iter().all(|&c| c == 1), "{workers} {assign:?}");
-                assert_eq!(r.busy.iter().sum::<u64>(), costs.iter().sum::<u64>());
-            }
-        }
-    }
-
-    #[test]
-    fn seeded_order_is_reproducible_and_seed_sensitive() {
-        let costs: Vec<u64> = (0..64).map(|i| 1 + (i * 7) % 13).collect();
-        let mut s = spec(4, ScheduleAssign::RoundRobin);
-        s.seed = Some(42);
-        let a = simulate_schedule(&costs, &s);
-        let b = simulate_schedule(&costs, &s);
-        assert_eq!(a.acquisitions, b.acquisitions, "same seed, same schedule");
-        // Some other seed must produce a different interleaving.
-        let other = (0..64u64).any(|seed| {
-            let mut s2 = s;
-            s2.seed = Some(seed);
-            simulate_schedule(&costs, &s2).acquisitions != a.acquisitions
-        });
-        assert!(other, "no seed changed the schedule");
-    }
-
-    #[test]
-    fn empty_costs_finish_at_time_zero() {
-        let r = simulate_schedule(&[], &spec(4, ScheduleAssign::Shared));
-        assert_eq!(r.makespan, 0);
-        assert_eq!(r.steals, 0);
-        assert!(r.acquisitions.is_empty());
-    }
 
     #[test]
     fn steal_order_shim_is_deterministic() {
