@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod global;
-pub mod l1;
 pub mod local;
 pub mod lru;
 pub mod path;
@@ -34,12 +33,11 @@ pub mod shared;
 pub mod stats;
 
 pub use global::{GlobalAccess, GlobalBuffer};
-pub use l1::{L1Front, L1Read};
 pub use local::LocalBuffers;
 pub use lru::Lru;
 pub use path::PathBuffer;
 pub use policy::{Clock, Fifo, PageBuffer, Policy};
 pub use shared::{
-    CacheSnapshot, FaultSource, OptCoupling, PageGuard, PageSource, SharedAccess, SharedPageCache,
+    CacheSnapshot, FaultSource, PageGuard, PageRef, PageSource, SharedAccess, SharedPageCache,
 };
 pub use stats::{BufferStats, OptStats};

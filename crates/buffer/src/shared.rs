@@ -18,9 +18,9 @@
 //!
 //! The cache is generic over what a page decodes to (`T`): the native join
 //! caches decoded R\*-tree nodes, the pager tests cache raw 4 KB pages.
-//! Values are handed out as `Arc<T>`, so a page a worker is still using
-//! ("pinned") stays valid even if the cache evicts it concurrently —
-//! eviction only drops the cache's reference.
+//! Values are stored as `Arc<T>`, so a page a worker is still using (a
+//! held guard or a cloned `Arc`) stays valid even if the cache evicts it
+//! concurrently — eviction only drops the cache's reference.
 //!
 //! Sharding: a page's shard is `hash(page) % shards`. Each shard has its own
 //! mutex, residency buffer (`capacity / shards` pages, ≥ 1), and condvar, so
@@ -40,60 +40,62 @@
 //! source again, so one poisoned page degrades exactly the requests that
 //! need it while the device is spared a re-read storm.
 //!
-//! ## Optimistic reads (seqlock)
+//! ## One read protocol: guard, else pessimistic fill
 //!
-//! Hits on resident pages take **no shard mutex**. Each shard carries a
-//! version-stamped seqlock word (odd = a structural mutation is in
-//! progress) plus a fixed open-addressed *mirror* of atomic slots — one
+//! [`SharedPageCache::read`] is the read entry. A hit on a resident page
+//! takes **no shard mutex** and clones no `Arc`: it returns a
+//! [`PageGuard`] that borrows the value straight out of the shard. Only
+//! a page that is not resident, or a shard that a writer is churning
+//! right now, takes the pessimistic path under the mutex, which owns
+//! single-flight fills, quarantine replay and replacement promotion.
+//! [`SharedPageCache::try_get`] and [`SharedPageCache::get`] are `read`
+//! followed by [`PageRef::to_arc`], for callers that keep the value.
+//!
+//! Each shard carries a seqlock word (odd = a resident page is being
+//! removed) plus a fixed open-addressed *mirror* of atomic slots — one
 //! `(tag, owner, payload pointer, pin count)` quadruple per resident page.
-//! A reader snapshots the version, probes the mirror, *pins* the matching
-//! slot, re-validates the version, and only then clones the `Arc` out of
-//! the slot; any mismatch unpins and retries, and after
-//! [`OPT_ATTEMPTS`](SharedPageCache) failed validations the read falls
-//! back to the pessimistic mutex path (a bounded `repeat`-style protocol).
-//! Mutations — fills, evictions, quarantine — keep the mutex+condvar write
-//! path but bump the version to odd around every *removal* and wait for
-//! the victim slot's pin count to drain before freeing its payload, so a
-//! validated pin is a guarantee the pointee outlives the clone. Inserts
-//! into empty slots publish the tag last (release) and need no version
-//! bump, which preserves the old `generation` semantics exactly: the word
-//! advances precisely when a resident page leaves the shard, and the
-//! per-worker [`L1Front`](crate::L1Front) keeps validating against it via
-//! [`SharedPageCache::shard_generation`]. Optimistic hits skip replacement
-//! promotion (`touch`) by design — a hot page served optimistically is,
-//! by definition, recently used, and the pessimistic path still promotes.
-//! Per-read statistics are striped per worker (relaxed atomics on
-//! cacheline-padded counters), so a hot root page never touches a
-//! contended line; the seqlock-path counters are surfaced separately as
-//! [`OptStats`].
+//! A guard read snapshots the version, probes the mirror, *pins* the
+//! matching slot and re-validates the version; the pin is then the
+//! guard's lease on the payload until it drops. Any mismatch unpins and
+//! retries, and after [`OPT_ATTEMPTS`](SharedPageCache) failed
+//! validations the read falls back to the pessimistic path. A request
+//! probes the mirror once, so it books at most one
+//! [`OptStats::fallbacks`].
 //!
-//! ## Borrowing guards and coupled descent
+//! Mutations — fills, evictions, quarantine — run under the shard mutex.
+//! Inserts into empty slots publish the tag last (release) and need no
+//! version bump. An eviction flips the version odd, clears the victim's
+//! slot, and flips it back. It never waits for the victim's pins to
+//! drain: a reader may hold a guard on the victim *while* performing the
+//! pessimistic fill that evicts it, and a drain-wait would deadlock on
+//! that reader's own pin. Instead `Shard::mirror_remove` retires the
+//! payload's strong reference to a per-shard *graveyard* that is swept
+//! once the pins drain. The reader's `pin ; load version` and the
+//! remover's `store version ; load pins` are SeqCst (Dekker): either the
+//! reader's validation fails, or its pin is visible to the remover, which
+//! then defers the free.
 //!
-//! [`PageGuard`] is the zero-copy variant of the optimistic read: instead
-//! of cloning the `Arc` under the pin and releasing it, the winning read
-//! *keeps* its pin and hands out `&T` directly — no refcount traffic at
-//! all on the hot descent path. To make that safe, removal no longer
-//! waits for pins to drain: a reader may legitimately hold a guard on the
-//! victim page *while* performing the pessimistic fill that evicts it, so
-//! a pin-drain wait would deadlock against the waiter's own pin. Instead
-//! [`Shard::mirror_remove`] clears the slot and, if pins remain, retires
-//! the payload's strong reference to a per-shard *graveyard* that later
-//! sweeps free once the pins drain. The Dekker pairing is unchanged:
-//! either the reader's validation fails, or its pin is visible to the
-//! remover — which now defers the free instead of spinning on it.
+//! A quarantine leaves the version alone: the corrupt page was loading,
+//! never resident, so no mirror slot and no guard refers to it.
 //!
-//! [`OptCoupling`] chains guard reads across the levels of a descent
-//! (umolc-style coupled validation): acquiring the child guard
-//! revalidates the parent's seqlock version, so a root-to-leaf path forms
-//! one validation chain. A version advance with the parent still resident
-//! *renews* the chain; a vanished parent *breaks* it — the child guard is
-//! dropped and the caller falls back per-page to the pessimistic path,
-//! so correctness never depends on the chain.
+//! ## Why a guard is validated alone
 //!
-//! Because optimistic and guard hits skip replacement promotion, every
-//! [`TOUCH_SAMPLE`]-th such hit per worker re-touches the page under a
-//! `try_lock`, keeping hammered pages near the MRU end of their shard's
-//! replacement order even when cold fills churn it.
+//! Every cached value is an immutable decode of a frozen page. Once a
+//! guard has validated its pin, its payload is the page's only value and
+//! stays alive until the guard drops, whatever happens to other pages. A
+//! B-tree that changes nodes in place chains validation from parent to
+//! child (optimistic lock coupling), because a parent's change can move
+//! the child's keys elsewhere. Here a parent's eviction changes nothing a
+//! child guard holds, so such a chain would check nothing that each
+//! guard's own pin-and-recheck does not already check.
+//!
+//! Guard hits skip replacement promotion, so every `TOUCH_SAMPLE`-th
+//! guard hit per worker re-touches the page under a `try_lock`, keeping
+//! hammered pages near the MRU end of their shard's replacement order
+//! even when cold fills churn it. Per-read statistics are striped per
+//! worker (relaxed atomics on cacheline-padded counters), so a hot root
+//! page never touches a contended line; the guard-path counters are
+//! surfaced separately as [`OptStats`].
 
 use crate::policy::{PageBuffer, Policy};
 use crate::stats::{BufferStats, OptStats};
@@ -115,7 +117,7 @@ pub trait PageSource {
     /// one in-flight fetch per page. Retryable failures are retried by the
     /// cache under its [`RetryPolicy`]; a corrupt result quarantines the
     /// page; other final failures are propagated to the requester by
-    /// [`SharedPageCache::try_get`] and cached nowhere — the next request
+    /// [`SharedPageCache::read`] and cached nowhere — the next request
     /// for the page retries the source.
     fn fetch_page(&self, page: PageId) -> Result<Self::Item, PageError>;
 
@@ -160,7 +162,7 @@ struct ShardState<T> {
     waiters: usize,
 }
 
-/// Validation attempts an optimistic read makes before falling back to the
+/// Validation attempts a guard read makes before falling back to the
 /// pessimistic mutex path. Low on purpose: a failed validation means a
 /// writer is churning this shard right now, and queueing on the mutex is
 /// cheaper than spinning through its critical section.
@@ -175,9 +177,9 @@ const MIRROR_PROBE: usize = 8;
 /// Tag value of an empty mirror slot ([`OptSlot::tag`]).
 const TAG_EMPTY: u64 = 0;
 
-/// Every `TOUCH_SAMPLE`-th optimistic or guard hit per worker re-touches
-/// the page in its shard's replacement order (under `try_lock`, skipped
-/// when the mutex is busy). Optimistic hits otherwise never promote, so a
+/// Every `TOUCH_SAMPLE`-th guard hit per worker re-touches the page in
+/// its shard's replacement order (under `try_lock`, skipped when the
+/// mutex is busy). Guard hits otherwise never promote, so a
 /// permanently hot page would look idle to the LRU and could be evicted
 /// by a stream of cold fills; sampling keeps the promotion cost off the
 /// hot path while bounding how stale a hot page's recency can get.
@@ -197,13 +199,13 @@ struct OptSlot<T> {
     /// `Arc::into_raw` of the mirror's own strong reference to the value.
     /// Null iff the slot is empty.
     ptr: AtomicPtr<T>,
-    /// Readers between "validated the version" and "cloned the Arc" hold a
-    /// pin; a remover waits for pins to drain (after flipping the version
-    /// odd) before releasing the slot's reference. SeqCst pairs the
-    /// reader's `pin ; load version` against the writer's
+    /// Each live [`PageGuard`] on this slot holds a pin; a remover that
+    /// sees pins (after flipping the version odd) retires the slot's
+    /// reference to the graveyard instead of releasing it. SeqCst pairs
+    /// the reader's `pin ; load version` against the writer's
     /// `store version ; load pins` (Dekker), so either the reader sees the
     /// odd/advanced version and aborts, or the writer sees the pin and
-    /// waits.
+    /// defers the free.
     pins: AtomicUsize,
 }
 
@@ -238,13 +240,9 @@ struct Shard<T> {
     state: Mutex<ShardState<T>>,
     loaded: Condvar,
     capacity: usize,
-    /// The seqlock word (absorbs the old `generation` counter). Odd while
-    /// a mutator is removing a resident page; advances (by 2) exactly when
-    /// a page leaves the shard — eviction or quarantine. A reader holding
-    /// `(page, version)` from an earlier access knows the page is still
-    /// resident while the version is unchanged; both the optimistic read
-    /// path and the per-worker [`L1Front`](crate::L1Front) validate
-    /// against it.
+    /// The seqlock word. Odd while a mutator is removing a resident page;
+    /// advances (by 2) exactly when a resident page leaves the shard. A
+    /// guard read validates its pin against it.
     version: AtomicU64,
     /// Lock-free mirror of the resident-page table; power-of-two sized.
     mirror: Box<[OptSlot<T>]>,
@@ -442,24 +440,18 @@ impl<T> Drop for LoadingGuard<'_, T> {
 #[derive(Default)]
 struct WorkerStats {
     hits_local: AtomicU64,
-    hits_l1: AtomicU64,
     hits_remote: AtomicU64,
     hits_in_flight: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     retries: AtomicU64,
-    /// Seqlock-path counters (see [`OptStats`]); striped with the rest so
-    /// the optimistic hit path touches only this worker's line.
+    /// Guard-path counters (see [`OptStats`]); striped with the rest so
+    /// the guard hit path touches only this worker's line.
     opt_hits: AtomicU64,
     opt_retries: AtomicU64,
     opt_fallbacks: AtomicU64,
-    /// Guard-path counters: borrowing reads served with neither mutex nor
-    /// Arc clone, and how their cross-level validation chains resolved.
-    guard_hits: AtomicU64,
-    coupled: AtomicU64,
-    renewed: AtomicU64,
-    /// Rolling tick driving the sampled LRU touch on optimistic hits (not
-    /// a statistic; lives here for the per-worker cacheline).
+    /// Rolling tick driving the sampled LRU touch on guard hits (not a
+    /// statistic; lives here for the per-worker cacheline).
     touch_tick: AtomicU64,
 }
 
@@ -467,7 +459,7 @@ impl WorkerStats {
     fn snapshot(&self) -> BufferStats {
         BufferStats {
             hits_local: self.hits_local.load(Ordering::Relaxed),
-            hits_l1: self.hits_l1.load(Ordering::Relaxed),
+            hits_l1: 0,
             hits_remote: self.hits_remote.load(Ordering::Relaxed),
             hits_in_flight: self.hits_in_flight.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -482,26 +474,20 @@ impl WorkerStats {
             hits: self.opt_hits.load(Ordering::Relaxed),
             retries: self.opt_retries.load(Ordering::Relaxed),
             fallbacks: self.opt_fallbacks.load(Ordering::Relaxed),
-            guard_hits: self.guard_hits.load(Ordering::Relaxed),
-            coupled: self.coupled.load(Ordering::Relaxed),
-            renewed: self.renewed.load(Ordering::Relaxed),
         }
     }
 }
 
 /// A borrowing, pin-backed view of a cached page: derefs to `&T` with
 /// **no Arc clone and no shard mutex**. Produced by
-/// [`SharedPageCache::guard_get`] and
-/// [`SharedPageCache::guard_get_coupled`]. Holding one pins the page's
-/// mirror slot, which *defers* (never blocks) a concurrent eviction's
-/// payload free until the guard drops — see the module docs for the
-/// graveyard protocol that makes this safe even when the guard's own
-/// thread performs the eviction.
+/// [`SharedPageCache::guard_get`] and [`SharedPageCache::read`]. Holding
+/// one pins the page's mirror slot, which *defers* (never blocks) a
+/// concurrent eviction's payload free until the guard drops — see the
+/// module docs for the graveyard protocol that makes this safe even when
+/// the guard's own thread performs the eviction.
 pub struct PageGuard<'c, T> {
     slot: &'c OptSlot<T>,
     raw: *const T,
-    shard_idx: usize,
-    version: u64,
     page: PageId,
     access: SharedAccess,
 }
@@ -518,8 +504,7 @@ impl<T> PageGuard<'_, T> {
     }
 
     /// An owned handle to the page, for callers that must outlive the
-    /// guard (e.g. an L1 slot refill). Costs one refcount increment —
-    /// exactly what the Arc-path optimistic read pays.
+    /// guard. Costs one refcount increment.
     pub fn to_arc(&self) -> Arc<T> {
         // SAFETY: `raw` came from `Arc::into_raw`; the pin held by this
         // guard keeps the mirror's (or graveyard's) strong reference
@@ -527,19 +512,6 @@ impl<T> PageGuard<'_, T> {
         unsafe {
             Arc::increment_strong_count(self.raw);
             Arc::from_raw(self.raw)
-        }
-    }
-
-    /// The validation token linking this read into a parent→child chain;
-    /// pass to [`SharedPageCache::guard_get_coupled`] for the next level
-    /// of the descent.
-    pub fn coupling(&self) -> OptCoupling {
-        OptCoupling {
-            link: Some(CoupleLink {
-                shard: self.shard_idx,
-                version: self.version,
-                page: self.page,
-            }),
         }
     }
 }
@@ -571,30 +543,43 @@ impl<T> std::fmt::Debug for PageGuard<'_, T> {
     }
 }
 
-/// One validated `(shard, version, page)` link of a descent chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CoupleLink {
-    shard: usize,
-    version: u64,
-    page: PageId,
+/// A page read by [`SharedPageCache::read`]: a borrowing guard when the
+/// page was resident, or the owned value the pessimistic path returned.
+pub enum PageRef<'c, T> {
+    /// A resident hit, served without the shard mutex.
+    Guard(PageGuard<'c, T>),
+    /// Served under the shard mutex (fill, in-flight wait, or a hit after
+    /// the guard read gave up), with how the request was satisfied.
+    Owned(Arc<T>, SharedAccess),
 }
 
-/// Cross-level validation token for optimistic descents (umolc-style
-/// coupled validation). Create one with [`OptCoupling::root`] at the top
-/// of a root-to-leaf traversal and thread it through
-/// [`SharedPageCache::guard_get_coupled`]: each successful child read
-/// revalidates the parent link and advances the token, so the whole path
-/// forms one validation chain; any broken link resets the token and sends
-/// that page to the pessimistic path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OptCoupling {
-    link: Option<CoupleLink>,
+impl<T> PageRef<'_, T> {
+    /// How the read was satisfied.
+    pub fn access(&self) -> SharedAccess {
+        match self {
+            PageRef::Guard(g) => g.access(),
+            PageRef::Owned(_, access) => *access,
+        }
+    }
+
+    /// An owned handle to the page (one refcount increment).
+    pub fn to_arc(&self) -> Arc<T> {
+        match self {
+            PageRef::Guard(g) => g.to_arc(),
+            PageRef::Owned(v, _) => Arc::clone(v),
+        }
+    }
 }
 
-impl OptCoupling {
-    /// A chain with no parent yet (the start of a descent).
-    pub fn root() -> Self {
-        OptCoupling::default()
+impl<T> std::ops::Deref for PageRef<'_, T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        match self {
+            PageRef::Guard(g) => g,
+            PageRef::Owned(v, _) => v,
+        }
     }
 }
 
@@ -724,22 +709,17 @@ impl<T> SharedPageCache<T> {
     }
 
     #[inline]
-    fn shard_index(&self, page: PageId) -> usize {
+    fn shard_of(&self, page: PageId) -> &Shard<T> {
         // Fibonacci hashing spreads the sequential page ids trees produce;
         // plain modulo would put all of a small tree in adjacent shards.
         let h = (page.0 as u64).wrapping_mul(0x9E3779B97F4A7C15);
-        (h >> 32) as usize % self.shards.len()
+        &self.shards[(h >> 32) as usize % self.shards.len()]
     }
 
-    #[inline]
-    fn shard_of(&self, page: PageId) -> &Shard<T> {
-        &self.shards[self.shard_index(page)]
-    }
-
-    /// Sampled replacement promotion for reads that bypass the mutex:
-    /// every [`TOUCH_SAMPLE`]-th optimistic or guard hit per worker
-    /// re-touches the page under the shard mutex — but only if the mutex
-    /// is immediately available, so the hot path never queues on it.
+    /// Sampled replacement promotion for guard hits, which bypass the
+    /// mutex: every [`TOUCH_SAMPLE`]-th guard hit per worker re-touches
+    /// the page under the shard mutex — but only if the mutex is
+    /// immediately available, so the hot path never queues on it.
     fn sampled_touch(&self, worker: usize, shard: &Shard<T>, page: PageId) {
         let tick = self.stats[worker]
             .touch_tick
@@ -751,19 +731,6 @@ impl<T> SharedPageCache<T> {
             if state.buf.contains(page) {
                 state.buf.touch(page);
             }
-        }
-    }
-
-    /// Books a failed optimistic attempt: the validation retries, plus a
-    /// fallback when the attempts were exhausted by contention (rather
-    /// than the read being a clean mirror miss).
-    fn note_opt_failure(&self, worker: usize, retries: u64) {
-        let s = &self.stats[worker];
-        if retries > 0 {
-            s.opt_retries.fetch_add(retries, Ordering::Relaxed);
-        }
-        if retries >= OPT_ATTEMPTS as u64 {
-            s.opt_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -794,38 +761,19 @@ impl<T> SharedPageCache<T> {
         }
     }
 
-    /// Credits `n` hits absorbed by `worker`'s private L1 front. The front
-    /// accumulates locally and flushes through here before any stats read,
-    /// keeping [`SharedPageCache::stats`] exact.
-    pub fn add_l1_hits(&self, worker: usize, n: u64) {
-        if n > 0 {
-            self.stats[worker].hits_l1.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Current generation of the shard holding `page` — since the seqlock
-    /// rework this is the shard's version word. It advances whenever any
-    /// page leaves that shard (eviction or quarantine) and is momentarily
-    /// *odd* while such a removal is in progress; a value read *before* a
-    /// successful [`SharedPageCache::try_get`] therefore certifies, for as
-    /// long as it remains current, that the returned page is still
-    /// resident. (An odd value can never falsely certify: the removal in
-    /// progress advances the word before any reader could observe the odd
-    /// value twice.)
-    pub fn shard_generation(&self, page: PageId) -> u64 {
-        self.shard_of(page).version.load(Ordering::Acquire)
-    }
-
-    /// The optimistic read: serve `page` from the shard's mirror without
-    /// the mutex. Returns `Ok` on a validated hit; `Err(retries)` when the
-    /// caller must go pessimistic, carrying the number of failed
-    /// validations (0 = clean miss, `>= OPT_ATTEMPTS` = fallback after
-    /// contention).
-    fn opt_get(&self, worker: usize, page: PageId) -> Result<(Arc<T>, SharedAccess), u64> {
+    /// Borrowing read of a resident page: a [`PageGuard`] handing out `&T`
+    /// with no Arc clone and no shard mutex, when `page` is mirrored and
+    /// the shard's seqlock validates. Books the hit (a local or remote hit
+    /// in [`BufferStats`], one [`OptStats::hits`]). `None` means the
+    /// caller must take the pessimistic path: the page is not mirrored,
+    /// or `OPT_ATTEMPTS` validations failed, which books one
+    /// [`OptStats::fallbacks`].
+    pub fn guard_get(&self, worker: usize, page: PageId) -> Option<PageGuard<'_, T>> {
         let shard = self.shard_of(page);
         let tag = Shard::<T>::tag_of(page);
         let base = shard.slot_base(page);
         let mask = shard.mirror.len() - 1;
+        let s = &self.stats[worker];
         let mut retries = 0u64;
         while retries < OPT_ATTEMPTS as u64 {
             let v1 = shard.version.load(Ordering::SeqCst);
@@ -836,19 +784,15 @@ impl<T> SharedPageCache<T> {
                 std::hint::spin_loop();
                 continue;
             }
-            let mut found = None;
-            for i in 0..MIRROR_PROBE {
-                let slot = &shard.mirror[(base + i) & mask];
-                if slot.tag.load(Ordering::Acquire) == tag {
-                    found = Some(slot);
-                    break;
-                }
-            }
-            let Some(slot) = found else {
+            let Some(slot) = (0..MIRROR_PROBE)
+                .map(|i| &shard.mirror[(base + i) & mask])
+                .find(|slot| slot.tag.load(Ordering::Acquire) == tag)
+            else {
                 if shard.version.load(Ordering::SeqCst) == v1 {
                     // Stable version across the whole probe: the page
-                    // really is absent from the mirror. Miss, not failure.
-                    return Err(retries);
+                    // really is absent from the mirror. A miss, not a
+                    // fallback.
+                    break;
                 }
                 retries += 1;
                 continue;
@@ -862,232 +806,43 @@ impl<T> SharedPageCache<T> {
             let raw = slot.ptr.load(Ordering::SeqCst);
             let owner = slot.owner.load(Ordering::Relaxed);
             let tag2 = slot.tag.load(Ordering::SeqCst);
-            let valid = shard.version.load(Ordering::SeqCst) == v1 && tag2 == tag && !raw.is_null();
-            let value = if valid {
-                // SAFETY: `raw` came from `Arc::into_raw`; the validated
-                // pin (above) keeps the remover from releasing the slot's
-                // strong reference until we drop the pin below, so the
-                // pointee is alive for the clone.
-                Some(unsafe {
-                    Arc::increment_strong_count(raw);
-                    Arc::from_raw(raw)
-                })
-            } else {
-                None
-            };
-            slot.pins.fetch_sub(1, Ordering::SeqCst);
-            match value {
-                Some(v) => {
-                    let access = if owner == worker {
-                        SharedAccess::HitLocal
-                    } else {
-                        SharedAccess::HitRemote { owner }
-                    };
-                    let s = &self.stats[worker];
-                    s.opt_hits.fetch_add(1, Ordering::Relaxed);
-                    if retries > 0 {
-                        s.opt_retries.fetch_add(retries, Ordering::Relaxed);
-                    }
-                    self.bump(worker, access, false, 0);
-                    self.sampled_touch(worker, shard, page);
-                    return Ok((v, access));
-                }
-                None => {
-                    retries += 1;
-                    continue;
-                }
-            }
-        }
-        Err(retries)
-    }
-
-    /// Core of the guard acquisition: [`SharedPageCache::opt_get`]'s
-    /// protocol, but the winning read *keeps* its pin instead of cloning
-    /// the `Arc` under it — the pin is the guard's lease on the payload.
-    /// Books nothing: the caller books the read with
-    /// [`SharedPageCache::book_guard_hit`] only once it hands the guard
-    /// out, so a guard dropped unused (broken chain) is not counted as a
-    /// read ahead of the caller's pessimistic re-read of the same page.
-    /// Returns `Ok((guard, retries))` on a validated pin, `Err(retries)`
-    /// when the caller must go pessimistic.
-    fn guard_acquire(&self, worker: usize, page: PageId) -> Result<(PageGuard<'_, T>, u64), u64> {
-        let shard_idx = self.shard_index(page);
-        let shard = &self.shards[shard_idx];
-        let tag = Shard::<T>::tag_of(page);
-        let base = shard.slot_base(page);
-        let mask = shard.mirror.len() - 1;
-        let mut retries = 0u64;
-        while retries < OPT_ATTEMPTS as u64 {
-            let v1 = shard.version.load(Ordering::SeqCst);
-            if !v1.is_multiple_of(2) {
-                retries += 1;
-                std::hint::spin_loop();
-                continue;
-            }
-            let mut found = None;
-            for i in 0..MIRROR_PROBE {
-                let slot = &shard.mirror[(base + i) & mask];
-                if slot.tag.load(Ordering::Acquire) == tag {
-                    found = Some(slot);
-                    break;
-                }
-            }
-            let Some(slot) = found else {
-                if shard.version.load(Ordering::SeqCst) == v1 {
-                    return Err(retries);
-                }
-                retries += 1;
-                continue;
-            };
-            // Pin, then re-validate — the same Dekker pairing as
-            // `opt_get`; see the comments there.
-            slot.pins.fetch_add(1, Ordering::SeqCst);
-            let raw = slot.ptr.load(Ordering::SeqCst);
-            let owner = slot.owner.load(Ordering::Relaxed);
-            let tag2 = slot.tag.load(Ordering::SeqCst);
             if shard.version.load(Ordering::SeqCst) == v1 && tag2 == tag && !raw.is_null() {
                 let access = if owner == worker {
                     SharedAccess::HitLocal
                 } else {
                     SharedAccess::HitRemote { owner }
                 };
-                let guard = PageGuard {
+                s.opt_hits.fetch_add(1, Ordering::Relaxed);
+                if retries > 0 {
+                    s.opt_retries.fetch_add(retries, Ordering::Relaxed);
+                }
+                self.bump(worker, access, false, 0);
+                self.sampled_touch(worker, shard, page);
+                return Some(PageGuard {
                     slot,
                     raw,
-                    shard_idx,
-                    version: v1,
                     page,
                     access,
-                };
-                return Ok((guard, retries));
+                });
             }
             slot.pins.fetch_sub(1, Ordering::SeqCst);
             retries += 1;
         }
-        Err(retries)
-    }
-
-    /// Books a guard read that is being handed out: one local/remote hit
-    /// in [`BufferStats`], one [`OptStats::guard_hits`], the validation
-    /// retries it took, and the sampled replacement touch.
-    fn book_guard_hit(&self, worker: usize, guard: &PageGuard<'_, T>, retries: u64) {
-        let s = &self.stats[worker];
-        s.guard_hits.fetch_add(1, Ordering::Relaxed);
         if retries > 0 {
             s.opt_retries.fetch_add(retries, Ordering::Relaxed);
         }
-        self.bump(worker, guard.access, false, 0);
-        self.sampled_touch(worker, &self.shards[guard.shard_idx], guard.page);
+        if retries >= OPT_ATTEMPTS as u64 {
+            s.opt_fallbacks.fetch_add(1, Ordering::Relaxed);
+        }
+        None
     }
 
-    /// Borrowing optimistic read: a [`PageGuard`] handing out `&T` with
-    /// no Arc clone and no shard mutex, when `page` is resident and the
-    /// seqlock validates. `None` means the caller must take the
-    /// pessimistic path ([`SharedPageCache::try_get`] re-runs the full
-    /// ladder; the failure accounting matches the Arc fast path exactly).
-    pub fn guard_get(&self, worker: usize, page: PageId) -> Option<PageGuard<'_, T>> {
-        match self.guard_acquire(worker, page) {
-            Ok((g, retries)) => {
-                self.book_guard_hit(worker, &g, retries);
-                Some(g)
-            }
-            Err(retries) => {
-                self.note_opt_failure(worker, retries);
-                None
-            }
-        }
-    }
-
-    /// As [`SharedPageCache::guard_get`], chained into a descent: after
-    /// the child validates, the parent link recorded in `chain` is
-    /// revalidated. An unchanged parent shard version extends the chain
-    /// ([`OptStats::coupled`]); a version advance with the parent still
-    /// mirrored repairs it in place ([`OptStats::renewed`]); a vanished
-    /// parent breaks it — the child guard is dropped, the chain resets,
-    /// and `None` sends the caller to the pessimistic path for this page.
-    /// On success `chain` is advanced to the returned page, so a
-    /// root-to-leaf descent forms one validation chain.
-    pub fn guard_get_coupled(
-        &self,
-        worker: usize,
-        page: PageId,
-        chain: &mut OptCoupling,
-    ) -> Option<PageGuard<'_, T>> {
-        let (guard, retries) = match self.guard_acquire(worker, page) {
-            Ok(v) => v,
-            Err(retries) => {
-                self.note_opt_failure(worker, retries);
-                *chain = OptCoupling::root();
-                return None;
-            }
-        };
-        let s = &self.stats[worker];
-        if let Some(link) = chain.link {
-            if self.shards[link.shard].version.load(Ordering::SeqCst) == link.version {
-                s.coupled.fetch_add(1, Ordering::Relaxed);
-            } else if self.still_mirrored(link.shard, link.page) {
-                s.renewed.fetch_add(1, Ordering::Relaxed);
-            } else {
-                // The parent left its shard mid-descent. The pages are
-                // frozen, but the protocol treats a broken chain as a
-                // failed validation: drop the child pin unbooked and let
-                // the caller's pessimistic re-read count the one read,
-                // restarting the chain.
-                if retries > 0 {
-                    s.opt_retries.fetch_add(retries, Ordering::Relaxed);
-                }
-                s.opt_fallbacks.fetch_add(1, Ordering::Relaxed);
-                *chain = OptCoupling::root();
-                drop(guard);
-                return None;
-            }
-        }
-        self.book_guard_hit(worker, &guard, retries);
-        *chain = guard.coupling();
-        Some(guard)
-    }
-
-    /// Whether `page` is still published in `shard`'s mirror with the
-    /// shard at rest across the probe — i.e. a broken-version chain link
-    /// can be *renewed* (the parent never left) rather than broken.
-    fn still_mirrored(&self, shard_idx: usize, page: PageId) -> bool {
-        let shard = &self.shards[shard_idx];
-        let v = shard.version.load(Ordering::SeqCst);
-        if !v.is_multiple_of(2) {
-            return false;
-        }
-        let tag = Shard::<T>::tag_of(page);
-        let base = shard.slot_base(page);
-        let mask = shard.mirror.len() - 1;
-        for i in 0..MIRROR_PROBE {
-            let slot = &shard.mirror[(base + i) & mask];
-            if slot.tag.load(Ordering::Acquire) == tag {
-                return shard.version.load(Ordering::SeqCst) == v;
-            }
-        }
-        false
-    }
-
-    /// Looks up `page`, fetching it from `source` on a miss. Returns the
-    /// cached value and how the request was satisfied.
+    /// Looks up `page`, fetching it from `source` on a miss: a
+    /// [`PageRef::Guard`] when [`SharedPageCache::guard_get`] serves it,
+    /// else the pessimistic path's [`PageRef::Owned`] value.
     ///
     /// `worker` indexes the per-worker statistics and is recorded as the
     /// page's owner when this call fetches it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source's fetch fails; use [`SharedPageCache::try_get`]
-    /// for fallible sources (e.g. a disk-backed pager).
-    pub fn get<S>(&self, worker: usize, page: PageId, source: &S) -> (Arc<T>, SharedAccess)
-    where
-        S: PageSource<Item = T> + ?Sized,
-    {
-        self.try_get(worker, page, source)
-            .unwrap_or_else(|e| panic!("fetching page {page}: {e}"))
-    }
-
-    /// As [`SharedPageCache::get`], propagating a failed fetch to the caller
-    /// instead of panicking.
     ///
     /// Retryable source errors are retried in place under the cache's
     /// [`RetryPolicy`] before failing. A final *corrupt* error quarantines
@@ -1096,6 +851,35 @@ impl<T> SharedPageCache<T> {
     /// the in-flight marker, so concurrent waiters on the same page wake up
     /// and retry the fetch themselves; one degraded request does not poison
     /// the page for others.
+    pub fn read<S>(
+        &self,
+        worker: usize,
+        page: PageId,
+        source: &S,
+    ) -> Result<PageRef<'_, T>, PageError>
+    where
+        S: PageSource<Item = T> + ?Sized,
+    {
+        match self.guard_get(worker, page) {
+            Some(g) => Ok(PageRef::Guard(g)),
+            None => self
+                .pessimistic_get(worker, page, source)
+                .map(|(v, access)| PageRef::Owned(v, access)),
+        }
+    }
+
+    /// As [`SharedPageCache::try_get`], panicking if the source's fetch
+    /// fails.
+    pub fn get<S>(&self, worker: usize, page: PageId, source: &S) -> (Arc<T>, SharedAccess)
+    where
+        S: PageSource<Item = T> + ?Sized,
+    {
+        self.try_get(worker, page, source)
+            .unwrap_or_else(|e| panic!("fetching page {page}: {e}"))
+    }
+
+    /// [`SharedPageCache::read`] as an owned value: the `Arc` and how the
+    /// request was satisfied.
     pub fn try_get<S>(
         &self,
         worker: usize,
@@ -1105,36 +889,13 @@ impl<T> SharedPageCache<T> {
     where
         S: PageSource<Item = T> + ?Sized,
     {
-        // Fast path: version-validated read against the shard's mirror, no
-        // mutex. Falls through on a clean miss (page not mirrored) or
-        // after OPT_ATTEMPTS failed validations.
-        match self.opt_get(worker, page) {
-            Ok(hit) => return Ok(hit),
-            Err(retries) => self.note_opt_failure(worker, retries),
-        }
-        self.pessimistic_get(worker, page, source)
-    }
-
-    /// As [`SharedPageCache::try_get`] but skipping the optimistic fast
-    /// path entirely: every read takes the shard mutex (and pays its LRU
-    /// promotion). This is the contended-read benchmark's locked baseline;
-    /// regular callers should prefer [`SharedPageCache::try_get`].
-    pub fn try_get_locked<S>(
-        &self,
-        worker: usize,
-        page: PageId,
-        source: &S,
-    ) -> Result<(Arc<T>, SharedAccess), PageError>
-    where
-        S: PageSource<Item = T> + ?Sized,
-    {
-        self.pessimistic_get(worker, page, source)
+        let read = self.read(worker, page, source)?;
+        Ok((read.to_arc(), read.access()))
     }
 
     /// The pessimistic path: shard mutex, quarantine replay, single-flight
-    /// fill, eviction. [`SharedPageCache::try_get`] lands here after the
-    /// optimistic fast path declines; [`SharedPageCache::try_get_locked`]
-    /// enters directly.
+    /// fill, eviction. [`SharedPageCache::read`] lands here when the guard
+    /// read declines.
     fn pessimistic_get<S>(
         &self,
         worker: usize,
@@ -1239,15 +1000,9 @@ impl<T> SharedPageCache<T> {
                     if e.is_corrupt() {
                         // Unrecoverable: quarantine so later requesters get
                         // the typed error without hitting the device again.
+                        // The page was loading, never resident: no mirror
+                        // slot or guard refers to it, so the version stays.
                         state.quarantined.insert(page, e.clone());
-                        // Advance the version so generation-checked L1
-                        // slots and optimistic readers conservatively
-                        // re-validate: no front may keep serving a page
-                        // the shard now refuses. (The page was loading,
-                        // not resident, so there is no mirror entry to
-                        // clear.)
-                        shard.begin_mutate();
-                        shard.end_mutate();
                         self.corrupt_detected.fetch_add(1, Ordering::Relaxed);
                         if let Some(t) = &self.trace {
                             t.instant(
@@ -1267,11 +1022,10 @@ impl<T> SharedPageCache<T> {
             if let Some(victim) = state.buf.insert(page) {
                 state.data.remove(&victim);
                 state.owner.remove(&victim);
-                // The victim leaves the shard: flip the version odd, drain
-                // pinned optimistic readers of the victim's slot, release
-                // its mirror reference, then flip back even. Generation-
-                // checked L1 slots and in-flight optimistic reads both
-                // observe the advance and re-validate.
+                // The victim leaves the shard: flip the version odd,
+                // unpublish its mirror slot (retiring the payload if
+                // guards still pin it), then flip back even. In-flight
+                // guard reads observe the advance and re-validate.
                 shard.begin_mutate();
                 shard.mirror_remove(victim);
                 shard.end_mutate();
@@ -1308,12 +1062,12 @@ impl<T> SharedPageCache<T> {
             .fold(BufferStats::default(), |acc, s| acc.merged(s))
     }
 
-    /// One worker's optimistic-path counters.
+    /// One worker's guard-path counters.
     pub fn opt_stats_for(&self, worker: usize) -> OptStats {
         self.stats[worker].opt_snapshot()
     }
 
-    /// Aggregated optimistic-path counters over all workers.
+    /// Aggregated guard-path counters over all workers.
     pub fn opt_stats(&self) -> OptStats {
         self.stats
             .iter()
@@ -1474,7 +1228,7 @@ impl<T> std::fmt::Debug for SharedPageCache<T> {
 pub struct CacheSnapshot {
     /// Aggregate counters over all workers at snapshot time.
     pub stats: BufferStats,
-    /// Aggregate optimistic-read-path counters at snapshot time.
+    /// Aggregate guard-path counters at snapshot time.
     pub opt: OptStats,
     /// Pages resident at snapshot time.
     pub resident_pages: usize,
@@ -1655,6 +1409,29 @@ mod tests {
         let (v, a) = cache.get(0, p(5), &src);
         assert_eq!((*v, a), (5, SharedAccess::HitLocal));
         assert_eq!(src.fetches.load(Ordering::Relaxed), 1);
+        cache.check_invariants().unwrap();
+    }
+
+    /// A request probes the mirror once: with a removal held in flight
+    /// (version odd) every validation fails, and the read books exactly
+    /// `OPT_ATTEMPTS` retries and one fallback before the mutex path
+    /// serves the resident page.
+    #[test]
+    fn contended_read_books_one_fallback() {
+        let cache: SharedPageCache<u32> = SharedPageCache::new(1, 8, 1, Policy::Lru);
+        let src = Counting::new(100);
+        cache.get(0, p(5), &src);
+        let shard = &cache.shards[0];
+        shard.begin_mutate();
+        let read = cache.read(0, p(5), &src).unwrap();
+        assert!(matches!(read, PageRef::Owned(_, SharedAccess::HitLocal)));
+        assert_eq!(*read, 5);
+        drop(read);
+        shard.end_mutate();
+        let opt = cache.opt_stats();
+        assert_eq!((opt.hits, opt.fallbacks), (0, 1));
+        assert_eq!(opt.retries, OPT_ATTEMPTS as u64);
+        assert_eq!(cache.stats(0).requests(), 2);
         cache.check_invariants().unwrap();
     }
 

@@ -10,11 +10,8 @@ use serde::{Deserialize, Serialize};
 pub struct BufferStats {
     /// Hits served from the requesting processor's own memory.
     pub hits_local: u64,
-    /// Hits absorbed by a worker's private L1 front (`L1Front`) without
-    /// consulting the shared cache's shards at all. A subset of what would
-    /// otherwise be `hits_local`: the page was resident and owned by this
-    /// worker when the front last filled the slot, and the shard generation
-    /// proves it has not been evicted since.
+    /// Always 0: the per-worker L1 front that counted here is gone. The
+    /// field stays only because `benchmark/` still reads it.
     pub hits_l1: u64,
     /// Hits served from another processor's partition over the interconnect
     /// (global buffer only).
@@ -85,35 +82,22 @@ impl BufferStats {
     }
 }
 
-/// Counters for the optimistic (seqlock) read path of
+/// Counters for the guard (seqlock) read path of
 /// [`SharedPageCache`](crate::SharedPageCache), kept separately from
 /// [`BufferStats`] so the wire format and every existing reconciliation
-/// (`BufferStats` vs `TaskTrace`) are unchanged: an optimistic hit is still
+/// (`BufferStats` vs `TaskTrace`) are unchanged: a guard hit is still
 /// counted as a local/remote hit in [`BufferStats`]; these counters only
 /// say *how* the read path got there.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OptStats {
-    /// Hits served without taking the shard mutex (version validated).
+    /// Hits served without taking the shard mutex (a validated guard).
     pub hits: u64,
     /// Validation failures: the shard version moved (or a writer was
     /// active) between snapshot and validation, and the read was retried.
     pub retries: u64,
     /// Reads that exhausted their validation attempts and fell back to the
-    /// pessimistic mutex path — including guard descents whose coupling
-    /// chain broke (parent evicted mid-descent).
+    /// pessimistic mutex path (at most one per request).
     pub fallbacks: u64,
-    /// Borrowing-guard reads ([`PageGuard`](crate::PageGuard)) served with
-    /// neither shard mutex nor Arc clone. Disjoint from `hits`: a read is
-    /// counted as exactly one of the two depending on which entry point
-    /// served it.
-    pub guard_hits: u64,
-    /// Coupled descents: a child guard whose parent link validated with
-    /// the parent shard's version unchanged (the cross-level fast path).
-    pub coupled: u64,
-    /// Chain repairs: the parent's shard version advanced but the parent
-    /// page itself was still resident, so the chain was renewed in place
-    /// instead of broken.
-    pub renewed: u64,
 }
 
 impl OptStats {
@@ -123,9 +107,6 @@ impl OptStats {
             hits: self.hits + other.hits,
             retries: self.retries + other.retries,
             fallbacks: self.fallbacks + other.fallbacks,
-            guard_hits: self.guard_hits + other.guard_hits,
-            coupled: self.coupled + other.coupled,
-            renewed: self.renewed + other.renewed,
         }
     }
 
@@ -136,9 +117,6 @@ impl OptStats {
             hits: self.hits - earlier.hits,
             retries: self.retries - earlier.retries,
             fallbacks: self.fallbacks - earlier.fallbacks,
-            guard_hits: self.guard_hits - earlier.guard_hits,
-            coupled: self.coupled - earlier.coupled,
-            renewed: self.renewed - earlier.renewed,
         }
     }
 }
@@ -153,17 +131,11 @@ mod tests {
             hits: 5,
             retries: 1,
             fallbacks: 0,
-            guard_hits: 4,
-            coupled: 3,
-            renewed: 1,
         };
         let b = OptStats {
             hits: 2,
             retries: 0,
             fallbacks: 1,
-            guard_hits: 1,
-            coupled: 0,
-            renewed: 0,
         };
         let m = a.merged(&b);
         assert_eq!(
@@ -172,9 +144,6 @@ mod tests {
                 hits: 7,
                 retries: 1,
                 fallbacks: 1,
-                guard_hits: 5,
-                coupled: 3,
-                renewed: 1,
             }
         );
         assert_eq!(m.since(&b), a);

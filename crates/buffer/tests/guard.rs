@@ -6,7 +6,7 @@
 //! replaced page — cannot go unnoticed.
 
 use proptest::prelude::*;
-use psj_buffer::{OptCoupling, PageSource, Policy, SharedPageCache};
+use psj_buffer::{PageRef, PageSource, Policy, SharedPageCache};
 use psj_store::{PageError, PageId};
 
 /// A page payload whose consistency is checkable on every read (same
@@ -76,9 +76,9 @@ fn resident_pages_serve_guard_reads() {
         }
     }
     let opt = cache.opt_stats();
-    assert_eq!(opt.guard_hits, 80, "every resident read was a guard hit");
-    assert_eq!(opt.hits, 0, "no read took the Arc-clone path");
+    assert_eq!(opt.hits, 80, "every resident read was a guard hit");
     assert_eq!(opt.retries, 0, "uncontended reads never fail validation");
+    assert_eq!(opt.fallbacks, 0, "uncontended reads never fall back");
     let stats = cache.stats(1);
     assert_eq!(
         stats.hits_remote, 80,
@@ -115,79 +115,40 @@ fn holding_a_guard_while_evicting_its_page_neither_blocks_nor_tears() {
         .expect("graveyard drains once pins drop");
 }
 
-/// Coupled descent over a single shard: an unchanged version extends the
-/// chain, an eviction of a *different* page renews it, and an eviction of
-/// the linked parent breaks it (child re-read pessimistically).
+/// A guard read is validated on its own, with no chain to the page read
+/// before it: once that page (a descent's parent) is evicted, a guard read
+/// of a page that is still resident succeeds, booking one hit and no
+/// fallback.
 #[test]
-fn coupling_chains_extend_renew_and_break() {
+fn guard_read_survives_eviction_of_the_previous_page() {
+    // Single shard, capacity 3, LRU.
     let cache: SharedPageCache<Checked> = SharedPageCache::new(1, 3, 1, Policy::Lru);
     let src = CheckedSource { pages: 64 };
-    for p in 0..3 {
-        cache.get(0, PageId(p), &src);
-    }
-
-    // Root then child with the shard untouched: the chain couples.
-    let mut chain = OptCoupling::root();
-    let g0 = cache
-        .guard_get_coupled(0, PageId(0), &mut chain)
-        .expect("root link");
-    verify(0, &g0);
-    drop(g0);
-    let g1 = cache
-        .guard_get_coupled(0, PageId(1), &mut chain)
-        .expect("coupled link");
-    verify(1, &g1);
-    drop(g1);
-    assert_eq!(cache.opt_stats().coupled, 1);
-
-    // Renewal: make page 1 (the linked parent) recently used, then evict
-    // some *other* page with a cold fill. The shard version advances but
-    // the parent is still resident, so the chain repairs in place.
-    // `try_get_locked` skips the optimistic path, so the hit promotes the
-    // parent in the replacement order deterministically.
-    let (_, _) = cache
-        .try_get_locked(0, PageId(1), &src)
-        .expect("touch parent");
+    // The parent is filled and read first and the child filled last, so
+    // the parent is the least and the child the most recently used page.
+    cache.get(0, PageId(0), &src);
+    let parent = cache.guard_get(0, PageId(0)).expect("resident parent");
+    verify(0, &parent);
+    drop(parent);
+    cache.get(0, PageId(1), &src);
+    cache.get(0, PageId(2), &src);
+    // A cold fill evicts the parent; the child stays resident.
     cache.get(0, PageId(40), &src);
-    assert!(cache.contains(PageId(1)), "parent survived the cold fill");
-    let survivor = (0..3)
-        .map(PageId)
-        .find(|p| *p != PageId(1) && cache.contains(*p))
-        .expect("capacity 3 keeps another original page");
-    let g2 = cache
-        .guard_get_coupled(0, survivor, &mut chain)
-        .expect("renewed link");
-    verify(survivor.0, &g2);
-    drop(g2);
-    let opt = cache.opt_stats();
-    assert_eq!(opt.renewed, 1, "version moved but the parent never left");
-    assert_eq!(opt.fallbacks, 0);
+    assert!(!cache.contains(PageId(0)), "the parent was evicted");
+    assert!(cache.contains(PageId(2)), "the child is still resident");
 
-    // Break: evict the linked parent itself, then try to extend the chain.
-    // The child read is refused (per-page pessimistic fallback) and the
-    // chain resets to root.
-    let parent = survivor;
-    let mut cold = 41u32;
-    while cache.contains(parent) {
-        cache.get(0, PageId(cold), &src);
-        cold += 1;
-    }
-    let still = (0..64u32)
-        .map(PageId)
-        .find(|p| cache.contains(*p))
-        .expect("something is resident");
-    assert!(
-        cache.guard_get_coupled(0, still, &mut chain).is_none(),
-        "a broken chain refuses the child guard"
-    );
-    let opt = cache.opt_stats();
-    assert_eq!(opt.fallbacks, 1, "the broken chain counts as a fallback");
-    // The reset chain starts fresh and couples again.
-    let g3 = cache
-        .guard_get_coupled(0, still, &mut chain)
-        .expect("fresh root after reset");
-    verify(still.0, &g3);
-    drop(g3);
+    let (opt, stats) = (cache.opt_stats(), cache.stats(0));
+    let child = cache
+        .guard_get(0, PageId(2))
+        .expect("a resident child guard-reads after its parent's eviction");
+    verify(2, &child);
+    drop(child);
+    let opt = cache.opt_stats().since(&opt);
+    let stats = cache.stats(0).since(&stats);
+    assert_eq!(opt.hits, 1, "the child read is one guard hit");
+    assert_eq!(opt.fallbacks, 0, "the parent's eviction forces no fallback");
+    assert_eq!(stats.requests(), 1, "the child read is one request");
+    assert_eq!(stats.hits_local, 1);
     cache.check_invariants().expect("invariants");
 }
 
@@ -236,8 +197,9 @@ fn hammered_page_survives_cold_churn_via_sampled_touch() {
 /// while churn threads sweep a cold range through a small cache, evicting
 /// hot pages out from under the pins. Checks: a held guard never observes
 /// a torn or stale payload (the graveyard defers frees past the last
-/// deref), guard hits and coupled links happen under churn, and the
-/// structural invariants (including an empty graveyard) hold at rest.
+/// deref), guard hits happen under churn, no request books more than one
+/// fallback, and the structural invariants (including an empty graveyard)
+/// hold at rest.
 #[test]
 fn guards_survive_concurrent_eviction_churn() {
     const READERS: usize = 4;
@@ -256,11 +218,10 @@ fn guards_survive_concurrent_eviction_churn() {
         for r in 0..READERS {
             let (cache, src) = (&cache, &src);
             s.spawn(move || {
-                let mut chain = OptCoupling::root();
                 for i in 0..4000usize {
                     let p = ((i + r) % HOT as usize) as u32;
-                    match cache.guard_get_coupled(r, PageId(p), &mut chain) {
-                        Some(guard) => {
+                    match cache.read(r, PageId(p), src).expect("clean source") {
+                        PageRef::Guard(guard) => {
                             verify(p, &guard);
                             // Hold the pin across a reschedule so churners
                             // get a chance to evict the page under us,
@@ -279,11 +240,8 @@ fn guards_survive_concurrent_eviction_churn() {
                                 verify(p, &guard);
                             }
                         }
-                        None => {
-                            // Not resident (or churned): pessimistic path.
-                            let (v, _) = cache.get(r, PageId(p), src);
-                            verify(p, &v);
-                        }
+                        // Not resident (or churned): pessimistic path.
+                        PageRef::Owned(v, _) => verify(p, &v),
                     }
                 }
             });
@@ -303,10 +261,21 @@ fn guards_survive_concurrent_eviction_churn() {
     });
 
     cache.check_invariants().expect("invariants after churn");
-    let opt = cache.opt_stats();
-    assert!(opt.guard_hits > 0, "hot pages must serve guard hits");
-    assert!(opt.coupled > 0, "descent chains must couple under churn");
+    assert!(
+        cache.opt_stats().hits > 0,
+        "hot pages must serve guard hits"
+    );
     assert!(cache.total_stats().evictions > 0, "cold sweep must evict");
+    // Each request probes the mirror once: a request either is a guard
+    // hit or books at most one fallback on its way to the mutex path.
+    for w in 0..READERS + CHURNERS {
+        let (opt, stats) = (cache.opt_stats_for(w), cache.stats(w));
+        assert!(
+            opt.fallbacks <= stats.requests() - opt.hits,
+            "worker {w}: {opt:?} vs {} requests",
+            stats.requests()
+        );
+    }
 }
 
 proptest! {

@@ -292,11 +292,10 @@ pub fn join(args: &Args) -> CmdResult {
             _ => "global",
         };
         println!(
-            "page cache ({org}):  {} requests, {:.1}% hit ({} L1 / {} local / {} remote / \
+            "page cache ({org}):  {} requests, {:.1}% hit ({} local / {} remote / \
              {} in-flight), {} misses, {} evictions",
             stats.requests(),
             100.0 * stats.hit_ratio(),
-            stats.hits_l1,
             stats.hits_local,
             stats.hits_remote,
             stats.hits_in_flight,

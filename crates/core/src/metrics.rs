@@ -119,9 +119,6 @@ pub struct TaskTrace {
     pub pages: u64,
     /// Cache hits on pages this worker itself faulted in.
     pub hits_local: u64,
-    /// Hits absorbed by the worker's private L1 front (no shard lock, no
-    /// stat atomics on the hot path; flushed exactly at segment boundaries).
-    pub hits_l1: u64,
     /// Cache hits on pages another worker faulted in (the accesses the
     /// paper charges with the interconnect penalty).
     pub hits_remote: u64,

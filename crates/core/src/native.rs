@@ -61,10 +61,7 @@ use crate::metrics::{TaskOrigin, TaskTrace};
 use crate::morsel::{morselize, Morsel, MorselOptions, StealPolicy};
 use crate::sim::BufferOrg;
 use crate::task::{create_tasks, expand_pair, Candidate, KernelScratch, TaskPair};
-use psj_buffer::{
-    BufferStats, FaultSource, L1Front, L1Read, OptCoupling, PageGuard, PageSource, Policy,
-    SharedPageCache,
-};
+use psj_buffer::{BufferStats, FaultSource, PageRef, PageSource, Policy, SharedPageCache};
 use psj_desim::StealOrder;
 use psj_obs::trace::{worker_tid, TID_MAIN};
 use psj_obs::{ThreadTracer, TraceSink};
@@ -382,13 +379,11 @@ impl PageSource for Source<'_> {
     }
 }
 
-/// A node obtained by direct reference into a frozen tree, as a cached
-/// decode owned by the page cache, or as a borrowing pin-guarded read out
-/// of the cache's mirror (no Arc clone, no shard mutex).
+/// A node obtained by direct reference into a frozen tree, or read
+/// through the page cache (a pin-guarded borrow or an owned decode).
 enum NodeRef<'t> {
     Borrowed(&'t Node),
-    Cached(Arc<Node>),
-    Guarded(PageGuard<'t, Node>),
+    Page(PageRef<'t, Node>),
 }
 
 impl std::ops::Deref for NodeRef<'_> {
@@ -398,28 +393,14 @@ impl std::ops::Deref for NodeRef<'_> {
     fn deref(&self) -> &Node {
         match self {
             NodeRef::Borrowed(n) => n,
-            NodeRef::Cached(n) => n,
-            NodeRef::Guarded(g) => g,
-        }
-    }
-}
-
-impl<'t> NodeRef<'t> {
-    /// Collapses an L1 lookup outcome: front/pessimistic reads are owned
-    /// `Arc`s, guard reads keep the borrow (the pin drops with the ref).
-    #[inline]
-    fn from_l1(read: L1Read<'t, Node>) -> Self {
-        match read {
-            L1Read::Front(n) | L1Read::Shared(n, _) => NodeRef::Cached(n),
-            L1Read::Guard(g) => NodeRef::Guarded(g),
+            NodeRef::Page(n) => n,
         }
     }
 }
 
 /// One worker's view of the node storage: direct tree access, or a cache
-/// (shared or private) in front of the serialized pages, with a private
-/// direct-mapped L1 front absorbing this worker's repeat hits before they
-/// reach the shard locks (tagged page ids keep both trees in one front).
+/// (shared or private) in front of the serialized pages (tagged page ids
+/// keep both trees in one cache).
 struct NodeFetcher<'t> {
     a: &'t PagedTree,
     b: &'t PagedTree,
@@ -427,69 +408,32 @@ struct NodeFetcher<'t> {
     /// `(cache, stats index)` — the stats index is the worker id for the
     /// shared cache and 0 for a private one.
     cache: Option<(&'t SharedPageCache<Node>, usize)>,
-    /// Present exactly when `cache` is. Exclusive to this worker's thread.
-    l1: Option<L1Front<Node>>,
-    /// Per-tree coupling tokens: consecutive guarded reads of the same
-    /// tree chain parent→child seqlock validation across levels of the
-    /// depth-first descent. A broken chain resets per tree; the other
-    /// tree's descent is unaffected.
-    couple_a: OptCoupling,
-    couple_b: OptCoupling,
 }
-
-/// Slots in each worker's L1 front. Covers a join's working set of hot
-/// directory pages; data pages churn through and rarely repeat.
-const L1_SLOTS: usize = 64;
 
 impl<'t> NodeFetcher<'t> {
     #[inline]
-    fn node_a(&mut self, page: PageId) -> Result<NodeRef<'t>, PageError> {
+    fn node_a(&self, page: PageId) -> Result<NodeRef<'t>, PageError> {
         match self.cache {
             None => Ok(NodeRef::Borrowed(self.a.node(page))),
-            Some((cache, w)) => match &mut self.l1 {
-                Some(l1) => l1
-                    .try_get_coupled(cache, w, page, &mut self.couple_a, &self.source)
-                    .map(NodeRef::from_l1),
-                None => match cache.guard_get_coupled(w, page, &mut self.couple_a) {
-                    Some(g) => Ok(NodeRef::Guarded(g)),
-                    None => cache
-                        .try_get(w, page, &self.source)
-                        .map(|(n, _)| NodeRef::Cached(n)),
-                },
-            },
+            Some((cache, w)) => cache.read(w, page, &self.source).map(NodeRef::Page),
         }
     }
 
     #[inline]
-    fn node_b(&mut self, page: PageId) -> Result<NodeRef<'t>, PageError> {
-        let tagged = PageId(page.0 | TREE_B_TAG);
+    fn node_b(&self, page: PageId) -> Result<NodeRef<'t>, PageError> {
         match self.cache {
             None => Ok(NodeRef::Borrowed(self.b.node(page))),
-            Some((cache, w)) => match &mut self.l1 {
-                Some(l1) => l1
-                    .try_get_coupled(cache, w, tagged, &mut self.couple_b, &self.source)
-                    .map(NodeRef::from_l1),
-                None => match cache.guard_get_coupled(w, tagged, &mut self.couple_b) {
-                    Some(g) => Ok(NodeRef::Guarded(g)),
-                    None => cache
-                        .try_get(w, tagged, &self.source)
-                        .map(|(n, _)| NodeRef::Cached(n)),
-                },
-            },
+            Some((cache, w)) => cache
+                .read(w, PageId(page.0 | TREE_B_TAG), &self.source)
+                .map(NodeRef::Page),
         }
     }
 
-    /// This worker's buffer counters with the L1 front flushed first, so
-    /// every front hit up to this call is included — segment deltas taken
-    /// from consecutive calls reconcile exactly with the run aggregates.
-    fn synced_stats(&mut self) -> BufferStats {
+    /// This worker's buffer counters; segment deltas taken from
+    /// consecutive calls reconcile exactly with the run aggregates.
+    fn stats(&self) -> BufferStats {
         match self.cache {
-            Some((c, w)) => {
-                if let Some(l1) = &mut self.l1 {
-                    l1.flush(c, w);
-                }
-                c.stats(w)
-            }
+            Some((c, w)) => c.stats(w),
             None => BufferStats::default(),
         }
     }
@@ -853,34 +797,18 @@ fn run_with_caches(
             let tracer = ctl.trace.as_ref().map(|t| t.tracer(worker_tid(id)));
             handles.push(scope.spawn(move || {
                 let join_source = JoinSource { a, b };
-                let cache = caches.for_worker(id);
-                let mut fetcher = NodeFetcher {
+                let fetcher = NodeFetcher {
                     a,
                     b,
                     source: match fault {
                         Some(plan) => Source::Faulted(FaultSource::new(join_source, plan)),
                         None => Source::Plain(join_source),
                     },
-                    cache,
-                    l1: cache.map(|_| L1Front::new(L1_SLOTS)),
-                    couple_a: OptCoupling::root(),
-                    couple_b: OptCoupling::root(),
+                    cache: caches.for_worker(id),
                 };
                 run_worker(
-                    id,
-                    a,
-                    b,
-                    cfg,
-                    &mut fetcher,
-                    queues,
-                    injector,
-                    loads,
-                    candidates,
-                    node_pairs,
-                    steals,
-                    cancel,
-                    fail,
-                    tracer,
+                    id, a, b, cfg, &fetcher, queues, injector, loads, candidates, node_pairs,
+                    steals, cancel, fail, tracer,
                 )
             }));
         }
@@ -1037,7 +965,6 @@ fn close_segment(
         candidates,
         pages,
         hits_local: delta.hits_local,
-        hits_l1: delta.hits_l1,
         hits_remote: delta.hits_remote,
         misses: delta.misses,
         retries: delta.retries,
@@ -1159,7 +1086,7 @@ fn run_worker(
     a: &PagedTree,
     b: &PagedTree,
     cfg: &NativeConfig,
-    fetcher: &mut NodeFetcher<'_>,
+    fetcher: &NodeFetcher<'_>,
     queues: &[MorselQueue<Morsel>],
     injector: &MorselQueue<Morsel>,
     loads: &[WorkerLoad],
@@ -1180,9 +1107,9 @@ fn run_worker(
     let mut local_candidates = 0u64;
     let mut local_pairs = 0u64;
 
-    // Per-morsel attribution state. `synced_stats` flushes this worker's L1
-    // front and reads its own counters: both exclusive to it, so deltas
-    // between boundaries are exact.
+    // Per-morsel attribution state. `fetcher.stats()` reads this worker's
+    // own counters, which only this thread advances, so deltas between
+    // boundaries are exact.
     let buffered = fetcher.cache.is_some();
     let mut traces: Vec<TaskTrace> = Vec::new();
     let shim = StealOrder::new(cfg.steal_seed);
@@ -1218,7 +1145,7 @@ fn run_worker(
             tasks: morsel.tasks.len() as u32,
             start: Instant::now(),
             start_ns: tracer.as_ref().map_or(0, ThreadTracer::now_ns),
-            base_stats: fetcher.synced_stats(),
+            base_stats: fetcher.stats(),
             base_pairs: local_pairs,
             base_cands: local_candidates,
         };
@@ -1312,7 +1239,7 @@ fn run_worker(
             seg,
             id,
             buffered,
-            fetcher.synced_stats(),
+            fetcher.stats(),
             local_pairs,
             local_candidates,
             &mut traces,
@@ -1532,8 +1459,7 @@ mod tests {
         let res = run_native_join(&a, &b, &cfg);
         let stats = res.buffer.unwrap();
         // With a cache big enough to hold everything, each page is fetched
-        // once; another worker's first touch of it scores a remote hit (its
-        // repeats are absorbed by that worker's L1 front).
+        // once; another worker's touch of it scores a remote hit.
         assert!(stats.hits_remote > 0, "4 workers sharing pages: {stats:?}");
         assert!(stats.misses as usize <= total_pages);
     }
@@ -1659,15 +1585,9 @@ mod tests {
         let hits: u64 = res
             .task_traces
             .iter()
-            .map(|t| t.hits_local + t.hits_l1 + t.hits_remote)
+            .map(|t| t.hits_local + t.hits_remote)
             .sum();
-        assert_eq!(hits, stats.hits_local + stats.hits_l1 + stats.hits_remote);
-        let l1: u64 = res.task_traces.iter().map(|t| t.hits_l1).sum();
-        assert_eq!(l1, stats.hits_l1, "L1 front hits attribute fully");
-        assert!(
-            stats.hits_l1 > 0,
-            "a buffered join's repeat parent-page reads must hit the L1 front"
-        );
+        assert_eq!(hits, stats.hits_local + stats.hits_remote);
         let misses: u64 = res.task_traces.iter().map(|t| t.misses).sum();
         assert_eq!(misses, stats.misses);
     }

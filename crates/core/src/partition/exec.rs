@@ -724,7 +724,6 @@ fn run_worker(
             candidates: local_candidates - base_cands,
             pages: 0,
             hits_local: 0,
-            hits_l1: 0,
             hits_remote: 0,
             misses: 0,
             retries: 0,

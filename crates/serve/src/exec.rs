@@ -22,7 +22,7 @@
 //! returns a silently partial result: if any page it touched was
 //! unreadable, the whole query reports the storage error.
 
-use psj_buffer::{OptCoupling, PageGuard, SharedPageCache};
+use psj_buffer::{PageRef, SharedPageCache};
 use psj_core::{
     try_run_join, CancelToken, JoinEngine, NativeConfig, NativeError, RunControl, StealPolicy,
 };
@@ -137,78 +137,25 @@ impl psj_buffer::PageSource for TreeSet {
     }
 }
 
-/// One node read out of the query cache: a borrowing pin-guarded read when
-/// the page is resident and uncontended (no Arc clone, no shard mutex), an
-/// owned value off the fallback ladder otherwise. Either way the borrow
-/// lives only as long as the traversal looks at the node.
-pub enum PageRead<'c> {
-    /// Served by a coupled optimistic guard.
-    Guard(PageGuard<'c, Node>),
-    /// Served by the shared cache's optimistic-retry or pessimistic path.
-    Owned(Arc<Node>),
-}
-
-impl std::ops::Deref for PageRead<'_> {
-    type Target = Node;
-
-    #[inline]
-    fn deref(&self) -> &Node {
-        match self {
-            PageRead::Guard(g) => g,
-            PageRead::Owned(n) => n,
-        }
-    }
-}
-
 /// Cache-backed [`NodeAccess`] over one tree of a [`TreeSet`]: every read
-/// first tries a coupled guard (each page's seqlock validation re-checks
-/// the previously read page's version, extending validity across levels of
-/// the descent), falling back per page to the pessimistic path. Carries
-/// the per-traversal coupling chain, so one `CachedNodes` value serves one
-/// query descent.
+/// goes through [`SharedPageCache::read`], so a resident page is a
+/// borrowing guard and only a miss or a contended shard takes the mutex.
 struct CachedNodes<'c> {
     trees: &'c TreeSet,
     cache: &'c SharedPageCache<Node>,
     worker: usize,
     tree: usize,
-    chain: OptCoupling,
-}
-
-impl<'c> CachedNodes<'c> {
-    fn new(
-        trees: &'c TreeSet,
-        cache: &'c SharedPageCache<Node>,
-        worker: usize,
-        tree: usize,
-    ) -> Self {
-        CachedNodes {
-            trees,
-            cache,
-            worker,
-            tree,
-            chain: OptCoupling::root(),
-        }
-    }
 }
 
 impl NodeAccess for CachedNodes<'_> {
     type Ref<'a>
-        = PageRead<'a>
+        = PageRef<'a, Node>
     where
         Self: 'a;
 
-    fn read(&mut self, page: PageId) -> Result<PageRead<'_>, PageError> {
+    fn read(&mut self, page: PageId) -> Result<PageRef<'_, Node>, PageError> {
         let key = self.trees.key(self.tree, page);
-        match self
-            .cache
-            .guard_get_coupled(self.worker, key, &mut self.chain)
-        {
-            Some(g) => Ok(PageRead::Guard(g)),
-            None => self
-                .cache
-                .try_get(self.worker, key, self.trees)
-                .map(|(n, _)| PageRead::Owned(n)),
-        }
+        self.cache.read(self.worker, key, self.trees)
     }
 }
 
@@ -258,7 +205,12 @@ pub fn window(
     if t.is_empty() {
         return Outcome::Ok(out);
     }
-    let mut access = CachedNodes::new(trees, cache, worker, tree as usize);
+    let mut access = CachedNodes {
+        trees,
+        cache,
+        worker,
+        tree: tree as usize,
+    };
     let mut stack = vec![t.root()];
     while let Some(page) = stack.pop() {
         if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -336,7 +288,12 @@ pub fn nearest(
     if k == 0 || t.is_empty() {
         return Outcome::Ok(out);
     }
-    let mut access = CachedNodes::new(trees, cache, worker, tree_idx);
+    let mut access = CachedNodes {
+        trees,
+        cache,
+        worker,
+        tree: tree_idx,
+    };
     if deadline.is_none() {
         // No deadline to check per node: the shared best-first descent from
         // the rtree crate runs straight through the guard-backed accessor.

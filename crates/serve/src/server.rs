@@ -269,9 +269,6 @@ impl Shared {
             cache_opt_hits: snap.opt.hits,
             cache_opt_retries: snap.opt.retries,
             cache_opt_fallbacks: snap.opt.fallbacks,
-            cache_guard_hits: snap.opt.guard_hits,
-            cache_opt_coupled: snap.opt.coupled,
-            cache_opt_renewed: snap.opt.renewed,
         })
     }
 

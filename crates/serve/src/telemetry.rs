@@ -67,9 +67,6 @@ pub struct Telemetry {
     cache_opt_hits: Arc<Counter>,
     cache_opt_retries: Arc<Counter>,
     cache_opt_fallbacks: Arc<Counter>,
-    cache_guard_hits: Arc<Counter>,
-    cache_opt_coupled: Arc<Counter>,
-    cache_opt_renewed: Arc<Counter>,
 }
 
 impl Default for Telemetry {
@@ -134,18 +131,6 @@ impl Default for Telemetry {
                 "psj_cache_opt_fallbacks",
                 "Optimistic reads that fell back to the shard mutex",
             ),
-            cache_guard_hits: r.counter(
-                "psj_cache_guard_hits",
-                "Borrowing guard reads served with neither shard mutex nor Arc clone",
-            ),
-            cache_opt_coupled: r.counter(
-                "psj_cache_opt_coupled",
-                "Guard reads whose parent coupling link validated unchanged",
-            ),
-            cache_opt_renewed: r.counter(
-                "psj_cache_opt_renewed",
-                "Guard couplings renewed in place after a parent-shard version bump",
-            ),
             registry: r,
         }
     }
@@ -175,20 +160,14 @@ pub struct GaugeSnapshot {
     pub quarantined_pages: u64,
     /// Page fetches retried by the cache since start.
     pub page_retries: u64,
-    /// Cache hits served by the optimistic (seqlock) read path, i.e.
-    /// without taking any shard mutex.
+    /// Cache hits served by a borrowing guard (the seqlock read path),
+    /// i.e. without taking any shard mutex.
     pub cache_opt_hits: u64,
-    /// Optimistic-read validation failures that were retried.
+    /// Guard-read validation failures that were retried.
     pub cache_opt_retries: u64,
-    /// Optimistic reads that exhausted their retries and fell back to the
+    /// Guard reads that exhausted their retries and fell back to the
     /// pessimistic mutex path.
     pub cache_opt_fallbacks: u64,
-    /// Borrowing guard reads (no shard mutex, no Arc clone).
-    pub cache_guard_hits: u64,
-    /// Guard reads whose parent coupling link validated unchanged.
-    pub cache_opt_coupled: u64,
-    /// Guard couplings renewed in place after a parent-shard version bump.
-    pub cache_opt_renewed: u64,
 }
 
 impl Telemetry {
@@ -241,9 +220,6 @@ impl Telemetry {
         sync(&self.cache_opt_hits, snap.cache_opt_hits);
         sync(&self.cache_opt_retries, snap.cache_opt_retries);
         sync(&self.cache_opt_fallbacks, snap.cache_opt_fallbacks);
-        sync(&self.cache_guard_hits, snap.cache_guard_hits);
-        sync(&self.cache_opt_coupled, snap.cache_opt_coupled);
-        sync(&self.cache_opt_renewed, snap.cache_opt_renewed);
         self.registry.render_prometheus()
     }
 }
@@ -326,18 +302,12 @@ mod tests {
             cache_opt_hits: 41,
             cache_opt_retries: 7,
             cache_opt_fallbacks: 2,
-            cache_guard_hits: 19,
-            cache_opt_coupled: 11,
-            cache_opt_renewed: 3,
             ..Default::default()
         });
         for name in [
             "psj_cache_opt_hits",
             "psj_cache_opt_retries",
             "psj_cache_opt_fallbacks",
-            "psj_cache_guard_hits",
-            "psj_cache_opt_coupled",
-            "psj_cache_opt_renewed",
         ] {
             assert!(
                 text.contains(&format!("# TYPE {name} counter")),
@@ -349,21 +319,15 @@ mod tests {
             );
         }
         assert!(text.contains("psj_cache_opt_hits 41"), "{text}");
-        assert!(text.contains("psj_cache_guard_hits 19"), "{text}");
         // A later scrape with larger cache counts advances the counters by
         // the delta — values track the cache exactly, monotonically.
         let text2 = t.render_prometheus(&GaugeSnapshot {
             cache_opt_hits: 55,
             cache_opt_retries: 7,
             cache_opt_fallbacks: 4,
-            cache_guard_hits: 31,
-            cache_opt_coupled: 12,
-            cache_opt_renewed: 3,
             ..Default::default()
         });
         assert!(text2.contains("psj_cache_opt_hits 55"), "{text2}");
         assert!(text2.contains("psj_cache_opt_fallbacks 4"), "{text2}");
-        assert!(text2.contains("psj_cache_guard_hits 31"), "{text2}");
-        assert!(text2.contains("psj_cache_opt_coupled 12"), "{text2}");
     }
 }
