@@ -127,6 +127,22 @@ impl Lru {
         }
     }
 
+    /// Evicts and returns the least recently used page for which `ok`
+    /// holds, asking from the LRU end towards the MRU end; `None`, with
+    /// nothing evicted, when it holds for no resident page.
+    pub fn evict_where(&mut self, mut ok: impl FnMut(PageId) -> bool) -> Option<PageId> {
+        let mut cur = self.tail;
+        while cur != NIL {
+            let page = self.slots[cur as usize].page;
+            if ok(page) {
+                self.remove(page);
+                return Some(page);
+            }
+            cur = self.slots[cur as usize].prev;
+        }
+        None
+    }
+
     /// The least-recently-used page, if any (does not remove it).
     pub fn lru_page(&self) -> Option<PageId> {
         (self.tail != NIL).then(|| self.slots[self.tail as usize].page)
@@ -268,6 +284,24 @@ mod tests {
         assert_eq!(l.insert(p(2)), Some(p(1)));
         assert_eq!(l.insert(p(3)), Some(p(2)));
         assert_eq!(l.len(), 1);
+    }
+
+    #[test]
+    fn evict_where_skips_refused_pages_in_lru_order() {
+        let mut l = Lru::new(4);
+        for n in [1, 2, 3, 4] {
+            l.insert(p(n));
+        }
+        let mut asked = Vec::new();
+        let victim = l.evict_where(|page| {
+            asked.push(page);
+            page != p(1) && page != p(2)
+        });
+        assert_eq!(asked, vec![p(1), p(2), p(3)]);
+        assert_eq!(victim, Some(p(3)));
+        assert_eq!(l.pages_mru_order(), vec![p(4), p(2), p(1)]);
+        assert_eq!(l.evict_where(|_| false), None);
+        assert_eq!(l.len(), 3);
     }
 
     #[test]

@@ -62,6 +62,15 @@ impl Fifo {
         evicted
     }
 
+    /// Evicts and returns the oldest page for which `ok` holds; `None`,
+    /// with nothing evicted, when it holds for none.
+    pub fn evict_where(&mut self, ok: impl FnMut(PageId) -> bool) -> Option<PageId> {
+        let pos = self.queue.iter().copied().position(ok)?;
+        let victim = self.queue.remove(pos).expect("position is in range");
+        self.set.remove(&victim);
+        Some(victim)
+    }
+
     /// Number of resident pages.
     pub fn len(&self) -> usize {
         self.set.len()
@@ -136,6 +145,30 @@ impl Clock {
         }
     }
 
+    /// Evicts and returns the first page under the clock hand that is
+    /// unreferenced and for which `ok` holds, clearing reference bits as
+    /// the hand passes. Two revolutions ask every page at least once;
+    /// `None`, with nothing evicted, when `ok` held for none.
+    pub fn evict_where(&mut self, mut ok: impl FnMut(PageId) -> bool) -> Option<PageId> {
+        for _ in 0..2 * self.frames.len() {
+            let (page, referenced) = self.frames[self.hand];
+            if referenced {
+                self.frames[self.hand].1 = false;
+            } else if ok(page) {
+                self.map.remove(&page);
+                self.frames.swap_remove(self.hand);
+                if let Some(&(moved, _)) = self.frames.get(self.hand) {
+                    self.map.insert(moved, self.hand);
+                } else {
+                    self.hand = 0;
+                }
+                return Some(page);
+            }
+            self.hand = (self.hand + 1) % self.frames.len();
+        }
+        None
+    }
+
     /// Number of resident pages.
     pub fn len(&self) -> usize {
         self.frames.len()
@@ -189,6 +222,19 @@ impl PageBuffer {
             PageBuffer::Lru(b) => b.insert(page),
             PageBuffer::Fifo(b) => b.insert(page),
             PageBuffer::Clock(b) => b.insert(page),
+        }
+    }
+
+    /// Evicts and returns the first page in the policy's eviction order
+    /// for which `ok` holds; `None`, with nothing evicted, when it holds
+    /// for none. `ok` is asked in eviction order: once per candidate under
+    /// LRU and FIFO, up to twice under CLOCK, whose scan may pass a page it
+    /// refused on each of its two revolutions.
+    pub fn evict_where(&mut self, ok: impl FnMut(PageId) -> bool) -> Option<PageId> {
+        match self {
+            PageBuffer::Lru(b) => b.evict_where(ok),
+            PageBuffer::Fifo(b) => b.evict_where(ok),
+            PageBuffer::Clock(b) => b.evict_where(ok),
         }
     }
 
@@ -288,6 +334,25 @@ mod tests {
             }
             assert_eq!(b.len(), 3, "{policy:?}");
             assert!(b.contains(p(4)), "{policy:?} keeps the newest page");
+        }
+    }
+
+    #[test]
+    fn evict_where_takes_the_first_accepted_victim_for_every_policy() {
+        for policy in [Policy::Lru, Policy::Fifo, Policy::Clock] {
+            let mut b = PageBuffer::new(policy, 3);
+            for n in 0..3 {
+                b.insert(p(n));
+            }
+            let victim = b
+                .evict_where(|page| page != p(0))
+                .expect("one page accepted");
+            assert_ne!(victim, p(0), "{policy:?}");
+            assert!(!b.contains(victim) && b.contains(p(0)), "{policy:?}");
+            assert_eq!(b.len(), 2, "{policy:?}");
+            assert_eq!(b.evict_where(|_| false), None, "{policy:?}");
+            assert_eq!(b.insert(p(9)), None, "{policy:?}: room was made");
+            assert_eq!(b.len(), 3, "{policy:?}");
         }
     }
 

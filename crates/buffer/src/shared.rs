@@ -6,10 +6,13 @@
 //! runs real OS threads, which need a cache that is *correct under
 //! concurrency* while preserving the paper's semantics:
 //!
-//! * bounded residency — at most `capacity` pages cached across all shards,
+//! * bounded residency — a fixed set of `capacity` page frames (slots)
+//!   across all shards, allocated once,
 //! * single fetch per page — concurrent requesters of a non-resident page
 //!   wait for the one in-flight load instead of fetching twice (the paper's
 //!   §3.1 in-flight mechanism, here a per-shard condvar),
+//! * a page in use stays resident — a slot some reader holds is never
+//!   chosen for replacement,
 //! * per-worker [`BufferStats`] distinguishing local hits, *remote* hits
 //!   (page cached by a different worker — the global organization's
 //!   interconnect traffic), in-flight waits, misses, and evictions,
@@ -17,16 +20,17 @@
 //!   machinery, LRU by default.
 //!
 //! The cache is generic over what a page decodes to (`T`): the native join
-//! caches decoded R\*-tree nodes, the pager tests cache raw 4 KB pages.
-//! Values are stored as `Arc<T>`, so a page a worker is still using (a
-//! held guard or a cloned `Arc`) stays valid even if the cache evicts it
-//! concurrently — eviction only drops the cache's reference.
+//! caches fixed-size node frames, the serve layer decoded R\*-tree nodes,
+//! the pager tests raw 4 KB pages. Values live **in place** in their slot:
+//! a miss fills the slot through [`PageSource::fill_page`] and a hit lends
+//! out `&T` from it, so the cache allocates nothing after construction.
 //!
 //! Sharding: a page's shard is `hash(page) % shards`. Each shard has its own
-//! mutex, residency buffer (`capacity / shards` pages, ≥ 1), and condvar, so
-//! disjoint pages contend only 1/N of the time. With `shards == 1` the cache
-//! degenerates to a single global lock — the configuration a per-worker
-//! *local* buffer uses, since it is uncontended anyway.
+//! mutex, slots (`capacity / shards`, the first `capacity % shards` shards
+//! one more), and condvar, so disjoint pages contend only 1/N of the time.
+//! With `shards == 1` the cache degenerates to a single global lock — the
+//! configuration a per-worker *local* buffer uses, since it is uncontended
+//! anyway.
 //!
 //! ## Failure handling
 //!
@@ -40,49 +44,50 @@
 //! source again, so one poisoned page degrades exactly the requests that
 //! need it while the device is spared a re-read storm.
 //!
-//! ## One read protocol: guard, else pessimistic fill
+//! ## Slots, the page table and guards
 //!
-//! [`SharedPageCache::read`] is the read entry. A hit on a resident page
-//! takes **no shard mutex** and clones no `Arc`: it returns a
-//! [`PageGuard`] that borrows the value straight out of the shard. Only
-//! a page that is not resident, or a shard that a writer is churning
-//! right now, takes the pessimistic path under the mutex, which owns
-//! single-flight fills, quarantine replay and replacement promotion.
-//! [`SharedPageCache::try_get`] and [`SharedPageCache::get`] are `read`
-//! followed by [`PageRef::to_arc`], for callers that keep the value.
+//! Each shard owns a slab of slots, one uninitialised allocation made at
+//! construction; a slot is written by the fill that reserved it before
+//! anyone reads it. Every slot carries three atomics: `tag` (`page + 1`
+//! while the slot holds a published page, 0 otherwise), `pins` (live
+//! [`PageGuard`]s) and `owner` (the worker whose fill loaded it). A
+//! lock-free open-addressed *page table* maps page → slot; it is the only
+//! index of resident pages.
 //!
-//! Each shard carries a seqlock word (odd = a resident page is being
-//! removed) plus a fixed open-addressed *mirror* of atomic slots — one
-//! `(tag, owner, payload pointer, pin count)` quadruple per resident page.
-//! A guard read snapshots the version, probes the mirror, *pins* the
-//! matching slot and re-validates the version; the pin is then the
-//! guard's lease on the payload until it drops. Any mismatch unpins and
-//! retries, and after [`OPT_ATTEMPTS`](SharedPageCache) failed
-//! validations the read falls back to the pessimistic path. A request
-//! probes the mirror once, so it books at most one
-//! [`OptStats::fallbacks`].
+//! [`SharedPageCache::try_get`] is the read entry. A hit on a resident page
+//! takes **no shard mutex**: it probes the table, pins the slot and checks
+//! the slot's own tag, and the pin is then the [`PageGuard`]'s lease on the
+//! value until it drops. A tag that no longer names the page means the slot
+//! is being replaced right now, and the read goes straight to the mutex
+//! path, booking one [`OptStats::fallbacks`]. The mutex path owns
+//! single-flight fills, quarantine replay and replacement promotion; it
+//! also returns a guard.
 //!
-//! Mutations — fills, evictions, quarantine — run under the shard mutex.
-//! Inserts into empty slots publish the tag last (release) and need no
-//! version bump. An eviction flips the version odd, clears the victim's
-//! slot, and flips it back. It never waits for the victim's pins to
-//! drain: a reader may hold a guard on the victim *while* performing the
-//! pessimistic fill that evicts it, and a drain-wait would deadlock on
-//! that reader's own pin. Instead `Shard::mirror_remove` retires the
-//! payload's strong reference to a per-shard *graveyard* that is swept
-//! once the pins drain. The reader's `pin ; load version` and the
-//! remover's `store version ; load pins` are SeqCst (Dekker): either the
-//! reader's validation fails, or its pin is visible to the remover, which
-//! then defers the free.
+//! ## Why a pinned slot needs no deferred free
 //!
-//! A quarantine leaves the version alone: the corrupt page was loading,
-//! never resident, so no mirror slot and no guard refers to it.
+//! Mutations — fills, evictions, quarantine — run under the shard mutex. A
+//! fill reserves its slot before it fetches: a free slot, else the slot of
+//! the replacement policy's first **unpinned** page. To test a candidate
+//! the remover clears its tag and then reads its pins, both SeqCst; the
+//! reader's `pin ; load tag` is SeqCst too (Dekker). Either the reader sees
+//! the cleared tag and backs off without touching the value, or the
+//! remover sees the pin, restores the tag and asks the policy for the next
+//! page. A slot a guard holds is therefore never reused, its value never
+//! moves or dies under the guard, and nothing has to be freed later. A
+//! reader may hold a guard on a page *while* performing a fill in the same
+//! shard: the fill simply takes another slot.
+//!
+//! If every slot of the shard is pinned or reserved, the fill serves the
+//! page **unbuffered** ([`PageRef::Unbuffered`]): booked as a miss, nothing
+//! evicted, the page not cached ([`CacheSnapshot::unbuffered`] counts
+//! them). A join holds at most two pins per worker, so a shard with more
+//! than `2 × workers` slots never overflows.
 //!
 //! ## Why a guard is validated alone
 //!
 //! Every cached value is an immutable decode of a frozen page. Once a
-//! guard has validated its pin, its payload is the page's only value and
-//! stays alive until the guard drops, whatever happens to other pages. A
+//! guard has validated its pin, its value is the page's only value and
+//! stays in place until the guard drops, whatever happens to other pages. A
 //! B-tree that changes nodes in place chains validation from parent to
 //! child (optimistic lock coupling), because a parent's change can move
 //! the child's keys elsewhere. Here a parent's eviction changes nothing a
@@ -100,14 +105,17 @@
 use crate::policy::{PageBuffer, Policy};
 use crate::stats::{BufferStats, OptStats};
 use psj_store::{lock_clean, wait_clean, FaultPlan, Page, PageError, PageId, RetryPolicy};
+use std::cell::UnsafeCell;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::mem::MaybeUninit;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-/// Where a page's bytes come from on a cache miss.
+/// Where a page's value comes from on a cache miss.
 ///
 /// Implemented by the disk-backed [`psj_store::FilePager`] (raw pages) and,
-/// in `psj-core`, by an adapter over `PagedTree` (decoded nodes).
+/// in `psj-core` and `psj-serve`, by adapters over `PagedTree` (node frames
+/// and decoded nodes).
 pub trait PageSource {
     /// What a fetched page decodes to.
     type Item;
@@ -117,12 +125,27 @@ pub trait PageSource {
     /// one in-flight fetch per page. Retryable failures are retried by the
     /// cache under its [`RetryPolicy`]; a corrupt result quarantines the
     /// page; other final failures are propagated to the requester by
-    /// [`SharedPageCache::read`] and cached nowhere — the next request
+    /// [`SharedPageCache::try_get`] and cached nowhere — the next request
     /// for the page retries the source.
     fn fetch_page(&self, page: PageId) -> Result<Self::Item, PageError>;
 
     /// Total number of pages this source can serve (page ids `0..n`).
     fn page_count(&self) -> usize;
+
+    /// Fetches `page` straight into `slot`, the cache slot its value will
+    /// live in, and returns the value there, as the reference
+    /// `MaybeUninit::write` gives (the cache checks it is `slot`); the
+    /// cache calls only this method. The default forwards to
+    /// [`PageSource::fetch_page`]; a source that can build its value in
+    /// place overrides it to skip the intermediate value. On `Err`, `slot`
+    /// holds no value: whatever was written is neither read nor dropped.
+    fn fill_page<'s>(
+        &self,
+        page: PageId,
+        slot: &'s mut MaybeUninit<Self::Item>,
+    ) -> Result<&'s mut Self::Item, PageError> {
+        Ok(slot.write(self.fetch_page(page)?))
+    }
 }
 
 /// How a request was satisfied; returned so callers can account costs
@@ -143,13 +166,55 @@ pub enum SharedAccess {
     Miss,
 }
 
-struct ShardState<T> {
-    /// Residency + replacement order over this shard's pages.
+/// Tag of a slot that holds no published page ([`SlotMeta::tag`]).
+const TAG_EMPTY: u64 = 0;
+
+/// Page-table entry of an unused table position.
+const ENTRY_EMPTY: u64 = 0;
+
+/// Every `TOUCH_SAMPLE`-th guard hit per worker re-touches the page in
+/// its shard's replacement order (under `try_lock`, skipped when the
+/// mutex is busy). Guard hits otherwise never promote, so a
+/// permanently hot page would look idle to the LRU and could be evicted
+/// by a stream of cold fills; sampling keeps the promotion cost off the
+/// hot path while bounding how stale a hot page's recency can get.
+const TOUCH_SAMPLE: u64 = 64;
+
+#[inline]
+fn tag_of(page: PageId) -> u64 {
+    page.0 as u64 + 1
+}
+
+/// Fibonacci hash of a page id: the high half picks the shard, the low
+/// bits the page table's home position. Plain modulo would put all of a
+/// small tree's sequential page ids in adjacent shards.
+#[inline]
+fn page_hash(page: PageId) -> u64 {
+    (page.0 as u64).wrapping_mul(0x9E3779B97F4A7C15)
+}
+
+/// The atomics of one slot. All writes but `pins` happen under the shard
+/// mutex; readers only pin and unpin.
+#[derive(Default)]
+struct SlotMeta {
+    /// `page + 1` while the slot holds a published page, [`TAG_EMPTY`]
+    /// otherwise. Stored `Release` after the value and `owner`, so a reader
+    /// that observes the tag observes both.
+    tag: AtomicU64,
+    /// Live [`PageGuard`]s on the slot. SeqCst pairs the reader's
+    /// `pin ; load tag` against a remover's `clear tag ; load pins`
+    /// (Dekker): either the reader sees the cleared tag and backs off, or
+    /// the remover sees the pin and leaves the slot alone.
+    pins: AtomicUsize,
+    /// Worker whose fill loaded the page.
+    owner: AtomicUsize,
+}
+
+struct ShardState {
+    /// Residency + replacement order over this shard's published pages.
     buf: PageBuffer,
-    /// Cached values for resident pages.
-    data: HashMap<PageId, Arc<T>>,
-    /// Worker whose fetch loaded each resident page.
-    owner: HashMap<PageId, usize>,
+    /// Slots holding no value: never filled, or returned by a failed fill.
+    free: Vec<u32>,
     /// Pages some worker is currently fetching.
     loading: HashSet<PageId>,
     /// Pages whose fill returned a corrupt (unrecoverable) error: the
@@ -162,263 +227,216 @@ struct ShardState<T> {
     waiters: usize,
 }
 
-/// Validation attempts a guard read makes before falling back to the
-/// pessimistic mutex path. Low on purpose: a failed validation means a
-/// writer is churning this shard right now, and queueing on the mutex is
-/// cheaper than spinning through its critical section.
-const OPT_ATTEMPTS: usize = 3;
-
-/// Linear-probe window in the mirror. With the mirror sized at 2× the
-/// shard's capacity (load factor ≤ 0.5) a window of 8 makes an
-/// unmirrorable page vanishingly rare; such a page is still served
-/// correctly, just pessimistically.
-const MIRROR_PROBE: usize = 8;
-
-/// Tag value of an empty mirror slot ([`OptSlot::tag`]).
-const TAG_EMPTY: u64 = 0;
-
-/// Every `TOUCH_SAMPLE`-th guard hit per worker re-touches the page in
-/// its shard's replacement order (under `try_lock`, skipped when the
-/// mutex is busy). Guard hits otherwise never promote, so a
-/// permanently hot page would look idle to the LRU and could be evicted
-/// by a stream of cold fills; sampling keeps the promotion cost off the
-/// hot path while bounding how stale a hot page's recency can get.
-const TOUCH_SAMPLE: u64 = 64;
-
-/// One slot of a shard's lock-free mirror: the subset of shard state an
-/// optimistic reader needs, republished as atomics. All *writes* happen
-/// under the shard mutex (there is exactly one mutator at a time); readers
-/// never write anything but `pins`.
-struct OptSlot<T> {
-    /// `page.0 + 1` for an occupied slot, [`TAG_EMPTY`] otherwise. Stored
-    /// `Release` *after* `ptr`/`owner` on insert, so a reader that observes
-    /// the tag observes the payload.
-    tag: AtomicU64,
-    /// Worker whose fetch loaded the page (mirrors `ShardState::owner`).
-    owner: AtomicUsize,
-    /// `Arc::into_raw` of the mirror's own strong reference to the value.
-    /// Null iff the slot is empty.
-    ptr: AtomicPtr<T>,
-    /// Each live [`PageGuard`] on this slot holds a pin; a remover that
-    /// sees pins (after flipping the version odd) retires the slot's
-    /// reference to the graveyard instead of releasing it. SeqCst pairs
-    /// the reader's `pin ; load version` against the writer's
-    /// `store version ; load pins` (Dekker), so either the reader sees the
-    /// odd/advanced version and aborts, or the writer sees the pin and
-    /// defers the free.
-    pins: AtomicUsize,
-}
-
-impl<T> OptSlot<T> {
-    fn empty() -> Self {
-        OptSlot {
-            tag: AtomicU64::new(TAG_EMPTY),
-            owner: AtomicUsize::new(0),
-            ptr: AtomicPtr::new(std::ptr::null_mut()),
-            pins: AtomicUsize::new(0),
-        }
-    }
-}
-
-/// A mirror payload whose slot was unpublished while readers still held
-/// pins on it. The remover transfers the mirror's strong reference here
-/// instead of blocking on the drain; [`Shard::sweep_graveyard`] frees it
-/// once the slot's pin count has been observed at zero.
-struct Retired<T> {
-    /// Index of the mirror slot the payload was published in.
-    slot: usize,
-    /// The `Arc::into_raw` strong reference the mirror gave up.
-    ptr: *const T,
-}
-
-// SAFETY: a retired entry owns an `Arc` strong reference (as a raw
-// pointer); moving it between threads moves that ownership, which is safe
-// exactly when `Arc<T>` itself is sendable.
-unsafe impl<T: Send + Sync> Send for Retired<T> {}
-
 struct Shard<T> {
-    state: Mutex<ShardState<T>>,
+    state: Mutex<ShardState>,
     loaded: Condvar,
-    capacity: usize,
-    /// The seqlock word. Odd while a mutator is removing a resident page;
-    /// advances (by 2) exactly when a resident page leaves the shard. A
-    /// guard read validates its pin against it.
-    version: AtomicU64,
-    /// Lock-free mirror of the resident-page table; power-of-two sized.
-    mirror: Box<[OptSlot<T>]>,
-    /// Payloads unpublished from the mirror while still pinned (a
-    /// [`PageGuard`] was outstanding). Swept opportunistically on every
-    /// mirror mutation and drained by [`SharedPageCache::check_invariants`]
-    /// and `Drop`. Its own mutex (not `state`): sweeps must be safe from a
-    /// thread that already holds — or is about to take — the state lock.
-    graveyard: Mutex<Vec<Retired<T>>>,
+    /// One entry per slot.
+    meta: Box<[SlotMeta]>,
+    /// The slot slab. A slot's value is initialised exactly while its tag
+    /// is set, plus the span of a fill between writing it and publishing.
+    values: Box<[UnsafeCell<MaybeUninit<T>>]>,
+    /// Page table: `page << 32 | (slot + 1)` per entry, [`ENTRY_EMPTY`]
+    /// for none; power-of-two sized at ≥ 2× the slots, linear probing.
+    /// Written only under `state`; read lock-free, where an entry is a
+    /// hint the slot's own tag confirms.
+    table: Box<[AtomicU64]>,
 }
+
+// SAFETY: a slot's value is written only by the one fill that reserved it
+// (no tag, no table entry, so no reader) and read only through a pin
+// validated against its tag, which keeps every remover away (see the
+// module docs); the rest of the shard is atomics and mutex-guarded state.
+unsafe impl<T: Send + Sync> Sync for Shard<T> {}
 
 impl<T> Shard<T> {
-    /// Slot probe sequence for `page`: start index plus the next
-    /// [`MIRROR_PROBE`]-1 slots, wrapping. Decorrelated from shard
-    /// selection (which consumes the hash's top bits) by using the low
-    /// bits.
-    #[inline]
-    fn slot_base(&self, page: PageId) -> usize {
-        let h = (page.0 as u64).wrapping_mul(0x9E3779B97F4A7C15);
-        h as usize & (self.mirror.len() - 1)
+    fn new(slots: usize, policy: Policy) -> Self {
+        let values: Box<[MaybeUninit<T>]> = Box::new_uninit_slice(slots);
+        // SAFETY: `UnsafeCell<X>` is `repr(transparent)` over `X`.
+        let values =
+            unsafe { Box::from_raw(Box::into_raw(values) as *mut [UnsafeCell<MaybeUninit<T>>]) };
+        let table_len = (slots * 2).next_power_of_two().max(16);
+        Shard {
+            state: Mutex::new(ShardState {
+                buf: PageBuffer::new(policy, slots),
+                free: (0..slots as u32).rev().collect(),
+                loading: HashSet::new(),
+                quarantined: HashMap::new(),
+                waiters: 0,
+            }),
+            loaded: Condvar::new(),
+            meta: (0..slots).map(|_| SlotMeta::default()).collect(),
+            values,
+            table: (0..table_len)
+                .map(|_| AtomicU64::new(ENTRY_EMPTY))
+                .collect(),
+        }
     }
 
     #[inline]
-    fn tag_of(page: PageId) -> u64 {
-        page.0 as u64 + 1
+    fn home(&self, page: PageId) -> usize {
+        page_hash(page) as usize & (self.table.len() - 1)
+    }
+
+    /// `(table position, slot)` of `page`. Exact under the shard mutex;
+    /// lock-free it may miss an entry a concurrent removal is shifting,
+    /// which only sends that read to the mutex path.
+    #[inline]
+    fn probe(&self, page: PageId) -> Option<(usize, usize)> {
+        let mask = self.table.len() - 1;
+        let mut pos = self.home(page);
+        for _ in 0..self.table.len() {
+            let entry = self.table[pos].load(Ordering::Acquire);
+            if entry == ENTRY_EMPTY {
+                return None;
+            }
+            if (entry >> 32) as u32 == page.0 {
+                return Some((pos, (entry as u32 - 1) as usize));
+            }
+            pos = (pos + 1) & mask;
+        }
+        None
+    }
+
+    /// Adds `page → slot` (under the shard mutex). Slots are at most half
+    /// the table, so the probe always finds an empty position.
+    fn table_insert(&self, page: PageId, slot: usize) {
+        let mask = self.table.len() - 1;
+        let mut pos = self.home(page);
+        while self.table[pos].load(Ordering::Relaxed) != ENTRY_EMPTY {
+            pos = (pos + 1) & mask;
+        }
+        let entry = (page.0 as u64) << 32 | (slot as u64 + 1);
+        self.table[pos].store(entry, Ordering::Release);
+    }
+
+    /// Removes `page` (under the shard mutex) by backward-shift deletion,
+    /// which keeps every probe sequence gap-free without tombstones.
+    fn table_remove(&self, page: PageId) {
+        let mask = self.table.len() - 1;
+        let Some((mut hole, _)) = self.probe(page) else {
+            return;
+        };
+        let mut pos = hole;
+        loop {
+            pos = (pos + 1) & mask;
+            let entry = self.table[pos].load(Ordering::Relaxed);
+            if entry == ENTRY_EMPTY {
+                break;
+            }
+            // The entry may fill the hole unless its home lies cyclically
+            // after the hole, i.e. unless the hole is not on its probe path.
+            let home = self.home(PageId((entry >> 32) as u32));
+            if (pos.wrapping_sub(home) & mask) >= (pos.wrapping_sub(hole) & mask) {
+                self.table[hole].store(entry, Ordering::Release);
+                hole = pos;
+            }
+        }
+        self.table[hole].store(ENTRY_EMPTY, Ordering::Release);
+    }
+
+    #[inline]
+    fn value(&self, slot: usize) -> *mut MaybeUninit<T> {
+        self.values[slot].get()
+    }
+
+    /// A guard on a resident `slot`, pinned under the shard mutex: no
+    /// remover runs while the mutex is held, so the pin needs no
+    /// validation.
+    fn pin_locked(&self, slot: usize, page: PageId, access: SharedAccess) -> PageGuard<'_, T> {
+        let meta = &self.meta[slot];
+        meta.pins.fetch_add(1, Ordering::SeqCst);
+        PageGuard {
+            pins: &meta.pins,
+            value: self.value(slot).cast_const().cast(),
+            page,
+            access,
+        }
+    }
+
+    /// Reserves the slot a fill of a new page writes (under the shard
+    /// mutex): a free slot, else the slot of the replacement policy's first
+    /// unpinned page, which is evicted here. `None` when every slot is
+    /// pinned or reserved by other fills. The reserved slot holds no value,
+    /// no tag and no table entry, so nobody else reads or writes it.
+    fn reserve(&self, state: &mut ShardState) -> Option<(usize, bool)> {
+        if let Some(slot) = state.free.pop() {
+            return Some((slot as usize, false));
+        }
+        let mut claimed = None;
+        let victim = state.buf.evict_where(|page| {
+            let (_, slot) = self.probe(page).expect("a resident page is in the table");
+            let meta = &self.meta[slot];
+            // Dekker with the reader's `pin ; load tag` (see `SlotMeta`).
+            meta.tag.store(TAG_EMPTY, Ordering::SeqCst);
+            if meta.pins.load(Ordering::SeqCst) == 0 {
+                claimed = Some(slot);
+                true
+            } else {
+                meta.tag.store(tag_of(page), Ordering::Release);
+                false
+            }
+        })?;
+        self.table_remove(victim);
+        let slot = claimed.expect("an evicted page's slot was claimed");
+        // SAFETY: the slot held `victim`'s value (its tag was set), and no
+        // pin is left or can validate on it any more.
+        unsafe { (*self.value(slot)).assume_init_drop() };
+        Some((slot, true))
+    }
+
+    /// Publishes a filled `slot` as `page` (under the shard mutex) and
+    /// returns the filler's guard on it.
+    fn publish(
+        &self,
+        state: &mut ShardState,
+        page: PageId,
+        slot: usize,
+        worker: usize,
+    ) -> PageGuard<'_, T> {
+        self.meta[slot].owner.store(worker, Ordering::Relaxed);
+        let guard = self.pin_locked(slot, page, SharedAccess::Miss);
+        self.meta[slot].tag.store(tag_of(page), Ordering::Release);
+        self.table_insert(page, slot);
+        let evicted = state.buf.insert(page);
+        debug_assert!(evicted.is_none(), "a reserved slot always has room");
+        guard
     }
 
     /// Releases the shard lock after a fill cleared its in-flight marker
     /// and wakes the requesters waiting on it, if any. A waiter registers
     /// under this same lock before `wait` atomically releases it, so a
     /// zero count here proves no one can miss the wake-up.
-    fn release_fill(&self, state: MutexGuard<'_, ShardState<T>>) {
+    fn release_fill(&self, state: MutexGuard<'_, ShardState>) {
         let wake = state.waiters > 0;
         drop(state);
         if wake {
             self.loaded.notify_all();
         }
     }
-
-    /// Begins a structural mutation: flips the version odd. Callers hold
-    /// the shard mutex (one mutator at a time) and must pair with
-    /// [`Shard::end_mutate`].
-    fn begin_mutate(&self) {
-        let v = self.version.fetch_add(1, Ordering::SeqCst);
-        debug_assert!(v.is_multiple_of(2), "nested begin_mutate");
-    }
-
-    /// Ends a structural mutation: flips the version back to even.
-    fn end_mutate(&self) {
-        let v = self.version.fetch_add(1, Ordering::SeqCst);
-        debug_assert!(!v.is_multiple_of(2), "end_mutate without begin");
-    }
-
-    /// Publishes `page` in the mirror (under the shard mutex). No version
-    /// bump: concurrent readers either miss (slot still empty — they go
-    /// pessimistic and find the page under the lock) or see the fully
-    /// published entry, because the tag is stored last with `Release`.
-    /// A full probe window leaves the page unmirrored — correct, merely
-    /// pessimistic for that page.
-    fn mirror_insert(&self, page: PageId, owner: usize, value: &Arc<T>) {
-        let base = self.slot_base(page);
-        let mask = self.mirror.len() - 1;
-        // Scan the whole window for an existing entry before choosing an
-        // empty slot: a page inserted deep in the window (earlier slots
-        // were occupied then) must not gain a duplicate in a slot that has
-        // since been freed — `mirror_remove` clears only the first match.
-        let mut empty = None;
-        for i in 0..MIRROR_PROBE {
-            let slot = &self.mirror[(base + i) & mask];
-            let tag = slot.tag.load(Ordering::Relaxed);
-            if tag == Self::tag_of(page) {
-                return; // already mirrored
-            }
-            if tag == TAG_EMPTY && empty.is_none() {
-                empty = Some(slot);
-            }
-        }
-        if let Some(slot) = empty {
-            let raw = Arc::into_raw(Arc::clone(value)) as *mut T;
-            slot.ptr.store(raw, Ordering::Relaxed);
-            slot.owner.store(owner, Ordering::Relaxed);
-            slot.tag.store(Self::tag_of(page), Ordering::Release);
-        }
-    }
-
-    /// Unpublishes `page` (under the shard mutex, **between**
-    /// [`Shard::begin_mutate`] and [`Shard::end_mutate`]): clears the tag
-    /// and either releases the mirror's reference immediately (no pinned
-    /// readers) or retires it to the graveyard for a later sweep. Never
-    /// blocks on the pin count — a reader may hold a [`PageGuard`] pin on
-    /// this very page *while* performing the pessimistic fill that evicts
-    /// it, and a drain-wait here would deadlock on the reader's own pin.
-    fn mirror_remove(&self, page: PageId) {
-        self.sweep_graveyard();
-        let base = self.slot_base(page);
-        let mask = self.mirror.len() - 1;
-        for i in 0..MIRROR_PROBE {
-            let idx = (base + i) & mask;
-            let slot = &self.mirror[idx];
-            if slot.tag.load(Ordering::Relaxed) != Self::tag_of(page) {
-                continue;
-            }
-            slot.tag.store(TAG_EMPTY, Ordering::SeqCst);
-            let raw = slot.ptr.swap(std::ptr::null_mut(), Ordering::SeqCst);
-            debug_assert!(!raw.is_null());
-            // Dekker pairing (see `OptSlot::pins`): this load is ordered
-            // after the version store in `begin_mutate`, so a reader whose
-            // validation succeeded has its pin visible here, and a reader
-            // pinning after this point fails its validation.
-            if slot.pins.load(Ordering::SeqCst) == 0 {
-                // SAFETY: `raw` came from `Arc::into_raw` in
-                // `mirror_insert`; no validated reader holds a pin and the
-                // slot no longer references the payload, so this is the
-                // single release of the mirror's reference.
-                unsafe { drop(Arc::from_raw(raw)) };
-            } else {
-                lock_clean(&self.graveyard).push(Retired {
-                    slot: idx,
-                    ptr: raw,
-                });
-            }
-            return;
-        }
-    }
-
-    /// Frees retired payloads whose slots have drained to zero pins. A pin
-    /// observed here may belong to a *newer* incarnation of the slot, which
-    /// only delays the free — never a double free (the graveyard mutex
-    /// serializes sweeps and each entry is freed as it is removed) and
-    /// never a use-after-free (a guard's pin is held continuously from
-    /// before retirement until after its last deref, so zero pins proves
-    /// no guard can still reach the retired payload).
-    fn sweep_graveyard(&self) {
-        let mut grave = lock_clean(&self.graveyard);
-        grave.retain(|r| {
-            if self.mirror[r.slot].pins.load(Ordering::SeqCst) == 0 {
-                // SAFETY: the retired entry owns the strong reference the
-                // mirror gave up; zero pins means no outstanding guard
-                // derefs it.
-                unsafe { drop(Arc::from_raw(r.ptr)) };
-                false
-            } else {
-                true
-            }
-        });
-    }
 }
 
 impl<T> Drop for Shard<T> {
     fn drop(&mut self) {
-        for slot in self.mirror.iter_mut() {
-            let raw = *slot.ptr.get_mut();
-            if !raw.is_null() {
-                // SAFETY: the slot holds the strong reference created by
-                // `mirror_insert`; no readers exist during drop.
-                unsafe { drop(Arc::from_raw(raw)) };
-            }
+        if !std::mem::needs_drop::<T>() {
+            return;
         }
-        let grave = self
-            .graveyard
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for r in grave.drain(..) {
-            // SAFETY: retired entries own their strong reference; guards
-            // borrow the cache, so none can outlive this drop.
-            unsafe { drop(Arc::from_raw(r.ptr)) };
+        for (meta, value) in self.meta.iter_mut().zip(self.values.iter_mut()) {
+            if *meta.tag.get_mut() != TAG_EMPTY {
+                // SAFETY: a tagged slot holds its page's value; no guard
+                // outlives the cache it borrows.
+                unsafe { value.get_mut().assume_init_drop() };
+            }
         }
     }
 }
 
-/// Clears a shard's in-flight marker if a fill unwinds: a source that
-/// panics mid-fetch (worker bug, injected fault) must not leave every
-/// later requester of the page blocked on the condvar.
+/// Undoes a fill's reservation if the fill unwinds: a source that panics
+/// mid-fetch (worker bug, injected fault) must not leave every later
+/// requester of the page blocked on the condvar, nor lose the slot.
 struct LoadingGuard<'a, T> {
     shard: &'a Shard<T>,
     page: PageId,
+    slot: Option<usize>,
     armed: bool,
 }
 
@@ -427,6 +445,9 @@ impl<T> Drop for LoadingGuard<'_, T> {
         if self.armed {
             let mut state = lock_clean(&self.shard.state);
             state.loading.remove(&self.page);
+            if let Some(slot) = self.slot {
+                state.free.push(slot as u32);
+            }
             self.shard.release_fill(state);
         }
     }
@@ -448,7 +469,6 @@ struct WorkerStats {
     /// Guard-path counters (see [`OptStats`]); striped with the rest so
     /// the guard hit path touches only this worker's line.
     opt_hits: AtomicU64,
-    opt_retries: AtomicU64,
     opt_fallbacks: AtomicU64,
     /// Rolling tick driving the sampled LRU touch on guard hits (not a
     /// statistic; lives here for the per-worker cacheline).
@@ -472,28 +492,24 @@ impl WorkerStats {
     fn opt_snapshot(&self) -> OptStats {
         OptStats {
             hits: self.opt_hits.load(Ordering::Relaxed),
-            retries: self.opt_retries.load(Ordering::Relaxed),
             fallbacks: self.opt_fallbacks.load(Ordering::Relaxed),
         }
     }
 }
 
-/// A borrowing, pin-backed view of a cached page: derefs to `&T` with
-/// **no Arc clone and no shard mutex**. Produced by
-/// [`SharedPageCache::guard_get`] and [`SharedPageCache::read`]. Holding
-/// one pins the page's mirror slot, which *defers* (never blocks) a
-/// concurrent eviction's payload free until the guard drops — see the
-/// module docs for the graveyard protocol that makes this safe even when
-/// the guard's own thread performs the eviction.
+/// A pinned view of a cached page: derefs to `&T` straight out of its
+/// slot. Produced by [`SharedPageCache::guard_get`] and
+/// [`SharedPageCache::try_get`]. While it lives, the slot is never chosen
+/// for replacement, so the value stays in place — see the module docs.
 pub struct PageGuard<'c, T> {
-    slot: &'c OptSlot<T>,
-    raw: *const T,
+    pins: &'c AtomicUsize,
+    value: *const T,
     page: PageId,
     access: SharedAccess,
 }
 
 impl<T> PageGuard<'_, T> {
-    /// How the read was satisfied (always a local or remote hit).
+    /// How the read was satisfied.
     pub fn access(&self) -> SharedAccess {
         self.access
     }
@@ -502,35 +518,24 @@ impl<T> PageGuard<'_, T> {
     pub fn page(&self) -> PageId {
         self.page
     }
-
-    /// An owned handle to the page, for callers that must outlive the
-    /// guard. Costs one refcount increment.
-    pub fn to_arc(&self) -> Arc<T> {
-        // SAFETY: `raw` came from `Arc::into_raw`; the pin held by this
-        // guard keeps the mirror's (or graveyard's) strong reference
-        // alive until the guard drops, so the count is ≥ 1 throughout.
-        unsafe {
-            Arc::increment_strong_count(self.raw);
-            Arc::from_raw(self.raw)
-        }
-    }
 }
 
 impl<T> std::ops::Deref for PageGuard<'_, T> {
     type Target = T;
 
+    #[inline]
     fn deref(&self) -> &T {
-        // SAFETY: validated at acquisition; the pin defers any free of the
-        // payload until this guard drops.
-        unsafe { &*self.raw }
+        // SAFETY: the pin was taken on a slot holding this page's value,
+        // and a pinned slot is never cleared or refilled.
+        unsafe { &*self.value }
     }
 }
 
 impl<T> Drop for PageGuard<'_, T> {
     fn drop(&mut self) {
-        // SeqCst: the release of the pin must rank against a remover's
-        // (or sweeper's) pins load, exactly like the acquisition did.
-        self.slot.pins.fetch_sub(1, Ordering::SeqCst);
+        // Release: this guard's reads of the value happen before a remover
+        // that sees the pin gone reuses the slot.
+        self.pins.fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -543,14 +548,15 @@ impl<T> std::fmt::Debug for PageGuard<'_, T> {
     }
 }
 
-/// A page read by [`SharedPageCache::read`]: a borrowing guard when the
-/// page was resident, or the owned value the pessimistic path returned.
+/// A page read by [`SharedPageCache::try_get`]: a guard on the page's slot,
+/// or — when every slot of its shard was pinned — the value itself,
+/// fetched for this request only. Boxed so the common guard case stays a
+/// few words whatever the size of `T`.
 pub enum PageRef<'c, T> {
-    /// A resident hit, served without the shard mutex.
+    /// The page is cached; the guard pins its slot.
     Guard(PageGuard<'c, T>),
-    /// Served under the shard mutex (fill, in-flight wait, or a hit after
-    /// the guard read gave up), with how the request was satisfied.
-    Owned(Arc<T>, SharedAccess),
+    /// Served unbuffered: a miss that cached nothing.
+    Unbuffered(Box<T>),
 }
 
 impl<T> PageRef<'_, T> {
@@ -558,15 +564,7 @@ impl<T> PageRef<'_, T> {
     pub fn access(&self) -> SharedAccess {
         match self {
             PageRef::Guard(g) => g.access(),
-            PageRef::Owned(_, access) => *access,
-        }
-    }
-
-    /// An owned handle to the page (one refcount increment).
-    pub fn to_arc(&self) -> Arc<T> {
-        match self {
-            PageRef::Guard(g) => g.to_arc(),
-            PageRef::Owned(v, _) => Arc::clone(v),
+            PageRef::Unbuffered(_) => SharedAccess::Miss,
         }
     }
 }
@@ -578,8 +576,17 @@ impl<T> std::ops::Deref for PageRef<'_, T> {
     fn deref(&self) -> &T {
         match self {
             PageRef::Guard(g) => g,
-            PageRef::Owned(v, _) => v,
+            PageRef::Unbuffered(v) => v,
         }
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for PageRef<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PageRef")
+            .field("access", &self.access())
+            .field("value", &**self)
+            .finish()
     }
 }
 
@@ -589,15 +596,16 @@ pub struct SharedPageCache<T> {
     stats: Vec<WorkerStats>,
     retry: RetryPolicy,
     corrupt_detected: AtomicU64,
+    unbuffered: AtomicU64,
     trace: Option<Arc<psj_obs::TraceSink>>,
 }
 
 impl<T> SharedPageCache<T> {
-    /// Creates a cache holding at most `capacity` pages, split over `shards`
-    /// independently locked segments, tracking stats for `workers` workers.
-    ///
-    /// Every shard gets at least one page, so the effective capacity is
-    /// `max(capacity, shards)` when `capacity < shards`.
+    /// Creates a cache of exactly `capacity` page slots (at least one),
+    /// split over `shards` independently locked segments (at most one per
+    /// slot), tracking stats for `workers` workers. Slots are split as
+    /// evenly as possible: the first `capacity % shards` shards get one
+    /// more.
     ///
     /// The cache starts with [`RetryPolicy::default`] (three attempts, no
     /// backoff) — use [`SharedPageCache::with_retry`] to change it.
@@ -608,31 +616,19 @@ impl<T> SharedPageCache<T> {
     pub fn new(workers: usize, capacity: usize, shards: usize, policy: Policy) -> Self {
         assert!(shards > 0, "need at least one shard");
         assert!(workers > 0, "need at least one worker");
-        let per_shard = capacity.div_ceil(shards).max(1);
-        // Mirror at 2× capacity (min 16), power of two: load factor ≤ 0.5
-        // keeps linear probes inside MIRROR_PROBE with high probability.
-        let mirror_slots = (per_shard * 2).next_power_of_two().max(16);
+        let capacity = capacity.max(1);
+        let shards = shards.min(capacity);
         SharedPageCache {
             shards: (0..shards)
-                .map(|_| Shard {
-                    state: Mutex::new(ShardState {
-                        buf: PageBuffer::new(policy, per_shard),
-                        data: HashMap::with_capacity(per_shard),
-                        owner: HashMap::with_capacity(per_shard),
-                        loading: HashSet::new(),
-                        quarantined: HashMap::new(),
-                        waiters: 0,
-                    }),
-                    loaded: Condvar::new(),
-                    capacity: per_shard,
-                    version: AtomicU64::new(0),
-                    mirror: (0..mirror_slots).map(|_| OptSlot::empty()).collect(),
-                    graveyard: Mutex::new(Vec::new()),
+                .map(|i| {
+                    let slots = capacity / shards + usize::from(i < capacity % shards);
+                    Shard::new(slots, policy)
                 })
                 .collect(),
             stats: (0..workers).map(|_| WorkerStats::default()).collect(),
             retry: RetryPolicy::default(),
             corrupt_detected: AtomicU64::new(0),
+            unbuffered: AtomicU64::new(0),
             trace: None,
         }
     }
@@ -669,9 +665,9 @@ impl<T> SharedPageCache<T> {
         self.stats.len()
     }
 
-    /// Maximum number of resident pages (sum of shard capacities).
+    /// Maximum number of resident pages: the slots of all shards.
     pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.capacity).sum()
+        self.shards.iter().map(|s| s.meta.len()).sum()
     }
 
     /// Current number of resident pages.
@@ -710,10 +706,7 @@ impl<T> SharedPageCache<T> {
 
     #[inline]
     fn shard_of(&self, page: PageId) -> &Shard<T> {
-        // Fibonacci hashing spreads the sequential page ids trees produce;
-        // plain modulo would put all of a small tree in adjacent shards.
-        let h = (page.0 as u64).wrapping_mul(0x9E3779B97F4A7C15);
-        &self.shards[(h >> 32) as usize % self.shards.len()]
+        &self.shards[(page_hash(page) >> 32) as usize % self.shards.len()]
     }
 
     /// Sampled replacement promotion for guard hits, which bypass the
@@ -728,16 +721,13 @@ impl<T> SharedPageCache<T> {
             return;
         }
         if let Ok(mut state) = shard.state.try_lock() {
-            if state.buf.contains(page) {
-                state.buf.touch(page);
-            }
+            state.buf.touch(page);
         }
     }
 
-    /// Counter updates run outside every shard lock (callers invoke this
-    /// after dropping the shard state), so a hit holds the shard mutex only
-    /// for the map probe + `Arc` clone and never serializes on stats.
-    fn bump(&self, worker: usize, access: SharedAccess, evicted: bool, retries: u64) {
+    /// Books how a request was satisfied. Counter updates run outside
+    /// every shard lock, so the mutex is never held for stats.
+    fn bump(&self, worker: usize, access: SharedAccess) {
         let s = &self.stats[worker];
         match access {
             SharedAccess::HitLocal => s.hits_local.fetch_add(1, Ordering::Relaxed),
@@ -745,6 +735,12 @@ impl<T> SharedPageCache<T> {
             SharedAccess::HitInFlight => s.hits_in_flight.fetch_add(1, Ordering::Relaxed),
             SharedAccess::Miss => s.misses.fetch_add(1, Ordering::Relaxed),
         };
+    }
+
+    /// Books a fill's eviction and retried attempts, whether or not the
+    /// fill succeeded.
+    fn bump_fill(&self, worker: usize, evicted: bool, retries: u64) {
+        let s = &self.stats[worker];
         if evicted {
             s.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -753,93 +749,56 @@ impl<T> SharedPageCache<T> {
         }
     }
 
-    fn bump_retries(&self, worker: usize, retries: u64) {
-        if retries > 0 {
-            self.stats[worker]
-                .retries
-                .fetch_add(retries, Ordering::Relaxed);
-        }
-    }
-
-    /// Borrowing read of a resident page: a [`PageGuard`] handing out `&T`
-    /// with no Arc clone and no shard mutex, when `page` is mirrored and
-    /// the shard's seqlock validates. Books the hit (a local or remote hit
-    /// in [`BufferStats`], one [`OptStats::hits`]). `None` means the
-    /// caller must take the pessimistic path: the page is not mirrored,
-    /// or `OPT_ATTEMPTS` validations failed, which books one
-    /// [`OptStats::fallbacks`].
+    /// Mutex-free read of a resident page: a [`PageGuard`] when the page
+    /// table names a slot whose own tag still holds `page` after the pin.
+    /// Books the hit (a local or remote hit in [`BufferStats`], one
+    /// [`OptStats::hits`]). `None` means the caller must take the mutex
+    /// path: the page is not resident, or its slot is being replaced,
+    /// which books one [`OptStats::fallbacks`].
     pub fn guard_get(&self, worker: usize, page: PageId) -> Option<PageGuard<'_, T>> {
         let shard = self.shard_of(page);
-        let tag = Shard::<T>::tag_of(page);
-        let base = shard.slot_base(page);
-        let mask = shard.mirror.len() - 1;
+        let (_, slot) = shard.probe(page)?;
+        let meta = &shard.meta[slot];
         let s = &self.stats[worker];
-        let mut retries = 0u64;
-        while retries < OPT_ATTEMPTS as u64 {
-            let v1 = shard.version.load(Ordering::SeqCst);
-            if !v1.is_multiple_of(2) {
-                // A removal is in flight; its version bump would fail the
-                // validation anyway.
-                retries += 1;
-                std::hint::spin_loop();
-                continue;
-            }
-            let Some(slot) = (0..MIRROR_PROBE)
-                .map(|i| &shard.mirror[(base + i) & mask])
-                .find(|slot| slot.tag.load(Ordering::Acquire) == tag)
-            else {
-                if shard.version.load(Ordering::SeqCst) == v1 {
-                    // Stable version across the whole probe: the page
-                    // really is absent from the mirror. A miss, not a
-                    // fallback.
-                    break;
-                }
-                retries += 1;
-                continue;
-            };
-            // Pin, then re-validate. SeqCst makes `pin ; load version`
-            // rank against the remover's `store version ; load pins`: if
-            // our validation sees the version unchanged and even, the
-            // remover has not started, and it must observe our pin before
-            // freeing the payload.
-            slot.pins.fetch_add(1, Ordering::SeqCst);
-            let raw = slot.ptr.load(Ordering::SeqCst);
-            let owner = slot.owner.load(Ordering::Relaxed);
-            let tag2 = slot.tag.load(Ordering::SeqCst);
-            if shard.version.load(Ordering::SeqCst) == v1 && tag2 == tag && !raw.is_null() {
-                let access = if owner == worker {
-                    SharedAccess::HitLocal
-                } else {
-                    SharedAccess::HitRemote { owner }
-                };
-                s.opt_hits.fetch_add(1, Ordering::Relaxed);
-                if retries > 0 {
-                    s.opt_retries.fetch_add(retries, Ordering::Relaxed);
-                }
-                self.bump(worker, access, false, 0);
-                self.sampled_touch(worker, shard, page);
-                return Some(PageGuard {
-                    slot,
-                    raw,
-                    page,
-                    access,
-                });
-            }
-            slot.pins.fetch_sub(1, Ordering::SeqCst);
-            retries += 1;
-        }
-        if retries > 0 {
-            s.opt_retries.fetch_add(retries, Ordering::Relaxed);
-        }
-        if retries >= OPT_ATTEMPTS as u64 {
+        // Pin, then check the slot still holds the page. SeqCst ranks
+        // `pin ; load tag` against a remover's `clear tag ; load pins`.
+        meta.pins.fetch_add(1, Ordering::SeqCst);
+        if meta.tag.load(Ordering::SeqCst) != tag_of(page) {
+            meta.pins.fetch_sub(1, Ordering::Release);
             s.opt_fallbacks.fetch_add(1, Ordering::Relaxed);
+            return None;
         }
-        None
+        let owner = meta.owner.load(Ordering::Relaxed);
+        let access = if owner == worker {
+            SharedAccess::HitLocal
+        } else {
+            SharedAccess::HitRemote { owner }
+        };
+        s.opt_hits.fetch_add(1, Ordering::Relaxed);
+        self.bump(worker, access);
+        self.sampled_touch(worker, shard, page);
+        Some(PageGuard {
+            pins: &meta.pins,
+            value: shard.value(slot).cast_const().cast(),
+            page,
+            access,
+        })
     }
 
-    /// Looks up `page`, fetching it from `source` on a miss: a
-    /// [`PageRef::Guard`] when [`SharedPageCache::guard_get`] serves it,
-    /// else the pessimistic path's [`PageRef::Owned`] value.
+    /// As [`SharedPageCache::try_get`], panicking if the source's fetch
+    /// fails.
+    pub fn get<S>(&self, worker: usize, page: PageId, source: &S) -> PageRef<'_, T>
+    where
+        S: PageSource<Item = T> + ?Sized,
+    {
+        self.try_get(worker, page, source)
+            .unwrap_or_else(|e| panic!("fetching page {page}: {e}"))
+    }
+
+    /// Looks up `page`, fetching it from `source` on a miss: a guard read
+    /// when [`SharedPageCache::guard_get`] serves it, else the mutex path —
+    /// a hit after all, a wait for another worker's in-flight fill, or this
+    /// worker's own fill.
     ///
     /// `worker` indexes the per-worker statistics and is recorded as the
     /// page's owner when this call fetches it.
@@ -851,7 +810,7 @@ impl<T> SharedPageCache<T> {
     /// the in-flight marker, so concurrent waiters on the same page wake up
     /// and retry the fetch themselves; one degraded request does not poison
     /// the page for others.
-    pub fn read<S>(
+    pub fn try_get<S>(
         &self,
         worker: usize,
         page: PageId,
@@ -862,46 +821,18 @@ impl<T> SharedPageCache<T> {
     {
         match self.guard_get(worker, page) {
             Some(g) => Ok(PageRef::Guard(g)),
-            None => self
-                .pessimistic_get(worker, page, source)
-                .map(|(v, access)| PageRef::Owned(v, access)),
+            None => self.locked_get(worker, page, source),
         }
     }
 
-    /// As [`SharedPageCache::try_get`], panicking if the source's fetch
-    /// fails.
-    pub fn get<S>(&self, worker: usize, page: PageId, source: &S) -> (Arc<T>, SharedAccess)
-    where
-        S: PageSource<Item = T> + ?Sized,
-    {
-        self.try_get(worker, page, source)
-            .unwrap_or_else(|e| panic!("fetching page {page}: {e}"))
-    }
-
-    /// [`SharedPageCache::read`] as an owned value: the `Arc` and how the
-    /// request was satisfied.
-    pub fn try_get<S>(
+    /// The mutex path: quarantine replay, a hit the guard read missed,
+    /// single-flight fill into a reserved slot.
+    fn locked_get<S>(
         &self,
         worker: usize,
         page: PageId,
         source: &S,
-    ) -> Result<(Arc<T>, SharedAccess), PageError>
-    where
-        S: PageSource<Item = T> + ?Sized,
-    {
-        let read = self.read(worker, page, source)?;
-        Ok((read.to_arc(), read.access()))
-    }
-
-    /// The pessimistic path: shard mutex, quarantine replay, single-flight
-    /// fill, eviction. [`SharedPageCache::read`] lands here when the guard
-    /// read declines.
-    fn pessimistic_get<S>(
-        &self,
-        worker: usize,
-        page: PageId,
-        source: &S,
-    ) -> Result<(Arc<T>, SharedAccess), PageError>
+    ) -> Result<PageRef<'_, T>, PageError>
     where
         S: PageSource<Item = T> + ?Sized,
     {
@@ -910,134 +841,148 @@ impl<T> SharedPageCache<T> {
         let mut waited = false;
         loop {
             if let Some(err) = state.quarantined.get(&page) {
-                let err = err.clone();
-                drop(state);
-                return Err(err);
+                return Err(err.clone());
             }
-            if let Some(value) = state.data.get(&page) {
-                let value = Arc::clone(value);
+            if let Some((_, slot)) = shard.probe(page) {
                 state.buf.touch(page);
                 let access = if waited {
                     SharedAccess::HitInFlight
                 } else {
-                    match state.owner.get(&page) {
-                        Some(&o) if o == worker => SharedAccess::HitLocal,
-                        Some(&o) => SharedAccess::HitRemote { owner: o },
-                        // Unreachable in practice (resident ⇒ owned), but a
-                        // local hit is the safe default.
-                        None => SharedAccess::HitLocal,
+                    match shard.meta[slot].owner.load(Ordering::Relaxed) {
+                        o if o == worker => SharedAccess::HitLocal,
+                        o => SharedAccess::HitRemote { owner: o },
                     }
                 };
-                // A resident page can be missing from the mirror (probe
-                // window was full at fill time); repair while we hold the
-                // lock so later reads go optimistic.
-                let owner = state.owner.get(&page).copied().unwrap_or(worker);
-                shard.mirror_insert(page, owner, &value);
+                let guard = shard.pin_locked(slot, page, access);
                 drop(state);
-                self.bump(worker, access, false, 0);
-                return Ok((value, access));
+                self.bump(worker, access);
+                return Ok(PageRef::Guard(guard));
             }
             if state.loading.contains(&page) {
                 // Someone else is fetching this page: wait for their load
                 // rather than issuing a second fetch (paper §3.1). If that
-                // load *fails*, the marker is cleared and the wakeup sends
-                // us around the loop to retry the fetch ourselves (or to
-                // pick up the quarantine entry if it was corrupt).
+                // load *fails* or is served unbuffered, the marker is
+                // cleared and the wakeup sends us around the loop to fetch
+                // ourselves (or to pick up the quarantine entry).
                 waited = true;
                 state.waiters += 1;
                 state = wait_clean(&shard.loaded, state);
                 state.waiters -= 1;
                 continue;
             }
-            // We fetch. Mark in flight and release the shard lock so other
-            // pages of this shard stay accessible during the fetch. The
-            // guard clears the marker if the source panics mid-fetch —
-            // without it, every later requester of this page would block
-            // on the condvar forever.
+            // We fetch. Mark in flight, reserve the destination slot and
+            // release the shard lock so other pages of this shard stay
+            // accessible during the fetch. The guard undoes both if the
+            // source panics mid-fetch.
             state.loading.insert(page);
+            let reserved = shard.reserve(&mut state);
             drop(state);
+            let slot = reserved.map(|(slot, _)| slot);
+            let evicted = reserved.is_some_and(|(_, evicted)| evicted);
             let mut guard = LoadingGuard {
                 shard,
                 page,
+                slot,
                 armed: true,
             };
-            let fill_start = self.trace.as_ref().map(|t| t.now_ns());
-            let (fetched, retries) = match &self.trace {
-                None => self.retry.run(page.0 as u64, |_| source.fetch_page(page)),
-                Some(t) => self.retry.run_observed(
-                    page.0 as u64,
-                    |_| source.fetch_page(page),
-                    |attempt, _| {
-                        t.instant(
-                            psj_obs::trace::cache_tid(worker),
-                            "page_retry",
-                            "storage",
-                            &[("page", page.0 as u64), ("attempt", attempt as u64)],
-                        );
-                    },
-                ),
+            let mut spill: Option<Box<MaybeUninit<T>>> = None;
+            let dst = match slot {
+                // SAFETY: the slot is reserved for this fill (see
+                // `Shard::reserve`): nobody else reads or writes it.
+                Some(slot) => unsafe { &mut *shard.value(slot) },
+                None => &mut **spill.insert(Box::new_uninit()),
             };
-            if let (Some(t), Some(start)) = (&self.trace, fill_start) {
-                t.span(
-                    psj_obs::trace::cache_tid(worker),
-                    "page_read",
-                    "storage",
-                    start,
-                    &[
-                        ("page", page.0 as u64),
-                        ("worker", worker as u64),
-                        ("retries", retries),
-                        ("ok", fetched.is_ok() as u64),
-                    ],
-                );
-            }
+            let (filled, retries) = self.fill(worker, page, source, dst);
             guard.armed = false;
+            self.bump_fill(worker, evicted, retries);
             let mut state = lock_clean(&shard.state);
             state.loading.remove(&page);
-            let value = match fetched {
-                Ok(v) => Arc::new(v),
-                Err(e) => {
-                    if e.is_corrupt() {
-                        // Unrecoverable: quarantine so later requesters get
-                        // the typed error without hitting the device again.
-                        // The page was loading, never resident: no mirror
-                        // slot or guard refers to it, so the version stays.
-                        state.quarantined.insert(page, e.clone());
-                        self.corrupt_detected.fetch_add(1, Ordering::Relaxed);
-                        if let Some(t) = &self.trace {
-                            t.instant(
-                                psj_obs::trace::cache_tid(worker),
-                                "page_quarantine",
-                                "storage",
-                                &[("page", page.0 as u64)],
-                            );
-                        }
-                    }
-                    shard.release_fill(state);
-                    self.bump_retries(worker, retries);
-                    return Err(e);
+            if let Err(e) = filled {
+                if let Some(slot) = slot {
+                    state.free.push(slot as u32);
                 }
-            };
-            let mut evicted = false;
-            if let Some(victim) = state.buf.insert(page) {
-                state.data.remove(&victim);
-                state.owner.remove(&victim);
-                // The victim leaves the shard: flip the version odd,
-                // unpublish its mirror slot (retiring the payload if
-                // guards still pin it), then flip back even. In-flight
-                // guard reads observe the advance and re-validate.
-                shard.begin_mutate();
-                shard.mirror_remove(victim);
-                shard.end_mutate();
-                evicted = true;
+                if e.is_corrupt() {
+                    // Unrecoverable: quarantine so later requesters get
+                    // the typed error without hitting the device again.
+                    state.quarantined.insert(page, e.clone());
+                    self.corrupt_detected.fetch_add(1, Ordering::Relaxed);
+                    if let Some(t) = &self.trace {
+                        t.instant(
+                            psj_obs::trace::cache_tid(worker),
+                            "page_quarantine",
+                            "storage",
+                            &[("page", page.0 as u64)],
+                        );
+                    }
+                }
+                shard.release_fill(state);
+                return Err(e);
             }
-            state.data.insert(page, Arc::clone(&value));
-            state.owner.insert(page, worker);
-            shard.mirror_insert(page, worker, &value);
+            let read = match (slot, spill) {
+                (Some(slot), _) => PageRef::Guard(shard.publish(&mut state, page, slot, worker)),
+                // SAFETY: the fill returned `Ok`, so it wrote a value.
+                (None, Some(value)) => PageRef::Unbuffered(unsafe { value.assume_init() }),
+                (None, None) => unreachable!("a fill without a slot has its spill box"),
+            };
             shard.release_fill(state);
-            self.bump(worker, SharedAccess::Miss, evicted, retries);
-            return Ok((value, SharedAccess::Miss));
+            if matches!(read, PageRef::Unbuffered(_)) {
+                self.unbuffered.fetch_add(1, Ordering::Relaxed);
+            }
+            self.bump(worker, SharedAccess::Miss);
+            return Ok(read);
         }
+    }
+
+    /// Runs `source`'s fill of `page` into `dst` under the retry policy,
+    /// traced when a sink is attached. Returns the outcome — `Ok` only once
+    /// `dst` holds the value — and the retried attempts.
+    fn fill<S>(
+        &self,
+        worker: usize,
+        page: PageId,
+        source: &S,
+        dst: &mut MaybeUninit<T>,
+    ) -> (Result<(), PageError>, u64)
+    where
+        S: PageSource<Item = T> + ?Sized,
+    {
+        let slot = dst.as_ptr();
+        let mut attempt = |_| {
+            source.fill_page(page, dst).map(|filled| {
+                assert!(
+                    std::ptr::eq(filled, slot),
+                    "PageSource::fill_page must return the slot it filled"
+                );
+            })
+        };
+        let Some(t) = &self.trace else {
+            return self.retry.run(page.0 as u64, attempt);
+        };
+        let start = t.now_ns();
+        let tid = psj_obs::trace::cache_tid(worker);
+        let (filled, retries) =
+            self.retry
+                .run_observed(page.0 as u64, &mut attempt, |attempt, _| {
+                    t.instant(
+                        tid,
+                        "page_retry",
+                        "storage",
+                        &[("page", page.0 as u64), ("attempt", attempt as u64)],
+                    );
+                });
+        t.span(
+            tid,
+            "page_read",
+            "storage",
+            start,
+            &[
+                ("page", page.0 as u64),
+                ("worker", worker as u64),
+                ("retries", retries),
+                ("ok", filled.is_ok() as u64),
+            ],
+        );
+        (filled, retries)
     }
 
     /// Read-only residency test (no promotion, no stats).
@@ -1089,42 +1034,77 @@ impl<T> SharedPageCache<T> {
             capacity_pages: self.capacity(),
             quarantined_pages: self.quarantined_pages(),
             corrupt_detected: self.corrupt_detected(),
+            unbuffered: self.unbuffered.load(Ordering::Relaxed),
         }
     }
 
     /// Structural invariant check for tests; call only while no access is
-    /// concurrently in flight.
+    /// concurrently in flight (guards may be held).
     ///
-    /// Verifies, per shard: residency within capacity, the value and owner
-    /// maps exactly mirror the residency buffer, no load marked in flight,
-    /// and no quarantined page resident. Globally: every worker's counters
-    /// are internally consistent (`requests() == hits + misses` holds by
-    /// construction of [`BufferStats::requests`]).
+    /// Verifies, per shard: every slot is either free (no tag, no value)
+    /// or holds a resident page (tag set, one table entry naming it, in
+    /// the replacement order, owner in range); pins sit only on resident
+    /// slots; the table holds nothing else and every entry is reachable by
+    /// its probe; no load is marked in flight, no waiter registered, and no
+    /// quarantined page resident.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, shard) in self.shards.iter().enumerate() {
             let state = lock_clean(&shard.state);
-            if state.buf.len() > shard.capacity {
+            let slots = shard.meta.len();
+            if state.buf.len() + state.free.len() != slots {
                 return Err(format!(
-                    "shard {i}: {} resident pages exceed capacity {}",
+                    "shard {i}: {} resident + {} free pages ≠ {slots} slots",
                     state.buf.len(),
-                    shard.capacity
+                    state.free.len()
                 ));
             }
-            if state.data.len() != state.buf.len() || state.owner.len() != state.buf.len() {
-                return Err(format!(
-                    "shard {i}: maps out of sync (buf {}, data {}, owner {})",
-                    state.buf.len(),
-                    state.data.len(),
-                    state.owner.len()
-                ));
+            let mut used = vec![false; slots];
+            for &slot in &state.free {
+                if std::mem::replace(&mut used[slot as usize], true) {
+                    return Err(format!("shard {i}: slot {slot} free twice"));
+                }
+                let meta = &shard.meta[slot as usize];
+                if meta.tag.load(Ordering::SeqCst) != TAG_EMPTY {
+                    return Err(format!("shard {i}: free slot {slot} is tagged"));
+                }
+                if meta.pins.load(Ordering::SeqCst) != 0 {
+                    return Err(format!("shard {i}: free slot {slot} is pinned"));
+                }
             }
-            for page in state.data.keys() {
-                if !state.buf.contains(*page) {
+            // `used` marks every slot accounted for: free, or named by
+            // exactly one table entry.
+            let mut entries = 0usize;
+            for entry in shard.table.iter().map(|e| e.load(Ordering::SeqCst)) {
+                if entry == ENTRY_EMPTY {
+                    continue;
+                }
+                entries += 1;
+                let page = PageId((entry >> 32) as u32);
+                let slot = (entry as u32 - 1) as usize;
+                if shard.probe(page).map(|(_, s)| s) != Some(slot) {
+                    return Err(format!("shard {i}: table entry for {page} unreachable"));
+                }
+                if slot >= slots || std::mem::replace(&mut used[slot], true) {
+                    return Err(format!(
+                        "shard {i}: {page} maps to free or shared slot {slot}"
+                    ));
+                }
+                if shard.meta[slot].tag.load(Ordering::SeqCst) != tag_of(page) {
+                    return Err(format!("shard {i}: slot {slot} does not hold {page}"));
+                }
+                if !state.buf.contains(page) {
                     return Err(format!("shard {i}: cached page {page} not resident"));
                 }
-                if !state.owner.contains_key(page) {
-                    return Err(format!("shard {i}: cached page {page} has no owner"));
+                let owner = shard.meta[slot].owner.load(Ordering::SeqCst);
+                if owner >= self.stats.len() {
+                    return Err(format!("shard {i}: owner {owner} out of range"));
                 }
+            }
+            if entries != state.buf.len() {
+                return Err(format!(
+                    "shard {i}: {entries} table entries for {} resident pages",
+                    state.buf.len()
+                ));
             }
             if !state.loading.is_empty() {
                 return Err(format!(
@@ -1142,69 +1122,6 @@ impl<T> SharedPageCache<T> {
                 if state.buf.contains(*page) {
                     return Err(format!("shard {i}: quarantined page {page} is resident"));
                 }
-            }
-            for owner in state.owner.values() {
-                if *owner >= self.stats.len() {
-                    return Err(format!("shard {i}: owner {owner} out of range"));
-                }
-            }
-            // Seqlock/mirror invariants at rest.
-            let version = shard.version.load(Ordering::SeqCst);
-            if !version.is_multiple_of(2) {
-                return Err(format!("shard {i}: version {version} odd at rest"));
-            }
-            let mut mirrored = std::collections::HashSet::new();
-            for (j, slot) in shard.mirror.iter().enumerate() {
-                let pins = slot.pins.load(Ordering::SeqCst);
-                if pins != 0 {
-                    return Err(format!("shard {i} slot {j}: {pins} pins at rest"));
-                }
-                let tag = slot.tag.load(Ordering::SeqCst);
-                let raw = slot.ptr.load(Ordering::SeqCst);
-                if tag == TAG_EMPTY {
-                    if !raw.is_null() {
-                        return Err(format!("shard {i} slot {j}: empty slot holds a payload"));
-                    }
-                    continue;
-                }
-                let page = PageId((tag - 1) as u32);
-                if !mirrored.insert(page) {
-                    return Err(format!("shard {i}: page {page} mirrored twice"));
-                }
-                match state.data.get(&page) {
-                    None => {
-                        return Err(format!("shard {i}: mirrored page {page} not resident"));
-                    }
-                    Some(value) => {
-                        if !std::ptr::eq(Arc::as_ptr(value), raw) {
-                            return Err(format!(
-                                "shard {i}: mirror payload for {page} diverges from the map"
-                            ));
-                        }
-                    }
-                }
-                let owner = slot.owner.load(Ordering::SeqCst);
-                if state.owner.get(&page) != Some(&owner) {
-                    return Err(format!("shard {i}: mirror owner for {page} diverges"));
-                }
-            }
-            // Every resident page should normally be mirrored; a full
-            // probe window can leave gaps, but never extras.
-            if mirrored.len() > state.data.len() {
-                return Err(format!(
-                    "shard {i}: {} mirrored pages exceed {} resident",
-                    mirrored.len(),
-                    state.data.len()
-                ));
-            }
-            // At rest every pin has been dropped (checked above), so a
-            // sweep must clear the graveyard completely.
-            shard.sweep_graveyard();
-            let retired = lock_clean(&shard.graveyard).len();
-            if retired != 0 {
-                return Err(format!(
-                    "shard {i}: {retired} retired payloads still pinned at rest"
-                ));
             }
         }
         Ok(())
@@ -1238,6 +1155,9 @@ pub struct CacheSnapshot {
     pub quarantined_pages: usize,
     /// Corrupt fills detected so far (monotone).
     pub corrupt_detected: u64,
+    /// Fills served unbuffered because every slot of their shard was
+    /// pinned (monotone; each is also one miss).
+    pub unbuffered: u64,
 }
 
 impl CacheSnapshot {
@@ -1312,6 +1232,15 @@ impl<S: PageSource> PageSource for FaultSource<S> {
 
     fn page_count(&self) -> usize {
         self.inner.page_count()
+    }
+
+    fn fill_page<'s>(
+        &self,
+        page: PageId,
+        slot: &'s mut MaybeUninit<S::Item>,
+    ) -> Result<&'s mut S::Item, PageError> {
+        self.plan.before_fetch(page)?;
+        self.inner.fill_page(page, slot)
     }
 }
 
@@ -1404,35 +1333,88 @@ mod tests {
     fn miss_then_local_hit() {
         let cache: SharedPageCache<u32> = SharedPageCache::new(2, 8, 2, Policy::Lru);
         let src = Counting::new(100);
-        let (v, a) = cache.get(0, p(5), &src);
-        assert_eq!((*v, a), (5, SharedAccess::Miss));
-        let (v, a) = cache.get(0, p(5), &src);
-        assert_eq!((*v, a), (5, SharedAccess::HitLocal));
+        let v = cache.get(0, p(5), &src);
+        assert_eq!((*v, v.access()), (5, SharedAccess::Miss));
+        drop(v);
+        let v = cache.get(0, p(5), &src);
+        assert_eq!((*v, v.access()), (5, SharedAccess::HitLocal));
+        drop(v);
         assert_eq!(src.fetches.load(Ordering::Relaxed), 1);
         cache.check_invariants().unwrap();
     }
 
-    /// A request probes the mirror once: with a removal held in flight
-    /// (version odd) every validation fails, and the read books exactly
-    /// `OPT_ATTEMPTS` retries and one fallback before the mutex path
-    /// serves the resident page.
+    /// A guard read of a slot that is mid-replacement (tag cleared under
+    /// the shard mutex) validates once and goes straight to the mutex path:
+    /// one failed validation, one fallback, no spinning. The mutex path
+    /// then serves the page once the replacement step is over.
     #[test]
     fn contended_read_books_one_fallback() {
-        let cache: SharedPageCache<u32> = SharedPageCache::new(1, 8, 1, Policy::Lru);
+        let cache: SharedPageCache<u32> = SharedPageCache::new(2, 8, 1, Policy::Lru);
         let src = Counting::new(100);
-        cache.get(0, p(5), &src);
+        drop(cache.get(0, p(5), &src));
         let shard = &cache.shards[0];
-        shard.begin_mutate();
-        let read = cache.read(0, p(5), &src).unwrap();
-        assert!(matches!(read, PageRef::Owned(_, SharedAccess::HitLocal)));
-        assert_eq!(*read, 5);
-        drop(read);
-        shard.end_mutate();
+        let (_, slot) = shard.probe(p(5)).expect("resident");
+        let meta = &shard.meta[slot];
+        std::thread::scope(|s| {
+            // Hold the slot as a remover does while it tests a candidate.
+            let state = lock_clean(&shard.state);
+            meta.tag.store(TAG_EMPTY, Ordering::SeqCst);
+            let reader = s.spawn(|| {
+                let read = cache.try_get(1, p(5), &src).unwrap();
+                (*read, read.access())
+            });
+            // Until the reader has failed its validation (or, if it wrongly
+            // took the cleared slot, finished).
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while cache.opt_stats().fallbacks == 0
+                && !reader.is_finished()
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::yield_now();
+            }
+            // The remover found the slot in use and gives it back.
+            meta.tag.store(tag_of(p(5)), Ordering::Release);
+            drop(state);
+            let read = reader.join().unwrap();
+            assert_eq!(read, (5, SharedAccess::HitRemote { owner: 0 }));
+        });
         let opt = cache.opt_stats();
         assert_eq!((opt.hits, opt.fallbacks), (0, 1));
-        assert_eq!(opt.retries, OPT_ATTEMPTS as u64);
-        assert_eq!(cache.stats(0).requests(), 2);
+        assert_eq!(cache.stats(1).requests(), 1);
+        assert_eq!(src.fetches.load(Ordering::Relaxed), 1);
         cache.check_invariants().unwrap();
+    }
+
+    /// A source that claims a fill without writing the slot.
+    struct Liar;
+
+    impl PageSource for Liar {
+        type Item = u32;
+
+        fn fetch_page(&self, page: PageId) -> Result<u32, PageError> {
+            Ok(page.0)
+        }
+
+        fn page_count(&self) -> usize {
+            1
+        }
+
+        fn fill_page<'s>(
+            &self,
+            _page: PageId,
+            _slot: &'s mut MaybeUninit<u32>,
+        ) -> Result<&'s mut u32, PageError> {
+            Ok(Box::leak(Box::new(7)))
+        }
+    }
+
+    /// An unwritten slot is never published: a fill must return the value
+    /// it wrote into the slot it was given.
+    #[test]
+    #[should_panic(expected = "must return the slot it filled")]
+    fn a_fill_that_returns_another_value_is_refused() {
+        let cache: SharedPageCache<u32> = SharedPageCache::new(1, 4, 1, Policy::Lru);
+        drop(cache.get(0, p(1), &Liar));
     }
 
     #[test]
@@ -1475,7 +1457,7 @@ mod tests {
         let cache: SharedPageCache<u32> = SharedPageCache::new(3, 8, 2, Policy::Lru);
         let src = Counting::new(100);
         cache.get(2, p(7), &src);
-        let (_, a) = cache.get(0, p(7), &src);
+        let a = cache.get(0, p(7), &src).access();
         assert_eq!(a, SharedAccess::HitRemote { owner: 2 });
         let total = cache.total_stats();
         assert_eq!(total.misses, 1);
@@ -1496,30 +1478,73 @@ mod tests {
         assert_eq!(cache.total_stats().evictions, 6);
         // Re-reading an evicted page re-fetches.
         assert!(!cache.contains(p(0)));
-        let (_, a) = cache.get(0, p(0), &src);
-        assert_eq!(a, SharedAccess::Miss);
+        assert_eq!(cache.get(0, p(0), &src).access(), SharedAccess::Miss);
         cache.check_invariants().unwrap();
     }
 
+    /// With every slot pinned, a fill cannot evict: it serves the page
+    /// unbuffered — one miss, no eviction, nothing cached — and the pinned
+    /// value stays resident and intact.
     #[test]
     fn pinned_value_survives_eviction() {
         let cache: SharedPageCache<u32> = SharedPageCache::new(1, 1, 1, Policy::Lru);
         let src = Counting::new(100);
-        let (pinned, _) = cache.get(0, p(1), &src);
-        for n in 2..6 {
-            cache.get(0, p(n), &src); // evicts p1 and successors
-        }
-        assert!(!cache.contains(p(1)));
-        assert_eq!(*pinned, 1, "Arc keeps the evicted value alive");
+        let pinned = cache.get(0, p(1), &src);
+        let before = cache.snapshot();
+        let read = cache.get(0, p(2), &src);
+        assert!(matches!(read, PageRef::Unbuffered(_)));
+        assert_eq!((*read, read.access()), (2, SharedAccess::Miss));
+        drop(read);
+        let after = cache.snapshot();
+        let delta = after.since(&before);
+        assert_eq!((delta.misses, delta.evictions), (1, 0));
+        assert_eq!(after.unbuffered - before.unbuffered, 1);
+        assert_eq!(cache.len(), cache.capacity());
+        assert!(cache.contains(p(1)) && !cache.contains(p(2)));
+        // Nothing was cached, so the next read of page 2 misses again.
+        assert_eq!(cache.get(0, p(2), &src).access(), SharedAccess::Miss);
+        assert_eq!(*pinned, 1, "the pinned value is intact");
+        cache.check_invariants().unwrap();
+        drop(pinned);
+        // Unpinned, the slot is evictable again.
+        assert!(matches!(cache.get(0, p(2), &src), PageRef::Guard(_)));
+        assert_eq!(cache.total_stats().evictions, 1);
+        assert_eq!(cache.snapshot().unbuffered, 2);
+        cache.check_invariants().unwrap();
+    }
+
+    /// A guarded page at the LRU end is never the victim: the fill evicts
+    /// the next page in LRU order, and the guarded value stays resident
+    /// and intact.
+    #[test]
+    fn guarded_lru_page_is_never_the_victim() {
+        let cache: SharedPageCache<u32> = SharedPageCache::new(1, 2, 1, Policy::Lru);
+        let src = Counting::new(100);
+        let guard = cache.get(0, p(1), &src);
+        drop(cache.get(0, p(2), &src));
+        // Page 1 is least recently used, but pinned.
+        let read = cache.get(0, p(3), &src);
+        assert!(matches!(read, PageRef::Guard(_)), "a slot was free to take");
+        drop(read);
+        assert_eq!(cache.total_stats().evictions, 1);
+        assert!(cache.contains(p(1)), "the guarded page stays resident");
+        assert!(!cache.contains(p(2)), "the next LRU page was evicted");
+        assert_eq!(*guard, 1);
+        assert_eq!(cache.snapshot().unbuffered, 0);
+        cache.check_invariants().unwrap();
     }
 
     #[test]
-    fn capacity_rounds_up_per_shard() {
+    fn capacity_is_the_requested_page_count() {
         let cache: SharedPageCache<u32> = SharedPageCache::new(1, 10, 4, Policy::Lru);
-        // 10 / 4 rounds to 3 per shard: effective capacity 12.
-        assert_eq!(cache.capacity(), 12);
+        assert_eq!(cache.capacity(), 10, "10 over 4 shards: 3, 3, 2, 2");
+        let slots: Vec<usize> = cache.shards.iter().map(|s| s.meta.len()).collect();
+        assert_eq!(slots, vec![3, 3, 2, 2]);
         let tiny: SharedPageCache<u32> = SharedPageCache::new(1, 0, 3, Policy::Lru);
-        assert_eq!(tiny.capacity(), 3, "every shard holds at least one page");
+        assert_eq!(tiny.capacity(), 1, "at least one page");
+        assert_eq!(tiny.num_shards(), 1, "no more shards than pages");
+        let few: SharedPageCache<u32> = SharedPageCache::new(1, 3, 8, Policy::Lru);
+        assert_eq!((few.capacity(), few.num_shards()), (3, 3));
     }
 
     #[test]
@@ -1528,7 +1553,7 @@ mod tests {
         let src = Counting::new(40);
         for round in 0..3 {
             for n in 0..40 {
-                let (v, _) = cache.get((n as usize + round) % 4, p(n), &src);
+                let v = cache.get((n as usize + round) % 4, p(n), &src);
                 assert_eq!(*v, n);
             }
         }
@@ -1549,7 +1574,7 @@ mod tests {
                 let src = &src;
                 scope.spawn(move || {
                     for n in 0..64u32 {
-                        let (v, _) = cache.get(w, p(n), src);
+                        let v = cache.get(w, p(n), src);
                         assert_eq!(*v, n);
                     }
                 });
@@ -1597,8 +1622,9 @@ mod tests {
         cache.check_invariants().unwrap();
         assert!(!cache.contains(p(3)), "failed fetch caches nothing");
         // The very next request retries the source and succeeds.
-        let (v, a) = cache.try_get(0, p(3), &src).unwrap();
-        assert_eq!((*v, a), (3, SharedAccess::Miss));
+        let v = cache.try_get(0, p(3), &src).unwrap();
+        assert_eq!((*v, v.access()), (3, SharedAccess::Miss));
+        drop(v);
         cache.check_invariants().unwrap();
     }
 
@@ -1610,8 +1636,9 @@ mod tests {
         let src = Flaky {
             failures: AtomicU64::new(2),
         };
-        let (v, a) = cache.try_get(0, p(3), &src).unwrap();
-        assert_eq!((*v, a), (3, SharedAccess::Miss));
+        let v = cache.try_get(0, p(3), &src).unwrap();
+        assert_eq!((*v, v.access()), (3, SharedAccess::Miss));
+        drop(v);
         assert_eq!(cache.total_stats().retries, 2);
         assert_eq!(cache.total_stats().misses, 1);
         cache.check_invariants().unwrap();
@@ -1652,7 +1679,7 @@ mod tests {
         );
         assert_eq!(cache.corrupt_detected(), 1, "replays are not re-detections");
         // Healthy pages are unaffected.
-        let (v, _) = cache.try_get(0, p(10), &counting_gate).unwrap();
+        let v = cache.try_get(0, p(10), &counting_gate).unwrap();
         assert_eq!(*v, 10);
         cache.check_invariants().unwrap();
     }
@@ -1675,7 +1702,7 @@ mod tests {
                 scope.spawn(move || {
                     for n in 0..16u32 {
                         match cache.try_get(w, p(n), src) {
-                            Ok((v, _)) => {
+                            Ok(v) => {
                                 assert_eq!(*v, n);
                                 ok.fetch_add(1, Ordering::Relaxed);
                             }
@@ -1763,9 +1790,9 @@ mod tests {
                 }
             };
             std::thread::scope(|s| {
-                let filler = s.spawn(|| cache.try_get(0, p(3), &src).map(|(v, _)| *v));
+                let filler = s.spawn(|| cache.try_get(0, p(3), &src).map(|v| *v));
                 poll(&|| lock_clean(&shard.state).loading.contains(&p(3)));
-                let waiter = s.spawn(|| cache.try_get(1, p(3), &src));
+                let waiter = s.spawn(|| cache.try_get(1, p(3), &src).map(|v| (*v, v.access())));
                 poll(&|| lock_clean(&shard.state).waiters == 1);
                 src.open();
                 let filled = filler.join().unwrap();
@@ -1781,7 +1808,7 @@ mod tests {
                     );
                 }
                 let (v, access) = waiter.join().unwrap().expect("the waiter recovers");
-                assert_eq!(*v, 3);
+                assert_eq!(v, 3);
                 if fail {
                     assert!(filled.is_err(), "the gated fill failed");
                     assert_eq!(access, SharedAccess::Miss, "the waiter refetched");
@@ -1824,7 +1851,7 @@ mod tests {
         // Default retry policy (3 attempts) absorbs the burst of 1.
         let cache: SharedPageCache<u32> = SharedPageCache::new(1, 32, 2, Policy::Lru);
         for n in 0..20 {
-            let (v, _) = cache.try_get(0, p(n), &src).unwrap();
+            let v = cache.try_get(0, p(n), &src).unwrap();
             assert_eq!(*v, n);
         }
         assert_eq!(plan.transient_injected(), 20);
@@ -1840,7 +1867,7 @@ mod tests {
         let mut corrupt = 0;
         for n in 0..40 {
             match cache.try_get(0, p(n), &src) {
-                Ok((v, _)) => assert_eq!(*v, n),
+                Ok(v) => assert_eq!(*v, n),
                 Err(e) => {
                     assert!(e.is_corrupt());
                     corrupt += 1;

@@ -82,7 +82,7 @@ impl BufferStats {
     }
 }
 
-/// Counters for the guard (seqlock) read path of
+/// Counters for the guard read path of
 /// [`SharedPageCache`](crate::SharedPageCache), kept separately from
 /// [`BufferStats`] so the wire format and every existing reconciliation
 /// (`BufferStats` vs `TaskTrace`) are unchanged: a guard hit is still
@@ -92,11 +92,10 @@ impl BufferStats {
 pub struct OptStats {
     /// Hits served without taking the shard mutex (a validated guard).
     pub hits: u64,
-    /// Validation failures: the shard version moved (or a writer was
-    /// active) between snapshot and validation, and the read was retried.
-    pub retries: u64,
-    /// Reads that exhausted their validation attempts and fell back to the
-    /// pessimistic mutex path (at most one per request).
+    /// Reads that went to the mutex path after a failed validation: the
+    /// page table named a slot whose own tag no longer held the page (it
+    /// was being replaced). A request validates once, so this is at most
+    /// one per request.
     pub fallbacks: u64,
 }
 
@@ -105,7 +104,6 @@ impl OptStats {
     pub fn merged(&self, other: &OptStats) -> OptStats {
         OptStats {
             hits: self.hits + other.hits,
-            retries: self.retries + other.retries,
             fallbacks: self.fallbacks + other.fallbacks,
         }
     }
@@ -115,7 +113,6 @@ impl OptStats {
     pub fn since(&self, earlier: &OptStats) -> OptStats {
         OptStats {
             hits: self.hits - earlier.hits,
-            retries: self.retries - earlier.retries,
             fallbacks: self.fallbacks - earlier.fallbacks,
         }
     }
@@ -129,12 +126,10 @@ mod tests {
     fn opt_stats_merge_and_since() {
         let a = OptStats {
             hits: 5,
-            retries: 1,
             fallbacks: 0,
         };
         let b = OptStats {
             hits: 2,
-            retries: 0,
             fallbacks: 1,
         };
         let m = a.merged(&b);
@@ -142,7 +137,6 @@ mod tests {
             m,
             OptStats {
                 hits: 7,
-                retries: 1,
                 fallbacks: 1,
             }
         );

@@ -1,9 +1,8 @@
 //! Stress and property tests for the borrowing guard read path of
-//! [`SharedPageCache`]: [`PageGuard`] hands out `&T` with no Arc clone and
-//! no shard mutex, pinning the page's mirror slot so concurrent evictions
-//! defer (never block on) the payload free. Every payload carries a
-//! checksum, so a torn or stale read — a guard observing a freed or
-//! replaced page — cannot go unnoticed.
+//! [`SharedPageCache`]: [`PageGuard`] hands out `&T` straight from the
+//! page's slot with no shard mutex, and its pin keeps concurrent fills from
+//! choosing that slot. Every payload carries a checksum, so a torn or stale
+//! read — a guard observing a replaced page — cannot go unnoticed.
 
 use proptest::prelude::*;
 use psj_buffer::{PageRef, PageSource, Policy, SharedPageCache};
@@ -64,7 +63,7 @@ fn resident_pages_serve_guard_reads() {
     let cache: SharedPageCache<Checked> = SharedPageCache::new(2, 64, 4, Policy::Lru);
     let src = CheckedSource { pages: 16 };
     for p in 0..16 {
-        let (v, _) = cache.get(0, PageId(p), &src);
+        let v = cache.get(0, PageId(p), &src);
         verify(p, &v);
     }
     for round in 0..5 {
@@ -77,7 +76,6 @@ fn resident_pages_serve_guard_reads() {
     }
     let opt = cache.opt_stats();
     assert_eq!(opt.hits, 80, "every resident read was a guard hit");
-    assert_eq!(opt.retries, 0, "uncontended reads never fail validation");
     assert_eq!(opt.fallbacks, 0, "uncontended reads never fall back");
     let stats = cache.stats(1);
     assert_eq!(
@@ -87,32 +85,38 @@ fn resident_pages_serve_guard_reads() {
     cache.check_invariants().expect("invariants");
 }
 
-/// A guard held on a page keeps its payload readable across the page's own
-/// eviction — including when the *holder itself* performs the evicting
-/// fill. Before the graveyard protocol this exact sequence deadlocked: the
-/// remover span on the holder's own pin under the shard mutex.
+/// A guard held on a page keeps it resident and readable while the holder
+/// itself fills its shard: the fills take the other slot (or, once that
+/// is pinned too, are served unbuffered) and never block on or tear the
+/// guarded page.
 #[test]
-fn holding_a_guard_while_evicting_its_page_neither_blocks_nor_tears() {
+fn holding_a_guard_while_filling_its_shard_neither_blocks_nor_evicts_it() {
     // Single shard, capacity 2: cold fills evict deterministically.
     let cache: SharedPageCache<Checked> = SharedPageCache::new(1, 2, 1, Policy::Lru);
     let src = CheckedSource { pages: 64 };
-    cache.get(0, PageId(7), &src);
+    drop(cache.get(0, PageId(7), &src));
     let guard = cache.guard_get(0, PageId(7)).expect("resident page pins");
     verify(7, &guard);
-    // Fill cold pages until page 7 is gone; the guard is held throughout.
+    // Fill cold pages; the guard is held throughout.
     for p in 20..28 {
-        let (v, _) = cache.get(0, PageId(p), &src);
+        let v = cache.get(0, PageId(p), &src);
         verify(p, &v);
     }
-    assert!(!cache.contains(PageId(7)), "page 7 was evicted");
+    assert!(cache.contains(PageId(7)), "a guarded page is never evicted");
+    assert_eq!(cache.total_stats().evictions, 7, "the other slot churned");
     verify(7, &guard);
-    let arc = guard.to_arc();
+    {
+        // With both slots held, a fill cannot evict: it is unbuffered.
+        let other = cache.get(0, PageId(27), &src);
+        let spill = cache.get(0, PageId(30), &src);
+        assert!(matches!(spill, PageRef::Unbuffered(_)));
+        verify(27, &other);
+        verify(30, &spill);
+    }
     drop(guard);
-    verify(7, &arc);
-    drop(arc);
     cache
         .check_invariants()
-        .expect("graveyard drains once pins drop");
+        .expect("every pin is released with its guard");
 }
 
 /// A guard read is validated on its own, with no chain to the page read
@@ -126,14 +130,14 @@ fn guard_read_survives_eviction_of_the_previous_page() {
     let src = CheckedSource { pages: 64 };
     // The parent is filled and read first and the child filled last, so
     // the parent is the least and the child the most recently used page.
-    cache.get(0, PageId(0), &src);
+    drop(cache.get(0, PageId(0), &src));
     let parent = cache.guard_get(0, PageId(0)).expect("resident parent");
     verify(0, &parent);
     drop(parent);
-    cache.get(0, PageId(1), &src);
-    cache.get(0, PageId(2), &src);
+    drop(cache.get(0, PageId(1), &src));
+    drop(cache.get(0, PageId(2), &src));
     // A cold fill evicts the parent; the child stays resident.
-    cache.get(0, PageId(40), &src);
+    drop(cache.get(0, PageId(40), &src));
     assert!(!cache.contains(PageId(0)), "the parent was evicted");
     assert!(cache.contains(PageId(2)), "the child is still resident");
 
@@ -164,27 +168,27 @@ fn hammered_page_survives_cold_churn_via_sampled_touch() {
     let cache: SharedPageCache<Checked> = SharedPageCache::new(1, 4, 1, Policy::Lru);
     let src = CheckedSource { pages: 64 };
     for p in 0..4 {
-        cache.get(0, PageId(p), &src);
+        drop(cache.get(0, PageId(p), &src));
     }
     // Hammer page 0 through the optimistic path. The first sampled hit
     // re-touches it, moving it to the MRU end without taking the mutex on
     // the other 64 hits.
     for _ in 0..65 {
-        let (v, _) = cache.get(0, PageId(0), &src);
+        let v = cache.get(0, PageId(0), &src);
         verify(0, &v);
     }
     let before = cache.opt_stats();
     assert_eq!(before.hits, 65, "the hammer ran optimistically");
     // Three cold fills evict three pages — the untouched 1, 2, 3.
     for p in 10..13 {
-        cache.get(0, PageId(p), &src);
+        drop(cache.get(0, PageId(p), &src));
     }
     assert_eq!(cache.total_stats().evictions, 3);
     assert!(
         cache.contains(PageId(0)),
         "the hammered page must survive the cold sweep"
     );
-    let (_, access) = cache.get(0, PageId(0), &src);
+    let access = cache.get(0, PageId(0), &src).access();
     assert_ne!(
         access,
         psj_buffer::SharedAccess::Miss,
@@ -195,11 +199,10 @@ fn hammered_page_survives_cold_churn_via_sampled_touch() {
 
 /// Readers hold guards on hot pages — keeping them pinned across yields —
 /// while churn threads sweep a cold range through a small cache, evicting
-/// hot pages out from under the pins. Checks: a held guard never observes
-/// a torn or stale payload (the graveyard defers frees past the last
-/// deref), guard hits happen under churn, no request books more than one
-/// fallback, and the structural invariants (including an empty graveyard)
-/// hold at rest.
+/// every unpinned hot page. Checks: a held guard never observes a torn or
+/// stale payload (a pinned slot is never refilled), guard hits happen
+/// under churn, no request books more than one fallback, and the
+/// structural invariants hold at rest.
 #[test]
 fn guards_survive_concurrent_eviction_churn() {
     const READERS: usize = 4;
@@ -220,7 +223,7 @@ fn guards_survive_concurrent_eviction_churn() {
             s.spawn(move || {
                 for i in 0..4000usize {
                     let p = ((i + r) % HOT as usize) as u32;
-                    match cache.read(r, PageId(p), src).expect("clean source") {
+                    match cache.try_get(r, PageId(p), src).expect("clean source") {
                         PageRef::Guard(guard) => {
                             verify(p, &guard);
                             // Hold the pin across a reschedule so churners
@@ -235,13 +238,13 @@ fn guards_survive_concurrent_eviction_churn() {
                             // must never deadlock.
                             if i % 64 == 0 {
                                 let cold = COLD_LO + (i as u32 * 31 + r as u32) % 64;
-                                let (v, _) = cache.get(r, PageId(cold), src);
+                                let v = cache.get(r, PageId(cold), src);
                                 verify(cold, &v);
                                 verify(p, &guard);
                             }
                         }
-                        // Not resident (or churned): pessimistic path.
-                        PageRef::Owned(v, _) => verify(p, &v),
+                        // Every slot of the shard pinned: served unbuffered.
+                        PageRef::Unbuffered(v) => verify(p, &v),
                     }
                 }
             });
@@ -253,7 +256,7 @@ fn guards_survive_concurrent_eviction_churn() {
                 let span = COLD_HI - COLD_LO;
                 for i in 0..3000u32 {
                     let p = COLD_LO + (i.wrapping_mul(17).wrapping_add(c as u32 * 131)) % span;
-                    let (v, _) = cache.get(w, PageId(p), src);
+                    let v = cache.get(w, PageId(p), src);
                     verify(p, &v);
                 }
             });
@@ -266,7 +269,7 @@ fn guards_survive_concurrent_eviction_churn() {
         "hot pages must serve guard hits"
     );
     assert!(cache.total_stats().evictions > 0, "cold sweep must evict");
-    // Each request probes the mirror once: a request either is a guard
+    // Each request probes the page table once: a request either is a guard
     // hit or books at most one fallback on its way to the mutex path.
     for w in 0..READERS + CHURNERS {
         let (opt, stats) = (cache.opt_stats_for(w), cache.stats(w));
@@ -281,12 +284,11 @@ fn guards_survive_concurrent_eviction_churn() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// For every access sequence, the guard path and the Arc path observe
-    /// the same bytes: each step reads one page both ways (guard first,
-    /// then the pessimistic-capable Arc path) and requires the results to
+    /// For every access sequence, the guard path and the full read path
+    /// observe the same bytes: each step reads one page both ways (guard
+    /// first, then `try_get`, which may fill) and requires the results to
     /// be identical and checksum-clean, while up to four older guards are
-    /// kept pinned to exercise retirement. Ends at rest with invariants
-    /// (including an empty graveyard).
+    /// kept pinned to exercise the pin rule. Ends at rest with invariants.
     #[test]
     fn guard_reads_equal_arc_reads(
         ops in prop::collection::vec((0u32..48, 0u32..2), 1..120)
@@ -298,22 +300,19 @@ proptest! {
             let hold = hold == 1;
             let p = PageId(page);
             let via_guard = match cache.guard_get(0, p) {
-                Some(g) => {
-                    verify(page, &g);
-                    let arc = g.to_arc();
-                    if hold {
-                        held.push((page, g));
-                        if held.len() > 4 {
-                            held.remove(0);
-                        }
-                    }
-                    arc
-                }
-                None => cache.try_get(0, p, &src).unwrap().0,
+                Some(g) => PageRef::Guard(g),
+                None => cache.try_get(0, p, &src).unwrap(),
             };
-            let (via_arc, _) = cache.try_get(0, p, &src).unwrap();
-            prop_assert_eq!(&*via_guard, &*via_arc, "paths diverge on page {}", page);
-            verify(page, &via_arc);
+            verify(page, &via_guard);
+            let via_read = cache.try_get(0, p, &src).unwrap();
+            prop_assert_eq!(&*via_guard, &*via_read, "paths diverge on page {}", page);
+            verify(page, &via_read);
+            if hold {
+                held.push((page, via_guard));
+                if held.len() > 4 {
+                    held.remove(0);
+                }
+            }
             for (hp, hg) in &held {
                 verify(*hp, hg);
             }

@@ -1,7 +1,7 @@
-//! Stress tests for the optimistic (seqlock) read path of
+//! Stress tests for the optimistic (guard) read path of
 //! [`SharedPageCache`]: readers hammer hot resident pages without taking
 //! any shard mutex while churn threads drive evictions, quarantines, and
-//! fault retries through the pessimistic write path. Every payload carries
+//! fault retries through the mutex path. Every payload carries
 //! a checksum, so a torn read (a reader observing a page mid-replacement)
 //! cannot go unnoticed.
 
@@ -57,20 +57,20 @@ impl PageSource for CheckedSource {
 
 /// The acceptance criterion, stated directly: once a page is resident,
 /// every further hit is served by the optimistic path (no shard mutex),
-/// with zero validation retries when nothing mutates concurrently.
+/// with zero failed validations when nothing mutates concurrently.
 #[test]
 fn resident_hits_are_served_optimistically() {
     let cache: SharedPageCache<Checked> = SharedPageCache::new(1, 64, 4, Policy::Lru);
     let src = CheckedSource { pages: 32 };
     for p in 0..32 {
-        let (v, _) = cache.get(0, PageId(p), &src);
+        let v = cache.get(0, PageId(p), &src);
         verify(p, &v);
     }
     let base = cache.opt_stats();
-    assert_eq!(base.hits, 0, "cold fills go through the pessimistic path");
+    assert_eq!(base.hits, 0, "cold fills go through the mutex path");
     for _ in 0..10 {
         for p in 0..32 {
-            let (v, _) = cache.get(0, PageId(p), &src);
+            let v = cache.get(0, PageId(p), &src);
             verify(p, &v);
         }
     }
@@ -79,7 +79,6 @@ fn resident_hits_are_served_optimistically() {
         d.hits, 320,
         "every resident-page hit avoids the shard mutex"
     );
-    assert_eq!(d.retries, 0, "uncontended reads never fail validation");
     assert_eq!(d.fallbacks, 0, "uncontended reads never fall back");
     let stats = cache.stats(0);
     assert_eq!(stats.hits_local, 320, "optimistic hits still count as hits");
@@ -95,7 +94,7 @@ fn opt_counters_aggregate_across_workers() {
     let src = CheckedSource { pages: 16 };
     for w in 0..3 {
         for p in 0..16 {
-            let (v, _) = cache.get(w, PageId(p), &src);
+            let v = cache.get(w, PageId(p), &src);
             verify(p, &v);
         }
     }
@@ -118,8 +117,10 @@ fn opt_counters_aggregate_across_workers() {
 /// * optimistic hits happen under churn,
 /// * every injected transient is absorbed as exactly one counted retry,
 /// * corrupt pages end up quarantined,
-/// * validation failures are counted as retries (bounded re-runs with
-///   fresh seeds guard against an interleaving with zero collisions),
+/// * validation failures are counted as fallbacks (bounded re-runs with
+///   fresh seeds guard against an interleaving with zero collisions: a
+///   failure needs a reader on the very slot being replaced, so a round
+///   can pass without one),
 /// * the cache's structural invariants hold at rest.
 #[test]
 fn optimistic_reads_survive_concurrent_churn() {
@@ -127,7 +128,7 @@ fn optimistic_reads_survive_concurrent_churn() {
     const CHURNERS: usize = 2;
     const COLD_LO: u32 = 64;
     const COLD_HI: u32 = 512;
-    const ROUNDS: u64 = 6;
+    const ROUNDS: u64 = 24;
 
     for round in 0..ROUNDS {
         let plan = Arc::new(
@@ -160,7 +161,7 @@ fn optimistic_reads_survive_concurrent_churn() {
                     for i in 0..4000 {
                         let p = hot[(i + r) % hot.len()];
                         match cache.try_get(r, PageId(p), src) {
-                            Ok((v, _)) => verify(p, &v),
+                            Ok(v) => verify(p, &v),
                             Err(e) => panic!("clean hot page {p} failed: {e}"),
                         }
                     }
@@ -174,7 +175,7 @@ fn optimistic_reads_survive_concurrent_churn() {
                     for i in 0..3000u32 {
                         let p = COLD_LO + (i.wrapping_mul(17).wrapping_add(c as u32 * 131)) % span;
                         match cache.try_get(w, PageId(p), src) {
-                            Ok((v, _)) => verify(p, &v),
+                            Ok(v) => verify(p, &v),
                             // Corrupt / quarantined pages are the point of
                             // the churn; transients were retried away.
                             Err(e) => assert!(
@@ -201,10 +202,10 @@ fn optimistic_reads_survive_concurrent_churn() {
             plan.transient_injected(),
             "every injected transient is exactly one counted retry"
         );
-        if opt.retries > 0 {
+        if opt.fallbacks > 0 {
             // Saw genuine validation failures under mutation — done.
             return;
         }
     }
-    panic!("no optimistic validation retry observed in {ROUNDS} churn rounds");
+    panic!("no failed guard validation observed in {ROUNDS} churn rounds");
 }

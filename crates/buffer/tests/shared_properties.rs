@@ -58,8 +58,9 @@ proptest! {
         let cache: SharedPageCache<u64> = SharedPageCache::new(1, capacity, shards, Policy::Lru);
         let src = Numbers::new(64);
         for &p in &accesses {
-            let (v, _) = cache.get(0, PageId(p), &src);
+            let v = cache.get(0, PageId(p), &src);
             prop_assert_eq!(*v, p as u64);
+            drop(v);
             prop_assert!(cache.len() <= cache.capacity());
         }
         cache.check_invariants().map_err(TestCaseError::fail)?;
@@ -72,8 +73,9 @@ proptest! {
         prop_assert!(cache.len() <= cache.capacity());
     }
 
-    /// Pages held as `Arc` pins survive any amount of eviction pressure
-    /// with their contents intact.
+    /// Pages held as guards survive any amount of eviction pressure with
+    /// their contents intact (once every slot is pinned, fills are served
+    /// unbuffered).
     #[test]
     fn pinned_pages_never_lost(
         pin_pages in prop::collection::vec(0u32..16, 1..8),
@@ -83,7 +85,7 @@ proptest! {
         let cache: SharedPageCache<u64> = SharedPageCache::new(1, 2, 1, Policy::Lru);
         let src = Numbers::new(256);
         let pinned: Vec<_> =
-            pin_pages.iter().map(|&p| (p, cache.get(0, PageId(p), &src).0)).collect();
+            pin_pages.iter().map(|&p| (p, cache.get(0, PageId(p), &src))).collect();
         for &p in &churn {
             cache.get(0, PageId(p), &src);
         }
@@ -103,7 +105,7 @@ proptest! {
         let cache: SharedPageCache<u64> = SharedPageCache::new(1, 6, 2, policy);
         let src = Numbers::new(48);
         for &p in &accesses {
-            let (v, _) = cache.get(0, PageId(p), &src);
+            let v = cache.get(0, PageId(p), &src);
             prop_assert_eq!(*v, p as u64);
         }
         prop_assert!(cache.len() <= cache.capacity());
@@ -137,9 +139,9 @@ fn multithreaded_stress_accounting() {
                         } else {
                             rng.random_range(0..PAGES)
                         };
-                        let (v, access) = cache.get(w, PageId(p), src);
+                        let v = cache.get(w, PageId(p), src);
                         assert_eq!(*v, p as u64, "worker {w} read wrong page content");
-                        if let SharedAccess::HitRemote { owner } = access {
+                        if let SharedAccess::HitRemote { owner } = v.access() {
                             assert_ne!(owner, w, "remote hit owned by requester");
                         }
                         // Keep a rotating pin set alive under eviction.
@@ -192,7 +194,7 @@ fn in_flight_dedup_under_contention() {
             let src = &src;
             scope.spawn(move || {
                 for p in 0..4u32 {
-                    let (v, _) = cache.get(w, PageId(p), src);
+                    let v = cache.get(w, PageId(p), src);
                     assert_eq!(*v, p as u64);
                 }
             });

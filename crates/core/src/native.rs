@@ -25,10 +25,11 @@
 //!
 //! By default workers read tree nodes straight from the frozen in-memory
 //! trees. Setting [`NativeConfig::buffer`] instead routes every node access
-//! through a bounded [`SharedPageCache`]: a miss decodes the node from its
-//! serialized 4 KB page, a hit reuses the cached decode, and the cache
-//! never holds more than the configured page budget. This reproduces the
-//! paper's local/global buffer dimension on real threads:
+//! through a bounded [`SharedPageCache`] of [`NodeFrame`]s: a miss
+//! transcodes the node's serialized 4 KB page into a fixed cache slot, a
+//! hit reads the slot in place, and the cache never holds more than the
+//! configured page budget. This reproduces the paper's local/global buffer
+//! dimension on real threads:
 //!
 //! * [`BufferOrg::Local`] — each worker gets a private cache with
 //!   `capacity / num_threads` pages. Workers never see each other's pages,
@@ -61,13 +62,15 @@ use crate::metrics::{TaskOrigin, TaskTrace};
 use crate::morsel::{morselize, Morsel, MorselOptions, StealPolicy};
 use crate::sim::BufferOrg;
 use crate::task::{create_tasks, expand_pair, Candidate, KernelScratch, TaskPair};
-use psj_buffer::{BufferStats, FaultSource, PageRef, PageSource, Policy, SharedPageCache};
+use psj_buffer::{BufferStats, PageRef, PageSource, Policy, SharedPageCache};
 use psj_desim::StealOrder;
 use psj_obs::trace::{worker_tid, TID_MAIN};
 use psj_obs::{ThreadTracer, TraceSink};
-use psj_rtree::{Node, PagedTree};
-use psj_store::{lock_clean, FaultPlan, PageError, PageId, RetryPolicy};
+use psj_rtree::{JoinNode, Node, NodeFrame, PagedTree};
+use psj_store::{lock_clean, FaultPlan, Page, PageError, PageId, RetryPolicy};
 use serde::{Deserialize, Serialize};
+use std::mem::MaybeUninit;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -331,126 +334,141 @@ pub struct NativeResult {
 /// the shared cache's key space.
 const TREE_B_TAG: u32 = 1 << 31;
 
-/// A [`PageSource`] over both join inputs: fetching decodes the node from
-/// its serialized page in the owning tree's [`psj_store::PageStore`].
+/// A [`PageSource`] over both join inputs: a fill transcodes the node from
+/// its serialized page in the owning tree's [`psj_store::PageStore`] into
+/// the cache's [`NodeFrame`] slot, in place, after the injected fault plan
+/// (if any) has had its say.
 struct JoinSource<'t> {
     a: &'t PagedTree,
     b: &'t PagedTree,
+    fault: Option<Arc<FaultPlan>>,
+}
+
+impl<'t> JoinSource<'t> {
+    /// The serialized page behind a (tagged) page id.
+    fn read(&self, page: PageId) -> Result<&'t Page, PageError> {
+        if let Some(plan) = &self.fault {
+            plan.before_fetch(page)?;
+        }
+        Ok(if page.0 & TREE_B_TAG != 0 {
+            self.b.pages().read(PageId(page.0 & !TREE_B_TAG))
+        } else {
+            self.a.pages().read(page)
+        })
+    }
 }
 
 impl PageSource for JoinSource<'_> {
-    type Item = Node;
+    type Item = NodeFrame;
 
-    fn fetch_page(&self, page: PageId) -> Result<Node, PageError> {
-        Ok(if page.0 & TREE_B_TAG != 0 {
-            Node::decode(self.b.pages().read(PageId(page.0 & !TREE_B_TAG)))
-        } else {
-            Node::decode(self.a.pages().read(page))
-        })
+    fn fetch_page(&self, page: PageId) -> Result<NodeFrame, PageError> {
+        NodeFrame::from_page(self.read(page)?)
+            .map_err(|context| PageError::Corrupt { page, context })
     }
 
     fn page_count(&self) -> usize {
         self.a.pages().len() + self.b.pages().len()
     }
-}
 
-/// The page source a buffered run fills its cache from: the plain decode
-/// path, or the same wrapped in an injected fault plan.
-enum Source<'t> {
-    Plain(JoinSource<'t>),
-    Faulted(FaultSource<JoinSource<'t>>),
-}
-
-impl PageSource for Source<'_> {
-    type Item = Node;
-
-    fn fetch_page(&self, page: PageId) -> Result<Node, PageError> {
-        match self {
-            Source::Plain(s) => s.fetch_page(page),
-            Source::Faulted(s) => s.fetch_page(page),
-        }
-    }
-
-    fn page_count(&self) -> usize {
-        match self {
-            Source::Plain(s) => s.page_count(),
-            Source::Faulted(s) => s.page_count(),
-        }
+    fn fill_page<'s>(
+        &self,
+        page: PageId,
+        slot: &'s mut MaybeUninit<NodeFrame>,
+    ) -> Result<&'s mut NodeFrame, PageError> {
+        NodeFrame::decode_into(self.read(page)?, slot)
+            .map_err(|context| PageError::Corrupt { page, context })
     }
 }
 
-/// A node obtained by direct reference into a frozen tree, or read
-/// through the page cache (a pin-guarded borrow or an owned decode).
-enum NodeRef<'t> {
-    Borrowed(&'t Node),
-    Page(PageRef<'t, Node>),
+/// Where one worker reads its nodes: straight from the frozen trees, or
+/// through a cache (shared or private) in front of their pages (tagged
+/// page ids keep both trees in one cache). `run_worker` is monomorphised
+/// per implementation, so the in-memory join reads `&Node` with no
+/// per-read dispatch.
+trait Fetch<'t> {
+    /// The node representation a read derefs to.
+    type Node: JoinNode;
+    /// A node read, held while its pair is expanded and its candidates
+    /// resolved.
+    type Ref: Deref<Target = Self::Node>;
+
+    fn node_a(&self, page: PageId) -> Result<Self::Ref, PageError>;
+
+    fn node_b(&self, page: PageId) -> Result<Self::Ref, PageError>;
+
+    /// This worker's buffer counters, `None` when unbuffered; segment
+    /// deltas taken from consecutive calls reconcile exactly with the run
+    /// aggregates.
+    fn stats(&self) -> Option<BufferStats>;
 }
 
-impl std::ops::Deref for NodeRef<'_> {
-    type Target = Node;
-
-    #[inline]
-    fn deref(&self) -> &Node {
-        match self {
-            NodeRef::Borrowed(n) => n,
-            NodeRef::Page(n) => n,
-        }
-    }
-}
-
-/// One worker's view of the node storage: direct tree access, or a cache
-/// (shared or private) in front of the serialized pages (tagged page ids
-/// keep both trees in one cache).
-struct NodeFetcher<'t> {
+/// Direct access to the frozen in-memory trees.
+struct Direct<'t> {
     a: &'t PagedTree,
     b: &'t PagedTree,
-    source: Source<'t>,
-    /// `(cache, stats index)` — the stats index is the worker id for the
-    /// shared cache and 0 for a private one.
-    cache: Option<(&'t SharedPageCache<Node>, usize)>,
 }
 
-impl<'t> NodeFetcher<'t> {
+impl<'t> Fetch<'t> for Direct<'t> {
+    type Node = Node;
+    type Ref = &'t Node;
+
     #[inline]
-    fn node_a(&self, page: PageId) -> Result<NodeRef<'t>, PageError> {
-        match self.cache {
-            None => Ok(NodeRef::Borrowed(self.a.node(page))),
-            Some((cache, w)) => cache.read(w, page, &self.source).map(NodeRef::Page),
-        }
+    fn node_a(&self, page: PageId) -> Result<&'t Node, PageError> {
+        Ok(self.a.node(page))
     }
 
     #[inline]
-    fn node_b(&self, page: PageId) -> Result<NodeRef<'t>, PageError> {
-        match self.cache {
-            None => Ok(NodeRef::Borrowed(self.b.node(page))),
-            Some((cache, w)) => cache
-                .read(w, PageId(page.0 | TREE_B_TAG), &self.source)
-                .map(NodeRef::Page),
-        }
+    fn node_b(&self, page: PageId) -> Result<&'t Node, PageError> {
+        Ok(self.b.node(page))
     }
 
-    /// This worker's buffer counters; segment deltas taken from
-    /// consecutive calls reconcile exactly with the run aggregates.
-    fn stats(&self) -> BufferStats {
-        match self.cache {
-            Some((c, w)) => c.stats(w),
-            None => BufferStats::default(),
-        }
+    fn stats(&self) -> Option<BufferStats> {
+        None
+    }
+}
+
+/// Reads through a page cache of node frames.
+struct Cached<'t> {
+    source: JoinSource<'t>,
+    cache: &'t SharedPageCache<NodeFrame>,
+    /// The stats index: the worker id for the shared cache, 0 for a
+    /// private one.
+    worker: usize,
+}
+
+impl<'t> Fetch<'t> for Cached<'t> {
+    type Node = NodeFrame;
+    type Ref = PageRef<'t, NodeFrame>;
+
+    #[inline]
+    fn node_a(&self, page: PageId) -> Result<PageRef<'t, NodeFrame>, PageError> {
+        self.cache.try_get(self.worker, page, &self.source)
+    }
+
+    #[inline]
+    fn node_b(&self, page: PageId) -> Result<PageRef<'t, NodeFrame>, PageError> {
+        self.cache
+            .try_get(self.worker, PageId(page.0 | TREE_B_TAG), &self.source)
+    }
+
+    fn stats(&self) -> Option<BufferStats> {
+        Some(self.cache.stats(self.worker))
     }
 }
 
 /// The caches a buffered run uses, by organization and ownership.
 enum CacheSet<'c> {
     None,
-    Global(SharedPageCache<Node>),
-    Local(Vec<SharedPageCache<Node>>),
+    Global(SharedPageCache<NodeFrame>),
+    Local(Vec<SharedPageCache<NodeFrame>>),
     /// Caller-owned shared cache that stays warm across joins.
-    External(&'c SharedPageCache<Node>),
+    External(&'c SharedPageCache<NodeFrame>),
 }
 
-impl<'c> CacheSet<'c> {
+impl CacheSet<'_> {
+    /// The caches `cfg` asks for.
     fn build(cfg: &NativeConfig, retry: RetryPolicy, trace: Option<&Arc<TraceSink>>) -> Self {
-        let traced = |cache: SharedPageCache<Node>| match trace {
+        let traced = |cache: SharedPageCache<NodeFrame>| match trace {
             Some(t) => cache.with_trace(Arc::clone(t)),
             None => cache,
         };
@@ -484,7 +502,7 @@ impl<'c> CacheSet<'c> {
     }
 
     /// The cache worker `id` uses plus its stats index within that cache.
-    fn for_worker(&self, id: usize) -> Option<(&SharedPageCache<Node>, usize)> {
+    fn for_worker(&self, id: usize) -> Option<(&SharedPageCache<NodeFrame>, usize)> {
         match self {
             CacheSet::None => None,
             CacheSet::Global(c) => Some((c, id)),
@@ -649,7 +667,7 @@ pub fn run_native_join_with_cache(
     a: &PagedTree,
     b: &PagedTree,
     cfg: &NativeConfig,
-    cache: &SharedPageCache<Node>,
+    cache: &SharedPageCache<NodeFrame>,
 ) -> NativeResult {
     match try_run_native_join_with_cache(a, b, cfg, cache, &RunControl::default()) {
         Ok(res) => res,
@@ -664,7 +682,7 @@ pub fn try_run_native_join_with_cache(
     a: &PagedTree,
     b: &PagedTree,
     cfg: &NativeConfig,
-    cache: &SharedPageCache<Node>,
+    cache: &SharedPageCache<NodeFrame>,
     ctl: &RunControl<'_>,
 ) -> Result<NativeResult, NativeError> {
     assert!(
@@ -782,34 +800,36 @@ fn run_with_caches(
     let start = Instant::now();
 
     let mut results: Vec<WorkerOutput> = Vec::with_capacity(cfg.num_threads);
+    let run = RunShared {
+        a,
+        b,
+        cfg,
+        queues: &queues,
+        injector: &injector,
+        loads: &loads,
+        candidates: &candidates,
+        node_pairs: &node_pairs,
+        steals: &steals,
+        cancel,
+        fail: &fail,
+    };
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(cfg.num_threads);
         for id in 0..cfg.num_threads {
-            let injector = &injector;
-            let queues = &queues;
-            let loads = &loads;
-            let caches = &caches;
-            let candidates = &candidates;
-            let node_pairs = &node_pairs;
-            let steals = &steals;
-            let fail = &fail;
+            let (run, caches) = (&run, &caches);
             let fault = ctl.fault.clone();
             let tracer = ctl.trace.as_ref().map(|t| t.tracer(worker_tid(id)));
-            handles.push(scope.spawn(move || {
-                let join_source = JoinSource { a, b };
-                let fetcher = NodeFetcher {
-                    a,
-                    b,
-                    source: match fault {
-                        Some(plan) => Source::Faulted(FaultSource::new(join_source, plan)),
-                        None => Source::Plain(join_source),
-                    },
-                    cache: caches.for_worker(id),
-                };
-                run_worker(
-                    id, a, b, cfg, &fetcher, queues, injector, loads, candidates, node_pairs,
-                    steals, cancel, fail, tracer,
-                )
+            handles.push(scope.spawn(move || match caches.for_worker(id) {
+                None => run_worker(id, run, &Direct { a, b }, tracer),
+                Some((cache, worker)) => {
+                    let source = JoinSource { a, b, fault };
+                    let fetcher = Cached {
+                        source,
+                        cache,
+                        worker,
+                    };
+                    run_worker(id, run, &fetcher, tracer)
+                }
             }));
         }
         for h in handles {
@@ -1080,23 +1100,40 @@ fn acquire_morsel(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
+/// What every worker of one run shares.
+struct RunShared<'r> {
+    a: &'r PagedTree,
+    b: &'r PagedTree,
+    cfg: &'r NativeConfig,
+    queues: &'r [MorselQueue<Morsel>],
+    injector: &'r MorselQueue<Morsel>,
+    loads: &'r [WorkerLoad],
+    candidates: &'r AtomicU64,
+    node_pairs: &'r AtomicU64,
+    steals: &'r AtomicU64,
+    cancel: Option<&'r CancelToken>,
+    fail: &'r FailState,
+}
+
+fn run_worker<'t, F: Fetch<'t>>(
     id: usize,
-    a: &PagedTree,
-    b: &PagedTree,
-    cfg: &NativeConfig,
-    fetcher: &NodeFetcher<'_>,
-    queues: &[MorselQueue<Morsel>],
-    injector: &MorselQueue<Morsel>,
-    loads: &[WorkerLoad],
-    candidates: &AtomicU64,
-    node_pairs: &AtomicU64,
-    steals: &AtomicU64,
-    cancel: Option<&CancelToken>,
-    fail: &FailState,
+    run: &RunShared<'_>,
+    fetcher: &F,
     mut tracer: Option<ThreadTracer>,
 ) -> WorkerOutput {
+    let RunShared {
+        a,
+        b,
+        cfg,
+        queues,
+        injector,
+        loads,
+        candidates,
+        node_pairs,
+        steals,
+        cancel,
+        fail,
+    } = *run;
     let mut scratch = KernelScratch::default();
     let mut children: Vec<TaskPair> = Vec::new();
     let mut cands: Vec<Candidate> = Vec::new();
@@ -1110,7 +1147,7 @@ fn run_worker(
     // Per-morsel attribution state. `fetcher.stats()` reads this worker's
     // own counters, which only this thread advances, so deltas between
     // boundaries are exact.
-    let buffered = fetcher.cache.is_some();
+    let buffered = fetcher.stats().is_some();
     let mut traces: Vec<TaskTrace> = Vec::new();
     let shim = StealOrder::new(cfg.steal_seed);
     let mut attempts = 0u64;
@@ -1145,7 +1182,7 @@ fn run_worker(
             tasks: morsel.tasks.len() as u32,
             start: Instant::now(),
             start_ns: tracer.as_ref().map_or(0, ThreadTracer::now_ns),
-            base_stats: fetcher.stats(),
+            base_stats: fetcher.stats().unwrap_or_default(),
             base_pairs: local_pairs,
             base_cands: local_candidates,
         };
@@ -1188,7 +1225,7 @@ fn run_worker(
                 };
                 children.clear();
                 cands.clear();
-                expand_pair(&na, &nb, &pair, &mut scratch, &mut children, &mut cands);
+                expand_pair(&*na, &*nb, &pair, &mut scratch, &mut children, &mut cands);
                 for c in children.drain(..).rev() {
                     stack.push(c);
                 }
@@ -1199,25 +1236,25 @@ fn run_worker(
                     continue;
                 }
                 local_candidates += cands.len() as u64;
-                let (da, db) = (na.data_entries(), nb.data_entries());
                 for c in &cands {
-                    let ea = da[c.idx_a as usize];
-                    let eb = db[c.idx_b as usize];
+                    let (ia, ib) = (c.idx_a as usize, c.idx_b as usize);
+                    let oids = (na.oid(ia), nb.oid(ib));
                     if cfg.refine {
                         // Refinement geometry lives in the cluster store,
                         // outside the page budget: the paper reads clusters
                         // once per data page and does not buffer them (§4.2).
-                        let ga = a.clusters().geometry(ea.geom.page, ea.geom.slot);
-                        let gb = b.clusters().geometry(eb.geom.page, eb.geom.slot);
+                        let (ra, rb) = (na.geom(ia), nb.geom(ib));
+                        let ga = a.clusters().geometry(ra.page, ra.slot);
+                        let gb = b.clusters().geometry(rb.page, rb.slot);
                         let hit = match (ga, gb) {
                             (Some(ga), Some(gb)) => ga.intersects(gb),
                             _ => true,
                         };
                         if hit {
-                            out.push((ea.oid, eb.oid));
+                            out.push(oids);
                         }
                     } else {
-                        out.push((ea.oid, eb.oid));
+                        out.push(oids);
                     }
                 }
             }
@@ -1239,7 +1276,7 @@ fn run_worker(
             seg,
             id,
             buffered,
-            fetcher.stats(),
+            fetcher.stats().unwrap_or_default(),
             local_pairs,
             local_candidates,
             &mut traces,
@@ -1395,7 +1432,8 @@ mod tests {
         let a = tree(600, 0.0);
         let b = tree(600, 0.4);
         let total_pages = a.pages().len() + b.pages().len();
-        let cache: SharedPageCache<Node> = SharedPageCache::new(4, total_pages * 2, 8, Policy::Lru);
+        let cache: SharedPageCache<NodeFrame> =
+            SharedPageCache::new(4, total_pages * 2, 8, Policy::Lru);
         let mut cfg = NativeConfig::new(4);
         cfg.refine = false;
         let cold = run_native_join_with_cache(&a, &b, &cfg, &cache);

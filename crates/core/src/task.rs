@@ -16,7 +16,7 @@
 
 use psj_geom::sweep::{sweep_pairs_soa, SweepScratch};
 use psj_geom::Rect;
-use psj_rtree::{Node, PagedTree};
+use psj_rtree::{JoinNode, PagedTree};
 use psj_store::PageId;
 use serde::{Deserialize, Serialize};
 
@@ -78,7 +78,7 @@ pub struct SweepWork {
 }
 
 /// Reusable scratch buffers for the kernel, so executors allocate once.
-/// The kernel reads MBRs from each node's frozen SoA view, so no per-call
+/// The kernel reads MBRs from each node's SoA lanes, so no per-call
 /// rectangle copies remain — only the sweep's filtered/gathered buffers and
 /// the pair output.
 #[derive(Debug, Default)]
@@ -95,20 +95,26 @@ pub struct KernelScratch {
 /// * Leaf level: candidate entry pairs are appended to `candidates`.
 /// * Unequal levels: only the deeper-reaching side is expanded, keeping the
 ///   shallower node fixed, until levels align.
-pub fn expand_pair(
-    na: &Node,
-    nb: &Node,
+///
+/// Generic over the node representation ([`JoinNode`]): the in-memory join
+/// passes the tree's decoded [`psj_rtree::Node`]s, the cached join the
+/// [`psj_rtree::NodeFrame`]s in its page cache; both read the same lanes.
+pub fn expand_pair<N: JoinNode>(
+    na: &N,
+    nb: &N,
     pair: &TaskPair,
     scratch: &mut KernelScratch,
     children: &mut Vec<TaskPair>,
     candidates: &mut Vec<Candidate>,
 ) -> SweepWork {
     debug_assert_eq!(
-        na.level, pair.la as u32,
+        na.level(),
+        pair.la as u32,
         "node/page level mismatch (tree A)"
     );
     debug_assert_eq!(
-        nb.level, pair.lb as u32,
+        nb.level(),
+        pair.lb as u32,
         "node/page level mismatch (tree B)"
     );
 
@@ -116,14 +122,9 @@ pub fn expand_pair(
         return expand_unequal(na, nb, pair, children);
     }
 
+    let (la, lb) = (na.lanes(), nb.lanes());
     scratch.pairs.clear();
-    sweep_pairs_soa(
-        na.soa_mbrs(),
-        nb.soa_mbrs(),
-        &pair.window,
-        &mut scratch.sweep,
-        &mut scratch.pairs,
-    );
+    sweep_pairs_soa(la, lb, &pair.window, &mut scratch.sweep, &mut scratch.pairs);
     let work = SweepWork {
         entries: scratch.sweep.filt_r.len() + scratch.sweep.filt_s.len(),
         pairs: scratch.pairs.len(),
@@ -140,19 +141,17 @@ pub fn expand_pair(
             });
         }
     } else {
-        let ea = na.dir_entries();
-        let eb = nb.dir_entries();
         children.reserve(scratch.pairs.len());
         for &(i, j) in &scratch.pairs {
-            let (ra, rb) = (&ea[i as usize], &eb[j as usize]);
-            let window = ra
-                .mbr
-                .intersection(&rb.mbr)
+            let (i, j) = (i as usize, j as usize);
+            let window = la
+                .rect(i)
+                .intersection(&lb.rect(j))
                 .expect("sweep produced a non-intersecting pair");
             children.push(TaskPair {
-                a: PageId(ra.child),
+                a: PageId(na.child(i)),
                 la: pair.la - 1,
-                b: PageId(rb.child),
+                b: PageId(nb.child(j)),
                 lb: pair.lb - 1,
                 window,
             });
@@ -162,58 +161,53 @@ pub fn expand_pair(
 }
 
 /// Aligns trees of unequal height: descend only in the deeper side.
-fn expand_unequal(
-    na: &Node,
-    nb: &Node,
+fn expand_unequal<N: JoinNode>(
+    na: &N,
+    nb: &N,
     pair: &TaskPair,
     children: &mut Vec<TaskPair>,
 ) -> SweepWork {
-    let mut entries = 0usize;
+    // The deeper side's entries, each tested against the other node's MBR.
+    let (deep, other) = if pair.la > pair.lb {
+        (na, nb.mbr())
+    } else {
+        (nb, na.mbr())
+    };
+    let lanes = deep.lanes();
     let mut pairs = 0usize;
-    if pair.la > pair.lb {
-        let other = nb.mbr();
-        for e in na.dir_entries() {
-            entries += 1;
-            if e.mbr.intersects(&pair.window) && e.mbr.intersects(&other) {
-                let window = e
-                    .mbr
-                    .intersection(&other)
-                    .expect("checked intersection")
-                    .intersection(&pair.window)
-                    .unwrap_or(pair.window);
-                children.push(TaskPair {
-                    a: PageId(e.child),
+    for i in 0..lanes.len() {
+        let mbr = lanes.rect(i);
+        if mbr.intersects(&pair.window) && mbr.intersects(&other) {
+            let window = mbr
+                .intersection(&other)
+                .expect("checked intersection")
+                .intersection(&pair.window)
+                .unwrap_or(pair.window);
+            let child = PageId(deep.child(i));
+            children.push(if pair.la > pair.lb {
+                TaskPair {
+                    a: child,
                     la: pair.la - 1,
                     b: pair.b,
                     lb: pair.lb,
                     window,
-                });
-                pairs += 1;
-            }
-        }
-    } else {
-        let other = na.mbr();
-        for e in nb.dir_entries() {
-            entries += 1;
-            if e.mbr.intersects(&pair.window) && e.mbr.intersects(&other) {
-                let window = e
-                    .mbr
-                    .intersection(&other)
-                    .expect("checked intersection")
-                    .intersection(&pair.window)
-                    .unwrap_or(pair.window);
-                children.push(TaskPair {
+                }
+            } else {
+                TaskPair {
                     a: pair.a,
                     la: pair.la,
-                    b: PageId(e.child),
+                    b: child,
                     lb: pair.lb - 1,
                     window,
-                });
-                pairs += 1;
-            }
+                }
+            });
+            pairs += 1;
         }
     }
-    SweepWork { entries, pairs }
+    SweepWork {
+        entries: lanes.len(),
+        pairs,
+    }
 }
 
 /// Result of task creation: the tasks in local plane-sweep order, plus the

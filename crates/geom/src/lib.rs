@@ -31,8 +31,8 @@ pub use polygon::Polygon;
 pub use polyline::Polyline;
 pub use rect::Rect;
 pub use segment::Segment;
-pub use soa::SoaMbrs;
+pub use soa::{SoaMbrs, SoaRun};
 pub use sweep::{
     sweep_pairs, sweep_pairs_into, sweep_pairs_restricted, sweep_pairs_soa, sweep_pairs_soa_runs,
-    SoaRun, SweepPair, SweepScratch,
+    SweepPair, SweepScratch,
 };

@@ -30,6 +30,24 @@ use crate::Rect;
 /// (26-entry leaves, 102-entry directory nodes).
 pub const FILTER_LANES: usize = 8;
 
+/// A borrowed sequence of MBRs in struct-of-arrays layout: four parallel
+/// coordinate slices indexed by entry position. The window filters and the
+/// sweep kernel read lanes through this view, whoever owns them: an
+/// [`SoaMbrs`], a fixed node frame in a page cache, or one cell of a
+/// partitioned join's column arrays. All four slices must have the same
+/// length.
+#[derive(Debug, Clone, Copy)]
+pub struct SoaRun<'a> {
+    /// Lower x bounds, by entry position.
+    pub xl: &'a [f64],
+    /// Upper x bounds, by entry position.
+    pub xh: &'a [f64],
+    /// Lower y bounds, by entry position.
+    pub yl: &'a [f64],
+    /// Upper y bounds, by entry position.
+    pub yh: &'a [f64],
+}
+
 /// A frozen sequence of MBRs in struct-of-arrays layout: four parallel
 /// coordinate arrays indexed by entry position.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -113,6 +131,53 @@ impl SoaMbrs {
         }
     }
 
+    /// The four lanes as a borrowed [`SoaRun`].
+    #[inline]
+    pub fn run(&self) -> SoaRun<'_> {
+        SoaRun {
+            xl: &self.xl,
+            xh: &self.xh,
+            yl: &self.yl,
+            yh: &self.yh,
+        }
+    }
+
+    /// [`SoaRun::filter_window`] over this sequence.
+    pub fn filter_window(&self, window: &Rect, out: &mut Vec<u32>) {
+        self.run().filter_window(window, out);
+    }
+}
+
+impl<'a> From<&'a SoaMbrs> for SoaRun<'a> {
+    fn from(soa: &'a SoaMbrs) -> Self {
+        soa.run()
+    }
+}
+
+impl SoaRun<'_> {
+    /// Number of rectangles in the run.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.xl.len()
+    }
+
+    /// Whether the run is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.xl.is_empty()
+    }
+
+    /// Rebuilds entry `i` as a [`Rect`].
+    #[inline]
+    pub fn rect(&self, i: usize) -> Rect {
+        Rect {
+            xl: self.xl[i],
+            yl: self.yl[i],
+            xu: self.xh[i],
+            yu: self.yh[i],
+        }
+    }
+
     /// Appends the positions of all rectangles intersecting `window` to
     /// `out` (ascending). Exactly the entries for which
     /// [`Rect::intersects`] holds — closed bounds, touching counts —
@@ -146,7 +211,7 @@ impl SoaMbrs {
         let n = self.len();
         out.reserve(n);
         let (wxl, wyl, wxu, wyu) = (window.xl, window.yl, window.xu, window.yu);
-        let (xl, xh, yl, yh) = (&*self.xl, &*self.xh, &*self.yl, &*self.yh);
+        let (xl, xh, yl, yh) = (self.xl, self.xh, self.yl, self.yh);
         // `chunks_exact` hands the compiler fixed-length slices, so the
         // compare loop carries no bounds checks and vectorizes cleanly.
         let mut base = 0usize;
@@ -247,7 +312,7 @@ impl SoaMbrs {
         gyl.reserve(n);
         gyh.reserve(n);
         let (wxl, wyl, wxu, wyu) = (window.xl, window.yl, window.xu, window.yu);
-        let (xl, xh, yl, yh) = (&*self.xl, &*self.xh, &*self.yl, &*self.yh);
+        let (xl, xh, yl, yh) = (self.xl, self.xh, self.yl, self.yh);
         // SAFETY: `_mm256_set1_pd` / `_mm256_loadu_pd` / compare / movemask
         // are plain data ops, guarded by the caller's AVX2 check; every load
         // below reads `QUAD` lanes inside a `chunks_exact(FILTER_LANES)`
@@ -339,7 +404,7 @@ impl SoaMbrs {
         gyl.reserve(n);
         gyh.reserve(n);
         let (wxl, wyl, wxu, wyu) = (window.xl, window.yl, window.xu, window.yu);
-        let (xl, xh, yl, yh) = (&*self.xl, &*self.xh, &*self.yl, &*self.yh);
+        let (xl, xh, yl, yh) = (self.xl, self.xh, self.yl, self.yh);
         let mut base = 0usize;
         for (((cxl, cxh), cyl), cyh) in xl
             .chunks_exact(FILTER_LANES)
@@ -394,7 +459,10 @@ impl SoaMbrs {
             }
         }
     }
+}
 
+// Distance filtering stays on the owned view: only its tests call it.
+impl SoaMbrs {
     /// Appends the positions of all rectangles whose
     /// [`rect_distance`](crate::rect_distance) to `q` is `<= eps` (ascending).
     /// The per-entry computation is the same max/square/sqrt chain as the
@@ -525,7 +593,8 @@ mod tests {
             soa.filter_window(&window, &mut plain);
             let mut idx = vec![9u32];
             let (mut xl, mut xh, mut yl, mut yh) = (vec![0.0], vec![0.0], vec![0.0], vec![0.0]);
-            soa.filter_window_gather(&window, &mut idx, &mut xl, &mut xh, &mut yl, &mut yh);
+            soa.run()
+                .filter_window_gather(&window, &mut idx, &mut xl, &mut xh, &mut yl, &mut yh);
             assert_eq!(idx, plain, "window {window:?}");
             for (pos, &i) in idx.iter().enumerate() {
                 let want = rects[i as usize];

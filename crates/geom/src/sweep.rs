@@ -18,7 +18,8 @@
 //! Complexity: `O(k·(|R| + |S|) + #pairs)` where `k` is the average overlap
 //! fan-out; no allocation beyond the output vector.
 
-use crate::{Rect, SoaMbrs};
+pub use crate::soa::SoaRun;
+use crate::Rect;
 
 /// A pair of indices `(i, j)` into the two input sequences whose rectangles
 /// intersect.
@@ -141,7 +142,7 @@ const SCAN_LANES: usize = 4;
 
 /// Reusable buffers for [`sweep_pairs_soa`]: the filtered index lists plus
 /// the survivors' coordinates gathered into compact arrays
-/// ([`SoaMbrs::filter_window_gather`]). One instance per worker amortizes
+/// ([`SoaRun::filter_window_gather`]). One instance per worker amortizes
 /// every allocation across the join.
 #[derive(Debug, Default)]
 pub struct SweepScratch {
@@ -163,21 +164,23 @@ pub struct SweepScratch {
 /// same sweep, identical output — pairs, filtered index lists and their order
 /// are byte-for-byte what the scalar path produces. The window filter runs
 /// over frozen coordinate arrays in fixed-width branch-free chunks
-/// ([`SoaMbrs::filter_window_gather`]) and gathers the survivors' coordinates
+/// ([`SoaRun::filter_window_gather`]) and gathers the survivors' coordinates
 /// into compact arrays as it goes; the sweep's forward scans then probe the
 /// compacted lanes [`SCAN_LANES`] at a time — branch-free x/y tests into a
 /// bitmask, matches popped in ascending order — so a typical stop costs one
 /// probe instead of a data-dependent branch per scanned entry.
 ///
 /// Both inputs must be xl-sorted in entry order, exactly as for the scalar
-/// sweep.
-pub fn sweep_pairs_soa(
-    r: &SoaMbrs,
-    s: &SoaMbrs,
+/// sweep. Each is any lane view: an owned [`crate::SoaMbrs`] (`&soa`) or a
+/// borrowed [`SoaRun`] over lanes stored elsewhere.
+pub fn sweep_pairs_soa<'r, 's>(
+    r: impl Into<SoaRun<'r>>,
+    s: impl Into<SoaRun<'s>>,
     window: &Rect,
     scratch: &mut SweepScratch,
     out: &mut Vec<SweepPair>,
 ) {
+    let (r, s) = (r.into(), s.into());
     // One AVX2 dispatch for the whole kernel call: both window filters and
     // the sweep inline into the feature-gated copy, so per-node-pair cost
     // carries a single predicted branch instead of per-filter dispatches
@@ -191,38 +194,11 @@ pub fn sweep_pairs_soa(
     sweep_pairs_soa_body(r, s, window, scratch, out);
 }
 
-/// A borrowed xl-sorted coordinate run — column slices of a larger SoA
-/// layout, typically one cell of a partitioned join. All four slices must
-/// have the same length.
-#[derive(Debug, Clone, Copy)]
-pub struct SoaRun<'a> {
-    /// Lower x bounds, xl-sorted.
-    pub xl: &'a [f64],
-    /// Upper x bounds, by entry position.
-    pub xh: &'a [f64],
-    /// Lower y bounds, by entry position.
-    pub yl: &'a [f64],
-    /// Upper y bounds, by entry position.
-    pub yh: &'a [f64],
-}
-
-impl SoaRun<'_> {
-    /// Number of rectangles in the run.
-    pub fn len(&self) -> usize {
-        self.xl.len()
-    }
-
-    /// Whether the run is empty.
-    pub fn is_empty(&self) -> bool {
-        self.xl.is_empty()
-    }
-}
-
 /// [`sweep_pairs_soa`] without the window filter: both runs participate
 /// wholesale. This is the partition-join kernel — every item replicated
 /// into a grid cell intersects that cell by construction, so a window pass
 /// over the cell would accept everything and its per-entry compares (and
-/// the gather of an owned [`SoaMbrs`] per cell before it) are pure
+/// the gather of an owned [`crate::SoaMbrs`] per cell before it) are pure
 /// overhead. The slices are memcpy'd into `scratch` (the sweep needs
 /// sentinel padding), index lists become the identity, and the identical
 /// sweep core runs — emission order matches [`sweep_pairs_soa`] over the
@@ -273,8 +249,8 @@ pub fn sweep_pairs_soa_runs(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn sweep_pairs_soa_avx2(
-    r: &SoaMbrs,
-    s: &SoaMbrs,
+    r: SoaRun<'_>,
+    s: SoaRun<'_>,
     window: &Rect,
     scratch: &mut SweepScratch,
     out: &mut Vec<SweepPair>,
@@ -424,8 +400,8 @@ fn lanes(a: &[f64], k: usize) -> &[f64; SCAN_LANES] {
 
 #[inline(always)]
 fn sweep_pairs_soa_body(
-    r: &SoaMbrs,
-    s: &SoaMbrs,
+    r: SoaRun<'_>,
+    s: SoaRun<'_>,
     window: &Rect,
     scratch: &mut SweepScratch,
     out: &mut Vec<SweepPair>,
@@ -588,6 +564,7 @@ pub fn sort_by_xl(rects: &mut [Rect]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SoaMbrs;
 
     fn r(xl: f64, yl: f64, xu: f64, yu: f64) -> Rect {
         Rect::new(xl, yl, xu, yu)
@@ -739,20 +716,8 @@ mod tests {
             let mut scratch = SweepScratch::default();
             let mut want = Vec::new();
             sweep_pairs_soa(&soa_r, &soa_s, &cover, &mut scratch, &mut want);
-            let run_r = SoaRun {
-                xl: soa_r.xl(),
-                xh: soa_r.xh(),
-                yl: soa_r.yl(),
-                yh: soa_r.yh(),
-            };
-            let run_s = SoaRun {
-                xl: soa_s.xl(),
-                xh: soa_s.xh(),
-                yl: soa_s.yl(),
-                yh: soa_s.yh(),
-            };
             let mut got = Vec::new();
-            sweep_pairs_soa_runs(&run_r, &run_s, &mut scratch, &mut got);
+            sweep_pairs_soa_runs(&soa_r.run(), &soa_s.run(), &mut scratch, &mut got);
             assert_eq!(
                 got, want,
                 "runs sweep diverges for {lo_r}..{hi_r} x {lo_s}..{hi_s}"

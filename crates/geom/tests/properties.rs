@@ -283,7 +283,7 @@ proptest! {
         soa.filter_window(&window, &mut plain);
         let mut idx = vec![7u32];
         let (mut xl, mut xh, mut yl, mut yh) = (vec![1.0], vec![1.0], vec![1.0], vec![1.0]);
-        soa.filter_window_gather(&window, &mut idx, &mut xl, &mut xh, &mut yl, &mut yh);
+        soa.run().filter_window_gather(&window, &mut idx, &mut xl, &mut xh, &mut yl, &mut yh);
         prop_assert_eq!(&idx, &plain, "gather index list diverges");
         for (pos, &i) in idx.iter().enumerate() {
             let want = rects[i as usize];

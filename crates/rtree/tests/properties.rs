@@ -4,15 +4,106 @@ use proptest::prelude::*;
 use psj_geom::{Point, Polyline, Rect};
 use psj_rtree::bulk::bulk_load_str_with_fanout;
 use psj_rtree::split::rstar_split;
-use psj_rtree::{DataEntry, GeomRef, PagedTree, RTree};
+use psj_rtree::{
+    DataEntry, DirEntry, GeomRef, JoinNode, Node, NodeFrame, PagedTree, RTree, DATA_FANOUT,
+    DIR_FANOUT,
+};
+use psj_store::{Page, PageId};
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
     (0.0f64..1000.0, 0.0f64..1000.0, 0.0f64..20.0, 0.0f64..20.0)
         .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
 }
 
+/// A coordinate: mostly finite, with ±0.0, ±inf and NaNs (including a
+/// negative one and one with a payload) mixed in.
+fn arb_coord() -> impl Strategy<Value = f64> {
+    (0u32..16, -1.0e6f64..1.0e6).prop_map(|(k, v)| match k {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        4 => f64::NAN,
+        5 => -f64::NAN,
+        6 => f64::from_bits(0x7ff8_0000_0000_1234),
+        _ => v,
+    })
+}
+
+/// Any four coordinates, built without `Rect::new`'s ordering check.
+fn arb_raw_rect() -> impl Strategy<Value = Rect> {
+    (arb_coord(), arb_coord(), arb_coord(), arb_coord()).prop_map(|(xl, yl, xu, yu)| Rect {
+        xl,
+        yl,
+        xu,
+        yu,
+    })
+}
+
+fn bits(lane: &[f64]) -> Vec<u64> {
+    lane.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A frame transcoded from `node.encode(page)` is the node: lanes
+    /// bit-identical to the node's SoA view, the same children, object
+    /// ids and geometry refs, for leaf and directory nodes of every fill
+    /// from empty to full.
+    #[test]
+    fn node_frame_matches_node(
+        leaf in 0u32..2,
+        level in 1u32..6,
+        rects in prop::collection::vec(arb_raw_rect(), 0..DIR_FANOUT + 1),
+        salt in 0u64..u64::MAX,
+    ) {
+        let node = if leaf == 1 {
+            let mut node = Node::new_leaf();
+            for (i, &mbr) in rects.iter().take(rects.len() % (DATA_FANOUT + 1)).enumerate() {
+                node.data_entries_mut().push(DataEntry {
+                    mbr,
+                    oid: salt ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    geom: GeomRef {
+                        page: PageId((salt as u32).wrapping_add(i as u32)),
+                        slot: (salt >> 32) as u32 ^ i as u32,
+                    },
+                });
+            }
+            node
+        } else {
+            let mut node = Node::new_dir(level);
+            for (i, &mbr) in rects.iter().enumerate() {
+                node.dir_entries_mut().push(DirEntry {
+                    mbr,
+                    child: (salt >> 16) as u32 ^ i as u32,
+                });
+            }
+            node
+        };
+        let mut page = Page::zeroed();
+        node.encode(&mut page);
+        let frame = NodeFrame::from_page(&page).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(frame.level(), node.level);
+        prop_assert_eq!(frame.is_leaf(), node.is_leaf());
+        prop_assert_eq!(frame.len(), node.len());
+        let (lanes, soa) = (frame.lanes(), node.soa_mbrs());
+        prop_assert_eq!(bits(lanes.xl), bits(soa.xl()));
+        prop_assert_eq!(bits(lanes.xh), bits(soa.xh()));
+        prop_assert_eq!(bits(lanes.yl), bits(soa.yl()));
+        prop_assert_eq!(bits(lanes.yh), bits(soa.yh()));
+        if node.is_leaf() {
+            let oids: Vec<u64> = node.data_entries().iter().map(|e| e.oid).collect();
+            let geoms: Vec<GeomRef> = node.data_entries().iter().map(|e| e.geom).collect();
+            prop_assert_eq!(frame.oids(), &oids[..]);
+            prop_assert_eq!(frame.geoms(), &geoms[..]);
+            prop_assert!(frame.children().is_empty());
+        } else {
+            let children: Vec<u32> = node.dir_entries().iter().map(|e| e.child).collect();
+            prop_assert_eq!(frame.children(), &children[..]);
+            prop_assert!(frame.oids().is_empty() && frame.geoms().is_empty());
+        }
+    }
 
     #[test]
     fn insert_preserves_invariants(rects in prop::collection::vec(arb_rect(), 1..400)) {

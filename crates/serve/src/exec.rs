@@ -138,8 +138,9 @@ impl psj_buffer::PageSource for TreeSet {
 }
 
 /// Cache-backed [`NodeAccess`] over one tree of a [`TreeSet`]: every read
-/// goes through [`SharedPageCache::read`], so a resident page is a
-/// borrowing guard and only a miss or a contended shard takes the mutex.
+/// goes through [`SharedPageCache::try_get`], so a resident page is a
+/// borrowing guard and only a miss or a slot mid-replacement takes the
+/// mutex.
 struct CachedNodes<'c> {
     trees: &'c TreeSet,
     cache: &'c SharedPageCache<Node>,
@@ -155,7 +156,7 @@ impl NodeAccess for CachedNodes<'_> {
 
     fn read(&mut self, page: PageId) -> Result<PageRef<'_, Node>, PageError> {
         let key = self.trees.key(self.tree, page);
-        self.cache.read(self.worker, key, self.trees)
+        self.cache.try_get(self.worker, key, self.trees)
     }
 }
 

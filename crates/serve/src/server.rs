@@ -267,7 +267,6 @@ impl Shared {
             quarantined_pages: snap.quarantined_pages as u64,
             page_retries: snap.stats.retries,
             cache_opt_hits: snap.opt.hits,
-            cache_opt_retries: snap.opt.retries,
             cache_opt_fallbacks: snap.opt.fallbacks,
         })
     }

@@ -65,7 +65,6 @@ pub struct Telemetry {
     // as `counter` so rate()/increase() work on them — they only ever
     // grow. Names kept from the earlier gauge exposition.
     cache_opt_hits: Arc<Counter>,
-    cache_opt_retries: Arc<Counter>,
     cache_opt_fallbacks: Arc<Counter>,
 }
 
@@ -123,13 +122,9 @@ impl Default for Telemetry {
                 "psj_cache_opt_hits",
                 "Cache hits served without taking a shard mutex",
             ),
-            cache_opt_retries: r.counter(
-                "psj_cache_opt_retries",
-                "Optimistic-read validation failures that were retried",
-            ),
             cache_opt_fallbacks: r.counter(
                 "psj_cache_opt_fallbacks",
-                "Optimistic reads that fell back to the shard mutex",
+                "Guard reads that went to the shard mutex after a failed validation",
             ),
             registry: r,
         }
@@ -160,13 +155,11 @@ pub struct GaugeSnapshot {
     pub quarantined_pages: u64,
     /// Page fetches retried by the cache since start.
     pub page_retries: u64,
-    /// Cache hits served by a borrowing guard (the seqlock read path),
-    /// i.e. without taking any shard mutex.
+    /// Cache hits served by a borrowing guard, i.e. without taking any
+    /// shard mutex.
     pub cache_opt_hits: u64,
-    /// Guard-read validation failures that were retried.
-    pub cache_opt_retries: u64,
-    /// Guard reads that exhausted their retries and fell back to the
-    /// pessimistic mutex path.
+    /// Guard reads that went to the mutex path after a failed validation
+    /// (the slot was being replaced).
     pub cache_opt_fallbacks: u64,
 }
 
@@ -218,7 +211,6 @@ impl Telemetry {
         // while the process lives).
         let sync = |c: &Counter, v: u64| c.add(v.saturating_sub(c.get()));
         sync(&self.cache_opt_hits, snap.cache_opt_hits);
-        sync(&self.cache_opt_retries, snap.cache_opt_retries);
         sync(&self.cache_opt_fallbacks, snap.cache_opt_fallbacks);
         self.registry.render_prometheus()
     }
@@ -300,15 +292,10 @@ mod tests {
         let t = Telemetry::new();
         let text = t.render_prometheus(&GaugeSnapshot {
             cache_opt_hits: 41,
-            cache_opt_retries: 7,
             cache_opt_fallbacks: 2,
             ..Default::default()
         });
-        for name in [
-            "psj_cache_opt_hits",
-            "psj_cache_opt_retries",
-            "psj_cache_opt_fallbacks",
-        ] {
+        for name in ["psj_cache_opt_hits", "psj_cache_opt_fallbacks"] {
             assert!(
                 text.contains(&format!("# TYPE {name} counter")),
                 "{name} must be a counter:\n{text}"
@@ -323,7 +310,6 @@ mod tests {
         // the delta — values track the cache exactly, monotonically.
         let text2 = t.render_prometheus(&GaugeSnapshot {
             cache_opt_hits: 55,
-            cache_opt_retries: 7,
             cache_opt_fallbacks: 4,
             ..Default::default()
         });

@@ -6,7 +6,7 @@ use psj_buffer::{Policy, SharedPageCache};
 use psj_core::native::{run_native_join, run_native_join_with_cache, BufferConfig, NativeConfig};
 use psj_core::{join_candidates, BufferOrg};
 use psj_integration::harness::JoinScenario;
-use psj_rtree::Node;
+use psj_rtree::NodeFrame;
 use std::collections::BTreeSet;
 
 fn pair_set(pairs: &[(u64, u64)]) -> BTreeSet<(u64, u64)> {
@@ -16,7 +16,8 @@ fn pair_set(pairs: &[(u64, u64)]) -> BTreeSet<(u64, u64)> {
 #[test]
 fn second_join_on_warm_cache_has_zero_misses() {
     let s = JoinScenario::paper_maps("warm-cache", 3, 0.02);
-    let cache: SharedPageCache<Node> = SharedPageCache::new(4, s.total_pages() * 2, 8, Policy::Lru);
+    let cache: SharedPageCache<NodeFrame> =
+        SharedPageCache::new(4, s.total_pages() * 2, 8, Policy::Lru);
     let mut cfg = NativeConfig::new(4);
     cfg.refine = false;
 
@@ -106,6 +107,38 @@ fn stats_internally_consistent_across_configs() {
                 if org == BufferOrg::Local {
                     assert_eq!(total.hits_remote, 0, "local caches cannot hit remotely");
                 }
+            }
+        }
+    }
+}
+
+/// A join holds at most two pins per worker (the node pair in hand), and a
+/// worker filling a page holds at most one pin plus the slot it fills. So
+/// whenever every shard has more than `2 × threads` slots some slot is
+/// always free or unpinned, and no page is ever served unbuffered. Runs
+/// the global configurations of the test above through a caller-owned
+/// cache, whose snapshot counts unbuffered fills.
+#[test]
+fn join_configs_with_roomy_shards_never_serve_unbuffered() {
+    let s = JoinScenario::dense_grid("stats-consistency", 900, 0.5);
+    let shards = 4;
+    for capacity in [s.total_pages() * 2, 8, 64] {
+        for threads in [1, 2, 4] {
+            let cache: SharedPageCache<NodeFrame> =
+                SharedPageCache::new(threads, capacity, shards, Policy::Lru);
+            let mut cfg = NativeConfig::new(threads);
+            cfg.refine = false;
+            let res = run_native_join_with_cache(&s.a, &s.b, &cfg, &cache);
+            let at = format!("{capacity}/T={threads}");
+            let total = res.buffer.unwrap();
+            assert_eq!(total.requests(), 2 * res.node_pairs, "{at}");
+            let snap = cache.snapshot();
+            assert!(
+                snap.unbuffered <= total.misses,
+                "{at}: unbuffered fills are misses"
+            );
+            if capacity / shards > 2 * threads {
+                assert_eq!(snap.unbuffered, 0, "{at}: {snap:?}");
             }
         }
     }
