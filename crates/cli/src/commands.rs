@@ -3,7 +3,7 @@
 use crate::args::Args;
 use psj_core::{
     run_sim_join, try_run_join, BufferConfig, BufferOrg, JoinEngine, NativeConfig, NativeError,
-    RunControl, SimConfig, StealPolicy, TaskOrigin,
+    RunControl, SimConfig,
 };
 use psj_datagen::io::{load_map, save_map};
 use psj_datagen::Scenario;
@@ -25,8 +25,7 @@ commands:
   build    --map <map> --out <tree> [--attrs <bytes>] [--str|--hilbert]
   stats    --tree <tree>
   join     --tree1 <tree> --tree2 <tree> [--threads <n>] [--no-refine]
-           [--engine rtree|partition|auto] [--morsel-cands <n>]
-           [--steal busiest|rr|seeded] [--steal-seed <n>]
+           [--engine rtree|partition|auto]
            [--cache <pages>] [--cache-org local|global] [--cache-shards <n>]
            [--inject-faults <spec>] [--retry-attempts <n>]
            [--trace <file.jsonl>] [--tasks] — --engine picks the executor:
@@ -34,22 +33,18 @@ commands:
            (in-memory uniform grid + per-cell sweep), or auto (chosen per
            run from estimated candidates and cache budget); --trace writes
            a Perfetto/chrome://tracing-loadable JSONL trace; --tasks prints
-           per-morsel attribution (pages, hits, steals, wall time);
-           --morsel-cands sets the target estimated candidates per morsel
-           (0 = auto)
+           per-morsel attribution (pages, hits, wall time)
   fsck     <tree>  (or --tree <tree>) — prints a JSON integrity report,
            exits nonzero if the index is damaged
   simulate --tree1 <tree> --tree2 <tree> [--procs <n>] [--disks <n>]
            [--buffer <pages>] [--variant lsr|gsrr|gd|best]
   serve    --trees <tree>[,<tree>...] [--addr 127.0.0.1:7878] [--workers <n>]
            [--queue-bound <n>] [--cache <pages>] [--cache-shards <n>]
-           [--join-threads <n>] [--join-morsel-cands <n>]
-           [--join-steal busiest|rr|seeded] [--join-steal-seed <n>]
-           [--join-engine rtree|partition|auto]
+           [--join-threads <n>] [--join-engine rtree|partition|auto]
            [--lenient] [--inject-faults <spec>] [--retry-attempts <n>]
            [--trace <file.jsonl>] [--shard-id <n>] — --trace writes the
-           trace at shutdown; the --join-* tuning flags mirror `join`'s
-           flags exactly; --shard-id tags this server for cluster routing
+           trace at shutdown; --join-engine takes the values of `join`'s
+           --engine; --shard-id tags this server for cluster routing
   shard-plan --map1 <map> --map2 <map> --shards <n> --out <dir>
            [--host <ip>] [--base-port <n>] — partition both maps into x-slab
            shards balanced by estimated join work; writes per-shard tree
@@ -86,42 +81,14 @@ fn io_err<E: std::fmt::Display>(e: E) -> String {
     e.to_string()
 }
 
-/// The join-tuning knobs `psj join` and `psj serve` share. Both surfaces
-/// parse through [`parse_join_tuning`] — `join` with bare flag names
-/// (`--morsel-cands`, `--steal`, `--steal-seed`, `--engine`), `serve` with
-/// the `join-` prefix (`--join-morsel-cands`, ...) — so the two flag sets
-/// and their validation cannot drift.
-struct JoinTuningArgs {
-    morsel_candidates: u64,
-    steal: StealPolicy,
-    steal_seed: u64,
-    engine: JoinEngine,
-}
-
-/// Parses the shared join-tuning flags, each named `--{prefix}{flag}`.
-fn parse_join_tuning(args: &Args, prefix: &str) -> Result<JoinTuningArgs, String> {
-    let key = |flag: &str| format!("{prefix}{flag}");
-    let morsel_candidates = args.parse_or(&key("morsel-cands"), 0u64)?;
-    let steal_key = key("steal");
-    let steal = match args.get(&steal_key) {
-        Some(policy) => StealPolicy::parse(policy).ok_or_else(|| {
-            format!("unknown --{steal_key} policy: {policy} (use busiest|rr|seeded)")
-        })?,
-        None => StealPolicy::Busiest,
-    };
-    let steal_seed = args.parse_or(&key("steal-seed"), 0u64)?;
-    let engine_key = key("engine");
-    let engine = match args.get(&engine_key) {
+/// Parses the join engine `psj join` (`--engine`) and `psj serve`
+/// (`--join-engine`) take, so the two spellings cannot drift.
+fn parse_engine(args: &Args, key: &str) -> Result<JoinEngine, String> {
+    match args.get(key) {
         Some(name) => JoinEngine::parse(name)
-            .ok_or_else(|| format!("unknown --{engine_key}: {name} (use rtree|partition|auto)"))?,
-        None => JoinEngine::RTree,
-    };
-    Ok(JoinTuningArgs {
-        morsel_candidates,
-        steal,
-        steal_seed,
-        engine,
-    })
+            .ok_or_else(|| format!("unknown --{key}: {name} (use rtree|partition|auto)")),
+        None => Ok(JoinEngine::RTree),
+    }
 }
 
 /// `psj generate` — write a synthetic TIGER-like scenario to two map files.
@@ -201,11 +168,7 @@ pub fn join(args: &Args) -> CmdResult {
     )?;
     let mut cfg = NativeConfig::new(threads);
     cfg.refine = !args.flag("no-refine");
-    let tuning = parse_join_tuning(args, "")?;
-    cfg.morsel_candidates = tuning.morsel_candidates;
-    cfg.steal = tuning.steal;
-    cfg.steal_seed = tuning.steal_seed;
-    cfg.engine = tuning.engine;
+    cfg.engine = parse_engine(args, "engine")?;
     if let Some(pages) = args.get("cache") {
         let capacity_pages: usize = pages
             .parse()
@@ -263,11 +226,7 @@ pub fn join(args: &Args) -> CmdResult {
         }
     );
     println!("tasks:              {}", res.tasks);
-    println!(
-        "morsels:            {} (steal policy {})",
-        res.morsels,
-        cfg.steal.short()
-    );
+    println!("morsels:            {}", res.morsels);
     println!("node pairs:         {}", res.node_pairs);
     println!("filter candidates:  {}", res.candidates);
     if res.engine == JoinEngine::Partition {
@@ -285,7 +244,6 @@ pub fn join(args: &Args) -> CmdResult {
         },
         res.pairs.len()
     );
-    println!("steals:             {}", res.steals);
     if let Some(stats) = &res.buffer {
         let org = match cfg.buffer.as_ref().map(|b| b.org) {
             Some(BufferOrg::Local) => "local",
@@ -310,25 +268,13 @@ pub fn join(args: &Args) -> CmdResult {
         }
     }
     if !res.task_traces.is_empty() {
-        let (mut assigned, mut injector, mut stolen) = (0u64, 0u64, 0u64);
-        for t in &res.task_traces {
-            match t.origin {
-                TaskOrigin::Assigned => assigned += 1,
-                TaskOrigin::Injector => injector += 1,
-                TaskOrigin::Steal => stolen += 1,
-            }
-        }
-        println!(
-            "task segments:      {} ({assigned} assigned / {injector} injector / {stolen} stolen)",
-            res.task_traces.len()
-        );
+        println!("task segments:      {}", res.task_traces.len());
         if args.flag("tasks") {
             println!(
-                "  {:<6} {:<6} {:<5} {:<8} {:>10} {:>10} {:>7} {:>7} {:>7} {:>7} {:>7}  wall",
+                "  {:<6} {:<6} {:<5} {:>10} {:>10} {:>7} {:>7} {:>7} {:>7} {:>7}  wall",
                 "morsel",
                 "worker",
                 "tasks",
-                "origin",
                 "node-prs",
                 "cands",
                 "pages",
@@ -340,17 +286,11 @@ pub fn join(args: &Args) -> CmdResult {
             let mut by_morsel = res.task_traces.clone();
             by_morsel.sort_by_key(|t| t.morsel);
             for t in &by_morsel {
-                let origin = match t.origin {
-                    TaskOrigin::Assigned => "assigned",
-                    TaskOrigin::Injector => "injector",
-                    TaskOrigin::Steal => "stolen",
-                };
                 println!(
-                    "  {:<6} {:<6} {:<5} {:<8} {:>10} {:>10} {:>7} {:>7} {:>7} {:>7} {:>7}  {:.3?}",
+                    "  {:<6} {:<6} {:<5} {:>10} {:>10} {:>7} {:>7} {:>7} {:>7} {:>7}  {:.3?}",
                     t.morsel,
                     t.worker,
                     t.tasks,
-                    origin,
                     t.node_pairs,
                     t.candidates,
                     t.pages,
@@ -414,7 +354,6 @@ pub fn serve(args: &Args) -> CmdResult {
         );
         trees.push(Arc::new(t));
     }
-    let tuning = parse_join_tuning(args, "join-")?;
     let cfg = ServeConfig {
         addr: args.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
         workers: args.parse_or(
@@ -427,10 +366,7 @@ pub fn serve(args: &Args) -> CmdResult {
         cache_pages: args.parse_or("cache", 4096)?,
         cache_shards: args.parse_or("cache-shards", 16)?,
         join_threads: args.parse_or("join-threads", 4)?,
-        join_morsel_candidates: tuning.morsel_candidates,
-        join_steal: tuning.steal,
-        join_steal_seed: tuning.steal_seed,
-        join_engine: tuning.engine,
+        join_engine: parse_engine(args, "join-engine")?,
         fault: match args.get("inject-faults") {
             Some(spec) => Some(Arc::new(FaultPlan::parse(spec)?)),
             None => None,

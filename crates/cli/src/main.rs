@@ -67,9 +67,6 @@ const COMMANDS: &[Command] = &[
             "tree2",
             "threads",
             "engine",
-            "morsel-cands",
-            "steal",
-            "steal-seed",
             "cache",
             "cache-org",
             "cache-shards",
@@ -102,9 +99,6 @@ const COMMANDS: &[Command] = &[
             "cache",
             "cache-shards",
             "join-threads",
-            "join-morsel-cands",
-            "join-steal",
-            "join-steal-seed",
             "join-engine",
             "inject-faults",
             "retry-attempts",

@@ -97,9 +97,28 @@ fn removed_bench_join_is_an_unknown_command() {
     assert_exit(&out, 2, "unknown command: bench-join");
 }
 
+/// There is no scheduler knob: morsels are handed out by one shared
+/// cursor, so a steal policy or morsel budget would change nothing and is
+/// refused rather than silently ignored.
+#[test]
+fn removed_scheduler_flags_are_usage_errors() {
+    for (flag, value) in [
+        ("--steal", "rr"),
+        ("--steal-seed", "9"),
+        ("--morsel-cands", "64"),
+    ] {
+        let out = on_trees("join", &["--threads=2", flag, value]);
+        assert_exit(&out, 2, &format!("unknown option: {flag}"));
+    }
+    for flag in ["--join-steal", "--join-steal-seed", "--join-morsel-cands"] {
+        let out = psj(&["serve", "--trees", "t.psjt", flag, "1"]);
+        assert_exit(&out, 2, &format!("unknown option: {flag}"));
+    }
+}
+
 #[test]
 fn declared_options_still_run() {
-    let out = on_trees("join", &["--threads=2", "--no-refine", "--steal", "rr"]);
+    let out = on_trees("join", &["--threads=2", "--no-refine", "--engine", "rtree"]);
     assert!(
         out.status.success(),
         "{}",

@@ -48,13 +48,11 @@
 pub mod assign;
 pub mod cancel;
 pub mod cost;
-pub mod deque;
 pub mod estimate;
 pub mod metrics;
 pub mod morsel;
 pub mod native;
 pub mod partition;
-pub mod queries;
 pub mod seq;
 pub mod shnothing;
 pub mod sim;
@@ -64,8 +62,8 @@ pub use assign::Assignment;
 pub use cancel::{CancelToken, Cancelled};
 pub use cost::{CandidateEstimator, CostModel, Platform, TreeProfile};
 pub use estimate::{estimate_join, JoinEstimate};
-pub use metrics::{JoinMetrics, TaskOrigin, TaskTrace};
-pub use morsel::{morselize, Morsel, MorselOptions, MorselPlan, StealPolicy};
+pub use metrics::{JoinMetrics, TaskTrace};
+pub use morsel::{morselize, Morsel, MorselOptions, MorselPlan};
 pub use native::{
     run_native_join, run_native_join_cancellable, run_native_join_with_cache, try_run_native_join,
     try_run_native_join_with_cache, BufferConfig, JoinError, NativeConfig, NativeError,
@@ -75,7 +73,6 @@ pub use partition::{
     plan_partition, run_join, run_partition_join, select_engine, try_run_join,
     try_run_partition_join, JoinEngine, PartitionInput, PartitionPlan, RectItem,
 };
-pub use queries::{parallel_nn_queries, parallel_window_queries};
 pub use seq::{join_candidates, join_refined, SeqJoinResult};
 pub use shnothing::{
     run_sharded_join, Network, Placement, ShardedConfig, ShardedMetrics, ShardedResult,

@@ -78,38 +78,20 @@ impl JoinMetrics {
     }
 }
 
-/// How a morsel (unit of execution) reached the worker that ran it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TaskOrigin {
-    /// Popped from the worker's own queue (static assignment).
-    Assigned,
-    /// Taken from the shared queue (dynamic assignment).
-    Injector,
-    /// Reassigned from another worker's queue (the paper's dynamic task
-    /// reassignment). The run's steal counter equals the number of traces
-    /// with this origin — steal accounting is exact.
-    Steal,
-}
-
-/// Per-morsel attribution recorded by the native executor on every run:
-/// what one morsel cost the worker that executed it. These are the
+/// Per-morsel attribution recorded by both real-thread engines on every
+/// run: what one morsel cost the worker that executed it. These are the
 /// quantities behind the paper's Figures 7–9 — per-processor page accesses,
-/// local vs. remote buffer hits, and the task-time skew that reassignment
-/// is meant to flatten — surfaced per morsel instead of per run. The
-/// per-morsel [`TaskTrace::wall`] costs of a 1-thread run double as the
-/// cost vector for the scheduled-speedup simulation.
+/// local vs. remote buffer hits, and the task-time skew that dynamic
+/// assignment is meant to flatten — surfaced per morsel instead of per run.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct TaskTrace {
     /// Worker that executed the task.
     pub worker: usize,
-    /// Morsel this segment executed: the native executor records exactly
-    /// one trace per acquired morsel, keyed by its plane-sweep id.
+    /// Morsel this segment executed: the executor records exactly one
+    /// trace per morsel it takes, keyed by its plane-sweep id.
     pub morsel: u32,
     /// Phase-1 (post-split) tasks contained in the morsel.
     pub tasks: u32,
-    /// How the morsel was acquired: popped from the worker's own queue,
-    /// taken from the shared queue, or reassigned from a victim.
-    pub origin: TaskOrigin,
     /// Node pairs expanded while executing the task (descendants included).
     pub node_pairs: u64,
     /// Filter-step candidates produced (and, if enabled, refined).

@@ -12,52 +12,16 @@
 //! merged output order — is unchanged); undersized neighbors are packed
 //! together so scheduling overhead stays amortized.
 //!
-//! Morsels are numbered in plane-sweep order. The native executor merges
-//! worker-local outputs in morsel-id order, which makes the parallel result
-//! byte-identical to the sequential oracle regardless of which worker ran
-//! which morsel or in what interleaving (see `DESIGN.md` §11).
+//! Morsels are numbered in plane-sweep order. Both real-thread engines hand
+//! them out through one shared cursor, in id order, and merge the
+//! worker-local outputs in morsel-id order (`MorselOutputs`), which makes
+//! the parallel result byte-identical to the sequential oracle regardless
+//! of which worker ran which morsel (see `DESIGN.md` §11).
 
 use crate::cost::CandidateEstimator;
+use crate::metrics::TaskTrace;
 use crate::task::{expand_pair, KernelScratch, TaskPair};
 use psj_rtree::PagedTree;
-use serde::{Deserialize, Serialize};
-
-/// How an idle worker picks the victim of a morsel reassignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StealPolicy {
-    /// The victim with the most remaining estimated work (live `(remaining
-    /// candidates, remaining morsels)` stats) — the paper's reassignment
-    /// heuristic of helping the most loaded processor.
-    Busiest,
-    /// Probe victims round-robin from the thief's own id (the old
-    /// behavior; kept for comparison benchmarks).
-    RoundRobin,
-    /// Probe victims in the order of the seeded
-    /// [`psj_desim::StealOrder`] shim — used by tests to force
-    /// adversarial steal interleavings reproducibly.
-    Seeded,
-}
-
-impl StealPolicy {
-    /// Short name used in CLI flags and experiment output.
-    pub fn short(&self) -> &'static str {
-        match self {
-            StealPolicy::Busiest => "busiest",
-            StealPolicy::RoundRobin => "rr",
-            StealPolicy::Seeded => "seeded",
-        }
-    }
-
-    /// Parses a CLI spelling (`busiest`, `rr`/`round-robin`, `seeded`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "busiest" => Some(StealPolicy::Busiest),
-            "rr" | "round-robin" => Some(StealPolicy::RoundRobin),
-            "seeded" => Some(StealPolicy::Seeded),
-            _ => None,
-        }
-    }
-}
 
 /// One morsel: a contiguous run of tasks (in plane-sweep order) sized to
 /// roughly one candidate budget.
@@ -85,7 +49,7 @@ pub struct MorselOptions {
     pub max_split_levels: u8,
 }
 
-/// Auto-budget morsels per worker: enough slack for reassignment to
+/// Auto-budget morsels per worker: enough slack for the shared cursor to
 /// flatten skew, few enough that per-morsel overhead stays negligible.
 pub const MORSELS_PER_WORKER: u64 = 16;
 /// Auto-budget floor (estimated candidates).
@@ -94,6 +58,14 @@ pub const AUTO_BUDGET_MIN: u64 = 64;
 pub const AUTO_BUDGET_MAX: u64 = 65_536;
 /// Default split depth for oversized tasks.
 pub const MAX_SPLIT_LEVELS: u8 = 2;
+
+/// The auto budget both planners use: `total_est` estimated candidates
+/// split into [`MORSELS_PER_WORKER`] morsels per worker, clamped to
+/// `[`[`AUTO_BUDGET_MIN`]`, `[`AUTO_BUDGET_MAX`]`]`.
+pub(crate) fn auto_budget(total_est: f64, workers: usize) -> u64 {
+    let per = total_est / (workers.max(1) as u64 * MORSELS_PER_WORKER) as f64;
+    (per.round() as u64).clamp(AUTO_BUDGET_MIN, AUTO_BUDGET_MAX)
+}
 
 impl MorselOptions {
     /// Auto budget for `workers` workers, default split depth.
@@ -149,8 +121,7 @@ pub fn morselize(
     let budget = if opts.budget > 0 {
         opts.budget
     } else {
-        let per = total / (opts.workers.max(1) as u64 * MORSELS_PER_WORKER) as f64;
-        (per.round() as u64).clamp(AUTO_BUDGET_MIN, AUTO_BUDGET_MAX)
+        auto_budget(total, opts.workers)
     };
 
     // Split pass: depth-first in order, so children replace their parent
@@ -212,6 +183,64 @@ pub fn morselize(
         budget,
         total_est: total.round() as u64,
         split_expansions,
+    }
+}
+
+/// One worker's run output: its completed morsels' result pairs keyed by
+/// morsel id, and its attribution traces.
+pub(crate) type WorkerOutput = (Vec<(u32, Vec<(u64, u64)>)>, Vec<TaskTrace>);
+
+/// The deterministic merge of both real-thread engines: every completed
+/// morsel's output in its id slot. Concatenating the slots in id order
+/// gives the single-threaded byte order whichever worker ran which morsel.
+/// A morsel that ran twice or got lost is an executor bug, not a data
+/// error, so either one panics.
+pub(crate) struct MorselOutputs {
+    slots: Vec<Option<Vec<(u64, u64)>>>,
+}
+
+impl MorselOutputs {
+    /// Places every worker's outputs in the slots of a plan of `morsels`
+    /// morsels, and collects the workers' traces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a morsel id appears twice.
+    pub(crate) fn place(morsels: usize, workers: Vec<WorkerOutput>) -> (Self, Vec<TaskTrace>) {
+        let mut slots = Vec::new();
+        slots.resize_with(morsels, || None);
+        let mut traces = Vec::with_capacity(morsels);
+        for (outputs, mut t) in workers {
+            for (id, out) in outputs {
+                let slot = &mut slots[id as usize];
+                assert!(slot.is_none(), "morsel {id} executed twice");
+                *slot = Some(out);
+            }
+            traces.append(&mut t);
+        }
+        (MorselOutputs { slots }, traces)
+    }
+
+    /// Morsels whose output was placed.
+    pub(crate) fn completed(&self) -> usize {
+        self.slots.iter().filter(|s| s.is_some()).count()
+    }
+
+    /// The outputs concatenated in morsel-id order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a morsel's output is missing.
+    pub(crate) fn concat(self) -> Vec<(u64, u64)> {
+        let len = self.slots.iter().flatten().map(Vec::len).sum();
+        let mut pairs = Vec::with_capacity(len);
+        for (id, slot) in self.slots.into_iter().enumerate() {
+            match slot {
+                Some(mut out) => pairs.append(&mut out),
+                None => panic!("morsel {id} lost"),
+            }
+        }
+        pairs
     }
 }
 
@@ -326,20 +355,45 @@ mod tests {
         assert!(p8.morsels.len() >= p1.morsels.len());
     }
 
+    /// Morsel `id`'s output in the merge tests: two pairs tagged by id.
+    fn out(id: u32) -> (u32, Vec<(u64, u64)>) {
+        let id64 = u64::from(id);
+        (id, vec![(id64, 0), (id64, 1)])
+    }
+
+    /// Per-worker outputs arrive in whatever order the workers took their
+    /// morsels; the merge still concatenates them in id order.
     #[test]
-    fn steal_policy_round_trips_through_parse() {
-        for p in [
-            StealPolicy::Busiest,
-            StealPolicy::RoundRobin,
-            StealPolicy::Seeded,
-        ] {
-            assert_eq!(StealPolicy::parse(p.short()), Some(p));
-        }
-        assert_eq!(
-            StealPolicy::parse("round-robin"),
-            Some(StealPolicy::RoundRobin)
-        );
-        assert_eq!(StealPolicy::parse("bogus"), None);
+    fn merge_concatenates_scrambled_outputs_in_id_order() {
+        let workers = vec![
+            (vec![out(4), out(1)], Vec::new()),
+            (Vec::new(), Vec::new()),
+            (vec![out(2), out(0), out(3)], Vec::new()),
+        ];
+        let (merged, traces) = MorselOutputs::place(5, workers);
+        assert!(traces.is_empty());
+        assert_eq!(merged.completed(), 5);
+        let want: Vec<(u64, u64)> = (0..5u32).flat_map(|id| out(id).1).collect();
+        assert_eq!(merged.concat(), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "morsel 1 executed twice")]
+    fn merge_panics_on_a_morsel_executed_twice() {
+        let workers = vec![
+            (vec![out(0), out(1)], Vec::new()),
+            (vec![out(1)], Vec::new()),
+        ];
+        MorselOutputs::place(2, workers);
+    }
+
+    #[test]
+    #[should_panic(expected = "morsel 1 lost")]
+    fn merge_panics_on_a_lost_morsel() {
+        let workers = vec![(vec![out(2)], Vec::new()), (vec![out(0)], Vec::new())];
+        let (merged, _) = MorselOutputs::place(3, workers);
+        assert_eq!(merged.completed(), 2);
+        merged.concat();
     }
 
     #[test]

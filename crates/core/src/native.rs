@@ -5,21 +5,23 @@
 //! KSR1 cost model), this executor is what a downstream user calls to
 //! actually join two indexed relations fast. Execution is **morsel-driven**
 //! (see [`crate::morsel`]): phase 1's tasks are regrouped into morsels of
-//! roughly equal *estimated candidate count*, dealt to the workers per the
-//! configured [`Assignment`], and executed whole — each worker keeps a
-//! morsel's task descendants on a private stack, so the shared queues only
-//! ever drain and no per-node-pair locking remains on the hot path. An
-//! idle worker performs the paper's dynamic task reassignment: it takes
-//! exactly one morsel from the victim chosen by [`StealPolicy`] (by
-//! default the measured-busiest worker, using the live `(remaining
-//! candidates, remaining morsels)` stats every queue publishes).
+//! roughly equal *estimated candidate count*, and the workers take them
+//! through one shared cursor, in morsel-id order, until the cursor passes
+//! the end. That is the paper's dynamic assignment (one shared queue, a
+//! task at a time); an idle worker simply takes the next morsel, so there
+//! is no per-worker queue and nothing to steal. A worker executes a morsel
+//! whole, keeping its task descendants on a private stack, so the only
+//! shared step between morsels is one atomic increment. The paper's static
+//! deals and its task reassignment are reproduced in virtual time by
+//! [`crate::sim`], where the figures measure them.
 //!
 //! Each morsel's result pairs go to a morsel-local output buffer; the
-//! driver concatenates the buffers in morsel-id order, which makes the
-//! output **byte-identical to the sequential oracle** ([`crate::seq`]) at
-//! every thread count and under every steal interleaving (morsels hold
-//! contiguous runs of tasks in plane-sweep order, and the in-morsel
-//! traversal is the same depth-first sweep order the oracle uses).
+//! driver concatenates the buffers in morsel-id order (the merge in
+//! [`crate::morsel`] both engines share), which makes the output
+//! **byte-identical to the sequential oracle** ([`crate::seq`]) at every
+//! thread count and under every schedule (morsels hold contiguous runs of
+//! tasks in plane-sweep order, and the in-morsel traversal is the same
+//! depth-first sweep order the oracle uses).
 //!
 //! # Out-of-core execution
 //!
@@ -54,16 +56,13 @@
 //! parallel join never silently drops a subtree, so a storage error yields
 //! a typed error rather than a wrong answer.
 
-use crate::assign::{static_range, static_round_robin, Assignment};
 use crate::cancel::{CancelToken, Cancelled};
 use crate::cost::CandidateEstimator;
-use crate::deque::MorselQueue;
-use crate::metrics::{TaskOrigin, TaskTrace};
-use crate::morsel::{morselize, Morsel, MorselOptions, StealPolicy};
+use crate::metrics::TaskTrace;
+use crate::morsel::{morselize, Morsel, MorselOptions, MorselOutputs, WorkerOutput};
 use crate::sim::BufferOrg;
 use crate::task::{create_tasks, expand_pair, Candidate, KernelScratch, TaskPair};
 use psj_buffer::{BufferStats, PageRef, PageSource, Policy, SharedPageCache};
-use psj_desim::StealOrder;
 use psj_obs::trace::{worker_tid, TID_MAIN};
 use psj_obs::{ThreadTracer, TraceSink};
 use psj_rtree::{JoinNode, Node, NodeFrame, PagedTree};
@@ -71,7 +70,7 @@ use psj_store::{lock_clean, FaultPlan, Page, PageError, PageId, RetryPolicy};
 use serde::{Deserialize, Serialize};
 use std::mem::MaybeUninit;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -117,13 +116,8 @@ impl BufferConfig {
 /// Configuration of a native parallel join.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NativeConfig {
-    /// Number of worker threads.
+    /// Number of worker threads; morsels are sized automatically for them.
     pub num_threads: usize,
-    /// Task assignment strategy (dynamic = shared injector; static
-    /// strategies pre-partition, with stealing providing the reassignment).
-    pub assignment: Assignment,
-    /// Whether idle workers steal from busy ones.
-    pub work_stealing: bool,
     /// Phase 1 descends until at least `min_tasks_factor × num_threads`
     /// tasks exist.
     pub min_tasks_factor: usize,
@@ -134,16 +128,6 @@ pub struct NativeConfig {
     /// `Some`: run out-of-core, reading nodes through a bounded page cache
     /// with this configuration. `None`: read the frozen trees directly.
     pub buffer: Option<BufferConfig>,
-    /// Target estimated filter-step candidates per morsel (phase 1½).
-    /// `0` = auto: the run's total estimate split into roughly
-    /// [`crate::morsel::MORSELS_PER_WORKER`] morsels per worker. Larger
-    /// morsels amortize scheduling overhead; smaller ones balance better.
-    pub morsel_candidates: u64,
-    /// Victim selection when an idle worker reassigns a morsel.
-    pub steal: StealPolicy,
-    /// Seed of the [`StealPolicy::Seeded`] victim-order shim (ignored by
-    /// the other policies).
-    pub steal_seed: u64,
     /// Which join executor answers: the paper's R-tree traversal, the
     /// in-memory grid partition, or a per-run automatic choice. Only the
     /// engine-dispatching entry points ([`crate::partition::run_join`] /
@@ -153,19 +137,14 @@ pub struct NativeConfig {
 }
 
 impl NativeConfig {
-    /// Dynamic assignment with stealing, unbuffered — the recommended
+    /// Unbuffered R-tree join with refinement — the recommended
     /// configuration when both trees fit in memory.
     pub fn new(num_threads: usize) -> Self {
         NativeConfig {
             num_threads,
-            assignment: Assignment::Dynamic,
-            work_stealing: true,
             min_tasks_factor: 8,
             refine: true,
             buffer: None,
-            morsel_candidates: 0,
-            steal: StealPolicy::Busiest,
-            steal_seed: 0,
             engine: crate::partition::JoinEngine::RTree,
         }
     }
@@ -193,9 +172,8 @@ pub struct RunControl<'c> {
     pub retry: RetryPolicy,
     /// Trace sink for structured tracing. When set, the run emits
     /// `create_tasks`/`join` spans on the driver row, one `task` span per
-    /// task segment on each worker row, `steal` instants, and (via the
-    /// caches this run builds) `page_read`/`page_retry`/`page_quarantine`
-    /// events. When `None`, tracing costs one `Option` check per task
+    /// task segment on each worker row, and (via the caches this run
+    /// builds) `page_read`/`page_retry`/`page_quarantine` events. When `None`, tracing costs one `Option` check per task
     /// boundary — per-task attribution itself is always collected.
     pub trace: Option<Arc<TraceSink>>,
 }
@@ -309,8 +287,9 @@ pub struct NativeResult {
     /// Number of morsels planned in phase 1½. A completed run records
     /// exactly one [`TaskTrace`] per morsel.
     pub morsels: usize,
-    /// Morsels acquired by reassignment — exactly one morsel per steal, so
-    /// this equals the number of traces with [`TaskOrigin::Steal`].
+    /// Always 0: both engines take morsels from one shared cursor, so no
+    /// worker ever steals one. The field remains only because `benchmark/`
+    /// still reads it.
     pub steals: u64,
     /// Aggregate page-cache statistics (`None` when unbuffered).
     pub buffer: Option<BufferStats>,
@@ -522,20 +501,6 @@ impl CacheSet<'_> {
     }
 }
 
-/// One worker's run output: completed morsels' result pairs (keyed by
-/// morsel id for the deterministic merge) and attribution segments.
-type WorkerOutput = (Vec<(u32, Vec<(u64, u64)>)>, Vec<TaskTrace>);
-
-/// Live load stats one worker's queue publishes for busiest-victim
-/// selection — the paper's `(hl, ns)`: remaining estimated candidates and
-/// remaining morsels. Decremented by whoever removes a morsel (owner or
-/// thief), so reads are at worst momentarily stale, never wrong in sum.
-#[derive(Default)]
-struct WorkerLoad {
-    est: AtomicU64,
-    morsels: AtomicU64,
-}
-
 /// Cross-worker failure state: the first unrecoverable page error raises
 /// `abort`; every worker bails out at its next loop iteration. Contained
 /// morsel panics are recorded here too, but deliberately do NOT raise
@@ -743,8 +708,7 @@ fn run_with_caches(
     // candidate counts (split oversized tasks, pack undersized neighbors).
     let morsel_start_ns = trace.map(|t| t.now_ns());
     let estimator = CandidateEstimator::new(a, b);
-    let mut opts = MorselOptions::new(cfg.num_threads);
-    opts.budget = cfg.morsel_candidates;
+    let opts = MorselOptions::new(cfg.num_threads);
     let plan = morselize(a, b, &tc.tasks, &estimator, &opts);
     let num_morsels = plan.morsels.len();
     if let (Some(t), Some(start)) = (trace, morsel_start_ns) {
@@ -762,40 +726,11 @@ fn run_with_caches(
         );
     }
 
-    let injector: MorselQueue<Morsel> = MorselQueue::new();
-    let queues: Vec<MorselQueue<Morsel>> =
-        (0..cfg.num_threads).map(|_| MorselQueue::new()).collect();
-    let loads: Vec<WorkerLoad> = (0..cfg.num_threads)
-        .map(|_| WorkerLoad::default())
-        .collect();
-    match cfg.assignment {
-        Assignment::Dynamic => {
-            for m in plan.morsels {
-                injector.push_back(m);
-            }
-        }
-        Assignment::StaticRange | Assignment::StaticRoundRobin => {
-            let dealt = if cfg.assignment == Assignment::StaticRange {
-                static_range(&plan.morsels, cfg.num_threads)
-            } else {
-                static_round_robin(&plan.morsels, cfg.num_threads)
-            };
-            for (w, load) in dealt.into_iter().enumerate() {
-                for m in load {
-                    loads[w].est.fetch_add(m.est, Ordering::Relaxed);
-                    loads[w].morsels.fetch_add(1, Ordering::Relaxed);
-                    queues[w].push_back(m);
-                }
-            }
-        }
-    }
-
     // Snapshot so a pre-warmed external cache reports only this run's
     // activity (freshly built caches snapshot all-zero counters).
     let baseline = caches.per_worker_stats(cfg.num_threads);
     let candidates = AtomicU64::new(0);
     let node_pairs = AtomicU64::new(0);
-    let steals = AtomicU64::new(0);
     let fail = FailState::default();
     let start = Instant::now();
 
@@ -804,12 +739,10 @@ fn run_with_caches(
         a,
         b,
         cfg,
-        queues: &queues,
-        injector: &injector,
-        loads: &loads,
+        morsels: &plan.morsels,
+        next: AtomicUsize::new(0),
         candidates: &candidates,
         node_pairs: &node_pairs,
-        steals: &steals,
         cancel,
         fail: &fail,
     };
@@ -847,7 +780,6 @@ fn run_with_caches(
                 ("tasks", tasks as u64),
                 ("morsels", num_morsels as u64),
                 ("threads", cfg.num_threads as u64),
-                ("steals", steals.load(Ordering::Relaxed)),
             ],
         );
     }
@@ -884,53 +816,28 @@ fn run_with_caches(
         token.check().map_err(|_| NativeError::Cancelled)?;
     }
 
-    // Deterministic merge: every completed morsel's output lands in its
-    // id slot exactly once; concatenating slots in id order reproduces the
-    // sequential oracle's byte order. A lost or duplicated morsel is an
-    // executor bug, not a data error — fail loudly, unless a contained
-    // panic explains the hole, in which case the run reports it as a
-    // typed error (a partial merge would be a silently wrong answer).
-    let mut task_traces = Vec::with_capacity(num_morsels);
-    let mut slots: Vec<Option<Vec<(u64, u64)>>> = Vec::new();
-    slots.resize_with(num_morsels, || None);
-    for (outputs, mut t) in results {
-        for (mid, out) in outputs {
-            let slot = &mut slots[mid as usize];
-            assert!(slot.is_none(), "morsel {mid} executed twice");
-            *slot = Some(out);
-        }
-        task_traces.append(&mut t);
-    }
+    // Deterministic merge. A contained panic explains a missing morsel:
+    // the run reports it as a typed error, since a partial merge would be
+    // a silently wrong answer.
+    let (merged, task_traces) = MorselOutputs::place(num_morsels, results);
     if fail.panics.load(Ordering::Relaxed) > 0 {
         let message = lock_clean(&fail.first_panic)
             .take()
             .unwrap_or_else(|| "panic recorded without a message".to_string());
         return Err(NativeError::WorkerPanic {
             message,
-            completed_morsels: slots.iter().filter(|s| s.is_some()).count(),
+            completed_morsels: merged.completed(),
             morsels: num_morsels,
         });
     }
-    let mut pairs = Vec::with_capacity(
-        slots
-            .iter()
-            .map(|s| s.as_ref().map_or(0, Vec::len))
-            .sum::<usize>(),
-    );
-    for (mid, slot) in slots.iter_mut().enumerate() {
-        match slot.take() {
-            Some(mut v) => pairs.append(&mut v),
-            None => panic!("morsel {mid} lost"),
-        }
-    }
     Ok(NativeResult {
-        pairs,
+        pairs: merged.concat(),
         candidates: candidates.load(Ordering::Relaxed),
         node_pairs: node_pairs.load(Ordering::Relaxed),
         elapsed,
         tasks,
         morsels: num_morsels,
-        steals: steals.load(Ordering::Relaxed),
+        steals: 0,
         buffer,
         buffer_per_worker,
         task_traces,
@@ -943,7 +850,6 @@ fn run_with_caches(
 /// One open morsel segment: the attribution baseline captured when the
 /// morsel was acquired (see [`TaskTrace`]).
 struct Segment {
-    origin: TaskOrigin,
     morsel: u32,
     tasks: u32,
     start: Instant,
@@ -980,7 +886,6 @@ fn close_segment(
         worker: id,
         morsel: seg.morsel,
         tasks: seg.tasks,
-        origin: seg.origin,
         node_pairs,
         candidates,
         pages,
@@ -1002,7 +907,6 @@ fn close_segment(
                 ("worker", id as u64),
                 ("morsel", seg.morsel as u64),
                 ("tasks", seg.tasks as u64),
-                ("origin", seg.origin as u64),
                 ("node_pairs", tt.node_pairs),
                 ("candidates", tt.candidates),
                 ("pages", tt.pages),
@@ -1015,102 +919,21 @@ fn close_segment(
     traces.push(tt);
 }
 
-/// Acquires the next morsel for worker `id`: own queue front (plane-sweep
-/// order), then the shared queue, then — with stealing on — exactly one
-/// morsel from the victim picked by the configured [`StealPolicy`]. Load
-/// stats are decremented by whoever removes a morsel, so the busiest
-/// snapshot is at worst momentarily stale. Returns `None` when every queue
-/// was observed empty — queues only drain after setup, so that worker is
-/// done for good.
-#[allow(clippy::too_many_arguments)]
-fn acquire_morsel(
-    id: usize,
-    cfg: &NativeConfig,
-    queues: &[MorselQueue<Morsel>],
-    injector: &MorselQueue<Morsel>,
-    loads: &[WorkerLoad],
-    steals: &AtomicU64,
-    shim: &StealOrder,
-    attempts: &mut u64,
-    tracer: Option<&mut ThreadTracer>,
-) -> Option<(Morsel, TaskOrigin)> {
-    if let Some(m) = queues[id].pop_front() {
-        loads[id].est.fetch_sub(m.est, Ordering::Relaxed);
-        loads[id].morsels.fetch_sub(1, Ordering::Relaxed);
-        return Some((m, TaskOrigin::Assigned));
-    }
-    if let Some(m) = injector.pop_front() {
-        return Some((m, TaskOrigin::Injector));
-    }
-    if !cfg.work_stealing || queues.len() < 2 {
-        return None;
-    }
-    let n = queues.len();
-    let try_steal = |v: usize| -> Option<Morsel> {
-        let m = queues[v].steal_back()?;
-        loads[v].est.fetch_sub(m.est, Ordering::Relaxed);
-        loads[v].morsels.fetch_sub(1, Ordering::Relaxed);
-        Some(m)
-    };
-    let stolen = match cfg.steal {
-        StealPolicy::Busiest => {
-            // Snapshot the live (remaining est, remaining morsels) stats and
-            // probe victims busiest-first; ties break toward the lower id.
-            let mut victims: Vec<(u64, u64, usize)> = (0..n)
-                .filter(|&w| w != id)
-                .map(|w| {
-                    (
-                        loads[w].est.load(Ordering::Relaxed),
-                        loads[w].morsels.load(Ordering::Relaxed),
-                        w,
-                    )
-                })
-                .collect();
-            victims.sort_unstable_by(|x, y| y.0.cmp(&x.0).then(y.1.cmp(&x.1)).then(x.2.cmp(&y.2)));
-            victims
-                .into_iter()
-                .find_map(|(_, _, w)| try_steal(w).map(|m| (m, w)))
-        }
-        StealPolicy::RoundRobin => (1..n).find_map(|k| {
-            let w = (id + k) % n;
-            try_steal(w).map(|m| (m, w))
-        }),
-        StealPolicy::Seeded => {
-            *attempts += 1;
-            let start = shim.first_victim(id, *attempts, n);
-            (0..n).find_map(|k| {
-                let w = (start + k) % n;
-                if w == id {
-                    return None;
-                }
-                try_steal(w).map(|m| (m, w))
-            })
-        }
-    };
-    stolen.map(|(m, v)| {
-        steals.fetch_add(1, Ordering::Relaxed);
-        if let Some(tr) = tracer {
-            tr.instant(
-                "steal",
-                "join",
-                &[("victim", v as u64), ("morsel", m.id as u64)],
-            );
-        }
-        (m, TaskOrigin::Steal)
-    })
-}
-
 /// What every worker of one run shares.
 struct RunShared<'r> {
     a: &'r PagedTree,
     b: &'r PagedTree,
     cfg: &'r NativeConfig,
-    queues: &'r [MorselQueue<Morsel>],
-    injector: &'r MorselQueue<Morsel>,
-    loads: &'r [WorkerLoad],
+    /// The plan, in morsel-id (plane-sweep) order.
+    morsels: &'r [Morsel],
+    /// The dispatcher: the id of the next morsel to hand out. A worker
+    /// takes ids in increasing order until the cursor passes the end.
+    /// `Relaxed` suffices: each `fetch_add` returns a distinct id, and the
+    /// cursor publishes no data — the plan is immutable and visible to
+    /// every worker from its spawn.
+    next: AtomicUsize,
     candidates: &'r AtomicU64,
     node_pairs: &'r AtomicU64,
-    steals: &'r AtomicU64,
     cancel: Option<&'r CancelToken>,
     fail: &'r FailState,
 }
@@ -1125,20 +948,18 @@ fn run_worker<'t, F: Fetch<'t>>(
         a,
         b,
         cfg,
-        queues,
-        injector,
-        loads,
+        morsels,
+        ref next,
         candidates,
         node_pairs,
-        steals,
         cancel,
         fail,
     } = *run;
     let mut scratch = KernelScratch::default();
     let mut children: Vec<TaskPair> = Vec::new();
     let mut cands: Vec<Candidate> = Vec::new();
-    // Morsel-private DFS stack: task descendants never re-enter the shared
-    // queues, so no locking happens between morsel boundaries.
+    // Morsel-private DFS stack: task descendants never go back to the
+    // dispatcher, so no locking happens between morsel boundaries.
     let mut stack: Vec<TaskPair> = Vec::new();
     let mut outputs: Vec<(u32, Vec<(u64, u64)>)> = Vec::new();
     let mut local_candidates = 0u64;
@@ -1149,8 +970,6 @@ fn run_worker<'t, F: Fetch<'t>>(
     // boundaries are exact.
     let buffered = fetcher.stats().is_some();
     let mut traces: Vec<TaskTrace> = Vec::new();
-    let shim = StealOrder::new(cfg.steal_seed);
-    let mut attempts = 0u64;
 
     'outer: loop {
         // Cooperative cancellation / failure abort: each worker bails out on
@@ -1159,25 +978,14 @@ fn run_worker<'t, F: Fetch<'t>>(
         if cancel.is_some_and(|t| t.is_cancelled()) || fail.abort.load(Ordering::Relaxed) {
             break 'outer;
         }
-        let Some((morsel, origin)) = acquire_morsel(
-            id,
-            cfg,
-            queues,
-            injector,
-            loads,
-            steals,
-            &shim,
-            &mut attempts,
-            tracer.as_mut(),
-        ) else {
-            // Every queue observed empty. Queues only drain after setup
-            // (descendants stay on the private stack), so nothing can
-            // appear later: retire without a termination barrier.
+        // The cursor passed the end: the plan is fixed before workers
+        // start, so nothing can appear later and the worker retires
+        // without a termination barrier.
+        let Some(morsel) = morsels.get(next.fetch_add(1, Ordering::Relaxed)) else {
             break 'outer;
         };
 
         let seg = Segment {
-            origin,
             morsel: morsel.id,
             tasks: morsel.tasks.len() as u32,
             start: Instant::now(),
@@ -1188,7 +996,7 @@ fn run_worker<'t, F: Fetch<'t>>(
         };
         let mid = morsel.id;
         stack.clear();
-        stack.extend(morsel.tasks.into_iter().rev());
+        stack.extend(morsel.tasks.iter().rev());
         // Execute the morsel's tasks in plane-sweep order, each depth-first
         // with children pushed in reverse — the sequential oracle's exact
         // traversal, so `out` is byte-identical to the oracle's slice for
@@ -1286,7 +1094,7 @@ fn run_worker<'t, F: Fetch<'t>>(
             Some((_, true)) => break 'outer,
             Some((out, false)) => outputs.push((mid, out)),
             // Panicked: the morsel's output is lost (the driver reports a
-            // typed error), but this worker keeps draining the queues.
+            // typed error), but this worker keeps taking morsels.
             None => {}
         }
     }
@@ -1346,41 +1154,6 @@ mod tests {
         let res = run_native_join(&a, &b, &NativeConfig::new(4));
         assert_eq!(as_set(&res.pairs), want);
         assert!(res.pairs.len() <= res.candidates as usize);
-    }
-
-    #[test]
-    fn static_assignments_with_stealing_are_correct() {
-        let a = tree(600, 0.0);
-        let b = tree(600, 0.4);
-        let want = as_set(&join_candidates(&a, &b).candidates);
-        for assignment in [Assignment::StaticRange, Assignment::StaticRoundRobin] {
-            let cfg = NativeConfig {
-                num_threads: 4,
-                assignment,
-                min_tasks_factor: 4,
-                refine: false,
-                ..NativeConfig::new(4)
-            };
-            let res = run_native_join(&a, &b, &cfg);
-            assert_eq!(as_set(&res.pairs), want, "{assignment:?}");
-        }
-    }
-
-    #[test]
-    fn static_without_stealing_is_correct() {
-        let a = tree(600, 0.0);
-        let b = tree(600, 0.4);
-        let want = as_set(&join_candidates(&a, &b).candidates);
-        let cfg = NativeConfig {
-            num_threads: 3,
-            assignment: Assignment::StaticRange,
-            work_stealing: false,
-            min_tasks_factor: 2,
-            refine: false,
-            ..NativeConfig::new(3)
-        };
-        let res = run_native_join(&a, &b, &cfg);
-        assert_eq!(as_set(&res.pairs), want);
     }
 
     #[test]
@@ -1482,24 +1255,33 @@ mod tests {
         assert_eq!(as_set(&res.pairs), want);
     }
 
+    /// A page one worker faulted in is a remote hit for every other worker.
+    /// Warming the cache at one thread makes worker 0 the owner of every
+    /// page the join reads, so the split holds under any schedule — even
+    /// one where worker 1 takes no morsel at all.
     #[test]
     fn global_buffer_sees_remote_hits() {
         let a = tree(800, 0.0);
         let b = tree(800, 0.4);
         let total_pages = a.pages().len() + b.pages().len();
-        let mut cfg = NativeConfig::buffered(4, BufferConfig::global(total_pages * 2));
+        let cache: SharedPageCache<NodeFrame> =
+            SharedPageCache::new(2, total_pages * 2, 8, Policy::Lru);
+        let mut cfg = NativeConfig::new(1);
         cfg.refine = false;
-        // Static assignment without stealing: every worker must execute its
-        // own tasks, so cross-worker page sharing cannot be raced away by a
-        // single fast worker draining the whole injector.
-        cfg.assignment = Assignment::StaticRoundRobin;
-        cfg.work_stealing = false;
-        let res = run_native_join(&a, &b, &cfg);
-        let stats = res.buffer.unwrap();
-        // With a cache big enough to hold everything, each page is fetched
-        // once; another worker's touch of it scores a remote hit.
-        assert!(stats.hits_remote > 0, "4 workers sharing pages: {stats:?}");
-        assert!(stats.misses as usize <= total_pages);
+        let cold = run_native_join_with_cache(&a, &b, &cfg, &cache);
+        assert!(
+            cold.buffer.unwrap().misses > 0,
+            "one worker fills the cache"
+        );
+        cfg.num_threads = 2;
+        let warm = run_native_join_with_cache(&a, &b, &cfg, &cache);
+        assert_eq!(as_set(&warm.pairs), as_set(&cold.pairs));
+        let (w0, w1) = (&warm.buffer_per_worker[0], &warm.buffer_per_worker[1]);
+        assert_eq!(w1.hits_local, 0, "worker 1 owns no page: {w1:?}");
+        assert_eq!(w1.misses, 0, "the warm cache holds every page: {w1:?}");
+        assert_eq!(w1.hits_remote, w1.requests(), "{w1:?}");
+        assert_eq!(w0.hits_remote, 0, "worker 0 owns every page: {w0:?}");
+        assert!(warm.buffer.unwrap().requests() > 0);
     }
 
     #[test]
@@ -1542,7 +1324,7 @@ mod tests {
 
     /// A panic inside one morsel (here: an injected one-shot panic on a
     /// page fetch) must not take down the run's other morsels: the hit
-    /// worker catches the unwind and keeps draining queues, the caches'
+    /// worker catches the unwind and keeps taking morsels, the caches'
     /// poison-recovering locks and fill guard keep the other workers
     /// unblocked, and the driver reports a typed error instead of merging
     /// a silently incomplete result.
@@ -1607,14 +1389,7 @@ mod tests {
             "morsels cover every phase-1 task ({task_sum} vs {})",
             res.tasks
         );
-        assert_eq!(
-            res.steals,
-            res.task_traces
-                .iter()
-                .filter(|t| t.origin == TaskOrigin::Steal)
-                .count() as u64,
-            "steal counter equals the number of Steal-origin traces"
-        );
+        assert_eq!(res.steals, 0, "the shared cursor never steals");
         let cands: u64 = res.task_traces.iter().map(|t| t.candidates).sum();
         assert_eq!(cands, res.candidates, "candidates attribute fully");
         let stats = res.buffer.expect("buffered run");
@@ -1658,48 +1433,17 @@ mod tests {
         assert_eq!(sink.dropped(), 0);
     }
 
-    /// The tentpole guarantee: at every thread count, under every
-    /// assignment, the merged output is *byte-identical* (same pairs, same
-    /// order) to the sequential oracle — not merely set-equal.
+    /// The tentpole guarantee: at every thread count the merged output is
+    /// *byte-identical* (same pairs, same order) to the sequential oracle —
+    /// not merely set-equal.
     #[test]
     fn pair_output_is_byte_identical_to_sequential_oracle() {
         let a = tree(800, 0.0);
         let b = tree(800, 0.4);
         let want = join_refined(&a, &b);
         for threads in [1, 2, 4, 8] {
-            for assignment in [
-                Assignment::Dynamic,
-                Assignment::StaticRange,
-                Assignment::StaticRoundRobin,
-            ] {
-                let mut cfg = NativeConfig::new(threads);
-                cfg.assignment = assignment;
-                let res = run_native_join(&a, &b, &cfg);
-                assert_eq!(
-                    res.pairs, want,
-                    "byte order diverged: {threads} threads, {assignment:?}"
-                );
-            }
-        }
-    }
-
-    /// Steal policies change who runs what, never what comes out.
-    #[test]
-    fn steal_policies_do_not_change_output() {
-        let a = tree(600, 0.0);
-        let b = tree(600, 0.4);
-        let want = join_refined(&a, &b);
-        for steal in [
-            StealPolicy::Busiest,
-            StealPolicy::RoundRobin,
-            StealPolicy::Seeded,
-        ] {
-            let mut cfg = NativeConfig::new(4);
-            cfg.assignment = Assignment::StaticRange;
-            cfg.steal = steal;
-            cfg.steal_seed = 17;
-            let res = run_native_join(&a, &b, &cfg);
-            assert_eq!(res.pairs, want, "{steal:?}");
+            let res = run_native_join(&a, &b, &NativeConfig::new(threads));
+            assert_eq!(res.pairs, want, "byte order diverged: {threads} threads");
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Partition-join executor: cells → morsels → the PR 6 scheduler.
+//! Partition-join executor: cells → morsels → the shared morsel cursor.
 //!
 //! Planning materializes both inputs as flat item arrays, sizes the grid
 //! ([`super::grid::plan_grid`]), replicates items into cells
@@ -6,13 +6,12 @@
 //! sides — a pair's owner cell always has both, so single-sided cells can
 //! be skipped outright) with the same Minkowski model the morsel planner
 //! uses, and packs cells into [`CellMorsel`]s next-fit in row-major cell
-//! order. Execution then mirrors [`crate::native`] exactly: per-worker
-//! [`MorselQueue`]s plus a shared injector, the configured
-//! [`StealPolicy`] picking reassignment victims via live remaining-work
-//! stats, one [`TaskTrace`] per acquired morsel (tagged
-//! [`JoinEngine::Partition`], carrying per-morsel replication/dedup
-//! attribution), and a deterministic morsel-id-order merge — the output
-//! sequence never depends on thread count or steal interleaving.
+//! order. Execution then works as in [`crate::native`]: the workers take
+//! morsels through one shared cursor in id order, record one [`TaskTrace`]
+//! per morsel (tagged [`JoinEngine::Partition`], carrying per-morsel
+//! replication/dedup attribution), and the driver runs the same
+//! morsel-id-order merge — the output sequence never depends on thread
+//! count or schedule.
 //!
 //! Per cell, the kernel is the PR 5 SoA sweep: both item runs are already
 //! `(xl, index)`-sorted by the planner, the universe rectangle is the
@@ -29,17 +28,14 @@
 
 use super::grid::{plan_grid, CellIndex, GridPlan, ItemStats};
 use super::{JoinEngine, PartitionInput};
-use crate::assign::{static_range, static_round_robin, Assignment};
-use crate::deque::MorselQueue;
-use crate::metrics::{TaskOrigin, TaskTrace};
-use crate::morsel::{StealPolicy, AUTO_BUDGET_MAX, AUTO_BUDGET_MIN, MORSELS_PER_WORKER};
+use crate::metrics::TaskTrace;
+use crate::morsel::{auto_budget, MorselOutputs, WorkerOutput};
 use crate::native::{NativeConfig, NativeError, NativeResult, RunControl};
-use psj_desim::StealOrder;
 use psj_geom::{sweep_pairs_soa_runs, Rect, SoaRun, SweepPair, SweepScratch};
 use psj_obs::trace::{worker_tid, TID_MAIN};
 use psj_obs::ThreadTracer;
 use psj_rtree::{GeomRef, PagedTree};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// One partition morsel: a run of occupied cells (row-major cell order)
@@ -207,7 +203,7 @@ pub fn plan_partition(
 /// that varied with `num_threads` would change the output *sequence*
 /// (never the set) across thread counts, breaking byte-identity with the
 /// single-threaded run. 8 keeps ≥ 128 cells available on dense inputs, so
-/// any realistic thread count still has morsels to steal.
+/// any realistic thread count still has morsels to share.
 const PLAN_GRAIN: usize = 8;
 
 fn plan_sides(a: &Side<'_>, b: &Side<'_>, cfg: &NativeConfig) -> PartitionPlan {
@@ -278,12 +274,7 @@ fn plan_sides(a: &Side<'_>, b: &Side<'_>, cfg: &NativeConfig) -> PartitionPlan {
         rated.push((c as u32, est));
     }
     let occupied = rated.len();
-    let budget = if cfg.morsel_candidates > 0 {
-        cfg.morsel_candidates
-    } else {
-        let per = total / (cfg.num_threads.max(1) as u64 * MORSELS_PER_WORKER) as f64;
-        (per.round() as u64).clamp(AUTO_BUDGET_MIN, AUTO_BUDGET_MAX)
-    };
+    let budget = auto_budget(total, cfg.num_threads);
 
     // Next-fit pack in cell order, same discipline as `morselize`: a morsel
     // exceeds the budget only when it holds exactly one cell.
@@ -322,18 +313,6 @@ fn plan_sides(a: &Side<'_>, b: &Side<'_>, cfg: &NativeConfig) -> PartitionPlan {
     }
 }
 
-/// Live remaining-work stats one worker's queue publishes for
-/// busiest-victim selection (same protocol as the native executor).
-#[derive(Default)]
-struct WorkerLoad {
-    est: AtomicU64,
-    morsels: AtomicU64,
-}
-
-/// One worker's run output: completed morsels' result pairs plus
-/// attribution traces.
-type WorkerOutput = (Vec<(u32, Vec<(u64, u64)>)>, Vec<TaskTrace>);
-
 /// Runs the partition join.
 ///
 /// # Panics
@@ -354,8 +333,7 @@ pub fn run_partition_join(
 
 /// Runs the partition join with runtime controls. Cancellation is honored
 /// at cell granularity; tracing emits `plan_partition`/`join` driver spans
-/// plus per-morsel `task` spans and `steal` instants, exactly like the
-/// native executor. Fault plans and retry policies are inert here (they
+/// plus per-morsel `task` spans, exactly like the native executor. Fault plans and retry policies are inert here (they
 /// act on page-cache fills; this engine has no cache) — callers that need
 /// fault coverage keep [`JoinEngine::RTree`], which is also what
 /// [`super::select_engine`] does.
@@ -409,59 +387,29 @@ pub fn try_run_partition_join(
         token.check().map_err(|_| NativeError::Cancelled)?;
     }
 
-    let injector: MorselQueue<CellMorsel> = MorselQueue::new();
-    let queues: Vec<MorselQueue<CellMorsel>> =
-        (0..cfg.num_threads).map(|_| MorselQueue::new()).collect();
-    let loads: Vec<WorkerLoad> = (0..cfg.num_threads)
-        .map(|_| WorkerLoad::default())
-        .collect();
-    let morsels = plan.morsels.clone();
-    match cfg.assignment {
-        Assignment::Dynamic => {
-            for m in morsels {
-                injector.push_back(m);
-            }
-        }
-        Assignment::StaticRange | Assignment::StaticRoundRobin => {
-            let dealt = if cfg.assignment == Assignment::StaticRange {
-                static_range(&morsels, cfg.num_threads)
-            } else {
-                static_round_robin(&morsels, cfg.num_threads)
-            };
-            for (w, load) in dealt.into_iter().enumerate() {
-                for m in load {
-                    loads[w].est.fetch_add(m.est, Ordering::Relaxed);
-                    loads[w].morsels.fetch_add(1, Ordering::Relaxed);
-                    queues[w].push_back(m);
-                }
-            }
-        }
-    }
-
     let candidates = AtomicU64::new(0);
     let replicated = AtomicU64::new(0);
     let deduped = AtomicU64::new(0);
-    let steals = AtomicU64::new(0);
+    // The dispatcher: the id of the next morsel to hand out (`Relaxed`, as
+    // in the native executor: it publishes no data).
+    let next = AtomicUsize::new(0);
 
     let mut results: Vec<WorkerOutput> = Vec::with_capacity(cfg.num_threads);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(cfg.num_threads);
         for id in 0..cfg.num_threads {
-            let injector = &injector;
-            let queues = &queues;
-            let loads = &loads;
+            let next = &next;
             let plan = &plan;
             let side_a = &side_a;
             let side_b = &side_b;
             let candidates = &candidates;
             let replicated = &replicated;
             let deduped = &deduped;
-            let steals = &steals;
             let tracer = ctl.trace.as_ref().map(|t| t.tracer(worker_tid(id)));
             handles.push(scope.spawn(move || {
                 run_worker(
-                    id, cfg, plan, side_a, side_b, queues, injector, loads, candidates, replicated,
-                    deduped, steals, cancel, tracer,
+                    id, cfg, plan, side_a, side_b, next, candidates, replicated, deduped, cancel,
+                    tracer,
                 )
             }));
         }
@@ -481,7 +429,6 @@ pub fn try_run_partition_join(
                 ("cells", plan.occupied as u64),
                 ("morsels", num_morsels as u64),
                 ("threads", cfg.num_threads as u64),
-                ("steals", steals.load(Ordering::Relaxed)),
             ],
         );
     }
@@ -490,124 +437,22 @@ pub fn try_run_partition_join(
         token.check().map_err(|_| NativeError::Cancelled)?;
     }
 
-    // Deterministic merge, identical to the native executor: every morsel's
-    // output fills its id slot exactly once.
-    let mut task_traces = Vec::with_capacity(num_morsels);
-    let mut slots: Vec<Option<Vec<(u64, u64)>>> = Vec::new();
-    slots.resize_with(num_morsels, || None);
-    for (outputs, mut t) in results {
-        for (mid, out) in outputs {
-            let slot = &mut slots[mid as usize];
-            assert!(slot.is_none(), "morsel {mid} executed twice");
-            *slot = Some(out);
-        }
-        task_traces.append(&mut t);
-    }
-    let mut pairs = Vec::with_capacity(
-        slots
-            .iter()
-            .map(|s| s.as_ref().map_or(0, Vec::len))
-            .sum::<usize>(),
-    );
-    for (mid, slot) in slots.iter_mut().enumerate() {
-        match slot.take() {
-            Some(mut v) => pairs.append(&mut v),
-            None => panic!("morsel {mid} lost"),
-        }
-    }
+    // Deterministic merge, the one the native executor runs.
+    let (merged, task_traces) = MorselOutputs::place(num_morsels, results);
     Ok(NativeResult {
-        pairs,
+        pairs: merged.concat(),
         candidates: candidates.load(Ordering::Relaxed),
         node_pairs: 0,
         elapsed,
         tasks: plan.occupied,
         morsels: num_morsels,
-        steals: steals.load(Ordering::Relaxed),
+        steals: 0,
         buffer: None,
         buffer_per_worker: Vec::new(),
         task_traces,
         engine: JoinEngine::Partition,
         replicated: replicated.load(Ordering::Relaxed),
         deduped: deduped.load(Ordering::Relaxed),
-    })
-}
-
-/// Acquires the next morsel for worker `id`: own queue, shared queue, then
-/// one steal per the configured policy — the native executor's protocol
-/// verbatim, over [`CellMorsel`]s.
-#[allow(clippy::too_many_arguments)]
-fn acquire_morsel(
-    id: usize,
-    cfg: &NativeConfig,
-    queues: &[MorselQueue<CellMorsel>],
-    injector: &MorselQueue<CellMorsel>,
-    loads: &[WorkerLoad],
-    steals: &AtomicU64,
-    shim: &StealOrder,
-    attempts: &mut u64,
-    tracer: Option<&mut ThreadTracer>,
-) -> Option<(CellMorsel, TaskOrigin)> {
-    if let Some(m) = queues[id].pop_front() {
-        loads[id].est.fetch_sub(m.est, Ordering::Relaxed);
-        loads[id].morsels.fetch_sub(1, Ordering::Relaxed);
-        return Some((m, TaskOrigin::Assigned));
-    }
-    if let Some(m) = injector.pop_front() {
-        return Some((m, TaskOrigin::Injector));
-    }
-    if !cfg.work_stealing || queues.len() < 2 {
-        return None;
-    }
-    let n = queues.len();
-    let try_steal = |v: usize| -> Option<CellMorsel> {
-        let m = queues[v].steal_back()?;
-        loads[v].est.fetch_sub(m.est, Ordering::Relaxed);
-        loads[v].morsels.fetch_sub(1, Ordering::Relaxed);
-        Some(m)
-    };
-    let stolen = match cfg.steal {
-        StealPolicy::Busiest => {
-            let mut victims: Vec<(u64, u64, usize)> = (0..n)
-                .filter(|&w| w != id)
-                .map(|w| {
-                    (
-                        loads[w].est.load(Ordering::Relaxed),
-                        loads[w].morsels.load(Ordering::Relaxed),
-                        w,
-                    )
-                })
-                .collect();
-            victims.sort_unstable_by(|x, y| y.0.cmp(&x.0).then(y.1.cmp(&x.1)).then(x.2.cmp(&y.2)));
-            victims
-                .into_iter()
-                .find_map(|(_, _, w)| try_steal(w).map(|m| (m, w)))
-        }
-        StealPolicy::RoundRobin => (1..n).find_map(|k| {
-            let w = (id + k) % n;
-            try_steal(w).map(|m| (m, w))
-        }),
-        StealPolicy::Seeded => {
-            *attempts += 1;
-            let start = shim.first_victim(id, *attempts, n);
-            (0..n).find_map(|k| {
-                let w = (start + k) % n;
-                if w == id {
-                    return None;
-                }
-                try_steal(w).map(|m| (m, w))
-            })
-        }
-    };
-    stolen.map(|(m, v)| {
-        steals.fetch_add(1, Ordering::Relaxed);
-        if let Some(tr) = tracer {
-            tr.instant(
-                "steal",
-                "join",
-                &[("victim", v as u64), ("morsel", m.id as u64)],
-            );
-        }
-        (m, TaskOrigin::Steal)
     })
 }
 
@@ -618,13 +463,10 @@ fn run_worker(
     plan: &PartitionPlan,
     side_a: &Side<'_>,
     side_b: &Side<'_>,
-    queues: &[MorselQueue<CellMorsel>],
-    injector: &MorselQueue<CellMorsel>,
-    loads: &[WorkerLoad],
+    next: &AtomicUsize,
     candidates: &AtomicU64,
     replicated: &AtomicU64,
     deduped: &AtomicU64,
-    steals: &AtomicU64,
     cancel: Option<&crate::cancel::CancelToken>,
     mut tracer: Option<ThreadTracer>,
 ) -> WorkerOutput {
@@ -635,25 +477,13 @@ fn run_worker(
     let mut local_candidates = 0u64;
     let mut local_replicated = 0u64;
     let mut local_deduped = 0u64;
-    let shim = StealOrder::new(cfg.steal_seed);
-    let mut attempts = 0u64;
     let grid = &plan.grid;
 
     'outer: loop {
         if cancel.is_some_and(|t| t.is_cancelled()) {
             break 'outer;
         }
-        let Some((morsel, origin)) = acquire_morsel(
-            id,
-            cfg,
-            queues,
-            injector,
-            loads,
-            steals,
-            &shim,
-            &mut attempts,
-            tracer.as_mut(),
-        ) else {
+        let Some(morsel) = plan.morsels.get(next.fetch_add(1, Ordering::Relaxed)) else {
             break 'outer;
         };
 
@@ -719,7 +549,6 @@ fn run_worker(
             worker: id,
             morsel: mid,
             tasks: num_cells,
-            origin,
             node_pairs: 0,
             candidates: local_candidates - base_cands,
             pages: 0,
@@ -741,7 +570,6 @@ fn run_worker(
                     ("worker", id as u64),
                     ("morsel", mid as u64),
                     ("cells", u64::from(num_cells)),
-                    ("origin", origin as u64),
                     ("candidates", tt.candidates),
                     ("replicated", tt.replicated),
                     ("deduped", tt.deduped),
@@ -764,6 +592,7 @@ fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::morsel::{AUTO_BUDGET_MAX, AUTO_BUDGET_MIN};
     use crate::seq::{join_candidates, join_refined};
     use psj_geom::{Point, Polyline};
     use psj_rtree::RTree;
@@ -828,21 +657,14 @@ mod tests {
         let want =
             run_partition_join(PartitionInput::Tree(&a), PartitionInput::Tree(&b), &cfg).pairs;
         for threads in [2, 4, 8] {
-            for steal in [
-                StealPolicy::Busiest,
-                StealPolicy::RoundRobin,
-                StealPolicy::Seeded,
-            ] {
+            for round in 0..3 {
                 let mut cfg = NativeConfig::new(threads);
                 cfg.refine = false;
-                cfg.assignment = Assignment::StaticRange;
-                cfg.steal = steal;
-                cfg.steal_seed = 23;
                 let res =
                     run_partition_join(PartitionInput::Tree(&a), PartitionInput::Tree(&b), &cfg);
                 assert_eq!(
                     res.pairs, want,
-                    "merge must be deterministic: {threads} threads {steal:?}"
+                    "merge must be deterministic: {threads} threads, round {round}"
                 );
             }
         }
@@ -944,13 +766,7 @@ mod tests {
             res.deduped > 0,
             "replicated pairs must be suppressed somewhere"
         );
-        assert_eq!(
-            res.steals,
-            res.task_traces
-                .iter()
-                .filter(|t| t.origin == TaskOrigin::Steal)
-                .count() as u64
-        );
+        assert_eq!(res.steals, 0, "the shared cursor never steals");
         let cell_sum: u64 = res.task_traces.iter().map(|t| u64::from(t.tasks)).sum();
         assert_eq!(
             cell_sum as usize, res.tasks,

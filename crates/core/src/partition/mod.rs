@@ -20,11 +20,12 @@
 //!   bottom-left corner of its MBR intersection (see
 //!   [`grid::GridPlan::owner_cell`]), so the deduplicated output needs no
 //!   hash table and no post-pass;
-//! * cells are packed into morsels and scheduled on the PR 6 machinery —
-//!   same queues, same [`StealPolicy`][crate::morsel::StealPolicy] victim
-//!   selection, same deterministic morsel-id-order merge — so the output
-//!   sequence is identical at every thread count and steal interleaving,
-//!   and sorted output equals the sequential R-tree oracle exactly.
+//! * cells are packed into morsels and run the way the R-tree engine runs
+//!   its morsels — one shared cursor hands them out in id order, and the
+//!   same deterministic morsel-id-order merge concatenates their outputs —
+//!   so the output sequence is identical at every thread count and
+//!   schedule, and sorted output equals the sequential R-tree oracle
+//!   exactly.
 //!
 //! Inputs are [`PartitionInput`]: a frozen [`PagedTree`] (its leaf entries
 //! are streamed out, geometry refs intact so refinement still works) or a

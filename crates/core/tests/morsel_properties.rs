@@ -148,8 +148,7 @@ fn executor_plan_and_aggregate_estimate_reconcile_with_measurement() {
     // Mirror the executor's phase 1/1½ inputs exactly.
     let tc = create_tasks(&a, &b, cfg.min_tasks_factor * cfg.num_threads);
     let est = CandidateEstimator::new(&a, &b);
-    let mut opts = MorselOptions::new(cfg.num_threads);
-    opts.budget = cfg.morsel_candidates;
+    let opts = MorselOptions::new(cfg.num_threads);
     let plan = morselize(&a, &b, &tc.tasks, &est, &opts);
     assert_eq!(
         plan.morsels.len(),

@@ -11,8 +11,6 @@
 //!   (one disk); a request made at time `t` starts at `max(t, free_at)` and
 //!   occupies the server for its service time.
 //! * [`ResourcePool`] — a bank of FCFS resources (the disk array).
-//! * [`schedule`] — the seeded steal-order shim behind adversarial
-//!   interleaving tests.
 //!
 //! The engine deliberately has no notion of "process"; executors drive
 //! explicit state machines from the event loop. That keeps the join logic in
@@ -21,13 +19,20 @@
 
 #![warn(missing_docs)]
 
-pub mod schedule;
-
-pub use schedule::{splitmix64, StealOrder};
-
 use psj_store::Nanos;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// SplitMix64: the 64-bit finalizer seeded tests use to derive a
+/// reproducible stream of draws from a seed. Small, well-distributed, and
+/// dependency-free.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
 /// A time-ordered event queue with deterministic tie-breaking.
 #[derive(Debug)]

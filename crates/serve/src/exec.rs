@@ -23,9 +23,7 @@
 //! unreadable, the whole query reports the storage error.
 
 use psj_buffer::{PageRef, SharedPageCache};
-use psj_core::{
-    try_run_join, CancelToken, JoinEngine, NativeConfig, NativeError, RunControl, StealPolicy,
-};
+use psj_core::{try_run_join, CancelToken, JoinEngine, NativeConfig, NativeError, RunControl};
 use psj_geom::{Point, Rect};
 use psj_rtree::nn::min_dist;
 use psj_rtree::{nearest_neighbors_via, Node, NodeAccess, NodeKind, PagedTree};
@@ -349,30 +347,22 @@ pub fn nearest(
 }
 
 /// What a completed join reports back to the server: the pairs plus the
-/// kernel's own work accounting (phase-1 tasks, successful steals) so the
-/// serving layer can expose the paper's parallelism counters per service.
+/// kernel's phase-1 task count, so the serving layer can expose the
+/// paper's parallelism counter per service.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinRun {
     /// Joined `(oid_a, oid_b)` pairs.
     pub pairs: Vec<(u64, u64)>,
     /// Phase-1 tasks created for this join.
     pub tasks: u64,
-    /// Successful steals across this join's workers.
-    pub steals: u64,
 }
 
 /// Join-executor tuning copied from the server configuration: thread count
-/// plus the morsel-scheduler knobs threaded through to [`NativeConfig`].
+/// and engine, threaded through to [`NativeConfig`].
 #[derive(Debug, Clone, Copy)]
 pub struct JoinTuning {
     /// Worker threads per join request.
     pub threads: usize,
-    /// Target estimated candidates per morsel (`0` = auto).
-    pub morsel_candidates: u64,
-    /// Victim selection for morsel reassignment.
-    pub steal: StealPolicy,
-    /// Seed of the seeded steal policy (ignored by the others).
-    pub steal_seed: u64,
     /// Join engine: the R-tree traversal, the in-memory grid partition, or
     /// a per-request automatic choice. Served joins descend frozen trees
     /// directly (no page cache), so every engine is safe here.
@@ -380,13 +370,10 @@ pub struct JoinTuning {
 }
 
 impl JoinTuning {
-    /// Default scheduler knobs at the given thread count.
+    /// The R-tree engine at the given thread count.
     pub fn threads(threads: usize) -> Self {
         JoinTuning {
             threads,
-            morsel_candidates: 0,
-            steal: StealPolicy::Busiest,
-            steal_seed: 0,
             engine: JoinEngine::RTree,
         }
     }
@@ -434,9 +421,6 @@ pub fn join(
     }
     let mut cfg = NativeConfig::new(tuning.threads.max(1));
     cfg.refine = refine;
-    cfg.morsel_candidates = tuning.morsel_candidates;
-    cfg.steal = tuning.steal;
-    cfg.steal_seed = tuning.steal_seed;
     cfg.engine = tuning.engine;
     let token = match deadline {
         Some(d) => CancelToken::with_deadline(d),
@@ -452,7 +436,6 @@ pub fn join(
             Outcome::Ok(JoinRun {
                 pairs,
                 tasks: r.tasks as u64,
-                steals: r.steals,
             })
         }
         Err(NativeError::Cancelled) => Outcome::DeadlineExceeded,

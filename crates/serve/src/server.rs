@@ -33,7 +33,6 @@ use crate::protocol::{
 };
 use crate::telemetry::{GaugeSnapshot, Telemetry};
 use psj_buffer::{Policy, SharedPageCache};
-use psj_core::StealPolicy;
 use psj_geom::Point;
 use psj_obs::trace::TID_SERVE;
 use psj_obs::TraceSink;
@@ -74,12 +73,6 @@ pub struct ServeConfig {
     pub cache_shards: usize,
     /// Threads per join request.
     pub join_threads: usize,
-    /// Target estimated candidates per join morsel (`0` = auto-sized).
-    pub join_morsel_candidates: u64,
-    /// Victim selection when an idle join worker reassigns a morsel.
-    pub join_steal: StealPolicy,
-    /// Seed of the seeded join steal policy (ignored by the others).
-    pub join_steal_seed: u64,
     /// Join engine answering join requests: the R-tree traversal, the
     /// in-memory grid partition, or a per-request automatic choice.
     pub join_engine: psj_core::JoinEngine,
@@ -111,9 +104,6 @@ impl Default for ServeConfig {
             cache_pages: 4096,
             cache_shards: 16,
             join_threads: 4,
-            join_morsel_candidates: 0,
-            join_steal: StealPolicy::Busiest,
-            join_steal_seed: 0,
             join_engine: psj_core::JoinEngine::RTree,
             read_timeout: Duration::from_millis(250),
             fault: None,
@@ -667,16 +657,12 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                         owner,
                         exec::JoinTuning {
                             threads: shared.cfg.join_threads,
-                            morsel_candidates: shared.cfg.join_morsel_candidates,
-                            steal: shared.cfg.join_steal,
-                            steal_seed: shared.cfg.join_steal_seed,
                             engine: shared.cfg.join_engine,
                         },
                         deadline,
                     );
                     if let Outcome::Ok(run) = &result {
                         t.join_tasks.add(run.tasks);
-                        t.join_steals.add(run.steals);
                     }
                     result
                 },

@@ -47,8 +47,6 @@ pub struct Telemetry {
     pub worker_panics: Arc<Counter>,
     /// Phase-1 tasks created by join requests.
     pub join_tasks: Arc<Counter>,
-    /// Successful steals inside join requests.
-    pub join_steals: Arc<Counter>,
     // Point-in-time values, refreshed by `render_prometheus`.
     queue_depth: Arc<Gauge>,
     cache_requests: Arc<Gauge>,
@@ -104,7 +102,6 @@ impl Default for Telemetry {
                 "Request-handler panics caught and recovered",
             ),
             join_tasks: r.counter("psj_join_tasks_total", "Phase-1 join tasks created"),
-            join_steals: r.counter("psj_join_steals_total", "Successful steals inside joins"),
             queue_depth: r.gauge("psj_queue_depth", "Admitted-but-unanswered requests"),
             cache_requests: r.gauge("psj_cache_requests", "Page-cache requests since start"),
             cache_hits: r.gauge("psj_cache_hits", "Page-cache hits since start"),

@@ -67,8 +67,8 @@ fn main() {
     // Parallel join with exact refinement at increasing thread counts.
     println!("\nparallel join (filter + exact refinement):");
     println!(
-        "{:>8} {:>12} {:>12} {:>10} {:>8}",
-        "threads", "results", "wall time", "speedup", "steals"
+        "{:>8} {:>12} {:>12} {:>10}",
+        "threads", "results", "wall time", "speedup"
     );
     let mut t1 = None;
     let max_threads = std::thread::available_parallelism()
@@ -80,12 +80,11 @@ fn main() {
         let secs = res.elapsed.as_secs_f64();
         let base = *t1.get_or_insert(secs);
         println!(
-            "{:>8} {:>12} {:>12.3?} {:>9.1}x {:>8}",
+            "{:>8} {:>12} {:>12.3?} {:>9.1}x",
             threads,
             res.pairs.len(),
             res.elapsed,
-            base / secs,
-            res.steals
+            base / secs
         );
         threads *= 2;
     }

@@ -5,8 +5,8 @@
 //! relations. [`differential_run`] computes the sequential [BKS 93] answer
 //! once and then replays the same join through the simulated executor (all
 //! processor counts × assignments × buffer organizations the caller lists)
-//! and the native executor (thread counts × assignments × buffer
-//! organizations × cache budgets down to near-thrashing), asserting that
+//! and the native executor (thread counts × buffer organizations × cache
+//! budgets down to near-thrashing), asserting that
 //! every configuration produces *exactly* the oracle's result set. Any
 //! divergence panics with the configuration that broke.
 //!
@@ -110,7 +110,8 @@ fn as_set(pairs: &[(u64, u64)]) -> PairSet {
 pub struct Sweep {
     /// Worker/processor counts.
     pub threads: Vec<usize>,
-    /// Task assignment strategies.
+    /// Task assignment strategies of the simulated executor (the native
+    /// one has a single dispatcher, the shared morsel cursor).
     pub assignments: Vec<Assignment>,
     /// Native cache budgets as fractions of the scenario's working set
     /// (e.g. `0.1` = a cache holding 10% of all pages). A minimum of
@@ -177,11 +178,11 @@ pub fn differential_run(scenario: &JoinScenario, sweep: &Sweep) -> DifferentialR
         for &n in &sweep.threads {
             for &assignment in &sweep.assignments {
                 for org in [BufferOrg::Local, BufferOrg::Global] {
-                    let mut cfg = SimConfig::best(n, n, 24.max(4 * n));
-                    cfg.assignment = assignment;
-                    cfg.buffer_org = org;
-                    cfg.collect_candidates = true;
-                    let res = run_sim_join(&scenario.a, &scenario.b, &cfg);
+                    let mut sim = SimConfig::best(n, n, 24.max(4 * n));
+                    sim.assignment = assignment;
+                    sim.buffer_org = org;
+                    sim.collect_candidates = true;
+                    let res = run_sim_join(&scenario.a, &scenario.b, &sim);
                     let got = as_set(res.candidates.as_deref().expect("candidates collected"));
                     assert_eq!(
                         got, oracle,
@@ -195,55 +196,48 @@ pub fn differential_run(scenario: &JoinScenario, sweep: &Sweep) -> DifferentialR
 
     // Native executor, unbuffered.
     for &threads in &sweep.threads {
-        for &assignment in &sweep.assignments {
-            let mut cfg = NativeConfig::new(threads);
-            cfg.assignment = assignment;
-            cfg.refine = false;
-            let res = run_native_join(&scenario.a, &scenario.b, &cfg);
-            assert_eq!(
-                as_set(&res.pairs),
-                oracle,
-                "{name}: native threads={threads} {assignment:?} unbuffered diverged"
-            );
-            report.configs_checked += 1;
-        }
+        let mut cfg = NativeConfig::new(threads);
+        cfg.refine = false;
+        let res = run_native_join(&scenario.a, &scenario.b, &cfg);
+        assert_eq!(
+            as_set(&res.pairs),
+            oracle,
+            "{name}: native threads={threads} unbuffered diverged"
+        );
+        report.configs_checked += 1;
     }
 
     // Native executor, out-of-core: organizations × budgets down to
     // near-thrashing.
     let total = scenario.total_pages();
     for &threads in &sweep.threads {
-        for &assignment in &sweep.assignments {
-            for org in [BufferOrg::Local, BufferOrg::Global] {
-                for &fraction in &sweep.cache_fractions {
-                    let capacity = ((total as f64 * fraction) as usize).max(4);
-                    let buffer = BufferConfig {
-                        org,
-                        capacity_pages: capacity,
-                        shards: 4,
-                        policy: psj_buffer::Policy::Lru,
-                    };
-                    let mut cfg = NativeConfig::buffered(threads, buffer);
-                    cfg.assignment = assignment;
-                    cfg.refine = false;
-                    let res = run_native_join(&scenario.a, &scenario.b, &cfg);
-                    assert_eq!(
-                        as_set(&res.pairs),
-                        oracle,
-                        "{name}: native threads={threads} {assignment:?} {org:?} \
-                         cache={capacity}p diverged"
-                    );
-                    let stats = res.buffer.expect("buffered run must report stats");
-                    // A join that creates tasks must touch pages; disjoint
-                    // trees legitimately create none.
-                    assert!(
-                        res.tasks == 0 || stats.requests() > 0,
-                        "{name}: buffered run reported no page requests"
-                    );
-                    report.total_misses += stats.misses;
-                    report.smallest_cache = report.smallest_cache.min(capacity);
-                    report.configs_checked += 1;
-                }
+        for org in [BufferOrg::Local, BufferOrg::Global] {
+            for &fraction in &sweep.cache_fractions {
+                let capacity = ((total as f64 * fraction) as usize).max(4);
+                let buffer = BufferConfig {
+                    org,
+                    capacity_pages: capacity,
+                    shards: 4,
+                    policy: psj_buffer::Policy::Lru,
+                };
+                let mut cfg = NativeConfig::buffered(threads, buffer);
+                cfg.refine = false;
+                let res = run_native_join(&scenario.a, &scenario.b, &cfg);
+                assert_eq!(
+                    as_set(&res.pairs),
+                    oracle,
+                    "{name}: native threads={threads} {org:?} cache={capacity}p diverged"
+                );
+                let stats = res.buffer.expect("buffered run must report stats");
+                // A join that creates tasks must touch pages; disjoint
+                // trees legitimately create none.
+                assert!(
+                    res.tasks == 0 || stats.requests() > 0,
+                    "{name}: buffered run reported no page requests"
+                );
+                report.total_misses += stats.misses;
+                report.smallest_cache = report.smallest_cache.min(capacity);
+                report.configs_checked += 1;
             }
         }
     }

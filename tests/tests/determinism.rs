@@ -1,9 +1,8 @@
 //! Determinism guards: the native join's result *set* is a pure function of
-//! the inputs — independent of thread count, assignment strategy, scheduling
-//! noise, and repetition.
+//! the inputs — independent of thread count, scheduling noise, and
+//! repetition.
 
 use psj_core::native::{run_native_join, NativeConfig};
-use psj_core::Assignment;
 use psj_integration::harness::JoinScenario;
 use std::collections::BTreeSet;
 
@@ -12,28 +11,19 @@ fn pair_set(pairs: &[(u64, u64)]) -> BTreeSet<(u64, u64)> {
 }
 
 #[test]
-fn native_join_is_thread_count_and_assignment_invariant() {
+fn native_join_is_thread_count_invariant() {
     let scenario = JoinScenario::paper_maps("determinism", 7, 0.02);
     let mut reference: Option<BTreeSet<(u64, u64)>> = None;
-    for assignment in [
-        Assignment::Dynamic,
-        Assignment::StaticRange,
-        Assignment::StaticRoundRobin,
-    ] {
-        for threads in [1, 2, 4, 8] {
-            let mut cfg = NativeConfig::new(threads);
-            cfg.assignment = assignment;
-            cfg.refine = false;
-            let got = pair_set(&run_native_join(&scenario.a, &scenario.b, &cfg).pairs);
-            match &reference {
-                None => {
-                    assert!(!got.is_empty(), "degenerate workload");
-                    reference = Some(got);
-                }
-                Some(want) => {
-                    assert_eq!(&got, want, "{assignment:?} × {threads} threads diverged");
-                }
+    for threads in [1, 2, 4, 8] {
+        let mut cfg = NativeConfig::new(threads);
+        cfg.refine = false;
+        let got = pair_set(&run_native_join(&scenario.a, &scenario.b, &cfg).pairs);
+        match &reference {
+            None => {
+                assert!(!got.is_empty(), "degenerate workload");
+                reference = Some(got);
             }
+            Some(want) => assert_eq!(&got, want, "{threads} threads diverged"),
         }
     }
 }

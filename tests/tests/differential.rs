@@ -12,7 +12,13 @@ fn paper_maps_scenario_locks_all_executors() {
         report.oracle_pairs > 100,
         "workload too trivial: {report:?}"
     );
-    assert!(report.configs_checked >= 100, "sweep too small: {report:?}");
+    // Simulator 4 × 3 assignments × 2 organizations, native 4 unbuffered
+    // plus 4 × 2 organizations × 4 cache budgets.
+    assert_eq!(
+        report.configs_checked,
+        24 + 4 + 32,
+        "sweep shrank: {report:?}"
+    );
     assert!(
         report.total_misses > 0,
         "no out-of-core activity: {report:?}"

@@ -1,13 +1,11 @@
-//! Integration tests for persistence, the shared-nothing executor, and the
-//! parallel query batch API on generated TIGER-like data.
+//! Integration tests for persistence and the shared-nothing executor on
+//! generated TIGER-like data.
 
 use psj_core::{
-    join_candidates, parallel_nn_queries, parallel_window_queries, run_native_join,
-    run_sharded_join, NativeConfig, Placement, ShardedConfig,
+    join_candidates, run_native_join, run_sharded_join, NativeConfig, Placement, ShardedConfig,
 };
 use psj_datagen::io::{load_map, save_map};
 use psj_datagen::{MapObject, Scenario};
-use psj_geom::{Point, Rect};
 use psj_rtree::{PagedTree, RTree};
 use std::collections::{BTreeSet, HashMap};
 
@@ -109,41 +107,6 @@ fn sharded_placement_affects_network_traffic() {
         (rr.network_bytes, rr.join.response_time),
         (contig.network_bytes, contig.join.response_time)
     );
-}
-
-#[test]
-fn parallel_queries_on_tiger_data() {
-    let (m1, _) = Scenario::scaled(55, 0.01).generate();
-    let tree = index(&m1);
-    let world = tree.mbr();
-    let windows: Vec<Rect> = (0..30)
-        .map(|k| {
-            let fx = (k % 6) as f64 / 6.0;
-            let fy = (k / 6) as f64 / 5.0;
-            Rect::new(
-                world.xl + world.width() * fx,
-                world.yl + world.height() * fy,
-                world.xl + world.width() * (fx + 0.2),
-                world.yl + world.height() * (fy + 0.25),
-            )
-        })
-        .collect();
-    let par = parallel_window_queries(&tree, &windows, 4);
-    let total: usize = par.iter().map(Vec::len).sum();
-    assert!(total > 0, "windows over the data must hit something");
-    for (i, w) in windows.iter().enumerate() {
-        assert_eq!(par[i].len(), tree.window_query(w).len(), "window {i}");
-    }
-
-    let queries: Vec<Point> = (0..20)
-        .map(|k| Point::new(world.xl + k as f64, world.yl + (k % 7) as f64))
-        .collect();
-    let nn = parallel_nn_queries(&tree, &queries, 3, 4);
-    assert_eq!(nn.len(), queries.len());
-    for r in &nn {
-        assert_eq!(r.len(), 3);
-        assert!(r.windows(2).all(|w| w[0].0 <= w[1].0));
-    }
 }
 
 #[test]

@@ -2,14 +2,14 @@
 //!
 //! Every test pins the executor against the sequential oracle *byte for
 //! byte* (Vec equality, not set equality): the deterministic merge of
-//! worker-local morsel outputs must make thread count, assignment,
-//! steal policy, and steal interleaving invisible in the output. On top
-//! of that, each run's `TaskTrace` ledger must account for every morsel
-//! exactly once and reconcile the steal counter with per-morsel origins.
+//! worker-local morsel outputs must make thread count, phase-1 granularity
+//! and the schedule the shared morsel cursor happens to produce invisible
+//! in the output. On top of that, each run's `TaskTrace` ledger must
+//! account for every morsel exactly once.
 
 use psj_core::{
-    join_candidates, try_run_native_join, Assignment, CancelToken, NativeConfig, NativeError,
-    NativeResult, RunControl, StealPolicy, TaskOrigin,
+    join_candidates, try_run_native_join, CancelToken, NativeConfig, NativeError, NativeResult,
+    RunControl,
 };
 use psj_desim::splitmix64;
 use psj_integration::harness::JoinScenario;
@@ -17,8 +17,7 @@ use std::time::{Duration, Instant};
 
 /// Invariants every completed run must satisfy, regardless of schedule:
 /// morsels executed exactly once (no losses, no duplicates), the morsel
-/// task counts cover at least every phase-1 task, and the steal counter
-/// equals the number of morsels whose trace records a steal origin.
+/// task counts cover at least every phase-1 task, and no morsel was stolen.
 fn assert_ledger(res: &NativeResult, ctx: &str) {
     let mut ids: Vec<u32> = res.task_traces.iter().map(|t| t.morsel).collect();
     ids.sort_unstable();
@@ -32,15 +31,7 @@ fn assert_ledger(res: &NativeResult, ctx: &str) {
         res.tasks
     );
 
-    let stolen = res
-        .task_traces
-        .iter()
-        .filter(|t| t.origin == TaskOrigin::Steal)
-        .count() as u64;
-    assert_eq!(
-        res.steals, stolen,
-        "{ctx}: steal counter disagrees with trace origins"
-    );
+    assert_eq!(res.steals, 0, "{ctx}: the shared cursor never steals");
 }
 
 fn run(scenario: &JoinScenario, cfg: &NativeConfig) -> NativeResult {
@@ -48,9 +39,10 @@ fn run(scenario: &JoinScenario, cfg: &NativeConfig) -> NativeResult {
         .expect("uncancelled run completes")
 }
 
-/// Threads × assignment × workload: the full matrix must be byte-identical
-/// to the oracle with a clean morsel ledger. Covers both a roughly uniform
-/// workload and a clustered one whose skew forces uneven morsel costs.
+/// Threads × workload: the full matrix must be byte-identical to the
+/// oracle with a clean morsel ledger. Covers both a roughly uniform
+/// workload and a clustered one whose skew forces uneven morsel costs, so
+/// fast workers overtake slow ones at the cursor.
 #[test]
 fn stress_matrix_is_byte_identical_with_exact_morsel_accounting() {
     let workloads = [
@@ -60,89 +52,36 @@ fn stress_matrix_is_byte_identical_with_exact_morsel_accounting() {
     for scenario in &workloads {
         let oracle = join_candidates(&scenario.a, &scenario.b).candidates;
         assert!(!oracle.is_empty(), "degenerate workload");
-        for assignment in [
-            Assignment::Dynamic,
-            Assignment::StaticRange,
-            Assignment::StaticRoundRobin,
-        ] {
-            for threads in [1, 2, 4, 8] {
-                let mut cfg = NativeConfig::new(threads);
-                cfg.assignment = assignment;
-                cfg.refine = false;
-                let res = run(scenario, &cfg);
-                let ctx = format!("{assignment:?} t={threads}");
-                assert_eq!(res.pairs, oracle, "{ctx}: output diverged from oracle");
-                assert_ledger(&res, &ctx);
-            }
+        for threads in [1, 2, 4, 8] {
+            let mut cfg = NativeConfig::new(threads);
+            cfg.refine = false;
+            let res = run(scenario, &cfg);
+            let ctx = format!("{} t={threads}", scenario.name);
+            assert_eq!(res.pairs, oracle, "{ctx}: output diverged from oracle");
+            assert_ledger(&res, &ctx);
         }
     }
 }
 
-/// Seeded randomized sweep over the whole configuration space: thread
-/// count, assignment, steal policy, morsel budget, and phase-1 granularity
-/// all derived from a deterministic stream. Every draw must reproduce the
-/// oracle byte for byte with a clean ledger.
+/// Seeded randomized sweep over the configuration space: thread count and
+/// phase-1 granularity (which sets how many morsels there are and how they
+/// split) derived from a deterministic stream. Every draw must reproduce
+/// the oracle byte for byte with a clean ledger.
 #[test]
 fn randomized_configurations_never_change_the_output() {
     let scenario = JoinScenario::paper_maps("stress-random", 37, 0.015);
     let oracle = join_candidates(&scenario.a, &scenario.b).candidates;
-    let assignments = [
-        Assignment::Dynamic,
-        Assignment::StaticRange,
-        Assignment::StaticRoundRobin,
-    ];
-    let policies = [
-        StealPolicy::Busiest,
-        StealPolicy::RoundRobin,
-        StealPolicy::Seeded,
-    ];
     for round in 0..24u64 {
         let draw = |salt: u64| splitmix64(round ^ (salt << 32));
         let threads = [1, 2, 4, 8][(draw(1) % 4) as usize];
         let mut cfg = NativeConfig::new(threads);
-        cfg.assignment = assignments[(draw(2) % 3) as usize];
-        cfg.steal = policies[(draw(3) % 3) as usize];
-        cfg.steal_seed = draw(4);
-        cfg.morsel_candidates = [0, 16, 64, 256][(draw(5) % 4) as usize];
-        cfg.min_tasks_factor = [1, 4, 16][(draw(6) % 3) as usize];
+        cfg.min_tasks_factor = [1, 4, 16][(draw(2) % 3) as usize];
         cfg.refine = false;
         let res = run(&scenario, &cfg);
-        let ctx = format!(
-            "round {round}: t={threads} {:?} {} budget={} mtf={}",
-            cfg.assignment,
-            cfg.steal.short(),
-            cfg.morsel_candidates,
-            cfg.min_tasks_factor
-        );
+        let ctx = format!("round {round}: t={threads} mtf={}", cfg.min_tasks_factor);
         assert_eq!(res.pairs, oracle, "{ctx}: output diverged from oracle");
         assert_ledger(&res, &ctx);
     }
-}
-
-/// Satellite 4 — merge determinism under adversarial steal interleavings:
-/// the seeded `StealOrder` shim perturbs victim selection per seed, and a
-/// static round-robin deal at 4 threads forces the steal path. Every seed
-/// must yield the identical byte sequence.
-#[test]
-fn seeded_steal_interleavings_preserve_byte_identical_output() {
-    let scenario = JoinScenario::clustered("stress-seeded", 41, 1500);
-    let oracle = join_candidates(&scenario.a, &scenario.b).candidates;
-    let mut any_steals = 0u64;
-    for seed in 0..12u64 {
-        let mut cfg = NativeConfig::new(4);
-        cfg.assignment = Assignment::StaticRoundRobin;
-        cfg.steal = StealPolicy::Seeded;
-        cfg.steal_seed = splitmix64(seed);
-        cfg.refine = false;
-        let res = run(&scenario, &cfg);
-        assert_eq!(res.pairs, oracle, "seed {seed}: output diverged");
-        assert_ledger(&res, &format!("seed {seed}"));
-        any_steals += res.steals;
-    }
-    assert!(
-        any_steals > 0,
-        "the skewed round-robin deal must force at least one steal across seeds"
-    );
 }
 
 /// The refined join (exact geometry step) is byte-identical too — the
@@ -155,16 +94,9 @@ fn refined_output_is_byte_identical_across_schedules() {
         run(&scenario, &cfg).pairs
     };
     assert!(!want.is_empty());
-    for threads in [2, 8] {
-        for assignment in [Assignment::Dynamic, Assignment::StaticRoundRobin] {
-            let mut cfg = NativeConfig::new(threads);
-            cfg.assignment = assignment;
-            let res = run(&scenario, &cfg);
-            assert_eq!(
-                res.pairs, want,
-                "refined {assignment:?} t={threads} diverged"
-            );
-        }
+    for threads in [2, 4, 8] {
+        let res = run(&scenario, &NativeConfig::new(threads));
+        assert_eq!(res.pairs, want, "refined t={threads} diverged");
     }
 }
 
