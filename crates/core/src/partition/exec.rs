@@ -1,8 +1,9 @@
 //! Partition-join executor: cells → morsels → the shared morsel cursor.
 //!
-//! Planning materializes both inputs as flat item arrays, sizes the grid
-//! ([`super::grid::plan_grid`]), replicates items into cells
-//! ([`super::grid::CellIndex`]), rates every *occupied* cell (items on both
+//! Planning borrows raw item streams (a tree input streams its leaves
+//! into one item array), sizes the grid ([`super::grid::plan_grid`]),
+//! replicates items into cells on `num_threads` threads
+//! ([`super::grid::build_cells`]), rates every *occupied* cell (items on both
 //! sides — a pair's owner cell always has both, so single-sided cells can
 //! be skipped outright) with the same Minkowski model the morsel planner
 //! uses, and packs cells into [`CellMorsel`]s next-fit in row-major cell
@@ -26,21 +27,22 @@
 //! [`RunControl::fault`] and [`RunControl::retry`] act on cache fills,
 //! which this engine never performs, and are therefore inert.
 
-use super::grid::{plan_grid, CellIndex, GridPlan, ItemStats};
-use super::{JoinEngine, PartitionInput};
+use super::grid::{build_cells, plan_grid, CellIndex, GridPlan, ItemStats, RunCoords};
+use super::{JoinEngine, PartitionInput, RectItem};
 use crate::metrics::TaskTrace;
 use crate::morsel::{auto_budget, MorselOutputs, WorkerOutput};
 use crate::native::{NativeConfig, NativeError, NativeResult, RunControl};
-use psj_geom::{sweep_pairs_soa_runs, Rect, SoaRun, SweepPair, SweepScratch};
+use psj_geom::{sweep_pairs_soa_runs, Rect, SweepPair, SweepScratch};
 use psj_obs::trace::{worker_tid, TID_MAIN};
 use psj_obs::ThreadTracer;
 use psj_rtree::{GeomRef, PagedTree};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// One partition morsel: a run of occupied cells (row-major cell order)
 /// whose estimated candidates add up to roughly one budget.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellMorsel {
     /// Position in cell order; doubles as the merge key.
     pub id: u32,
@@ -74,78 +76,25 @@ pub struct PartitionPlan {
     pub coords_b: RunCoords,
 }
 
-/// Coordinates of every placement, aligned with a [`CellIndex`]'s `items`
-/// array. Built once at plan time so each cell's sweep reads its run as
-/// contiguous coordinate slices — no per-cell gather, no per-cell
-/// allocation, and no window-filter pass (every placed item intersects its
-/// cell by construction).
-#[derive(Debug, Clone, Default)]
-pub struct RunCoords {
-    xl: Vec<f64>,
-    xh: Vec<f64>,
-    yl: Vec<f64>,
-    yh: Vec<f64>,
-}
-
-impl RunCoords {
-    fn build(idx: &CellIndex, mbrs: &[Rect]) -> Self {
-        let n = idx.items.len();
-        let mut c = RunCoords {
-            xl: Vec::with_capacity(n),
-            xh: Vec::with_capacity(n),
-            yl: Vec::with_capacity(n),
-            yh: Vec::with_capacity(n),
-        };
-        for &i in &idx.items {
-            let r = &mbrs[i as usize];
-            c.xl.push(r.xl);
-            c.xh.push(r.xu);
-            c.yl.push(r.yl);
-            c.yh.push(r.yu);
-        }
-        c
-    }
-
-    /// The SoA view of placements `lo..hi`.
-    pub fn run(&self, lo: usize, hi: usize) -> SoaRun<'_> {
-        SoaRun {
-            xl: &self.xl[lo..hi],
-            xh: &self.xh[lo..hi],
-            yl: &self.yl[lo..hi],
-            yh: &self.yh[lo..hi],
-        }
-    }
-
-    /// Lower-left corner of placement `p` — the reference-point test reads
-    /// it from here (contiguous and still cache-hot from the sweep) rather
-    /// than chasing the placement index into the side's MBR array.
-    #[inline]
-    fn lower_left(&self, p: usize) -> (f64, f64) {
-        (self.xl[p], self.yl[p])
-    }
-}
-
-/// One side of the join, materialized: flat MBR/oid arrays plus (for tree
-/// inputs) the geometry refs refinement resolves through the tree's
-/// cluster store.
+/// One side of the join: its items — borrowed from a raw stream, or
+/// streamed out of a tree's leaves — plus, for tree inputs, the geometry
+/// refs refinement resolves through the tree's cluster store.
 struct Side<'t> {
-    mbrs: Vec<Rect>,
-    oids: Vec<u64>,
+    items: Cow<'t, [RectItem]>,
     geoms: Vec<GeomRef>,
     tree: Option<&'t PagedTree>,
 }
 
 impl<'t> Side<'t> {
-    fn materialize(input: PartitionInput<'t>) -> Self {
+    fn new(input: PartitionInput<'t>) -> Self {
         match input {
             PartitionInput::Tree(t) => {
                 let n = t.len() as usize;
-                let mut mbrs = Vec::with_capacity(n);
-                let mut oids = Vec::with_capacity(n);
+                let mut items = Vec::with_capacity(n);
                 let mut geoms = Vec::with_capacity(n);
                 // Stream the leaves through the borrowing node accessor —
                 // the same read surface cache-backed executors use — so the
-                // materialization order is pinned to page order either way.
+                // item order is pinned to page order either way.
                 let mut access = t;
                 for p in 0..t.pages().len() {
                     let node =
@@ -155,21 +104,21 @@ impl<'t> Side<'t> {
                         continue;
                     }
                     for e in node.data_entries() {
-                        mbrs.push(e.mbr);
-                        oids.push(e.oid);
+                        items.push(RectItem {
+                            mbr: e.mbr,
+                            oid: e.oid,
+                        });
                         geoms.push(e.geom);
                     }
                 }
                 Side {
-                    mbrs,
-                    oids,
+                    items: Cow::Owned(items),
                     geoms,
                     tree: Some(t),
                 }
             }
             PartitionInput::Rects(items) => Side {
-                mbrs: items.iter().map(|i| i.mbr).collect(),
-                oids: items.iter().map(|i| i.oid).collect(),
+                items: Cow::Borrowed(items),
                 geoms: Vec::new(),
                 tree: None,
             },
@@ -185,17 +134,19 @@ impl<'t> Side<'t> {
     }
 }
 
-/// Plans the partition join: grid, replication, cell rating, packing.
-/// Exposed for tests and benches that want to inspect the plan the
-/// executor runs (the executor calls exactly this).
+/// Plans the partition join on `cfg.num_threads` threads: grid,
+/// replication, cell rating, packing. Exposed for tests and benches that
+/// want to inspect the plan the executor runs (the executor calls exactly
+/// this).
 pub fn plan_partition(
     a: PartitionInput<'_>,
     b: PartitionInput<'_>,
     cfg: &NativeConfig,
 ) -> PartitionPlan {
-    let side_a = Side::materialize(a);
-    let side_b = Side::materialize(b);
-    plan_sides(&side_a, &side_b, cfg)
+    match plan_sides(&Side::new(a), &Side::new(b), cfg, &RunControl::default()) {
+        Ok(plan) => plan,
+        Err(e) => unreachable!("planning without a cancel token cannot fail: {e}"),
+    }
 }
 
 /// Worker count the grid planner assumes, regardless of the run's actual
@@ -206,9 +157,17 @@ pub fn plan_partition(
 /// any realistic thread count still has morsels to share.
 const PLAN_GRAIN: usize = 8;
 
-fn plan_sides(a: &Side<'_>, b: &Side<'_>, cfg: &NativeConfig) -> PartitionPlan {
-    let sa = ItemStats::scan(&a.mbrs);
-    let sb = ItemStats::scan(&b.mbrs);
+/// Plans over both sides on `cfg.num_threads` threads (see
+/// [`build_cells`]); the plan is identical at every thread count except
+/// for the morsel packing, which follows the thread count's budget.
+fn plan_sides(
+    a: &Side<'_>,
+    b: &Side<'_>,
+    cfg: &NativeConfig,
+    ctl: &RunControl<'_>,
+) -> Result<PartitionPlan, NativeError> {
+    let sa = ItemStats::scan(a.items.iter().map(|i| &i.mbr));
+    let sb = ItemStats::scan(b.items.iter().map(|i| &i.mbr));
     let universe = match (sa.bbox, sb.bbox) {
         (Some(ra), Some(rb)) if ra.intersects(&rb) => Rect {
             xl: ra.xl.max(rb.xl),
@@ -219,7 +178,7 @@ fn plan_sides(a: &Side<'_>, b: &Side<'_>, cfg: &NativeConfig) -> PartitionPlan {
         // Disjoint or empty inputs: no pair can exist. A degenerate
         // single-cell grid over a point keeps every downstream invariant.
         _ => {
-            return PartitionPlan {
+            return Ok(PartitionPlan {
                 grid: GridPlan::new(Rect::new(0.0, 0.0, 0.0, 0.0), 1, 1),
                 a: CellIndex::default(),
                 b: CellIndex::default(),
@@ -229,7 +188,7 @@ fn plan_sides(a: &Side<'_>, b: &Side<'_>, cfg: &NativeConfig) -> PartitionPlan {
                 occupied: 0,
                 coords_a: RunCoords::default(),
                 coords_b: RunCoords::default(),
-            };
+            });
         }
     };
     // The grid is planned at a *fixed* parallelism grain, not
@@ -242,10 +201,8 @@ fn plan_sides(a: &Side<'_>, b: &Side<'_>, cfg: &NativeConfig) -> PartitionPlan {
     // same argument that makes the native engine byte-identical across
     // thread counts.
     let grid = plan_grid(universe, &sa, &sb, PLAN_GRAIN);
-    let idx_a = CellIndex::build(&grid, &a.mbrs);
-    let idx_b = CellIndex::build(&grid, &b.mbrs);
-    let coords_a = RunCoords::build(&idx_a, &a.mbrs);
-    let coords_b = RunCoords::build(&idx_b, &b.mbrs);
+    let [(idx_a, coords_a), (idx_b, coords_b)] =
+        build_cells(&grid, [&a.items, &b.items], cfg.num_threads, ctl)?;
 
     // Rate occupied cells with the morsel planner's Minkowski model: two
     // uniformly placed entries in a cell intersect with probability
@@ -300,7 +257,7 @@ fn plan_sides(a: &Side<'_>, b: &Side<'_>, cfg: &NativeConfig) -> PartitionPlan {
     }
     flush(&mut cur_cells, &mut cur_est, &mut morsels);
 
-    PartitionPlan {
+    Ok(PartitionPlan {
         grid,
         a: idx_a,
         b: idx_b,
@@ -310,7 +267,7 @@ fn plan_sides(a: &Side<'_>, b: &Side<'_>, cfg: &NativeConfig) -> PartitionPlan {
         occupied,
         coords_a,
         coords_b,
-    }
+    })
 }
 
 /// Runs the partition join.
@@ -332,8 +289,10 @@ pub fn run_partition_join(
 }
 
 /// Runs the partition join with runtime controls. Cancellation is honored
-/// at cell granularity; tracing emits `plan_partition`/`join` driver spans
-/// plus per-morsel `task` spans, exactly like the native executor. Fault plans and retry policies are inert here (they
+/// between planning phases and at cell granularity; tracing emits
+/// `plan_partition`/`join` driver spans, one `plan.count`/`plan.scatter`/
+/// `plan.sort` span per worker, and per-morsel `task` spans like the
+/// native executor. Fault plans and retry policies are inert here (they
 /// act on page-cache fills; this engine has no cache) — callers that need
 /// fault coverage keep [`JoinEngine::RTree`], which is also what
 /// [`super::select_engine`] does.
@@ -344,8 +303,8 @@ pub fn try_run_partition_join(
     ctl: &RunControl<'_>,
 ) -> Result<NativeResult, NativeError> {
     assert!(cfg.num_threads > 0, "need at least one thread");
-    // The clock starts before planning: the grid, the replication pass and
-    // the per-side sorts are real costs of answering the join, and any
+    // The clock starts before planning: the grid, the replication passes
+    // and the per-cell sorts are real costs of answering the join, and any
     // comparison with the R-tree engine is honest only if they count.
     let start = Instant::now();
     let cancel = ctl.cancel;
@@ -359,12 +318,12 @@ pub fn try_run_partition_join(
     });
 
     let plan_start_ns = trace.map(|t| t.now_ns());
-    let side_a = Side::materialize(a);
-    let side_b = Side::materialize(b);
+    let side_a = Side::new(a);
+    let side_b = Side::new(b);
     if let Some(token) = cancel {
         token.check().map_err(|_| NativeError::Cancelled)?;
     }
-    let plan = plan_sides(&side_a, &side_b, cfg);
+    let plan = plan_sides(&side_a, &side_b, cfg, ctl)?;
     let num_morsels = plan.morsels.len();
     if let (Some(t), Some(start)) = (trace, plan_start_ns) {
         t.span(
@@ -542,7 +501,7 @@ fn run_worker(
                         continue;
                     }
                 }
-                out.push((side_a.oids[ia], side_b.oids[ib]));
+                out.push((side_a.items[ia].oid, side_b.items[ib].oid));
             }
         }
         let tt = TaskTrace {
@@ -824,6 +783,66 @@ mod tests {
             assert!(
                 m.est <= plan.budget || m.cells.len() == 1,
                 "over-budget morsel must be a singleton"
+            );
+        }
+    }
+
+    #[test]
+    fn traced_planning_records_each_phase_once_per_worker() {
+        let a = tree(800, 0.0);
+        let b = tree(800, 0.4);
+        let sink = psj_obs::TraceSink::new(1 << 16);
+        let ctl = RunControl::default().with_trace(std::sync::Arc::clone(&sink));
+        let mut cfg = NativeConfig::new(3);
+        cfg.refine = false;
+        try_run_partition_join(
+            PartitionInput::Tree(&a),
+            PartitionInput::Tree(&b),
+            &cfg,
+            &ctl,
+        )
+        .expect("no cancel token");
+        let mut text = Vec::new();
+        sink.write_jsonl(&mut text).expect("write to a Vec");
+        let text = String::from_utf8(text).expect("JSONL is UTF-8");
+        psj_obs::validate_jsonl(&text).expect("trace validates");
+        let events: Vec<psj_obs::json::Value> = text
+            .lines()
+            .map(|l| psj_obs::json::parse(l).expect("line parses"))
+            .collect();
+        let tids_of = |name: &str| -> Vec<u32> {
+            let mut tids: Vec<u32> = events
+                .iter()
+                .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some(name))
+                .map(|e| e.get("tid").and_then(|t| t.as_f64()).expect("tid") as u32)
+                .collect();
+            tids.sort_unstable();
+            tids
+        };
+        let workers: Vec<u32> = (0..3).map(worker_tid).collect();
+        for phase in ["plan.count", "plan.scatter", "plan.sort"] {
+            assert_eq!(tids_of(phase), workers, "{phase}: one span per worker row");
+        }
+        let plan = events
+            .iter()
+            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("plan_partition"))
+            .expect("driver plan span");
+        assert_eq!(
+            plan.get("tid").and_then(|t| t.as_f64()),
+            Some(f64::from(TID_MAIN))
+        );
+        for arg in [
+            "cells",
+            "nx",
+            "ny",
+            "occupied",
+            "morsels",
+            "budget",
+            "total_est",
+        ] {
+            assert!(
+                plan.get("args").and_then(|a| a.get(arg)).is_some(),
+                "plan_partition keeps its {arg} arg"
             );
         }
     }

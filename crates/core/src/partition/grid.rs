@@ -7,8 +7,9 @@
 //! model uses ([`crate::cost`]): item counts size the grid for work and
 //! parallelism, average entry extents bound how finely it may be cut before
 //! replication explodes. Every item is then *replicated* into each cell its
-//! MBR overlaps (CSR layout, one index per side, each cell's run pre-sorted
-//! by `xl` for the plane sweep), and cross-cell duplicate results are
+//! MBR overlaps (CSR layout, one index per side, each cell's run sorted by
+//! `xl` for the plane sweep; [`build_cells`] does this on the join's
+//! threads), and cross-cell duplicate results are
 //! suppressed at execution time with the **reference-point test**: a pair is
 //! reported only by the cell containing the bottom-left corner of its MBR
 //! intersection, which lies in exactly one cell.
@@ -20,7 +21,11 @@
 //! `a.xl ≤ ref.x ≤ a.xu` brackets the reference point inside both items'
 //! cell ranges). Floating-point cell *boundaries* never enter any decision.
 
-use psj_geom::Rect;
+use super::RectItem;
+use crate::native::{NativeError, RunControl};
+use psj_geom::{Rect, SoaRun};
+use psj_obs::trace::worker_tid;
+use std::ops::Range;
 
 /// Target combined items per cell: small enough that a per-cell sweep stays
 /// in cache, large enough that per-cell overhead amortizes.
@@ -31,7 +36,7 @@ pub const CELLS_PER_WORKER: usize = 16;
 pub const MAX_CELLS: usize = 1 << 14;
 
 /// A uniform grid over the join universe.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridPlan {
     /// Intersection of the two inputs' bounding boxes.
     pub universe: Rect,
@@ -132,10 +137,12 @@ pub struct ItemStats {
 
 impl ItemStats {
     /// Scans `mbrs`.
-    pub fn scan(mbrs: &[Rect]) -> Self {
+    pub fn scan<'r>(mbrs: impl IntoIterator<Item = &'r Rect>) -> Self {
         let mut bbox: Option<Rect> = None;
         let (mut sw, mut sh) = (0.0f64, 0.0f64);
+        let mut n = 0usize;
         for r in mbrs {
+            n += 1;
             sw += r.width();
             sh += r.height();
             bbox = Some(match bbox {
@@ -148,7 +155,6 @@ impl ItemStats {
                 },
             });
         }
-        let n = mbrs.len();
         ItemStats {
             n,
             bbox,
@@ -191,8 +197,9 @@ pub fn plan_grid(universe: Rect, a: &ItemStats, b: &ItemStats, workers: usize) -
 }
 
 /// `f64` → `u64` map that preserves [`f64::total_cmp`] order: flip the
-/// sign bit on non-negatives, flip every bit on negatives. Radix-sorting
-/// the mapped keys sorts exactly like `sort_by(total_cmp)`.
+/// sign bit on non-negatives, flip every bit on negatives. Sorting the
+/// mapped keys sorts exactly like `sort_by(total_cmp)`, with integer
+/// comparisons.
 #[inline]
 fn f64_key(x: f64) -> u64 {
     let b = x.to_bits();
@@ -203,48 +210,10 @@ fn f64_key(x: f64) -> u64 {
     }
 }
 
-/// Stable LSD radix sort of `(key, payload)` pairs by key: six 11-bit
-/// counting passes cover all 64 bits. Small inputs fall back to the
-/// comparison sort — with distinct payloads the tuple order equals the
-/// stable by-key order, so both paths produce identical sequences.
-fn radix_sort_by_key(kv: &mut Vec<(u64, u32)>) {
-    const BITS: usize = 11;
-    const BUCKETS: usize = 1 << BITS;
-    const PASSES: usize = 64usize.div_ceil(BITS);
-    let n = kv.len();
-    if n < 2 * BUCKETS {
-        kv.sort_unstable();
-        return;
-    }
-    let mut tmp: Vec<(u64, u32)> = vec![(0, 0); n];
-    let mut counts = [0u32; BUCKETS];
-    for pass in 0..PASSES {
-        let shift = pass * BITS;
-        counts.fill(0);
-        for &(k, _) in kv.iter() {
-            counts[(k >> shift) as usize & (BUCKETS - 1)] += 1;
-        }
-        let mut acc = 0u32;
-        for c in counts.iter_mut() {
-            let t = *c;
-            *c = acc;
-            acc += t;
-        }
-        for &(k, v) in kv.iter() {
-            let d = (k >> shift) as usize & (BUCKETS - 1);
-            tmp[counts[d] as usize] = (k, v);
-            counts[d] += 1;
-        }
-        std::mem::swap(kv, &mut tmp);
-    }
-    // An even pass count leaves the result in `kv` after the final swap.
-    const { assert!(PASSES.is_multiple_of(2)) };
-}
-
 /// Per-side cell index in CSR layout: `items[offsets[c]..offsets[c + 1]]`
 /// are the global indices of the items replicated into cell `c`, sorted by
 /// `(xl, index)` so each cell's run is directly sweepable.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellIndex {
     /// CSR offsets, length `cells + 1`.
     pub offsets: Vec<u32>,
@@ -261,107 +230,315 @@ pub struct CellIndex {
 }
 
 impl CellIndex {
-    /// Builds the index: drops items disjoint from the universe (they
-    /// cannot contribute a pair) and replicates the rest into every
-    /// overlapped cell, leaving each cell's run sorted by `(xl, index)`.
-    ///
-    /// The runs come out sorted without any per-cell sort: the items are
-    /// sorted **once** by `(xl, index)` and the CSR is filled in that
-    /// order, so every cell inherits the global order. One `n log n` sort
-    /// of contiguous keys replaces `placements log(run)` comparisons
-    /// through cache-missing `mbrs[items[i]]` indirections — on the bench
-    /// workload (~3× replication) this is most of the planning cost.
-    pub fn build(grid: &GridPlan, mbrs: &[Rect]) -> Self {
-        let cells = grid.cells();
-        // One sequential pass computes each placed item's cell range and
-        // per-cell counts; the compact records are then sorted by
-        // `(xl, index)` once and the CSR filled from them, so every cell
-        // run inherits the global order with no per-cell sort and no
-        // further `mbrs` access. One `n log n` sort of contiguous records
-        // replaces `placements log(run)` comparisons through cache-missing
-        // `mbrs[items[i]]` indirections — on the bench workload (~3×
-        // replication) those sorts were most of the planning cost.
-        struct Placed {
-            xl: f64,
-            i: u32,
-            cx0: u32,
-            cx1: u32,
-            cy0: u32,
-            cy1: u32,
-        }
-        let mut counts = vec![0u32; cells];
-        let mut replicas = vec![0u32; cells];
-        let mut order: Vec<Placed> = Vec::with_capacity(mbrs.len());
-        for (i, r) in mbrs.iter().enumerate() {
-            if !r.intersects(&grid.universe) {
-                continue;
-            }
-            let (cx0, cx1, cy0, cy1) = grid.cell_range(r);
-            for cy in cy0..=cy1 {
-                for cx in cx0..=cx1 {
-                    let c = grid.cell_id(cx, cy) as usize;
-                    counts[c] += 1;
-                    if (cx, cy) != (cx0, cy0) {
-                        replicas[c] += 1;
-                    }
-                }
-            }
-            order.push(Placed {
-                xl: r.xl,
-                i: i as u32,
-                cx0,
-                cx1,
-                cy0,
-                cy1,
-            });
-        }
-        // Sort compact (key, record) pairs, not the 32-byte records: the
-        // key is `xl`'s order-preserving bit pattern (`total_cmp` order),
-        // so an LSD radix pass replaces `n log n` float comparisons with
-        // six counting passes. Equal keys keep insertion order either way
-        // (radix is stable; the comparison fallback ties on the record
-        // position), which is exactly the `(xl, index)` order the sweep
-        // and the deterministic merge rely on.
-        let mut kv: Vec<(u64, u32)> = order
-            .iter()
-            .enumerate()
-            .map(|(p, rec)| (f64_key(rec.xl), p as u32))
-            .collect();
-        radix_sort_by_key(&mut kv);
-        let placed = order.len();
-
-        let mut offsets = Vec::with_capacity(cells + 1);
-        let mut acc = 0u32;
-        offsets.push(0);
-        for c in &counts {
-            acc += c;
-            offsets.push(acc);
-        }
-        let mut items = vec![0u32; acc as usize];
-        let mut fill: Vec<u32> = offsets[..cells].to_vec();
-        for &(_, p) in &kv {
-            let p = &order[p as usize];
-            for cy in p.cy0..=p.cy1 {
-                for cx in p.cx0..=p.cx1 {
-                    let c = grid.cell_id(cx, cy) as usize;
-                    items[fill[c] as usize] = p.i;
-                    fill[c] += 1;
-                }
-            }
-        }
-        CellIndex {
-            offsets,
-            items,
-            replicas,
-            placed,
-        }
-    }
-
     /// The sorted item run of cell `c`.
     #[inline]
     pub fn cell(&self, c: usize) -> &[u32] {
         &self.items[self.offsets[c] as usize..self.offsets[c + 1] as usize]
     }
+}
+
+/// Coordinates of every placement, aligned with a [`CellIndex`]'s `items`
+/// array: position `p` holds the MBR of `items[p]`. Built with the index so
+/// each cell's sweep reads its run as contiguous coordinate slices — no
+/// per-cell gather, no per-cell allocation, and no window-filter pass
+/// (every placed item intersects its cell by construction).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunCoords {
+    xl: Vec<f64>,
+    xh: Vec<f64>,
+    yl: Vec<f64>,
+    yh: Vec<f64>,
+}
+
+impl RunCoords {
+    /// The SoA view of placements `lo..hi`.
+    pub fn run(&self, lo: usize, hi: usize) -> SoaRun<'_> {
+        SoaRun {
+            xl: &self.xl[lo..hi],
+            xh: &self.xh[lo..hi],
+            yl: &self.yl[lo..hi],
+            yh: &self.yh[lo..hi],
+        }
+    }
+
+    /// Lower-left corner of placement `p` — the reference-point test reads
+    /// it from here (contiguous and still cache-hot from the sweep) rather
+    /// than chasing the placement index into the side's item array.
+    #[inline]
+    pub(super) fn lower_left(&self, p: usize) -> (f64, f64) {
+        (self.xl[p], self.yl[p])
+    }
+}
+
+/// Builds both sides' cell indexes over `grid`, each with its
+/// placement-aligned coordinate lanes, on `threads` threads. Items
+/// disjoint from the universe are dropped (they cannot contribute a pair);
+/// the rest are replicated into every overlapped cell, each cell's run
+/// sorted by `(xl, index)`.
+///
+/// Four phases, with no global sort:
+///
+/// 1. **count** — thread `k` takes the `k`-th contiguous chunk of each
+///    side's items and counts placements and replicas per cell;
+/// 2. **prefix sum** (on the caller) — the CSR offsets, and each chunk's
+///    sub-run inside every cell (cell-major, chunk-minor);
+/// 3. **scatter** — thread `k` writes its chunk's indices, in input order,
+///    into its own sub-runs, handed out with `split_at_mut`;
+/// 4. **sort** — thread `k` takes a contiguous group of cells balanced by
+///    placement count, sorts each run by `(xl, index)` (the keys are
+///    unique, so `sort_unstable` is deterministic) and writes the run's
+///    coordinate lanes in the same pass.
+///
+/// Every cell's run is the same set at any thread count and its order is
+/// a total order on that set, so the result is identical for every
+/// `threads`. One thread runs every phase inline, with no spawn. With
+/// `ctl.trace` set, each thread records one `plan.count`, `plan.scatter`
+/// and `plan.sort` span on its worker row; `ctl.cancel` is checked
+/// between phases.
+pub fn build_cells(
+    grid: &GridPlan,
+    sides: [&[RectItem]; 2],
+    threads: usize,
+    ctl: &RunControl<'_>,
+) -> Result<[(CellIndex, RunCoords); 2], NativeError> {
+    let threads = threads.max(1);
+    let cells = grid.cells();
+    let check = || match ctl.cancel {
+        Some(token) => token.check().map_err(|_| NativeError::Cancelled),
+        None => Ok(()),
+    };
+    let now = || ctl.trace.as_ref().map(|t| t.now_ns());
+    let span = |k: usize, name: &'static str, start: Option<u64>, arg: (&'static str, u64)| {
+        if let (Some(t), Some(start)) = (ctl.trace.as_ref(), start) {
+            t.span(worker_tid(k), name, "join", start, &[arg]);
+        }
+    };
+    let chunk = |s: usize, k: usize| {
+        let n = sides[s].len();
+        n * k / threads..n * (k + 1) / threads
+    };
+
+    // Phase 1: per-chunk counts.
+    let counts: Vec<[ChunkCounts; 2]> = fan_out(vec![(); threads], |k, ()| {
+        let start = now();
+        let counted = [0, 1].map(|s| ChunkCounts::count(grid, &sides[s][chunk(s, k)]));
+        let items = (chunk(0, k).len() + chunk(1, k).len()) as u64;
+        span(k, "plan.count", start, ("items", items));
+        counted
+    });
+    check()?;
+
+    // Phase 2: prefix sums, then each chunk's sub-run of every cell.
+    let mut offsets = [0, 1].map(|_| Vec::with_capacity(cells + 1));
+    let mut replicas = [0, 1].map(|_| vec![0u32; cells]);
+    for (s, (offsets, replicas)) in offsets.iter_mut().zip(&mut replicas).enumerate() {
+        let mut acc = 0u32;
+        offsets.push(acc);
+        for (c, replica) in replicas.iter_mut().enumerate() {
+            for k in &counts {
+                acc += k[s].cells[c];
+                *replica += k[s].replicas[c];
+            }
+            offsets.push(acc);
+        }
+    }
+    let mut items = [0, 1].map(|s| vec![0u32; offsets[s][cells] as usize]);
+    let mut runs: Vec<[Vec<&mut [u32]>; 2]> = (0..threads)
+        .map(|_| [Vec::with_capacity(cells), Vec::with_capacity(cells)])
+        .collect();
+    for (s, side_items) in items.iter_mut().enumerate() {
+        let mut rest = side_items.as_mut_slice();
+        for c in 0..cells {
+            for (run, count) in runs.iter_mut().zip(&counts) {
+                run[s].push(split_front(&mut rest, count[s].cells[c] as usize));
+            }
+        }
+    }
+
+    // Phase 3: each chunk scatters its indices, in input order.
+    fan_out(runs, |k, mut runs| {
+        let start = now();
+        let mut placements = 0u64;
+        for (s, runs) in runs.iter_mut().enumerate() {
+            let range = chunk(s, k);
+            let base = range.start;
+            for (j, item) in sides[s][range].iter().enumerate() {
+                place(grid, &item.mbr, |c, _| {
+                    let (first, tail) = std::mem::take(&mut runs[c])
+                        .split_first_mut()
+                        .expect("the count pass sized every sub-run");
+                    *first = (base + j) as u32;
+                    runs[c] = tail;
+                    placements += 1;
+                });
+            }
+        }
+        span(k, "plan.scatter", start, ("placements", placements));
+    });
+    check()?;
+
+    // Phase 4: contiguous cell groups balanced by placements; each cell's
+    // run is sorted and its coordinates gathered.
+    let totals: Vec<u64> = (0..=cells)
+        .map(|c| u64::from(offsets[0][c]) + u64::from(offsets[1][c]))
+        .collect();
+    let mut cuts: Vec<usize> = (0..threads)
+        .map(|k| totals.partition_point(|&t| t < totals[cells] * k as u64 / threads as u64))
+        .collect();
+    cuts.push(cells);
+    let mut coords = [0, 1].map(|s| {
+        let n = items[s].len();
+        RunCoords {
+            xl: vec![0.0; n],
+            xh: vec![0.0; n],
+            yl: vec![0.0; n],
+            yh: vec![0.0; n],
+        }
+    });
+    let mut groups: Vec<[SortGroup<'_>; 2]> = (0..threads).map(|_| Default::default()).collect();
+    for (s, (side_items, lanes)) in items.iter_mut().zip(coords.iter_mut()).enumerate() {
+        let mut rest = side_items.as_mut_slice();
+        let mut rest_lanes = [
+            lanes.xl.as_mut_slice(),
+            lanes.xh.as_mut_slice(),
+            lanes.yl.as_mut_slice(),
+            lanes.yh.as_mut_slice(),
+        ];
+        for (k, group) in groups.iter_mut().enumerate() {
+            let (c0, c1) = (cuts[k], cuts[k + 1]);
+            let len = (offsets[s][c1] - offsets[s][c0]) as usize;
+            group[s] = SortGroup {
+                cells: c0..c1,
+                items: split_front(&mut rest, len),
+                lanes: rest_lanes.each_mut().map(|lane| split_front(lane, len)),
+            };
+        }
+    }
+    fan_out(groups, |k, mut group| {
+        let start = now();
+        let mut keys: Vec<(u64, u32)> = Vec::new();
+        let mut placements = 0u64;
+        for (s, g) in group.iter_mut().enumerate() {
+            let base = offsets[s][g.cells.start] as usize;
+            for c in g.cells.clone() {
+                let (lo, hi) = (
+                    offsets[s][c] as usize - base,
+                    offsets[s][c + 1] as usize - base,
+                );
+                keys.clear();
+                keys.extend(
+                    g.items[lo..hi]
+                        .iter()
+                        .map(|&i| (f64_key(sides[s][i as usize].mbr.xl), i)),
+                );
+                keys.sort_unstable();
+                for (p, &(_, i)) in (lo..hi).zip(&keys) {
+                    let r = &sides[s][i as usize].mbr;
+                    g.items[p] = i;
+                    g.lanes[0][p] = r.xl;
+                    g.lanes[1][p] = r.xu;
+                    g.lanes[2][p] = r.yl;
+                    g.lanes[3][p] = r.yu;
+                }
+            }
+            placements += g.items.len() as u64;
+        }
+        span(k, "plan.sort", start, ("placements", placements));
+    });
+
+    Ok([0, 1].map(|s| {
+        let index = CellIndex {
+            offsets: std::mem::take(&mut offsets[s]),
+            items: std::mem::take(&mut items[s]),
+            replicas: std::mem::take(&mut replicas[s]),
+            placed: counts.iter().map(|k| k[s].placed).sum(),
+        };
+        (index, std::mem::take(&mut coords[s]))
+    }))
+}
+
+/// Calls `visit(cell, home)` for every cell `r` is replicated into — `home`
+/// marks the cell of its bottom-left corner — unless `r` misses the
+/// universe. Both the count and the scatter pass place through here.
+#[inline]
+fn place(grid: &GridPlan, r: &Rect, mut visit: impl FnMut(usize, bool)) -> bool {
+    if !r.intersects(&grid.universe) {
+        return false;
+    }
+    let (cx0, cx1, cy0, cy1) = grid.cell_range(r);
+    for cy in cy0..=cy1 {
+        for cx in cx0..=cx1 {
+            visit(grid.cell_id(cx, cy) as usize, (cx, cy) == (cx0, cy0));
+        }
+    }
+    true
+}
+
+/// One chunk's per-cell placement and replica counts.
+struct ChunkCounts {
+    cells: Vec<u32>,
+    replicas: Vec<u32>,
+    placed: usize,
+}
+
+impl ChunkCounts {
+    fn count(grid: &GridPlan, items: &[RectItem]) -> Self {
+        let mut counts = ChunkCounts {
+            cells: vec![0; grid.cells()],
+            replicas: vec![0; grid.cells()],
+            placed: 0,
+        };
+        for item in items {
+            let placed = place(grid, &item.mbr, |c, home| {
+                counts.cells[c] += 1;
+                counts.replicas[c] += u32::from(!home);
+            });
+            counts.placed += usize::from(placed);
+        }
+        counts
+    }
+}
+
+/// One thread's share of the sort phase on one side: cells `cells`, their
+/// placements and coordinate lanes (`xl`, `xh`, `yl`, `yh`), indexed from
+/// the group's first placement.
+#[derive(Default)]
+struct SortGroup<'a> {
+    cells: Range<usize>,
+    items: &'a mut [u32],
+    lanes: [&'a mut [f64]; 4],
+}
+
+/// Splits the first `len` elements off `rest`.
+fn split_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
+}
+
+/// Runs `job(k, w)` for the `k`-th work item, one thread each: item 0 on
+/// the caller, the rest on scoped threads. A single item runs inline, with
+/// no spawn.
+fn fan_out<W: Send, R: Send>(work: Vec<W>, job: impl Fn(usize, W) -> R + Sync) -> Vec<R> {
+    let mut work = work.into_iter();
+    let Some(first) = work.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|scope| {
+        let job = &job;
+        let handles: Vec<_> = work
+            .enumerate()
+            .map(|(k, w)| scope.spawn(move || job(k + 1, w)))
+            .collect();
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(job(0, first));
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("planner thread panicked")),
+        );
+        out
+    })
 }
 
 #[cfg(test)]
@@ -375,8 +552,7 @@ mod tests {
     #[test]
     fn radix_order_equals_total_cmp_order() {
         // Keys crossing every tricky region: negatives, ±0.0, subnormals,
-        // infinities, plus ties (distinct payloads decide, as insertion
-        // order would under a stable sort).
+        // infinities, plus ties.
         let xs = [
             -1e300,
             -1.5,
@@ -400,19 +576,18 @@ mod tests {
                 );
             }
         }
-        // Radix path (forced over the small-input fallback) must equal the
-        // comparison sort on a deterministic pseudo-random sequence.
-        let mut kv: Vec<(u64, u32)> = Vec::new();
-        let mut state = 0x9e3779b97f4a7c15u64;
-        for i in 0..5000u32 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            // Bias towards collisions so stability is actually exercised.
-            kv.push((f64_key((state >> 50) as f64), i));
-        }
-        let mut want = kv.clone();
-        want.sort_unstable();
-        radix_sort_by_key(&mut kv);
-        assert_eq!(kv, want);
+    }
+
+    /// One side's cell index over `g`, built on `threads` threads.
+    fn index(g: &GridPlan, mbrs: &[Rect], threads: usize) -> (CellIndex, RunCoords) {
+        let items: Vec<RectItem> = mbrs
+            .iter()
+            .enumerate()
+            .map(|(i, &mbr)| RectItem { mbr, oid: i as u64 })
+            .collect();
+        let [side, _] = build_cells(g, [&items, &[]], threads, &RunControl::default())
+            .expect("no cancel token");
+        side
     }
 
     fn grid_over(mbrs: &[Rect], workers: usize) -> GridPlan {
@@ -519,7 +694,8 @@ mod tests {
             })
             .collect();
         let g = grid_over(&mbrs, 2);
-        let idx = CellIndex::build(&g, &mbrs);
+        let (idx, coords) = index(&g, &mbrs, 3);
+        assert_eq!((idx.clone(), coords.clone()), index(&g, &mbrs, 1));
         assert_eq!(idx.placed, mbrs.len());
         assert_eq!(idx.offsets.len(), g.cells() + 1);
         // Every (item, overlapped cell) placement is present exactly once.
@@ -545,13 +721,22 @@ mod tests {
                 );
             }
         }
+        let lanes = coords.run(0, idx.items.len());
+        for (p, &i) in idx.items.iter().enumerate() {
+            let r = mbrs[i as usize];
+            assert_eq!(
+                (lanes.xl[p], lanes.xh[p], lanes.yl[p], lanes.yh[p]),
+                (r.xl, r.xu, r.yl, r.yu),
+                "coordinate lanes follow the placements"
+            );
+        }
     }
 
     #[test]
     fn items_outside_universe_are_dropped() {
         let g = GridPlan::new(r(0.0, 0.0, 10.0, 10.0), 2, 2);
         let mbrs = vec![r(20.0, 20.0, 21.0, 21.0), r(1.0, 1.0, 2.0, 2.0)];
-        let idx = CellIndex::build(&g, &mbrs);
+        let (idx, _) = index(&g, &mbrs, 2);
         assert_eq!(idx.placed, 1);
         assert_eq!(idx.items, vec![1]);
     }

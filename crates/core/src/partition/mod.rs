@@ -12,9 +12,14 @@
 //! * the grid planner ([`grid`]) sizes a uniform grid over the join
 //!   universe from input MBR statistics (the same quantities
 //!   [`crate::cost::TreeProfile`] samples) and replicates each item into
-//!   every cell its MBR overlaps (CSR cell index, runs pre-sorted by `xl`);
-//! * each occupied cell runs the PR 5 SoA filter/sweep kernel
-//!   ([`psj_geom::sweep_pairs_soa`]) over its two item runs;
+//!   every cell its MBR overlaps (CSR cell index, each run sorted by
+//!   `xl`) — on the join's own threads: a count pass, a prefix sum, a
+//!   scatter into pre-sized runs and a sort per cell
+//!   ([`grid::build_cells`]), with a plan identical at every thread
+//!   count;
+//! * each occupied cell runs the PR 5 SoA sweep kernel's filter-free
+//!   entry ([`psj_geom::sweep_pairs_soa_runs`]) over its two coordinate
+//!   runs;
 //! * cross-cell duplicates are suppressed with the **reference-point
 //!   test**: a pair is reported only by the cell that contains the
 //!   bottom-left corner of its MBR intersection (see

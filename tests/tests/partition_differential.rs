@@ -241,3 +241,50 @@ fn auto_selection_picks_sensible_engines() {
         JoinEngine::Partition
     );
 }
+
+/// FNV-1a 64 over a pair sequence, each pair as two little-endian `u64`s:
+/// order-sensitive, so it pins the raw (unsorted) output sequence.
+fn fnv1a_pairs(pairs: &[(u64, u64)]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &(a, b) in pairs {
+        for byte in a.to_le_bytes().into_iter().chain(b.to_le_bytes()) {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Golden output of the grid engine on raw rectangle streams: the unsorted
+/// pair sequence (as an FNV-1a hash), its length and the replication and
+/// dedup counters are pinned for a fixed scenario at T = 1, 2 and 4. Any
+/// change to how the plan is built — grid, cell runs, their order, morsel
+/// packing — that moves the output sequence fails here, not just a
+/// change to the pair set.
+#[test]
+fn rect_stream_output_sequence_is_golden() {
+    let (m1, m2) = psj_datagen::Scenario::scaled(1996, 0.1).generate();
+    let items = |objs: &[psj_datagen::MapObject]| -> Vec<RectItem> {
+        objs.iter()
+            .map(|o| RectItem {
+                mbr: o.mbr(),
+                oid: o.oid,
+            })
+            .collect()
+    };
+    let (a, b) = (items(&m1), items(&m2));
+    // (FNV-1a of the sequence, pairs, replicated, deduped).
+    let want = (0x3a2c_6e20_1fdf_41b8u64, 13_085usize, 2_357u64, 372u64);
+    for threads in [1, 2, 4] {
+        let mut cfg = NativeConfig::new(threads);
+        cfg.refine = false;
+        let res = run_partition_join(PartitionInput::Rects(&a), PartitionInput::Rects(&b), &cfg);
+        let got = (
+            fnv1a_pairs(&res.pairs),
+            res.pairs.len(),
+            res.replicated,
+            res.deduped,
+        );
+        assert_eq!(got, want, "threads={threads}");
+    }
+}
