@@ -11,6 +11,7 @@
 //! them.
 
 use psj_geom::Rect;
+use psj_rtree::JoinNode;
 use psj_store::timing::millis_f;
 use psj_store::{DiskModel, Nanos, MICROS, MILLIS};
 use serde::{Deserialize, Serialize};
@@ -203,18 +204,19 @@ impl TreeProfile {
         let mut next_sample = 0usize;
         let stride = num_pages.div_ceil(PROFILE_SAMPLE_LEAVES).max(1);
         for p in 0..num_pages {
-            let node = tree.node(psj_store::PageId(p as u32));
-            if node.level != 0 {
+            let frame = tree.frame(psj_store::PageId(p as u32));
+            if frame.level() != 0 {
                 continue;
             }
             leaves += 1;
             if leaves > next_sample {
                 next_sample += stride;
-                for e in node.data_entries() {
-                    sum_w += e.mbr.width();
-                    sum_h += e.mbr.height();
+                let lanes = frame.lanes();
+                for i in 0..lanes.len() {
+                    sum_w += lanes.xh[i] - lanes.xl[i];
+                    sum_h += lanes.yh[i] - lanes.yl[i];
                 }
-                entries_sampled += node.len();
+                entries_sampled += lanes.len();
             }
         }
         let avg_leaf_entries = if leaves == 0 {

@@ -21,7 +21,7 @@
 use crate::cost::CandidateEstimator;
 use crate::metrics::TaskTrace;
 use crate::task::{expand_pair, KernelScratch, TaskPair};
-use psj_rtree::PagedTree;
+use psj_rtree::{JoinNode, PagedTree};
 
 /// One morsel: a contiguous run of tasks (in plane-sweep order) sized to
 /// roughly one candidate budget.
@@ -104,8 +104,7 @@ pub fn morselize(
     opts: &MorselOptions,
 ) -> MorselPlan {
     let rate = |t: &TaskPair| {
-        let na = a.node(t.a);
-        let nb = b.node(t.b);
+        let (na, nb) = (a.frame(t.a), b.frame(t.b));
         est.estimate(
             na.len(),
             t.la,
@@ -137,9 +136,8 @@ pub fn morselize(
     while let Some((t, e, depth)) = stack.pop() {
         if e > split_threshold && t.level() > 0 && depth < opts.max_split_levels {
             children.clear();
-            let na = a.node(t.a);
-            let nb = b.node(t.b);
-            expand_pair(na, nb, &t, &mut scratch, &mut children, &mut cands);
+            let (na, nb) = (a.frame(t.a), b.frame(t.b));
+            expand_pair(&na, &nb, &t, &mut scratch, &mut children, &mut cands);
             split_expansions += 1;
             debug_assert!(
                 cands.is_empty(),

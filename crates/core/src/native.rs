@@ -26,7 +26,10 @@
 //! # Out-of-core execution
 //!
 //! By default workers read tree nodes straight from the frozen in-memory
-//! trees. Setting [`NativeConfig::buffer`] instead routes every node access
+//! trees, as packed frames ([`PagedTree::frame`]): each tree keeps every
+//! node's MBR lanes in one vector and its children or object ids in
+//! another, so a node read is two subslices and no pointer chase. Setting
+//! [`NativeConfig::buffer`] instead routes every node access
 //! through a bounded [`SharedPageCache`] of [`NodeFrame`]s: a miss
 //! transcodes the node's serialized 4 KB page into a fixed cache slot, a
 //! hit reads the slot in place, and the cache never holds more than the
@@ -65,11 +68,10 @@ use crate::task::{create_tasks, expand_pair, Candidate, KernelScratch, TaskPair}
 use psj_buffer::{BufferStats, PageRef, PageSource, Policy, SharedPageCache};
 use psj_obs::trace::{worker_tid, TID_MAIN};
 use psj_obs::{ThreadTracer, TraceSink};
-use psj_rtree::{JoinNode, Node, NodeFrame, PagedTree};
+use psj_rtree::{FrameRef, JoinNode, NodeFrame, PagedTree};
 use psj_store::{lock_clean, FaultPlan, Page, PageError, PageId, RetryPolicy};
 use serde::{Deserialize, Serialize};
 use std::mem::MaybeUninit;
-use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -359,21 +361,24 @@ impl PageSource for JoinSource<'_> {
     }
 }
 
-/// Where one worker reads its nodes: straight from the frozen trees, or
-/// through a cache (shared or private) in front of their pages (tagged
-/// page ids keep both trees in one cache). `run_worker` is monomorphised
-/// per implementation, so the in-memory join reads `&Node` with no
-/// per-read dispatch.
+/// Where one worker reads its nodes: straight from the frozen trees' frame
+/// slabs, or through a cache (shared or private) in front of their pages
+/// (tagged page ids keep both trees in one cache). `run_worker` is
+/// monomorphised per implementation, so the in-memory join reads
+/// [`FrameRef`]s with no per-read dispatch.
 trait Fetch<'t> {
-    /// The node representation a read derefs to.
+    /// The node representation a read views.
     type Node: JoinNode;
     /// A node read, held while its pair is expanded and its candidates
     /// resolved.
-    type Ref: Deref<Target = Self::Node>;
+    type Ref;
 
     fn node_a(&self, page: PageId) -> Result<Self::Ref, PageError>;
 
     fn node_b(&self, page: PageId) -> Result<Self::Ref, PageError>;
+
+    /// The node a held read views.
+    fn view(read: &Self::Ref) -> &Self::Node;
 
     /// This worker's buffer counters, `None` when unbuffered; segment
     /// deltas taken from consecutive calls reconcile exactly with the run
@@ -381,24 +386,29 @@ trait Fetch<'t> {
     fn stats(&self) -> Option<BufferStats>;
 }
 
-/// Direct access to the frozen in-memory trees.
+/// Direct access to the frozen in-memory trees' frame slabs.
 struct Direct<'t> {
     a: &'t PagedTree,
     b: &'t PagedTree,
 }
 
 impl<'t> Fetch<'t> for Direct<'t> {
-    type Node = Node;
-    type Ref = &'t Node;
+    type Node = FrameRef<'t>;
+    type Ref = FrameRef<'t>;
 
     #[inline]
-    fn node_a(&self, page: PageId) -> Result<&'t Node, PageError> {
-        Ok(self.a.node(page))
+    fn node_a(&self, page: PageId) -> Result<FrameRef<'t>, PageError> {
+        Ok(self.a.frame(page))
     }
 
     #[inline]
-    fn node_b(&self, page: PageId) -> Result<&'t Node, PageError> {
-        Ok(self.b.node(page))
+    fn node_b(&self, page: PageId) -> Result<FrameRef<'t>, PageError> {
+        Ok(self.b.frame(page))
+    }
+
+    #[inline]
+    fn view<'r>(read: &'r FrameRef<'t>) -> &'r FrameRef<'t> {
+        read
     }
 
     fn stats(&self) -> Option<BufferStats> {
@@ -428,6 +438,11 @@ impl<'t> Fetch<'t> for Cached<'t> {
     fn node_b(&self, page: PageId) -> Result<PageRef<'t, NodeFrame>, PageError> {
         self.cache
             .try_get(self.worker, PageId(page.0 | TREE_B_TAG), &self.source)
+    }
+
+    #[inline]
+    fn view<'r>(read: &'r PageRef<'t, NodeFrame>) -> &'r NodeFrame {
+        read
     }
 
     fn stats(&self) -> Option<BufferStats> {
@@ -1023,7 +1038,7 @@ fn run_worker<'t, F: Fetch<'t>>(
                 let fetched = fetcher
                     .node_a(pair.a)
                     .and_then(|na| fetcher.node_b(pair.b).map(|nb| (na, nb)));
-                let (na, nb) = match fetched {
+                let (ra, rb) = match fetched {
                     Ok(v) => v,
                     Err(e) => {
                         fail.record(e);
@@ -1031,9 +1046,10 @@ fn run_worker<'t, F: Fetch<'t>>(
                         break 'morsel;
                     }
                 };
+                let (na, nb) = (F::view(&ra), F::view(&rb));
                 children.clear();
                 cands.clear();
-                expand_pair(&*na, &*nb, &pair, &mut scratch, &mut children, &mut cands);
+                expand_pair(na, nb, &pair, &mut scratch, &mut children, &mut cands);
                 for c in children.drain(..).rev() {
                     stack.push(c);
                 }

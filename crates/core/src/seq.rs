@@ -6,7 +6,7 @@
 //! the correctness oracle for the parallel executors.
 
 use crate::task::{create_tasks, expand_pair, Candidate, KernelScratch, TaskPair};
-use psj_rtree::{NodeAccess, PagedTree};
+use psj_rtree::{JoinNode, PagedTree};
 use serde::{Deserialize, Serialize};
 
 /// Result of a sequential join.
@@ -31,10 +31,8 @@ pub fn join_candidates(a: &PagedTree, b: &PagedTree) -> SeqJoinResult {
     let mut cands: Vec<Candidate> = Vec::new();
     let mut out = Vec::new();
     let mut node_pairs = 0u64;
-    // The oracle reads nodes through the same borrowing accessor surface
-    // the buffered executors use — one read per (page, step), no aliasing
-    // assumptions beyond what `NodeAccess` grants.
-    let (mut acc_a, mut acc_b) = (a, b);
+    // The oracle reads the trees' packed frames, as the in-memory join
+    // does: one read per (page, step).
 
     // Tasks are executed in plane-sweep order; within a task the traversal
     // is depth-first, again in sweep order.
@@ -42,20 +40,17 @@ pub fn join_candidates(a: &PagedTree, b: &PagedTree) -> SeqJoinResult {
         stack.push(*task);
         while let Some(pair) = stack.pop() {
             node_pairs += 1;
-            let na = acc_a.read(pair.a).expect("in-memory access is infallible");
-            let nb = acc_b.read(pair.b).expect("in-memory access is infallible");
+            let (na, nb) = (a.frame(pair.a), b.frame(pair.b));
             children.clear();
             let before = cands.len();
-            expand_pair(na, nb, &pair, &mut scratch, &mut children, &mut cands);
+            expand_pair(&na, &nb, &pair, &mut scratch, &mut children, &mut cands);
             // Depth-first in sweep order: push in reverse.
             stack.extend(children.drain(..).rev());
             if cands.len() > before {
                 // All candidates from one expansion share (page_a, page_b):
-                // resolve each leaf once for the whole run, not per candidate.
-                let ea = na.data_entries();
-                let eb = nb.data_entries();
+                // resolve them from the two frames in hand.
                 for c in &cands[before..] {
-                    out.push((ea[c.idx_a as usize].oid, eb[c.idx_b as usize].oid));
+                    out.push((na.oid(c.idx_a as usize), nb.oid(c.idx_b as usize)));
                 }
             }
             cands.truncate(before);
@@ -79,31 +74,27 @@ pub fn join_refined(a: &PagedTree, b: &PagedTree) -> Vec<(u64, u64)> {
     let mut children = Vec::new();
     let mut cands: Vec<Candidate> = Vec::new();
     let mut out = Vec::new();
-    let (mut acc_a, mut acc_b) = (a, b);
     while let Some(pair) = stack.pop() {
-        let na = acc_a.read(pair.a).expect("in-memory access is infallible");
-        let nb = acc_b.read(pair.b).expect("in-memory access is infallible");
+        let (na, nb) = (a.frame(pair.a), b.frame(pair.b));
         children.clear();
         cands.clear();
-        expand_pair(na, nb, &pair, &mut scratch, &mut children, &mut cands);
+        expand_pair(&na, &nb, &pair, &mut scratch, &mut children, &mut cands);
         stack.extend(children.drain(..).rev());
         if cands.is_empty() {
             continue;
         }
-        // One leaf resolution per (page_a, page_b) run, as above.
-        let entries_a = na.data_entries();
-        let entries_b = nb.data_entries();
+        // Resolved from the two frames in hand, as above.
         for c in &cands {
-            let ea = entries_a[c.idx_a as usize];
-            let eb = entries_b[c.idx_b as usize];
-            let ga = a.clusters().geometry(ea.geom.page, ea.geom.slot);
-            let gb = b.clusters().geometry(eb.geom.page, eb.geom.slot);
+            let (ia, ib) = (c.idx_a as usize, c.idx_b as usize);
+            let (ra, rb) = (na.geom(ia), nb.geom(ib));
+            let ga = a.clusters().geometry(ra.page, ra.slot);
+            let gb = b.clusters().geometry(rb.page, rb.slot);
             let hit = match (ga, gb) {
                 (Some(ga), Some(gb)) => ga.intersects(gb),
                 _ => true, // no exact geometry: cannot refute the candidate
             };
             if hit {
-                out.push((ea.oid, eb.oid));
+                out.push((na.oid(ia), nb.oid(ib)));
             }
         }
     }

@@ -97,8 +97,9 @@ pub struct KernelScratch {
 ///   shallower node fixed, until levels align.
 ///
 /// Generic over the node representation ([`JoinNode`]): the in-memory join
-/// passes the tree's decoded [`psj_rtree::Node`]s, the cached join the
-/// [`psj_rtree::NodeFrame`]s in its page cache; both read the same lanes.
+/// passes the trees' packed [`psj_rtree::FrameRef`]s, the cached join the
+/// [`psj_rtree::NodeFrame`]s in its page cache, and the simulator the
+/// decoded [`psj_rtree::Node`]s; all read the same lanes.
 pub fn expand_pair<N: JoinNode>(
     na: &N,
     nb: &N,
@@ -278,10 +279,9 @@ pub fn create_tasks(a: &PagedTree, b: &PagedTree, min_tasks: usize) -> TaskCreat
             }
             pages_a.push(t.a);
             pages_b.push(t.b);
-            let na = a.node(t.a);
-            let nb = b.node(t.b);
+            let (na, nb) = (a.frame(t.a), b.frame(t.b));
             let before = candidates.len();
-            expand_pair(na, nb, t, &mut scratch, &mut next, &mut candidates);
+            expand_pair(&na, &nb, t, &mut scratch, &mut next, &mut candidates);
             debug_assert_eq!(candidates.len(), before, "expansion above leaf level");
         }
         tasks = next;

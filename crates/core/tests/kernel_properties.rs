@@ -1,12 +1,15 @@
-//! The join kernel reads a cached [`NodeFrame`] exactly as it reads the
-//! decoded [`Node`] it was transcoded from: `expand_pair` over two frames
-//! yields the same child pairs, candidates and work counts, in the same
-//! order, as over the two nodes.
+//! The join kernel reads a cached [`NodeFrame`] and a packed slab frame
+//! ([`FrameSlab`]) exactly as it reads the decoded [`Node`] both come from:
+//! `expand_pair` over two frames of either kind yields the same child
+//! pairs, candidates and work counts, in the same order, as over the two
+//! nodes.
 
 use proptest::prelude::*;
 use psj_core::{expand_pair, KernelScratch, TaskPair};
 use psj_geom::Rect;
-use psj_rtree::{DataEntry, DirEntry, GeomRef, JoinNode, Node, NodeFrame, DATA_FANOUT, DIR_FANOUT};
+use psj_rtree::{
+    DataEntry, DirEntry, FrameSlab, GeomRef, JoinNode, Node, NodeFrame, DATA_FANOUT, DIR_FANOUT,
+};
 use psj_store::{Page, PageId};
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
@@ -80,8 +83,25 @@ proptest! {
             &mut frame_candidates,
         );
         prop_assert_eq!(from_frames, from_nodes);
-        prop_assert_eq!(frame_children, children);
-        prop_assert_eq!(frame_candidates, candidates);
+        prop_assert_eq!(&frame_children, &children);
+        prop_assert_eq!(&frame_candidates, &candidates);
         prop_assert_eq!(JoinNode::mbr(&fa), na.mbr());
+
+        let nodes = [na.clone(), nb.clone()];
+        let slab = FrameSlab::new(&nodes);
+        let (sa, sb) = (slab.frame(&nodes, PageId(0)), slab.frame(&nodes, PageId(1)));
+        let (mut slab_children, mut slab_candidates) = (Vec::new(), Vec::new());
+        let from_slab = expand_pair(
+            &sa,
+            &sb,
+            &pair,
+            &mut scratch,
+            &mut slab_children,
+            &mut slab_candidates,
+        );
+        prop_assert_eq!(from_slab, from_nodes);
+        prop_assert_eq!(slab_children, children);
+        prop_assert_eq!(slab_candidates, candidates);
+        prop_assert_eq!(JoinNode::mbr(&sa), na.mbr());
     }
 }

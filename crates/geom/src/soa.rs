@@ -19,8 +19,8 @@
 //! gather/compaction control flow the kernel needs (see DESIGN.md §10).
 //!
 //! The arrays are frozen at construction: an R\*-tree node builds its view
-//! once (at freeze/decode time) and the join reuses it for every window that
-//! ever restricts that node.
+//! once, on first use, and reuses it for every window that ever restricts
+//! that node. [`SoaRun`] is the borrowed form every kernel reads.
 
 use crate::Rect;
 

@@ -1,21 +1,29 @@
-//! Fixed-size node frames for the cached join.
+//! Node views for the join: packed frames for the in-memory join, fixed-size
+//! frames for the cached join.
 //!
-//! A decoded [`Node`] owns five heap allocations: its entry vector and the
-//! four SoA lanes built at decode. A page cache that replaces nodes on every
-//! miss pays for them each time. [`NodeFrame`] holds the same content inline
-//! in one fixed-size value: level, kind and length, then the four MBR lanes
-//! the sweep kernel reads (`xl/xh/yl/yh`, one array per coordinate), then
-//! the children, object ids and geometry refs. A cache keeps frames in
-//! place in its slots, and a miss transcodes the page's PSJT2 bytes straight
-//! into a slot with [`NodeFrame::decode_into`]: no allocation and no
-//! intermediate value.
+//! [`JoinNode`] is what the join kernel and the candidate resolution read
+//! from a node: its level, its entry MBRs as SoA lanes (`xl/xh/yl/yh`, one
+//! array per coordinate), and its children or object ids. Three types
+//! implement it:
 //!
-//! [`JoinNode`] is what the join kernel reads from a node. [`Node`] and
-//! [`NodeFrame`] both implement it, so the in-memory join reads the tree's
-//! decoded nodes directly while the cached join reads frames.
+//! * [`FrameRef`] — a node of a frozen or loaded [`crate::PagedTree`], read
+//!   from the tree's [`FrameSlab`]. The slab packs every node's lanes back
+//!   to back in one `f64` vector and its children or object ids in one
+//!   `u64` vector, in page order, so a node read is two bounds-checked
+//!   subslices of two contiguous vectors. The in-memory join, the
+//!   sequential oracle, task creation, the morsel split pass and the
+//!   estimator's tree profile read these.
+//! * [`NodeFrame`] — one node with every field inline in one fixed-size
+//!   value. A page cache keeps frames in place in its slots, and a miss
+//!   transcodes the page's PSJT2 bytes straight into a slot with
+//!   [`NodeFrame::decode_into`]: no allocation and no intermediate value.
+//!   The cached (out-of-core) join reads these.
+//! * [`Node`] — the build-time node, whose lanes are built lazily on first
+//!   use. The simulator, the shared-nothing simulation, the cost estimate
+//!   and the benchmark's kernel timing read these.
 
 use crate::entry::{GeomRef, DATA_ENTRY_BYTES, DIR_ENTRY_BYTES};
-use crate::node::{Node, DATA_FANOUT, DIR_FANOUT, NODE_HEADER_BYTES};
+use crate::node::{Node, NodeKind, DATA_FANOUT, DIR_FANOUT, NODE_HEADER_BYTES};
 use psj_geom::{Rect, SoaRun};
 use psj_store::{Page, PageId, PAGE_SIZE};
 use std::mem::MaybeUninit;
@@ -83,6 +91,186 @@ impl JoinNode for Node {
     #[inline]
     fn geom(&self, i: usize) -> GeomRef {
         self.data_entries()[i].geom
+    }
+}
+
+/// Where one node's frame lies in a [`FrameSlab`].
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    /// Index of the node's first id; its lanes start at `4 * start`.
+    start: u32,
+    /// Number of entries.
+    len: u32,
+    /// Level of the node (0 = leaf).
+    level: u32,
+    /// Whether the ids are object ids (leaf) or children (directory).
+    leaf: bool,
+}
+
+/// The packed, read-only join view of a tree's nodes, built once in page
+/// order. `lanes` holds each node's `xl[n] xh[n] yl[n] yh[n]` back to
+/// back, `ids` its children (directory) or object ids (leaf), and one span
+/// per page says where they start. Both vectors are sized exactly. The
+/// geometry refs stay in the nodes' data entries: only refinement reads
+/// them, and the slab holds exactly what the filter step reads.
+#[derive(Debug)]
+pub struct FrameSlab {
+    lanes: Vec<f64>,
+    ids: Vec<u64>,
+    spans: Vec<Span>,
+}
+
+impl FrameSlab {
+    /// Packs `nodes`, one frame per node, in slice order. A node without
+    /// entries (a poisoned page's placeholder) gets an empty frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the nodes hold more than `u32::MAX` entries in total.
+    pub fn new(nodes: &[Node]) -> Self {
+        let entries: usize = nodes.iter().map(Node::len).sum();
+        assert!(
+            u32::try_from(entries).is_ok(),
+            "{entries} entries overflow a frame slab"
+        );
+        let mut slab = FrameSlab {
+            lanes: Vec::with_capacity(4 * entries),
+            ids: Vec::with_capacity(entries),
+            spans: Vec::with_capacity(nodes.len()),
+        };
+        let coords: [fn(&Rect) -> f64; 4] = [|r| r.xl, |r| r.xu, |r| r.yl, |r| r.yu];
+        for node in nodes {
+            let n = node.len();
+            slab.spans.push(Span {
+                start: slab.ids.len() as u32,
+                len: n as u32,
+                level: node.level,
+                leaf: node.is_leaf(),
+            });
+            for coord in coords {
+                slab.lanes.extend((0..n).map(|i| coord(&node.mbr_of(i))));
+            }
+            match &node.kind {
+                NodeKind::Dir(v) => slab.ids.extend(v.iter().map(|e| u64::from(e.child))),
+                NodeKind::Leaf(v) => slab.ids.extend(v.iter().map(|e| e.oid)),
+            }
+        }
+        slab
+    }
+
+    /// Number of frames.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Whether the slab holds no frames.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// Heap bytes the slab holds: lanes, ids and spans.
+    pub fn heap_bytes(&self) -> usize {
+        self.lanes.capacity() * std::mem::size_of::<f64>()
+            + self.ids.capacity() * std::mem::size_of::<u64>()
+            + self.spans.capacity() * std::mem::size_of::<Span>()
+    }
+
+    /// The frame of `page`, whose geometry refs are read from `nodes`, the
+    /// nodes the slab was packed from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is out of range.
+    #[inline]
+    pub fn frame<'s>(&'s self, nodes: &'s [Node], page: PageId) -> FrameRef<'s> {
+        let span = self.spans[page.index()];
+        let (start, len) = (span.start as usize, span.len as usize);
+        FrameRef {
+            level: span.level,
+            leaf: span.leaf,
+            lanes: &self.lanes[4 * start..4 * (start + len)],
+            ids: &self.ids[start..start + len],
+            node: &nodes[page.index()],
+        }
+    }
+}
+
+/// One node of a [`FrameSlab`]: its lanes and ids as subslices of the
+/// slab's two vectors, plus the node whose data entries hold the geometry
+/// refs (read only by refinement). `Copy`, and built with no lock and no
+/// allocation.
+#[derive(Clone, Copy)]
+pub struct FrameRef<'s> {
+    level: u32,
+    leaf: bool,
+    /// `xl`, `xh`, `yl`, `yh`, each `ids.len()` long.
+    lanes: &'s [f64],
+    ids: &'s [u64],
+    node: &'s Node,
+}
+
+impl<'s> FrameRef<'s> {
+    /// Whether this is a leaf.
+    pub fn is_leaf(&self) -> bool {
+        self.leaf
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether the node has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Children (directory) or object ids (leaf), by entry.
+    pub fn ids(&self) -> &'s [u64] {
+        self.ids
+    }
+}
+
+impl JoinNode for FrameRef<'_> {
+    fn level(&self) -> u32 {
+        self.level
+    }
+
+    #[inline]
+    fn lanes(&self) -> SoaRun<'_> {
+        let n = self.ids.len();
+        let (xl, rest) = self.lanes.split_at(n);
+        let (xh, rest) = rest.split_at(n);
+        let (yl, yh) = rest.split_at(n);
+        SoaRun { xl, xh, yl, yh }
+    }
+
+    #[inline]
+    fn child(&self, i: usize) -> u32 {
+        debug_assert!(!self.leaf, "child of a leaf");
+        self.ids[i] as u32
+    }
+
+    #[inline]
+    fn oid(&self, i: usize) -> u64 {
+        debug_assert!(self.leaf, "oid of a directory node");
+        self.ids[i]
+    }
+
+    #[inline]
+    fn geom(&self, i: usize) -> GeomRef {
+        self.node.data_entries()[i].geom
+    }
+}
+
+impl std::fmt::Debug for FrameRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FrameRef")
+            .field("level", &self.level)
+            .field("leaf", &self.leaf)
+            .field("lanes", &self.lanes())
+            .field("ids", &self.ids)
+            .finish()
     }
 }
 

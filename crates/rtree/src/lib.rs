@@ -13,9 +13,12 @@
 //!   4 KB pages (40-byte directory entries, 156-byte data entries — the
 //!   paper's Table 1 layout), entries sorted by their lower x bound so join
 //!   tasks can plane-sweep without re-sorting;
-//! * [`NodeFrame`] — a fixed-size, allocation-free node the out-of-core
-//!   join caches, transcoded from a page in one pass, and [`JoinNode`], the
-//!   view of a node the join kernel reads (implemented by both forms);
+//! * [`FrameSlab`] / [`FrameRef`] — every paged tree's nodes packed into
+//!   one lane vector and one id vector, the view the in-memory join reads;
+//!   [`NodeFrame`] — a fixed-size, allocation-free node the out-of-core
+//!   join caches, transcoded from a page in one pass; and [`JoinNode`], the
+//!   view of a node the join kernel reads (implemented by both frames and
+//!   by [`Node`]);
 //! * window queries on both forms, and [`TreeStats`] which regenerates
 //!   Table 1.
 //!
@@ -41,7 +44,7 @@ pub mod tree;
 
 pub use access::{window_query_via, NodeAccess};
 pub use entry::{DataEntry, DirEntry, GeomRef, DATA_ENTRY_BYTES, DIR_ENTRY_BYTES};
-pub use frame::{JoinNode, NodeFrame};
+pub use frame::{FrameRef, FrameSlab, JoinNode, NodeFrame};
 pub use nn::nearest_neighbors_via;
 pub use node::{Node, NodeKind, DATA_FANOUT, DATA_MIN_FILL, DIR_FANOUT, DIR_MIN_FILL};
 pub use paged::PagedTree;

@@ -39,10 +39,12 @@ pub struct Node {
     pub level: u32,
     /// The node's entries.
     pub kind: NodeKind,
-    /// Frozen struct-of-arrays view of the entry MBRs, built once per node
-    /// (eagerly at freeze/decode, lazily otherwise) and reused by every
-    /// plane-sweep that restricts this node. Invalidated by the `&mut`
-    /// entry accessors; not part of the node's identity or page encoding.
+    /// Frozen struct-of-arrays view of the entry MBRs, built on first use
+    /// and reused by every plane-sweep that restricts this node. Invalidated
+    /// by the `&mut` entry accessors; not part of the node's identity or
+    /// page encoding. The in-memory join reads a paged tree's
+    /// [`crate::FrameSlab`] instead, so a frozen or loaded tree builds this
+    /// view only for readers that sweep `Node`s directly.
     pub(crate) soa: OnceLock<SoaMbrs>,
 }
 
@@ -202,19 +204,13 @@ impl Node {
 
     /// Frozen struct-of-arrays view of the entry MBRs (same entry order as
     /// [`Node::entry_mbrs`]), built on first use and cached for the node's
-    /// lifetime. The join kernel filters restriction windows over this view
-    /// instead of copying `Rect`s per call.
+    /// lifetime. A join kernel sweeping `Node`s filters restriction windows
+    /// over this view instead of copying `Rect`s per call.
     pub fn soa_mbrs(&self) -> &SoaMbrs {
         self.soa.get_or_init(|| match &self.kind {
             NodeKind::Dir(v) => SoaMbrs::from_iter(v.iter().map(|e| e.mbr)),
             NodeKind::Leaf(v) => SoaMbrs::from_iter(v.iter().map(|e| e.mbr)),
         })
-    }
-
-    /// Eagerly builds the SoA view so the join never pays construction cost
-    /// on the hot path. Called at freeze and decode time.
-    pub fn prime_soa(&self) {
-        let _ = self.soa_mbrs();
     }
 
     /// Sorts the entries by their lower x bound, the precondition of the
@@ -280,16 +276,13 @@ impl Node {
             }
             NodeKind::Dir(v)
         };
-        let node = Node {
+        // The SoA view is left unbuilt: a loaded tree's join reads its
+        // frame slab, and a decoded node builds the view on first sweep.
+        Node {
             level,
             kind,
             soa: OnceLock::new(),
-        };
-        // Decode is how pages enter the join (load and cache miss paths):
-        // prime here so the SoA view is "persisted alongside" every page —
-        // deterministically rebuilt from the page bytes it mirrors.
-        node.prime_soa();
-        node
+        }
     }
 }
 
@@ -387,7 +380,10 @@ mod tests {
         let mut page = Page::zeroed();
         node.encode(&mut page);
         let back = Node::decode(&page);
-        // `back` has a primed SoA, `node` does not — they still compare equal.
+        // Decode leaves the SoA view unbuilt; build it on `back` only, so
+        // one node has the view and the other does not — they still compare
+        // equal.
+        let _ = back.soa_mbrs();
         assert_eq!(back, node);
         assert_eq!(back.soa_mbrs(), node.soa_mbrs());
     }

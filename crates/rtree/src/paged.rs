@@ -5,10 +5,13 @@
 //! rewritten to page numbers, entries are sorted by their lower x bound
 //! (the plane-sweep precondition, so join tasks never re-sort), data entries
 //! receive their geometry pointers, and every node is serialized into a real
-//! 4 KB page. The exact geometries are grouped into per-data-page clusters
-//! ([BK 94]) whose sizes drive the simulated cluster I/O time.
+//! 4 KB page. The nodes are also packed into one [`FrameSlab`], the view
+//! the in-memory join reads ([`PagedTree::frame`]). The exact geometries
+//! are grouped into per-data-page clusters ([BK 94]) whose sizes drive the
+//! simulated cluster I/O time.
 
 use crate::entry::GeomRef;
+use crate::frame::{FrameRef, FrameSlab};
 use crate::node::{Node, NodeKind};
 use crate::stats::TreeStats;
 use crate::tree::RTree;
@@ -16,8 +19,9 @@ use psj_geom::{Polyline, Rect};
 use psj_store::{ClusterStore, PageId, PageStore};
 use std::collections::BTreeSet;
 
-/// A read-only paged R\*-tree: decoded nodes indexed by page number plus the
-/// authoritative serialized pages and geometry clusters.
+/// A read-only paged R\*-tree: decoded nodes indexed by page number, their
+/// packed join view, and the authoritative serialized pages and geometry
+/// clusters.
 ///
 /// Trees loaded leniently from a partially corrupt file carry a *poisoned*
 /// page set: those slots hold placeholder nodes (their on-disk bytes failed
@@ -27,6 +31,8 @@ use std::collections::BTreeSet;
 #[derive(Debug)]
 pub struct PagedTree {
     nodes: Vec<Node>,
+    /// The nodes' join view, one frame per page, built with `nodes`.
+    slab: FrameSlab,
     root: PageId,
     height: u32,
     num_items: u64,
@@ -99,7 +105,6 @@ impl PagedTree {
                     };
                 }
             }
-            node.prime_soa();
             nodes.push(node);
         }
 
@@ -111,6 +116,7 @@ impl PagedTree {
         }
 
         PagedTree {
+            slab: FrameSlab::new(&nodes),
             nodes,
             root: PageId(0),
             height,
@@ -132,6 +138,7 @@ impl PagedTree {
         clusters: ClusterStore,
     ) -> Self {
         PagedTree {
+            slab: FrameSlab::new(&nodes),
             nodes,
             root,
             height,
@@ -185,6 +192,13 @@ impl PagedTree {
     /// The decoded node stored on `page`.
     pub fn node(&self, page: PageId) -> &Node {
         &self.nodes[page.index()]
+    }
+
+    /// The packed join view of the node stored on `page`: what the
+    /// in-memory join reads. A poisoned page's frame is an empty leaf.
+    #[inline]
+    pub fn frame(&self, page: PageId) -> FrameRef<'_> {
+        self.slab.frame(&self.nodes, page)
     }
 
     /// Total number of pages.

@@ -5,10 +5,11 @@ use psj_geom::{Point, Polyline, Rect};
 use psj_rtree::bulk::bulk_load_str_with_fanout;
 use psj_rtree::split::rstar_split;
 use psj_rtree::{
-    DataEntry, DirEntry, GeomRef, JoinNode, Node, NodeFrame, PagedTree, RTree, DATA_FANOUT,
-    DIR_FANOUT,
+    DataEntry, DirEntry, FrameRef, FrameSlab, GeomRef, JoinNode, Node, NodeFrame, PagedTree, RTree,
+    DATA_FANOUT, DIR_FANOUT,
 };
-use psj_store::{Page, PageId};
+use psj_store::{Page, PageId, PAGE_RECORD_SIZE};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
     (0.0f64..1000.0, 0.0f64..1000.0, 0.0f64..20.0, 0.0f64..20.0)
@@ -44,6 +45,86 @@ fn bits(lane: &[f64]) -> Vec<u64> {
     lane.iter().map(|v| v.to_bits()).collect()
 }
 
+/// A leaf (`leaf`) or a directory node at `level` over `rects`, truncated to
+/// the kind's fanout, with ids and geometry refs derived from `salt`.
+fn raw_node(leaf: bool, level: u32, rects: &[Rect], salt: u64) -> Node {
+    if leaf {
+        let mut node = Node::new_leaf();
+        for (i, &mbr) in rects
+            .iter()
+            .take(rects.len() % (DATA_FANOUT + 1))
+            .enumerate()
+        {
+            node.data_entries_mut().push(DataEntry {
+                mbr,
+                oid: salt ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                geom: GeomRef {
+                    page: PageId((salt as u32).wrapping_add(i as u32)),
+                    slot: (salt >> 32) as u32 ^ i as u32,
+                },
+            });
+        }
+        node
+    } else {
+        let mut node = Node::new_dir(level);
+        for (i, &mbr) in rects.iter().enumerate() {
+            node.dir_entries_mut().push(DirEntry {
+                mbr,
+                child: (salt >> 16) as u32 ^ i as u32,
+            });
+        }
+        node
+    }
+}
+
+/// A slab frame is its node: level, kind and length, lanes bit-identical
+/// to the node's SoA view, and the same children, object ids and geometry
+/// refs.
+fn frame_is_node(frame: &FrameRef<'_>, node: &Node) -> Result<(), TestCaseError> {
+    prop_assert_eq!(frame.level(), node.level);
+    prop_assert_eq!(frame.is_leaf(), node.is_leaf());
+    prop_assert_eq!(frame.len(), node.len());
+    let (lanes, soa) = (frame.lanes(), node.soa_mbrs());
+    prop_assert_eq!(bits(lanes.xl), bits(soa.xl()));
+    prop_assert_eq!(bits(lanes.xh), bits(soa.xh()));
+    prop_assert_eq!(bits(lanes.yl), bits(soa.yl()));
+    prop_assert_eq!(bits(lanes.yh), bits(soa.yh()));
+    if node.is_leaf() {
+        let oids: Vec<u64> = node.data_entries().iter().map(|e| e.oid).collect();
+        let geoms: Vec<GeomRef> = node.data_entries().iter().map(|e| e.geom).collect();
+        let frame_geoms: Vec<GeomRef> = (0..frame.len()).map(|i| frame.geom(i)).collect();
+        prop_assert_eq!(frame.ids(), &oids[..]);
+        prop_assert_eq!(frame_geoms, geoms);
+    } else {
+        let children: Vec<u32> = node.dir_entries().iter().map(|e| e.child).collect();
+        let frame_children: Vec<u32> = (0..frame.len()).map(|i| frame.child(i)).collect();
+        prop_assert_eq!(frame_children, children);
+    }
+    Ok(())
+}
+
+/// Every page's slab frame is the page's node.
+fn frames_are_nodes(tree: &PagedTree) -> Result<(), TestCaseError> {
+    for p in 0..tree.num_pages() {
+        let page = PageId(p as u32);
+        frame_is_node(&tree.frame(page), tree.node(page))?;
+    }
+    Ok(())
+}
+
+/// A temporary file path unique to this process and call.
+fn tmpfile(name: &str) -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("psj-prop-{}-{name}-{n}", std::process::id()))
+}
+
+/// Byte offset of page `n`'s record in a PSJT2 file: magic 6 + root 4 +
+/// height 4 + items 8 + pages 4 + clusters 4, then the page records.
+fn record_offset(n: usize) -> usize {
+    30 + n * PAGE_RECORD_SIZE
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -58,29 +139,7 @@ proptest! {
         rects in prop::collection::vec(arb_raw_rect(), 0..DIR_FANOUT + 1),
         salt in 0u64..u64::MAX,
     ) {
-        let node = if leaf == 1 {
-            let mut node = Node::new_leaf();
-            for (i, &mbr) in rects.iter().take(rects.len() % (DATA_FANOUT + 1)).enumerate() {
-                node.data_entries_mut().push(DataEntry {
-                    mbr,
-                    oid: salt ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    geom: GeomRef {
-                        page: PageId((salt as u32).wrapping_add(i as u32)),
-                        slot: (salt >> 32) as u32 ^ i as u32,
-                    },
-                });
-            }
-            node
-        } else {
-            let mut node = Node::new_dir(level);
-            for (i, &mbr) in rects.iter().enumerate() {
-                node.dir_entries_mut().push(DirEntry {
-                    mbr,
-                    child: (salt >> 16) as u32 ^ i as u32,
-                });
-            }
-            node
-        };
+        let node = raw_node(leaf == 1, level, &rects, salt);
         let mut page = Page::zeroed();
         node.encode(&mut page);
         let frame = NodeFrame::from_page(&page).map_err(TestCaseError::fail)?;
@@ -102,6 +161,75 @@ proptest! {
             let children: Vec<u32> = node.dir_entries().iter().map(|e| e.child).collect();
             prop_assert_eq!(frame.children(), &children[..]);
             prop_assert!(frame.oids().is_empty() && frame.geoms().is_empty());
+        }
+    }
+
+    /// The join's packed frames are the tree's nodes, page by page: for
+    /// trees from insertion and from STR bulk loading, after a save / load
+    /// round trip, and after a lenient load whose poisoned page holds an
+    /// empty placeholder frame.
+    #[test]
+    fn frame_slab_matches_nodes(
+        rects in prop::collection::vec(arb_rect(), 1..400),
+        bulk in 0u32..2,
+    ) {
+        let tree = if bulk == 1 {
+            let items: Vec<(Rect, u64)> = rects.iter().enumerate()
+                .map(|(i, &r)| (r, i as u64)).collect();
+            bulk_load_str_with_fanout(&items, 6, 6)
+        } else {
+            let mut t = RTree::new();
+            for (i, r) in rects.iter().enumerate() {
+                t.insert(*r, i as u64);
+            }
+            t
+        };
+        let paged = PagedTree::freeze(&tree, |oid| {
+            let r = &rects[oid as usize];
+            Some(Polyline::new(vec![Point::new(r.xl, r.yl), Point::new(r.xu, r.yu)]))
+        });
+        frames_are_nodes(&paged)?;
+
+        let path = tmpfile("slab");
+        paged.save_to(&path).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let loaded = PagedTree::load_from(&path);
+        let victim = (1..paged.num_pages()).rev().find(|&n| paged.node(PageId(n as u32)).is_leaf());
+        let lenient = victim.map(|victim| {
+            let mut bytes = std::fs::read(&path).expect("saved file");
+            bytes[record_offset(victim) + 100] ^= 0xFF;
+            std::fs::write(&path, &bytes).expect("rewrite");
+            (victim, PagedTree::load_from_lenient(&path))
+        });
+        std::fs::remove_file(&path).ok();
+        frames_are_nodes(&loaded.map_err(|e| TestCaseError::fail(e.to_string()))?)?;
+        if let Some((victim, lenient)) = lenient {
+            let lenient = lenient.map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let page = PageId(victim as u32);
+            prop_assert!(lenient.tree.is_poisoned(page));
+            frames_are_nodes(&lenient.tree)?;
+            let placeholder = lenient.tree.frame(page);
+            prop_assert!(placeholder.is_leaf() && placeholder.is_empty());
+        }
+    }
+
+    /// Raw nodes with ±0.0, ±inf and NaN-payload coordinates, packed several
+    /// to a slab, come back bit for bit from their frames.
+    #[test]
+    fn frame_slab_matches_raw_nodes(
+        specs in prop::collection::vec(
+            (0u32..2, 1u32..6, prop::collection::vec(arb_raw_rect(), 0..DIR_FANOUT + 1), 0u64..u64::MAX),
+            1..5,
+        ),
+    ) {
+        let nodes: Vec<Node> = specs.iter()
+            .map(|(leaf, level, rects, salt)| raw_node(*leaf == 1, *level, rects, *salt))
+            .collect();
+        let slab = FrameSlab::new(&nodes);
+        prop_assert_eq!(slab.len(), nodes.len());
+        let entries: usize = nodes.iter().map(Node::len).sum();
+        prop_assert_eq!(slab.heap_bytes(), 40 * entries + 16 * nodes.len());
+        for (p, node) in nodes.iter().enumerate() {
+            frame_is_node(&slab.frame(&nodes, PageId(p as u32)), node)?;
         }
     }
 
