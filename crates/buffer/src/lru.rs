@@ -143,11 +143,6 @@ impl Lru {
         None
     }
 
-    /// The least-recently-used page, if any (does not remove it).
-    pub fn lru_page(&self) -> Option<PageId> {
-        (self.tail != NIL).then(|| self.slots[self.tail as usize].page)
-    }
-
     /// Pages from most- to least-recently used (test/debug helper; O(n)).
     pub fn pages_mru_order(&self) -> Vec<PageId> {
         let mut out = Vec::with_capacity(self.map.len());
@@ -274,7 +269,6 @@ mod tests {
         }
         l.touch(p(2));
         assert_eq!(l.pages_mru_order(), vec![p(2), p(4), p(3), p(1)]);
-        assert_eq!(l.lru_page(), Some(p(1)));
     }
 
     #[test]

@@ -650,16 +650,6 @@ impl<T> SharedPageCache<T> {
         self
     }
 
-    /// The retry policy applied to fills.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of workers stats are tracked for.
     pub fn num_workers(&self) -> usize {
         self.stats.len()
@@ -1542,9 +1532,9 @@ mod tests {
         assert_eq!(slots, vec![3, 3, 2, 2]);
         let tiny: SharedPageCache<u32> = SharedPageCache::new(1, 0, 3, Policy::Lru);
         assert_eq!(tiny.capacity(), 1, "at least one page");
-        assert_eq!(tiny.num_shards(), 1, "no more shards than pages");
+        assert_eq!(tiny.shards.len(), 1, "no more shards than pages");
         let few: SharedPageCache<u32> = SharedPageCache::new(1, 3, 8, Policy::Lru);
-        assert_eq!((few.capacity(), few.num_shards()), (3, 3));
+        assert_eq!((few.capacity(), few.shards.len()), (3, 3));
     }
 
     #[test]

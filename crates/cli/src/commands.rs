@@ -25,14 +25,14 @@ commands:
   build    --map <map> --out <tree> [--attrs <bytes>] [--str|--hilbert]
   stats    --tree <tree>
   join     --tree1 <tree> --tree2 <tree> [--threads <n>] [--no-refine]
-           [--engine rtree|partition|auto]
+           [--engine rtree|partition]
            [--cache <pages>] [--cache-org local|global] [--cache-shards <n>]
            [--inject-faults <spec>] [--retry-attempts <n>]
            [--trace <file.jsonl>] [--tasks] — --engine picks the executor:
-           rtree (the paper's synchronized traversal, default), partition
-           (in-memory uniform grid + per-cell sweep), or auto (chosen per
-           run from estimated candidates and cache budget); --trace writes
-           a Perfetto/chrome://tracing-loadable JSONL trace; --tasks prints
+           rtree (the paper's synchronized traversal, default) or partition
+           (in-memory uniform grid + per-cell sweep, which takes none of the
+           cache or fault options); --trace writes a
+           Perfetto/chrome://tracing-loadable JSONL trace; --tasks prints
            per-morsel attribution (pages, hits, wall time)
   fsck     <tree>  (or --tree <tree>) — prints a JSON integrity report,
            exits nonzero if the index is damaged
@@ -40,7 +40,7 @@ commands:
            [--buffer <pages>] [--variant lsr|gsrr|gd|best]
   serve    --trees <tree>[,<tree>...] [--addr 127.0.0.1:7878] [--workers <n>]
            [--queue-bound <n>] [--cache <pages>] [--cache-shards <n>]
-           [--join-threads <n>] [--join-engine rtree|partition|auto]
+           [--join-threads <n>] [--join-engine rtree|partition]
            [--lenient] [--inject-faults <spec>] [--retry-attempts <n>]
            [--trace <file.jsonl>] [--shard-id <n>] — --trace writes the
            trace at shutdown; --join-engine takes the values of `join`'s
@@ -86,7 +86,7 @@ fn io_err<E: std::fmt::Display>(e: E) -> String {
 fn parse_engine(args: &Args, key: &str) -> Result<JoinEngine, String> {
     match args.get(key) {
         Some(name) => JoinEngine::parse(name)
-            .ok_or_else(|| format!("unknown --{key}: {name} (use rtree|partition|auto)")),
+            .ok_or_else(|| format!("unknown --{key}: {name} (use rtree|partition)")),
         None => Ok(JoinEngine::RTree),
     }
 }
@@ -158,8 +158,6 @@ pub fn stats(args: &Args) -> CmdResult {
 
 /// `psj join` — native multithreaded join of two persisted trees.
 pub fn join(args: &Args) -> CmdResult {
-    let a = PagedTree::load_from(Path::new(args.require("tree1")?)).map_err(io_err)?;
-    let b = PagedTree::load_from(Path::new(args.require("tree2")?)).map_err(io_err)?;
     let threads = args.count_or(
         "threads",
         std::thread::available_parallelism()
@@ -169,6 +167,27 @@ pub fn join(args: &Args) -> CmdResult {
     let mut cfg = NativeConfig::new(threads);
     cfg.refine = !args.flag("no-refine");
     cfg.engine = parse_engine(args, "engine")?;
+    if cfg.engine == JoinEngine::Partition {
+        // The grid engine runs in memory and never fills a page cache, so
+        // these options would otherwise be silently ignored.
+        let conflicts: Vec<String> = [
+            "cache",
+            "cache-org",
+            "cache-shards",
+            "inject-faults",
+            "retry-attempts",
+        ]
+        .iter()
+        .filter(|k| args.get(k).is_some())
+        .map(|k| format!("--{k}"))
+        .collect();
+        if !conflicts.is_empty() {
+            return Err(format!(
+                "--engine partition runs in memory and takes no {}",
+                conflicts.join(", ")
+            ));
+        }
+    }
     if let Some(pages) = args.get("cache") {
         let capacity_pages: usize = pages
             .parse()
@@ -197,6 +216,8 @@ pub fn join(args: &Args) -> CmdResult {
             .map_err(|_| format!("invalid value for --retry-attempts: {n}"))?;
         ctl = ctl.with_retry(RetryPolicy::attempts(attempts));
     }
+    let a = PagedTree::load_from(Path::new(args.require("tree1")?)).map_err(io_err)?;
+    let b = PagedTree::load_from(Path::new(args.require("tree2")?)).map_err(io_err)?;
     let trace = args.get("trace").map(|_| TraceSink::new(1 << 22));
     if let Some(sink) = &trace {
         ctl = ctl.with_trace(Arc::clone(sink));
@@ -216,15 +237,7 @@ pub fn join(args: &Args) -> CmdResult {
         Err(e @ NativeError::WorkerPanic { .. }) => return Err(e.to_string()),
     };
     println!("threads:            {threads}");
-    println!(
-        "engine:             {}{}",
-        res.engine.short(),
-        if cfg.engine == JoinEngine::Auto {
-            " (auto-selected)"
-        } else {
-            ""
-        }
-    );
+    println!("engine:             {}", res.engine.short());
     println!("tasks:              {}", res.tasks);
     println!("morsels:            {}", res.morsels);
     println!("node pairs:         {}", res.node_pairs);

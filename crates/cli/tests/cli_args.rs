@@ -117,6 +117,53 @@ fn removed_scheduler_flags_are_usage_errors() {
 }
 
 #[test]
+fn removed_engine_value_is_an_error() {
+    let out = on_trees("join", &["--threads=2", "--engine", "auto"]);
+    assert_exit(
+        &out,
+        1,
+        "error: unknown --engine: auto (use rtree|partition)",
+    );
+    let (t1, _) = trees();
+    let out = psj(&["serve", "--trees", t1, "--join-engine", "auto"]);
+    assert_exit(
+        &out,
+        1,
+        "error: unknown --join-engine: auto (use rtree|partition)",
+    );
+}
+
+#[test]
+fn partition_engine_rejects_cache_and_fault_options() {
+    for (flag, value) in [
+        ("--cache", "8"),
+        ("--cache-org", "local"),
+        ("--cache-shards", "2"),
+        ("--inject-faults", "flip=1.0,seed=3"),
+        ("--retry-attempts", "2"),
+    ] {
+        let out = on_trees("join", &["--engine", "partition", flag, value]);
+        assert_exit(
+            &out,
+            1,
+            &format!("error: --engine partition runs in memory and takes no {flag}"),
+        );
+    }
+    let out = on_trees(
+        "join",
+        &[
+            "--engine",
+            "partition",
+            "--cache",
+            "8",
+            "--inject-faults",
+            "flip=1.0,seed=3",
+        ],
+    );
+    assert_exit(&out, 1, "takes no --cache, --inject-faults");
+}
+
+#[test]
 fn declared_options_still_run() {
     let out = on_trees("join", &["--threads=2", "--no-refine", "--engine", "rtree"]);
     assert!(

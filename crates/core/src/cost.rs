@@ -268,43 +268,20 @@ impl TreeProfile {
 /// `entries × clip` objects inside the window (`clip` = the window's share
 /// of the subtree MBR), and two uniformly placed objects intersect with the
 /// Minkowski probability `min(1, (w_a+w_b)/W) × min(1, (h_a+h_b)/H)`.
-/// [`CandidateEstimator::scale`] calibrates the absolute level against
-/// measured [`crate::metrics::TaskTrace`] candidates from a previous run.
 #[derive(Debug, Clone, Copy)]
 pub struct CandidateEstimator {
     /// Profile of the first tree.
     pub a: TreeProfile,
     /// Profile of the second tree.
     pub b: TreeProfile,
-    /// Multiplicative calibration applied to every estimate.
-    pub scale: f64,
 }
 
 impl CandidateEstimator {
-    /// Profiles both trees (uncalibrated, `scale = 1`).
+    /// Profiles both trees.
     pub fn new(a: &psj_rtree::PagedTree, b: &psj_rtree::PagedTree) -> Self {
         CandidateEstimator {
             a: TreeProfile::scan(a),
             b: TreeProfile::scan(b),
-            scale: 1.0,
-        }
-    }
-
-    /// The same estimator with a calibration factor applied.
-    pub fn with_scale(mut self, scale: f64) -> Self {
-        self.scale = scale.max(f64::MIN_POSITIVE);
-        self
-    }
-
-    /// The calibration factor that would have made `estimated` match the
-    /// `measured` candidate total of a completed run (both > 0; returns 1
-    /// otherwise). Feed the result to [`CandidateEstimator::with_scale`]
-    /// on the next join over the same data.
-    pub fn calibration_scale(estimated: f64, measured: u64) -> f64 {
-        if estimated > 0.0 && measured > 0 {
-            measured as f64 / estimated
-        } else {
-            1.0
         }
     }
 
@@ -342,7 +319,7 @@ impl CandidateEstimator {
         };
         let px = p_axis(self.a.avg_entry_w, self.b.avg_entry_w, window.width());
         let py = p_axis(self.a.avg_entry_h, self.b.avg_entry_h, window.height());
-        (self.scale * ea * eb * px * py).max(1.0)
+        (ea * eb * px * py).max(1.0)
     }
 }
 

@@ -20,6 +20,10 @@
 //! * [`native::run_native_join`] — real threads, real geometry refinement;
 //!   this is the executor an application uses.
 //!
+//! A second real-thread engine, the in-memory grid join of [`partition`],
+//! answers the same joins without descending the trees; callers pick it
+//! with [`JoinEngine::Partition`].
+//!
 //! The sequential [BKS 93] join ([`seq`]) serves as baseline and oracle.
 //!
 //! ```
@@ -48,20 +52,17 @@
 pub mod assign;
 pub mod cancel;
 pub mod cost;
-pub mod estimate;
 pub mod metrics;
 pub mod morsel;
 pub mod native;
 pub mod partition;
 pub mod seq;
-pub mod shnothing;
 pub mod sim;
 pub mod task;
 
 pub use assign::Assignment;
 pub use cancel::{CancelToken, Cancelled};
 pub use cost::{CandidateEstimator, CostModel, Platform, TreeProfile};
-pub use estimate::{estimate_join, JoinEstimate};
 pub use metrics::{JoinMetrics, TaskTrace};
 pub use morsel::{morselize, Morsel, MorselOptions, MorselPlan};
 pub use native::{
@@ -70,12 +71,9 @@ pub use native::{
     NativeResult, RunControl,
 };
 pub use partition::{
-    plan_partition, run_join, run_partition_join, select_engine, try_run_join,
-    try_run_partition_join, JoinEngine, PartitionInput, PartitionPlan, RectItem,
+    plan_partition, run_join, run_partition_join, try_run_join, try_run_partition_join, JoinEngine,
+    PartitionInput, PartitionPlan, RectItem,
 };
 pub use seq::{join_candidates, join_refined, SeqJoinResult};
-pub use shnothing::{
-    run_sharded_join, Network, Placement, ShardedConfig, ShardedMetrics, ShardedResult,
-};
 pub use sim::{run_sim_join, BufferOrg, Reassignment, SimConfig, SimResult, VictimSelection};
 pub use task::{create_tasks, expand_pair, Candidate, KernelScratch, TaskPair};

@@ -71,11 +71,6 @@ impl JoinMetrics {
     pub fn max_finish_secs(&self) -> f64 {
         to_secs(self.proc_finish.iter().copied().max().unwrap_or(0))
     }
-
-    /// Speed-up relative to a baseline (usually the 1-processor run).
-    pub fn speedup_vs(&self, baseline: &JoinMetrics) -> f64 {
-        baseline.response_time as f64 / self.response_time.max(1) as f64
-    }
 }
 
 /// Per-morsel attribution recorded by both real-thread engines on every
@@ -152,13 +147,6 @@ mod tests {
         assert_eq!(m.max_finish_secs(), 6.0);
         assert_eq!(m.response_secs(), 6.0);
         assert_eq!(m.total_busy_secs(), 12.0);
-    }
-
-    #[test]
-    fn speedup() {
-        let base = metrics(vec![100 * SECS]);
-        let par = metrics(vec![4 * SECS, 5 * SECS]);
-        assert_eq!(par.speedup_vs(&base), 20.0);
     }
 
     #[test]

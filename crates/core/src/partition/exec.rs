@@ -70,7 +70,8 @@ pub struct PartitionPlan {
     /// Cells with items on both sides — the executable work units.
     pub occupied: usize,
     /// Placement-aligned coordinates of side A: position `p` holds the MBR
-    /// of `a.items[p]`, so a cell's run is a contiguous [`SoaRun`].
+    /// of `a.items[p]`, so a cell's run is a contiguous
+    /// [`SoaRun`](psj_geom::SoaRun).
     pub coords_a: RunCoords,
     /// Placement-aligned coordinates of side B.
     pub coords_b: RunCoords,
@@ -294,8 +295,8 @@ pub fn run_partition_join(
 /// `plan.sort` span per worker, and per-morsel `task` spans like the
 /// native executor. Fault plans and retry policies are inert here (they
 /// act on page-cache fills; this engine has no cache) — callers that need
-/// fault coverage keep [`JoinEngine::RTree`], which is also what
-/// [`super::select_engine`] does.
+/// fault coverage keep [`JoinEngine::RTree`]; `psj join` rejects the
+/// cache and fault options with `--engine partition`.
 pub fn try_run_partition_join(
     a: PartitionInput<'_>,
     b: PartitionInput<'_>,

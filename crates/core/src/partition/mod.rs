@@ -38,8 +38,7 @@
 //! indexed one, which the R-tree engine cannot do at all.
 //!
 //! [`JoinEngine`] selects between the engines; [`run_join`] /
-//! [`try_run_join`] dispatch on it, with [`JoinEngine::Auto`] choosing by
-//! estimated candidate count and cache budget (see [`select_engine`]).
+//! [`try_run_join`] dispatch on it.
 
 pub mod grid;
 
@@ -49,7 +48,6 @@ pub use exec::{
     plan_partition, run_partition_join, try_run_partition_join, CellMorsel, PartitionPlan,
 };
 
-use crate::cost::CandidateEstimator;
 use crate::native::{try_run_native_join, NativeConfig, NativeError, NativeResult, RunControl};
 use psj_geom::Rect;
 use psj_rtree::PagedTree;
@@ -64,11 +62,9 @@ pub enum JoinEngine {
     #[default]
     RTree,
     /// Uniform-grid partition + per-cell plane sweep (this module) —
-    /// in-memory only, typically fastest when both inputs fit.
+    /// in-memory only. It pays off on raw, unindexed inputs; on trees
+    /// that are already indexed the R-tree engine is faster.
     Partition,
-    /// Pick per run: [`select_engine`] chooses by estimated candidate
-    /// count and cache budget.
-    Auto,
 }
 
 impl JoinEngine {
@@ -77,16 +73,14 @@ impl JoinEngine {
         match self {
             JoinEngine::RTree => "rtree",
             JoinEngine::Partition => "partition",
-            JoinEngine::Auto => "auto",
         }
     }
 
-    /// Parses a CLI spelling (`rtree`, `partition`/`grid`, `auto`).
+    /// Parses a CLI spelling (`rtree`, `partition`/`grid`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "rtree" => Some(JoinEngine::RTree),
             "partition" | "grid" => Some(JoinEngine::Partition),
-            "auto" => Some(JoinEngine::Auto),
             _ => None,
         }
     }
@@ -128,77 +122,9 @@ impl PartitionInput<'_> {
     }
 }
 
-/// Below this combined item count [`select_engine`] keeps the R-tree
-/// engine: partition planning (stats pass + replication + per-cell sorts)
-/// costs more than the whole tree join on small inputs.
-pub const AUTO_MIN_ITEMS: usize = 4096;
-
-/// Below this estimated candidate count [`select_engine`] keeps the R-tree
-/// engine: a sparse join is exactly where the index's pruning wins and the
-/// grid's replication overhead buys nothing.
-pub const AUTO_MIN_CANDIDATES: f64 = 1024.0;
-
-/// Resolves [`JoinEngine::Auto`] for a tree × tree join.
-///
-/// The partition engine runs everything in memory, so any configuration
-/// that *must* go through the page cache keeps the R-tree engine: a
-/// [`NativeConfig::buffer`] whose budget is smaller than the combined page
-/// count (the run is genuinely out-of-core) or an active fault plan
-/// (faults act on cache fills, which the partition engine never performs).
-/// Otherwise the choice follows the cost signal: joins with few items
-/// ([`AUTO_MIN_ITEMS`]) or few estimated candidates
-/// ([`AUTO_MIN_CANDIDATES`], via [`CandidateEstimator`] on the root pair)
-/// stay on the index, dense in-memory joins go to the grid.
-pub fn select_engine(
-    a: &PagedTree,
-    b: &PagedTree,
-    cfg: &NativeConfig,
-    ctl: &RunControl<'_>,
-) -> JoinEngine {
-    if ctl.fault.as_ref().is_some_and(|p| !p.is_noop()) {
-        return JoinEngine::RTree;
-    }
-    if let Some(buf) = &cfg.buffer {
-        let total_pages = a.pages().len() + b.pages().len();
-        if buf.capacity_pages < total_pages {
-            return JoinEngine::RTree;
-        }
-    }
-    let items = (a.len() + b.len()) as usize;
-    if items < AUTO_MIN_ITEMS {
-        return JoinEngine::RTree;
-    }
-    let (ma, mb) = (a.mbr(), b.mbr());
-    if !ma.intersects(&mb) {
-        return JoinEngine::RTree;
-    }
-    let window = Rect {
-        xl: ma.xl.max(mb.xl),
-        yl: ma.yl.max(mb.yl),
-        xu: ma.xu.min(mb.xu),
-        yu: ma.yu.min(mb.yu),
-    };
-    let est = CandidateEstimator::new(a, b);
-    let (na, nb) = (a.node(a.root()), b.node(b.root()));
-    let cands = est.estimate(
-        na.len(),
-        na.level as u8,
-        &ma,
-        nb.len(),
-        nb.level as u8,
-        &mb,
-        &window,
-    );
-    if cands < AUTO_MIN_CANDIDATES {
-        JoinEngine::RTree
-    } else {
-        JoinEngine::Partition
-    }
-}
-
 /// Runs a tree × tree join through the engine [`NativeConfig::engine`]
-/// names, resolving [`JoinEngine::Auto`] with [`select_engine`]. This is
-/// the entry point the CLI and the serving layer use; the engine-specific
+/// names. This is the entry point the CLI and the serving layer use; the
+/// engine-specific
 /// functions ([`crate::native::run_native_join`], [`run_partition_join`])
 /// remain available for callers that have already decided.
 ///
@@ -221,15 +147,11 @@ pub fn try_run_join(
     cfg: &NativeConfig,
     ctl: &RunControl<'_>,
 ) -> Result<NativeResult, NativeError> {
-    let engine = match cfg.engine {
-        JoinEngine::Auto => select_engine(a, b, cfg, ctl),
-        e => e,
-    };
-    match engine {
+    match cfg.engine {
         JoinEngine::Partition => {
             try_run_partition_join(PartitionInput::Tree(a), PartitionInput::Tree(b), cfg, ctl)
         }
-        _ => try_run_native_join(a, b, cfg, ctl),
+        JoinEngine::RTree => try_run_native_join(a, b, cfg, ctl),
     }
 }
 
@@ -239,10 +161,11 @@ mod tests {
 
     #[test]
     fn engine_round_trips_through_parse() {
-        for e in [JoinEngine::RTree, JoinEngine::Partition, JoinEngine::Auto] {
+        for e in [JoinEngine::RTree, JoinEngine::Partition] {
             assert_eq!(JoinEngine::parse(e.short()), Some(e));
         }
         assert_eq!(JoinEngine::parse("grid"), Some(JoinEngine::Partition));
+        assert_eq!(JoinEngine::parse("auto"), None);
         assert_eq!(JoinEngine::parse("bogus"), None);
         assert_eq!(JoinEngine::default(), JoinEngine::RTree);
     }

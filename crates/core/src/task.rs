@@ -225,16 +225,6 @@ pub struct TaskCreation {
     pub pages_b: Vec<PageId>,
 }
 
-impl TaskCreation {
-    /// The identity keys (see [`TaskPair::key`]) of the created tasks.
-    /// Executors use this set for per-task attribution: it lets a worker
-    /// recognize a phase-1 task surfacing from its deque among that task's
-    /// descendants.
-    pub fn key_set(&self) -> std::collections::HashSet<(u32, u32, u8, u8)> {
-        self.tasks.iter().map(TaskPair::key).collect()
-    }
-}
-
 /// Phase 1: creates the task set for joining `a` and `b`.
 ///
 /// Starts from the pairs of intersecting root entries (in plane-sweep

@@ -196,12 +196,6 @@ impl ResourcePool {
     pub fn total_busy(&self) -> Nanos {
         self.servers.iter().map(|s| s.busy_time()).sum()
     }
-
-    /// The maximum `free_at` over all servers — a lower bound on simulation
-    /// end when all work is disk-bound.
-    pub fn latest_free_at(&self) -> Nanos {
-        self.servers.iter().map(|s| s.free_at()).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -267,7 +261,6 @@ mod tests {
         assert_eq!(p.request(0, 0, 16), 32, "first disk queues");
         assert_eq!(p.total_served(), 3);
         assert_eq!(p.total_busy(), 48);
-        assert_eq!(p.latest_free_at(), 32);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 #![warn(missing_docs)]
 
-pub mod distance;
 pub mod point;
 pub mod polygon;
 pub mod polyline;
@@ -25,7 +24,6 @@ pub mod segment;
 pub mod soa;
 pub mod sweep;
 
-pub use distance::{polyline_distance, polylines_within, rect_distance, segment_distance};
 pub use point::Point;
 pub use polygon::Polygon;
 pub use polyline::Polyline;

@@ -4,7 +4,7 @@
 
 use crate::rect::mbr_of_points;
 use crate::segment::{orientation, Orientation};
-use crate::{Point, Polyline, Rect, Segment};
+use crate::{Point, Rect, Segment};
 use serde::{Deserialize, Serialize};
 
 /// A simple polygon given by its boundary ring (implicitly closed; the last
@@ -103,23 +103,6 @@ impl Polygon {
         }
         // No boundary crossing: containment is the only remaining option.
         self.contains_point(&other.ring[0]) || other.contains_point(&self.ring[0])
-    }
-
-    /// Whether a polyline intersects this polygon (crosses the boundary or
-    /// lies fully inside).
-    pub fn intersects_polyline(&self, line: &Polyline) -> bool {
-        if !self.mbr().intersects(&line.mbr()) {
-            return false;
-        }
-        for ea in self.edges() {
-            let ma = ea.mbr();
-            for sb in line.segments() {
-                if ma.intersects(&sb.mbr()) && ea.intersects(&sb) {
-                    return true;
-                }
-            }
-        }
-        self.contains_point(&line.points()[0])
     }
 
     /// Whether `other` lies completely inside `self` ("forests in a city").
@@ -241,17 +224,6 @@ mod tests {
         // Overlapping but not contained.
         let cross = square(9.0, 9.0, 5.0);
         assert!(!outer.contains_polygon(&cross));
-    }
-
-    #[test]
-    fn polyline_crossing_polygon() {
-        let p = square(0.0, 0.0, 4.0);
-        let crossing = Polyline::new(vec![Point::new(-1.0, 2.0), Point::new(5.0, 2.0)]);
-        assert!(p.intersects_polyline(&crossing));
-        let inside = Polyline::new(vec![Point::new(1.0, 1.0), Point::new(2.0, 2.0)]);
-        assert!(p.intersects_polyline(&inside));
-        let outside = Polyline::new(vec![Point::new(5.0, 5.0), Point::new(6.0, 6.0)]);
-        assert!(!p.intersects_polyline(&outside));
     }
 
     #[test]

@@ -28,12 +28,6 @@ impl Polyline {
         &self.pts
     }
 
-    /// Number of segments (`vertices - 1`).
-    #[inline]
-    pub fn num_segments(&self) -> usize {
-        self.pts.len() - 1
-    }
-
     /// Iterator over the constituent segments.
     pub fn segments(&self) -> impl Iterator<Item = Segment> + '_ {
         self.pts.windows(2).map(|w| Segment::new(w[0], w[1]))
@@ -61,23 +55,6 @@ impl Polyline {
         // Small polylines: direct quadratic scan with MBR pre-filter.
         for sa in self.segments() {
             let ma = sa.mbr();
-            for sb in other.segments() {
-                if ma.intersects(&sb.mbr()) && sa.intersects(&sb) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Exact intersection test that additionally restricts the search to a
-    /// window, used when the caller already knows the MBR intersection.
-    pub fn intersects_within(&self, other: &Polyline, window: &Rect) -> bool {
-        for sa in self.segments() {
-            let ma = sa.mbr();
-            if !ma.intersects(window) {
-                continue;
-            }
             for sb in other.segments() {
                 if ma.intersects(&sb.mbr()) && sa.intersects(&sb) {
                     return true;
@@ -138,18 +115,6 @@ mod tests {
         let a = pl(&[(0.0, 0.0), (3.0, 4.0), (3.0, 10.0)]);
         assert_eq!(a.length(), 11.0);
         assert_eq!(a.mbr(), Rect::new(0.0, 0.0, 3.0, 10.0));
-        assert_eq!(a.num_segments(), 2);
-    }
-
-    #[test]
-    fn intersects_within_window() {
-        let a = pl(&[(0.0, 0.0), (10.0, 0.0)]);
-        let b = pl(&[(5.0, -1.0), (5.0, 1.0)]);
-        let hit_window = Rect::new(4.0, -1.0, 6.0, 1.0);
-        assert!(a.intersects_within(&b, &hit_window));
-        // A window that excludes every segment of `a` finds nothing.
-        let miss_window = Rect::new(20.0, 20.0, 30.0, 30.0);
-        assert!(!a.intersects_within(&b, &miss_window));
     }
 
     #[test]

@@ -195,13 +195,6 @@ impl Rect {
         };
         (fx * fy).clamp(0.0, 1.0)
     }
-
-    /// Minimum distance between the centers of `self` and `other` projected
-    /// rectangle; used by tests and the data generator.
-    #[inline]
-    pub fn center_distance(&self, other: &Rect) -> f64 {
-        self.center().distance(&other.center())
-    }
 }
 
 impl Default for Rect {

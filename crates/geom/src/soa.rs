@@ -461,70 +461,6 @@ impl SoaRun<'_> {
     }
 }
 
-// Distance filtering stays on the owned view: only its tests call it.
-impl SoaMbrs {
-    /// Appends the positions of all rectangles whose
-    /// [`rect_distance`](crate::rect_distance) to `q` is `<= eps` (ascending).
-    /// The per-entry computation is the same max/square/sqrt chain as the
-    /// scalar function — bit-identical accept/reject decisions — run over the
-    /// coordinate arrays in [`FILTER_LANES`]-wide branch-free chunks.
-    pub fn filter_within(&self, q: &Rect, eps: f64, out: &mut Vec<u32>) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: guarded by the runtime AVX2 check above.
-            unsafe { self.filter_within_avx2(q, eps, out) };
-            return;
-        }
-        self.filter_within_body(q, eps, out);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn filter_within_avx2(&self, q: &Rect, eps: f64, out: &mut Vec<u32>) {
-        self.filter_within_body(q, eps, out);
-    }
-
-    #[inline(always)]
-    fn filter_within_body(&self, q: &Rect, eps: f64, out: &mut Vec<u32>) {
-        out.clear();
-        let n = self.len();
-        out.reserve(n);
-        let (qxl, qyl, qxu, qyu) = (q.xl, q.yl, q.xu, q.yu);
-        let (xl, xh, yl, yh) = (&*self.xl, &*self.xh, &*self.yl, &*self.yh);
-        let within = |i: usize| -> bool {
-            let dx = (qxl - xh[i]).max(xl[i] - qxu).max(0.0);
-            let dy = (qyl - yh[i]).max(yl[i] - qyu).max(0.0);
-            (dx * dx + dy * dy).sqrt() <= eps
-        };
-        let mut base = 0usize;
-        for (((cxl, cxh), cyl), cyh) in xl
-            .chunks_exact(FILTER_LANES)
-            .zip(xh.chunks_exact(FILTER_LANES))
-            .zip(yl.chunks_exact(FILTER_LANES))
-            .zip(yh.chunks_exact(FILTER_LANES))
-        {
-            let mut mask = 0u32;
-            for lane in 0..FILTER_LANES {
-                let dx = (qxl - cxh[lane]).max(cxl[lane] - qxu).max(0.0);
-                let dy = (qyl - cyh[lane]).max(cyl[lane] - qyu).max(0.0);
-                let hit = (dx * dx + dy * dy).sqrt() <= eps;
-                mask |= (hit as u32) << lane;
-            }
-            while mask != 0 {
-                let lane = (mask.trailing_zeros() & 7) as usize;
-                out.push((base + lane) as u32);
-                mask &= mask - 1;
-            }
-            base += FILTER_LANES;
-        }
-        for i in base..n {
-            if within(i) {
-                out.push(i as u32);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -166,7 +166,7 @@ pub struct SweepScratch {
 /// over frozen coordinate arrays in fixed-width branch-free chunks
 /// ([`SoaRun::filter_window_gather`]) and gathers the survivors' coordinates
 /// into compact arrays as it goes; the sweep's forward scans then probe the
-/// compacted lanes [`SCAN_LANES`] at a time — branch-free x/y tests into a
+/// compacted lanes four at a time — branch-free x/y tests into a
 /// bitmask, matches popped in ascending order — so a typical stop costs one
 /// probe instead of a data-dependent branch per scanned entry.
 ///

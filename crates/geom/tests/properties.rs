@@ -5,7 +5,7 @@ use psj_geom::sweep::{
     nested_loop_pairs, sort_by_xl, sweep_pairs, sweep_pairs_restricted, sweep_pairs_soa,
     SweepScratch,
 };
-use psj_geom::{rect_distance, Point, Polygon, Polyline, Rect, Segment, SoaMbrs};
+use psj_geom::{Point, Polygon, Polyline, Rect, Segment, SoaMbrs};
 use std::collections::BTreeSet;
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
@@ -293,23 +293,5 @@ proptest! {
                 "gathered coords diverge at {}", pos
             );
         }
-    }
-
-    #[test]
-    fn soa_filter_within_equals_scalar_distance(
-        rects in prop::collection::vec(arb_grid_rect(), 0..110),
-        q in arb_grid_rect(),
-        eps in 0.0f64..30.0,
-    ) {
-        let soa = SoaMbrs::from_rects(&rects);
-        let mut got = Vec::new();
-        soa.filter_within(&q, eps, &mut got);
-        let want: Vec<u32> = rects
-            .iter()
-            .enumerate()
-            .filter(|(_, rc)| rect_distance(&q, rc) <= eps)
-            .map(|(i, _)| i as u32)
-            .collect();
-        prop_assert_eq!(got, want);
     }
 }

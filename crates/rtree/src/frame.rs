@@ -19,8 +19,7 @@
 //!   [`NodeFrame::decode_into`]: no allocation and no intermediate value.
 //!   The cached (out-of-core) join reads these.
 //! * [`Node`] — the build-time node, whose lanes are built lazily on first
-//!   use. The simulator, the shared-nothing simulation, the cost estimate
-//!   and the benchmark's kernel timing read these.
+//!   use. The simulator and the benchmark's kernel timing read these.
 
 use crate::entry::{GeomRef, DATA_ENTRY_BYTES, DIR_ENTRY_BYTES};
 use crate::node::{Node, NodeKind, DATA_FANOUT, DIR_FANOUT, NODE_HEADER_BYTES};

@@ -121,11 +121,6 @@ impl Node {
         }
     }
 
-    /// Whether one more entry would overflow the page.
-    pub fn is_full(&self) -> bool {
-        self.len() >= self.fanout()
-    }
-
     /// MBR of entry `i`.
     pub fn mbr_of(&self, i: usize) -> Rect {
         match &self.kind {

@@ -15,7 +15,6 @@
 //! request at a time, FCFS in virtual-time order (see `psj-desim`); this
 //! module only computes service times and placement.
 
-use crate::page::PageId;
 use crate::timing::{millis_f, Nanos, MILLIS};
 use serde::{Deserialize, Serialize};
 
@@ -43,12 +42,6 @@ impl DiskModel {
             latency: 6 * MILLIS,
             transfer_per_4k: MILLIS,
         }
-    }
-
-    /// Disk on which `page` resides: `page mod d`.
-    #[inline]
-    pub fn disk_of(&self, page: PageId) -> usize {
-        page.index() % self.num_disks
     }
 
     /// Service time for reading one 4 KB page: seek + latency + transfer.
@@ -137,17 +130,6 @@ mod tests {
     fn paper_data_page_access_is_37_5ms() {
         let d = DiskModel::paper(8);
         assert_eq!(d.data_page_read_time(26 * 1024), millis_f(37.5));
-    }
-
-    #[test]
-    fn placement_is_modulo() {
-        let d = DiskModel::paper(8);
-        assert_eq!(d.disk_of(PageId(0)), 0);
-        assert_eq!(d.disk_of(PageId(7)), 7);
-        assert_eq!(d.disk_of(PageId(8)), 0);
-        assert_eq!(d.disk_of(PageId(19)), 3);
-        let one = DiskModel::paper(1);
-        assert_eq!(one.disk_of(PageId(12345)), 0);
     }
 
     #[test]

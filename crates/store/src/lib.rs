@@ -40,7 +40,7 @@ pub use disk::DiskModel;
 pub use error::PageError;
 pub use fault::FaultPlan;
 pub use page::{Page, PageId, PageStore, PAGE_SIZE};
-pub use pager::{FaultPager, FilePager, PagerIoStats};
+pub use pager::{FaultPager, FilePager};
 pub use retry::RetryPolicy;
 pub use sync::{lock_clean, wait_clean};
 pub use timing::{Nanos, MICROS, MILLIS, SECS};

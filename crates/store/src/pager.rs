@@ -32,20 +32,7 @@ use std::fs::File;
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Cumulative I/O counters of a pager (relaxed atomics, cheap enough to
-/// update on every read). Observability wants device-level numbers — how
-/// many reads actually left the process, how many failed — which the cache
-/// layers above cannot see (a cache hit never reaches the pager).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PagerIoStats {
-    /// Record reads issued against the backing file (including failed ones).
-    pub reads: u64,
-    /// Reads that returned an error (I/O, out-of-range, or checksum).
-    pub errors: u64,
-}
 
 /// A read-only, thread-safe pager over a densely packed page-record file.
 #[derive(Debug)]
@@ -53,8 +40,6 @@ pub struct FilePager {
     file: File,
     path: PathBuf,
     num_pages: usize,
-    reads: AtomicU64,
-    errors: AtomicU64,
 }
 
 impl FilePager {
@@ -95,8 +80,6 @@ impl FilePager {
             file,
             path,
             num_pages,
-            reads: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
         })
     }
 
@@ -127,22 +110,12 @@ impl FilePager {
         &self.path
     }
 
-    /// Cumulative I/O counters since this pager was opened.
-    pub fn io_stats(&self) -> PagerIoStats {
-        PagerIoStats {
-            reads: self.reads.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-        }
-    }
-
     /// Reads one raw record (payload + footer) without verification.
     ///
     /// This is the substrate for [`FaultPager`], which needs to corrupt
     /// bytes *before* verification, and for `fsck`-style scanners.
     pub fn read_record(&self, id: PageId) -> Result<Box<[u8; PAGE_RECORD_SIZE]>, PageError> {
-        self.reads.fetch_add(1, Ordering::Relaxed);
         if id.index() >= self.num_pages {
-            self.errors.fetch_add(1, Ordering::Relaxed);
             return Err(PageError::OutOfRange {
                 page: id,
                 num_pages: self.num_pages,
@@ -156,10 +129,7 @@ impl FilePager {
         let offset = id.index() as u64 * PAGE_RECORD_SIZE as u64;
         self.file
             .read_exact_at(&mut record[..], offset)
-            .map_err(|e| {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                PageError::io(id, e.kind(), format!("{}: {e}", self.path.display()))
-            })?;
+            .map_err(|e| PageError::io(id, e.kind(), format!("{}: {e}", self.path.display())))?;
         Ok(record)
     }
 
@@ -172,9 +142,7 @@ impl FilePager {
     /// answer or take down the process.
     pub fn read_page(&self, id: PageId) -> Result<Page, PageError> {
         let record = self.read_record(id)?;
-        verify_record(&record, id, &self.path.display().to_string()).inspect_err(|_| {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-        })?;
+        verify_record(&record, id, &self.path.display().to_string())?;
         let mut page = Page::zeroed();
         page.bytes_mut().copy_from_slice(&record[..PAGE_SIZE]);
         Ok(page)
@@ -288,26 +256,6 @@ mod tests {
                 });
             }
         });
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn io_stats_count_reads_and_errors() {
-        let path = temp_path("iostats");
-        let pager = FilePager::create_from_store(&path, &sample_store(2)).unwrap();
-        assert_eq!(pager.io_stats(), PagerIoStats::default());
-        pager.read_page(PageId(0)).unwrap();
-        pager.read_page(PageId(1)).unwrap();
-        assert!(pager.read_page(PageId(9)).is_err());
-        let stats = pager.io_stats();
-        assert_eq!(stats.reads, 3);
-        assert_eq!(stats.errors, 1);
-        // A checksum failure counts as an error too.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[100] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(pager.read_page(PageId(0)).is_err());
-        assert_eq!(pager.io_stats().errors, 2);
         std::fs::remove_file(path).ok();
     }
 

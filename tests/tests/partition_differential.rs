@@ -3,13 +3,11 @@
 //! byte-identical (after canonical sort) to the sequential R-tree oracle
 //! AND to the R-tree executor — and its raw output sequence must be
 //! identical across all schedules (deterministic merge). The suite
-//! also locks the engine-selection optimizer's decisions and the
-//! Tree-vs-raw-rectangle input equivalence.
+//! also locks the Tree-vs-raw-rectangle input equivalence.
 
-use psj_core::native::{run_native_join, BufferConfig, NativeConfig};
+use psj_core::native::{run_native_join, NativeConfig};
 use psj_core::{
-    join_candidates, run_join, run_partition_join, select_engine, JoinEngine, PartitionInput,
-    RectItem, RunControl,
+    join_candidates, run_join, run_partition_join, JoinEngine, PartitionInput, RectItem,
 };
 use psj_integration::harness::JoinScenario;
 
@@ -170,76 +168,6 @@ fn raw_rect_stream_equals_indexed_side() {
         );
         assert_eq!(sorted(res.pairs), oracle, "threads={threads}");
     }
-}
-
-/// The Auto policy's decisions: small inputs stay on the index, dense
-/// in-memory joins go to the grid, and any genuinely out-of-core
-/// configuration (cache smaller than the working set) is forced back to
-/// the R-tree engine — the only one that honors the buffer.
-#[test]
-fn auto_selection_picks_sensible_engines() {
-    let ctl = RunControl::default();
-
-    // Dense in-memory workload: grid wins, Auto must pick it.
-    let dense = JoinScenario::dense_grid("auto-dense", 4000, 0.5);
-    let mut cfg = NativeConfig::new(4);
-    cfg.refine = false;
-    assert_eq!(
-        select_engine(&dense.a, &dense.b, &cfg, &ctl),
-        JoinEngine::Partition
-    );
-    cfg.engine = JoinEngine::Auto;
-    let res = run_join(&dense.a, &dense.b, &cfg);
-    assert_eq!(
-        res.engine,
-        JoinEngine::Partition,
-        "result reports the resolved engine"
-    );
-    assert_eq!(
-        sorted(res.pairs),
-        sorted(join_candidates(&dense.a, &dense.b).candidates),
-        "auto-dispatched run still matches the oracle"
-    );
-
-    // Tiny workload: planning a grid costs more than the whole tree join.
-    let small = JoinScenario::dense_grid("auto-small", 300, 0.5);
-    assert_eq!(
-        select_engine(&small.a, &small.b, &cfg, &ctl),
-        JoinEngine::RTree
-    );
-
-    // Disjoint universes: nothing to partition.
-    let disjoint = JoinScenario::dense_grid("auto-disjoint", 5000, 9_000.0);
-    assert_eq!(
-        select_engine(&disjoint.a, &disjoint.b, &cfg, &ctl),
-        JoinEngine::RTree
-    );
-
-    // Out-of-core: a buffer smaller than the working set pins the R-tree
-    // engine, and the dispatched run must still honor it (stats present).
-    let total = dense.total_pages();
-    let mut buffered = NativeConfig::buffered(4, BufferConfig::global(total / 10));
-    buffered.refine = false;
-    buffered.engine = JoinEngine::Auto;
-    assert_eq!(
-        select_engine(&dense.a, &dense.b, &buffered, &ctl),
-        JoinEngine::RTree
-    );
-    let res = run_join(&dense.a, &dense.b, &buffered);
-    assert_eq!(res.engine, JoinEngine::RTree);
-    assert!(res.buffer.is_some(), "buffered run reports cache stats");
-    assert_eq!(
-        sorted(res.pairs),
-        sorted(join_candidates(&dense.a, &dense.b).candidates)
-    );
-
-    // A roomy buffer (everything fits) no longer forces the index.
-    let mut roomy = NativeConfig::buffered(4, BufferConfig::global(total * 2));
-    roomy.refine = false;
-    assert_eq!(
-        select_engine(&dense.a, &dense.b, &roomy, &ctl),
-        JoinEngine::Partition
-    );
 }
 
 /// FNV-1a 64 over a pair sequence, each pair as two little-endian `u64`s:

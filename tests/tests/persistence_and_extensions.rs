@@ -1,9 +1,6 @@
-//! Integration tests for persistence and the shared-nothing executor on
-//! generated TIGER-like data.
+//! Integration tests for persistence on generated TIGER-like data.
 
-use psj_core::{
-    join_candidates, run_native_join, run_sharded_join, NativeConfig, Placement, ShardedConfig,
-};
+use psj_core::{join_candidates, run_native_join, NativeConfig};
 use psj_datagen::io::{load_map, save_map};
 use psj_datagen::{MapObject, Scenario};
 use psj_rtree::{PagedTree, RTree};
@@ -60,53 +57,6 @@ fn full_pipeline_generate_save_load_join() {
     let loaded = run_native_join(&la, &lb, &NativeConfig::new(4));
     assert_eq!(as_set(&fresh.pairs), as_set(&loaded.pairs));
     assert!(!fresh.pairs.is_empty());
-}
-
-#[test]
-fn sharded_executor_agrees_on_tiger_data() {
-    let (m1, m2) = Scenario::scaled(31, 0.006).generate();
-    let a = index(&m1);
-    let b = index(&m2);
-    let want = as_set(&join_candidates(&a, &b).candidates);
-    for placement in [Placement::RoundRobin, Placement::Contiguous] {
-        let cfg = ShardedConfig {
-            placement,
-            collect_candidates: true,
-            ..ShardedConfig::new(5, 24)
-        };
-        let res = run_sharded_join(&a, &b, &cfg);
-        assert_eq!(
-            as_set(res.candidates.as_ref().unwrap()),
-            want,
-            "{placement:?}"
-        );
-        assert!(res.metrics.join.disk_accesses > 0);
-    }
-}
-
-#[test]
-fn sharded_placement_affects_network_traffic() {
-    let (m1, m2) = Scenario::scaled(32, 0.01).generate();
-    let a = index(&m1);
-    let b = index(&m2);
-    let rr = run_sharded_join(&a, &b, &ShardedConfig::new(8, 32)).metrics;
-    let contig = run_sharded_join(
-        &a,
-        &b,
-        &ShardedConfig {
-            placement: Placement::Contiguous,
-            ..ShardedConfig::new(8, 32)
-        },
-    )
-    .metrics;
-    // Both do remote work; the point is they are measurably different
-    // systems, not that one always wins.
-    assert!(rr.remote_requests > 0);
-    assert!(contig.remote_requests > 0);
-    assert_ne!(
-        (rr.network_bytes, rr.join.response_time),
-        (contig.network_bytes, contig.join.response_time)
-    );
 }
 
 #[test]
