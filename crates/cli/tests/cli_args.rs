@@ -1,7 +1,8 @@
 //! The `psj` binary rejects bad command lines with a clean exit code: a
 //! zero count is a usage error of its command (exit 1), and an unknown
 //! command, an undeclared option or a value-less option is a parse error
-//! (exit 2). None of them may reach a panic.
+//! (exit 2). None of them may reach a panic, and a tree file of an earlier
+//! format is refused with its version named.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -172,4 +173,16 @@ fn declared_options_still_run() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("threads:            2"));
+}
+
+#[test]
+fn tree_of_an_earlier_format_names_its_version() {
+    let (t1, _) = trees();
+    let old = format!("{t1}.psjt2");
+    let mut bytes = std::fs::read(t1).expect("read tree");
+    bytes[..6].copy_from_slice(b"PSJT2\n");
+    std::fs::write(&old, &bytes).expect("write old-format tree");
+    let out = psj(&["stats", "--tree", &old]);
+    assert_exit(&out, 1, "PSJT2 tree file");
+    assert_exit(&out, 1, "rebuild the index with `psj build`");
 }

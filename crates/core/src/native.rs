@@ -31,8 +31,8 @@
 //! another, so a node read is two subslices and no pointer chase. Setting
 //! [`NativeConfig::buffer`] instead routes every node access
 //! through a bounded [`SharedPageCache`] of [`NodeFrame`]s: a miss
-//! transcodes the node's serialized 4 KB page into a fixed cache slot, a
-//! hit reads the slot in place, and the cache never holds more than the
+//! copies the used prefix of the node's serialized 4 KB page, laid out as
+//! the frame, into a fixed cache slot, a hit reads the slot in place, and the cache never holds more than the
 //! configured page budget. This reproduces the paper's local/global buffer
 //! dimension on real threads:
 //!
@@ -315,7 +315,7 @@ pub struct NativeResult {
 /// the shared cache's key space.
 const TREE_B_TAG: u32 = 1 << 31;
 
-/// A [`PageSource`] over both join inputs: a fill transcodes the node from
+/// A [`PageSource`] over both join inputs: a fill copies the node from
 /// its serialized page in the owning tree's [`psj_store::PageStore`] into
 /// the cache's [`NodeFrame`] slot, in place, after the injected fault plan
 /// (if any) has had its say.

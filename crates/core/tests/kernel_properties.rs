@@ -47,7 +47,7 @@ fn node(level: u32, rects: &[Rect], salt: u32) -> Node {
 fn frame(node: &Node) -> NodeFrame {
     let mut page = Page::zeroed();
     node.encode(&mut page);
-    NodeFrame::from_page(&page).expect("an encoded node transcodes")
+    NodeFrame::from_page(&page).expect("an encoded node copies into a frame")
 }
 
 proptest! {

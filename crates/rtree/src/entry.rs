@@ -1,18 +1,22 @@
-//! Directory and data entries with the paper's on-page byte layout.
+//! Directory and data entries, and the paper's entry sizes.
 //!
 //! "For the representation of an entry in a directory page, 40 bytes are
 //! used and for an entry in a data page, 156 bytes are reserved (including
 //! the MBR and a pointer to the exact object representation)." (§4.1)
+//!
+//! The sizes fix the fanouts ([`crate::DIR_FANOUT`], [`crate::DATA_FANOUT`]).
+//! A page stores its entries column-wise ([`crate::node`]): a directory
+//! entry takes exactly its 40 bytes, a data entry 48 of its 156, and the
+//! reserved rest of a leaf page stays zero.
 
-use bytes::{Buf, BufMut};
 use psj_geom::Rect;
 use psj_store::PageId;
 use serde::{Deserialize, Serialize};
 
-/// Stored size of one directory entry: 4×f64 MBR + u32 child + 4 pad.
+/// Stored size of one directory entry: 4×f64 MBR + a u64 child word.
 pub const DIR_ENTRY_BYTES: usize = 40;
 
-/// Stored size of one data entry: 4×f64 MBR + u64 object id + geometry
+/// Reserved size of one data entry: 4×f64 MBR + u64 object id + geometry
 /// pointer + reserved attribute payload, padded to the paper's 156 bytes.
 pub const DATA_ENTRY_BYTES: usize = 156;
 
@@ -55,98 +59,9 @@ pub struct DataEntry {
     pub geom: GeomRef,
 }
 
-impl DirEntry {
-    /// Serializes into exactly [`DIR_ENTRY_BYTES`] bytes.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_f64_le(self.mbr.xl);
-        buf.put_f64_le(self.mbr.yl);
-        buf.put_f64_le(self.mbr.xu);
-        buf.put_f64_le(self.mbr.yu);
-        buf.put_u32_le(self.child);
-        buf.put_bytes(0, DIR_ENTRY_BYTES - 36);
-    }
-
-    /// Deserializes from exactly [`DIR_ENTRY_BYTES`] bytes.
-    pub fn decode<B: Buf>(buf: &mut B) -> Self {
-        let xl = buf.get_f64_le();
-        let yl = buf.get_f64_le();
-        let xu = buf.get_f64_le();
-        let yu = buf.get_f64_le();
-        let child = buf.get_u32_le();
-        buf.advance(DIR_ENTRY_BYTES - 36);
-        DirEntry {
-            mbr: Rect::new(xl, yl, xu, yu),
-            child,
-        }
-    }
-}
-
-impl DataEntry {
-    /// Serializes into exactly [`DATA_ENTRY_BYTES`] bytes.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_f64_le(self.mbr.xl);
-        buf.put_f64_le(self.mbr.yl);
-        buf.put_f64_le(self.mbr.xu);
-        buf.put_f64_le(self.mbr.yu);
-        buf.put_u64_le(self.oid);
-        buf.put_u32_le(self.geom.page.0);
-        buf.put_u32_le(self.geom.slot);
-        buf.put_bytes(0, DATA_ENTRY_BYTES - 48);
-    }
-
-    /// Deserializes from exactly [`DATA_ENTRY_BYTES`] bytes.
-    pub fn decode<B: Buf>(buf: &mut B) -> Self {
-        let xl = buf.get_f64_le();
-        let yl = buf.get_f64_le();
-        let xu = buf.get_f64_le();
-        let yu = buf.get_f64_le();
-        let oid = buf.get_u64_le();
-        let page = PageId(buf.get_u32_le());
-        let slot = buf.get_u32_le();
-        buf.advance(DATA_ENTRY_BYTES - 48);
-        DataEntry {
-            mbr: Rect::new(xl, yl, xu, yu),
-            oid,
-            geom: GeomRef { page, slot },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dir_entry_roundtrip() {
-        let e = DirEntry {
-            mbr: Rect::new(1.0, 2.0, 3.0, 4.0),
-            child: 42,
-        };
-        let mut buf = Vec::new();
-        e.encode(&mut buf);
-        assert_eq!(buf.len(), DIR_ENTRY_BYTES);
-        let mut slice = &buf[..];
-        assert_eq!(DirEntry::decode(&mut slice), e);
-        assert!(slice.is_empty());
-    }
-
-    #[test]
-    fn data_entry_roundtrip() {
-        let e = DataEntry {
-            mbr: Rect::new(-1.5, 0.0, 2.5, 9.75),
-            oid: 0xDEAD_BEEF_CAFE,
-            geom: GeomRef {
-                page: PageId(7),
-                slot: 3,
-            },
-        };
-        let mut buf = Vec::new();
-        e.encode(&mut buf);
-        assert_eq!(buf.len(), DATA_ENTRY_BYTES);
-        let mut slice = &buf[..];
-        assert_eq!(DataEntry::decode(&mut slice), e);
-        assert!(slice.is_empty());
-    }
 
     #[test]
     fn layout_matches_paper() {

@@ -13,16 +13,17 @@
 //!   subslices of two contiguous vectors. The in-memory join, the
 //!   sequential oracle, task creation, the morsel split pass and the
 //!   estimator's tree profile read these.
-//! * [`NodeFrame`] — one node with every field inline in one fixed-size
-//!   value. A page cache keeps frames in place in its slots, and a miss
-//!   transcodes the page's PSJT2 bytes straight into a slot with
-//!   [`NodeFrame::decode_into`]: no allocation and no intermediate value.
+//! * [`NodeFrame`] — one node as its page's words in a 4 KB slot. The
+//!   page layout (PSJT3, [`crate::node`]) is the frame layout, so a page
+//!   cache keeps frames in place in its slots and a miss copies the page's
+//!   used prefix straight into a slot with [`NodeFrame::decode_into`]: a
+//!   header check and one word copy, no per-entry work, no allocation.
 //!   The cached (out-of-core) join reads these.
 //! * [`Node`] — the build-time node, whose lanes are built lazily on first
 //!   use. The simulator and the benchmark's kernel timing read these.
 
-use crate::entry::{GeomRef, DATA_ENTRY_BYTES, DIR_ENTRY_BYTES};
-use crate::node::{Node, NodeKind, DATA_FANOUT, DIR_FANOUT, NODE_HEADER_BYTES};
+use crate::entry::GeomRef;
+use crate::node::{geom_of_word, Node, NodeKind, DATA_FANOUT, DIR_FANOUT, NODE_HEADER_BYTES};
 use psj_geom::{Rect, SoaRun};
 use psj_store::{Page, PageId, PAGE_SIZE};
 use std::mem::MaybeUninit;
@@ -52,11 +53,15 @@ pub trait JoinNode {
 }
 
 /// Reads a page's node header: `(level, is_leaf, entry count)`, with the
-/// count checked against the kind's fanout so an entry loop never runs off
-/// the page.
+/// kind byte checked to be 0 (leaf) or 1 (directory) and the count against
+/// the kind's fanout, so an entry loop never runs off the page.
 fn header(bytes: &[u8; PAGE_SIZE]) -> Result<(u32, bool, usize), String> {
     let level = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes"));
-    let leaf = bytes[4] == 0;
+    let leaf = match bytes[4] {
+        0 => true,
+        1 => false,
+        kind => return Err(format!("node header has kind byte {kind}, not 0 or 1")),
+    };
     let len = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
     let fanout = if leaf { DATA_FANOUT } else { DIR_FANOUT };
     if len > fanout {
@@ -91,6 +96,16 @@ impl JoinNode for Node {
     fn geom(&self, i: usize) -> GeomRef {
         self.data_entries()[i].geom
     }
+}
+
+/// The four lanes `xl[n] xh[n] yl[n] yh[n]` stored back to back in
+/// `lanes`, the order both the slab and the page keep them in.
+#[inline]
+fn split_lanes(lanes: &[f64], n: usize) -> SoaRun<'_> {
+    let (xl, rest) = lanes.split_at(n);
+    let (xh, rest) = rest.split_at(n);
+    let (yl, yh) = rest.split_at(n);
+    SoaRun { xl, xh, yl, yh }
 }
 
 /// Where one node's frame lies in a [`FrameSlab`].
@@ -237,11 +252,7 @@ impl JoinNode for FrameRef<'_> {
 
     #[inline]
     fn lanes(&self) -> SoaRun<'_> {
-        let n = self.ids.len();
-        let (xl, rest) = self.lanes.split_at(n);
-        let (xh, rest) = rest.split_at(n);
-        let (yl, yh) = rest.split_at(n);
-        SoaRun { xl, xh, yl, yh }
+        split_lanes(self.lanes, self.ids.len())
     }
 
     #[inline]
@@ -273,40 +284,74 @@ impl std::fmt::Debug for FrameRef<'_> {
     }
 }
 
-/// One node with every field inline: no heap storage, a fixed size, and the
-/// MBR lanes laid out for the sweep kernel. Only the first
-/// [`NodeFrame::len`] elements of each array are initialised; the children
-/// of a leaf and the object ids and geometry refs of a directory node are
-/// never written.
+/// Words after the header in a [`NodeFrame`]: the rest of one page.
+const BODY_WORDS: usize = (PAGE_SIZE - NODE_HEADER_BYTES) / 8;
+
+/// Words per entry after the header: four lanes and an id, plus a geometry
+/// word on a leaf.
+fn entry_words(leaf: bool) -> usize {
+    if leaf {
+        6
+    } else {
+        5
+    }
+}
+
+/// One node as its page's words: a 4 KB slot that holds the page's header,
+/// checked and unpacked, and the used prefix of the words after it (lanes,
+/// ids and, on a leaf, geometry words; see [`crate::node`]) as native
+/// `u64`s, and reads every field in place. The words after that prefix are
+/// never written or read.
+///
+/// `repr(C)` keeps the header in the slot's first 16 bytes, as on the
+/// page, so a fill writes one contiguous run of cache lines (20 for a full
+/// leaf) and a read of a leaf stays on one 4 KB memory page when the slot
+/// starts near a page boundary.
+#[repr(C)]
 pub struct NodeFrame {
     level: u32,
-    leaf: bool,
     len: u32,
-    xl: [MaybeUninit<f64>; DIR_FANOUT],
-    xh: [MaybeUninit<f64>; DIR_FANOUT],
-    yl: [MaybeUninit<f64>; DIR_FANOUT],
-    yh: [MaybeUninit<f64>; DIR_FANOUT],
-    children: [MaybeUninit<u32>; DIR_FANOUT],
-    oids: [MaybeUninit<u64>; DATA_FANOUT],
-    geoms: [MaybeUninit<GeomRef>; DATA_FANOUT],
+    leaf: bool,
+    body: [MaybeUninit<u64>; BODY_WORDS],
 }
+
+const _: () = assert!(std::mem::size_of::<NodeFrame>() <= PAGE_SIZE);
 
 /// The first `n` elements of `a`, which the caller guarantees are written.
 #[inline]
-fn written<T>(a: &[MaybeUninit<T>], n: usize) -> &[T] {
+fn written(a: &[MaybeUninit<u64>], n: usize) -> &[u64] {
     assert!(n <= a.len());
-    // SAFETY: `MaybeUninit<T>` has `T`'s layout, and every frame accessor
-    // passes the count of elements `decode_into` wrote.
+    // SAFETY: `MaybeUninit<u64>` has `u64`'s layout, and every frame
+    // accessor passes a range inside the prefix `copy_body` wrote.
+    unsafe { std::slice::from_raw_parts(a.as_ptr().cast(), n) }
+}
+
+// The lane cast below reinterprets `u64` words as `f64`s.
+const _: () = assert!(
+    std::mem::size_of::<f64>() == std::mem::size_of::<u64>()
+        && std::mem::align_of::<f64>() <= std::mem::align_of::<u64>()
+);
+
+/// As [`written`], read as `f64`s: the frame's one `u64` → `f64` cast.
+#[inline]
+fn written_f64(a: &[MaybeUninit<u64>], n: usize) -> &[f64] {
+    assert!(n <= a.len());
+    // SAFETY: as in `written`; in addition `f64` has `u64`'s size and at
+    // most its alignment (asserted above), and every bit pattern is a valid
+    // `f64`, so the lane words the page stored as `to_bits` read back
+    // bit for bit.
     unsafe { std::slice::from_raw_parts(a.as_ptr().cast(), n) }
 }
 
 impl NodeFrame {
     /// Whether this is a leaf.
+    #[inline]
     pub fn is_leaf(&self) -> bool {
         self.leaf
     }
 
     /// Number of entries.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len as usize
     }
@@ -316,89 +361,64 @@ impl NodeFrame {
         self.len == 0
     }
 
-    /// Child pages, by entry (empty for a leaf).
-    pub fn children(&self) -> &[u32] {
-        written(&self.children, if self.leaf { 0 } else { self.len() })
+    /// Children (directory) or object ids (leaf), by entry.
+    #[inline]
+    pub fn ids(&self) -> &[u64] {
+        let n = self.len();
+        written(&self.body[4 * n..], n)
     }
 
-    /// Object ids, by entry (empty for a directory node).
-    pub fn oids(&self) -> &[u64] {
-        written(&self.oids, if self.leaf { self.len() } else { 0 })
+    /// Copies the used prefix of the words after `page`'s header into the
+    /// body, `len × (5 | 6)` words for the header already unpacked here (a
+    /// full leaf's page ends at byte 1,264).
+    fn copy_body(&mut self, page: &Page) {
+        let used = self.len() * entry_words(self.leaf);
+        let words = page.bytes()[NODE_HEADER_BYTES..].chunks_exact(8);
+        for (w, b) in self.body[..used].iter_mut().zip(words) {
+            w.write(u64::from_le_bytes(b.try_into().expect("8 bytes")));
+        }
     }
 
-    /// Geometry refs, by entry (empty for a directory node).
-    pub fn geoms(&self) -> &[GeomRef] {
-        written(&self.geoms, if self.leaf { self.len() } else { 0 })
-    }
-
-    /// Builds the node stored on `page` into `out` and returns it, as the
-    /// reference `MaybeUninit::write` gives. One pass over the page's
-    /// entries, each coordinate written straight into its lane: the same
-    /// bytes [`Node::decode`] reads, transcoded instead of collected. On
-    /// error `out` holds no value (a frame needs no drop).
+    /// Copies the node stored on `page` into `out` and returns it, as the
+    /// reference `MaybeUninit::write` gives: the header checked and
+    /// unpacked, then the page's used prefix copied word for word, with no
+    /// per-entry work. On error `out` holds no value (a frame needs no
+    /// drop).
     pub fn decode_into<'o>(
         page: &Page,
         out: &'o mut MaybeUninit<Self>,
     ) -> Result<&'o mut Self, String> {
-        let bytes = page.bytes();
-        let (level, leaf, len) = header(bytes)?;
-        let f64_at = |e: &[u8], o: usize| f64::from_le_bytes(e[o..o + 8].try_into().expect("8"));
-        let u32_at = |e: &[u8], o: usize| u32::from_le_bytes(e[o..o + 4].try_into().expect("4"));
+        let (level, leaf, len) = header(page.bytes())?;
         let frame = out.as_mut_ptr();
         // SAFETY: the scalar fields are written through raw pointers, never
-        // read before; the arrays hold `MaybeUninit` elements, which are
-        // valid in any state, so borrowing them mutably is sound. `len` is
-        // within both fanouts' array bounds (checked by `header`).
-        unsafe {
+        // read before; the body is `MaybeUninit` words, valid in any state,
+        // so once the scalars are written the frame is whole.
+        let frame = unsafe {
             (&raw mut (*frame).level).write(level);
-            (&raw mut (*frame).leaf).write(leaf);
             (&raw mut (*frame).len).write(len as u32);
-            let xl = &mut (*frame).xl;
-            let xh = &mut (*frame).xh;
-            let yl = &mut (*frame).yl;
-            let yh = &mut (*frame).yh;
-            // Every entry starts with its MBR as xl, yl, xu, yu.
-            let mut mbr = |i: usize, e: &[u8]| {
-                xl[i].write(f64_at(e, 0));
-                yl[i].write(f64_at(e, 8));
-                xh[i].write(f64_at(e, 16));
-                yh[i].write(f64_at(e, 24));
-            };
-            let body = &bytes[NODE_HEADER_BYTES..];
-            if leaf {
-                let oids = &mut (*frame).oids;
-                let geoms = &mut (*frame).geoms;
-                for (i, e) in body.chunks_exact(DATA_ENTRY_BYTES).take(len).enumerate() {
-                    mbr(i, e);
-                    oids[i].write(u64::from_le_bytes(e[32..40].try_into().expect("8")));
-                    geoms[i].write(GeomRef {
-                        page: PageId(u32_at(e, 40)),
-                        slot: u32_at(e, 44),
-                    });
-                }
-            } else {
-                let children = &mut (*frame).children;
-                for (i, e) in body.chunks_exact(DIR_ENTRY_BYTES).take(len).enumerate() {
-                    mbr(i, e);
-                    children[i].write(u32_at(e, 32));
-                }
-            }
-            // SAFETY: the three scalar fields are written above and every
-            // other field is `MaybeUninit` arrays: the frame is whole.
-            Ok(out.assume_init_mut())
-        }
+            (&raw mut (*frame).leaf).write(leaf);
+            out.assume_init_mut()
+        };
+        frame.copy_body(page);
+        Ok(frame)
     }
 
     /// [`NodeFrame::decode_into`] as an owned value.
     pub fn from_page(page: &Page) -> Result<Self, String> {
-        let mut out = MaybeUninit::uninit();
-        Self::decode_into(page, &mut out)?;
-        // SAFETY: `decode_into` returned `Ok`, so it wrote a whole frame.
-        Ok(unsafe { out.assume_init() })
+        let (level, leaf, len) = header(page.bytes())?;
+        let mut frame = NodeFrame {
+            level,
+            len: len as u32,
+            leaf,
+            body: [MaybeUninit::uninit(); BODY_WORDS],
+        };
+        frame.copy_body(page);
+        Ok(frame)
     }
 }
 
 impl JoinNode for NodeFrame {
+    #[inline]
     fn level(&self) -> u32 {
         self.level
     }
@@ -406,39 +426,39 @@ impl JoinNode for NodeFrame {
     #[inline]
     fn lanes(&self) -> SoaRun<'_> {
         let n = self.len();
-        SoaRun {
-            xl: written(&self.xl, n),
-            xh: written(&self.xh, n),
-            yl: written(&self.yl, n),
-            yh: written(&self.yh, n),
-        }
+        split_lanes(written_f64(&self.body, 4 * n), n)
     }
 
     #[inline]
     fn child(&self, i: usize) -> u32 {
-        self.children()[i]
+        debug_assert!(!self.leaf, "child of a leaf");
+        self.ids()[i] as u32
     }
 
     #[inline]
     fn oid(&self, i: usize) -> u64 {
-        self.oids()[i]
+        debug_assert!(self.leaf, "oid of a directory node");
+        self.ids()[i]
     }
 
     #[inline]
     fn geom(&self, i: usize) -> GeomRef {
-        self.geoms()[i]
+        assert!(self.leaf, "geometry ref of a directory node");
+        let n = self.len();
+        geom_of_word(written(&self.body[5 * n..], n)[i])
     }
 }
 
 impl std::fmt::Debug for NodeFrame {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let leaf_entries = if self.leaf { self.len() } else { 0 };
+        let geoms: Vec<GeomRef> = (0..leaf_entries).map(|i| self.geom(i)).collect();
         f.debug_struct("NodeFrame")
             .field("level", &self.level)
             .field("leaf", &self.leaf)
             .field("lanes", &self.lanes())
-            .field("children", &self.children())
-            .field("oids", &self.oids())
-            .field("geoms", &self.geoms())
+            .field("ids", &self.ids())
+            .field("geoms", &geoms)
             .finish()
     }
 }
@@ -474,7 +494,6 @@ mod tests {
         );
         assert_eq!(frame.lanes().xl, node.soa_mbrs().xl());
         assert_eq!(frame.lanes().yh, node.soa_mbrs().yh());
-        assert!(frame.children().is_empty());
         for i in 0..DATA_FANOUT {
             assert_eq!(frame.oid(i), node.oid(i));
             assert_eq!(frame.geom(i), node.geom(i));
@@ -498,15 +517,21 @@ mod tests {
         );
         assert_eq!(frame.lanes().yl, node.soa_mbrs().yl());
         assert_eq!(frame.lanes().xh, node.soa_mbrs().xh());
-        let children: Vec<u32> = node.dir_entries().iter().map(|e| e.child).collect();
-        assert_eq!(frame.children(), &children[..]);
-        assert!(frame.oids().is_empty() && frame.geoms().is_empty());
+        let children: Vec<u64> = node.dir_entries().iter().map(|e| e.child.into()).collect();
+        assert_eq!(frame.ids(), &children[..]);
     }
 
     #[test]
     fn an_overfull_header_is_an_error_not_an_overrun() {
         let mut page = encoded(&Node::new_leaf());
         page.bytes_mut()[8..12].copy_from_slice(&(DATA_FANOUT as u32 + 1).to_le_bytes());
+        assert!(NodeFrame::from_page(&page).is_err());
+    }
+
+    #[test]
+    fn an_unknown_kind_byte_is_an_error() {
+        let mut page = encoded(&Node::new_dir(1));
+        page.bytes_mut()[4] = 7;
         assert!(NodeFrame::from_page(&page).is_err());
     }
 }

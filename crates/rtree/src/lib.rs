@@ -10,13 +10,13 @@
 //! * [`bulk::bulk_load_str`] — Sort-Tile-Recursive bulk loading, used as an
 //!   ablation baseline against dynamic insertion;
 //! * [`PagedTree`] — the frozen, paged form of a tree: nodes serialized into
-//!   4 KB pages (40-byte directory entries, 156-byte data entries — the
-//!   paper's Table 1 layout), entries sorted by their lower x bound so join
-//!   tasks can plane-sweep without re-sorting;
+//!   4 KB pages (fanouts from 40-byte directory and 156-byte data entries —
+//!   the paper's Table 1 layout — stored column-wise), entries sorted by
+//!   their lower x bound so join tasks can plane-sweep without re-sorting;
 //! * [`FrameSlab`] / [`FrameRef`] — every paged tree's nodes packed into
 //!   one lane vector and one id vector, the view the in-memory join reads;
-//!   [`NodeFrame`] — a fixed-size, allocation-free node the out-of-core
-//!   join caches, transcoded from a page in one pass; and [`JoinNode`], the
+//!   [`NodeFrame`] — a 4 KB, allocation-free node the out-of-core join
+//!   caches, a checked copy of its page's used prefix; and [`JoinNode`], the
 //!   view of a node the join kernel reads (implemented by both frames and
 //!   by [`Node`]);
 //! * window queries on both forms, and [`TreeStats`] which regenerates
@@ -49,7 +49,8 @@ pub use nn::nearest_neighbors_via;
 pub use node::{Node, NodeKind, DATA_FANOUT, DATA_MIN_FILL, DIR_FANOUT, DIR_MIN_FILL};
 pub use paged::PagedTree;
 pub use persist::{
-    fsck_file, generation_path, manifest_path, FsckReport, LenientLoad, Manifest, MANIFEST_FORMAT,
+    fsck_file, generation_path, manifest_path, FsckReport, LenientLoad, Manifest,
+    UnsupportedFormat, MANIFEST_FORMAT,
 };
 pub use stats::TreeStats;
 pub use tree::RTree;

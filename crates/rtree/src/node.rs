@@ -1,9 +1,29 @@
 //! Tree nodes and their 4 KB page serialization.
+//!
+//! A page holds its node in the PSJT3 layout, the layout a cached
+//! [`crate::NodeFrame`] keeps in memory, so a cache fill copies the page's
+//! used prefix instead of transcoding it. All multi-byte fields are
+//! little-endian:
+//!
+//! ```text
+//! bytes 0..16   level u32, kind u8 (0 = leaf, 1 = directory), 3 pad,
+//!               entry count n u32, 4 pad
+//! then          xl[n] xh[n] yl[n] yh[n]   f64 lanes of the entry MBRs
+//!               ids[n]                    u64: children or object ids
+//!               geom[n]  (leaf only)      u64: page u32, slot u32
+//! rest          zero
+//! ```
+//!
+//! A full directory page is exactly 16 + 102 × 40 = 4,096 bytes and a full
+//! leaf 16 + 26 × 48 = 1,264 bytes. The fanouts stay the paper's, derived
+//! from its 40- and 156-byte entry sizes ([`DIR_ENTRY_BYTES`],
+//! [`DATA_ENTRY_BYTES`]), so page counts match Table 1.
 
-use crate::entry::{DataEntry, DirEntry, DATA_ENTRY_BYTES, DIR_ENTRY_BYTES};
-use bytes::{Buf, BufMut};
+use crate::entry::{DataEntry, DirEntry, GeomRef, DATA_ENTRY_BYTES, DIR_ENTRY_BYTES};
+use crate::frame::{JoinNode, NodeFrame};
 use psj_geom::{Rect, SoaMbrs};
-use psj_store::{Page, PAGE_SIZE};
+use psj_store::{Page, PageId, PAGE_SIZE};
+use std::mem::MaybeUninit;
 use std::sync::OnceLock;
 
 /// Bytes reserved for the node header (level, kind, entry count).
@@ -221,7 +241,10 @@ impl Node {
         }
     }
 
-    /// Serializes the node into a 4 KB page.
+    /// Serializes the node into a 4 KB page in the PSJT3 layout: the
+    /// header, the lanes `xl[n] xh[n] yl[n] yh[n]`, the children
+    /// (directory) or object ids (leaf) as `u64` words, and for a leaf one
+    /// geometry word per entry. The rest of the page is zero.
     ///
     /// # Panics
     ///
@@ -229,62 +252,103 @@ impl Node {
     /// produced by the insertion/split algorithms).
     pub fn encode(&self, page: &mut Page) {
         assert!(self.len() <= self.fanout(), "node overflows page");
-        let buf = &mut page.bytes_mut()[..];
-        let mut w = &mut buf[..];
-        w.put_u32_le(self.level);
-        w.put_u8(if self.is_leaf() { 0 } else { 1 });
-        w.put_bytes(0, 3);
-        w.put_u32_le(self.len() as u32);
-        w.put_bytes(0, 4);
+        let n = self.len();
+        let buf = page.bytes_mut();
+        buf.fill(0);
+        buf[0..4].copy_from_slice(&self.level.to_le_bytes());
+        buf[4] = if self.is_leaf() { 0 } else { 1 };
+        buf[8..12].copy_from_slice(&(n as u32).to_le_bytes());
+        let mut words = buf[NODE_HEADER_BYTES..].chunks_exact_mut(8);
+        let mut put = |w: u64| {
+            words
+                .next()
+                .expect("a node within its fanout fits its page")
+                .copy_from_slice(&w.to_le_bytes());
+        };
+        let coords: [fn(&Rect) -> f64; 4] = [|r| r.xl, |r| r.xu, |r| r.yl, |r| r.yu];
+        for coord in coords {
+            (0..n).for_each(|i| put(coord(&self.mbr_of(i)).to_bits()));
+        }
         match &self.kind {
-            NodeKind::Dir(v) => {
-                for e in v {
-                    e.encode(&mut w);
-                }
-            }
+            NodeKind::Dir(v) => v.iter().for_each(|e| put(u64::from(e.child))),
             NodeKind::Leaf(v) => {
-                for e in v {
-                    e.encode(&mut w);
-                }
+                v.iter().for_each(|e| put(e.oid));
+                v.iter().for_each(|e| put(geom_word(e.geom)));
             }
         }
     }
 
-    /// Deserializes a node from a 4 KB page.
-    pub fn decode(page: &Page) -> Self {
-        let mut r = &page.bytes()[..];
-        let level = r.get_u32_le();
-        let kind_tag = r.get_u8();
-        r.advance(3);
-        let count = r.get_u32_le() as usize;
-        r.advance(4);
-        let kind = if kind_tag == 0 {
-            let mut v = Vec::with_capacity(count);
-            for _ in 0..count {
-                v.push(DataEntry::decode(&mut r));
-            }
-            NodeKind::Leaf(v)
+    /// Deserializes a node from a 4 KB page, rejecting a header whose kind
+    /// byte is not 0 or 1 or whose count exceeds the kind's fanout, and a
+    /// directory entry whose child word does not fit a page number. A page
+    /// can pass its CRC and still fail this (a writer bug, or a record
+    /// re-encoded over damaged bytes), so every loader decodes with it.
+    pub fn try_decode(page: &Page) -> Result<Self, String> {
+        // The frame is the one reader of the layout: it checks the header
+        // and copies the used prefix; the entries are built from its words.
+        // Filled in place, so the 4 KB frame is never moved.
+        let mut slot = MaybeUninit::uninit();
+        let frame = NodeFrame::decode_into(page, &mut slot)?;
+        let (lanes, ids) = (frame.lanes(), frame.ids());
+        let mbr = |i: usize| Rect {
+            xl: lanes.xl[i],
+            yl: lanes.yl[i],
+            xu: lanes.xh[i],
+            yu: lanes.yh[i],
+        };
+        let kind = if frame.is_leaf() {
+            NodeKind::Leaf(
+                (ids.iter().enumerate())
+                    .map(|(i, &oid)| DataEntry {
+                        mbr: mbr(i),
+                        oid,
+                        geom: frame.geom(i),
+                    })
+                    .collect(),
+            )
         } else {
-            let mut v = Vec::with_capacity(count);
-            for _ in 0..count {
-                v.push(DirEntry::decode(&mut r));
-            }
-            NodeKind::Dir(v)
+            NodeKind::Dir(
+                (ids.iter().enumerate())
+                    .map(|(i, &id)| {
+                        let child = u32::try_from(id)
+                            .map_err(|_| format!("entry {i}: child {id} is no page"))?;
+                        Ok(DirEntry { mbr: mbr(i), child })
+                    })
+                    .collect::<Result<_, String>>()?,
+            )
         };
         // The SoA view is left unbuilt: a loaded tree's join reads its
         // frame slab, and a decoded node builds the view on first sweep.
-        Node {
-            level,
-            kind,
-            soa: OnceLock::new(),
-        }
+        Ok(Node::from_parts(frame.level(), kind))
+    }
+
+    /// [`Node::try_decode`] of a page known to be well formed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page does not hold a node.
+    pub fn decode(page: &Page) -> Self {
+        Self::try_decode(page).unwrap_or_else(|e| panic!("undecodable node page: {e}"))
+    }
+}
+
+/// A leaf's geometry ref as one page word: the page in the low half, the
+/// slot in the high half (bytes `page u32, slot u32`, little-endian).
+fn geom_word(g: GeomRef) -> u64 {
+    u64::from(g.page.0) | u64::from(g.slot) << 32
+}
+
+/// The geometry ref a leaf's page word holds; see [`geom_word`].
+pub(crate) fn geom_of_word(w: u64) -> GeomRef {
+    GeomRef {
+        page: PageId(w as u32),
+        slot: (w >> 32) as u32,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::GeomRef;
 
     fn leaf_with(n: usize) -> Node {
         let mut node = Node::new_leaf();
@@ -347,6 +411,52 @@ mod tests {
         let node = leaf_with(DATA_FANOUT + 1);
         let mut page = Page::zeroed();
         node.encode(&mut page);
+    }
+
+    #[test]
+    fn full_pages_fill_exactly_their_prefix() {
+        let mut dir = Node::new_dir(1);
+        for i in 0..DIR_FANOUT {
+            dir.dir_entries_mut().push(DirEntry {
+                mbr: Rect::new(0.0, 0.0, 1.0, 1.0),
+                child: u32::MAX - i as u32,
+            });
+        }
+        let mut page = Page::zeroed();
+        dir.encode(&mut page);
+        assert_eq!(NODE_HEADER_BYTES + DIR_FANOUT * 40, PAGE_SIZE);
+        // The last word on the page is the last child.
+        let last = &page.bytes()[PAGE_SIZE - 8..];
+        assert_eq!(last, u64::from(u32::MAX - 101).to_le_bytes());
+        // A leaf's words end at 16 + 26 × 48 = 1,264 bytes, even over a
+        // page that held something else.
+        page.bytes_mut().fill(0xAB);
+        leaf_with(DATA_FANOUT).encode(&mut page);
+        assert!(page.bytes()[1264..].iter().all(|&b| b == 0));
+        assert_ne!(page.bytes()[1256..1264], [0; 8]);
+    }
+
+    #[test]
+    fn checked_decode_rejects_malformed_headers_and_children() {
+        let mut page = Page::zeroed();
+        leaf_with(3).encode(&mut page);
+        let mut bad_kind = page.clone();
+        bad_kind.bytes_mut()[4] = 2;
+        assert!(Node::try_decode(&bad_kind).unwrap_err().contains("kind"));
+        let mut overfull = page.clone();
+        overfull.bytes_mut()[8..12].copy_from_slice(&200u32.to_le_bytes());
+        assert!(Node::try_decode(&overfull).unwrap_err().contains("200"));
+
+        let mut dir = Node::new_dir(1);
+        dir.dir_entries_mut().push(DirEntry {
+            mbr: Rect::new(0.0, 0.0, 1.0, 1.0),
+            child: 7,
+        });
+        dir.encode(&mut page);
+        // The child word follows the four lanes of the single entry.
+        let at = NODE_HEADER_BYTES + 4 * 8 + 4;
+        page.bytes_mut()[at] = 1;
+        assert!(Node::try_decode(&page).unwrap_err().contains("child"));
     }
 
     #[test]

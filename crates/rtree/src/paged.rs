@@ -253,7 +253,8 @@ impl PagedTree {
             if self.poisoned.contains(&(page as u32)) {
                 continue;
             }
-            let decoded = Node::decode(self.pages.read(PageId(page as u32)));
+            let decoded = Node::try_decode(self.pages.read(PageId(page as u32)))
+                .map_err(|e| format!("page {page}: {e}"))?;
             if &decoded != node {
                 return Err(format!("page {page}: decode mismatch"));
             }

@@ -3,13 +3,15 @@
 //! A [`PagedTree`] serializes to a single file: a fixed header, the page
 //! *records* (each 4 KB payload followed by its 16-byte CRC32 footer, see
 //! [`psj_store::checksum`]), and the geometry clusters, the whole file
-//! additionally protected by an FNV-1a checksum. Buffered I/O throughout;
-//! loading re-decodes every node from its page bytes (the same code path
-//! the in-memory freeze uses), so a loaded tree is verified against its
-//! page images by construction.
+//! additionally protected by an FNV-1a checksum. Each payload is a node in
+//! the PSJT3 page layout ([`crate::node`]): header, MBR lanes, ids and
+//! geometry words, then zeros. Buffered I/O throughout; loading decodes
+//! every node from its page bytes with the checked decode
+//! ([`Node::try_decode`]), so a loaded tree is verified against its page
+//! images by construction.
 //!
 //! ```text
-//! +------------------+ magic "PSJT2\n", root u32, height u32,
+//! +------------------+ magic "PSJT3\n", root u32, height u32,
 //! | header           | num_items u64, num_pages u32, num_clusters u32
 //! +------------------+
 //! | page records     | num_pages × 4112 bytes (payload + CRC footer)
@@ -22,8 +24,10 @@
 //! +------------------+
 //! ```
 //!
-//! Files written by the previous format (`PSJT1`, raw unchecksummed pages)
-//! are still readable; new files are always `PSJT2`.
+//! Files of the earlier formats (`PSJT1`, raw unchecksummed pages; `PSJT2`,
+//! row-wise 40- and 156-byte entries) are not read: loading one fails with
+//! an [`io::ErrorKind::InvalidData`] error carrying an [`UnsupportedFormat`]
+//! that names the version and says to rebuild the index with `psj build`.
 //!
 //! **Crash safety.** [`PagedTree::save_to`] writes through
 //! [`psj_store::atomic_write`] (tmp file + fsync + atomic rename + dir
@@ -34,10 +38,11 @@
 //! manifest flips over atomically, so readers always find a complete file.
 //!
 //! **Degradation.** [`PagedTree::load_from_lenient`] salvages a corrupt
-//! `PSJT2` file: pages whose CRC footer fails are replaced by placeholder
-//! nodes and reported as *poisoned* ([`PagedTree::is_poisoned`]) instead of
-//! failing the whole load — the serving layer can then answer queries that
-//! avoid the poisoned subtrees and return typed errors for the rest.
+//! file: pages whose CRC footer fails, or whose node does not decode, are
+//! replaced by placeholder nodes and reported as *poisoned*
+//! ([`PagedTree::is_poisoned`]) instead of failing the whole load — the
+//! serving layer can then answer queries that avoid the poisoned subtrees
+//! and return typed errors for the rest.
 //! [`fsck_file`] reuses the same verification to produce a report.
 
 use crate::node::Node;
@@ -51,8 +56,46 @@ use std::collections::BTreeSet;
 use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
-const MAGIC_V1: &[u8; 6] = b"PSJT1\n";
-const MAGIC_V2: &[u8; 6] = b"PSJT2\n";
+/// The magic of the format this build writes and reads.
+const MAGIC: &[u8; 6] = b"PSJT3\n";
+
+/// The version [`MAGIC`] names.
+const FORMAT_VERSION: u32 = 3;
+
+/// The version of a file that starts with `magic`, for the formats this
+/// build knows: its own and the ones it no longer reads.
+fn format_of(magic: &[u8; 6]) -> Option<u32> {
+    match magic {
+        b"PSJT1\n" => Some(1),
+        b"PSJT2\n" => Some(2),
+        m if m == MAGIC => Some(FORMAT_VERSION),
+        _ => None,
+    }
+}
+
+/// A tree file in a format this build no longer reads. Loaders return it
+/// inside an [`io::ErrorKind::InvalidData`] error
+/// (`err.get_ref()` downcasts to it).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnsupportedFormat {
+    /// The file.
+    pub path: String,
+    /// The file's format version (`PSJT<version>`).
+    pub version: u32,
+}
+
+impl std::fmt::Display for UnsupportedFormat {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}: PSJT{} tree file; this build reads only PSJT{FORMAT_VERSION}: \
+             rebuild the index with `psj build`",
+            self.path, self.version
+        )
+    }
+}
+
+impl std::error::Error for UnsupportedFormat {}
 
 /// Sanity bound on the page count in a header (16 M pages = 64 GB of
 /// payload); a corrupt header must not drive allocation.
@@ -233,9 +276,9 @@ fn read_trailer<R: Read>(r: &mut HashReader<R>) -> io::Result<()> {
     Ok(())
 }
 
-/// Parse a tree file. In strict mode any page-footer failure aborts the
-/// load; in lenient mode (v2 only) failed pages become placeholders and
-/// cluster/checksum damage is recorded instead of fatal.
+/// Parse a tree file. In strict mode any page that fails its footer or its
+/// checked decode aborts the load; in lenient mode such pages become
+/// placeholders and cluster/checksum damage is recorded instead of fatal.
 fn read_tree_file(path: &Path, lenient: bool) -> io::Result<RawLoad> {
     let context = path.display().to_string();
     let file = std::fs::File::open(path)
@@ -247,49 +290,50 @@ fn read_tree_file(path: &Path, lenient: bool) -> io::Result<RawLoad> {
 
     let mut magic = [0u8; 6];
     r.read_exact_hashed(&mut magic)?;
-    let v2 = match &magic {
-        m if m == MAGIC_V2 => true,
-        m if m == MAGIC_V1 => false,
-        _ => {
+    match format_of(&magic) {
+        Some(FORMAT_VERSION) => {}
+        Some(version) => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                UnsupportedFormat {
+                    path: context,
+                    version,
+                },
+            ))
+        }
+        None => {
             return Err(corrupt(&format!(
                 "{context}: bad magic: not a psj tree file"
             )))
         }
-    };
+    }
     let (root, height, num_items, num_pages, num_clusters) = read_header(&mut r)?;
 
     let mut pages = PageStore::new();
     let mut nodes = Vec::with_capacity(num_pages);
     let mut corrupt_pages = Vec::new();
-    if v2 {
-        let mut record = vec![0u8; PAGE_RECORD_SIZE];
-        for n in 0..num_pages {
-            r.read_exact_hashed(&mut record)?;
-            let id = pages.allocate();
-            let fixed: &[u8; PAGE_RECORD_SIZE] = record[..].try_into().unwrap();
-            match verify_record(fixed, PageId(n as u32), &context) {
-                Ok(()) => {
-                    pages
-                        .write(id)
-                        .bytes_mut()
-                        .copy_from_slice(&record[..PAGE_SIZE]);
-                    nodes.push(Node::decode(pages.read(id)));
-                }
-                Err(_) if lenient => {
-                    // Placeholder: never decoded, never descended into.
-                    corrupt_pages.push(PageId(n as u32));
-                    nodes.push(Node::new_leaf());
-                }
-                Err(e) => return Err(e.into()),
+    let mut record = vec![0u8; PAGE_RECORD_SIZE];
+    for _ in 0..num_pages {
+        r.read_exact_hashed(&mut record)?;
+        let id = pages.allocate();
+        let fixed: &[u8; PAGE_RECORD_SIZE] = record[..].try_into().unwrap();
+        let node = verify_record(fixed, id, &context)
+            .map_err(io::Error::from)
+            .and_then(|()| {
+                let page = pages.write(id);
+                page.bytes_mut().copy_from_slice(&record[..PAGE_SIZE]);
+                Node::try_decode(page).map_err(|e| corrupt(&format!("{context}: page {id}: {e}")))
+            });
+        match node {
+            Ok(node) => nodes.push(node),
+            Err(_) if lenient => {
+                // Placeholder over a zeroed page: never decoded, never
+                // descended into.
+                pages.write(id).bytes_mut().fill(0);
+                corrupt_pages.push(id);
+                nodes.push(Node::new_leaf());
             }
-        }
-    } else {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        for _ in 0..num_pages {
-            r.read_exact_hashed(&mut buf)?;
-            let id = pages.allocate();
-            pages.write(id).bytes_mut().copy_from_slice(&buf);
-            nodes.push(Node::decode(pages.read(id)));
+            Err(e) => return Err(e),
         }
     }
 
@@ -333,7 +377,7 @@ impl PagedTree {
                 hash: Fnv::new(),
             };
 
-            w.write_all_hashed(MAGIC_V2)?;
+            w.write_all_hashed(MAGIC)?;
             w.u32(self.root().0)?;
             w.u32(self.height())?;
             w.u64(self.len())?;
@@ -375,8 +419,9 @@ impl PagedTree {
         })
     }
 
-    /// Reads a tree previously written by [`PagedTree::save_to`] (either
-    /// format version), rejecting any corruption.
+    /// Reads a tree previously written by [`PagedTree::save_to`], rejecting
+    /// any corruption and any earlier format version
+    /// ([`UnsupportedFormat`]).
     pub fn load_from(path: &Path) -> io::Result<PagedTree> {
         let raw = read_tree_file(path, false)?;
         debug_assert!(raw.corrupt_pages.is_empty());
@@ -397,9 +442,9 @@ impl PagedTree {
         Ok(tree)
     }
 
-    /// Loads a (possibly damaged) `PSJT2` tree, salvaging what verifies:
-    /// pages with failed CRC footers become poisoned placeholders, a
-    /// damaged cluster section yields an index without geometry, and the
+    /// Loads a (possibly damaged) tree, salvaging what verifies: pages with
+    /// failed CRC footers or undecodable nodes become poisoned placeholders,
+    /// a damaged cluster section yields an index without geometry, and the
     /// whole-file checksum result is reported rather than enforced.
     ///
     /// Fails only if the header is unusable or the *surviving* structure is
@@ -612,14 +657,14 @@ impl PagedTree {
 pub struct FsckReport {
     /// The file actually scanned.
     pub path: String,
-    /// Tree format version (1 or 2), when the magic was readable.
+    /// Tree format version (1, 2 or 3), when the magic was readable; only 3
+    /// is scanned.
     pub format: Option<u32>,
     /// Manifest generation, when `path` (or its base) has a manifest.
     pub manifest_generation: Option<u64>,
     /// Pages scanned.
     pub pages_scanned: u64,
-    /// Pages whose CRC footer failed (always empty for v1 files, which
-    /// have no per-page checksums).
+    /// Pages whose CRC footer failed or whose node did not decode.
     pub corrupt_pages: Vec<u32>,
     /// Whether the whole-file checksum matched.
     pub file_checksum_ok: bool,
@@ -703,11 +748,7 @@ pub fn fsck_file(path: &Path) -> FsckReport {
         Ok(mut f) => {
             let mut magic = [0u8; 6];
             if f.read_exact(&mut magic).is_ok() {
-                report.format = match &magic {
-                    m if m == MAGIC_V2 => Some(2),
-                    m if m == MAGIC_V1 => Some(1),
-                    _ => None,
-                };
+                report.format = format_of(&magic);
             }
         }
         Err(e) => {
@@ -717,7 +758,8 @@ pub fn fsck_file(path: &Path) -> FsckReport {
     }
 
     match report.format {
-        Some(2) => match read_tree_file(&target, true) {
+        // An earlier version's file fails here with its version error.
+        Some(_) => match read_tree_file(&target, true) {
             Ok(raw) => {
                 report.pages_scanned = raw.nodes.len() as u64;
                 report.corrupt_pages = raw.corrupt_pages.iter().map(|p| p.0).collect();
@@ -735,17 +777,7 @@ pub fn fsck_file(path: &Path) -> FsckReport {
             }
             Err(e) => report.error = Some(e.to_string()),
         },
-        Some(1) => match PagedTree::load_from(&target) {
-            // v1 has no per-page checksums: the whole-file hash is the only
-            // integrity signal, so a failure cannot name specific pages.
-            Ok(tree) => {
-                report.pages_scanned = tree.num_pages() as u64;
-                report.file_checksum_ok = true;
-                report.structure_ok = true;
-            }
-            Err(e) => report.error = Some(e.to_string()),
-        },
-        _ => report.error = Some("not a psj tree file (bad magic)".into()),
+        None => report.error = Some("not a psj tree file (bad magic)".into()),
     }
     report
 }
@@ -783,7 +815,7 @@ mod tests {
         p
     }
 
-    /// Byte offset of page `n`'s record in a v2 file.
+    /// Byte offset of page `n`'s record in a tree file.
     fn record_offset(n: usize) -> usize {
         // magic 6 + root 4 + height 4 + items 8 + pages 4 + clusters 4
         30 + n * PAGE_RECORD_SIZE
@@ -813,6 +845,92 @@ mod tests {
                 .clusters()
                 .geometry(e.geom.page, e.geom.slot)
                 .is_some());
+        }
+    }
+
+    #[test]
+    fn saved_files_are_psjt3() {
+        let path = tmpfile("magic-v3");
+        sample_tree(30).save_to(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(&bytes[..6], b"PSJT3\n");
+    }
+
+    /// A CRC-valid page whose header claims more entries than its fanout is
+    /// a corrupt page to every loader, not a panic.
+    #[test]
+    fn overfull_page_header_is_corrupt_not_a_panic() {
+        let tree = sample_tree(500);
+        let path = tmpfile("overfull");
+        tree.save_to(&path).unwrap();
+        let victim = (0..tree.num_pages())
+            .rev()
+            .find(|&n| tree.node(PageId(n as u32)).is_leaf())
+            .unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = record_offset(victim);
+        let mut payload: [u8; PAGE_SIZE] = bytes[at..at + PAGE_SIZE].try_into().unwrap();
+        payload[8..12].copy_from_slice(&200u32.to_le_bytes());
+        bytes[at..at + PAGE_RECORD_SIZE]
+            .copy_from_slice(&encode_record(&payload, PageId(victim as u32)));
+        std::fs::write(&path, &bytes).unwrap();
+
+        let err = PagedTree::load_from(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains(&format!("page p{victim}")),
+            "{err}"
+        );
+        assert!(err.to_string().contains("200 entries"), "{err}");
+
+        let lenient = PagedTree::load_from_lenient(&path).unwrap();
+        assert_eq!(lenient.corrupt_pages, vec![PageId(victim as u32)]);
+        assert!(lenient.tree.is_poisoned(PageId(victim as u32)));
+
+        let report = fsck_file(&path);
+        std::fs::remove_file(&path).ok();
+        assert!(!report.ok());
+        assert_eq!(report.corrupt_pages, vec![victim as u32]);
+    }
+
+    /// The earlier formats get a typed version error naming the version
+    /// from every loader, not "bad magic".
+    #[test]
+    fn old_formats_get_a_version_error() {
+        let tree = sample_tree(60);
+        for version in [1u32, 2] {
+            let path = tmpfile(&format!("psjt{version}"));
+            tree.save_to(&path).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[..6].copy_from_slice(format!("PSJT{version}\n").as_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let want = UnsupportedFormat {
+                path: path.display().to_string(),
+                version,
+            };
+            let typed = |err: io::Error| {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                err.get_ref()
+                    .and_then(|e| e.downcast_ref::<UnsupportedFormat>())
+                    .cloned()
+            };
+            assert_eq!(
+                typed(PagedTree::load_from(&path).unwrap_err()),
+                Some(want.clone())
+            );
+            assert_eq!(
+                typed(PagedTree::load_from_lenient(&path).unwrap_err()),
+                Some(want.clone())
+            );
+            let report = fsck_file(&path);
+            std::fs::remove_file(&path).ok();
+            assert!(!report.ok());
+            assert_eq!(report.format, Some(version));
+            assert_eq!(report.error, Some(want.to_string()));
+            let message = want.to_string();
+            assert!(message.contains(&format!("PSJT{version} tree file")));
+            assert!(message.contains("psj build"), "{message}");
         }
     }
 
@@ -976,7 +1094,7 @@ mod tests {
         let report = fsck_file(&path);
         std::fs::remove_file(&path).ok();
         assert!(report.ok(), "{}", report.to_json());
-        assert_eq!(report.format, Some(2));
+        assert_eq!(report.format, Some(3));
         assert_eq!(report.pages_scanned, tree.num_pages() as u64);
         assert!(report.corrupt_pages.is_empty());
         let json = report.to_json();

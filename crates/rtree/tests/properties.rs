@@ -77,14 +77,46 @@ fn raw_node(leaf: bool, level: u32, rects: &[Rect], salt: u64) -> Node {
     }
 }
 
-/// A slab frame is its node: level, kind and length, lanes bit-identical
+/// A node's fields as bits: level, kind, each entry's MBR as
+/// `[xl, yl, xu, yu]` bit patterns, and its children, object ids and
+/// geometry refs. Two nodes are the same node exactly when these match,
+/// NaN payloads and signed zeros included.
+type NodeBits = (u32, bool, Vec<[u64; 4]>, Vec<u64>, Vec<GeomRef>);
+
+fn node_bits(node: &Node) -> NodeBits {
+    let mbr = |r: &Rect| [r.xl, r.yl, r.xu, r.yu].map(f64::to_bits);
+    let (mbrs, ids, geoms) = if node.is_leaf() {
+        let v = node.data_entries();
+        (
+            v.iter().map(|e| mbr(&e.mbr)).collect(),
+            v.iter().map(|e| e.oid).collect(),
+            v.iter().map(|e| e.geom).collect(),
+        )
+    } else {
+        let v = node.dir_entries();
+        (
+            v.iter().map(|e| mbr(&e.mbr)).collect(),
+            v.iter().map(|e| u64::from(e.child)).collect(),
+            Vec::new(),
+        )
+    };
+    (node.level, node.is_leaf(), mbrs, ids, geoms)
+}
+
+/// A join view is its node: level, kind and length, lanes bit-identical
 /// to the node's SoA view, and the same children, object ids and geometry
-/// refs.
-fn frame_is_node(frame: &FrameRef<'_>, node: &Node) -> Result<(), TestCaseError> {
-    prop_assert_eq!(frame.level(), node.level);
-    prop_assert_eq!(frame.is_leaf(), node.is_leaf());
-    prop_assert_eq!(frame.len(), node.len());
-    let (lanes, soa) = (frame.lanes(), node.soa_mbrs());
+/// refs. `leaf`, `len` and `ids` are the view's own (inherent) readings.
+fn view_is_node<J: JoinNode>(
+    view: &J,
+    leaf: bool,
+    len: usize,
+    ids: &[u64],
+    node: &Node,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(view.level(), node.level);
+    prop_assert_eq!(leaf, node.is_leaf());
+    prop_assert_eq!(len, node.len());
+    let (lanes, soa) = (view.lanes(), node.soa_mbrs());
     prop_assert_eq!(bits(lanes.xl), bits(soa.xl()));
     prop_assert_eq!(bits(lanes.xh), bits(soa.xh()));
     prop_assert_eq!(bits(lanes.yl), bits(soa.yl()));
@@ -92,15 +124,64 @@ fn frame_is_node(frame: &FrameRef<'_>, node: &Node) -> Result<(), TestCaseError>
     if node.is_leaf() {
         let oids: Vec<u64> = node.data_entries().iter().map(|e| e.oid).collect();
         let geoms: Vec<GeomRef> = node.data_entries().iter().map(|e| e.geom).collect();
-        let frame_geoms: Vec<GeomRef> = (0..frame.len()).map(|i| frame.geom(i)).collect();
-        prop_assert_eq!(frame.ids(), &oids[..]);
-        prop_assert_eq!(frame_geoms, geoms);
+        let view_oids: Vec<u64> = (0..len).map(|i| view.oid(i)).collect();
+        let view_geoms: Vec<GeomRef> = (0..len).map(|i| view.geom(i)).collect();
+        prop_assert_eq!(ids, &oids[..]);
+        prop_assert_eq!(view_oids, oids);
+        prop_assert_eq!(view_geoms, geoms);
     } else {
         let children: Vec<u32> = node.dir_entries().iter().map(|e| e.child).collect();
-        let frame_children: Vec<u32> = (0..frame.len()).map(|i| frame.child(i)).collect();
-        prop_assert_eq!(frame_children, children);
+        let wide: Vec<u64> = children.iter().map(|&c| u64::from(c)).collect();
+        let view_children: Vec<u32> = (0..len).map(|i| view.child(i)).collect();
+        prop_assert_eq!(ids, &wide[..]);
+        prop_assert_eq!(view_children, children);
     }
     Ok(())
+}
+
+/// A slab frame is its node.
+fn frame_is_node(frame: &FrameRef<'_>, node: &Node) -> Result<(), TestCaseError> {
+    view_is_node(frame, frame.is_leaf(), frame.len(), frame.ids(), node)
+}
+
+/// A cached frame is its node.
+fn node_frame_is_node(frame: &NodeFrame, node: &Node) -> Result<(), TestCaseError> {
+    view_is_node(frame, frame.is_leaf(), frame.len(), frame.ids(), node)
+}
+
+/// `node` encoded into a page that held other bytes before.
+fn encoded(node: &Node) -> Page {
+    let mut page = Page::zeroed();
+    page.bytes_mut().fill(0x5A);
+    node.encode(&mut page);
+    page
+}
+
+/// Bytes of a page the node's header and words use: 16, plus 40 per
+/// directory entry or 48 per data entry.
+fn used_prefix(node: &Node) -> usize {
+    16 + node.len() * if node.is_leaf() { 48 } else { 40 }
+}
+
+/// `rects` shaped to a fill: 0 = empty, 1 = full to the kind's fanout
+/// (cycling `rects`, or a NaN-and-infinity rectangle if there are none),
+/// anything else as drawn.
+fn shaped(rects: Vec<Rect>, shape: u32, leaf: bool) -> Vec<Rect> {
+    let fanout = if leaf { DATA_FANOUT } else { DIR_FANOUT };
+    match shape {
+        0 => Vec::new(),
+        1 if rects.is_empty() => vec![
+            Rect {
+                xl: f64::NAN,
+                yl: -0.0,
+                xu: f64::INFINITY,
+                yu: f64::NEG_INFINITY,
+            };
+            fanout
+        ],
+        1 => rects.iter().copied().cycle().take(fanout).collect(),
+        _ => rects,
+    }
 }
 
 /// Every page's slab frame is the page's node.
@@ -119,7 +200,7 @@ fn tmpfile(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("psj-prop-{}-{name}-{n}", std::process::id()))
 }
 
-/// Byte offset of page `n`'s record in a PSJT2 file: magic 6 + root 4 +
+/// Byte offset of page `n`'s record in a tree file: magic 6 + root 4 +
 /// height 4 + items 8 + pages 4 + clusters 4, then the page records.
 fn record_offset(n: usize) -> usize {
     30 + n * PAGE_RECORD_SIZE
@@ -128,40 +209,32 @@ fn record_offset(n: usize) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A frame transcoded from `node.encode(page)` is the node: lanes
-    /// bit-identical to the node's SoA view, the same children, object
-    /// ids and geometry refs, for leaf and directory nodes of every fill
-    /// from empty to full.
+    /// The page layout round-trips and every view of it is the node: for
+    /// leaf and directory nodes, empty, full (102 / 26 entries) and of
+    /// every fill between, with ±0.0, ±inf and NaN-payload coordinates
+    /// compared bit for bit, `Node::decode(encode(n))` is `n`, and the
+    /// cached frame copied from the page and the slab frame packed from
+    /// the node both read as `n`. The bytes after the used prefix are zero.
     #[test]
     fn node_frame_matches_node(
         leaf in 0u32..2,
         level in 1u32..6,
         rects in prop::collection::vec(arb_raw_rect(), 0..DIR_FANOUT + 1),
+        shape in 0u32..4,
         salt in 0u64..u64::MAX,
     ) {
-        let node = raw_node(leaf == 1, level, &rects, salt);
-        let mut page = Page::zeroed();
-        node.encode(&mut page);
-        let frame = NodeFrame::from_page(&page).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(frame.level(), node.level);
-        prop_assert_eq!(frame.is_leaf(), node.is_leaf());
-        prop_assert_eq!(frame.len(), node.len());
-        let (lanes, soa) = (frame.lanes(), node.soa_mbrs());
-        prop_assert_eq!(bits(lanes.xl), bits(soa.xl()));
-        prop_assert_eq!(bits(lanes.xh), bits(soa.xh()));
-        prop_assert_eq!(bits(lanes.yl), bits(soa.yl()));
-        prop_assert_eq!(bits(lanes.yh), bits(soa.yh()));
-        if node.is_leaf() {
-            let oids: Vec<u64> = node.data_entries().iter().map(|e| e.oid).collect();
-            let geoms: Vec<GeomRef> = node.data_entries().iter().map(|e| e.geom).collect();
-            prop_assert_eq!(frame.oids(), &oids[..]);
-            prop_assert_eq!(frame.geoms(), &geoms[..]);
-            prop_assert!(frame.children().is_empty());
-        } else {
-            let children: Vec<u32> = node.dir_entries().iter().map(|e| e.child).collect();
-            prop_assert_eq!(frame.children(), &children[..]);
-            prop_assert!(frame.oids().is_empty() && frame.geoms().is_empty());
+        let node = raw_node(leaf == 1, level, &shaped(rects, shape, leaf == 1), salt);
+        if shape == 1 {
+            prop_assert_eq!(node.len(), node.fanout());
         }
+        let page = encoded(&node);
+        prop_assert!(page.bytes()[used_prefix(&node)..].iter().all(|&b| b == 0));
+        prop_assert_eq!(node_bits(&Node::decode(&page)), node_bits(&node));
+        let frame = NodeFrame::from_page(&page).map_err(TestCaseError::fail)?;
+        node_frame_is_node(&frame, &node)?;
+        let nodes = [node];
+        let slab = FrameSlab::new(&nodes);
+        frame_is_node(&slab.frame(&nodes, PageId(0)), &nodes[0])?;
     }
 
     /// The join's packed frames are the tree's nodes, page by page: for
@@ -213,7 +286,8 @@ proptest! {
     }
 
     /// Raw nodes with ±0.0, ±inf and NaN-payload coordinates, packed several
-    /// to a slab, come back bit for bit from their frames.
+    /// to a slab, come back bit for bit from their slab frames and from the
+    /// cached frames copied from their pages.
     #[test]
     fn frame_slab_matches_raw_nodes(
         specs in prop::collection::vec(
@@ -230,6 +304,8 @@ proptest! {
         prop_assert_eq!(slab.heap_bytes(), 40 * entries + 16 * nodes.len());
         for (p, node) in nodes.iter().enumerate() {
             frame_is_node(&slab.frame(&nodes, PageId(p as u32)), node)?;
+            let cached = NodeFrame::from_page(&encoded(node)).map_err(TestCaseError::fail)?;
+            node_frame_is_node(&cached, node)?;
         }
     }
 
@@ -326,4 +402,55 @@ proptest! {
             prop_assert!(g.is_some());
         }
     }
+}
+
+/// FNV-1a 64 over the encoded pages of a fixed, hand-built two-level tree.
+/// The nodes are built directly, not by insertion, so only the page layout
+/// moves this hash. A layout change must bump the file magic in
+/// `persist.rs` (old files then get a version error instead of being
+/// misread) and then update this golden.
+#[test]
+fn page_layout_golden() {
+    let special = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    let leaves: Vec<Node> = (0..3u32)
+        .map(|l| {
+            let mut node = Node::new_leaf();
+            for i in 0..(5 + 7 * l as usize).min(DATA_FANOUT) {
+                let x = f64::from(l) * 100.0 + i as f64;
+                node.data_entries_mut().push(DataEntry {
+                    mbr: Rect {
+                        xl: x,
+                        yl: special[i % special.len()],
+                        xu: x + 0.5,
+                        yu: f64::from_bits(0x7ff8_0000_0000_0000 | i as u64),
+                    },
+                    oid: 0x0123_4567_89ab_cdef ^ (u64::from(l) << 40 | i as u64),
+                    geom: GeomRef {
+                        page: PageId(1 + l),
+                        slot: i as u32,
+                    },
+                });
+            }
+            node
+        })
+        .collect();
+    let mut root = Node::new_dir(1);
+    for (l, leaf) in leaves.iter().enumerate() {
+        root.dir_entries_mut().push(DirEntry {
+            mbr: leaf.mbr(),
+            child: 1 + l as u32,
+        });
+    }
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for node in std::iter::once(&root).chain(&leaves) {
+        let mut page = Page::zeroed();
+        node.encode(&mut page);
+        for &b in page.bytes() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(
+        hash, 0x78fd_0c52_2325_a29a,
+        "the page layout changed: bump the tree file magic, then this golden"
+    );
 }

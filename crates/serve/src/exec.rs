@@ -127,7 +127,8 @@ impl psj_buffer::PageSource for TreeSet {
         if let Some(plan) = &self.fault {
             plan.before_fetch(key)?;
         }
-        Ok(Node::decode(self.trees[tree].pages().read(page)))
+        Node::try_decode(self.trees[tree].pages().read(page))
+            .map_err(|context| PageError::Corrupt { page: key, context })
     }
 
     fn page_count(&self) -> usize {

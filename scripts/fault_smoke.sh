@@ -3,7 +3,9 @@
 # dd, assert `psj fsck` flags it and exits nonzero, then serve the damaged
 # index (leniently) beside a healthy one and assert the healthy tree
 # answers while queries needing the poisoned page get a typed
-# storage-corrupt reply — all without the server crashing.
+# storage-corrupt reply — all without the server crashing. Also checks that
+# an index whose magic names an earlier format (PSJT2) is refused by
+# `psj fsck` and `psj stats` with the version named.
 set -euo pipefail
 
 PSJ="${PSJ:-target/release/psj}"
@@ -22,6 +24,20 @@ echo "== fsck on the clean index =="
 "$PSJ" fsck "$WORK/victim.psjt" | tee "$WORK/fsck_clean.json"
 grep -qF '"corrupt_pages":[]' "$WORK/fsck_clean.json" || {
   echo "FAIL: clean index reported corrupt pages"; exit 1; }
+
+echo "== an earlier format is refused with its version named =="
+cp "$WORK/healthy.psjt" "$WORK/old.psjt"
+printf 'PSJT2\n' | dd of="$WORK/old.psjt" bs=1 seek=0 conv=notrunc status=none
+if "$PSJ" fsck "$WORK/old.psjt" > "$WORK/fsck_old.json" 2>"$WORK/fsck_old.err"; then
+  echo "FAIL: fsck exited zero on a PSJT2 index"; exit 1
+fi
+grep -qF 'PSJT2 tree file' "$WORK/fsck_old.json" || {
+  echo "FAIL: fsck did not name the old version:"; cat "$WORK/fsck_old.json"; exit 1; }
+if "$PSJ" stats --tree "$WORK/old.psjt" > /dev/null 2>"$WORK/stats_old.err"; then
+  echo "FAIL: stats loaded a PSJT2 index"; exit 1
+fi
+grep -qF 'PSJT2 tree file' "$WORK/stats_old.err" || {
+  echo "FAIL: stats did not name the old version:"; cat "$WORK/stats_old.err"; exit 1; }
 
 echo "== corrupt page 0 with dd =="
 # Page records start right after the 30-byte header; clobbering offset 30

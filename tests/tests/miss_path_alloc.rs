@@ -1,6 +1,6 @@
 //! The out-of-core join's miss path performs no heap allocation: a miss
 //! reserves a slot of the page cache (evicting an unpinned page) and
-//! transcodes the page into it in place.
+//! copies the page's used prefix into it in place.
 //!
 //! This binary counts allocations per thread with its own global
 //! allocator, replays a join's page requests — in the order a worker reads
@@ -67,7 +67,7 @@ fn allocations() -> u64 {
 /// page source does.
 const TREE_B: u32 = 1 << 31;
 
-/// Frames transcoded from both trees' serialized pages, in place.
+/// Frames copied from both trees' serialized pages, in place.
 struct Frames<'t> {
     a: &'t PagedTree,
     b: &'t PagedTree,
