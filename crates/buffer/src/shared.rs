@@ -598,6 +598,34 @@ pub struct SharedPageCache<T> {
     corrupt_detected: AtomicU64,
     unbuffered: AtomicU64,
     trace: Option<Arc<psj_obs::TraceSink>>,
+    /// The test hook [`SharedPageCache::set_schedule_point`] installs.
+    #[cfg(feature = "schedule-points")]
+    schedule_point: std::sync::OnceLock<SchedulePoint>,
+}
+
+/// A test hook a guard read calls with its worker and page.
+#[cfg(feature = "schedule-points")]
+type SchedulePoint = Box<dyn Fn(usize, PageId) + Send + Sync>;
+
+#[cfg(feature = "schedule-points")]
+impl<T> SharedPageCache<T> {
+    /// Installs `point`, which every guard read
+    /// ([`SharedPageCache::guard_get`]) then calls with its worker and page
+    /// after the page table named a slot and before the read pins it. That
+    /// is the window in which a replacement of the slot makes the read's
+    /// validation fail (once pinned, the slot cannot be replaced), so a
+    /// test parks a reader here to force that race. Test-only: exists with
+    /// the `schedule-points` feature, which the crate enables for its own
+    /// tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache already has a schedule point.
+    pub fn set_schedule_point(&self, point: impl Fn(usize, PageId) + Send + Sync + 'static) {
+        if self.schedule_point.set(Box::new(point)).is_err() {
+            panic!("the cache already has a schedule point");
+        }
+    }
 }
 
 impl<T> SharedPageCache<T> {
@@ -630,6 +658,8 @@ impl<T> SharedPageCache<T> {
             corrupt_detected: AtomicU64::new(0),
             unbuffered: AtomicU64::new(0),
             trace: None,
+            #[cfg(feature = "schedule-points")]
+            schedule_point: std::sync::OnceLock::new(),
         }
     }
 
@@ -748,6 +778,10 @@ impl<T> SharedPageCache<T> {
     pub fn guard_get(&self, worker: usize, page: PageId) -> Option<PageGuard<'_, T>> {
         let shard = self.shard_of(page);
         let (_, slot) = shard.probe(page)?;
+        #[cfg(feature = "schedule-points")]
+        if let Some(point) = self.schedule_point.get() {
+            point(worker, page);
+        }
         let meta = &shard.meta[slot];
         let s = &self.stats[worker];
         // Pin, then check the slot still holds the page. SeqCst ranks

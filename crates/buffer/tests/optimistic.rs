@@ -3,11 +3,14 @@
 //! any shard mutex while churn threads drive evictions, quarantines, and
 //! fault retries through the mutex path. Every payload carries
 //! a checksum, so a torn read (a reader observing a page mid-replacement)
-//! cannot go unnoticed.
+//! cannot go unnoticed. The one race the churn cannot be counted on to hit
+//! — a reader losing its slot to a replacement — is forced through the
+//! cache's schedule point instead.
 
-use psj_buffer::{FaultSource, PageSource, Policy, SharedPageCache};
+use psj_buffer::{FaultSource, OptStats, PageSource, Policy, SharedAccess, SharedPageCache};
 use psj_store::{FaultPlan, PageError, PageId, RetryPolicy};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 
 /// A page payload whose consistency is checkable on every read.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -53,6 +56,99 @@ impl PageSource for CheckedSource {
     fn page_count(&self) -> usize {
         self.pages
     }
+}
+
+/// A [`CheckedSource`] that logs every page it is asked for.
+struct LoggedSource {
+    fetched: Mutex<Vec<u32>>,
+}
+
+impl PageSource for LoggedSource {
+    type Item = Checked;
+
+    fn fetch_page(&self, page: PageId) -> Result<Checked, PageError> {
+        self.fetched.lock().unwrap().push(page.0);
+        Ok(expect_page(page.0))
+    }
+
+    fn page_count(&self) -> usize {
+        1024
+    }
+}
+
+/// A guard read whose slot is replaced between the page-table probe and
+/// its pin fails validation, books exactly one fallback, and still returns
+/// its own page through the mutex path. The schedule point parks the
+/// reader in that window while another worker's cold fills really evict
+/// both resident pages and reuse their slots, so the collision happens on
+/// every run rather than when the scheduler happens to allow it.
+#[test]
+fn a_replaced_slot_forces_exactly_one_fallback() {
+    const FILLER: usize = 0;
+    const READER: usize = 1;
+    const CHURNER: usize = 2;
+    const HOT: u32 = 7;
+    const WARM: u32 = 8;
+    let cache: SharedPageCache<Checked> = SharedPageCache::new(3, 2, 1, Policy::Lru);
+    let src = LoggedSource {
+        fetched: Mutex::new(Vec::new()),
+    };
+    for p in [HOT, WARM] {
+        verify(p, &cache.get(FILLER, PageId(p), &src));
+    }
+
+    let (parked, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+    let fired = AtomicBool::new(false);
+    {
+        let (parked, release) = (Arc::clone(&parked), Arc::clone(&release));
+        cache.set_schedule_point(move |worker, page| {
+            if worker == READER && page == PageId(HOT) && !fired.swap(true, Ordering::SeqCst) {
+                parked.wait();
+                release.wait();
+            }
+        });
+    }
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let got = cache
+                .try_get(READER, PageId(HOT), &src)
+                .expect("clean page");
+            verify(HOT, &got);
+            got.access()
+        });
+        // The reader has found HOT's slot and not pinned it yet.
+        parked.wait();
+        for p in [100, 101] {
+            verify(p, &cache.get(CHURNER, PageId(p), &src));
+        }
+        assert_eq!(
+            cache.stats(CHURNER).evictions,
+            2,
+            "the cold fills must evict both resident pages"
+        );
+        release.wait();
+        assert_eq!(
+            reader.join().expect("reader"),
+            SharedAccess::Miss,
+            "the reader refills its page"
+        );
+    });
+
+    assert_eq!(
+        cache.opt_stats_for(READER),
+        OptStats {
+            hits: 0,
+            fallbacks: 1
+        },
+        "one failed validation, counted once"
+    );
+    assert_eq!(cache.opt_stats().fallbacks, 1);
+    assert_eq!(
+        *src.fetched.lock().unwrap(),
+        vec![HOT, WARM, 100, 101, HOT],
+        "HOT's slot was really reused, and HOT fetched again"
+    );
+    cache.check_invariants().expect("invariants");
 }
 
 /// The acceptance criterion, stated directly: once a page is resident,
@@ -117,11 +213,11 @@ fn opt_counters_aggregate_across_workers() {
 /// * optimistic hits happen under churn,
 /// * every injected transient is absorbed as exactly one counted retry,
 /// * corrupt pages end up quarantined,
-/// * validation failures are counted as fallbacks (bounded re-runs with
-///   fresh seeds guard against an interleaving with zero collisions: a
-///   failure needs a reader on the very slot being replaced, so a round
-///   can pass without one),
-/// * the cache's structural invariants hold at rest.
+/// * the cache's structural invariants hold at rest,
+///
+/// in each of 24 rounds with fresh fault seeds. Whether a reader collides
+/// with a replacement here is up to the scheduler;
+/// `a_replaced_slot_forces_exactly_one_fallback` forces that collision.
 #[test]
 fn optimistic_reads_survive_concurrent_churn() {
     const READERS: usize = 4;
@@ -202,10 +298,5 @@ fn optimistic_reads_survive_concurrent_churn() {
             plan.transient_injected(),
             "every injected transient is exactly one counted retry"
         );
-        if opt.fallbacks > 0 {
-            // Saw genuine validation failures under mutation — done.
-            return;
-        }
     }
-    panic!("no failed guard validation observed in {ROUNDS} churn rounds");
 }

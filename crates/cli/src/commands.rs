@@ -149,10 +149,12 @@ pub fn build(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `psj stats` — print a tree's Table-1 statistics.
+/// `psj stats` — print a tree's Table-1 statistics, then the heap bytes
+/// the loaded tree holds.
 pub fn stats(args: &Args) -> CmdResult {
     let tree = PagedTree::load_from(Path::new(args.require("tree")?)).map_err(io_err)?;
     println!("{}", tree.stats());
+    println!("{}", tree.heap_bytes());
     Ok(())
 }
 

@@ -186,3 +186,27 @@ fn tree_of_an_earlier_format_names_its_version() {
     assert_exit(&out, 1, "PSJT2 tree file");
     assert_exit(&out, 1, "rebuild the index with `psj build`");
 }
+
+#[test]
+fn stats_prints_the_heap_after_table_1() {
+    let (t1, _) = trees();
+    let out = psj(&["stats", "--tree", t1]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert!(lines[0].starts_with("height"), "{stdout}");
+    assert!(lines[5].starts_with("avg cluster size"), "{stdout}");
+    let heap = lines[6];
+    assert!(
+        heap.starts_with("heap ") && heap.contains("arena + spans"),
+        "{stdout}"
+    );
+    assert!(
+        heap.contains("nodes") && heap.contains("geometry clusters"),
+        "{stdout}"
+    );
+}

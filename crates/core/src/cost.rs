@@ -194,7 +194,7 @@ const PROFILE_SAMPLE_LEAVES: usize = 64;
 impl TreeProfile {
     /// Profiles `tree` by sampling its leaf pages.
     pub fn scan(tree: &psj_rtree::PagedTree) -> Self {
-        let num_pages = tree.pages().len();
+        let num_pages = tree.num_pages();
         let mut leaves = 0usize;
         let mut entries_sampled = 0usize;
         let mut sum_w = 0.0f64;

@@ -69,7 +69,7 @@ use psj_buffer::{BufferStats, PageRef, PageSource, Policy, SharedPageCache};
 use psj_obs::trace::{worker_tid, TID_MAIN};
 use psj_obs::{ThreadTracer, TraceSink};
 use psj_rtree::{FrameRef, JoinNode, NodeFrame, PagedTree};
-use psj_store::{lock_clean, FaultPlan, Page, PageError, PageId, RetryPolicy};
+use psj_store::{lock_clean, FaultPlan, PageError, PageId, RetryPolicy};
 use serde::{Deserialize, Serialize};
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -315,10 +315,9 @@ pub struct NativeResult {
 /// the shared cache's key space.
 const TREE_B_TAG: u32 = 1 << 31;
 
-/// A [`PageSource`] over both join inputs: a fill copies the node from
-/// its serialized page in the owning tree's [`psj_store::PageStore`] into
-/// the cache's [`NodeFrame`] slot, in place, after the injected fault plan
-/// (if any) has had its say.
+/// A [`PageSource`] over both join inputs: a fill copies the node's words
+/// from the owning tree's page arena into the cache's [`NodeFrame`] slot,
+/// in place, after the injected fault plan (if any) has had its say.
 struct JoinSource<'t> {
     a: &'t PagedTree,
     b: &'t PagedTree,
@@ -326,15 +325,15 @@ struct JoinSource<'t> {
 }
 
 impl<'t> JoinSource<'t> {
-    /// The serialized page behind a (tagged) page id.
-    fn read(&self, page: PageId) -> Result<&'t Page, PageError> {
+    /// The arena page behind a (tagged) page id.
+    fn read(&self, page: PageId) -> Result<FrameRef<'t>, PageError> {
         if let Some(plan) = &self.fault {
             plan.before_fetch(page)?;
         }
         Ok(if page.0 & TREE_B_TAG != 0 {
-            self.b.pages().read(PageId(page.0 & !TREE_B_TAG))
+            self.b.frame(PageId(page.0 & !TREE_B_TAG))
         } else {
-            self.a.pages().read(page)
+            self.a.frame(page)
         })
     }
 }
@@ -343,12 +342,11 @@ impl PageSource for JoinSource<'_> {
     type Item = NodeFrame;
 
     fn fetch_page(&self, page: PageId) -> Result<NodeFrame, PageError> {
-        NodeFrame::from_page(self.read(page)?)
-            .map_err(|context| PageError::Corrupt { page, context })
+        Ok(NodeFrame::from_frame(self.read(page)?))
     }
 
     fn page_count(&self) -> usize {
-        self.a.pages().len() + self.b.pages().len()
+        self.a.num_pages() + self.b.num_pages()
     }
 
     fn fill_page<'s>(
@@ -356,13 +354,12 @@ impl PageSource for JoinSource<'_> {
         page: PageId,
         slot: &'s mut MaybeUninit<NodeFrame>,
     ) -> Result<&'s mut NodeFrame, PageError> {
-        NodeFrame::decode_into(self.read(page)?, slot)
-            .map_err(|context| PageError::Corrupt { page, context })
+        Ok(NodeFrame::fill(self.read(page)?, slot))
     }
 }
 
-/// Where one worker reads its nodes: straight from the frozen trees' frame
-/// slabs, or through a cache (shared or private) in front of their pages
+/// Where one worker reads its nodes: straight from the frozen trees' page
+/// arenas, or through a cache (shared or private) in front of their pages
 /// (tagged page ids keep both trees in one cache). `run_worker` is
 /// monomorphised per implementation, so the in-memory join reads
 /// [`FrameRef`]s with no per-read dispatch.
@@ -386,7 +383,7 @@ trait Fetch<'t> {
     fn stats(&self) -> Option<BufferStats>;
 }
 
-/// Direct access to the frozen in-memory trees' frame slabs.
+/// Direct access to the frozen in-memory trees' page arenas.
 struct Direct<'t> {
     a: &'t PagedTree,
     b: &'t PagedTree,
@@ -615,9 +612,7 @@ pub fn try_run_native_join(
     let needs_buffer = cfg.buffer.is_none() && ctl.fault.as_ref().is_some_and(|p| !p.is_noop());
     if needs_buffer {
         let mut forced = cfg.clone();
-        forced.buffer = Some(BufferConfig::global(
-            (a.pages().len() + b.pages().len()).max(1),
-        ));
+        forced.buffer = Some(BufferConfig::global((a.num_pages() + b.num_pages()).max(1)));
         let caches = CacheSet::build(&forced, ctl.retry, ctl.trace.as_ref());
         return run_with_caches(a, b, &forced, caches, ctl);
     }
@@ -683,7 +678,7 @@ fn run_with_caches(
 ) -> Result<NativeResult, NativeError> {
     assert!(cfg.num_threads > 0, "need at least one thread");
     assert!(
-        a.pages().len() < TREE_B_TAG as usize && b.pages().len() < TREE_B_TAG as usize,
+        a.num_pages() < TREE_B_TAG as usize && b.num_pages() < TREE_B_TAG as usize,
         "page id tag bit collision"
     );
     let cancel = ctl.cancel;
@@ -1147,6 +1142,43 @@ mod tests {
         v.iter().copied().collect()
     }
 
+    /// A lenient load's poisoned page is an empty leaf to the in-memory
+    /// join's frame and to the cached join's fill alike.
+    #[test]
+    fn a_poisoned_page_fills_as_an_empty_leaf() {
+        let src = tree(600, 0.0);
+        let leaf = (0..src.num_pages() as u32)
+            .rev()
+            .map(PageId)
+            .find(|&p| src.frame(p).is_leaf())
+            .expect("a leaf");
+        let path = std::env::temp_dir().join(format!("psj-native-poison-{}", std::process::id()));
+        src.save_to(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[30 + leaf.index() * psj_store::PAGE_RECORD_SIZE + 100] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = PagedTree::load_from_lenient(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let a = &loaded.tree;
+        assert!(a.is_poisoned(leaf));
+        let frame = a.frame(leaf);
+        assert!(frame.is_leaf() && frame.is_empty() && frame.level() == 0);
+
+        let source = JoinSource {
+            a,
+            b: &src,
+            fault: None,
+        };
+        let mut slot = MaybeUninit::new(NodeFrame::from_frame(src.frame(PageId(0))));
+        let filled = source.fill_page(leaf, &mut slot).unwrap();
+        assert!(filled.is_leaf() && filled.is_empty() && filled.level() == 0);
+        let fetched = source.fetch_page(leaf).unwrap();
+        assert!(fetched.is_leaf() && fetched.is_empty());
+        // Tree B's copy of the same page is intact.
+        let intact = source.fetch_page(PageId(leaf.0 | TREE_B_TAG)).unwrap();
+        assert_eq!(intact.ids(), src.frame(leaf).ids());
+    }
+
     #[test]
     fn filter_step_matches_sequential() {
         let a = tree(800, 0.0);
@@ -1186,7 +1218,7 @@ mod tests {
         let a = tree(600, 0.0);
         let b = tree(600, 0.4);
         let want = as_set(&join_candidates(&a, &b).candidates);
-        let total_pages = a.pages().len() + b.pages().len();
+        let total_pages = a.num_pages() + b.num_pages();
         // From comfortable to badly thrashing.
         for capacity in [total_pages * 2, total_pages / 2, 4] {
             let mut cfg = NativeConfig::buffered(4, BufferConfig::global(capacity));
@@ -1220,7 +1252,7 @@ mod tests {
     fn warm_external_cache_has_zero_misses_on_second_join() {
         let a = tree(600, 0.0);
         let b = tree(600, 0.4);
-        let total_pages = a.pages().len() + b.pages().len();
+        let total_pages = a.num_pages() + b.num_pages();
         let cache: SharedPageCache<NodeFrame> =
             SharedPageCache::new(4, total_pages * 2, 8, Policy::Lru);
         let mut cfg = NativeConfig::new(4);
@@ -1279,7 +1311,7 @@ mod tests {
     fn global_buffer_sees_remote_hits() {
         let a = tree(800, 0.0);
         let b = tree(800, 0.4);
-        let total_pages = a.pages().len() + b.pages().len();
+        let total_pages = a.num_pages() + b.num_pages();
         let cache: SharedPageCache<NodeFrame> =
             SharedPageCache::new(2, total_pages * 2, 8, Policy::Lru);
         let mut cfg = NativeConfig::new(1);
@@ -1351,7 +1383,7 @@ mod tests {
         // Page 0 is the root, which only the (unfaulted) phase-1 descent
         // reads; the last page is the rightmost leaf, which some morsel is
         // certain to fetch through the cache.
-        let last_leaf = (a.pages().len() - 1) as u32;
+        let last_leaf = (a.num_pages() - 1) as u32;
         let plan = Arc::new(FaultPlan::new(5).with_panic_page(last_leaf));
         let ctl = RunControl::default().with_fault(plan);
         let err = try_run_native_join(&a, &b, &NativeConfig::new(4), &ctl)

@@ -97,7 +97,7 @@ impl<'t> Side<'t> {
                 // the same read surface cache-backed executors use — so the
                 // item order is pinned to page order either way.
                 let mut access = t;
-                for p in 0..t.pages().len() {
+                for p in 0..t.num_pages() {
                     let node =
                         psj_rtree::NodeAccess::read(&mut access, psj_store::PageId(p as u32))
                             .expect("in-memory node access is infallible");

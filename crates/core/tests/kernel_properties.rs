@@ -1,5 +1,5 @@
-//! The join kernel reads a cached [`NodeFrame`] and a packed slab frame
-//! ([`FrameSlab`]) exactly as it reads the decoded [`Node`] both come from:
+//! The join kernel reads a cached [`NodeFrame`] and an arena frame
+//! ([`PrefixArena`]) exactly as it reads the decoded [`Node`] both come from:
 //! `expand_pair` over two frames of either kind yields the same child
 //! pairs, candidates and work counts, in the same order, as over the two
 //! nodes.
@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use psj_core::{expand_pair, KernelScratch, TaskPair};
 use psj_geom::Rect;
 use psj_rtree::{
-    DataEntry, DirEntry, FrameSlab, GeomRef, JoinNode, Node, NodeFrame, DATA_FANOUT, DIR_FANOUT,
+    DataEntry, DirEntry, GeomRef, JoinNode, Node, NodeFrame, PrefixArena, DATA_FANOUT, DIR_FANOUT,
 };
 use psj_store::{Page, PageId};
 
@@ -44,10 +44,15 @@ fn node(level: u32, rects: &[Rect], salt: u32) -> Node {
     node
 }
 
+/// `node`'s cached frame, filled from its page read into an arena.
 fn frame(node: &Node) -> NodeFrame {
     let mut page = Page::zeroed();
     node.encode(&mut page);
-    NodeFrame::from_page(&page).expect("an encoded node copies into a frame")
+    let mut arena = PrefixArena::default();
+    arena
+        .push_page(page.bytes())
+        .expect("an encoded node reads back");
+    NodeFrame::from_frame(arena.read(PageId(0)))
 }
 
 proptest! {
@@ -88,20 +93,20 @@ proptest! {
         prop_assert_eq!(JoinNode::mbr(&fa), na.mbr());
 
         let nodes = [na.clone(), nb.clone()];
-        let slab = FrameSlab::new(&nodes);
-        let (sa, sb) = (slab.frame(&nodes, PageId(0)), slab.frame(&nodes, PageId(1)));
-        let (mut slab_children, mut slab_candidates) = (Vec::new(), Vec::new());
-        let from_slab = expand_pair(
+        let arena = PrefixArena::from_nodes(&nodes);
+        let (sa, sb) = (arena.read(PageId(0)), arena.read(PageId(1)));
+        let (mut arena_children, mut arena_candidates) = (Vec::new(), Vec::new());
+        let from_arena = expand_pair(
             &sa,
             &sb,
             &pair,
             &mut scratch,
-            &mut slab_children,
-            &mut slab_candidates,
+            &mut arena_children,
+            &mut arena_candidates,
         );
-        prop_assert_eq!(from_slab, from_nodes);
-        prop_assert_eq!(slab_children, children);
-        prop_assert_eq!(slab_candidates, candidates);
+        prop_assert_eq!(from_arena, from_nodes);
+        prop_assert_eq!(arena_children, children);
+        prop_assert_eq!(arena_candidates, candidates);
         prop_assert_eq!(JoinNode::mbr(&sa), na.mbr());
     }
 }

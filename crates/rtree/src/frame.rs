@@ -1,29 +1,39 @@
-//! Node views for the join: packed frames for the in-memory join, fixed-size
-//! frames for the cached join.
+//! A tree's pages without their padding, and the node views the joins
+//! read.
+//!
+//! A frozen or loaded [`crate::PagedTree`] keeps its pages in one
+//! [`PrefixArena`]: every page's used PSJT3 body words (lanes
+//! `xl/xh/yl/yh`, ids, and on a leaf the geometry words; see
+//! [`crate::node`]) back to back in page order in one exact-capacity
+//! `u64` vector, plus one 16-byte span per page holding its header (word
+//! offset, entry count, level, kind). That is the 4 KB page minus its zero
+//! padding, and nothing else: a page enters the arena through its one
+//! reader, [`PrefixArena::push_page`], and leaves it, padded back to 4 KB,
+//! through [`PrefixArena::write_page`].
 //!
 //! [`JoinNode`] is what the join kernel and the candidate resolution read
 //! from a node: its level, its entry MBRs as SoA lanes (`xl/xh/yl/yh`, one
-//! array per coordinate), and its children or object ids. Three types
-//! implement it:
+//! array per coordinate), its children or object ids, and a leaf's
+//! geometry refs. Three types implement it:
 //!
-//! * [`FrameRef`] — a node of a frozen or loaded [`crate::PagedTree`], read
-//!   from the tree's [`FrameSlab`]. The slab packs every node's lanes back
-//!   to back in one `f64` vector and its children or object ids in one
-//!   `u64` vector, in page order, so a node read is two bounds-checked
-//!   subslices of two contiguous vectors. The in-memory join, the
+//! * [`FrameRef`] — one page of an arena, viewed in place: its span and a
+//!   bounds-checked subslice of the arena's words. The in-memory join, the
 //!   sequential oracle, task creation, the morsel split pass and the
-//!   estimator's tree profile read these.
-//! * [`NodeFrame`] — one node as its page's words in a 4 KB slot. The
-//!   page layout (PSJT3, [`crate::node`]) is the frame layout, so a page
-//!   cache keeps frames in place in its slots and a miss copies the page's
-//!   used prefix straight into a slot with [`NodeFrame::decode_into`]: a
-//!   header check and one word copy, no per-entry work, no allocation.
-//!   The cached (out-of-core) join reads these.
+//!   tree profile read these.
+//! * [`NodeFrame`] — one node as its page's words in a 4 KB slot, so a page
+//!   cache keeps frames in place in its slots. A miss copies the page's
+//!   words from the arena straight into a slot with [`NodeFrame::fill`]:
+//!   three header fields and one word copy, no per-entry work, no
+//!   allocation. The cached (out-of-core) join reads these.
 //! * [`Node`] — the build-time node, whose lanes are built lazily on first
 //!   use. The simulator and the benchmark's kernel timing read these.
+//!
+//! Both frames read their lanes through one `u64` → `f64` cast.
 
 use crate::entry::GeomRef;
-use crate::node::{geom_of_word, Node, NodeKind, DATA_FANOUT, DIR_FANOUT, NODE_HEADER_BYTES};
+use crate::node::{
+    geom_of_word, geom_word, Node, NodeKind, DATA_FANOUT, DIR_FANOUT, NODE_HEADER_BYTES,
+};
 use psj_geom::{Rect, SoaRun};
 use psj_store::{Page, PageId, PAGE_SIZE};
 use std::mem::MaybeUninit;
@@ -99,7 +109,8 @@ impl JoinNode for Node {
 }
 
 /// The four lanes `xl[n] xh[n] yl[n] yh[n]` stored back to back in
-/// `lanes`, the order both the slab and the page keep them in.
+/// `lanes`, the order the page, the arena and the cached frame keep them
+/// in.
 #[inline]
 fn split_lanes(lanes: &[f64], n: usize) -> SoaRun<'_> {
     let (xl, rest) = lanes.split_at(n);
@@ -108,184 +119,21 @@ fn split_lanes(lanes: &[f64], n: usize) -> SoaRun<'_> {
     SoaRun { xl, xh, yl, yh }
 }
 
-/// Where one node's frame lies in a [`FrameSlab`].
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    /// Index of the node's first id; its lanes start at `4 * start`.
-    start: u32,
-    /// Number of entries.
-    len: u32,
-    /// Level of the node (0 = leaf).
-    level: u32,
-    /// Whether the ids are object ids (leaf) or children (directory).
-    leaf: bool,
+// The lane cast below reinterprets `u64` words as `f64`s.
+const _: () = assert!(
+    std::mem::size_of::<f64>() == std::mem::size_of::<u64>()
+        && std::mem::align_of::<f64>() <= std::mem::align_of::<u64>()
+);
+
+/// `words` read as `f64`s: the one `u64` → `f64` cast, through which both
+/// [`FrameRef`] and [`NodeFrame`] read their lanes.
+#[inline]
+fn as_f64(words: &[u64]) -> &[f64] {
+    // SAFETY: `f64` has `u64`'s size and at most its alignment (asserted
+    // above), and every bit pattern is a valid `f64`, so the lane words
+    // stored as `to_bits` read back bit for bit.
+    unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), words.len()) }
 }
-
-/// The packed, read-only join view of a tree's nodes, built once in page
-/// order. `lanes` holds each node's `xl[n] xh[n] yl[n] yh[n]` back to
-/// back, `ids` its children (directory) or object ids (leaf), and one span
-/// per page says where they start. Both vectors are sized exactly. The
-/// geometry refs stay in the nodes' data entries: only refinement reads
-/// them, and the slab holds exactly what the filter step reads.
-#[derive(Debug)]
-pub struct FrameSlab {
-    lanes: Vec<f64>,
-    ids: Vec<u64>,
-    spans: Vec<Span>,
-}
-
-impl FrameSlab {
-    /// Packs `nodes`, one frame per node, in slice order. A node without
-    /// entries (a poisoned page's placeholder) gets an empty frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the nodes hold more than `u32::MAX` entries in total.
-    pub fn new(nodes: &[Node]) -> Self {
-        let entries: usize = nodes.iter().map(Node::len).sum();
-        assert!(
-            u32::try_from(entries).is_ok(),
-            "{entries} entries overflow a frame slab"
-        );
-        let mut slab = FrameSlab {
-            lanes: Vec::with_capacity(4 * entries),
-            ids: Vec::with_capacity(entries),
-            spans: Vec::with_capacity(nodes.len()),
-        };
-        let coords: [fn(&Rect) -> f64; 4] = [|r| r.xl, |r| r.xu, |r| r.yl, |r| r.yu];
-        for node in nodes {
-            let n = node.len();
-            slab.spans.push(Span {
-                start: slab.ids.len() as u32,
-                len: n as u32,
-                level: node.level,
-                leaf: node.is_leaf(),
-            });
-            for coord in coords {
-                slab.lanes.extend((0..n).map(|i| coord(&node.mbr_of(i))));
-            }
-            match &node.kind {
-                NodeKind::Dir(v) => slab.ids.extend(v.iter().map(|e| u64::from(e.child))),
-                NodeKind::Leaf(v) => slab.ids.extend(v.iter().map(|e| e.oid)),
-            }
-        }
-        slab
-    }
-
-    /// Number of frames.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Whether the slab holds no frames.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Heap bytes the slab holds: lanes, ids and spans.
-    pub fn heap_bytes(&self) -> usize {
-        self.lanes.capacity() * std::mem::size_of::<f64>()
-            + self.ids.capacity() * std::mem::size_of::<u64>()
-            + self.spans.capacity() * std::mem::size_of::<Span>()
-    }
-
-    /// The frame of `page`, whose geometry refs are read from `nodes`, the
-    /// nodes the slab was packed from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is out of range.
-    #[inline]
-    pub fn frame<'s>(&'s self, nodes: &'s [Node], page: PageId) -> FrameRef<'s> {
-        let span = self.spans[page.index()];
-        let (start, len) = (span.start as usize, span.len as usize);
-        FrameRef {
-            level: span.level,
-            leaf: span.leaf,
-            lanes: &self.lanes[4 * start..4 * (start + len)],
-            ids: &self.ids[start..start + len],
-            node: &nodes[page.index()],
-        }
-    }
-}
-
-/// One node of a [`FrameSlab`]: its lanes and ids as subslices of the
-/// slab's two vectors, plus the node whose data entries hold the geometry
-/// refs (read only by refinement). `Copy`, and built with no lock and no
-/// allocation.
-#[derive(Clone, Copy)]
-pub struct FrameRef<'s> {
-    level: u32,
-    leaf: bool,
-    /// `xl`, `xh`, `yl`, `yh`, each `ids.len()` long.
-    lanes: &'s [f64],
-    ids: &'s [u64],
-    node: &'s Node,
-}
-
-impl<'s> FrameRef<'s> {
-    /// Whether this is a leaf.
-    pub fn is_leaf(&self) -> bool {
-        self.leaf
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the node has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Children (directory) or object ids (leaf), by entry.
-    pub fn ids(&self) -> &'s [u64] {
-        self.ids
-    }
-}
-
-impl JoinNode for FrameRef<'_> {
-    fn level(&self) -> u32 {
-        self.level
-    }
-
-    #[inline]
-    fn lanes(&self) -> SoaRun<'_> {
-        split_lanes(self.lanes, self.ids.len())
-    }
-
-    #[inline]
-    fn child(&self, i: usize) -> u32 {
-        debug_assert!(!self.leaf, "child of a leaf");
-        self.ids[i] as u32
-    }
-
-    #[inline]
-    fn oid(&self, i: usize) -> u64 {
-        debug_assert!(self.leaf, "oid of a directory node");
-        self.ids[i]
-    }
-
-    #[inline]
-    fn geom(&self, i: usize) -> GeomRef {
-        self.node.data_entries()[i].geom
-    }
-}
-
-impl std::fmt::Debug for FrameRef<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrameRef")
-            .field("level", &self.level)
-            .field("leaf", &self.leaf)
-            .field("lanes", &self.lanes())
-            .field("ids", &self.ids)
-            .finish()
-    }
-}
-
-/// Words after the header in a [`NodeFrame`]: the rest of one page.
-const BODY_WORDS: usize = (PAGE_SIZE - NODE_HEADER_BYTES) / 8;
 
 /// Words per entry after the header: four lanes and an id, plus a geometry
 /// word on a leaf.
@@ -297,11 +145,274 @@ fn entry_words(leaf: bool) -> usize {
     }
 }
 
+/// One page of a [`PrefixArena`]: its header, and where its words start.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    /// Offset of the page's first word in the arena.
+    start: u32,
+    /// Number of entries.
+    len: u32,
+    /// Level of the node (0 = leaf).
+    level: u32,
+    /// Whether the ids are object ids followed by geometry words (leaf) or
+    /// children (directory).
+    leaf: bool,
+}
+
+// A span stands in for the page header it replaces, byte for byte in size,
+// so an exact-capacity arena holds exactly its pages' used prefixes.
+const _: () = assert!(std::mem::size_of::<Span>() == NODE_HEADER_BYTES);
+
+/// A tree's pages without their zero padding: each page's used body words
+/// back to back in page order in one `u64` vector, and one 16-byte span per
+/// page that holds its header. See the [module docs](self).
+#[derive(Debug, Default)]
+pub struct PrefixArena {
+    words: Vec<u64>,
+    spans: Vec<Span>,
+}
+
+impl PrefixArena {
+    /// Packs `nodes`, one page each, in slice order, into an arena of
+    /// exactly the words they use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node overflows its fanout, or if the words outgrow a
+    /// `u32` offset.
+    pub fn from_nodes(nodes: &[Node]) -> Self {
+        let words = nodes
+            .iter()
+            .map(|n| n.len() * entry_words(n.is_leaf()))
+            .sum();
+        let mut arena = PrefixArena {
+            words: Vec::with_capacity(words),
+            spans: Vec::with_capacity(nodes.len()),
+        };
+        for node in nodes {
+            arena.push_node(node);
+        }
+        arena
+    }
+
+    /// An empty arena with room for `pages` spans.
+    pub(crate) fn with_pages(pages: usize) -> Self {
+        PrefixArena {
+            words: Vec::new(),
+            spans: Vec::with_capacity(pages),
+        }
+    }
+
+    fn push_span(&mut self, start: usize, level: u32, leaf: bool, len: usize) {
+        let start = u32::try_from(start).expect("arena words overflow a u32 offset");
+        self.spans.push(Span {
+            start,
+            len: len as u32,
+            level,
+            leaf,
+        });
+    }
+
+    /// Appends `node`'s page: lanes `xl[n] xh[n] yl[n] yh[n]` as `f64`
+    /// bits, then the children (directory) or object ids (leaf), then a
+    /// leaf's geometry words.
+    fn push_node(&mut self, node: &Node) {
+        assert!(node.len() <= node.fanout(), "node overflows page");
+        let n = node.len();
+        self.push_span(self.words.len(), node.level, node.is_leaf(), n);
+        let coords: [fn(&Rect) -> f64; 4] = [|r| r.xl, |r| r.xu, |r| r.yl, |r| r.yu];
+        for coord in coords {
+            let lane = (0..n).map(|i| coord(&node.mbr_of(i)).to_bits());
+            self.words.extend(lane);
+        }
+        match &node.kind {
+            NodeKind::Dir(v) => self.words.extend(v.iter().map(|e| u64::from(e.child))),
+            NodeKind::Leaf(v) => {
+                self.words.extend(v.iter().map(|e| e.oid));
+                self.words.extend(v.iter().map(|e| geom_word(e.geom)));
+            }
+        }
+    }
+
+    /// Appends the node stored on the 4 KB `page`: checks its header (kind
+    /// byte 0 or 1, count within the kind's fanout) and, on a directory
+    /// page, that every child word fits a page number, then copies the used
+    /// words after the header. A page can pass its CRC and still fail this
+    /// (a writer bug, or a record re-encoded over damaged bytes), so every
+    /// loader reads pages through it. On error the arena is unchanged.
+    pub fn push_page(&mut self, page: &[u8; PAGE_SIZE]) -> Result<(), String> {
+        let (level, leaf, len) = header(page)?;
+        let start = self.words.len();
+        let body = page[NODE_HEADER_BYTES..][..8 * len * entry_words(leaf)].chunks_exact(8);
+        let words = body.map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")));
+        self.words.extend(words);
+        if !leaf {
+            let mut children = self.words[start + 4 * len..].iter().enumerate();
+            if let Some((i, id)) = children.find(|&(_, &id)| u32::try_from(id).is_err()) {
+                let err = format!("entry {i}: child {id} is no page");
+                self.words.truncate(start);
+                return Err(err);
+            }
+        }
+        self.push_span(start, level, leaf, len);
+        Ok(())
+    }
+
+    /// Appends an empty leaf: what a lenient load keeps for a page whose
+    /// bytes failed verification.
+    pub(crate) fn push_placeholder(&mut self) {
+        self.push_span(self.words.len(), 0, true, 0);
+    }
+
+    /// Drops spare capacity, so the arena holds exactly its pages' words.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.words.shrink_to_fit();
+        self.spans.shrink_to_fit();
+    }
+
+    /// Number of pages.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Whether the arena holds no pages.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// Heap bytes the arena holds: words and spans. A span is the size of
+    /// the page header it stands for, so an exact-capacity arena holds
+    /// exactly the sum of its pages' used prefixes.
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+            + self.spans.capacity() * std::mem::size_of::<Span>()
+    }
+
+    /// The node stored on `page`, viewed in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is out of range.
+    #[inline]
+    pub fn read(&self, page: PageId) -> FrameRef<'_> {
+        let span = self.spans[page.index()];
+        let start = span.start as usize;
+        let used = span.len as usize * entry_words(span.leaf);
+        FrameRef {
+            level: span.level,
+            len: span.len,
+            leaf: span.leaf,
+            words: &self.words[start..start + used],
+        }
+    }
+
+    /// Writes `page`'s 4 KB image into `out`: the header, the used words
+    /// little-endian, then zeros — the page [`Node::encode`] writes for the
+    /// same node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is out of range.
+    pub fn write_page(&self, page: PageId, out: &mut Page) {
+        let frame = self.read(page);
+        let buf = out.bytes_mut();
+        buf.fill(0);
+        buf[0..4].copy_from_slice(&frame.level.to_le_bytes());
+        buf[4] = if frame.leaf { 0 } else { 1 };
+        buf[8..12].copy_from_slice(&frame.len.to_le_bytes());
+        let body = buf[NODE_HEADER_BYTES..].chunks_exact_mut(8);
+        for (b, w) in body.zip(frame.words) {
+            b.copy_from_slice(&w.to_le_bytes());
+        }
+    }
+}
+
+/// One page of a [`PrefixArena`], viewed in place: its header and its used
+/// words. `Copy`, and built with no lock and no allocation.
+#[derive(Clone, Copy)]
+pub struct FrameRef<'s> {
+    level: u32,
+    len: u32,
+    leaf: bool,
+    /// `xl`, `xh`, `yl`, `yh` and the ids, then on a leaf the geometry
+    /// words, each `len` long.
+    words: &'s [u64],
+}
+
+impl<'s> FrameRef<'s> {
+    /// Whether this is a leaf.
+    pub fn is_leaf(&self) -> bool {
+        self.leaf
+    }
+
+    /// Number of entries.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the node has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Children (directory) or object ids (leaf), by entry.
+    #[inline]
+    pub fn ids(&self) -> &'s [u64] {
+        let n = self.len();
+        &self.words[4 * n..5 * n]
+    }
+}
+
+impl JoinNode for FrameRef<'_> {
+    fn level(&self) -> u32 {
+        self.level
+    }
+
+    #[inline]
+    fn lanes(&self) -> SoaRun<'_> {
+        let n = self.len();
+        split_lanes(as_f64(&self.words[..4 * n]), n)
+    }
+
+    #[inline]
+    fn child(&self, i: usize) -> u32 {
+        debug_assert!(!self.leaf, "child of a leaf");
+        self.ids()[i] as u32
+    }
+
+    #[inline]
+    fn oid(&self, i: usize) -> u64 {
+        debug_assert!(self.leaf, "oid of a directory node");
+        self.ids()[i]
+    }
+
+    #[inline]
+    fn geom(&self, i: usize) -> GeomRef {
+        assert!(self.leaf, "geometry ref of a directory node");
+        let n = self.len();
+        geom_of_word(self.words[5 * n..][i])
+    }
+}
+
+impl std::fmt::Debug for FrameRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FrameRef")
+            .field("level", &self.level)
+            .field("leaf", &self.leaf)
+            .field("lanes", &self.lanes())
+            .field("ids", &self.ids())
+            .finish()
+    }
+}
+
+/// Words after the header in a [`NodeFrame`]: the rest of one page.
+const BODY_WORDS: usize = (PAGE_SIZE - NODE_HEADER_BYTES) / 8;
+
 /// One node as its page's words: a 4 KB slot that holds the page's header,
-/// checked and unpacked, and the used prefix of the words after it (lanes,
-/// ids and, on a leaf, geometry words; see [`crate::node`]) as native
-/// `u64`s, and reads every field in place. The words after that prefix are
-/// never written or read.
+/// unpacked, and its used words (lanes, ids and, on a leaf, geometry
+/// words; see [`crate::node`]), and reads every field in place. The words
+/// after that prefix are never written or read.
 ///
 /// `repr(C)` keeps the header in the slot's first 16 bytes, as on the
 /// page, so a fill writes one contiguous run of cache lines (20 for a full
@@ -322,24 +433,7 @@ const _: () = assert!(std::mem::size_of::<NodeFrame>() <= PAGE_SIZE);
 fn written(a: &[MaybeUninit<u64>], n: usize) -> &[u64] {
     assert!(n <= a.len());
     // SAFETY: `MaybeUninit<u64>` has `u64`'s layout, and every frame
-    // accessor passes a range inside the prefix `copy_body` wrote.
-    unsafe { std::slice::from_raw_parts(a.as_ptr().cast(), n) }
-}
-
-// The lane cast below reinterprets `u64` words as `f64`s.
-const _: () = assert!(
-    std::mem::size_of::<f64>() == std::mem::size_of::<u64>()
-        && std::mem::align_of::<f64>() <= std::mem::align_of::<u64>()
-);
-
-/// As [`written`], read as `f64`s: the frame's one `u64` → `f64` cast.
-#[inline]
-fn written_f64(a: &[MaybeUninit<u64>], n: usize) -> &[f64] {
-    assert!(n <= a.len());
-    // SAFETY: as in `written`; in addition `f64` has `u64`'s size and at
-    // most its alignment (asserted above), and every bit pattern is a valid
-    // `f64`, so the lane words the page stored as `to_bits` read back
-    // bit for bit.
+    // accessor passes a range inside the prefix `copy_words` wrote.
     unsafe { std::slice::from_raw_parts(a.as_ptr().cast(), n) }
 }
 
@@ -368,52 +462,42 @@ impl NodeFrame {
         written(&self.body[4 * n..], n)
     }
 
-    /// Copies the used prefix of the words after `page`'s header into the
-    /// body, `len × (5 | 6)` words for the header already unpacked here (a
-    /// full leaf's page ends at byte 1,264).
-    fn copy_body(&mut self, page: &Page) {
-        let used = self.len() * entry_words(self.leaf);
-        let words = page.bytes()[NODE_HEADER_BYTES..].chunks_exact(8);
-        for (w, b) in self.body[..used].iter_mut().zip(words) {
-            w.write(u64::from_le_bytes(b.try_into().expect("8 bytes")));
+    /// Copies `frame`'s words, `len × (5 | 6)` for the header already
+    /// unpacked here (a full leaf's words end at page byte 1,264).
+    fn copy_words(&mut self, frame: FrameRef<'_>) {
+        for (w, &x) in self.body.iter_mut().zip(frame.words) {
+            w.write(x);
         }
     }
 
-    /// Copies the node stored on `page` into `out` and returns it, as the
-    /// reference `MaybeUninit::write` gives: the header checked and
-    /// unpacked, then the page's used prefix copied word for word, with no
-    /// per-entry work. On error `out` holds no value (a frame needs no
-    /// drop).
-    pub fn decode_into<'o>(
-        page: &Page,
-        out: &'o mut MaybeUninit<Self>,
-    ) -> Result<&'o mut Self, String> {
-        let (level, leaf, len) = header(page.bytes())?;
-        let frame = out.as_mut_ptr();
+    /// Copies the node `frame` views into `out` and returns it, as the
+    /// reference `MaybeUninit::write` gives: the header's three fields,
+    /// then the page's used words, with no per-entry work.
+    pub fn fill<'o>(frame: FrameRef<'_>, out: &'o mut MaybeUninit<Self>) -> &'o mut Self {
+        let this = out.as_mut_ptr();
         // SAFETY: the scalar fields are written through raw pointers, never
         // read before; the body is `MaybeUninit` words, valid in any state,
         // so once the scalars are written the frame is whole.
-        let frame = unsafe {
-            (&raw mut (*frame).level).write(level);
-            (&raw mut (*frame).len).write(len as u32);
-            (&raw mut (*frame).leaf).write(leaf);
+        let this = unsafe {
+            (&raw mut (*this).level).write(frame.level);
+            (&raw mut (*this).len).write(frame.len);
+            (&raw mut (*this).leaf).write(frame.leaf);
             out.assume_init_mut()
         };
-        frame.copy_body(page);
-        Ok(frame)
+        this.copy_words(frame);
+        this
     }
 
-    /// [`NodeFrame::decode_into`] as an owned value.
-    pub fn from_page(page: &Page) -> Result<Self, String> {
-        let (level, leaf, len) = header(page.bytes())?;
-        let mut frame = NodeFrame {
-            level,
-            len: len as u32,
-            leaf,
+    /// [`NodeFrame::fill`] as an owned value.
+    pub fn from_frame(frame: FrameRef<'_>) -> Self {
+        let mut this = NodeFrame {
+            level: frame.level,
+            len: frame.len,
+            leaf: frame.leaf,
             body: [MaybeUninit::uninit(); BODY_WORDS],
         };
-        frame.copy_body(page);
-        Ok(frame)
+        this.copy_words(frame);
+        this
     }
 }
 
@@ -426,7 +510,7 @@ impl JoinNode for NodeFrame {
     #[inline]
     fn lanes(&self) -> SoaRun<'_> {
         let n = self.len();
-        split_lanes(written_f64(&self.body, 4 * n), n)
+        split_lanes(as_f64(written(&self.body, 4 * n)), n)
     }
 
     #[inline]
@@ -468,6 +552,11 @@ mod tests {
     use super::*;
     use crate::entry::{DataEntry, DirEntry};
 
+    /// The cached frame of `node`, filled from a one-page arena.
+    fn node_frame(node: &Node) -> NodeFrame {
+        NodeFrame::from_frame(PrefixArena::from_nodes(std::slice::from_ref(node)).read(PageId(0)))
+    }
+
     fn encoded(node: &Node) -> Page {
         let mut page = Page::zeroed();
         node.encode(&mut page);
@@ -487,7 +576,7 @@ mod tests {
                 },
             });
         }
-        let frame = NodeFrame::from_page(&encoded(&node)).unwrap();
+        let frame = node_frame(&node);
         assert_eq!(
             (frame.level(), frame.is_leaf(), frame.len()),
             (0, true, DATA_FANOUT)
@@ -510,7 +599,7 @@ mod tests {
                 child: 40 + i as u32,
             });
         }
-        let frame = NodeFrame::from_page(&encoded(&node)).unwrap();
+        let frame = node_frame(&node);
         assert_eq!(
             (frame.level(), frame.is_leaf(), frame.len()),
             (3, false, DIR_FANOUT)
@@ -525,13 +614,17 @@ mod tests {
     fn an_overfull_header_is_an_error_not_an_overrun() {
         let mut page = encoded(&Node::new_leaf());
         page.bytes_mut()[8..12].copy_from_slice(&(DATA_FANOUT as u32 + 1).to_le_bytes());
-        assert!(NodeFrame::from_page(&page).is_err());
+        let mut arena = PrefixArena::default();
+        assert!(arena.push_page(page.bytes()).is_err());
+        assert!(arena.is_empty());
     }
 
     #[test]
     fn an_unknown_kind_byte_is_an_error() {
         let mut page = encoded(&Node::new_dir(1));
         page.bytes_mut()[4] = 7;
-        assert!(NodeFrame::from_page(&page).is_err());
+        let mut arena = PrefixArena::default();
+        assert!(arena.push_page(page.bytes()).is_err());
+        assert!(arena.is_empty());
     }
 }

@@ -9,16 +9,16 @@
 //!   reinsertion;
 //! * [`bulk::bulk_load_str`] — Sort-Tile-Recursive bulk loading, used as an
 //!   ablation baseline against dynamic insertion;
-//! * [`PagedTree`] — the frozen, paged form of a tree: nodes serialized into
+//! * [`PagedTree`] — the frozen, paged form of a tree: nodes laid out as
 //!   4 KB pages (fanouts from 40-byte directory and 156-byte data entries —
 //!   the paper's Table 1 layout — stored column-wise), entries sorted by
 //!   their lower x bound so join tasks can plane-sweep without re-sorting;
-//! * [`FrameSlab`] / [`FrameRef`] — every paged tree's nodes packed into
-//!   one lane vector and one id vector, the view the in-memory join reads;
-//!   [`NodeFrame`] — a 4 KB, allocation-free node the out-of-core join
-//!   caches, a checked copy of its page's used prefix; and [`JoinNode`], the
-//!   view of a node the join kernel reads (implemented by both frames and
-//!   by [`Node`]);
+//! * [`PrefixArena`] / [`FrameRef`] — a paged tree's pages without their
+//!   zero padding, one word vector in page order, and one page of it viewed
+//!   in place, which the in-memory join reads; [`NodeFrame`] — a 4 KB,
+//!   allocation-free node the out-of-core join caches, a copy of its page's
+//!   used words; and [`JoinNode`], the view of a node the join kernel reads
+//!   (implemented by both frames and by [`Node`]);
 //! * window queries on both forms, and [`TreeStats`] which regenerates
 //!   Table 1.
 //!
@@ -44,12 +44,12 @@ pub mod tree;
 
 pub use access::{window_query_via, NodeAccess};
 pub use entry::{DataEntry, DirEntry, GeomRef, DATA_ENTRY_BYTES, DIR_ENTRY_BYTES};
-pub use frame::{FrameRef, FrameSlab, JoinNode, NodeFrame};
+pub use frame::{FrameRef, JoinNode, NodeFrame, PrefixArena};
 pub use nn::nearest_neighbors_via;
 pub use node::{Node, NodeKind, DATA_FANOUT, DATA_MIN_FILL, DIR_FANOUT, DIR_MIN_FILL};
-pub use paged::PagedTree;
+pub use paged::{HeapBytes, PagedTree};
 pub use persist::{
-    fsck_file, generation_path, manifest_path, FsckReport, LenientLoad, Manifest,
+    fsck_file, generation_path, manifest_path, FsckReport, LenientLoad, Manifest, PoisonedTree,
     UnsupportedFormat, MANIFEST_FORMAT,
 };
 pub use stats::TreeStats;

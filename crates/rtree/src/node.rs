@@ -1,9 +1,10 @@
 //! Tree nodes and their 4 KB page serialization.
 //!
-//! A page holds its node in the PSJT3 layout, the layout a cached
-//! [`crate::NodeFrame`] keeps in memory, so a cache fill copies the page's
-//! used prefix instead of transcoding it. All multi-byte fields are
-//! little-endian:
+//! A page holds its node in the PSJT3 layout. A paged tree keeps each
+//! page's used prefix after the header, word for word, in its
+//! [`PrefixArena`], and a cached [`crate::NodeFrame`] holds the same words,
+//! so a cache fill copies them instead of transcoding a page. All
+//! multi-byte fields are little-endian:
 //!
 //! ```text
 //! bytes 0..16   level u32, kind u8 (0 = leaf, 1 = directory), 3 pad,
@@ -20,10 +21,9 @@
 //! [`DATA_ENTRY_BYTES`]), so page counts match Table 1.
 
 use crate::entry::{DataEntry, DirEntry, GeomRef, DATA_ENTRY_BYTES, DIR_ENTRY_BYTES};
-use crate::frame::{JoinNode, NodeFrame};
+use crate::frame::{FrameRef, JoinNode, PrefixArena};
 use psj_geom::{Rect, SoaMbrs};
 use psj_store::{Page, PageId, PAGE_SIZE};
-use std::mem::MaybeUninit;
 use std::sync::OnceLock;
 
 /// Bytes reserved for the node header (level, kind, entry count).
@@ -63,7 +63,7 @@ pub struct Node {
     /// and reused by every plane-sweep that restricts this node. Invalidated
     /// by the `&mut` entry accessors; not part of the node's identity or
     /// page encoding. The in-memory join reads a paged tree's
-    /// [`crate::FrameSlab`] instead, so a frozen or loaded tree builds this
+    /// [`PrefixArena`] instead, so a frozen or loaded tree builds this
     /// view only for readers that sweep `Node`s directly.
     pub(crate) soa: OnceLock<SoaMbrs>,
 }
@@ -228,6 +228,20 @@ impl Node {
         })
     }
 
+    /// Heap bytes the node holds: its entry vector and, once built, its SoA
+    /// view.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let entries = match &self.kind {
+            NodeKind::Dir(v) => v.capacity() * std::mem::size_of::<DirEntry>(),
+            NodeKind::Leaf(v) => v.capacity() * std::mem::size_of::<DataEntry>(),
+        };
+        entries
+            + self
+                .soa
+                .get()
+                .map_or(0, |s| 4 * s.len() * std::mem::size_of::<f64>())
+    }
+
     /// Sorts the entries by their lower x bound, the precondition of the
     /// plane-sweep join. Called when the tree is frozen into pages.
     /// `total_cmp` gives a total order even for NaN coordinates (which sort
@@ -244,97 +258,58 @@ impl Node {
     /// Serializes the node into a 4 KB page in the PSJT3 layout: the
     /// header, the lanes `xl[n] xh[n] yl[n] yh[n]`, the children
     /// (directory) or object ids (leaf) as `u64` words, and for a leaf one
-    /// geometry word per entry. The rest of the page is zero.
+    /// geometry word per entry. The rest of the page is zero. This is the
+    /// page a one-node [`PrefixArena`] writes.
     ///
     /// # Panics
     ///
     /// Panics if the node overflows its fanout (cannot happen for nodes
     /// produced by the insertion/split algorithms).
     pub fn encode(&self, page: &mut Page) {
-        assert!(self.len() <= self.fanout(), "node overflows page");
-        let n = self.len();
-        let buf = page.bytes_mut();
-        buf.fill(0);
-        buf[0..4].copy_from_slice(&self.level.to_le_bytes());
-        buf[4] = if self.is_leaf() { 0 } else { 1 };
-        buf[8..12].copy_from_slice(&(n as u32).to_le_bytes());
-        let mut words = buf[NODE_HEADER_BYTES..].chunks_exact_mut(8);
-        let mut put = |w: u64| {
-            words
-                .next()
-                .expect("a node within its fanout fits its page")
-                .copy_from_slice(&w.to_le_bytes());
-        };
-        let coords: [fn(&Rect) -> f64; 4] = [|r| r.xl, |r| r.xu, |r| r.yl, |r| r.yu];
-        for coord in coords {
-            (0..n).for_each(|i| put(coord(&self.mbr_of(i)).to_bits()));
-        }
-        match &self.kind {
-            NodeKind::Dir(v) => v.iter().for_each(|e| put(u64::from(e.child))),
-            NodeKind::Leaf(v) => {
-                v.iter().for_each(|e| put(e.oid));
-                v.iter().for_each(|e| put(geom_word(e.geom)));
-            }
-        }
+        PrefixArena::from_nodes(std::slice::from_ref(self)).write_page(PageId(0), page);
     }
 
-    /// Deserializes a node from a 4 KB page, rejecting a header whose kind
-    /// byte is not 0 or 1 or whose count exceeds the kind's fanout, and a
-    /// directory entry whose child word does not fit a page number. A page
-    /// can pass its CRC and still fail this (a writer bug, or a record
-    /// re-encoded over damaged bytes), so every loader decodes with it.
-    pub fn try_decode(page: &Page) -> Result<Self, String> {
-        // The frame is the one reader of the layout: it checks the header
-        // and copies the used prefix; the entries are built from its words.
-        // Filled in place, so the 4 KB frame is never moved.
-        let mut slot = MaybeUninit::uninit();
-        let frame = NodeFrame::decode_into(page, &mut slot)?;
-        let (lanes, ids) = (frame.lanes(), frame.ids());
+    /// The node an arena page holds ([`PrefixArena::read`],
+    /// [`crate::PagedTree::frame`]), in its build-time form. The arena
+    /// checked the page when it took it in, so this cannot fail.
+    pub fn decode(frame: FrameRef<'_>) -> Self {
+        let lanes = frame.lanes();
         let mbr = |i: usize| Rect {
             xl: lanes.xl[i],
             yl: lanes.yl[i],
             xu: lanes.xh[i],
             yu: lanes.yh[i],
         };
+        let n = frame.len();
         let kind = if frame.is_leaf() {
             NodeKind::Leaf(
-                (ids.iter().enumerate())
-                    .map(|(i, &oid)| DataEntry {
+                (0..n)
+                    .map(|i| DataEntry {
                         mbr: mbr(i),
-                        oid,
+                        oid: frame.oid(i),
                         geom: frame.geom(i),
                     })
                     .collect(),
             )
         } else {
             NodeKind::Dir(
-                (ids.iter().enumerate())
-                    .map(|(i, &id)| {
-                        let child = u32::try_from(id)
-                            .map_err(|_| format!("entry {i}: child {id} is no page"))?;
-                        Ok(DirEntry { mbr: mbr(i), child })
+                (0..n)
+                    .map(|i| DirEntry {
+                        mbr: mbr(i),
+                        child: frame.child(i),
                     })
-                    .collect::<Result<_, String>>()?,
+                    .collect(),
             )
         };
-        // The SoA view is left unbuilt: a loaded tree's join reads its
-        // frame slab, and a decoded node builds the view on first sweep.
-        Ok(Node::from_parts(frame.level(), kind))
-    }
-
-    /// [`Node::try_decode`] of a page known to be well formed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page does not hold a node.
-    pub fn decode(page: &Page) -> Self {
-        Self::try_decode(page).unwrap_or_else(|e| panic!("undecodable node page: {e}"))
+        // The SoA view is left unbuilt: a paged tree's join reads its
+        // arena, and a decoded node builds the view on first sweep.
+        Node::from_parts(frame.level(), kind)
     }
 }
 
 /// A leaf's geometry ref as one page word: the page in the low half, the
 /// slot in the high half (bytes `page u32, slot u32`, little-endian).
-fn geom_word(g: GeomRef) -> u64 {
+pub(crate) fn geom_word(g: GeomRef) -> u64 {
     u64::from(g.page.0) | u64::from(g.slot) << 32
 }
 
@@ -349,6 +324,13 @@ pub(crate) fn geom_of_word(w: u64) -> GeomRef {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The node `page` holds, read through the arena's page reader.
+    fn decoded(page: &Page) -> Result<Node, String> {
+        let mut arena = PrefixArena::default();
+        arena.push_page(page.bytes())?;
+        Ok(Node::decode(arena.read(PageId(0))))
+    }
 
     fn leaf_with(n: usize) -> Node {
         let mut node = Node::new_leaf();
@@ -375,7 +357,7 @@ mod tests {
         let node = leaf_with(DATA_FANOUT);
         let mut page = Page::zeroed();
         node.encode(&mut page);
-        assert_eq!(Node::decode(&page), node);
+        assert_eq!(decoded(&page).unwrap(), node);
     }
 
     #[test]
@@ -389,7 +371,7 @@ mod tests {
         }
         let mut page = Page::zeroed();
         node.encode(&mut page);
-        let back = Node::decode(&page);
+        let back = decoded(&page).unwrap();
         assert_eq!(back, node);
         assert_eq!(back.level, 2);
         assert!(!back.is_leaf());
@@ -400,7 +382,7 @@ mod tests {
         let node = Node::new_leaf();
         let mut page = Page::zeroed();
         node.encode(&mut page);
-        let back = Node::decode(&page);
+        let back = decoded(&page).unwrap();
         assert!(back.is_empty());
         assert!(back.mbr().is_empty());
     }
@@ -442,10 +424,10 @@ mod tests {
         leaf_with(3).encode(&mut page);
         let mut bad_kind = page.clone();
         bad_kind.bytes_mut()[4] = 2;
-        assert!(Node::try_decode(&bad_kind).unwrap_err().contains("kind"));
+        assert!(decoded(&bad_kind).unwrap_err().contains("kind"));
         let mut overfull = page.clone();
         overfull.bytes_mut()[8..12].copy_from_slice(&200u32.to_le_bytes());
-        assert!(Node::try_decode(&overfull).unwrap_err().contains("200"));
+        assert!(decoded(&overfull).unwrap_err().contains("200"));
 
         let mut dir = Node::new_dir(1);
         dir.dir_entries_mut().push(DirEntry {
@@ -456,7 +438,7 @@ mod tests {
         // The child word follows the four lanes of the single entry.
         let at = NODE_HEADER_BYTES + 4 * 8 + 4;
         page.bytes_mut()[at] = 1;
-        assert!(Node::try_decode(&page).unwrap_err().contains("child"));
+        assert!(decoded(&page).unwrap_err().contains("child"));
     }
 
     #[test]
@@ -484,7 +466,7 @@ mod tests {
         let node = leaf_with(5);
         let mut page = Page::zeroed();
         node.encode(&mut page);
-        let back = Node::decode(&page);
+        let back = decoded(&page).unwrap();
         // Decode leaves the SoA view unbuilt; build it on `back` only, so
         // one node has the view and the other does not — they still compare
         // equal.

@@ -5,10 +5,12 @@
 //! [`psj_store::checksum`]), and the geometry clusters, the whole file
 //! additionally protected by an FNV-1a checksum. Each payload is a node in
 //! the PSJT3 page layout ([`crate::node`]): header, MBR lanes, ids and
-//! geometry words, then zeros. Buffered I/O throughout; loading decodes
-//! every node from its page bytes with the checked decode
-//! ([`Node::try_decode`]), so a loaded tree is verified against its page
-//! images by construction.
+//! geometry words, then zeros. Buffered I/O throughout. A loaded tree holds
+//! no 4 KB page: loading checks each record's CRC, then appends only the
+//! page's used words to the tree's [`PrefixArena`] through its checked page
+//! reader ([`PrefixArena::push_page`]) and decodes the node from there.
+//! Saving pads each arena page back to 4 KB ([`PrefixArena::write_page`])
+//! and writes its CRC, so the file is the one a page store would write.
 //!
 //! ```text
 //! +------------------+ magic "PSJT3\n", root u32, height u32,
@@ -39,17 +41,20 @@
 //!
 //! **Degradation.** [`PagedTree::load_from_lenient`] salvages a corrupt
 //! file: pages whose CRC footer fails, or whose node does not decode, are
-//! replaced by placeholder nodes and reported as *poisoned*
+//! replaced by empty-leaf placeholders and reported as *poisoned*
 //! ([`PagedTree::is_poisoned`]) instead of failing the whole load — the
 //! serving layer can then answer queries that avoid the poisoned subtrees
-//! and return typed errors for the rest.
-//! [`fsck_file`] reuses the same verification to produce a report.
+//! and return typed errors for the rest. Such a tree cannot be saved
+//! ([`PoisonedTree`]): its placeholders would be written as CRC-valid
+//! empty leaves. [`fsck_file`] reuses the same verification to produce a
+//! report.
 
+use crate::frame::PrefixArena;
 use crate::node::Node;
 use crate::paged::PagedTree;
 use psj_geom::{Point, Polyline};
 use psj_store::{
-    atomic_write, encode_record, verify_record, ClusterStore, PageId, PageStore, PAGE_RECORD_SIZE,
+    atomic_write, encode_record, verify_record, ClusterStore, Page, PageId, PAGE_RECORD_SIZE,
     PAGE_SIZE,
 };
 use std::collections::BTreeSet;
@@ -96,6 +101,32 @@ impl std::fmt::Display for UnsupportedFormat {
 }
 
 impl std::error::Error for UnsupportedFormat {}
+
+/// A tree with poisoned pages ([`PagedTree::load_from_lenient`]), which
+/// [`PagedTree::save_to`] refuses inside an
+/// [`io::ErrorKind::InvalidInput`] error (`err.get_ref()` downcasts to
+/// it): saving would write each placeholder as a CRC-valid empty leaf, a
+/// file `fsck` calls clean with the salvaged pages' entries gone.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PoisonedTree {
+    /// The poisoned pages, ascending.
+    pub pages: Vec<PageId>,
+}
+
+impl std::fmt::Display for PoisonedTree {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let pages: Vec<String> = self.pages.iter().map(PageId::to_string).collect();
+        write!(
+            f,
+            "refusing to save a tree with {} poisoned page(s) ({}): \
+             they would be written as valid empty leaves",
+            self.pages.len(),
+            pages.join(", ")
+        )
+    }
+}
+
+impl std::error::Error for PoisonedTree {}
 
 /// Sanity bound on the page count in a header (16 M pages = 64 GB of
 /// payload); a corrupt header must not drive allocation.
@@ -194,7 +225,7 @@ struct RawLoad {
     height: u32,
     num_items: u64,
     nodes: Vec<Node>,
-    pages: PageStore,
+    pages: PrefixArena,
     clusters: ClusterStore,
     corrupt_pages: Vec<PageId>,
     checksum_ok: bool,
@@ -309,33 +340,33 @@ fn read_tree_file(path: &Path, lenient: bool) -> io::Result<RawLoad> {
     }
     let (root, height, num_items, num_pages, num_clusters) = read_header(&mut r)?;
 
-    let mut pages = PageStore::new();
+    let mut pages = PrefixArena::with_pages(num_pages);
     let mut nodes = Vec::with_capacity(num_pages);
     let mut corrupt_pages = Vec::new();
-    let mut record = vec![0u8; PAGE_RECORD_SIZE];
-    for _ in 0..num_pages {
+    let mut record = [0u8; PAGE_RECORD_SIZE];
+    for id in (0..num_pages as u32).map(PageId) {
         r.read_exact_hashed(&mut record)?;
-        let id = pages.allocate();
-        let fixed: &[u8; PAGE_RECORD_SIZE] = record[..].try_into().unwrap();
-        let node = verify_record(fixed, id, &context)
+        let checked = verify_record(&record, id, &context)
             .map_err(io::Error::from)
             .and_then(|()| {
-                let page = pages.write(id);
-                page.bytes_mut().copy_from_slice(&record[..PAGE_SIZE]);
-                Node::try_decode(page).map_err(|e| corrupt(&format!("{context}: page {id}: {e}")))
+                let page = record[..PAGE_SIZE]
+                    .try_into()
+                    .expect("a record holds a page");
+                let checked = pages.push_page(page);
+                checked.map_err(|e| corrupt(&format!("{context}: page {id}: {e}")))
             });
-        match node {
-            Ok(node) => nodes.push(node),
+        match checked {
+            Ok(()) => nodes.push(Node::decode(pages.read(id))),
             Err(_) if lenient => {
-                // Placeholder over a zeroed page: never decoded, never
-                // descended into.
-                pages.write(id).bytes_mut().fill(0);
+                // An empty-leaf placeholder: never descended into.
+                pages.push_placeholder();
                 corrupt_pages.push(id);
                 nodes.push(Node::new_leaf());
             }
             Err(e) => return Err(e),
         }
     }
+    pages.shrink_to_fit();
 
     let (clusters, clusters_ok, checksum_ok) = if lenient {
         match read_clusters(&mut r, num_pages, num_clusters) {
@@ -369,8 +400,21 @@ fn read_tree_file(path: &Path, lenient: bool) -> io::Result<RawLoad> {
 impl PagedTree {
     /// Writes the tree to `path` crash-safely (tmp + fsync + atomic
     /// rename), overwriting any existing file only once the new one is
-    /// complete and durable.
+    /// complete and durable. Each arena page is padded back to its 4 KB
+    /// page image.
+    ///
+    /// A tree with poisoned pages is refused with an
+    /// [`io::ErrorKind::InvalidInput`] error carrying a [`PoisonedTree`],
+    /// and no file is written.
     pub fn save_to(&self, path: &Path) -> io::Result<()> {
+        if self.poisoned_count() > 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                PoisonedTree {
+                    pages: self.poisoned_pages().collect(),
+                },
+            ));
+        }
         atomic_write(path, |out| {
             let mut w = HashWriter {
                 inner: out,
@@ -391,7 +435,9 @@ impl PagedTree {
             cluster_pages.sort_unstable();
             w.u32(cluster_pages.len() as u32)?;
 
-            for (id, page) in self.pages().iter() {
+            let mut page = Page::zeroed();
+            for id in (0..self.num_pages() as u32).map(PageId) {
+                self.pages().write_page(id, &mut page);
                 w.write_all_hashed(&encode_record(page.bytes(), id))?;
             }
 
@@ -427,10 +473,10 @@ impl PagedTree {
         debug_assert!(raw.corrupt_pages.is_empty());
         let tree = PagedTree::from_loaded_parts(
             raw.nodes,
+            raw.pages,
             raw.root,
             raw.height,
             raw.num_items,
-            raw.pages,
             raw.clusters,
         );
         tree.verify().map_err(|e| {
@@ -454,10 +500,10 @@ impl PagedTree {
         let raw = read_tree_file(path, true)?;
         let mut tree = PagedTree::from_loaded_parts(
             raw.nodes,
+            raw.pages,
             raw.root,
             raw.height,
             raw.num_items,
-            raw.pages,
             raw.clusters,
         );
         tree.set_poisoned(
@@ -766,10 +812,10 @@ pub fn fsck_file(path: &Path) -> FsckReport {
                 report.file_checksum_ok = raw.checksum_ok;
                 let mut tree = PagedTree::from_loaded_parts(
                     raw.nodes,
+                    raw.pages,
                     raw.root,
                     raw.height,
                     raw.num_items,
-                    raw.pages,
                     raw.clusters,
                 );
                 tree.set_poisoned(report.corrupt_pages.iter().copied().collect());
@@ -985,6 +1031,39 @@ mod tests {
         assert_eq!(loaded.tree.poisoned_count(), 1);
         assert!(loaded.tree.is_poisoned(PageId(victim as u32)));
         assert!(!loaded.tree.is_poisoned(PageId(0)));
+    }
+
+    /// A salvaged tree is not saved: its placeholders would become
+    /// CRC-valid empty leaves in a file `fsck` calls clean.
+    #[test]
+    fn saving_a_poisoned_tree_is_refused() {
+        let tree = sample_tree(400);
+        let path = tmpfile("poisoned-src");
+        tree.save_to(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[record_offset(1) + 40] ^= 0xFF;
+        bytes[record_offset(3) + 40] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = PagedTree::load_from_lenient(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.tree.poisoned_count(), 2);
+
+        let out = tmpfile("poisoned-out");
+        let err = loaded.tree.save_to(&out).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let typed = err.get_ref().and_then(|e| e.downcast_ref::<PoisonedTree>());
+        assert_eq!(
+            typed,
+            Some(&PoisonedTree {
+                pages: vec![PageId(1), PageId(3)]
+            })
+        );
+        assert!(err.to_string().contains("p1, p3"), "{err}");
+        assert!(!out.exists(), "a refused save writes no file");
+        assert!(!psj_store::tmp_path(&out).exists());
+        let base = tmpfile("poisoned-base");
+        assert!(loaded.tree.save_generation(&base).is_err());
+        assert!(!manifest_path(&base).exists());
     }
 
     #[test]

@@ -5,10 +5,11 @@ use psj_geom::{Point, Polyline, Rect};
 use psj_rtree::bulk::bulk_load_str_with_fanout;
 use psj_rtree::split::rstar_split;
 use psj_rtree::{
-    DataEntry, DirEntry, FrameRef, FrameSlab, GeomRef, JoinNode, Node, NodeFrame, PagedTree, RTree,
-    DATA_FANOUT, DIR_FANOUT,
+    DataEntry, DirEntry, FrameRef, GeomRef, JoinNode, Node, NodeFrame, PagedTree, PrefixArena,
+    RTree, DATA_FANOUT, DIR_FANOUT,
 };
-use psj_store::{Page, PageId, PAGE_RECORD_SIZE};
+use psj_store::{encode_record, Page, PageId, PAGE_RECORD_SIZE};
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
@@ -139,7 +140,7 @@ fn view_is_node<J: JoinNode>(
     Ok(())
 }
 
-/// A slab frame is its node.
+/// An arena frame is its node.
 fn frame_is_node(frame: &FrameRef<'_>, node: &Node) -> Result<(), TestCaseError> {
     view_is_node(frame, frame.is_leaf(), frame.len(), frame.ids(), node)
 }
@@ -184,13 +185,39 @@ fn shaped(rects: Vec<Rect>, shape: u32, leaf: bool) -> Vec<Rect> {
     }
 }
 
-/// Every page's slab frame is the page's node.
+/// Every page's arena frame is the page's node.
 fn frames_are_nodes(tree: &PagedTree) -> Result<(), TestCaseError> {
     for p in 0..tree.num_pages() {
         let page = PageId(p as u32);
         frame_is_node(&tree.frame(page), tree.node(page))?;
     }
     Ok(())
+}
+
+/// `rects` indexed by insertion (or STR bulk loading at fanout 6) and
+/// frozen, each object's geometry its MBR's diagonal.
+fn paged_tree(rects: &[Rect], bulk: bool) -> PagedTree {
+    let tree = if bulk {
+        let items: Vec<(Rect, u64)> = rects
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| (r, i as u64))
+            .collect();
+        bulk_load_str_with_fanout(&items, 6, 6)
+    } else {
+        let mut t = RTree::new();
+        for (i, r) in rects.iter().enumerate() {
+            t.insert(*r, i as u64);
+        }
+        t
+    };
+    PagedTree::freeze(&tree, |oid| {
+        let r = &rects[oid as usize];
+        Some(Polyline::new(vec![
+            Point::new(r.xl, r.yl),
+            Point::new(r.xu, r.yu),
+        ]))
+    })
 }
 
 /// A temporary file path unique to this process and call.
@@ -212,9 +239,10 @@ proptest! {
     /// The page layout round-trips and every view of it is the node: for
     /// leaf and directory nodes, empty, full (102 / 26 entries) and of
     /// every fill between, with ±0.0, ±inf and NaN-payload coordinates
-    /// compared bit for bit, `Node::decode(encode(n))` is `n`, and the
-    /// cached frame copied from the page and the slab frame packed from
-    /// the node both read as `n`. The bytes after the used prefix are zero.
+    /// compared bit for bit, the page read into an arena decodes to `n`,
+    /// its arena frame and the cached frame filled from it read as `n`, and
+    /// the arena writes the page back byte for byte. The bytes after the
+    /// used prefix are zero.
     #[test]
     fn node_frame_matches_node(
         leaf in 0u32..2,
@@ -229,41 +257,57 @@ proptest! {
         }
         let page = encoded(&node);
         prop_assert!(page.bytes()[used_prefix(&node)..].iter().all(|&b| b == 0));
-        prop_assert_eq!(node_bits(&Node::decode(&page)), node_bits(&node));
-        let frame = NodeFrame::from_page(&page).map_err(TestCaseError::fail)?;
-        node_frame_is_node(&frame, &node)?;
-        let nodes = [node];
-        let slab = FrameSlab::new(&nodes);
-        frame_is_node(&slab.frame(&nodes, PageId(0)), &nodes[0])?;
+        let mut arena = PrefixArena::default();
+        arena.push_page(page.bytes()).map_err(TestCaseError::fail)?;
+        let view = arena.read(PageId(0));
+        prop_assert_eq!(node_bits(&Node::decode(view)), node_bits(&node));
+        frame_is_node(&view, &node)?;
+        node_frame_is_node(&NodeFrame::from_frame(view), &node)?;
+        let mut back = Page::zeroed();
+        back.bytes_mut().fill(0xA5);
+        arena.write_page(PageId(0), &mut back);
+        prop_assert!(back.bytes() == page.bytes(), "the arena rewrote the page differently");
     }
 
-    /// The join's packed frames are the tree's nodes, page by page: for
+    /// A node packed into an arena, as freezing packs it, reads back as the
+    /// node three ways: its arena frame, the cached frame filled from that
+    /// frame into a slot that held another node's words, and the node
+    /// decoded from the frame. Leaf and directory nodes, empty, full and
+    /// between, with ±0.0, ±inf and NaN-payload coordinates bit for bit.
+    #[test]
+    fn arena_frame_and_node_frame_match_decoded_node(
+        leaf in 0u32..2,
+        level in 1u32..6,
+        rects in prop::collection::vec(arb_raw_rect(), 0..DIR_FANOUT + 1),
+        shape in 0u32..4,
+        salt in 0u64..u64::MAX,
+    ) {
+        let node = raw_node(leaf == 1, level, &shaped(rects.clone(), shape, leaf == 1), salt);
+        let other = raw_node(leaf == 0, level, &shaped(rects, 1, leaf == 0), !salt);
+        let arena = PrefixArena::from_nodes(&[other, node.clone()]);
+        let view = arena.read(PageId(1));
+        let decoded = Node::decode(view);
+        prop_assert_eq!(node_bits(&decoded), node_bits(&node));
+        frame_is_node(&view, &decoded)?;
+        let mut slot = MaybeUninit::new(NodeFrame::from_frame(arena.read(PageId(0))));
+        let filled = NodeFrame::fill(view, &mut slot);
+        node_frame_is_node(filled, &decoded)?;
+        node_frame_is_node(filled, &node)?;
+    }
+
+    /// The join's arena frames are the tree's nodes, page by page: for
     /// trees from insertion and from STR bulk loading, after a save / load
     /// round trip, and after a lenient load whose poisoned page holds an
-    /// empty placeholder frame.
+    /// empty-leaf placeholder frame, which a cached frame copies as one.
     #[test]
-    fn frame_slab_matches_nodes(
+    fn arena_frames_match_nodes(
         rects in prop::collection::vec(arb_rect(), 1..400),
         bulk in 0u32..2,
     ) {
-        let tree = if bulk == 1 {
-            let items: Vec<(Rect, u64)> = rects.iter().enumerate()
-                .map(|(i, &r)| (r, i as u64)).collect();
-            bulk_load_str_with_fanout(&items, 6, 6)
-        } else {
-            let mut t = RTree::new();
-            for (i, r) in rects.iter().enumerate() {
-                t.insert(*r, i as u64);
-            }
-            t
-        };
-        let paged = PagedTree::freeze(&tree, |oid| {
-            let r = &rects[oid as usize];
-            Some(Polyline::new(vec![Point::new(r.xl, r.yl), Point::new(r.xu, r.yu)]))
-        });
+        let paged = paged_tree(&rects, bulk == 1);
         frames_are_nodes(&paged)?;
 
-        let path = tmpfile("slab");
+        let path = tmpfile("arena");
         paged.save_to(&path).map_err(|e| TestCaseError::fail(e.to_string()))?;
         let loaded = PagedTree::load_from(&path);
         let victim = (1..paged.num_pages()).rev().find(|&n| paged.node(PageId(n as u32)).is_leaf());
@@ -282,14 +326,18 @@ proptest! {
             frames_are_nodes(&lenient.tree)?;
             let placeholder = lenient.tree.frame(page);
             prop_assert!(placeholder.is_leaf() && placeholder.is_empty());
+            prop_assert_eq!(placeholder.level(), 0);
+            let cached = NodeFrame::from_frame(placeholder);
+            prop_assert!(cached.is_leaf() && cached.is_empty() && cached.level() == 0);
         }
     }
 
     /// Raw nodes with ±0.0, ±inf and NaN-payload coordinates, packed several
-    /// to a slab, come back bit for bit from their slab frames and from the
-    /// cached frames copied from their pages.
+    /// to an arena, come back bit for bit from their arena frames and from
+    /// the cached frames filled from them, and the arena holds exactly the
+    /// nodes' used prefixes.
     #[test]
-    fn frame_slab_matches_raw_nodes(
+    fn arena_matches_raw_nodes(
         specs in prop::collection::vec(
             (0u32..2, 1u32..6, prop::collection::vec(arb_raw_rect(), 0..DIR_FANOUT + 1), 0u64..u64::MAX),
             1..5,
@@ -298,15 +346,45 @@ proptest! {
         let nodes: Vec<Node> = specs.iter()
             .map(|(leaf, level, rects, salt)| raw_node(*leaf == 1, *level, rects, *salt))
             .collect();
-        let slab = FrameSlab::new(&nodes);
-        prop_assert_eq!(slab.len(), nodes.len());
-        let entries: usize = nodes.iter().map(Node::len).sum();
-        prop_assert_eq!(slab.heap_bytes(), 40 * entries + 16 * nodes.len());
+        let arena = PrefixArena::from_nodes(&nodes);
+        prop_assert_eq!(arena.len(), nodes.len());
+        prop_assert_eq!(arena.heap_bytes(), nodes.iter().map(used_prefix).sum::<usize>());
         for (p, node) in nodes.iter().enumerate() {
-            frame_is_node(&slab.frame(&nodes, PageId(p as u32)), node)?;
-            let cached = NodeFrame::from_page(&encoded(node)).map_err(TestCaseError::fail)?;
-            node_frame_is_node(&cached, node)?;
+            let view = arena.read(PageId(p as u32));
+            frame_is_node(&view, node)?;
+            node_frame_is_node(&NodeFrame::from_frame(view), node)?;
         }
+    }
+
+    /// The file format is the one a page store writes: every record a
+    /// frozen tree's save writes is its node encoded into a zeroed 4 KB
+    /// page, with that page's CRC footer, and save → load → save writes the
+    /// same bytes.
+    #[test]
+    fn saved_records_are_encoded_nodes(
+        rects in prop::collection::vec(arb_rect(), 1..300),
+        bulk in 0u32..2,
+    ) {
+        let paged = paged_tree(&rects, bulk == 1);
+        let path = tmpfile("records");
+        paged.save_to(&path).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let first = std::fs::read(&path).expect("saved file");
+        let loaded = PagedTree::load_from(&path).map_err(|e| TestCaseError::fail(e.to_string()));
+        std::fs::remove_file(&path).ok();
+        for p in 0..paged.num_pages() {
+            let id = PageId(p as u32);
+            let mut page = Page::zeroed();
+            paged.node(id).encode(&mut page);
+            let at = record_offset(p);
+            prop_assert!(
+                first[at..at + PAGE_RECORD_SIZE] == encode_record(page.bytes(), id)[..],
+                "record {} is not its encoded node", p
+            );
+        }
+        loaded?.save_to(&path).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let second = std::fs::read(&path).expect("saved file");
+        std::fs::remove_file(&path).ok();
+        prop_assert!(first == second, "save → load → save changed the file");
     }
 
     #[test]

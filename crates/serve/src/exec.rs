@@ -127,8 +127,7 @@ impl psj_buffer::PageSource for TreeSet {
         if let Some(plan) = &self.fault {
             plan.before_fetch(key)?;
         }
-        Node::try_decode(self.trees[tree].pages().read(page))
-            .map_err(|context| PageError::Corrupt { page: key, context })
+        Ok(Node::decode(self.trees[tree].frame(page)))
     }
 
     fn page_count(&self) -> usize {
@@ -735,6 +734,15 @@ mod tests {
         assert_eq!(loaded.tree.poisoned_count(), 1);
 
         let trees = TreeSet::new(vec![Arc::new(loaded.tree), healthy]).unwrap();
+        // The placeholder is never served: its fetch is a typed error.
+        let key = trees.key(0, PageId(leaf as u32));
+        match psj_buffer::PageSource::fetch_page(&trees, key) {
+            Err(PageError::Corrupt { page, context }) => {
+                assert_eq!(page, key);
+                assert!(context.contains("poisoned at load time"), "{context}");
+            }
+            other => panic!("poisoned page fetched: {other:?}"),
+        }
         let got = join(&trees, 0, 1, true, None, JoinTuning::threads(2), None);
         assert!(
             matches!(&got, Outcome::Storage(e) if e.is_corrupt()),

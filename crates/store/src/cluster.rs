@@ -99,6 +99,22 @@ impl ClusterStore {
         self.clusters.is_empty()
     }
 
+    /// Heap bytes the store holds in memory (not the stored size
+    /// [`ClusterStore::avg_bytes`] reports): the map's slots, each
+    /// cluster's geometry vector and each geometry's vertices. An estimate
+    /// that leaves out the map's control bytes and allocator overhead.
+    pub fn heap_bytes(&self) -> usize {
+        let slot = std::mem::size_of::<(PageId, Cluster)>();
+        let geometry = |g: &Polyline| std::mem::size_of_val(g.points());
+        self.clusters.capacity() * slot
+            + (self.clusters.values())
+                .map(|c| {
+                    c.geometries.capacity() * std::mem::size_of::<Polyline>()
+                        + c.geometries.iter().map(geometry).sum::<usize>()
+                })
+                .sum::<usize>()
+    }
+
     /// Average cluster size in bytes (the paper reports 26 KB). 0 if empty.
     pub fn avg_bytes(&self) -> u64 {
         if self.clusters.is_empty() {

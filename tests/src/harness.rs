@@ -95,7 +95,7 @@ impl JoinScenario {
     /// Total serialized pages of both trees — the working set an out-of-core
     /// run has to stream through.
     pub fn total_pages(&self) -> usize {
-        self.a.pages().len() + self.b.pages().len()
+        self.a.num_pages() + self.b.num_pages()
     }
 }
 

@@ -1,6 +1,6 @@
 //! The out-of-core join's miss path performs no heap allocation: a miss
 //! reserves a slot of the page cache (evicting an unpinned page) and
-//! copies the page's used prefix into it in place.
+//! copies the page's used words from the tree's arena into it in place.
 //!
 //! This binary counts allocations per thread with its own global
 //! allocator, replays a join's page requests — in the order a worker reads
@@ -12,7 +12,7 @@
 use psj_buffer::{PageSource, Policy, SharedPageCache};
 use psj_core::{create_tasks, expand_pair, KernelScratch, TaskPair};
 use psj_integration::harness::JoinScenario;
-use psj_rtree::{JoinNode, NodeFrame, PagedTree};
+use psj_rtree::{FrameRef, JoinNode, NodeFrame, PagedTree};
 use psj_store::{PageError, PageId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -67,14 +67,14 @@ fn allocations() -> u64 {
 /// page source does.
 const TREE_B: u32 = 1 << 31;
 
-/// Frames copied from both trees' serialized pages, in place.
+/// Frames copied from both trees' page arenas, in place.
 struct Frames<'t> {
     a: &'t PagedTree,
     b: &'t PagedTree,
 }
 
-impl Frames<'_> {
-    fn page(&self, page: PageId) -> &psj_store::Page {
+impl<'t> Frames<'t> {
+    fn page(&self, page: PageId) -> FrameRef<'t> {
         if page.0 & TREE_B != 0 {
             self.b.pages().read(PageId(page.0 & !TREE_B))
         } else {
@@ -87,8 +87,7 @@ impl PageSource for Frames<'_> {
     type Item = NodeFrame;
 
     fn fetch_page(&self, page: PageId) -> Result<NodeFrame, PageError> {
-        NodeFrame::from_page(self.page(page))
-            .map_err(|context| PageError::Corrupt { page, context })
+        Ok(NodeFrame::from_frame(self.page(page)))
     }
 
     fn page_count(&self) -> usize {
@@ -100,8 +99,7 @@ impl PageSource for Frames<'_> {
         page: PageId,
         slot: &'s mut MaybeUninit<NodeFrame>,
     ) -> Result<&'s mut NodeFrame, PageError> {
-        NodeFrame::decode_into(self.page(page), slot)
-            .map_err(|context| PageError::Corrupt { page, context })
+        Ok(NodeFrame::fill(self.page(page), slot))
     }
 }
 
