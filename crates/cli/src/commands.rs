@@ -14,7 +14,7 @@ use psj_store::{FaultPlan, RetryPolicy};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -218,8 +218,7 @@ pub fn join(args: &Args) -> CmdResult {
             .map_err(|_| format!("invalid value for --retry-attempts: {n}"))?;
         ctl = ctl.with_retry(RetryPolicy::attempts(attempts));
     }
-    let a = PagedTree::load_from(Path::new(args.require("tree1")?)).map_err(io_err)?;
-    let b = PagedTree::load_from(Path::new(args.require("tree2")?)).map_err(io_err)?;
+    let (a, b, load_time) = load_pair(args)?;
     let trace = args.get("trace").map(|_| TraceSink::new(1 << 22));
     if let Some(sink) = &trace {
         ctl = ctl.with_trace(Arc::clone(sink));
@@ -326,8 +325,26 @@ pub fn join(args: &Args) -> CmdResult {
             sink.dropped()
         );
     }
+    println!("load time:          {load_time:.3?} (both trees)");
     println!("wall time:          {:.3?}", res.elapsed);
     Ok(())
+}
+
+/// Loads `--tree1` and `--tree2` on two threads, since they share
+/// nothing, and times the pair.
+fn load_pair(args: &Args) -> Result<(PagedTree, PagedTree, Duration), String> {
+    let (path_a, path_b) = (args.require("tree1")?, args.require("tree2")?);
+    let t0 = Instant::now();
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| PagedTree::load_from(Path::new(path_a)));
+        let b = s.spawn(|| PagedTree::load_from(Path::new(path_b)));
+        let joined = |h: std::thread::ScopedJoinHandle<'_, _>| {
+            h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
+        };
+        (joined(a), joined(b))
+    });
+    let load_time = t0.elapsed();
+    Ok((a.map_err(io_err)?, b.map_err(io_err)?, load_time))
 }
 
 /// `psj fsck` — verify an index file and print a JSON integrity report.
@@ -633,8 +650,7 @@ pub fn bench_serve(args: &Args) -> CmdResult {
 
 /// `psj simulate` — run the KSR1-style simulated platform.
 pub fn simulate(args: &Args) -> CmdResult {
-    let a = PagedTree::load_from(Path::new(args.require("tree1")?)).map_err(io_err)?;
-    let b = PagedTree::load_from(Path::new(args.require("tree2")?)).map_err(io_err)?;
+    let (a, b, _) = load_pair(args)?;
     let procs = args.count_or("procs", 8)?;
     let disks = args.count_or("disks", procs)?;
     let buffer: usize = args.parse_or("buffer", 100 * procs)?;

@@ -172,7 +172,16 @@ fn declared_options_still_run() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("threads:            2"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("threads:            2"));
+    // The join explains its own process time: loading both trees, then
+    // the join itself, as the last two lines.
+    let tail: Vec<&str> = stdout.lines().rev().take(2).collect();
+    assert!(tail[0].starts_with("wall time:          "), "{stdout}");
+    assert!(
+        tail[1].starts_with("load time:          ") && tail[1].ends_with(" (both trees)"),
+        "{stdout}"
+    );
 }
 
 #[test]

@@ -17,7 +17,7 @@
 //! cluster I/O time.
 
 use crate::entry::GeomRef;
-use crate::frame::{FrameRef, PrefixArena};
+use crate::frame::{FrameRef, JoinNode, PrefixArena};
 use crate::node::{Node, NodeKind};
 use crate::stats::TreeStats;
 use crate::tree::RTree;
@@ -283,13 +283,22 @@ impl PagedTree {
     }
 
     /// Verifies that every in-memory node is the node its arena page
-    /// holds, that entries are xl-sorted, and that directory MBRs exactly
-    /// bound their children. Used by tests and by loading.
+    /// holds, that entries are xl-sorted, that directory MBRs exactly
+    /// bound their children, and that every set geometry reference of a
+    /// data page names a slot of that page's own cluster. Used by tests and
+    /// by loading.
     ///
     /// Poisoned pages (lenient load) are skipped entirely, and directory
     /// entries pointing at a poisoned child skip the MBR/level checks —
     /// the placeholder node there has no meaningful contents.
     pub fn verify(&self) -> Result<(), String> {
+        self.verify_with(true)
+    }
+
+    /// [`PagedTree::verify`], checking geometry references only if
+    /// `geometry`: a lenient load whose cluster section did not parse holds
+    /// no geometry to resolve them against.
+    pub(crate) fn verify_with(&self, geometry: bool) -> Result<(), String> {
         if self.pages.len() != self.nodes.len() {
             return Err(format!(
                 "{} pages for {} nodes",
@@ -307,6 +316,9 @@ impl PagedTree {
             let mbrs = node.entry_mbrs();
             if !mbrs.windows(2).all(|w| w[0].xl <= w[1].xl) {
                 return Err(format!("page {page}: entries not xl-sorted"));
+            }
+            if geometry {
+                self.verify_geometry_refs(PageId(page as u32))?;
             }
             if let NodeKind::Dir(entries) = &node.kind {
                 for e in entries {
@@ -327,6 +339,29 @@ impl PagedTree {
             }
         }
         Ok(())
+    }
+
+    /// Fails on the first set geometry reference of data page `page` that
+    /// names another page or a slot past the end of `page`'s cluster:
+    /// refinement would test its candidates against another object's
+    /// geometry, or find none and keep them unrefuted.
+    fn verify_geometry_refs(&self, page: PageId) -> Result<(), String> {
+        let frame = self.frame(page);
+        if !frame.is_leaf() {
+            return Ok(());
+        }
+        let stored = self.clusters.get(page).map_or(0, |c| c.len());
+        let dangling = (0..frame.len())
+            .map(|i| frame.geom(i))
+            .find(|g| *g != GeomRef::UNSET && (g.page != page || g.slot as usize >= stored));
+        match dangling {
+            Some(g) => Err(format!(
+                "page {}: geometry reference ({}, slot {}) is not a slot of \
+                 the page's cluster, which holds {stored} geometries",
+                page.0, g.page, g.slot
+            )),
+            None => Ok(()),
+        }
     }
 }
 

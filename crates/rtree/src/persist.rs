@@ -26,6 +26,16 @@
 //! +------------------+
 //! ```
 //!
+//! **Load cost.** Two thirds of a paper-scale file is the zero padding
+//! after each page's used prefix, and both checksums read every byte of
+//! it. Both are computed a word at a time with unchanged values: the page
+//! CRC applies a record's trailing zero words with one multiply (see
+//! [`psj_store::checksum`]), and the FNV-1a hash applies an all-zero
+//! 8-byte word as one multiply by the prime's eighth power, which is what
+//! eight zero bytes do to its state. Each geometry's vertices are read and
+//! hashed in one piece. The stored checksums are the check: a file saved
+//! by the byte-at-a-time code loads, and a save writes the same bytes.
+//!
 //! Files of the earlier formats (`PSJT1`, raw unchecksummed pages; `PSJT2`,
 //! row-wise 40- and 156-byte entries) are not read: loading one fails with
 //! an [`io::ErrorKind::InvalidData`] error carrying an [`UnsupportedFormat`]
@@ -132,7 +142,16 @@ impl std::error::Error for PoisonedTree {}
 /// payload); a corrupt header must not drive allocation.
 const MAX_PAGES: usize = 1 << 24;
 
-/// FNV-1a 64-bit, incrementally updatable.
+/// The FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x1_0000_01b3;
+
+/// What eight zero bytes do to an FNV-1a state: `h ^ 0 == h`, so each
+/// only multiplies by the prime.
+const FNV_PRIME_POW8: u64 = FNV_PRIME.wrapping_pow(8);
+
+/// FNV-1a 64-bit, incrementally updatable. An all-zero 8-byte word is one
+/// multiply by [`FNV_PRIME_POW8`]; any other word goes byte by byte. The
+/// value is FNV-1a's however the input is split into calls.
 #[derive(Debug, Clone, Copy)]
 struct Fnv(u64);
 
@@ -141,9 +160,20 @@ impl Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
     fn update(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            if w == [0u8; 8] {
+                self.0 = self.0.wrapping_mul(FNV_PRIME_POW8);
+            } else {
+                self.update_bytewise(w);
+            }
+        }
+        self.update_bytewise(words.remainder());
+    }
+    fn update_bytewise(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1_0000_01b3);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
     }
 }
@@ -163,9 +193,6 @@ impl<W: Write> HashWriter<W> {
         self.write_all_hashed(&v.to_le_bytes())
     }
     fn u64(&mut self, v: u64) -> io::Result<()> {
-        self.write_all_hashed(&v.to_le_bytes())
-    }
-    fn f64(&mut self, v: f64) -> io::Result<()> {
         self.write_all_hashed(&v.to_le_bytes())
     }
 }
@@ -192,12 +219,10 @@ impl<R: Read> HashReader<R> {
         self.read_exact_hashed(&mut b)?;
         Ok(u64::from_le_bytes(b))
     }
-    fn f64(&mut self) -> io::Result<f64> {
-        let mut b = [0u8; 8];
-        self.read_exact_hashed(&mut b)?;
-        Ok(f64::from_le_bytes(b))
-    }
 }
+
+/// Size of one stored vertex: `x` then `y`, LE f64.
+const VERTEX_BYTES: usize = 16;
 
 fn corrupt(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
@@ -256,6 +281,7 @@ fn read_clusters<R: Read>(
     num_clusters: usize,
 ) -> io::Result<ClusterStore> {
     let mut clusters = ClusterStore::new();
+    let mut vertices = Vec::new();
     for _ in 0..num_clusters {
         let pid = PageId(r.u32()?);
         if pid.index() >= num_pages {
@@ -273,12 +299,14 @@ fn read_clusters<R: Read>(
             if !(2..=1_000_000).contains(&nv) {
                 return Err(corrupt("implausible vertex count"));
             }
-            let mut pts = Vec::with_capacity(nv);
-            for _ in 0..nv {
-                let x = r.f64()?;
-                let y = r.f64()?;
-                pts.push(Point::new(x, y));
-            }
+            // All the geometry's vertices in one hashed read.
+            vertices.resize(nv * VERTEX_BYTES, 0);
+            r.read_exact_hashed(&mut vertices)?;
+            let f64_at = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8 bytes"));
+            let pts = vertices
+                .chunks_exact(VERTEX_BYTES)
+                .map(|v| Point::new(f64_at(&v[..8]), f64_at(&v[8..])))
+                .collect();
             let extra = extra_each
                 + if extra_rem > 0 {
                     extra_rem -= 1;
@@ -441,6 +469,7 @@ impl PagedTree {
                 w.write_all_hashed(&encode_record(page.bytes(), id))?;
             }
 
+            let mut vertices = Vec::new();
             for pid in cluster_pages {
                 let c = self
                     .clusters()
@@ -453,10 +482,12 @@ impl PagedTree {
                 w.u32(c.len() as u32)?;
                 for g in c.geometries() {
                     w.u32(g.points().len() as u32)?;
+                    vertices.clear();
                     for p in g.points() {
-                        w.f64(p.x)?;
-                        w.f64(p.y)?;
+                        vertices.extend_from_slice(&p.x.to_le_bytes());
+                        vertices.extend_from_slice(&p.y.to_le_bytes());
                     }
+                    w.write_all_hashed(&vertices)?;
                 }
             }
 
@@ -512,7 +543,7 @@ impl PagedTree {
                 .map(|p| p.0)
                 .collect::<BTreeSet<u32>>(),
         );
-        tree.verify().map_err(|e| {
+        tree.verify_with(raw.clusters_ok).map_err(|e| {
             corrupt(&format!(
                 "{}: surviving structure inconsistent: {e}",
                 path.display()
@@ -819,7 +850,7 @@ pub fn fsck_file(path: &Path) -> FsckReport {
                     raw.clusters,
                 );
                 tree.set_poisoned(report.corrupt_pages.iter().copied().collect());
-                report.structure_ok = tree.verify().is_ok();
+                report.structure_ok = tree.verify_with(raw.clusters_ok).is_ok();
             }
             Err(e) => report.error = Some(e.to_string()),
         },
@@ -831,6 +862,7 @@ pub fn fsck_file(path: &Path) -> FsckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::GeomRef;
     use crate::tree::RTree;
     use psj_geom::Rect;
 
@@ -865,6 +897,162 @@ mod tests {
     fn record_offset(n: usize) -> usize {
         // magic 6 + root 4 + height 4 + items 8 + pages 4 + clusters 4
         30 + n * PAGE_RECORD_SIZE
+    }
+
+    /// FNV-1a fed byte by byte: the oracle for [`Fnv::update`].
+    fn fnv_bytewise(bytes: &[u8]) -> u64 {
+        let mut h = Fnv::new();
+        h.update_bytewise(bytes);
+        h.0
+    }
+
+    /// Bytes with zero runs of every length up to a few words, at every
+    /// alignment, between non-zero bytes.
+    fn zero_runs(len: usize) -> Vec<u8> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut bytes = Vec::with_capacity(len);
+        while bytes.len() < len {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            bytes.push((x >> 56) as u8 | 1);
+            bytes.resize(bytes.len() + (x % 40) as usize, 0);
+        }
+        bytes.truncate(len);
+        bytes
+    }
+
+    /// Loading feeds the hash in pieces of any size (header fields, 4 KB
+    /// records, vertex runs), so a zero word must be skipped the same
+    /// wherever the pieces split it.
+    #[test]
+    fn fnv_matches_bytewise_under_any_split() {
+        let bytes = zero_runs(3000);
+        let whole = fnv_bytewise(&bytes);
+        let mut h = Fnv::new();
+        h.update(&bytes);
+        assert_eq!(h.0, whole);
+        assert_eq!(
+            FNV_PRIME_POW8,
+            (0..8).fold(1u64, |p, _| p.wrapping_mul(FNV_PRIME))
+        );
+        let mut x = 12345u64;
+        for pieces in 1..200 {
+            let mut h = Fnv::new();
+            let mut at = 0;
+            for _ in 0..pieces {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let end = (at + (x >> 33) as usize % 97).min(bytes.len());
+                h.update(&bytes[at..end]);
+                at = end;
+            }
+            h.update(&bytes[at..]);
+            assert_eq!(h.0, whole, "{pieces} pieces");
+        }
+        for split in 0..=64 {
+            let mut h = Fnv::new();
+            h.update(&bytes[..split]);
+            h.update(&bytes[split..]);
+            assert_eq!(h.0, whole, "split at {split}");
+            let zeros = [0u8; 64];
+            let mut h = Fnv::new();
+            h.update(&zeros[..split]);
+            h.update(&zeros[split..]);
+            assert_eq!(h.0, fnv_bytewise(&zeros), "zeros split at {split}");
+        }
+    }
+
+    /// Rewrites the first entry of data page `victim` to point at `geom`,
+    /// then reseals the page's CRC and the file's FNV trailer, so only
+    /// structural verification can object.
+    fn with_geom_ref(bytes: &mut [u8], tree: &PagedTree, victim: PageId, geom: GeomRef) {
+        let mut node = tree.node(victim).clone();
+        node.data_entries_mut()[0].geom = geom;
+        let mut page = Page::zeroed();
+        node.encode(&mut page);
+        let at = record_offset(victim.index());
+        bytes[at..at + PAGE_RECORD_SIZE].copy_from_slice(&encode_record(page.bytes(), victim));
+        let body = bytes.len() - 8;
+        let mut h = Fnv::new();
+        h.update(&bytes[..body]);
+        bytes[body..].copy_from_slice(&h.0.to_le_bytes());
+    }
+
+    /// A geometry reference naming another page, or a slot past its
+    /// cluster's end, is a structural error: refinement would otherwise
+    /// keep every candidate it touches, unrefuted.
+    #[test]
+    fn a_geometry_reference_that_resolves_nowhere_is_rejected() {
+        let tree = sample_tree(400);
+        let path = tmpfile("dangling-geom");
+        tree.save_to(&path).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let leaves: Vec<PageId> = (0..tree.num_pages() as u32)
+            .map(PageId)
+            .filter(|&p| tree.node(p).is_leaf())
+            .collect();
+        let (victim, other) = (leaves[0], leaves[1]);
+        let stored = tree.clusters().get(victim).unwrap().len() as u32;
+        for geom in [
+            GeomRef {
+                page: other,
+                slot: 0,
+            },
+            GeomRef {
+                page: victim,
+                slot: stored,
+            },
+        ] {
+            let mut bytes = clean.clone();
+            with_geom_ref(&mut bytes, &tree, victim, geom);
+            std::fs::write(&path, &bytes).unwrap();
+            let err = PagedTree::load_from(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            let message = err.to_string();
+            assert!(
+                message.contains("structural verification failed"),
+                "{message}"
+            );
+            assert!(
+                message.contains(&format!("page {}: geometry reference", victim.0)),
+                "{message}"
+            );
+            assert!(PagedTree::load_from_lenient(&path).is_err());
+            let report = fsck_file(&path);
+            assert!(report.file_checksum_ok && report.corrupt_pages.is_empty());
+            assert!(!report.structure_ok);
+        }
+        // A reference never set resolves to "no geometry" on purpose.
+        let mut bytes = clean;
+        with_geom_ref(&mut bytes, &tree, victim, GeomRef::UNSET);
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = PagedTree::load_from(&path);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.unwrap().len(), tree.len());
+    }
+
+    /// A lenient load whose cluster section does not parse keeps its
+    /// index: with no geometry loaded, references are not resolved.
+    #[test]
+    fn lenient_load_without_clusters_skips_geometry_refs() {
+        let tree = sample_tree(300);
+        let path = tmpfile("lenient-no-clusters");
+        tree.save_to(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The first geometry's vertex count: page u32, extra u64, count u32.
+        let at = record_offset(tree.num_pages()) + 16;
+        bytes[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(PagedTree::load_from(&path).is_err());
+        let loaded = PagedTree::load_from_lenient(&path).unwrap();
+        let report = fsck_file(&path);
+        std::fs::remove_file(&path).ok();
+        assert!(!loaded.clusters_ok && !loaded.checksum_ok);
+        assert!(loaded.corrupt_pages.is_empty());
+        assert_eq!(loaded.tree.len(), tree.len());
+        assert!(report.structure_ok && !report.file_checksum_ok);
     }
 
     #[test]

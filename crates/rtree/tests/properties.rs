@@ -532,3 +532,42 @@ fn page_layout_golden() {
         "the page layout changed: bump the tree file magic, then this golden"
     );
 }
+
+/// The whole file of a fixed small tree: header, page records with their
+/// CRC footers, geometry clusters and the FNV-1a trailer. The golden above
+/// pins only the page payloads; this one also pins both checksums, so a
+/// faster CRC or FNV that computed other values fails here. Loading the
+/// file and saving it again writes the same bytes.
+#[test]
+fn tree_file_golden() {
+    let mut t = RTree::new();
+    for i in 0..300u64 {
+        let (x, y) = ((i * 37 % 101) as f64, (i * 53 % 89) as f64);
+        t.insert(Rect::new(x, y, x + 1.5, y + 0.75), i);
+    }
+    let tree = PagedTree::freeze_with_attrs(
+        &t,
+        |oid| {
+            let (x, y) = ((oid * 37 % 101) as f64, (oid * 53 % 89) as f64);
+            let mut pts = vec![Point::new(x, y), Point::new(x + 1.5, y + 0.75)];
+            if oid % 3 == 0 {
+                pts.insert(1, Point::new(x + 0.5, y));
+            }
+            (oid % 7 != 0).then(|| Polyline::new(pts))
+        },
+        48,
+    );
+    let path = tmpfile("golden-file");
+    tree.save_to(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    PagedTree::load_from(&path).unwrap().save_to(&path).unwrap();
+    let again = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(bytes == again, "a load and save changed the file");
+    assert_eq!(
+        (bytes.len(), psj_store::crc32(&bytes)),
+        (76_682, 0xbd07_c5cf),
+        "the tree file changed: if the format moved on purpose, bump the \
+         tree file magic, then this golden"
+    );
+}
