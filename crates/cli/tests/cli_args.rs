@@ -218,4 +218,10 @@ fn stats_prints_the_heap_after_table_1() {
         heap.contains("nodes") && heap.contains("geometry clusters"),
         "{stdout}"
     );
+    // A loaded tree is its two arenas: no decoded node, and the geometry
+    // arena's figure is exact, so the line is the loaded tree's own.
+    assert!(heap.contains(", nodes 0.0 MB,"), "{stdout}");
+    let loaded = psj_rtree::PagedTree::load_from(std::path::Path::new(t1)).expect("load");
+    assert_eq!(loaded.heap_bytes().nodes, 0);
+    assert_eq!(heap, loaded.heap_bytes().to_string(), "{stdout}");
 }

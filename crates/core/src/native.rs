@@ -66,6 +66,7 @@ use crate::morsel::{morselize, Morsel, MorselOptions, MorselOutputs, WorkerOutpu
 use crate::sim::BufferOrg;
 use crate::task::{create_tasks, expand_pair, Candidate, KernelScratch, TaskPair};
 use psj_buffer::{BufferStats, PageRef, PageSource, Policy, SharedPageCache};
+use psj_geom::polyline::intersects;
 use psj_obs::trace::{worker_tid, TID_MAIN};
 use psj_obs::{ThreadTracer, TraceSink};
 use psj_rtree::{FrameRef, JoinNode, NodeFrame, PagedTree};
@@ -1066,7 +1067,7 @@ fn run_worker<'t, F: Fetch<'t>>(
                         let ga = a.clusters().geometry(ra.page, ra.slot);
                         let gb = b.clusters().geometry(rb.page, rb.slot);
                         let hit = match (ga, gb) {
-                            (Some(ga), Some(gb)) => ga.intersects(gb),
+                            (Some(ga), Some(gb)) => intersects(ga, gb),
                             _ => true,
                         };
                         if hit {

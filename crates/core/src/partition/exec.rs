@@ -32,10 +32,11 @@ use super::{JoinEngine, PartitionInput, RectItem};
 use crate::metrics::TaskTrace;
 use crate::morsel::{auto_budget, MorselOutputs, WorkerOutput};
 use crate::native::{NativeConfig, NativeError, NativeResult, RunControl};
-use psj_geom::{sweep_pairs_soa_runs, Rect, SweepPair, SweepScratch};
+use psj_geom::polyline::intersects;
+use psj_geom::{sweep_pairs_soa_runs, Point, Rect, SweepPair, SweepScratch};
 use psj_obs::trace::{worker_tid, TID_MAIN};
 use psj_obs::ThreadTracer;
-use psj_rtree::{GeomRef, PagedTree};
+use psj_rtree::{GeomRef, JoinNode, PagedTree};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -101,15 +102,16 @@ impl<'t> Side<'t> {
                     let node =
                         psj_rtree::NodeAccess::read(&mut access, psj_store::PageId(p as u32))
                             .expect("in-memory node access is infallible");
-                    if node.level != 0 {
+                    if !node.is_leaf() {
                         continue;
                     }
-                    for e in node.data_entries() {
+                    let lanes = node.lanes();
+                    for i in 0..lanes.len() {
                         items.push(RectItem {
-                            mbr: e.mbr,
-                            oid: e.oid,
+                            mbr: lanes.rect(i),
+                            oid: node.oid(i),
                         });
-                        geoms.push(e.geom);
+                        geoms.push(node.geom(i));
                     }
                 }
                 Side {
@@ -128,7 +130,7 @@ impl<'t> Side<'t> {
 
     /// Exact geometry of item `i`, when this side has any to offer.
     #[inline]
-    fn geometry(&self, i: usize) -> Option<&psj_geom::Polyline> {
+    fn geometry(&self, i: usize) -> Option<&[Point]> {
         let tree = self.tree?;
         let g = self.geoms[i];
         tree.clusters().geometry(g.page, g.slot)
@@ -493,7 +495,7 @@ fn run_worker(
                 local_candidates += 1;
                 if cfg.refine {
                     let hit = match (side_a.geometry(ia), side_b.geometry(ib)) {
-                        (Some(ga), Some(gb)) => ga.intersects(gb),
+                        (Some(ga), Some(gb)) => intersects(ga, gb),
                         // A candidate can only be refuted by exact geometry
                         // on both sides — raw-rect inputs always pass.
                         _ => true,

@@ -6,6 +6,7 @@
 //! the correctness oracle for the parallel executors.
 
 use crate::task::{create_tasks, expand_pair, Candidate, KernelScratch, TaskPair};
+use psj_geom::polyline::intersects;
 use psj_rtree::{JoinNode, PagedTree};
 use serde::{Deserialize, Serialize};
 
@@ -90,7 +91,7 @@ pub fn join_refined(a: &PagedTree, b: &PagedTree) -> Vec<(u64, u64)> {
             let ga = a.clusters().geometry(ra.page, ra.slot);
             let gb = b.clusters().geometry(rb.page, rb.slot);
             let hit = match (ga, gb) {
-                (Some(ga), Some(gb)) => ga.intersects(gb),
+                (Some(ga), Some(gb)) => intersects(ga, gb),
                 _ => true, // no exact geometry: cannot refute the candidate
             };
             if hit {
@@ -188,7 +189,7 @@ mod tests {
                 .find(|e| e.oid == ob)
                 .unwrap();
             let gb = b.clusters().geometry(eb.geom.page, eb.geom.slot).unwrap();
-            assert!(ga.intersects(gb));
+            assert!(intersects(ga, gb));
         }
     }
 

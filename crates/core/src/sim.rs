@@ -38,7 +38,7 @@ use crate::metrics::JoinMetrics;
 use crate::task::{create_tasks, expand_pair, Candidate, KernelScratch, TaskPair};
 use psj_buffer::{BufferStats, GlobalAccess, GlobalBuffer, LocalBuffers, PathBuffer, Policy};
 use psj_desim::{EventQueue, ResourcePool};
-use psj_rtree::PagedTree;
+use psj_rtree::{JoinNode, PagedTree};
 use psj_store::disk::DiskStats;
 use psj_store::{Nanos, PageId};
 use rand::rngs::StdRng;
@@ -537,12 +537,8 @@ impl<'t> Executor<'t> {
     }
 
     fn level_of(&self, tree: u8, page: PageId) -> usize {
-        let node = if tree == 0 {
-            self.a.node(page)
-        } else {
-            self.b.node(page)
-        };
-        node.level as usize
+        let t = if tree == 0 { self.a } else { self.b };
+        t.frame(page).level() as usize
     }
 
     /// Unified page id across both trees (for disk placement and buffers).
@@ -660,8 +656,8 @@ impl<'t> Executor<'t> {
 
     /// Executes the kernel on a pair whose pages are in memory.
     fn process_pair(&mut self, p: usize, pair: &TaskPair, now: &mut Nanos) {
-        let na = self.a.node(pair.a);
-        let nb = self.b.node(pair.b);
+        let (a, b) = (self.a, self.b);
+        let (na, nb) = (a.frame(pair.a), b.frame(pair.b));
         self.child_buf.clear();
         self.cand_buf.clear();
         let pair = if self.cfg.use_restriction {
@@ -680,8 +676,8 @@ impl<'t> Executor<'t> {
         };
         let pair = &pair;
         let work = expand_pair(
-            na,
-            nb,
+            &na,
+            &nb,
             pair,
             &mut self.scratch,
             &mut self.child_buf,
@@ -697,12 +693,12 @@ impl<'t> Executor<'t> {
             self.work_version += 1;
         }
         for c in &self.cand_buf {
-            let ea = self.a.node(c.page_a).data_entries()[c.idx_a as usize];
-            let eb = self.b.node(c.page_b).data_entries()[c.idx_b as usize];
-            *now += cost.refinement_time(&ea.mbr, &eb.mbr);
+            let (fa, fb) = (a.frame(c.page_a), b.frame(c.page_b));
+            let (ia, ib) = (c.idx_a as usize, c.idx_b as usize);
+            *now += cost.refinement_time(&fa.lanes().rect(ia), &fb.lanes().rect(ib));
             self.candidates += 1;
             if self.cfg.collect_candidates {
-                self.collected.push((ea.oid, eb.oid));
+                self.collected.push((fa.oid(ia), fb.oid(ib)));
             }
         }
     }

@@ -43,37 +43,53 @@ impl Polyline {
         self.segments().map(|s| s.length()).sum()
     }
 
-    /// Exact intersection test against another polyline.
-    ///
-    /// Candidate segment pairs are pre-filtered by their MBRs; the remaining
-    /// pairs run the exact orientation test. This mirrors the multi-step
-    /// refinement of [BKSS 94]: approximation test first, exact test last.
+    /// Exact intersection test against another polyline; see
+    /// [`intersects`].
     pub fn intersects(&self, other: &Polyline) -> bool {
-        if !self.mbr().intersects(&other.mbr()) {
-            return false;
-        }
-        // Small polylines: direct quadratic scan with MBR pre-filter.
-        for sa in self.segments() {
-            let ma = sa.mbr();
-            for sb in other.segments() {
-                if ma.intersects(&sb.mbr()) && sa.intersects(&sb) {
-                    return true;
-                }
-            }
-        }
-        false
+        intersects(&self.pts, &other.pts)
     }
 
-    /// Serialized size in bytes when stored in a geometry cluster: a vertex
-    /// count followed by `2 × 8` bytes per vertex.
+    /// Serialized size in bytes when stored in a geometry cluster; see
+    /// [`stored_size`].
     pub fn stored_size(&self) -> usize {
-        4 + self.pts.len() * 16
+        stored_size(self.pts.len())
     }
+}
+
+/// Serialized size in bytes of a polyline of `vertices` vertices stored in
+/// a geometry cluster: a vertex count followed by `2 × 8` bytes per vertex.
+pub fn stored_size(vertices: usize) -> usize {
+    4 + vertices * 16
+}
+
+/// Exact intersection test of two polylines given as their vertices, as
+/// a geometry store hands them out.
+///
+/// Candidate segment pairs are pre-filtered by their MBRs; the remaining
+/// pairs run the exact orientation test. This mirrors the multi-step
+/// refinement of [BKSS 94]: approximation test first, exact test last.
+pub fn intersects(a: &[Point], b: &[Point]) -> bool {
+    if !mbr_of_points(a).intersects(&mbr_of_points(b)) {
+        return false;
+    }
+    // Small polylines: direct quadratic scan with MBR pre-filter.
+    for wa in a.windows(2) {
+        let sa = Segment::new(wa[0], wa[1]);
+        let ma = sa.mbr();
+        for wb in b.windows(2) {
+            let sb = Segment::new(wb[0], wb[1]);
+            if ma.intersects(&sb.mbr()) && sa.intersects(&sb) {
+                return true;
+            }
+        }
+    }
+    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pl(pts: &[(f64, f64)]) -> Polyline {
         Polyline::new(pts.iter().map(|&(x, y)| Point::new(x, y)).collect())
@@ -121,6 +137,85 @@ mod tests {
     fn stored_size_formula() {
         let a = pl(&[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]);
         assert_eq!(a.stored_size(), 4 + 3 * 16);
+    }
+
+    /// The exact test as it was written on [`Polyline`] before the
+    /// geometry store handed out vertex slices: the oracle for
+    /// [`intersects`].
+    fn intersects_oracle(a: &Polyline, b: &Polyline) -> bool {
+        if !a.mbr().intersects(&b.mbr()) {
+            return false;
+        }
+        for sa in a.segments() {
+            let ma = sa.mbr();
+            for sb in b.segments() {
+                if ma.intersects(&sb.mbr()) && sa.intersects(&sb) {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Vertices on a 5 × 5 integer grid, so collinear overlaps, shared
+    /// vertices, touching endpoints and zero-length segments (a repeated
+    /// vertex) are common.
+    fn arb_grid_polyline() -> impl Strategy<Value = Polyline> {
+        proptest::collection::vec((0u8..5, 0u8..5), 2..6).prop_map(|v| {
+            Polyline::new(
+                v.into_iter()
+                    .map(|(x, y)| Point::new(f64::from(x), f64::from(y)))
+                    .collect(),
+            )
+        })
+    }
+
+    /// Vertices anywhere in a 16 × 16 square, so many pairs' MBRs overlap
+    /// without their segments meeting.
+    fn arb_polyline() -> impl Strategy<Value = Polyline> {
+        proptest::collection::vec((-8.0f64..8.0, -8.0f64..8.0), 2..8)
+            .prop_map(|v| Polyline::new(v.into_iter().map(|(x, y)| Point::new(x, y)).collect()))
+    }
+
+    proptest! {
+        #[test]
+        fn slice_test_equals_the_polyline_oracle_on_a_grid(
+            a in arb_grid_polyline(),
+            b in arb_grid_polyline(),
+        ) {
+            let want = intersects_oracle(&a, &b);
+            prop_assert_eq!(intersects(a.points(), b.points()), want);
+            prop_assert_eq!(a.intersects(&b), want);
+            prop_assert_eq!(intersects(b.points(), a.points()), want);
+        }
+
+        #[test]
+        fn slice_test_equals_the_polyline_oracle(a in arb_polyline(), b in arb_polyline()) {
+            prop_assert_eq!(intersects(a.points(), b.points()), intersects_oracle(&a, &b));
+        }
+    }
+
+    #[test]
+    fn degenerate_cases_match_the_oracle() {
+        let cases = [
+            // Collinear, overlapping.
+            (pl(&[(0.0, 0.0), (2.0, 0.0)]), pl(&[(1.0, 0.0), (3.0, 0.0)])),
+            // Collinear, disjoint.
+            (pl(&[(0.0, 0.0), (1.0, 0.0)]), pl(&[(2.0, 0.0), (3.0, 0.0)])),
+            // Touching end to end.
+            (pl(&[(0.0, 0.0), (1.0, 0.0)]), pl(&[(1.0, 0.0), (1.0, 5.0)])),
+            // A zero-length segment on the other's interior.
+            (pl(&[(1.0, 0.0), (1.0, 0.0)]), pl(&[(0.0, 0.0), (2.0, 0.0)])),
+            // A zero-length segment beside it.
+            (pl(&[(1.0, 1.0), (1.0, 1.0)]), pl(&[(0.0, 0.0), (2.0, 0.0)])),
+            // Two equal points.
+            (pl(&[(3.0, 3.0), (3.0, 3.0)]), pl(&[(3.0, 3.0), (3.0, 3.0)])),
+        ];
+        let want = [true, false, true, true, false, true];
+        for ((a, b), want) in cases.iter().zip(want) {
+            assert_eq!(intersects_oracle(a, b), want, "{a:?} {b:?}");
+            assert_eq!(intersects(a.points(), b.points()), want, "{a:?} {b:?}");
+        }
     }
 
     #[test]

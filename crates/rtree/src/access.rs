@@ -2,15 +2,16 @@
 //!
 //! The window and nearest-neighbor descents only need to *look at* one node
 //! at a time. [`NodeAccess`] abstracts where that look comes from: an
-//! in-memory [`PagedTree`] hands out plain `&Node` borrows, while a
-//! cache-backed reader (the serve executor) hands out pin-guarded borrows
-//! from a shared page cache — same traversal, zero Arc clones either way.
-//! The associated `Ref` type only has to deref to [`Node`]; each borrow is
-//! dropped before the next page is read, so guard-style accessors never hold
-//! more than one pin per traversal step.
+//! in-memory [`PagedTree`] hands out its pages viewed in place in its
+//! arena ([`Frame`]), while a cache-backed reader (the serve executor)
+//! hands out pin-guarded borrows from a shared page cache — same
+//! traversal, zero Arc clones either way. The associated `Ref` type only
+//! has to deref to a [`JoinNode`]; each borrow is dropped before the next
+//! page is read, so guard-style accessors never hold more than one pin per
+//! traversal step.
 
 use crate::entry::DataEntry;
-use crate::node::{Node, NodeKind};
+use crate::frame::{FrameRef, JoinNode};
 use crate::paged::PagedTree;
 use psj_geom::Rect;
 use psj_store::{PageError, PageId};
@@ -24,7 +25,7 @@ use std::ops::Deref;
 pub trait NodeAccess {
     /// The borrowed form a node read returns; dropped before the traversal
     /// reads its next page.
-    type Ref<'a>: Deref<Target = Node>
+    type Ref<'a>: Deref<Target: JoinNode>
     where
         Self: 'a;
 
@@ -32,16 +33,30 @@ pub trait NodeAccess {
     fn read(&mut self, page: PageId) -> Result<Self::Ref<'_>, PageError>;
 }
 
-/// Direct in-memory access: infallible borrows out of the decoded node
-/// array.
+/// One page of a [`PagedTree`]'s arena as a [`NodeAccess::Ref`]: a
+/// [`FrameRef`] behind the `Deref` the trait asks for.
+#[derive(Debug, Clone, Copy)]
+pub struct Frame<'t>(pub FrameRef<'t>);
+
+impl<'t> Deref for Frame<'t> {
+    type Target = FrameRef<'t>;
+
+    #[inline]
+    fn deref(&self) -> &FrameRef<'t> {
+        &self.0
+    }
+}
+
+/// Direct in-memory access: infallible views of the tree's arena pages.
 impl NodeAccess for &PagedTree {
     type Ref<'a>
-        = &'a Node
+        = Frame<'a>
     where
         Self: 'a;
 
-    fn read(&mut self, page: PageId) -> Result<&Node, PageError> {
-        Ok(self.node(page))
+    #[inline]
+    fn read(&mut self, page: PageId) -> Result<Frame<'_>, PageError> {
+        Ok(Frame(self.frame(page)))
     }
 }
 
@@ -57,21 +72,16 @@ pub fn window_query_via<A: NodeAccess>(
     let mut stack = vec![root];
     while let Some(page) = stack.pop() {
         let node = access.read(page)?;
-        match &node.kind {
-            NodeKind::Dir(entries) => {
-                for e in entries {
-                    if e.mbr.intersects(window) {
-                        stack.push(PageId(e.child));
-                    }
-                }
-            }
-            NodeKind::Leaf(entries) => {
-                for e in entries {
-                    if e.mbr.intersects(window) {
-                        out.push(*e);
-                    }
-                }
-            }
+        let lanes = node.lanes();
+        let hits = (0..lanes.len()).filter(|&i| lanes.rect(i).intersects(window));
+        if node.is_leaf() {
+            out.extend(hits.map(|i| DataEntry {
+                mbr: lanes.rect(i),
+                oid: node.oid(i),
+                geom: node.geom(i),
+            }));
+        } else {
+            stack.extend(hits.map(|i| PageId(node.child(i))));
         }
     }
     Ok(out)
@@ -80,6 +90,7 @@ pub fn window_query_via<A: NodeAccess>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Node;
     use crate::tree::RTree;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -102,13 +113,13 @@ mod tests {
 
     impl NodeAccess for Counting<'_> {
         type Ref<'a>
-            = &'a Node
+            = Frame<'a>
         where
             Self: 'a;
 
-        fn read(&mut self, page: PageId) -> Result<&Node, PageError> {
+        fn read(&mut self, page: PageId) -> Result<Frame<'_>, PageError> {
             self.reads.fetch_add(1, Ordering::Relaxed);
-            Ok(self.tree.node(page))
+            Ok(Frame(self.tree.frame(page)))
         }
     }
 
@@ -124,6 +135,34 @@ mod tests {
         let via = window_query_via(&mut acc, p.root(), &w).unwrap();
         assert_eq!(via, direct, "accessor path must be byte-identical");
         assert!(acc.reads.load(Ordering::Relaxed) > 0, "reads went through");
+    }
+
+    /// Reads the decoded view, as a caller holding `Node`s does.
+    struct Decoded<'t>(&'t PagedTree);
+
+    impl NodeAccess for Decoded<'_> {
+        type Ref<'a>
+            = &'a Node
+        where
+            Self: 'a;
+
+        fn read(&mut self, page: PageId) -> Result<&Node, PageError> {
+            Ok(self.0.node(page))
+        }
+    }
+
+    /// Both node forms a traversal can read, the arena's frames and
+    /// decoded nodes, give the same entries in the same order.
+    #[test]
+    fn decoded_nodes_and_frames_give_the_same_answers() {
+        let p = build(500);
+        for w in [Rect::new(3.0, 2.0, 14.5, 9.5), p.mbr()] {
+            let via = window_query_via(&mut Decoded(&p), p.root(), &w).unwrap();
+            assert_eq!(via, p.window_query(&w));
+        }
+        let q = psj_geom::Point::new(7.3, 4.1);
+        let via = crate::nearest_neighbors_via(&mut Decoded(&p), p.root(), &q, 12).unwrap();
+        assert_eq!(via, p.nearest_neighbors(&q, 12));
     }
 
     #[test]

@@ -17,16 +17,20 @@
 //! geometry refs. Three types implement it:
 //!
 //! * [`FrameRef`] — one page of an arena, viewed in place: its span and a
-//!   bounds-checked subslice of the arena's words. The in-memory join, the
-//!   sequential oracle, task creation, the morsel split pass and the
-//!   tree profile read these.
+//!   bounds-checked subslice of the arena's words. Every reader of a
+//!   frozen or loaded tree reads these: the in-memory join, the sequential
+//!   oracle, task creation, the morsel split pass, the tree profile, the
+//!   window and nearest-neighbor descents, the simulator, and the tree's
+//!   own statistics and verification.
 //! * [`NodeFrame`] — one node as its page's words in a 4 KB slot, so a page
 //!   cache keeps frames in place in its slots. A miss copies the page's
 //!   words from the arena straight into a slot with [`NodeFrame::fill`]:
 //!   three header fields and one word copy, no per-entry work, no
 //!   allocation. The cached (out-of-core) join reads these.
 //! * [`Node`] — the build-time node, whose lanes are built lazily on first
-//!   use. The simulator and the benchmark's kernel timing read these.
+//!   use. A frozen or loaded tree keeps no `Node`s: the serve cache
+//!   decodes one per miss, and [`crate::PagedTree::node`] decodes the
+//!   whole tree once for the benchmark's kernel timing.
 //!
 //! Both frames read their lanes through one `u64` → `f64` cast.
 
@@ -42,6 +46,10 @@ use std::mem::MaybeUninit;
 pub trait JoinNode {
     /// Level of the node (0 = leaf).
     fn level(&self) -> u32;
+
+    /// Whether the node is a leaf: its ids are object ids and it holds
+    /// geometry refs.
+    fn is_leaf(&self) -> bool;
 
     /// The entry MBRs as SoA lanes, in entry (xl-sorted) order.
     fn lanes(&self) -> SoaRun<'_>;
@@ -85,6 +93,10 @@ fn header(bytes: &[u8; PAGE_SIZE]) -> Result<(u32, bool, usize), String> {
 impl JoinNode for Node {
     fn level(&self) -> u32 {
         self.level
+    }
+
+    fn is_leaf(&self) -> bool {
+        matches!(self.kind, NodeKind::Leaf(_))
     }
 
     #[inline]
@@ -216,7 +228,7 @@ impl PrefixArena {
     /// Appends `node`'s page: lanes `xl[n] xh[n] yl[n] yh[n]` as `f64`
     /// bits, then the children (directory) or object ids (leaf), then a
     /// leaf's geometry words.
-    fn push_node(&mut self, node: &Node) {
+    pub(crate) fn push_node(&mut self, node: &Node) {
         assert!(node.len() <= node.fanout(), "node overflows page");
         let n = node.len();
         self.push_span(self.words.len(), node.level, node.is_leaf(), n);
@@ -340,11 +352,6 @@ pub struct FrameRef<'s> {
 }
 
 impl<'s> FrameRef<'s> {
-    /// Whether this is a leaf.
-    pub fn is_leaf(&self) -> bool {
-        self.leaf
-    }
-
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
@@ -367,6 +374,11 @@ impl<'s> FrameRef<'s> {
 impl JoinNode for FrameRef<'_> {
     fn level(&self) -> u32 {
         self.level
+    }
+
+    #[inline]
+    fn is_leaf(&self) -> bool {
+        self.leaf
     }
 
     #[inline]
@@ -438,12 +450,6 @@ fn written(a: &[MaybeUninit<u64>], n: usize) -> &[u64] {
 }
 
 impl NodeFrame {
-    /// Whether this is a leaf.
-    #[inline]
-    pub fn is_leaf(&self) -> bool {
-        self.leaf
-    }
-
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
@@ -505,6 +511,11 @@ impl JoinNode for NodeFrame {
     #[inline]
     fn level(&self) -> u32 {
         self.level
+    }
+
+    #[inline]
+    fn is_leaf(&self) -> bool {
+        self.leaf
     }
 
     #[inline]

@@ -7,6 +7,7 @@
 
 use crate::access::NodeAccess;
 use crate::entry::DataEntry;
+use crate::frame::JoinNode;
 use crate::node::NodeKind;
 use crate::paged::PagedTree;
 use crate::tree::RTree;
@@ -130,23 +131,22 @@ pub fn nearest_neighbors_via<A: NodeAccess>(
         match item {
             PagedCandidate::Node(page) => {
                 let node = access.read(page)?;
-                match &node.kind {
-                    NodeKind::Dir(entries) => {
-                        for e in entries {
-                            heap.push(HeapItem {
-                                dist: min_dist(query, &e.mbr),
-                                item: PagedCandidate::Node(PageId(e.child)),
-                            });
-                        }
-                    }
-                    NodeKind::Leaf(entries) => {
-                        for e in entries {
-                            heap.push(HeapItem {
-                                dist: min_dist(query, &e.mbr),
-                                item: PagedCandidate::Entry(*e),
-                            });
-                        }
-                    }
+                let lanes = node.lanes();
+                for i in 0..lanes.len() {
+                    let mbr = lanes.rect(i);
+                    let item = if node.is_leaf() {
+                        PagedCandidate::Entry(DataEntry {
+                            mbr,
+                            oid: node.oid(i),
+                            geom: node.geom(i),
+                        })
+                    } else {
+                        PagedCandidate::Node(PageId(node.child(i)))
+                    };
+                    heap.push(HeapItem {
+                        dist: min_dist(query, &mbr),
+                        item,
+                    });
                 }
             }
             PagedCandidate::Entry(e) => {

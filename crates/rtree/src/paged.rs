@@ -6,15 +6,18 @@
 //! (the plane-sweep precondition, so join tasks never re-sort), data entries
 //! receive their geometry pointers, and every node is written as its page.
 //!
-//! The pages are kept as one [`PrefixArena`]: each page's used PSJT3 words
-//! back to back, without the zero padding that fills a page to 4 KB on
-//! disk (13.2 MB instead of 57.7 MB for two paper-scale trees). The
-//! arena is what the in-memory join reads ([`PagedTree::frame`]), what a
-//! cached join's miss copies from, and what [`PagedTree::save_to`] pads
-//! back to 4 KB pages. The decoded nodes are kept beside it for the
-//! readers that still walk [`Node`]s. The exact geometries are grouped
-//! into per-data-page clusters ([BK 94]) whose sizes drive the simulated
-//! cluster I/O time.
+//! A frozen or loaded tree is two arenas. The pages are one
+//! [`PrefixArena`]: each page's used PSJT3 words back to back, without the
+//! zero padding that fills a page to 4 KB on disk (13.2 MB instead of
+//! 57.7 MB for two paper-scale trees). Every reader of the tree reads it
+//! ([`PagedTree::frame`]): the joins, the window and nearest-neighbor
+//! descents, the simulator, statistics and verification; a cached join's
+//! miss copies from it, and [`PagedTree::save_to`] pads it back to 4 KB
+//! pages. The exact geometries are one [`ClusterStore`]: every object's
+//! vertices back to back, grouped into per-data-page clusters ([BK 94])
+//! whose sizes drive the simulated cluster I/O time. Neither holds a
+//! per-page or per-object allocation. The decoded [`Node`]s exist only
+//! behind [`PagedTree::node`], built on its first call.
 
 use crate::entry::GeomRef;
 use crate::frame::{FrameRef, JoinNode, PrefixArena};
@@ -24,6 +27,7 @@ use crate::tree::RTree;
 use psj_geom::{Polyline, Rect};
 use psj_store::{ClusterStore, PageId};
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 /// The heap bytes a [`PagedTree`] holds, by part
 /// ([`PagedTree::heap_bytes`]).
@@ -32,11 +36,12 @@ pub struct HeapBytes {
     /// The page arena: its words and its spans, exactly the pages' used
     /// prefixes.
     pub arena: usize,
-    /// The decoded nodes: the node vector, each node's entries and any SoA
-    /// view built so far.
+    /// The decoded view [`PagedTree::node`] builds on its first call: the
+    /// node vector, each node's entries and any SoA view built so far. 0
+    /// until then.
     pub nodes: usize,
-    /// The geometry clusters (an estimate; see
-    /// [`ClusterStore::heap_bytes`]).
+    /// The geometry arena: vertices, and the object and page offsets
+    /// ([`ClusterStore::heap_bytes`]).
     pub clusters: usize,
 }
 
@@ -61,19 +66,22 @@ impl std::fmt::Display for HeapBytes {
     }
 }
 
-/// A read-only paged R\*-tree: its pages as a [`PrefixArena`], the decoded
-/// nodes indexed by page number, and the geometry clusters.
+/// A read-only paged R\*-tree: its pages as a [`PrefixArena`] and its
+/// geometry clusters as a [`ClusterStore`].
 ///
 /// Trees loaded leniently from a partially corrupt file carry a *poisoned*
-/// page set: those slots hold placeholder nodes (their on-disk bytes failed
-/// checksum verification) and must never be descended into. Fault-aware
-/// readers (the serve executor, `fsck`) consult [`PagedTree::is_poisoned`];
-/// direct traversal of a poisoned tree is a caller bug.
+/// page set: those pages hold empty-leaf placeholders (their on-disk bytes
+/// failed checksum verification) and must never be descended into.
+/// Fault-aware readers (the serve executor, `fsck`) consult
+/// [`PagedTree::is_poisoned`]; direct traversal of a poisoned tree is a
+/// caller bug.
 #[derive(Debug)]
 pub struct PagedTree {
-    nodes: Vec<Node>,
-    /// The pages, one per node: what the joins read and a save writes.
+    /// The pages, one per node: what every reader reads and a save writes.
     pages: PrefixArena,
+    /// The decoded view of `pages` behind [`PagedTree::node`], built on its
+    /// first call.
+    nodes: OnceLock<Vec<Node>>,
     root: PageId,
     height: u32,
     num_items: u64,
@@ -122,8 +130,9 @@ impl PagedTree {
             }
         }
 
-        // Clone reachable nodes in page order, remap children, sort entries.
-        let mut nodes: Vec<Node> = Vec::with_capacity(order.len());
+        // Clone reachable nodes in page order, remap children, sort entries,
+        // and write each as its page.
+        let mut pages = PrefixArena::with_pages(order.len());
         let mut clusters = ClusterStore::new();
         for &idx in &order {
             let mut node = tree.node(idx).clone();
@@ -133,24 +142,30 @@ impl PagedTree {
                 }
             }
             node.sort_entries_by_xl();
-            let page = PageId(nodes.len() as u32);
+            let page = PageId(pages.len() as u32);
             if let NodeKind::Leaf(entries) = &mut node.kind {
                 for e in entries.iter_mut() {
                     e.geom = match geometry(e.oid) {
                         Some(g) => GeomRef {
                             page,
-                            slot: clusters.push_with_extra(page, g, attr_bytes),
+                            slot: clusters.push_with_extra(
+                                page,
+                                g.points().iter().copied(),
+                                attr_bytes,
+                            ),
                         },
                         None => GeomRef::UNSET,
                     };
                 }
             }
-            nodes.push(node);
+            pages.push_node(&node);
         }
+        pages.shrink_to_fit();
+        clusters.shrink_to_fit();
 
         PagedTree {
-            pages: PrefixArena::from_nodes(&nodes),
-            nodes,
+            pages,
+            nodes: OnceLock::new(),
             root: PageId(0),
             height,
             num_items: tree.len(),
@@ -162,7 +177,6 @@ impl PagedTree {
     /// Assembles a tree from parts loaded from disk (crate-internal; the
     /// loader verifies structure afterwards).
     pub(crate) fn from_loaded_parts(
-        nodes: Vec<Node>,
         pages: PrefixArena,
         root: PageId,
         height: u32,
@@ -170,8 +184,8 @@ impl PagedTree {
         clusters: ClusterStore,
     ) -> Self {
         PagedTree {
-            nodes,
             pages,
+            nodes: OnceLock::new(),
             root,
             height,
             num_items,
@@ -220,9 +234,22 @@ impl PagedTree {
         self.num_items == 0
     }
 
-    /// The decoded node stored on `page`.
+    /// The node stored on `page`, decoded into its build-time form.
+    ///
+    /// A compatibility view for the benchmark's traced kernel timing,
+    /// which still walks [`Node`]s; the benchmark change that points it at
+    /// frames deletes this. The first call decodes every page of the arena
+    /// into a node vector that the tree keeps from then on
+    /// ([`HeapBytes::nodes`]), about as large again as the arena. No join,
+    /// query, save, check or simulation of the tree calls it; read
+    /// [`PagedTree::frame`] instead.
     pub fn node(&self, page: PageId) -> &Node {
-        &self.nodes[page.index()]
+        let nodes = self.nodes.get_or_init(|| {
+            (0..self.pages.len() as u32)
+                .map(|p| Node::decode(self.pages.read(PageId(p))))
+                .collect()
+        });
+        &nodes[page.index()]
     }
 
     /// The node stored on `page`, viewed in place in the arena: what the
@@ -234,7 +261,7 @@ impl PagedTree {
 
     /// Total number of pages.
     pub fn num_pages(&self) -> usize {
-        self.nodes.len()
+        self.pages.len()
     }
 
     /// The pages.
@@ -249,7 +276,7 @@ impl PagedTree {
 
     /// MBR of the whole tree.
     pub fn mbr(&self) -> Rect {
-        self.node(self.root).mbr()
+        self.frame(self.root).mbr()
     }
 
     /// Window query over the paged form. Delegates to
@@ -264,33 +291,37 @@ impl PagedTree {
     pub fn heap_bytes(&self) -> HeapBytes {
         HeapBytes {
             arena: self.pages.heap_bytes(),
-            nodes: self.nodes.capacity() * std::mem::size_of::<Node>()
-                + self.nodes.iter().map(Node::heap_bytes).sum::<usize>(),
+            nodes: self.nodes.get().map_or(0, |nodes| {
+                nodes.capacity() * std::mem::size_of::<Node>()
+                    + nodes.iter().map(Node::heap_bytes).sum::<usize>()
+            }),
             clusters: self.clusters.heap_bytes(),
         }
     }
 
     /// Table 1 statistics for this tree.
     pub fn stats(&self) -> TreeStats {
-        let data_pages = self.nodes.iter().filter(|n| n.is_leaf()).count();
+        let data_pages = (0..self.num_pages() as u32)
+            .filter(|&p| self.frame(PageId(p)).is_leaf())
+            .count();
         TreeStats {
             height: self.height,
             num_data_entries: self.num_items,
             num_data_pages: data_pages,
-            num_dir_pages: self.nodes.len() - data_pages,
+            num_dir_pages: self.num_pages() - data_pages,
             avg_cluster_bytes: self.clusters.avg_bytes(),
         }
     }
 
-    /// Verifies that every in-memory node is the node its arena page
-    /// holds, that entries are xl-sorted, that directory MBRs exactly
-    /// bound their children, and that every set geometry reference of a
-    /// data page names a slot of that page's own cluster. Used by tests and
-    /// by loading.
+    /// Verifies that every page's entries are xl-sorted, that directory
+    /// entries name pages in range whose MBR is exactly the entry's
+    /// rectangle and whose level is one below, and that every set geometry
+    /// reference of a data page names a slot of that page's own cluster.
+    /// Used by tests and by loading.
     ///
     /// Poisoned pages (lenient load) are skipped entirely, and directory
     /// entries pointing at a poisoned child skip the MBR/level checks —
-    /// the placeholder node there has no meaningful contents.
+    /// the placeholder there has no meaningful contents.
     pub fn verify(&self) -> Result<(), String> {
         self.verify_with(true)
     }
@@ -299,42 +330,35 @@ impl PagedTree {
     /// `geometry`: a lenient load whose cluster section did not parse holds
     /// no geometry to resolve them against.
     pub(crate) fn verify_with(&self, geometry: bool) -> Result<(), String> {
-        if self.pages.len() != self.nodes.len() {
-            return Err(format!(
-                "{} pages for {} nodes",
-                self.pages.len(),
-                self.nodes.len()
-            ));
-        }
-        for (page, node) in self.nodes.iter().enumerate() {
-            if self.poisoned.contains(&(page as u32)) {
+        for page in (0..self.num_pages() as u32).map(PageId) {
+            if self.is_poisoned(page) {
                 continue;
             }
-            if Node::decode(self.pages.read(PageId(page as u32))) != *node {
-                return Err(format!("page {page}: decode mismatch"));
-            }
-            let mbrs = node.entry_mbrs();
-            if !mbrs.windows(2).all(|w| w[0].xl <= w[1].xl) {
-                return Err(format!("page {page}: entries not xl-sorted"));
+            let node = self.frame(page);
+            let lanes = node.lanes();
+            if !lanes.xl.windows(2).all(|w| w[0] <= w[1]) {
+                return Err(format!("page {}: entries not xl-sorted", page.0));
             }
             if geometry {
-                self.verify_geometry_refs(PageId(page as u32))?;
+                self.verify_geometry_refs(page)?;
             }
-            if let NodeKind::Dir(entries) = &node.kind {
-                for e in entries {
-                    if e.child as usize >= self.nodes.len() {
-                        return Err(format!("page {page}: child {} out of range", e.child));
-                    }
-                    if self.poisoned.contains(&e.child) {
-                        continue;
-                    }
-                    let child = self.node(PageId(e.child));
-                    if child.mbr() != e.mbr {
-                        return Err(format!("page {page}: stale child MBR"));
-                    }
-                    if child.level + 1 != node.level {
-                        return Err(format!("page {page}: level mismatch"));
-                    }
+            if node.is_leaf() {
+                continue;
+            }
+            for i in 0..node.len() {
+                let child = PageId(node.child(i));
+                if child.index() >= self.num_pages() {
+                    return Err(format!("page {}: child {} out of range", page.0, child.0));
+                }
+                if self.is_poisoned(child) {
+                    continue;
+                }
+                let child = self.frame(child);
+                if child.mbr() != lanes.rect(i) {
+                    return Err(format!("page {}: stale child MBR", page.0));
+                }
+                if child.level() + 1 != node.level() {
+                    return Err(format!("page {}: level mismatch", page.0));
                 }
             }
         }
@@ -350,7 +374,7 @@ impl PagedTree {
         if !frame.is_leaf() {
             return Ok(());
         }
-        let stored = self.clusters.get(page).map_or(0, |c| c.len());
+        let stored = self.clusters.cluster_len(page);
         let dangling = (0..frame.len())
             .map(|i| frame.geom(i))
             .find(|g| *g != GeomRef::UNSET && (g.page != page || g.slot as usize >= stored));
@@ -412,7 +436,10 @@ mod tests {
 
     /// The arena holds exactly the pages' used prefixes: 16 header bytes
     /// (a span) plus 40 per directory entry or 48 per data entry, with no
-    /// spare capacity, whether frozen or loaded.
+    /// spare capacity, whether frozen or loaded. The geometry arena holds
+    /// exactly 16 bytes a vertex, 4 an object and 12 a page (the last page
+    /// is a leaf). No decoded node exists until [`PagedTree::node`] is
+    /// called.
     #[test]
     fn arena_is_exactly_the_used_prefixes() {
         let frozen = PagedTree::freeze(&build_tree(900), geom_for);
@@ -422,12 +449,18 @@ mod tests {
         std::fs::remove_file(&path).ok();
         for tree in [&frozen, &loaded] {
             let used: usize = (0..tree.num_pages() as u32)
-                .map(|p| tree.node(PageId(p)))
+                .map(|p| tree.frame(PageId(p)))
                 .map(|n| 16 + n.len() * if n.is_leaf() { 48 } else { 40 })
                 .sum();
             let heap = tree.heap_bytes();
             assert_eq!(heap.arena, used);
-            assert!(heap.nodes > 0 && heap.clusters > 0);
+            assert_eq!(heap.nodes, 0);
+            assert_eq!(heap.clusters, 900 * (2 * 16 + 4) + tree.num_pages() * 12);
+            assert_eq!(heap.total(), heap.arena + heap.clusters);
+            // The compatibility view reports what it holds once built.
+            tree.node(tree.root());
+            let heap = tree.heap_bytes();
+            assert!(heap.nodes > 0);
             assert_eq!(heap.total(), heap.arena + heap.nodes + heap.clusters);
         }
     }
@@ -455,8 +488,10 @@ mod tests {
                 .clusters()
                 .geometry(e.geom.page, e.geom.slot)
                 .expect("geometry present");
-            // The geometry's MBR is the entry's MBR by construction.
-            assert_eq!(g.mbr(), e.mbr);
+            // The geometry is the one given at freeze, so its MBR is the
+            // entry's MBR by construction.
+            assert_eq!(g, geom_for(e.oid).unwrap().points());
+            assert_eq!(psj_geom::rect::mbr_of_points(g), e.mbr);
         }
         assert!(p.clusters().avg_bytes() > 0);
     }

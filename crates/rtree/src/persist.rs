@@ -5,12 +5,14 @@
 //! [`psj_store::checksum`]), and the geometry clusters, the whole file
 //! additionally protected by an FNV-1a checksum. Each payload is a node in
 //! the PSJT3 page layout ([`crate::node`]): header, MBR lanes, ids and
-//! geometry words, then zeros. Buffered I/O throughout. A loaded tree holds
-//! no 4 KB page: loading checks each record's CRC, then appends only the
-//! page's used words to the tree's [`PrefixArena`] through its checked page
-//! reader ([`PrefixArena::push_page`]) and decodes the node from there.
-//! Saving pads each arena page back to 4 KB ([`PrefixArena::write_page`])
-//! and writes its CRC, so the file is the one a page store would write.
+//! geometry words, then zeros. Buffered I/O throughout. A loaded tree is
+//! two arenas and holds no 4 KB page and no decoded node: loading checks
+//! each record's CRC, then appends only the page's used words to the
+//! tree's [`PrefixArena`] through its checked page reader
+//! ([`PrefixArena::push_page`]), and appends each geometry's vertices,
+//! straight from the hashed read, to the tree's [`ClusterStore`]. Saving
+//! pads each arena page back to 4 KB ([`PrefixArena::write_page`]) and
+//! writes its CRC, so the file is the one a page store would write.
 //!
 //! ```text
 //! +------------------+ magic "PSJT3\n", root u32, height u32,
@@ -20,7 +22,8 @@
 //! +------------------+
 //! | clusters         | per cluster: page u32, extra_bytes u64,
 //! |                  |   count u32, then per geometry:
-//! |                  |   vertex count u32 + count × (f64, f64)
+//! |                  |   vertex count u32 + count × (f64, f64);
+//! |                  |   data pages only, ascending
 //! +------------------+
 //! | checksum         | FNV-1a 64 over everything above
 //! +------------------+
@@ -59,10 +62,10 @@
 //! empty leaves. [`fsck_file`] reuses the same verification to produce a
 //! report.
 
-use crate::frame::PrefixArena;
-use crate::node::Node;
+use crate::frame::{JoinNode, PrefixArena};
 use crate::paged::PagedTree;
-use psj_geom::{Point, Polyline};
+use psj_geom::polyline::stored_size;
+use psj_geom::Point;
 use psj_store::{
     atomic_write, encode_record, verify_record, ClusterStore, Page, PageId, PAGE_RECORD_SIZE,
     PAGE_SIZE,
@@ -249,7 +252,6 @@ struct RawLoad {
     root: PageId,
     height: u32,
     num_items: u64,
-    nodes: Vec<Node>,
     pages: PrefixArena,
     clusters: ClusterStore,
     corrupt_pages: Vec<PageId>,
@@ -275,48 +277,65 @@ fn read_header<R: Read>(r: &mut HashReader<R>) -> io::Result<(PageId, u32, u64, 
     Ok((root, height, num_items, num_pages, num_clusters))
 }
 
+/// Reads the cluster section into a geometry arena. Clusters must name
+/// data pages of `pages` in strictly ascending order, as a save writes
+/// them: a repeated page would merge two records into one cluster, and a
+/// save of the loaded tree would then write a different file.
 fn read_clusters<R: Read>(
     r: &mut HashReader<R>,
-    num_pages: usize,
+    pages: &PrefixArena,
     num_clusters: usize,
 ) -> io::Result<ClusterStore> {
     let mut clusters = ClusterStore::new();
     let mut vertices = Vec::new();
+    let mut previous: Option<PageId> = None;
+    let mut vertices_total = 0usize;
     for _ in 0..num_clusters {
         let pid = PageId(r.u32()?);
-        if pid.index() >= num_pages {
+        if pid.index() >= pages.len() {
             return Err(corrupt("cluster page out of range"));
         }
-        let extra_total = r.u64()?;
+        if let Some(prev) = previous.filter(|&p| pid <= p) {
+            return Err(corrupt(&format!(
+                "cluster of page {} is not after the cluster of page {}",
+                pid.0, prev.0
+            )));
+        }
+        if !pages.read(pid).is_leaf() {
+            return Err(corrupt(&format!("cluster of directory page {}", pid.0)));
+        }
+        previous = Some(pid);
+        // The attribute bytes belong to the page, not to one geometry: the
+        // first geometry carries them all.
+        let mut extra = r.u64()?;
+        let mut size = extra;
         let count = r.u32()? as usize;
         if count == 0 {
             return Err(corrupt("empty cluster"));
         }
-        let extra_each = extra_total / count as u64;
-        let mut extra_rem = extra_total % count as u64;
         for _ in 0..count {
             let nv = r.u32()? as usize;
             if !(2..=1_000_000).contains(&nv) {
                 return Err(corrupt("implausible vertex count"));
             }
+            // The arena's offsets are `u32`s; no save writes more vertices.
+            vertices_total += nv;
+            if u32::try_from(vertices_total).is_err() {
+                return Err(corrupt("more vertices than the geometry arena addresses"));
+            }
+            size = (size.checked_add(stored_size(nv) as u64))
+                .ok_or_else(|| corrupt("cluster size overflows a u64"))?;
             // All the geometry's vertices in one hashed read.
             vertices.resize(nv * VERTEX_BYTES, 0);
             r.read_exact_hashed(&mut vertices)?;
             let f64_at = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8 bytes"));
             let pts = vertices
                 .chunks_exact(VERTEX_BYTES)
-                .map(|v| Point::new(f64_at(&v[..8]), f64_at(&v[8..])))
-                .collect();
-            let extra = extra_each
-                + if extra_rem > 0 {
-                    extra_rem -= 1;
-                    1
-                } else {
-                    0
-                };
-            clusters.push_with_extra(pid, Polyline::new(pts), extra);
+                .map(|v| Point::new(f64_at(&v[..8]), f64_at(&v[8..])));
+            clusters.push_with_extra(pid, pts, std::mem::take(&mut extra));
         }
     }
+    clusters.shrink_to_fit();
     Ok(clusters)
 }
 
@@ -369,7 +388,6 @@ fn read_tree_file(path: &Path, lenient: bool) -> io::Result<RawLoad> {
     let (root, height, num_items, num_pages, num_clusters) = read_header(&mut r)?;
 
     let mut pages = PrefixArena::with_pages(num_pages);
-    let mut nodes = Vec::with_capacity(num_pages);
     let mut corrupt_pages = Vec::new();
     let mut record = [0u8; PAGE_RECORD_SIZE];
     for id in (0..num_pages as u32).map(PageId) {
@@ -384,12 +402,11 @@ fn read_tree_file(path: &Path, lenient: bool) -> io::Result<RawLoad> {
                 checked.map_err(|e| corrupt(&format!("{context}: page {id}: {e}")))
             });
         match checked {
-            Ok(()) => nodes.push(Node::decode(pages.read(id))),
+            Ok(()) => {}
             Err(_) if lenient => {
                 // An empty-leaf placeholder: never descended into.
                 pages.push_placeholder();
                 corrupt_pages.push(id);
-                nodes.push(Node::new_leaf());
             }
             Err(e) => return Err(e),
         }
@@ -397,7 +414,7 @@ fn read_tree_file(path: &Path, lenient: bool) -> io::Result<RawLoad> {
     pages.shrink_to_fit();
 
     let (clusters, clusters_ok, checksum_ok) = if lenient {
-        match read_clusters(&mut r, num_pages, num_clusters) {
+        match read_clusters(&mut r, &pages, num_clusters) {
             Ok(c) => {
                 let checksum_ok = read_trailer(&mut r).is_ok();
                 (c, true, checksum_ok)
@@ -407,7 +424,7 @@ fn read_tree_file(path: &Path, lenient: bool) -> io::Result<RawLoad> {
             Err(_) => (ClusterStore::new(), false, false),
         }
     } else {
-        let c = read_clusters(&mut r, num_pages, num_clusters)?;
+        let c = read_clusters(&mut r, &pages, num_clusters)?;
         read_trailer(&mut r)?;
         (c, true, true)
     };
@@ -416,7 +433,6 @@ fn read_tree_file(path: &Path, lenient: bool) -> io::Result<RawLoad> {
         root,
         height,
         num_items,
-        nodes,
         pages,
         clusters,
         corrupt_pages,
@@ -455,13 +471,10 @@ impl PagedTree {
             w.u64(self.len())?;
             w.u32(self.num_pages() as u32)?;
 
-            // Clusters: collect page ids in ascending order for determinism.
-            let mut cluster_pages: Vec<PageId> = (0..self.num_pages() as u32)
-                .map(PageId)
-                .filter(|p| self.clusters().get(*p).is_some())
-                .collect();
-            cluster_pages.sort_unstable();
-            w.u32(cluster_pages.len() as u32)?;
+            // Clusters in ascending page order, as the geometry arena
+            // keeps them.
+            let clusters = self.clusters();
+            w.u32(clusters.len() as u32)?;
 
             let mut page = Page::zeroed();
             for id in (0..self.num_pages() as u32).map(PageId) {
@@ -470,20 +483,21 @@ impl PagedTree {
             }
 
             let mut vertices = Vec::new();
-            for pid in cluster_pages {
-                let c = self
-                    .clusters()
-                    .get(pid)
-                    .expect("filtered to existing clusters");
-                w.u32(pid.0)?;
+            for pid in clusters.pages() {
+                let geometries = (0..clusters.cluster_len(pid) as u32)
+                    .map(|slot| clusters.geometry(pid, slot).expect("slot of the cluster"));
                 // Extra (attribute) bytes beyond the raw geometry.
-                let geo_bytes: u64 = c.geometries().iter().map(|g| g.stored_size() as u64).sum();
-                w.u64(c.bytes() - geo_bytes)?;
-                w.u32(c.len() as u32)?;
-                for g in c.geometries() {
-                    w.u32(g.points().len() as u32)?;
+                let geo_bytes: u64 = geometries
+                    .clone()
+                    .map(|g| stored_size(g.len()) as u64)
+                    .sum();
+                w.u32(pid.0)?;
+                w.u64(clusters.bytes_of(pid) - geo_bytes)?;
+                w.u32(clusters.cluster_len(pid) as u32)?;
+                for g in geometries {
+                    w.u32(g.len() as u32)?;
                     vertices.clear();
-                    for p in g.points() {
+                    for p in g {
                         vertices.extend_from_slice(&p.x.to_le_bytes());
                         vertices.extend_from_slice(&p.y.to_le_bytes());
                     }
@@ -503,7 +517,6 @@ impl PagedTree {
         let raw = read_tree_file(path, false)?;
         debug_assert!(raw.corrupt_pages.is_empty());
         let tree = PagedTree::from_loaded_parts(
-            raw.nodes,
             raw.pages,
             raw.root,
             raw.height,
@@ -530,7 +543,6 @@ impl PagedTree {
     pub fn load_from_lenient(path: &Path) -> io::Result<LenientLoad> {
         let raw = read_tree_file(path, true)?;
         let mut tree = PagedTree::from_loaded_parts(
-            raw.nodes,
             raw.pages,
             raw.root,
             raw.height,
@@ -838,11 +850,10 @@ pub fn fsck_file(path: &Path) -> FsckReport {
         // An earlier version's file fails here with its version error.
         Some(_) => match read_tree_file(&target, true) {
             Ok(raw) => {
-                report.pages_scanned = raw.nodes.len() as u64;
+                report.pages_scanned = raw.pages.len() as u64;
                 report.corrupt_pages = raw.corrupt_pages.iter().map(|p| p.0).collect();
                 report.file_checksum_ok = raw.checksum_ok;
                 let mut tree = PagedTree::from_loaded_parts(
-                    raw.nodes,
                     raw.pages,
                     raw.root,
                     raw.height,
@@ -864,7 +875,7 @@ mod tests {
     use super::*;
     use crate::entry::GeomRef;
     use crate::tree::RTree;
-    use psj_geom::Rect;
+    use psj_geom::{Polyline, Rect};
 
     fn sample_tree(n: usize) -> PagedTree {
         let mut t = RTree::new();
@@ -974,10 +985,87 @@ mod tests {
         node.encode(&mut page);
         let at = record_offset(victim.index());
         bytes[at..at + PAGE_RECORD_SIZE].copy_from_slice(&encode_record(page.bytes(), victim));
+        reseal(bytes);
+    }
+
+    /// Rewrites the file's FNV trailer to match its body.
+    fn reseal(bytes: &mut [u8]) {
         let body = bytes.len() - 8;
         let mut h = Fnv::new();
         h.update(&bytes[..body]);
         bytes[body..].copy_from_slice(&h.0.to_le_bytes());
+    }
+
+    /// Byte offset of each cluster record (its page field) in a tree file
+    /// of `num_pages` pages.
+    fn cluster_offsets(bytes: &[u8], num_pages: usize) -> Vec<usize> {
+        let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let mut at = record_offset(num_pages);
+        let mut out = Vec::new();
+        for _ in 0..u32_at(26) {
+            out.push(at);
+            let count = u32_at(at + 12);
+            at += 16;
+            for _ in 0..count {
+                at += 4 + u32_at(at) as usize * VERTEX_BYTES;
+            }
+        }
+        assert_eq!(at, bytes.len() - 8, "walked the whole cluster section");
+        out
+    }
+
+    /// Clusters out of page order, a page's cluster twice, or a cluster of
+    /// a directory page never come from a save. A loader that accepted a
+    /// repeated page would merge both records into one cluster, and a save
+    /// of the loaded tree would write a different file. Strict loads
+    /// refuse each, and a cluster size past `u64`; lenient loads and
+    /// `fsck` report the cluster section unparsed.
+    #[test]
+    fn clusters_out_of_page_order_repeated_or_on_a_directory_page_are_rejected() {
+        let tree = sample_tree(400);
+        let path = tmpfile("cluster-order");
+        tree.save_to(&path).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let at = cluster_offsets(&clean, tree.num_pages());
+        let page_of = |i: usize| clean[at[i]..at[i] + 4].to_vec();
+        assert!(!tree.frame(tree.root()).is_leaf());
+        // Which file offsets get which bytes, and what the load says.
+        type Edits<'e> = &'e [(usize, Vec<u8>)];
+        let root = tree.root().0.to_le_bytes().to_vec();
+        let cases: [(Edits, &str); 4] = [
+            // The second record names the first record's page again.
+            (&[(at[1], page_of(0))], "is not after"),
+            // The first two records swap pages.
+            (&[(at[0], page_of(1)), (at[1], page_of(0))], "is not after"),
+            // The first record names the root, a directory page.
+            (&[(at[0], root)], "directory page"),
+            // The first record's attribute bytes leave no room for its
+            // geometry.
+            (&[(at[0] + 4, u64::MAX.to_le_bytes().to_vec())], "overflows"),
+        ];
+        for (edits, why) in cases {
+            let mut bytes = clean.clone();
+            for (offset, new) in edits {
+                bytes[*offset..*offset + new.len()].copy_from_slice(new);
+            }
+            reseal(&mut bytes);
+            std::fs::write(&path, &bytes).unwrap();
+            let err = PagedTree::load_from(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains(why), "{err}");
+            let lenient = PagedTree::load_from_lenient(&path).unwrap();
+            assert!(!lenient.clusters_ok && !lenient.checksum_ok);
+            assert!(lenient.corrupt_pages.is_empty());
+            assert!(lenient.tree.clusters().is_empty());
+            let report = fsck_file(&path);
+            assert!(
+                !report.ok() && !report.file_checksum_ok,
+                "{}",
+                report.to_json()
+            );
+            assert!(report.corrupt_pages.is_empty());
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     /// A geometry reference naming another page, or a slot past its
@@ -994,7 +1082,7 @@ mod tests {
             .filter(|&p| tree.node(p).is_leaf())
             .collect();
         let (victim, other) = (leaves[0], leaves[1]);
-        let stored = tree.clusters().get(victim).unwrap().len() as u32;
+        let stored = tree.clusters().cluster_len(victim) as u32;
         for geom in [
             GeomRef {
                 page: other,

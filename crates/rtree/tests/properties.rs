@@ -482,6 +482,60 @@ proptest! {
     }
 }
 
+/// The geometry [`geometry_arena_returns_each_objects_polyline`] gives
+/// object `oid` of `r`: `2 + oid % 4` vertices along its diagonal, or none
+/// for every fifth object.
+fn varied_geometry(oid: u64, r: &Rect) -> Option<Polyline> {
+    let n = 2 + oid % 4;
+    let at = |k: u64| {
+        let t = k as f64 / (n - 1) as f64;
+        Point::new(r.xl + t * (r.xu - r.xl), r.yl + t * (r.yu - r.yl))
+    };
+    (oid % 5 != 4).then(|| Polyline::new((0..n).map(at).collect()))
+}
+
+proptest! {
+    /// The geometry arena hands back each object's polyline as given at
+    /// freeze, vertex for vertex, before and after a save and load, and
+    /// freeze → save → load → save writes the same bytes twice.
+    #[test]
+    fn geometry_arena_returns_each_objects_polyline(
+        rects in prop::collection::vec(arb_rect(), 1..300),
+        attrs in 0u64..64,
+    ) {
+        let mut t = RTree::new();
+        for (i, r) in rects.iter().enumerate() {
+            t.insert(*r, i as u64);
+        }
+        let geometry = |oid: u64| varied_geometry(oid, &rects[oid as usize]);
+        let frozen = PagedTree::freeze_with_attrs(&t, geometry, attrs);
+        let path = tmpfile("geometry-arena");
+        frozen.save_to(&path).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let first = std::fs::read(&path).expect("saved file");
+        let loaded = PagedTree::load_from(&path).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        loaded.save_to(&path).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let second = std::fs::read(&path).expect("saved file");
+        std::fs::remove_file(&path).ok();
+        prop_assert!(first == second, "freeze → save → load → save changed the file");
+        for tree in [&frozen, &loaded] {
+            let all = tree.window_query(&tree.mbr());
+            prop_assert_eq!(all.len(), rects.len());
+            for e in all {
+                let got = tree.clusters().geometry(e.geom.page, e.geom.slot);
+                match geometry(e.oid) {
+                    Some(want) => prop_assert_eq!(got, Some(want.points())),
+                    None => {
+                        prop_assert_eq!(e.geom, GeomRef::UNSET);
+                        prop_assert!(got.is_none());
+                    }
+                }
+            }
+            prop_assert_eq!(tree.heap_bytes().nodes, 0);
+        }
+        prop_assert_eq!(loaded.stats(), frozen.stats());
+    }
+}
+
 /// FNV-1a 64 over the encoded pages of a fixed, hand-built two-level tree.
 /// The nodes are built directly, not by insertion, so only the page layout
 /// moves this hash. A layout change must bump the file magic in

@@ -26,7 +26,7 @@ use psj_buffer::{PageRef, SharedPageCache};
 use psj_core::{try_run_join, CancelToken, JoinEngine, NativeConfig, NativeError, RunControl};
 use psj_geom::{Point, Rect};
 use psj_rtree::nn::min_dist;
-use psj_rtree::{nearest_neighbors_via, Node, NodeAccess, NodeKind, PagedTree};
+use psj_rtree::{JoinNode, Node, NodeAccess, NodeKind, PagedTree};
 use psj_store::{FaultPlan, PageError, PageId};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
@@ -293,14 +293,6 @@ pub fn nearest(
         worker,
         tree: tree_idx,
     };
-    if deadline.is_none() {
-        // No deadline to check per node: the shared best-first descent from
-        // the rtree crate runs straight through the guard-backed accessor.
-        return match nearest_neighbors_via(&mut access, t.root(), &query, k) {
-            Ok(v) => Outcome::Ok(v.into_iter().map(|(d, e)| (d, e.oid)).collect()),
-            Err(e) => Outcome::Storage(e),
-        };
-    }
     let mut heap = BinaryHeap::new();
     heap.push(HeapItem {
         dist: 0.0,
@@ -470,10 +462,10 @@ fn retain_owned_pairs(a: &PagedTree, b: &PagedTree, pairs: &mut Vec<(u64, u64)>,
 fn leaf_xl_index(t: &PagedTree) -> std::collections::HashMap<u64, f64> {
     let mut m = std::collections::HashMap::with_capacity(t.len() as usize);
     for p in 0..t.num_pages() {
-        let node = t.node(PageId(p as u32));
-        if let NodeKind::Leaf(entries) = &node.kind {
-            for e in entries {
-                m.insert(e.oid, e.mbr.xl);
+        let node = t.frame(PageId(p as u32));
+        if node.is_leaf() {
+            for (i, &xl) in node.lanes().xl.iter().enumerate() {
+                m.insert(node.oid(i), xl);
             }
         }
     }

@@ -12,7 +12,8 @@
 //! * [`Page`], [`PageId`] — fixed-size 4 KB pages with real bytes,
 //! * [`PageStore`] — the master copy of all pages ("what is on disk"),
 //! * [`DiskModel`] — the timing model and `mod d` placement function,
-//! * [`ClusterStore`] — per-data-page geometry clusters with their sizes,
+//! * [`ClusterStore`] — one relation's exact geometry as one arena,
+//!   grouped into per-data-page clusters with their sizes,
 //! * [`timing`] — integer-nanosecond time arithmetic shared by the
 //!   simulation crates.
 
