@@ -68,7 +68,6 @@ const COMMANDS: &[Command] = &[
             "threads",
             "engine",
             "cache",
-            "cache-org",
             "cache-shards",
             "inject-faults",
             "retry-attempts",

@@ -134,11 +134,24 @@ fn removed_engine_value_is_an_error() {
     );
 }
 
+/// A buffered join reads through one cache shared by all threads: the
+/// private per-thread caches are gone, and so is the option that picked
+/// them, whatever its value.
+#[test]
+fn removed_cache_org_is_an_unknown_option() {
+    for value in ["local", "global"] {
+        let out = on_trees(
+            "join",
+            &["--threads=2", "--cache", "8", "--cache-org", value],
+        );
+        assert_exit(&out, 2, "unknown option: --cache-org");
+    }
+}
+
 #[test]
 fn partition_engine_rejects_cache_and_fault_options() {
     for (flag, value) in [
         ("--cache", "8"),
-        ("--cache-org", "local"),
         ("--cache-shards", "2"),
         ("--inject-faults", "flip=1.0,seed=3"),
         ("--retry-attempts", "2"),

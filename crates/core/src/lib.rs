@@ -17,17 +17,19 @@
 //! * [`sim::run_sim_join`] — a deterministic discrete-event simulation of the
 //!   KSR1-style platform with the paper's published cost model
 //!   ([`cost::CostModel`]); this regenerates the paper's figures;
-//! * [`native::run_native_join`] — real threads, real geometry refinement;
-//!   this is the executor an application uses.
+//! * [`try_run_join`] — real threads, real geometry refinement; this is the
+//!   entry point an application uses.
 //!
-//! A second real-thread engine, the in-memory grid join of [`partition`],
-//! answers the same joins without descending the trees; callers pick it
-//! with [`JoinEngine::Partition`].
+//! [`try_run_join`] runs the paper's R-tree traversal ([`native`]) or, with
+//! [`JoinEngine::Partition`], the in-memory grid join of [`partition`],
+//! which answers the same joins without descending the trees;
+//! [`try_run_partition_join`] also takes unindexed rectangle streams. Both
+//! engines run their morsels on one runtime ([`morsel`]).
 //!
 //! The sequential [BKS 93] join ([`seq`]) serves as baseline and oracle.
 //!
 //! ```
-//! use psj_core::{native::{run_native_join, NativeConfig}};
+//! use psj_core::{try_run_join, NativeConfig, RunControl};
 //! use psj_rtree::{PagedTree, RTree};
 //! use psj_geom::Rect;
 //!
@@ -43,7 +45,7 @@
 //! let b = PagedTree::freeze(&tb, |_| None);
 //! let mut cfg = NativeConfig::new(4);
 //! cfg.refine = false; // no exact geometry stored in this toy example
-//! let result = run_native_join(&a, &b, &cfg);
+//! let result = try_run_join(&a, &b, &cfg, &RunControl::default()).expect("in-memory join");
 //! assert!(!result.pairs.is_empty());
 //! ```
 
@@ -65,14 +67,10 @@ pub use cancel::{CancelToken, Cancelled};
 pub use cost::{CandidateEstimator, CostModel, Platform, TreeProfile};
 pub use metrics::{JoinMetrics, TaskTrace};
 pub use morsel::{morselize, Morsel, MorselOptions, MorselPlan};
-pub use native::{
-    run_native_join, run_native_join_cancellable, run_native_join_with_cache, try_run_native_join,
-    try_run_native_join_with_cache, BufferConfig, JoinError, NativeConfig, NativeError,
-    NativeResult, RunControl,
-};
+pub use native::{BufferConfig, JoinError, NativeConfig, NativeError, NativeResult, RunControl};
 pub use partition::{
-    plan_partition, run_join, run_partition_join, try_run_join, try_run_partition_join, JoinEngine,
-    PartitionInput, PartitionPlan, RectItem,
+    plan_partition, try_run_join, try_run_partition_join, JoinEngine, PartitionInput,
+    PartitionPlan, RectItem,
 };
 pub use seq::{join_candidates, join_refined, SeqJoinResult};
 pub use sim::{run_sim_join, BufferOrg, Reassignment, SimConfig, SimResult, VictimSelection};

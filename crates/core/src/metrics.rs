@@ -78,7 +78,7 @@ impl JoinMetrics {
 /// quantities behind the paper's Figures 7–9 — per-processor page accesses,
 /// local vs. remote buffer hits, and the task-time skew that dynamic
 /// assignment is meant to flatten — surfaced per morsel instead of per run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct TaskTrace {
     /// Worker that executed the task.
     pub worker: usize,

@@ -12,16 +12,29 @@
 //! merged output order — is unchanged); undersized neighbors are packed
 //! together so scheduling overhead stays amortized.
 //!
-//! Morsels are numbered in plane-sweep order. Both real-thread engines hand
-//! them out through one shared cursor, in id order, and merge the
+//! Morsels are numbered in plane-sweep order. Both real-thread engines run
+//! them on one runtime (`Driver::run_morsels`): T workers hand them out
+//! through one shared cursor, in id order, and the driver merges the
 //! worker-local outputs in morsel-id order (`MorselOutputs`), which makes
 //! the parallel result byte-identical to the sequential oracle regardless
-//! of which worker ran which morsel (see `DESIGN.md` §11).
+//! of which worker ran which morsel (see `DESIGN.md` §11). An engine
+//! brings only its plan and its per-morsel body (`MorselBody`).
 
+use crate::cancel::CancelToken;
 use crate::cost::CandidateEstimator;
 use crate::metrics::TaskTrace;
+use crate::native::{JoinError, NativeError, NativeResult, RunControl};
+use crate::partition::JoinEngine;
 use crate::task::{expand_pair, KernelScratch, TaskPair};
+use psj_buffer::BufferStats;
+use psj_obs::trace::{cache_tid, worker_tid, TID_MAIN};
+use psj_obs::{ThreadTracer, TraceSink};
 use psj_rtree::{JoinNode, PagedTree};
+use psj_store::{lock_clean, PageError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// One morsel: a contiguous run of tasks (in plane-sweep order) sized to
 /// roughly one candidate budget.
@@ -186,14 +199,14 @@ pub fn morselize(
 
 /// One worker's run output: its completed morsels' result pairs keyed by
 /// morsel id, and its attribution traces.
-pub(crate) type WorkerOutput = (Vec<(u32, Vec<(u64, u64)>)>, Vec<TaskTrace>);
+type WorkerOutput = (Vec<(u32, Vec<(u64, u64)>)>, Vec<TaskTrace>);
 
 /// The deterministic merge of both real-thread engines: every completed
 /// morsel's output in its id slot. Concatenating the slots in id order
 /// gives the single-threaded byte order whichever worker ran which morsel.
 /// A morsel that ran twice or got lost is an executor bug, not a data
 /// error, so either one panics.
-pub(crate) struct MorselOutputs {
+struct MorselOutputs {
     slots: Vec<Option<Vec<(u64, u64)>>>,
 }
 
@@ -204,7 +217,7 @@ impl MorselOutputs {
     /// # Panics
     ///
     /// Panics if a morsel id appears twice.
-    pub(crate) fn place(morsels: usize, workers: Vec<WorkerOutput>) -> (Self, Vec<TaskTrace>) {
+    fn place(morsels: usize, workers: Vec<WorkerOutput>) -> (Self, Vec<TaskTrace>) {
         let mut slots = Vec::new();
         slots.resize_with(morsels, || None);
         let mut traces = Vec::with_capacity(morsels);
@@ -220,7 +233,7 @@ impl MorselOutputs {
     }
 
     /// Morsels whose output was placed.
-    pub(crate) fn completed(&self) -> usize {
+    fn completed(&self) -> usize {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
@@ -229,7 +242,7 @@ impl MorselOutputs {
     /// # Panics
     ///
     /// Panics if a morsel's output is missing.
-    pub(crate) fn concat(self) -> Vec<(u64, u64)> {
+    fn concat(self) -> Vec<(u64, u64)> {
         let len = self.slots.iter().flatten().map(Vec::len).sum();
         let mut pairs = Vec::with_capacity(len);
         for (id, slot) in self.slots.into_iter().enumerate() {
@@ -239,6 +252,307 @@ impl MorselOutputs {
             }
         }
         pairs
+    }
+}
+
+/// Cross-worker stop state of one run: the caller's cancel token, and the
+/// abort flag the first unrecoverable page error raises, after which every
+/// worker bails out at its next check. Contained morsel panics are
+/// recorded here too, but deliberately do NOT raise `abort`: the point of
+/// catching them is that the rest of the plan still runs.
+#[derive(Default)]
+pub(crate) struct FailState<'c> {
+    cancel: Option<&'c CancelToken>,
+    abort: AtomicBool,
+    failed_tasks: AtomicU64,
+    first_error: Mutex<Option<PageError>>,
+    first_panic: Mutex<Option<String>>,
+}
+
+impl FailState<'_> {
+    /// Whether the token fired or a worker aborted the run: a body checks
+    /// this between its own steps and stops early when it holds.
+    #[inline]
+    pub(crate) fn stopped(&self) -> bool {
+        self.cancel.is_some_and(CancelToken::is_cancelled) || self.abort.load(Ordering::Relaxed)
+    }
+
+    /// Records an unrecoverable page error and aborts the run.
+    pub(crate) fn record(&self, error: PageError) {
+        self.failed_tasks.fetch_add(1, Ordering::Relaxed);
+        lock_clean(&self.first_error).get_or_insert(error);
+        self.abort.store(true, Ordering::SeqCst);
+    }
+
+    fn record_panic(&self, payload: &(dyn std::any::Any + Send)) {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        lock_clean(&self.first_panic).get_or_insert(msg);
+    }
+}
+
+/// One worker's engine half of the morsel loop, built on its own thread.
+pub(crate) trait MorselBody<M> {
+    /// Runs `morsel`, appending its result pairs to `out` in the oracle's
+    /// order and counting its work into `tt` (tasks, node pairs,
+    /// candidates, replication, dedup). Returns `false` when it saw
+    /// [`FailState::stopped`] mid-morsel: the partial output is then
+    /// discarded and the worker retires.
+    fn run(
+        &mut self,
+        morsel: &M,
+        fail: &FailState<'_>,
+        tt: &mut TaskTrace,
+        out: &mut Vec<(u64, u64)>,
+    ) -> bool;
+
+    /// This worker's page-cache counters; `None` when it reads no cache,
+    /// and a node pair then counts as its two node reads.
+    fn stats(&self) -> Option<BufferStats> {
+        None
+    }
+}
+
+/// The driver of one real-thread join: its controls, its trace rows and
+/// the `join` span, which it opens before the engine plans.
+pub(crate) struct Driver<'c> {
+    threads: usize,
+    engine: JoinEngine,
+    cancel: Option<&'c CancelToken>,
+    trace: Option<&'c Arc<TraceSink>>,
+    start_ns: Option<u64>,
+}
+
+impl<'c> Driver<'c> {
+    /// Names the trace rows and opens the `join` span.
+    pub(crate) fn start(threads: usize, engine: JoinEngine, ctl: &'c RunControl<'_>) -> Self {
+        assert!(threads > 0, "need at least one thread");
+        let trace = ctl.trace.as_ref();
+        let start_ns = trace.map(|t| {
+            t.set_thread_name(TID_MAIN, "join driver");
+            for id in 0..threads {
+                t.set_thread_name(worker_tid(id), format!("worker {id}"));
+                if engine == JoinEngine::RTree {
+                    t.set_thread_name(cache_tid(id), format!("cache (worker {id})"));
+                }
+            }
+            t.now_ns()
+        });
+        Driver {
+            threads,
+            engine,
+            cancel: ctl.cancel,
+            trace,
+            start_ns,
+        }
+    }
+
+    /// The trace clock (`None` untraced), to open a driver-row span.
+    pub(crate) fn now_ns(&self) -> Option<u64> {
+        self.trace.map(|t| t.now_ns())
+    }
+
+    /// Closes the driver-row span `name` opened at `start`.
+    pub(crate) fn span(
+        &self,
+        name: &'static str,
+        start: Option<u64>,
+        args: &[(&'static str, u64)],
+    ) {
+        if let (Some(t), Some(start)) = (self.trace, start) {
+            t.span(TID_MAIN, name, "join", start, args);
+        }
+    }
+
+    /// `Err(Cancelled)` once the caller's token has fired.
+    pub(crate) fn check(&self) -> Result<(), NativeError> {
+        match self.cancel {
+            Some(t) if t.is_cancelled() => Err(NativeError::Cancelled),
+            _ => Ok(()),
+        }
+    }
+
+    /// Runs `morsels` (ids `0..n` in plan order) on the driver's workers,
+    /// each built by `worker` on its thread, and merges their outputs in id
+    /// order. `tasks` is the plan's unit count and `since` the start of
+    /// [`NativeResult::elapsed`]; the caller adds its cache statistics.
+    ///
+    /// Every morsel runs under `catch_unwind`: a panic (a kernel bug, an
+    /// injected fault) is contained to the morsel that hit it, and its
+    /// worker keeps its thread and takes the next morsel. Shared structures
+    /// stay usable across the unwind because every lock on a worker's path
+    /// recovers from poisoning (`lock_clean`) and in-flight cache fills are
+    /// cleaned up by a drop guard. The run then reports
+    /// [`NativeError::WorkerPanic`], since a merge missing a morsel would
+    /// be a silently wrong answer.
+    pub(crate) fn run_morsels<M: Sync, W: MorselBody<M>>(
+        self,
+        morsels: &[M],
+        tasks: usize,
+        since: Instant,
+        worker: impl Fn(usize) -> W + Sync,
+    ) -> Result<NativeResult, NativeError> {
+        let fail = FailState {
+            cancel: self.cancel,
+            ..FailState::default()
+        };
+        // The dispatcher: the id of the next morsel to hand out. `Relaxed`
+        // suffices: each `fetch_add` returns a distinct id, and the cursor
+        // publishes no data (the plan is immutable and visible to every
+        // worker from its spawn).
+        let next = AtomicUsize::new(0);
+        let results: Vec<WorkerOutput> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.threads)
+                .map(|id| {
+                    let (driver, fail, next, worker) = (&self, &fail, &next, &worker);
+                    let tracer = self.trace.map(|t| t.tracer(worker_tid(id)));
+                    scope.spawn(move || {
+                        driver.work(id, morsels, next, fail, &mut worker(id), tracer)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("a worker panicked outside its morsels"))
+                .collect()
+        });
+        let elapsed = since.elapsed();
+        let count = match self.engine {
+            JoinEngine::RTree => "tasks",
+            JoinEngine::Partition => "cells",
+        };
+        self.span(
+            "join",
+            self.start_ns,
+            &[
+                ("engine", self.engine as u64),
+                (count, tasks as u64),
+                ("morsels", morsels.len() as u64),
+                ("threads", self.threads as u64),
+            ],
+        );
+
+        if let Some(error) = lock_clean(&fail.first_error).take() {
+            return Err(NativeError::Storage(JoinError {
+                error,
+                failed_tasks: fail.failed_tasks.load(Ordering::Relaxed),
+            }));
+        }
+        // A token that fired mid-run means workers unwound early and the
+        // result set may be partial; report cancellation instead.
+        self.check()?;
+        let (merged, task_traces) = MorselOutputs::place(morsels.len(), results);
+        if let Some(message) = lock_clean(&fail.first_panic).take() {
+            return Err(NativeError::WorkerPanic {
+                message,
+                completed_morsels: merged.completed(),
+                morsels: morsels.len(),
+            });
+        }
+        let sum = |f: fn(&TaskTrace) -> u64| -> u64 { task_traces.iter().map(f).sum() };
+        Ok(NativeResult {
+            pairs: merged.concat(),
+            candidates: sum(|t| t.candidates),
+            node_pairs: sum(|t| t.node_pairs),
+            elapsed,
+            tasks,
+            morsels: morsels.len(),
+            steals: 0,
+            buffer: None,
+            buffer_per_worker: Vec::new(),
+            engine: self.engine,
+            replicated: sum(|t| t.replicated),
+            deduped: sum(|t| t.deduped),
+            task_traces,
+        })
+    }
+
+    /// One worker: takes morsels until the cursor passes the end or the
+    /// run stops, recording one [`TaskTrace`] (and `task` span) per morsel
+    /// it takes, a panicked one included.
+    fn work<M, W: MorselBody<M>>(
+        &self,
+        id: usize,
+        morsels: &[M],
+        next: &AtomicUsize,
+        fail: &FailState<'_>,
+        body: &mut W,
+        mut tracer: Option<ThreadTracer>,
+    ) -> WorkerOutput {
+        let (mut outputs, mut traces) = (Vec::new(), Vec::new());
+        // The plan is fixed before workers start, so nothing can appear
+        // after the cursor passes the end: the worker retires without a
+        // termination barrier.
+        while !fail.stopped() {
+            let mid = next.fetch_add(1, Ordering::Relaxed);
+            let Some(morsel) = morsels.get(mid) else {
+                break;
+            };
+            let start = Instant::now();
+            let start_ns = tracer.as_ref().map_or(0, ThreadTracer::now_ns);
+            // Only this thread advances its own cache counters, so the
+            // deltas between morsel boundaries are exact.
+            let base = body.stats();
+            let mut tt = TaskTrace {
+                worker: id,
+                morsel: mid as u32,
+                engine: self.engine,
+                ..TaskTrace::default()
+            };
+            let mut out = Vec::new();
+            let done = catch_unwind(AssertUnwindSafe(|| {
+                body.run(morsel, fail, &mut tt, &mut out)
+            }));
+            match (base, body.stats()) {
+                (Some(base), Some(now)) => {
+                    let delta = now.since(&base);
+                    tt.pages = delta.requests();
+                    tt.hits_local = delta.hits_local;
+                    tt.hits_remote = delta.hits_remote;
+                    tt.misses = delta.misses;
+                    tt.retries = delta.retries;
+                }
+                _ => tt.pages = 2 * tt.node_pairs,
+            }
+            tt.wall = start.elapsed();
+            if let Some(tr) = tracer.as_mut() {
+                let (w, m) = (id as u64, u64::from(tt.morsel));
+                let args: &[(&str, u64)] = match self.engine {
+                    JoinEngine::RTree => &[
+                        ("worker", w),
+                        ("morsel", m),
+                        ("tasks", u64::from(tt.tasks)),
+                        ("node_pairs", tt.node_pairs),
+                        ("candidates", tt.candidates),
+                        ("pages", tt.pages),
+                        ("hits_local", tt.hits_local),
+                        ("hits_remote", tt.hits_remote),
+                        ("retries", tt.retries),
+                    ],
+                    JoinEngine::Partition => &[
+                        ("worker", w),
+                        ("morsel", m),
+                        ("cells", u64::from(tt.tasks)),
+                        ("candidates", tt.candidates),
+                        ("replicated", tt.replicated),
+                        ("deduped", tt.deduped),
+                    ],
+                };
+                tr.span("task", "join", start_ns, args);
+            }
+            traces.push(tt);
+            match done {
+                Ok(true) => outputs.push((tt.morsel, out)),
+                Ok(false) => break,
+                // The morsel's output is lost (the driver reports a typed
+                // error), but this worker keeps taking morsels.
+                Err(payload) => fail.record_panic(payload.as_ref()),
+            }
+        }
+        (outputs, traces)
     }
 }
 
@@ -392,6 +706,70 @@ mod tests {
         let (merged, _) = MorselOutputs::place(3, workers);
         assert_eq!(merged.completed(), 2);
         merged.concat();
+    }
+
+    /// A body that outputs its morsel's number and panics on one of them.
+    struct PanicOn(usize);
+
+    impl MorselBody<usize> for PanicOn {
+        fn run(
+            &mut self,
+            morsel: &usize,
+            _: &FailState<'_>,
+            tt: &mut TaskTrace,
+            out: &mut Vec<(u64, u64)>,
+        ) -> bool {
+            tt.tasks = 1;
+            assert_ne!(*morsel, self.0, "injected panic in morsel {morsel}");
+            out.push((*morsel as u64, 0));
+            true
+        }
+    }
+
+    fn run_panicking(
+        threads: usize,
+        engine: JoinEngine,
+        panic_on: usize,
+    ) -> Result<NativeResult, NativeError> {
+        let morsels: Vec<usize> = (0..12).collect();
+        let ctl = RunControl::default();
+        Driver::start(threads, engine, &ctl)
+            .run_morsels(&morsels, 12, Instant::now(), |_| PanicOn(panic_on))
+    }
+
+    /// Both engines' workers contain a panicking morsel: the caller gets a
+    /// typed error naming the one lost morsel, at any thread count.
+    #[test]
+    fn a_panicking_morsel_is_a_typed_error_at_every_thread_count() {
+        for threads in [1, 2, 4] {
+            for engine in [JoinEngine::RTree, JoinEngine::Partition] {
+                match run_panicking(threads, engine, 5) {
+                    Err(NativeError::WorkerPanic {
+                        message,
+                        completed_morsels,
+                        morsels,
+                    }) => {
+                        assert!(message.contains("injected panic in morsel 5"), "{message}");
+                        assert_eq!((completed_morsels, morsels), (11, 12), "T={threads}");
+                    }
+                    other => panic!("T={threads} {engine:?}: expected WorkerPanic, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_clean_run_merges_in_morsel_order_with_one_trace_each() {
+        for threads in [1, 2, 4] {
+            let res = run_panicking(threads, JoinEngine::Partition, usize::MAX).expect("no panic");
+            let want: Vec<(u64, u64)> = (0..12).map(|m| (m, 0)).collect();
+            assert_eq!(res.pairs, want, "T={threads}");
+            assert_eq!(res.task_traces.len(), 12);
+            assert!(res
+                .task_traces
+                .iter()
+                .all(|t| t.engine == JoinEngine::Partition));
+        }
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! sides — a pair's owner cell always has both, so single-sided cells can
 //! be skipped outright) with the same Minkowski model the morsel planner
 //! uses, and packs cells into [`CellMorsel`]s next-fit in row-major cell
-//! order. Execution then works as in [`crate::native`]: the workers take
-//! morsels through one shared cursor in id order, record one [`TaskTrace`]
-//! per morsel (tagged [`JoinEngine::Partition`], carrying per-morsel
-//! replication/dedup attribution), and the driver runs the same
-//! morsel-id-order merge — the output sequence never depends on thread
-//! count or schedule.
+//! order. Execution then runs on the runtime the R-tree engine uses
+//! ([`crate::morsel`]): the workers take morsels through one shared cursor
+//! in id order, record one [`TaskTrace`] per morsel (tagged
+//! [`JoinEngine::Partition`], carrying per-morsel replication/dedup
+//! attribution), a panicking morsel is contained the same way, and the
+//! driver runs the same morsel-id-order merge — the output sequence never
+//! depends on thread count or schedule.
 //!
 //! Per cell, the kernel is the PR 5 SoA sweep: both item runs are already
 //! `(xl, index)`-sorted by the planner, the universe rectangle is the
@@ -30,15 +31,12 @@
 use super::grid::{build_cells, plan_grid, CellIndex, GridPlan, ItemStats, RunCoords};
 use super::{JoinEngine, PartitionInput, RectItem};
 use crate::metrics::TaskTrace;
-use crate::morsel::{auto_budget, MorselOutputs, WorkerOutput};
+use crate::morsel::{auto_budget, Driver, FailState, MorselBody};
 use crate::native::{NativeConfig, NativeError, NativeResult, RunControl};
 use psj_geom::polyline::intersects;
 use psj_geom::{sweep_pairs_soa_runs, Point, Rect, SweepPair, SweepScratch};
-use psj_obs::trace::{worker_tid, TID_MAIN};
-use psj_obs::ThreadTracer;
 use psj_rtree::{GeomRef, JoinNode, PagedTree};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// One partition morsel: a run of occupied cells (row-major cell order)
@@ -273,213 +271,99 @@ fn plan_sides(
     })
 }
 
-/// Runs the partition join.
-///
-/// # Panics
-///
-/// Never fails on storage (the engine is in-memory); the panic-free
-/// fallible variant exists for cancellation — see
-/// [`try_run_partition_join`].
-pub fn run_partition_join(
-    a: PartitionInput<'_>,
-    b: PartitionInput<'_>,
-    cfg: &NativeConfig,
-) -> NativeResult {
-    match try_run_partition_join(a, b, cfg, &RunControl::default()) {
-        Ok(res) => res,
-        Err(e) => unreachable!("in-memory partition join cannot fail: {e}"),
-    }
-}
-
 /// Runs the partition join with runtime controls. Cancellation is honored
 /// between planning phases and at cell granularity; tracing emits
 /// `plan_partition`/`join` driver spans, one `plan.count`/`plan.scatter`/
 /// `plan.sort` span per worker, and per-morsel `task` spans like the
-/// native executor. Fault plans and retry policies are inert here (they
+/// R-tree engine. Fault plans and retry policies are inert here (they
 /// act on page-cache fills; this engine has no cache) — callers that need
 /// fault coverage keep [`JoinEngine::RTree`]; `psj join` rejects the
 /// cache and fault options with `--engine partition`.
+///
+/// [`NativeResult::elapsed`] starts before planning: the grid, the
+/// replication passes and the per-cell sorts are real costs of answering
+/// the join, and any comparison with the R-tree engine is honest only if
+/// they count.
 pub fn try_run_partition_join(
     a: PartitionInput<'_>,
     b: PartitionInput<'_>,
     cfg: &NativeConfig,
     ctl: &RunControl<'_>,
 ) -> Result<NativeResult, NativeError> {
-    assert!(cfg.num_threads > 0, "need at least one thread");
-    // The clock starts before planning: the grid, the replication passes
-    // and the per-cell sorts are real costs of answering the join, and any
-    // comparison with the R-tree engine is honest only if they count.
-    let start = Instant::now();
-    let cancel = ctl.cancel;
-    let trace = ctl.trace.as_ref();
-    let join_start_ns = trace.map(|t| {
-        t.set_thread_name(TID_MAIN, "join driver");
-        for id in 0..cfg.num_threads {
-            t.set_thread_name(worker_tid(id), format!("worker {id}"));
-        }
-        t.now_ns()
-    });
-
-    let plan_start_ns = trace.map(|t| t.now_ns());
+    let since = Instant::now();
+    let driver = Driver::start(cfg.num_threads, JoinEngine::Partition, ctl);
+    let start = driver.now_ns();
     let side_a = Side::new(a);
     let side_b = Side::new(b);
-    if let Some(token) = cancel {
-        token.check().map_err(|_| NativeError::Cancelled)?;
-    }
+    driver.check()?;
     let plan = plan_sides(&side_a, &side_b, cfg, ctl)?;
-    let num_morsels = plan.morsels.len();
-    if let (Some(t), Some(start)) = (trace, plan_start_ns) {
-        t.span(
-            TID_MAIN,
-            "plan_partition",
-            "join",
-            start,
-            &[
-                ("cells", plan.grid.cells() as u64),
-                ("nx", u64::from(plan.grid.nx)),
-                ("ny", u64::from(plan.grid.ny)),
-                ("occupied", plan.occupied as u64),
-                ("morsels", num_morsels as u64),
-                ("budget", plan.budget),
-                ("total_est", plan.total_est),
-            ],
-        );
-    }
-    if let Some(token) = cancel {
-        token.check().map_err(|_| NativeError::Cancelled)?;
-    }
-
-    let candidates = AtomicU64::new(0);
-    let replicated = AtomicU64::new(0);
-    let deduped = AtomicU64::new(0);
-    // The dispatcher: the id of the next morsel to hand out (`Relaxed`, as
-    // in the native executor: it publishes no data).
-    let next = AtomicUsize::new(0);
-
-    let mut results: Vec<WorkerOutput> = Vec::with_capacity(cfg.num_threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(cfg.num_threads);
-        for id in 0..cfg.num_threads {
-            let next = &next;
-            let plan = &plan;
-            let side_a = &side_a;
-            let side_b = &side_b;
-            let candidates = &candidates;
-            let replicated = &replicated;
-            let deduped = &deduped;
-            let tracer = ctl.trace.as_ref().map(|t| t.tracer(worker_tid(id)));
-            handles.push(scope.spawn(move || {
-                run_worker(
-                    id, cfg, plan, side_a, side_b, next, candidates, replicated, deduped, cancel,
-                    tracer,
-                )
-            }));
-        }
-        for h in handles {
-            results.push(h.join().expect("worker panicked"));
-        }
-    });
-    let elapsed = start.elapsed();
-    if let (Some(t), Some(start_ns)) = (trace, join_start_ns) {
-        t.span(
-            TID_MAIN,
-            "join",
-            "join",
-            start_ns,
-            &[
-                ("engine", 1),
-                ("cells", plan.occupied as u64),
-                ("morsels", num_morsels as u64),
-                ("threads", cfg.num_threads as u64),
-            ],
-        );
-    }
-
-    if let Some(token) = cancel {
-        token.check().map_err(|_| NativeError::Cancelled)?;
-    }
-
-    // Deterministic merge, the one the native executor runs.
-    let (merged, task_traces) = MorselOutputs::place(num_morsels, results);
-    Ok(NativeResult {
-        pairs: merged.concat(),
-        candidates: candidates.load(Ordering::Relaxed),
-        node_pairs: 0,
-        elapsed,
-        tasks: plan.occupied,
-        morsels: num_morsels,
-        steals: 0,
-        buffer: None,
-        buffer_per_worker: Vec::new(),
-        task_traces,
-        engine: JoinEngine::Partition,
-        replicated: replicated.load(Ordering::Relaxed),
-        deduped: deduped.load(Ordering::Relaxed),
+    driver.span(
+        "plan_partition",
+        start,
+        &[
+            ("cells", plan.grid.cells() as u64),
+            ("nx", u64::from(plan.grid.nx)),
+            ("ny", u64::from(plan.grid.ny)),
+            ("occupied", plan.occupied as u64),
+            ("morsels", plan.morsels.len() as u64),
+            ("budget", plan.budget),
+            ("total_est", plan.total_est),
+        ],
+    );
+    driver.check()?;
+    driver.run_morsels(&plan.morsels, plan.occupied, since, |_| Sweep {
+        plan: &plan,
+        a: &side_a,
+        b: &side_b,
+        refine: cfg.refine,
+        scratch: SweepScratch::default(),
+        pairs: Vec::new(),
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    id: usize,
-    cfg: &NativeConfig,
-    plan: &PartitionPlan,
-    side_a: &Side<'_>,
-    side_b: &Side<'_>,
-    next: &AtomicUsize,
-    candidates: &AtomicU64,
-    replicated: &AtomicU64,
-    deduped: &AtomicU64,
-    cancel: Option<&crate::cancel::CancelToken>,
-    mut tracer: Option<ThreadTracer>,
-) -> WorkerOutput {
-    let mut scratch = SweepScratch::default();
-    let mut sweep_out: Vec<SweepPair> = Vec::new();
-    let mut outputs: Vec<(u32, Vec<(u64, u64)>)> = Vec::new();
-    let mut traces: Vec<TaskTrace> = Vec::new();
-    let mut local_candidates = 0u64;
-    let mut local_replicated = 0u64;
-    let mut local_deduped = 0u64;
-    let grid = &plan.grid;
+/// One grid worker: the plan, both sides, and the sweep's reusable buffers.
+struct Sweep<'p, 't> {
+    plan: &'p PartitionPlan,
+    a: &'p Side<'t>,
+    b: &'p Side<'t>,
+    refine: bool,
+    scratch: SweepScratch,
+    pairs: Vec<SweepPair>,
+}
 
-    'outer: loop {
-        if cancel.is_some_and(|t| t.is_cancelled()) {
-            break 'outer;
-        }
-        let Some(morsel) = plan.morsels.get(next.fetch_add(1, Ordering::Relaxed)) else {
-            break 'outer;
-        };
-
-        let seg_start = Instant::now();
-        let seg_start_ns = tracer.as_ref().map_or(0, ThreadTracer::now_ns);
-        let (base_cands, base_rep, base_dedup) =
-            (local_candidates, local_replicated, local_deduped);
-        let mid = morsel.id;
-        let num_cells = morsel.cells.len() as u32;
-        let mut out: Vec<(u64, u64)> = Vec::new();
-        let mut dirty = false;
+impl MorselBody<CellMorsel> for Sweep<'_, '_> {
+    fn run(
+        &mut self,
+        morsel: &CellMorsel,
+        fail: &FailState<'_>,
+        tt: &mut TaskTrace,
+        out: &mut Vec<(u64, u64)>,
+    ) -> bool {
+        let (plan, grid) = (self.plan, &self.plan.grid);
+        tt.tasks = morsel.cells.len() as u32;
         for &cell in &morsel.cells {
-            if cancel.is_some_and(|t| t.is_cancelled()) {
-                dirty = true;
-                break;
+            if fail.stopped() {
+                return false;
             }
             let c = cell as usize;
             let (lo_a, hi_a) = (plan.a.offsets[c] as usize, plan.a.offsets[c + 1] as usize);
             let (lo_b, hi_b) = (plan.b.offsets[c] as usize, plan.b.offsets[c + 1] as usize);
             let run_a = &plan.a.items[lo_a..hi_a];
             let run_b = &plan.b.items[lo_b..hi_b];
-            local_replicated += u64::from(plan.a.replicas[c]) + u64::from(plan.b.replicas[c]);
+            tt.replicated += u64::from(plan.a.replicas[c]) + u64::from(plan.b.replicas[c]);
             // The runs are (xl, index)-sorted and contiguous in the plan's
             // placement-aligned coordinate arrays, so the sweep reads them
             // directly — no per-cell gather, no window filter (every
             // placed item intersects its cell by construction).
-            sweep_out.clear();
+            self.pairs.clear();
             sweep_pairs_soa_runs(
                 &plan.coords_a.run(lo_a, hi_a),
                 &plan.coords_b.run(lo_b, hi_b),
-                &mut scratch,
-                &mut sweep_out,
+                &mut self.scratch,
+                &mut self.pairs,
             );
-            for &(pa, pb) in &sweep_out {
+            let (mut candidates, mut deduped) = (0u64, 0u64);
+            for &(pa, pb) in &self.pairs {
                 // Reference-point test: only the owner cell reports a pair.
                 // The corners come from the placement-aligned coordinate
                 // runs the sweep just scanned, so rejected duplicates never
@@ -487,14 +371,14 @@ fn run_worker(
                 let (axl, ayl) = plan.coords_a.lower_left(lo_a + pa as usize);
                 let (bxl, byl) = plan.coords_b.lower_left(lo_b + pb as usize);
                 if grid.cell_id(grid.cell_x(axl.max(bxl)), grid.cell_y(ayl.max(byl))) != cell {
-                    local_deduped += 1;
+                    deduped += 1;
                     continue;
                 }
                 let ia = run_a[pa as usize] as usize;
                 let ib = run_b[pb as usize] as usize;
-                local_candidates += 1;
-                if cfg.refine {
-                    let hit = match (side_a.geometry(ia), side_b.geometry(ib)) {
+                candidates += 1;
+                if self.refine {
+                    let hit = match (self.a.geometry(ia), self.b.geometry(ib)) {
                         (Some(ga), Some(gb)) => intersects(ga, gb),
                         // A candidate can only be refuted by exact geometry
                         // on both sides — raw-rect inputs always pass.
@@ -504,51 +388,13 @@ fn run_worker(
                         continue;
                     }
                 }
-                out.push((side_a.items[ia].oid, side_b.items[ib].oid));
+                out.push((self.a.items[ia].oid, self.b.items[ib].oid));
             }
+            tt.candidates += candidates;
+            tt.deduped += deduped;
         }
-        let tt = TaskTrace {
-            worker: id,
-            morsel: mid,
-            tasks: num_cells,
-            node_pairs: 0,
-            candidates: local_candidates - base_cands,
-            pages: 0,
-            hits_local: 0,
-            hits_remote: 0,
-            misses: 0,
-            retries: 0,
-            wall: seg_start.elapsed(),
-            engine: JoinEngine::Partition,
-            replicated: local_replicated - base_rep,
-            deduped: local_deduped - base_dedup,
-        };
-        if let Some(tr) = tracer.as_mut() {
-            tr.span(
-                "task",
-                "join",
-                seg_start_ns,
-                &[
-                    ("worker", id as u64),
-                    ("morsel", mid as u64),
-                    ("cells", u64::from(num_cells)),
-                    ("candidates", tt.candidates),
-                    ("replicated", tt.replicated),
-                    ("deduped", tt.deduped),
-                ],
-            );
-        }
-        traces.push(tt);
-        if dirty {
-            break 'outer;
-        }
-        outputs.push((mid, out));
+        true
     }
-
-    candidates.fetch_add(local_candidates, Ordering::Relaxed);
-    replicated.fetch_add(local_replicated, Ordering::Relaxed);
-    deduped.fetch_add(local_deduped, Ordering::Relaxed);
-    (outputs, traces)
 }
 
 #[cfg(test)]
@@ -557,6 +403,7 @@ mod tests {
     use crate::morsel::{AUTO_BUDGET_MAX, AUTO_BUDGET_MIN};
     use crate::seq::{join_candidates, join_refined};
     use psj_geom::{Point, Polyline};
+    use psj_obs::trace::{worker_tid, TID_MAIN};
     use psj_rtree::RTree;
 
     fn tree(n: usize, offset: f64) -> PagedTree {
@@ -574,6 +421,10 @@ mod tests {
         PagedTree::freeze(&t, move |oid| Some(geoms[oid as usize].clone()))
     }
 
+    fn join(a: PartitionInput<'_>, b: PartitionInput<'_>, cfg: &NativeConfig) -> NativeResult {
+        try_run_partition_join(a, b, cfg, &RunControl::default()).expect("in-memory join")
+    }
+
     fn sorted(mut v: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
         v.sort_unstable();
         v
@@ -587,7 +438,7 @@ mod tests {
         for threads in [1, 2, 4, 8] {
             let mut cfg = NativeConfig::new(threads);
             cfg.refine = false;
-            let res = run_partition_join(PartitionInput::Tree(&a), PartitionInput::Tree(&b), &cfg);
+            let res = join(PartitionInput::Tree(&a), PartitionInput::Tree(&b), &cfg);
             assert_eq!(sorted(res.pairs.clone()), want, "{threads} threads");
             assert_eq!(res.candidates as usize, res.pairs.len());
             assert_eq!(res.engine, JoinEngine::Partition);
@@ -601,7 +452,7 @@ mod tests {
         let a = tree(600, 0.0);
         let b = tree(600, 0.4);
         let want = sorted(join_refined(&a, &b));
-        let res = run_partition_join(
+        let res = join(
             PartitionInput::Tree(&a),
             PartitionInput::Tree(&b),
             &NativeConfig::new(4),
@@ -616,14 +467,12 @@ mod tests {
         let b = tree(700, 0.4);
         let mut cfg = NativeConfig::new(1);
         cfg.refine = false;
-        let want =
-            run_partition_join(PartitionInput::Tree(&a), PartitionInput::Tree(&b), &cfg).pairs;
+        let want = join(PartitionInput::Tree(&a), PartitionInput::Tree(&b), &cfg).pairs;
         for threads in [2, 4, 8] {
             for round in 0..3 {
                 let mut cfg = NativeConfig::new(threads);
                 cfg.refine = false;
-                let res =
-                    run_partition_join(PartitionInput::Tree(&a), PartitionInput::Tree(&b), &cfg);
+                let res = join(PartitionInput::Tree(&a), PartitionInput::Tree(&b), &cfg);
                 assert_eq!(
                     res.pairs, want,
                     "merge must be deterministic: {threads} threads, round {round}"
@@ -648,7 +497,7 @@ mod tests {
         let mut cfg = NativeConfig::new(4);
         cfg.refine = false;
         let want = sorted(join_candidates(&a, &b).candidates);
-        let res = run_partition_join(
+        let res = join(
             PartitionInput::Tree(&a),
             PartitionInput::Rects(&items),
             &cfg,
@@ -659,7 +508,7 @@ mod tests {
         // refined and unrefined counts.
         let mut cfg = NativeConfig::new(4);
         cfg.refine = true;
-        let res = run_partition_join(
+        let res = join(
             PartitionInput::Tree(&a),
             PartitionInput::Rects(&items),
             &cfg,
@@ -675,7 +524,7 @@ mod tests {
     fn disjoint_inputs_yield_empty_result() {
         let a = tree(100, 0.0);
         let b = tree(100, 10_000.0);
-        let res = run_partition_join(
+        let res = join(
             PartitionInput::Tree(&a),
             PartitionInput::Tree(&b),
             &NativeConfig::new(4),
@@ -691,7 +540,7 @@ mod tests {
     fn empty_input_yields_empty_result() {
         let a = tree(100, 0.0);
         let items: Vec<super::super::RectItem> = Vec::new();
-        let res = run_partition_join(
+        let res = join(
             PartitionInput::Tree(&a),
             PartitionInput::Rects(&items),
             &NativeConfig::new(2),
@@ -706,7 +555,7 @@ mod tests {
         let b = tree(800, 0.4);
         let mut cfg = NativeConfig::new(4);
         cfg.refine = false;
-        let res = run_partition_join(PartitionInput::Tree(&a), PartitionInput::Tree(&b), &cfg);
+        let res = join(PartitionInput::Tree(&a), PartitionInput::Tree(&b), &cfg);
         assert_eq!(res.task_traces.len(), res.morsels);
         assert!(res.morsels > 1, "workload must produce several morsels");
         for t in &res.task_traces {
@@ -758,8 +607,8 @@ mod tests {
         let b = tree(700, 0.4);
         let mut cfg = NativeConfig::new(4);
         cfg.refine = false;
-        let rtree = crate::native::run_native_join(&a, &b, &cfg);
-        let part = run_partition_join(PartitionInput::Tree(&a), PartitionInput::Tree(&b), &cfg);
+        let rtree = super::super::try_run_join(&a, &b, &cfg, &RunControl::default()).unwrap();
+        let part = join(PartitionInput::Tree(&a), PartitionInput::Tree(&b), &cfg);
         assert_eq!(
             part.candidates, rtree.candidates,
             "both engines must agree on the filter-step candidate count"
@@ -773,7 +622,7 @@ mod tests {
         let mut cfg = NativeConfig::new(4);
         cfg.refine = false;
         let plan = plan_partition(PartitionInput::Tree(&a), PartitionInput::Tree(&b), &cfg);
-        let res = run_partition_join(PartitionInput::Tree(&a), PartitionInput::Tree(&b), &cfg);
+        let res = join(PartitionInput::Tree(&a), PartitionInput::Tree(&b), &cfg);
         assert_eq!(plan.morsels.len(), res.morsels);
         assert_eq!(plan.occupied, res.tasks);
         assert!(plan.budget >= AUTO_BUDGET_MIN && plan.budget <= AUTO_BUDGET_MAX);

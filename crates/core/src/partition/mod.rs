@@ -37,16 +37,14 @@
 //! raw [`RectItem`] slice — an *unindexed* relation can join against an
 //! indexed one, which the R-tree engine cannot do at all.
 //!
-//! [`JoinEngine`] selects between the engines; [`run_join`] /
-//! [`try_run_join`] dispatch on it.
+//! [`JoinEngine`] selects between the engines; [`try_run_join`] dispatches
+//! on it.
 
 pub mod grid;
 
 mod exec;
 
-pub use exec::{
-    plan_partition, run_partition_join, try_run_partition_join, CellMorsel, PartitionPlan,
-};
+pub use exec::{plan_partition, try_run_partition_join, CellMorsel, PartitionPlan};
 
 use crate::native::{try_run_native_join, NativeConfig, NativeError, NativeResult, RunControl};
 use psj_geom::Rect;
@@ -107,40 +105,13 @@ pub enum PartitionInput<'t> {
     Rects(&'t [RectItem]),
 }
 
-impl PartitionInput<'_> {
-    /// Number of items on this side.
-    pub fn len(&self) -> usize {
-        match self {
-            PartitionInput::Tree(t) => t.len() as usize,
-            PartitionInput::Rects(r) => r.len(),
-        }
-    }
-
-    /// Whether this side is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Runs a tree × tree join through the engine [`NativeConfig::engine`]
-/// names. This is the entry point the CLI and the serving layer use; the
-/// engine-specific
-/// functions ([`crate::native::run_native_join`], [`run_partition_join`])
-/// remain available for callers that have already decided.
-///
-/// # Panics
-///
-/// Panics on a storage error, exactly like
-/// [`crate::native::run_native_join`]; fallible deployments use
-/// [`try_run_join`].
-pub fn run_join(a: &PagedTree, b: &PagedTree, cfg: &NativeConfig) -> NativeResult {
-    match try_run_join(a, b, cfg, &RunControl::default()) {
-        Ok(res) => res,
-        Err(e) => unreachable!("in-memory join cannot fail: {e}"),
-    }
-}
-
-/// Fallible engine-dispatching join with full runtime controls.
+/// names, under `ctl`: the entry point of the CLI, the serving layer and
+/// the benchmark ([`try_run_partition_join`] also takes unindexed inputs).
+/// A fired token returns [`NativeError::Cancelled`] and a panicked morsel
+/// [`NativeError::WorkerPanic`]; fault plans, retries and
+/// [`NativeError::Storage`] act on the R-tree engine's page cache (see
+/// [`crate::native`]).
 pub fn try_run_join(
     a: &PagedTree,
     b: &PagedTree,

@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use psj_core::{
-    create_tasks, join_candidates, morselize, run_native_join, CandidateEstimator, MorselOptions,
-    NativeConfig, TaskPair,
+    create_tasks, join_candidates, morselize, try_run_join, CandidateEstimator, MorselOptions,
+    NativeConfig, RunControl, TaskPair,
 };
 use psj_geom::Rect;
 use psj_rtree::{PagedTree, RTree};
@@ -143,7 +143,7 @@ fn executor_plan_and_aggregate_estimate_reconcile_with_measurement() {
 
     let mut cfg = NativeConfig::new(4);
     cfg.refine = false;
-    let res = run_native_join(&a, &b, &cfg);
+    let res = try_run_join(&a, &b, &cfg, &RunControl::default()).expect("in-memory join");
 
     // Mirror the executor's phase 1/1½ inputs exactly.
     let tc = create_tasks(&a, &b, cfg.min_tasks_factor * cfg.num_threads);

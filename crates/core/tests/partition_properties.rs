@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use psj_core::partition::grid::{build_cells, plan_grid, CellIndex, GridPlan, ItemStats};
 use psj_core::{
-    plan_partition, run_partition_join, NativeConfig, PartitionInput, RectItem, RunControl,
+    plan_partition, try_run_partition_join, NativeConfig, PartitionInput, RectItem, RunControl,
 };
 use psj_geom::Rect;
 
@@ -229,11 +229,13 @@ proptest! {
         want.sort_unstable();
         let mut cfg = NativeConfig::new(threads);
         cfg.refine = false;
-        let res = run_partition_join(
+        let res = try_run_partition_join(
             PartitionInput::Rects(&ia),
             PartitionInput::Rects(&ib),
             &cfg,
-        );
+            &RunControl::default(),
+        )
+        .expect("in-memory join");
         let mut got = res.pairs.clone();
         got.sort_unstable();
         prop_assert_eq!(got, want);

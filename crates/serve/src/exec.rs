@@ -355,9 +355,9 @@ pub struct JoinRun {
 pub struct JoinTuning {
     /// Worker threads per join request.
     pub threads: usize,
-    /// Join engine: the R-tree traversal, the in-memory grid partition, or
-    /// a per-request automatic choice. Served joins descend frozen trees
-    /// directly (no page cache), so every engine is safe here.
+    /// Join engine: the R-tree traversal or the in-memory grid partition,
+    /// as configured; nothing picks one per request. Served joins descend
+    /// frozen trees directly (no page cache), so either engine is safe here.
     pub engine: JoinEngine,
 }
 

@@ -73,8 +73,8 @@ pub struct ServeConfig {
     pub cache_shards: usize,
     /// Threads per join request.
     pub join_threads: usize,
-    /// Join engine answering join requests: the R-tree traversal, the
-    /// in-memory grid partition, or a per-request automatic choice.
+    /// Join engine answering every join request: the R-tree traversal
+    /// (the default) or the in-memory grid partition.
     pub join_engine: psj_core::JoinEngine,
     /// Socket read timeout; also the cadence at which idle connection
     /// threads re-check the halt flag.

@@ -11,7 +11,7 @@
 //! cargo run --release -p psj-examples --bin forests_in_cities
 //! ```
 
-use psj_core::{run_native_join, NativeConfig};
+use psj_core::{try_run_join, NativeConfig, RunControl};
 use psj_geom::{Point, Polygon};
 use psj_rtree::{PagedTree, RTree};
 use rand_like::SimpleRng;
@@ -85,7 +85,8 @@ fn main() {
     // R*-tree join.
     let mut cfg = NativeConfig::new(4);
     cfg.refine = false; // we refine with the polygon predicate below
-    let filter = run_native_join(&forest_tree, &city_tree, &cfg);
+    let filter = try_run_join(&forest_tree, &city_tree, &cfg, &RunControl::default())
+        .expect("in-memory join");
 
     // Refinement step: exact containment.
     let mut contained: Vec<(u64, u64)> = filter

@@ -9,7 +9,7 @@
 //! Default scale 0.1 (≈13 k + 13 k objects). Scale 1.0 reproduces the
 //! paper's full workload (needs a few seconds to index).
 
-use psj_core::{join_candidates, run_native_join, NativeConfig};
+use psj_core::{join_candidates, try_run_join, NativeConfig, RunControl};
 use psj_datagen::{map_stats, Scenario};
 use psj_rtree::{PagedTree, RTree};
 use std::collections::HashMap;
@@ -76,7 +76,8 @@ fn main() {
         .unwrap_or(4);
     let mut threads = 1;
     while threads <= max_threads {
-        let res = run_native_join(&a, &b, &NativeConfig::new(threads));
+        let res = try_run_join(&a, &b, &NativeConfig::new(threads), &RunControl::default())
+            .expect("in-memory join");
         let secs = res.elapsed.as_secs_f64();
         let base = *t1.get_or_insert(secs);
         println!(

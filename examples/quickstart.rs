@@ -5,7 +5,7 @@
 //! cargo run --release -p psj-examples --bin quickstart
 //! ```
 
-use psj_core::{run_native_join, NativeConfig};
+use psj_core::{try_run_join, NativeConfig, RunControl};
 use psj_geom::{Point, Polyline};
 use psj_rtree::{PagedTree, RTree};
 
@@ -42,8 +42,9 @@ fn main() {
     let river_tree = tree_of(&rivers);
 
     // --- 3. Parallel spatial join: which roads cross which rivers? ---------
-    let cfg = NativeConfig::new(4); // 4 threads, dynamic assignment + stealing
-    let result = run_native_join(&road_tree, &river_tree, &cfg);
+    let cfg = NativeConfig::new(4); // 4 threads taking morsels from one shared queue
+    let result = try_run_join(&road_tree, &river_tree, &cfg, &RunControl::default())
+        .expect("in-memory join");
 
     println!("tasks created:        {}", result.tasks);
     println!("filter candidates:    {}", result.candidates);

@@ -5,19 +5,28 @@
 //! relations. [`differential_run`] computes the sequential [BKS 93] answer
 //! once and then replays the same join through the simulated executor (all
 //! processor counts × assignments × buffer organizations the caller lists)
-//! and the native executor (thread counts × buffer organizations × cache
-//! budgets down to near-thrashing), asserting that
+//! and the native executor (thread counts × cache budgets down to
+//! near-thrashing, each through a sharded and a one-shard shared cache),
+//! asserting that
 //! every configuration produces *exactly* the oracle's result set. Any
 //! divergence panics with the configuration that broke.
 //!
 //! The harness compares *sets* of `(oid_a, oid_b)` pairs: parallel execution
 //! legitimately permutes the output order, but never its contents.
 
-use psj_core::native::{run_native_join, BufferConfig, NativeConfig};
-use psj_core::{join_candidates, run_sim_join, Assignment, BufferOrg, SimConfig};
+use psj_core::{
+    join_candidates, run_sim_join, try_run_join, Assignment, BufferConfig, BufferOrg, NativeConfig,
+    NativeResult, RunControl, SimConfig,
+};
 use psj_datagen::{MapObject, Scenario};
 use psj_rtree::{PagedTree, RTree};
 use std::collections::{BTreeSet, HashMap};
+
+/// Runs `cfg`'s engine over two in-memory trees, which cannot fail without
+/// a cancel token or a fault plan.
+pub fn join(a: &PagedTree, b: &PagedTree, cfg: &NativeConfig) -> NativeResult {
+    try_run_join(a, b, cfg, &RunControl::default()).expect("in-memory join")
+}
 
 /// A reproducible join workload: everything derives from `name` + `seed`.
 pub struct JoinScenario {
@@ -198,7 +207,7 @@ pub fn differential_run(scenario: &JoinScenario, sweep: &Sweep) -> DifferentialR
     for &threads in &sweep.threads {
         let mut cfg = NativeConfig::new(threads);
         cfg.refine = false;
-        let res = run_native_join(&scenario.a, &scenario.b, &cfg);
+        let res = join(&scenario.a, &scenario.b, &cfg);
         assert_eq!(
             as_set(&res.pairs),
             oracle,
@@ -207,26 +216,25 @@ pub fn differential_run(scenario: &JoinScenario, sweep: &Sweep) -> DifferentialR
         report.configs_checked += 1;
     }
 
-    // Native executor, out-of-core: organizations × budgets down to
-    // near-thrashing.
+    // Native executor, out-of-core: budgets down to near-thrashing, each
+    // through a sharded cache and a one-shard cache whose single lock every
+    // worker contends on.
     let total = scenario.total_pages();
     for &threads in &sweep.threads {
-        for org in [BufferOrg::Local, BufferOrg::Global] {
+        for shards in [4, 1] {
             for &fraction in &sweep.cache_fractions {
                 let capacity = ((total as f64 * fraction) as usize).max(4);
                 let buffer = BufferConfig {
-                    org,
                     capacity_pages: capacity,
-                    shards: 4,
-                    policy: psj_buffer::Policy::Lru,
+                    shards,
                 };
                 let mut cfg = NativeConfig::buffered(threads, buffer);
                 cfg.refine = false;
-                let res = run_native_join(&scenario.a, &scenario.b, &cfg);
+                let res = join(&scenario.a, &scenario.b, &cfg);
                 assert_eq!(
                     as_set(&res.pairs),
                     oracle,
-                    "{name}: native threads={threads} {org:?} cache={capacity}p diverged"
+                    "{name}: native threads={threads} shards={shards} cache={capacity}p diverged"
                 );
                 let stats = res.buffer.expect("buffered run must report stats");
                 // A join that creates tasks must touch pages; disjoint

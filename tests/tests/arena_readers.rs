@@ -5,10 +5,9 @@
 //! pair of loaded trees, and after each `heap_bytes().nodes` must still
 //! read 0.
 
-use psj_buffer::Policy;
 use psj_core::{
     join_candidates, join_refined, run_sim_join, try_run_join, try_run_partition_join,
-    BufferConfig, BufferOrg, NativeConfig, PartitionInput, RunControl, SimConfig,
+    BufferConfig, NativeConfig, PartitionInput, RunControl, SimConfig,
 };
 use psj_geom::Point;
 use psj_integration::harness::JoinScenario;
@@ -53,10 +52,8 @@ fn no_product_path_builds_the_decoded_view() {
     assert_eq!(mem.pairs.len(), exact);
     no_nodes("try_run_join in memory", &a, &b);
     let buffer = BufferConfig {
-        org: BufferOrg::Global,
         capacity_pages: 64,
         shards: 2,
-        policy: Policy::Lru,
     };
     let cached =
         try_run_join(&a, &b, &NativeConfig::buffered(2, buffer), &ctl).expect("cached join");

@@ -15,9 +15,7 @@
 //!   normally, reports `StorageCorrupt` for queries needing poisoned
 //!   pages, and surfaces nonzero corruption telemetry.
 
-use psj_core::{
-    join_refined, try_run_native_join, BufferConfig, NativeConfig, NativeError, RunControl,
-};
+use psj_core::{join_refined, try_run_join, BufferConfig, NativeConfig, NativeError, RunControl};
 use psj_geom::Rect;
 use psj_rtree::{PagedTree, RTree};
 use psj_serve::{Client, ClientError, Response, ServeConfig, Server, StorageErrorKind};
@@ -61,7 +59,7 @@ fn transient_only_plans_are_oracle_identical_with_exact_retry_counts() {
             let ctl = RunControl::default()
                 .with_fault(Arc::clone(&plan))
                 .with_retry(RetryPolicy::attempts(4));
-            let res = try_run_native_join(&a, &b, &cfg(threads, cache), &ctl)
+            let res = try_run_join(&a, &b, &cfg(threads, cache), &ctl)
                 .unwrap_or_else(|e| panic!("threads={threads} cache={cache}: {e:?}"));
             assert_eq!(
                 pair_set(&res.pairs),
@@ -93,7 +91,7 @@ fn corruption_plans_give_typed_errors_never_wrong_answers() {
             for seed in 0..4u64 {
                 let plan = Arc::new(FaultPlan::new(seed).with_flip(0.3));
                 let ctl = RunControl::default().with_fault(plan);
-                match try_run_native_join(&a, &b, &cfg(threads, cache), &ctl) {
+                match try_run_join(&a, &b, &cfg(threads, cache), &ctl) {
                     Ok(res) => assert_eq!(
                         pair_set(&res.pairs),
                         want,
@@ -118,7 +116,7 @@ fn total_corruption_always_aborts_with_corrupt_error() {
     let b = tree(600, 0.45);
     let plan = Arc::new(FaultPlan::new(1).with_flip(1.0));
     let ctl = RunControl::default().with_fault(plan);
-    match try_run_native_join(&a, &b, &cfg(2, 512), &ctl) {
+    match try_run_join(&a, &b, &cfg(2, 512), &ctl) {
         Err(NativeError::Storage(je)) => assert!(je.error.is_corrupt()),
         other => panic!("expected storage abort, got {other:?}"),
     }

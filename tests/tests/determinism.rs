@@ -2,8 +2,8 @@
 //! the inputs — independent of thread count, scheduling noise, and
 //! repetition.
 
-use psj_core::native::{run_native_join, BufferConfig, NativeConfig};
-use psj_integration::harness::JoinScenario;
+use psj_core::native::{BufferConfig, NativeConfig};
+use psj_integration::harness::{join, JoinScenario};
 use std::collections::BTreeSet;
 
 fn pair_set(pairs: &[(u64, u64)]) -> BTreeSet<(u64, u64)> {
@@ -17,7 +17,7 @@ fn native_join_is_thread_count_invariant() {
     for threads in [1, 2, 4, 8] {
         let mut cfg = NativeConfig::new(threads);
         cfg.refine = false;
-        let got = pair_set(&run_native_join(&scenario.a, &scenario.b, &cfg).pairs);
+        let got = pair_set(&join(&scenario.a, &scenario.b, &cfg).pairs);
         match &reference {
             None => {
                 assert!(!got.is_empty(), "degenerate workload");
@@ -36,9 +36,9 @@ fn repeated_runs_agree_exactly() {
         c.refine = false;
         c
     };
-    let first = pair_set(&run_native_join(&scenario.a, &scenario.b, &cfg).pairs);
+    let first = pair_set(&join(&scenario.a, &scenario.b, &cfg).pairs);
     for round in 0..5 {
-        let again = pair_set(&run_native_join(&scenario.a, &scenario.b, &cfg).pairs);
+        let again = pair_set(&join(&scenario.a, &scenario.b, &cfg).pairs);
         assert_eq!(again, first, "round {round} diverged");
     }
 }
@@ -48,11 +48,11 @@ fn refined_join_is_thread_count_invariant() {
     let scenario = JoinScenario::paper_maps("determinism-refined", 23, 0.015);
     let want = {
         let cfg = NativeConfig::new(1);
-        pair_set(&run_native_join(&scenario.a, &scenario.b, &cfg).pairs)
+        pair_set(&join(&scenario.a, &scenario.b, &cfg).pairs)
     };
     for threads in [2, 4, 8] {
         let cfg = NativeConfig::new(threads);
-        let got = pair_set(&run_native_join(&scenario.a, &scenario.b, &cfg).pairs);
+        let got = pair_set(&join(&scenario.a, &scenario.b, &cfg).pairs);
         assert_eq!(got, want, "{threads} threads");
     }
 }
@@ -95,7 +95,7 @@ fn rtree_join_output_sequence_is_golden() {
             let mut cfg = NativeConfig::new(threads);
             cfg.refine = refine;
             cfg.buffer = buffer;
-            let res = run_native_join(a, b, &cfg);
+            let res = join(a, b, &cfg);
             (
                 name,
                 threads,

@@ -1,10 +1,11 @@
 //! End-to-end integration: generator → R*-trees → all join executors agree.
 
 use psj_core::{
-    join_candidates, join_refined, run_native_join, run_sim_join, Assignment, NativeConfig,
-    Reassignment, SimConfig, VictimSelection,
+    join_candidates, join_refined, run_sim_join, Assignment, NativeConfig, Reassignment, SimConfig,
+    VictimSelection,
 };
 use psj_datagen::{MapObject, Scenario};
+use psj_integration::harness::join;
 use psj_rtree::{PagedTree, RTree};
 use std::collections::{BTreeSet, HashMap};
 
@@ -101,7 +102,7 @@ fn native_executor_agrees_with_sequential_on_tiger_data() {
     for threads in [1, 3, 8] {
         let mut cfg = NativeConfig::new(threads);
         cfg.refine = false;
-        let got = run_native_join(&a, &b, &cfg);
+        let got = join(&a, &b, &cfg);
         assert_eq!(as_set(&got.pairs), want, "{threads} threads");
     }
 }
@@ -109,7 +110,7 @@ fn native_executor_agrees_with_sequential_on_tiger_data() {
 #[test]
 fn native_refined_is_subset_of_candidates() {
     let (a, b) = workload(0.005, 9);
-    let refined = run_native_join(&a, &b, &NativeConfig::new(4));
+    let refined = join(&a, &b, &NativeConfig::new(4));
     let candidates = as_set(&join_candidates(&a, &b).candidates);
     assert!(refined.pairs.len() <= candidates.len());
     for p in &refined.pairs {

@@ -4,7 +4,7 @@
 //! binary stats report against a live server.
 
 use proptest::prelude::*;
-use psj_core::{try_run_native_join, BufferConfig, NativeConfig, RunControl};
+use psj_core::{try_run_join, BufferConfig, NativeConfig, RunControl};
 use psj_geom::Rect;
 use psj_obs::{validate_jsonl, Histogram, TraceSink};
 use psj_rtree::{PagedTree, RTree};
@@ -73,7 +73,7 @@ fn traced_join_attribution_and_spans_agree() {
     cfg.buffer = Some(BufferConfig::global(256));
     let sink = TraceSink::new(1 << 20);
     let ctl = RunControl::default().with_trace(Arc::clone(&sink));
-    let res = try_run_native_join(&a, &b, &cfg, &ctl).unwrap();
+    let res = try_run_join(&a, &b, &cfg, &ctl).unwrap();
 
     assert!(!res.task_traces.is_empty());
     let candidates: u64 = res.task_traces.iter().map(|t| t.candidates).sum();

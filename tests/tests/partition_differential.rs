@@ -5,16 +5,21 @@
 //! identical across all schedules (deterministic merge). The suite
 //! also locks the Tree-vs-raw-rectangle input equivalence.
 
-use psj_core::native::{run_native_join, NativeConfig};
+use psj_core::native::{NativeConfig, NativeResult};
 use psj_core::{
-    join_candidates, run_join, run_partition_join, JoinEngine, PartitionInput, RectItem,
+    join_candidates, try_run_partition_join, JoinEngine, PartitionInput, RectItem, RunControl,
 };
-use psj_integration::harness::JoinScenario;
+use psj_integration::harness::{join, JoinScenario};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Runs per thread count: repeats give the shared cursor different
 /// schedules to produce.
 const ROUNDS: usize = 3;
+
+/// The grid engine over any two inputs, in memory.
+fn grid_join(a: PartitionInput<'_>, b: PartitionInput<'_>, cfg: &NativeConfig) -> NativeResult {
+    try_run_partition_join(a, b, cfg, &RunControl::default()).expect("in-memory join")
+}
 
 fn sorted(mut pairs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     pairs.sort_unstable();
@@ -35,7 +40,7 @@ fn partition_sweep(scenario: &JoinScenario) -> usize {
             let mut cfg = NativeConfig::new(threads);
             cfg.refine = false;
             cfg.engine = JoinEngine::Partition;
-            let res = run_join(&scenario.a, &scenario.b, &cfg);
+            let res = join(&scenario.a, &scenario.b, &cfg);
             assert_eq!(res.engine, JoinEngine::Partition, "{name}: engine tag");
             assert_eq!(
                 sorted(res.pairs.clone()),
@@ -75,9 +80,9 @@ fn partition_sweep(scenario: &JoinScenario) -> usize {
 fn engines_agree(scenario: &JoinScenario, threads: usize) {
     let mut cfg = NativeConfig::new(threads);
     cfg.refine = false;
-    let rtree = run_native_join(&scenario.a, &scenario.b, &cfg);
+    let rtree = join(&scenario.a, &scenario.b, &cfg);
     cfg.engine = JoinEngine::Partition;
-    let part = run_join(&scenario.a, &scenario.b, &cfg);
+    let part = join(&scenario.a, &scenario.b, &cfg);
     assert_eq!(
         sorted(rtree.pairs),
         sorted(part.pairs),
@@ -117,7 +122,7 @@ fn disjoint_partition_yields_empty() {
     let mut cfg = NativeConfig::new(4);
     cfg.refine = false;
     cfg.engine = JoinEngine::Partition;
-    let res = run_join(&scenario.a, &scenario.b, &cfg);
+    let res = join(&scenario.a, &scenario.b, &cfg);
     assert!(res.pairs.is_empty());
     assert_eq!(res.replicated, 0);
     assert_eq!(res.deduped, 0);
@@ -131,9 +136,9 @@ fn refined_paper_maps_engines_agree() {
     let scenario = JoinScenario::paper_maps("paper-maps-refined", 77, 0.02);
     let mut cfg = NativeConfig::new(4);
     cfg.refine = true;
-    let rtree = run_native_join(&scenario.a, &scenario.b, &cfg);
+    let rtree = join(&scenario.a, &scenario.b, &cfg);
     cfg.engine = JoinEngine::Partition;
-    let part = run_join(&scenario.a, &scenario.b, &cfg);
+    let part = join(&scenario.a, &scenario.b, &cfg);
     assert_eq!(
         sorted(rtree.pairs),
         sorted(part.pairs),
@@ -161,7 +166,7 @@ fn raw_rect_stream_equals_indexed_side() {
     let oracle = sorted(join_candidates(&scenario.a, &scenario.b).candidates);
     for threads in [1, 4] {
         cfg.num_threads = threads;
-        let res = run_partition_join(
+        let res = grid_join(
             PartitionInput::Tree(&scenario.a),
             PartitionInput::Rects(&items),
             &cfg,
@@ -206,7 +211,7 @@ fn rect_stream_output_sequence_is_golden() {
     for threads in [1, 2, 4] {
         let mut cfg = NativeConfig::new(threads);
         cfg.refine = false;
-        let res = run_partition_join(PartitionInput::Rects(&a), PartitionInput::Rects(&b), &cfg);
+        let res = grid_join(PartitionInput::Rects(&a), PartitionInput::Rects(&b), &cfg);
         let got = (
             fnv1a_pairs(&res.pairs),
             res.pairs.len(),

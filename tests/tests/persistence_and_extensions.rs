@@ -1,8 +1,9 @@
 //! Integration tests for persistence on generated TIGER-like data.
 
-use psj_core::{join_candidates, run_native_join, NativeConfig};
+use psj_core::{join_candidates, NativeConfig};
 use psj_datagen::io::{load_map, save_map};
 use psj_datagen::{MapObject, Scenario};
+use psj_integration::harness::join;
 use psj_rtree::{PagedTree, RTree};
 use std::collections::{BTreeSet, HashMap};
 
@@ -53,8 +54,8 @@ fn full_pipeline_generate_save_load_join() {
     std::fs::remove_file(&t1).ok();
     std::fs::remove_file(&t2).ok();
 
-    let fresh = run_native_join(&a, &b, &NativeConfig::new(4));
-    let loaded = run_native_join(&la, &lb, &NativeConfig::new(4));
+    let fresh = join(&a, &b, &NativeConfig::new(4));
+    let loaded = join(&la, &lb, &NativeConfig::new(4));
     assert_eq!(as_set(&fresh.pairs), as_set(&loaded.pairs));
     assert!(!fresh.pairs.is_empty());
 }

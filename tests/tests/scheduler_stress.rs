@@ -8,8 +8,7 @@
 //! account for every morsel exactly once.
 
 use psj_core::{
-    join_candidates, try_run_native_join, CancelToken, NativeConfig, NativeError, NativeResult,
-    RunControl,
+    join_candidates, try_run_join, CancelToken, NativeConfig, NativeError, NativeResult, RunControl,
 };
 use psj_desim::splitmix64;
 use psj_integration::harness::JoinScenario;
@@ -35,7 +34,7 @@ fn assert_ledger(res: &NativeResult, ctx: &str) {
 }
 
 fn run(scenario: &JoinScenario, cfg: &NativeConfig) -> NativeResult {
-    try_run_native_join(&scenario.a, &scenario.b, cfg, &RunControl::default())
+    try_run_join(&scenario.a, &scenario.b, cfg, &RunControl::default())
         .expect("uncancelled run completes")
 }
 
@@ -124,7 +123,7 @@ fn cancellation_drains_cleanly_at_random_deadlines() {
         let deadline = Instant::now() + budget.mul_f64(frac);
         let token = CancelToken::with_deadline(deadline);
         let ctl = RunControl::default().with_cancel(&token);
-        match try_run_native_join(&scenario.a, &scenario.b, &cfg, &ctl) {
+        match try_run_join(&scenario.a, &scenario.b, &cfg, &ctl) {
             Ok(res) => {
                 assert_eq!(res.pairs, oracle, "round {round}: completed run diverged");
                 assert_ledger(&res, &format!("round {round}"));
