@@ -40,8 +40,8 @@ commands:
   simulate --tree1 <tree> --tree2 <tree> [--procs <n>] [--disks <n>]
            [--buffer <pages>] [--variant lsr|gsrr|gd|best]
   serve    --trees <tree>[,<tree>...] [--addr 127.0.0.1:7878] [--workers <n>]
-           [--queue-bound <n>] [--cache <pages>] [--cache-shards <n>]
-           [--join-threads <n>] [--join-engine rtree|partition]
+           [--queue-bound <n>] [--join-threads <n>]
+           [--join-engine rtree|partition]
            [--lenient] [--inject-faults <spec>] [--retry-attempts <n>]
            [--trace <file.jsonl>] [--shard-id <n>] — --trace writes the
            trace at shutdown; --join-engine takes the values of `join`'s
@@ -385,8 +385,6 @@ pub fn serve(args: &Args) -> CmdResult {
                 .unwrap_or(4),
         )?,
         queue_bound: args.parse_or("queue-bound", 256)?,
-        cache_pages: args.parse_or("cache", 4096)?,
-        cache_shards: args.parse_or("cache-shards", 16)?,
         join_threads: args.parse_or("join-threads", 4)?,
         join_engine: parse_engine(args, "join-engine")?,
         fault: match args.get("inject-faults") {

@@ -95,8 +95,6 @@ const COMMANDS: &[Command] = &[
             "addr",
             "workers",
             "queue-bound",
-            "cache",
-            "cache-shards",
             "join-threads",
             "join-engine",
             "inject-faults",

@@ -148,6 +148,16 @@ fn removed_cache_org_is_an_unknown_option() {
     }
 }
 
+/// A server reads its trees' arenas in place: there is no page cache to
+/// size or shard, so both options are refused rather than ignored.
+#[test]
+fn removed_serve_cache_options_are_unknown_options() {
+    for flag in ["--cache", "--cache-shards"] {
+        let out = psj(&["serve", "--trees", "t.psjt", flag, "1024"]);
+        assert_exit(&out, 2, &format!("unknown option: {flag}"));
+    }
+}
+
 #[test]
 fn partition_engine_rejects_cache_and_fault_options() {
     for (flag, value) in [

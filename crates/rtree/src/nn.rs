@@ -126,7 +126,9 @@ pub fn nearest_neighbors_via<A: NodeAccess>(
         dist: 0.0,
         item: PagedCandidate::Node(root),
     });
-    let mut out = Vec::with_capacity(k);
+    // `k` may be far past the tree's size (a served query's `k` is the
+    // client's), so it bounds the preallocation only up to a small size.
+    let mut out = Vec::with_capacity(k.min(64));
     while let Some(HeapItem { dist, item }) = heap.pop() {
         match item {
             PagedCandidate::Node(page) => {

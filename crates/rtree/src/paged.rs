@@ -315,13 +315,17 @@ impl PagedTree {
 
     /// Verifies that every page's entries are xl-sorted, that directory
     /// entries name pages in range whose MBR is exactly the entry's
-    /// rectangle and whose level is one below, and that every set geometry
-    /// reference of a data page names a slot of that page's own cluster.
-    /// Used by tests and by loading.
+    /// rectangle and whose level is one below, that every set geometry
+    /// reference of a data page names a slot of that page's own cluster,
+    /// and that the pages form one tree under the header: the root sits at
+    /// level `height − 1`, and no page is reached twice from it. Used by
+    /// tests and by loading.
     ///
     /// Poisoned pages (lenient load) are skipped entirely, and directory
     /// entries pointing at a poisoned child skip the MBR/level checks —
-    /// the placeholder there has no meaningful contents.
+    /// the placeholder there has no meaningful contents. Only a tree with
+    /// no poisoned page must reach every page from its root and hold
+    /// `len()` leaf entries.
     pub fn verify(&self) -> Result<(), String> {
         self.verify_with(true)
     }
@@ -330,6 +334,20 @@ impl PagedTree {
     /// `geometry`: a lenient load whose cluster section did not parse holds
     /// no geometry to resolve them against.
     pub(crate) fn verify_with(&self, geometry: bool) -> Result<(), String> {
+        if !self.is_poisoned(self.root) {
+            let level = self.frame(self.root).level();
+            if self.height.checked_sub(1) != Some(level) {
+                return Err(format!(
+                    "root page {} is at level {level}, the header's height is {}",
+                    self.root.0, self.height
+                ));
+            }
+        }
+        // Levels fall by one along every checked entry, so no entry path
+        // cycles; a page named by at most one entry, and the root by none,
+        // is then reached at most once from the root.
+        let mut named = vec![false; self.num_pages()];
+        let mut leaf_entries = 0u64;
         for page in (0..self.num_pages() as u32).map(PageId) {
             if self.is_poisoned(page) {
                 continue;
@@ -343,12 +361,19 @@ impl PagedTree {
                 self.verify_geometry_refs(page)?;
             }
             if node.is_leaf() {
+                leaf_entries += node.len() as u64;
                 continue;
             }
             for i in 0..node.len() {
                 let child = PageId(node.child(i));
                 if child.index() >= self.num_pages() {
                     return Err(format!("page {}: child {} out of range", page.0, child.0));
+                }
+                if child == self.root || std::mem::replace(&mut named[child.index()], true) {
+                    return Err(format!(
+                        "page {}: child {} is reached twice from the root",
+                        page.0, child.0
+                    ));
                 }
                 if self.is_poisoned(child) {
                     continue;
@@ -360,6 +385,18 @@ impl PagedTree {
                 if child.level() + 1 != node.level() {
                     return Err(format!("page {}: level mismatch", page.0));
                 }
+            }
+        }
+        if self.poisoned.is_empty() {
+            let root = self.root.index();
+            if let Some(page) = (0..self.num_pages()).find(|&p| p != root && !named[p]) {
+                return Err(format!("page {page} is not reached from the root"));
+            }
+            if leaf_entries != self.num_items {
+                return Err(format!(
+                    "leaves hold {leaf_entries} entries, the header counts {}",
+                    self.num_items
+                ));
             }
         }
         Ok(())

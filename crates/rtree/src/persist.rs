@@ -1121,6 +1121,53 @@ mod tests {
         assert_eq!(loaded.unwrap().len(), tree.len());
     }
 
+    /// A header whose root, height or object count disagrees with the
+    /// pages is a structural error, even with both checksums resealed: a
+    /// join over such a tree would index past a frame or read a directory
+    /// entry as geometry. Strict loads, lenient loads and `fsck` refuse it.
+    #[test]
+    fn a_resealed_header_that_disagrees_with_the_pages_is_rejected() {
+        let tree = sample_tree(400);
+        let path = tmpfile("header-edits");
+        tree.save_to(&path).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        assert_eq!(tree.root(), PageId(0));
+        let (height, items) = (tree.height(), tree.len());
+        // magic 6, then root u32 at 6, height u32 at 10, num_items u64 at 14.
+        type Edits<'e> = &'e [(usize, Vec<u8>)];
+        let cases: [(Edits, &str); 5] = [
+            // The root names its first child: one level too low.
+            (&[(6, 1u32.to_le_bytes().to_vec())], "is at level"),
+            // ... and the height agrees, so the old root names the root.
+            (
+                &[
+                    (6, 1u32.to_le_bytes().to_vec()),
+                    (10, (height - 1).to_le_bytes().to_vec()),
+                ],
+                "reached twice",
+            ),
+            (&[(10, (height + 1).to_le_bytes().to_vec())], "is at level"),
+            (&[(14, (items + 1).to_le_bytes().to_vec())], "leaves hold"),
+            (&[(14, (items - 1).to_le_bytes().to_vec())], "leaves hold"),
+        ];
+        for (edits, why) in cases {
+            let mut bytes = clean.clone();
+            for (offset, new) in edits {
+                bytes[*offset..*offset + new.len()].copy_from_slice(new);
+            }
+            reseal(&mut bytes);
+            std::fs::write(&path, &bytes).unwrap();
+            let err = PagedTree::load_from(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains(why), "{why}: {err}");
+            assert!(PagedTree::load_from_lenient(&path).is_err(), "{why}");
+            let report = fsck_file(&path);
+            assert!(report.file_checksum_ok && report.corrupt_pages.is_empty());
+            assert!(!report.structure_ok && !report.ok(), "{}", report.to_json());
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     /// A lenient load whose cluster section does not parse keeps its
     /// index: with no geometry loaded, references are not resolved.
     #[test]

@@ -1,51 +1,57 @@
-//! Query execution against the shared page cache.
+//! Query execution on the loaded trees, read in place.
 //!
-//! The server pins every loaded tree's pages behind one
-//! [`SharedPageCache<Node>`]: all node accesses of all concurrent requests
-//! go through it, so the cache's budget bounds decoded-node residency
-//! across the whole service and its hit/miss counters describe real
-//! cross-request sharing. Page keys combine the tree index (upper bits)
-//! with the page number (lower [`TREE_SHIFT`] bits).
-//!
-//! Two traversals live here, one query each: [`window`], a depth-first
-//! descent, and [`nearest`], best-first kNN. Both check their deadline
-//! cooperatively at every node fetch; an expired query stops at once and
-//! its partial results are discarded.
+//! Every tree a server holds is resident as its arena of page frames, so
+//! window and k-NN queries read each node they visit straight from it
+//! ([`PagedTree::frame`]) through one small [`NodeAccess`], with nothing
+//! decoded or copied. The traversals are psj-rtree's own
+//! ([`window_query_via`], [`nearest_neighbors_via`]), so a served answer
+//! is the direct query's, in the same order. Every node read checks the
+//! deadline first; an expired query stops and discards its partial work.
 //!
 //! # Storage failures
 //!
-//! Every traversal returns an [`Outcome`]: a page that cannot be read —
-//! quarantined by the cache, poisoned at (lenient) load time, or failed by
-//! an injected [`FaultPlan`] — degrades only the queries that needed that
-//! page, to [`Outcome::Storage`]; queries on healthy subtrees complete
-//! normally, and other trees are entirely unaffected. A query never
-//! returns a silently partial result: if any page it touched was
-//! unreadable, the whole query reports the storage error.
+//! A page that cannot be read — poisoned at (lenient) load time, or
+//! failed by an injected [`FaultPlan`] once its retries are spent —
+//! degrades only the queries that needed it, to [`Outcome::Storage`];
+//! other queries and trees are unaffected. A query never returns a
+//! silently partial result.
 
-use psj_buffer::{PageRef, SharedPageCache};
 use psj_core::{try_run_join, CancelToken, JoinEngine, NativeConfig, NativeError, RunControl};
 use psj_geom::{Point, Rect};
-use psj_rtree::nn::min_dist;
-use psj_rtree::{JoinNode, Node, NodeAccess, NodeKind, PagedTree};
-use psj_store::{FaultPlan, PageError, PageId};
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
-use std::sync::Arc;
+use psj_obs::trace::TID_SERVE;
+use psj_obs::{Counter, TraceSink};
+use psj_rtree::access::Frame;
+use psj_rtree::{nearest_neighbors_via, window_query_via, JoinNode, NodeAccess, PagedTree};
+use psj_store::{lock_clean, FaultPlan, PageError, PageId, RetryPolicy};
+use std::collections::BTreeSet;
+use std::io;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Low bits of a cache key hold the page number; upper bits the tree index.
+/// Low bits of a page key hold the page number; upper bits the tree index.
 pub const TREE_SHIFT: u32 = 24;
 
 /// Maximum number of trees a server can load (tree index fits the key's
 /// upper bits with the sign-ish top bit spare).
 pub const MAX_TREES: usize = 127;
 
-/// The trees a server instance exposes, indexed by position.
+/// The trees a server exposes, indexed by position, and how their node
+/// reads went.
 #[derive(Debug)]
 pub struct TreeSet {
     trees: Vec<Arc<PagedTree>>,
-    /// Injected fault plan applied to every cache fill (testing/chaos).
-    fault: Option<Arc<FaultPlan>>,
+    /// Injected fault plan run before every node read (testing/chaos), the
+    /// policy its transient faults are retried under, and the sink that
+    /// gets a `page_retry` instant on the server's row per retry.
+    fault: Option<(Arc<FaultPlan>, RetryPolicy, Option<Arc<TraceSink>>)>,
+    /// Reads of tree nodes, each a page a window or nearest query visited.
+    pub reads: Counter,
+    /// Reads that returned a frame.
+    pub frames: Counter,
+    /// Reads retried after an injected transient fault.
+    pub retries: Counter,
+    /// Distinct page keys an injected permanent fault refused.
+    refused: Mutex<BTreeSet<u32>>,
 }
 
 impl TreeSet {
@@ -66,18 +72,33 @@ impl TreeSet {
                 ));
             }
         }
-        Ok(TreeSet { trees, fault: None })
+        Ok(TreeSet {
+            trees,
+            fault: None,
+            reads: Counter::new(),
+            frames: Counter::new(),
+            retries: Counter::new(),
+            refused: Mutex::new(BTreeSet::new()),
+        })
     }
 
-    /// Applies an injected fault plan to every subsequent cache fill.
-    pub fn with_fault(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.fault = Some(plan);
+    /// Runs `plan` before every subsequent node read, retrying its
+    /// transient faults under `retry` and telling `trace` of each retry.
+    pub fn with_fault(
+        mut self,
+        plan: Arc<FaultPlan>,
+        retry: RetryPolicy,
+        trace: Option<Arc<TraceSink>>,
+    ) -> Self {
+        self.fault = Some((plan, retry, trace));
         self
     }
 
-    /// Total pages poisoned at load time across all trees.
-    pub fn poisoned_total(&self) -> u64 {
-        self.trees.iter().map(|t| t.poisoned_count() as u64).sum()
+    /// Distinct corrupt pages so far: pages poisoned at load time plus
+    /// pages an injected permanent fault refused.
+    pub fn corrupt_pages(&self) -> u64 {
+        let poisoned: u64 = self.trees.iter().map(|t| t.poisoned_count() as u64).sum();
+        poisoned + lock_clean(&self.refused).len() as u64
     }
 
     /// Number of trees.
@@ -99,62 +120,87 @@ impl TreeSet {
     pub fn iter(&self) -> impl Iterator<Item = &Arc<PagedTree>> {
         self.trees.iter()
     }
-
-    /// Total pages across all trees.
-    pub fn total_pages(&self) -> usize {
-        self.trees.iter().map(|t| t.num_pages()).sum()
-    }
-
-    fn key(&self, tree: usize, page: PageId) -> PageId {
-        PageId(((tree as u32) << TREE_SHIFT) | page.0)
-    }
 }
 
-impl psj_buffer::PageSource for TreeSet {
-    type Item = Node;
-
-    fn fetch_page(&self, key: PageId) -> Result<Node, PageError> {
-        let tree = (key.0 >> TREE_SHIFT) as usize;
-        let page = PageId(key.0 & ((1 << TREE_SHIFT) - 1));
-        // Pages poisoned at (lenient) load time hold placeholder nodes;
-        // serving one would silently return wrong answers.
-        if self.trees[tree].is_poisoned(page) {
-            return Err(PageError::Corrupt {
-                page: key,
-                context: format!("tree {tree} {page} poisoned at load time"),
-            });
-        }
-        if let Some(plan) = &self.fault {
-            plan.before_fetch(key)?;
-        }
-        Ok(Node::decode(self.trees[tree].frame(page)))
-    }
-
-    fn page_count(&self) -> usize {
-        self.total_pages()
-    }
-}
-
-/// Cache-backed [`NodeAccess`] over one tree of a [`TreeSet`]: every read
-/// goes through [`SharedPageCache::try_get`], so a resident page is a
-/// borrowing guard and only a miss or a slot mid-replacement takes the
-/// mutex.
-struct CachedNodes<'c> {
-    trees: &'c TreeSet,
-    cache: &'c SharedPageCache<Node>,
-    worker: usize,
+/// The [`NodeAccess`] of one query on one tree of a [`TreeSet`]: each read
+/// checks the deadline, refuses a page poisoned at load, runs the injected
+/// fault plan under its retry policy, and returns the page's arena frame.
+struct Reads<'s> {
+    set: &'s TreeSet,
     tree: usize,
+    deadline: Option<Instant>,
+    /// A read failed because the deadline had passed: the query reports
+    /// [`Outcome::DeadlineExceeded`], not a storage error.
+    expired: bool,
 }
 
-impl NodeAccess for CachedNodes<'_> {
+impl<'s> Reads<'s> {
+    fn new(set: &'s TreeSet, tree: u16, deadline: Option<Instant>) -> Self {
+        Reads {
+            set,
+            tree: tree as usize,
+            deadline,
+            expired: false,
+        }
+    }
+
+    /// The query's outcome from its traversal's result.
+    fn outcome<T>(&self, found: Result<T, PageError>) -> Outcome<T> {
+        match found {
+            Ok(v) => Outcome::Ok(v),
+            Err(_) if self.expired => Outcome::DeadlineExceeded,
+            Err(e) => Outcome::Storage(e),
+        }
+    }
+}
+
+impl NodeAccess for Reads<'_> {
     type Ref<'a>
-        = PageRef<'a, Node>
+        = Frame<'a>
     where
         Self: 'a;
 
-    fn read(&mut self, page: PageId) -> Result<PageRef<'_, Node>, PageError> {
-        let key = self.trees.key(self.tree, page);
-        self.cache.try_get(self.worker, key, self.trees)
+    fn read(&mut self, page: PageId) -> Result<Frame<'_>, PageError> {
+        self.set.reads.inc();
+        let key = PageId(((self.tree as u32) << TREE_SHIFT) | page.0);
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.expired = true;
+            return Err(PageError::io(
+                key,
+                io::ErrorKind::TimedOut,
+                "deadline passed",
+            ));
+        }
+        let tree = &self.set.trees[self.tree];
+        // A page poisoned at (lenient) load holds a placeholder; serving
+        // it would silently return wrong answers.
+        if tree.is_poisoned(page) {
+            return Err(PageError::Corrupt {
+                page: key,
+                context: format!("tree {} {page} poisoned at load time", self.tree),
+            });
+        }
+        if let Some((plan, retry, trace)) = &self.set.fault {
+            let (fetched, retries) = retry.run_observed(
+                u64::from(key.0),
+                |_| plan.before_fetch(key),
+                |attempt, _| {
+                    if let Some(t) = trace {
+                        let args = [("page", u64::from(key.0)), ("attempt", u64::from(attempt))];
+                        t.instant(TID_SERVE, "page_retry", "storage", &args);
+                    }
+                },
+            );
+            self.set.retries.add(retries);
+            if let Err(e) = fetched {
+                if e.is_corrupt() {
+                    lock_clean(&self.set.refused).insert(key.0);
+                }
+                return Err(e);
+            }
+        }
+        self.set.frames.inc();
+        Ok(Frame(tree.frame(page)))
     }
 }
 
@@ -165,7 +211,7 @@ pub enum Outcome<T> {
     Ok(T),
     /// The deadline expired mid-traversal; partial results discarded.
     DeadlineExceeded,
-    /// A page the query needed could not be read (corrupt, quarantined, or
+    /// A page the query needed could not be read (poisoned, corrupt, or
     /// unavailable after retries). Partial results discarded — a storage
     /// error never yields a silently incomplete answer.
     Storage(PageError),
@@ -186,156 +232,35 @@ impl<T> Outcome<T> {
     }
 }
 
-/// Window query on tree `tree` through `cache`; `worker` indexes the
-/// cache's per-worker statistics. `Outcome::Ok(oids)` exactly matches a
+/// Window query on tree `tree`: `Outcome::Ok(oids)` exactly matches a
 /// direct [`PagedTree::window_query`], in the same order. Reports an
 /// expired deadline or an unreadable page as the corresponding non-`Ok`
 /// [`Outcome`].
 pub fn window(
     trees: &TreeSet,
-    cache: &SharedPageCache<Node>,
-    worker: usize,
     tree: u16,
     rect: &Rect,
     deadline: Option<Instant>,
 ) -> Outcome<Vec<u64>> {
-    let t = &trees.trees[tree as usize];
-    let mut out = Vec::new();
-    if t.is_empty() {
-        return Outcome::Ok(out);
-    }
-    let mut access = CachedNodes {
-        trees,
-        cache,
-        worker,
-        tree: tree as usize,
-    };
-    let mut stack = vec![t.root()];
-    while let Some(page) = stack.pop() {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Outcome::DeadlineExceeded;
-        }
-        let node = match access.read(page) {
-            Ok(node) => node,
-            Err(e) => return Outcome::Storage(e),
-        };
-        match &node.kind {
-            NodeKind::Dir(entries) => {
-                for e in entries {
-                    if e.mbr.intersects(rect) {
-                        stack.push(PageId(e.child));
-                    }
-                }
-            }
-            NodeKind::Leaf(entries) => {
-                for e in entries {
-                    if e.mbr.intersects(rect) {
-                        out.push(e.oid);
-                    }
-                }
-            }
-        }
-    }
-    Outcome::Ok(out)
+    let mut reads = Reads::new(trees, tree, deadline);
+    let found = window_query_via(&mut reads, trees.trees[tree as usize].root(), rect);
+    reads.outcome(found.map(|hits| hits.into_iter().map(|e| e.oid).collect()))
 }
 
-struct HeapItem {
-    dist: f64,
-    entry: HeapEntry,
-}
-
-enum HeapEntry {
-    Node(PageId),
-    Data(u64),
-}
-
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == CmpOrdering::Equal
-    }
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        // Min-heap on distance. `total_cmp` keeps the order total even if a
-        // decoded page carries NaN coordinates (NaN sorts last), so a
-        // corrupt rectangle cannot break the heap invariant mid-query.
-        other.dist.total_cmp(&self.dist)
-    }
-}
-
-/// Best-first k-nearest-neighbor query through the cache; results match
-/// [`PagedTree::nearest_neighbors`]. Reports an expired deadline or an
-/// unreadable page as the corresponding non-`Ok` [`Outcome`].
+/// Best-first k-nearest-neighbor query on tree `tree`; results match
+/// [`PagedTree::nearest_neighbors`], distances included. Reports an
+/// expired deadline or an unreadable page as the corresponding non-`Ok`
+/// [`Outcome`].
 pub fn nearest(
     trees: &TreeSet,
-    cache: &SharedPageCache<Node>,
-    worker: usize,
     tree: u16,
     query: Point,
     k: usize,
     deadline: Option<Instant>,
 ) -> Outcome<Vec<(f64, u64)>> {
-    let t = &trees.trees[tree as usize];
-    let tree_idx = tree as usize;
-    let mut out = Vec::with_capacity(k.min(64));
-    if k == 0 || t.is_empty() {
-        return Outcome::Ok(out);
-    }
-    let mut access = CachedNodes {
-        trees,
-        cache,
-        worker,
-        tree: tree_idx,
-    };
-    let mut heap = BinaryHeap::new();
-    heap.push(HeapItem {
-        dist: 0.0,
-        entry: HeapEntry::Node(t.root()),
-    });
-    while let Some(HeapItem { dist, entry }) = heap.pop() {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Outcome::DeadlineExceeded;
-        }
-        match entry {
-            HeapEntry::Node(page) => {
-                let node = match access.read(page) {
-                    Ok(node) => node,
-                    Err(e) => return Outcome::Storage(e),
-                };
-                match &node.kind {
-                    NodeKind::Dir(entries) => {
-                        for e in entries {
-                            heap.push(HeapItem {
-                                dist: min_dist(&query, &e.mbr),
-                                entry: HeapEntry::Node(PageId(e.child)),
-                            });
-                        }
-                    }
-                    NodeKind::Leaf(entries) => {
-                        for e in entries {
-                            heap.push(HeapItem {
-                                dist: min_dist(&query, &e.mbr),
-                                entry: HeapEntry::Data(e.oid),
-                            });
-                        }
-                    }
-                }
-            }
-            HeapEntry::Data(oid) => {
-                out.push((dist, oid));
-                if out.len() == k {
-                    break;
-                }
-            }
-        }
-    }
-    Outcome::Ok(out)
+    let mut reads = Reads::new(trees, tree, deadline);
+    let found = nearest_neighbors_via(&mut reads, trees.trees[tree as usize].root(), &query, k);
+    reads.outcome(found.map(|hits| hits.into_iter().map(|(d, e)| (d, e.oid)).collect()))
 }
 
 /// What a completed join reports back to the server: the pairs plus the
@@ -356,30 +281,18 @@ pub struct JoinTuning {
     /// Worker threads per join request.
     pub threads: usize,
     /// Join engine: the R-tree traversal or the in-memory grid partition,
-    /// as configured; nothing picks one per request. Served joins descend
-    /// frozen trees directly (no page cache), so either engine is safe here.
+    /// as configured; nothing picks one per request. Served joins read the
+    /// trees' arenas in place, so either engine is safe here.
     pub engine: JoinEngine,
 }
 
-impl JoinTuning {
-    /// The R-tree engine at the given thread count.
-    pub fn threads(threads: usize) -> Self {
-        JoinTuning {
-            threads,
-            engine: JoinEngine::RTree,
-        }
-    }
-}
-
 /// Spatial join of two loaded trees with a deadline, on `tuning.threads`
-/// worker threads. Joins descend the frozen trees directly (their node accesses
-/// are not routed through the query cache: the join kernel has its own
-/// buffer-organization machinery studied by the paper, and sharing the
-/// query cache's key space across arbitrary tree *pairs* would alias; for
-/// the same reason, an injected [`TreeSet`] fault plan does not apply to
-/// joins). A tree with load-time poisoned pages is refused outright with
-/// [`Outcome::Storage`] — the direct descent would read the placeholder
-/// nodes and silently return wrong pairs.
+/// worker threads. The join kernel reads both trees' arenas itself, so
+/// neither the deadline-checked [`NodeAccess`] of the queries nor an
+/// injected [`TreeSet`] fault plan applies to joins; the deadline cancels
+/// the join's workers instead. A tree with load-time poisoned pages is
+/// refused outright with [`Outcome::Storage`] — the direct descent would
+/// read the placeholder nodes and silently return wrong pairs.
 ///
 /// `owner` restricts the result to pairs this shard *owns* (sharded
 /// clusters replicate boundary items into every overlapping shard, so an
@@ -475,7 +388,6 @@ fn leaf_xl_index(t: &PagedTree) -> std::collections::HashMap<u64, f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psj_buffer::Policy;
     use psj_rtree::RTree;
     use std::time::Duration;
 
@@ -493,6 +405,16 @@ mod tests {
         TreeSet::new(vec![tree(1200, 0.0), tree(900, 0.3)]).unwrap()
     }
 
+    /// `set()` with `plan` run before every node read.
+    fn faulty(plan: &Arc<FaultPlan>) -> TreeSet {
+        set().with_fault(Arc::clone(plan), RetryPolicy::default(), None)
+    }
+
+    const TWO: JoinTuning = JoinTuning {
+        threads: 2,
+        engine: JoinEngine::RTree,
+    };
+
     fn direct(trees: &TreeSet, tree: u16, rect: &Rect) -> Vec<u64> {
         trees.trees[tree as usize]
             .window_query(rect)
@@ -501,14 +423,21 @@ mod tests {
             .collect()
     }
 
+    /// Small tiles: each touches only a few pages.
+    fn tiles() -> impl Iterator<Item = Rect> {
+        (0..16).map(|i| {
+            let (x, y) = (((i % 4) * 9) as f64, ((i / 4) * 7) as f64);
+            Rect::new(x, y, x + 3.0, y + 3.0)
+        })
+    }
+
     #[test]
     fn window_batch_matches_direct_queries() {
         let trees = set();
-        let cache = SharedPageCache::new(1, 256, 4, Policy::Lru);
         for tree_idx in 0..2u16 {
             for i in 0..12 {
                 let rect = Rect::new((i * 3) as f64, 2.0, (i * 3 + 6) as f64, 9.0);
-                let got = window(&trees, &cache, 0, tree_idx, &rect, None);
+                let got = window(&trees, tree_idx, &rect, None);
                 assert_eq!(
                     got,
                     Outcome::Ok(direct(&trees, tree_idx, &rect)),
@@ -516,65 +445,59 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn window_batch_under_tiny_cache_still_correct() {
-        let trees = set();
-        let cache = SharedPageCache::new(1, 2, 1, Policy::Lru);
-        let rect = Rect::new(0.0, 0.0, 40.0, 40.0);
-        let got = window(&trees, &cache, 0, 0, &rect, None);
-        assert_eq!(got, Outcome::Ok(direct(&trees, 0, &rect)));
-        assert!(cache.total_stats().evictions > 0, "tiny cache thrashes");
+        assert!(trees.reads.get() > 0);
+        assert_eq!(
+            trees.frames.get(),
+            trees.reads.get(),
+            "every read returned a frame"
+        );
+        assert_eq!((trees.retries.get(), trees.corrupt_pages()), (0, 0));
     }
 
     #[test]
     fn expired_member_gets_none_others_complete() {
         let trees = set();
-        let cache = SharedPageCache::new(1, 256, 4, Policy::Lru);
         let rect = Rect::new(0.0, 0.0, 10.0, 10.0);
         let past = Instant::now() - Duration::from_millis(5);
         assert_eq!(
-            window(&trees, &cache, 0, 0, &rect, Some(past)),
+            window(&trees, 0, &rect, Some(past)),
             Outcome::DeadlineExceeded,
             "expired before the root is read"
         );
+        assert_eq!(trees.frames.get(), 0, "no frame was handed out");
         assert_eq!(
-            window(&trees, &cache, 0, 0, &rect, None),
+            window(&trees, 0, &rect, None),
             Outcome::Ok(direct(&trees, 0, &rect)),
-            "the next query on the same cache is served"
+            "the next query on the same trees is served"
         );
     }
 
     #[test]
     fn deadline_expiring_mid_descent_discards_partial_results() {
-        // Every page fill sleeps 400 ms against a 200 ms deadline: the root
+        // Every node read sleeps 400 ms against a 200 ms deadline: the root
         // is read in time, the deadline passes during that read, and the
         // check before the second node stops the descent.
-        let plan = Arc::new(FaultPlan::new(1).with_latency(1.0, Duration::from_millis(400)));
-        let trees = set().with_fault(Arc::clone(&plan));
-        let cache = SharedPageCache::new(1, 256, 4, Policy::Lru);
-        let deadline = Instant::now() + Duration::from_millis(200);
-        assert_eq!(
-            window(
-                &trees,
-                &cache,
-                0,
-                0,
-                &Rect::new(0.0, 0.0, 40.0, 40.0),
-                Some(deadline)
-            ),
-            Outcome::DeadlineExceeded
-        );
-        assert_eq!(plan.latency_injected(), 1, "stopped after the root");
+        for nn in [false, true] {
+            let plan = Arc::new(FaultPlan::new(1).with_latency(1.0, Duration::from_millis(400)));
+            let trees = faulty(&plan);
+            let deadline = Some(Instant::now() + Duration::from_millis(200));
+            let expired = if nn {
+                nearest(&trees, 0, Point::new(5.0, 5.0), 3, deadline) == Outcome::DeadlineExceeded
+            } else {
+                window(&trees, 0, &Rect::new(0.0, 0.0, 40.0, 40.0), deadline)
+                    == Outcome::DeadlineExceeded
+            };
+            assert!(expired, "nearest: {nn}");
+            assert_eq!(plan.latency_injected(), 1, "stopped after the root");
+            assert_eq!((trees.reads.get(), trees.frames.get()), (2, 1));
+        }
     }
 
     #[test]
     fn nearest_matches_direct() {
         let trees = set();
-        let cache = SharedPageCache::new(1, 256, 4, Policy::Lru);
         let q = Point::new(11.3, 4.2);
-        let got = nearest(&trees, &cache, 0, 0, q, 7, None).ok().unwrap();
+        let got = nearest(&trees, 0, q, 7, None).ok().unwrap();
         let want = trees.trees[0].nearest_neighbors(&q, 7);
         assert_eq!(got.len(), want.len());
         for ((gd, _), (wd, _)) in got.iter().zip(&want) {
@@ -582,13 +505,21 @@ mod tests {
         }
     }
 
+    /// `k` comes from the client: one far past the tree's size returns the
+    /// whole tree rather than sizing an allocation by it.
+    #[test]
+    fn nearest_with_a_huge_k_returns_every_item() {
+        let trees = set();
+        let got = nearest(&trees, 1, Point::new(3.0, 3.0), u32::MAX as usize, None);
+        assert_eq!(got.ok().map(|v| v.len()), Some(900));
+    }
+
     #[test]
     fn nearest_with_expired_deadline_is_none() {
         let trees = set();
-        let cache = SharedPageCache::new(1, 256, 4, Policy::Lru);
         let past = Instant::now() - Duration::from_millis(5);
         assert_eq!(
-            nearest(&trees, &cache, 0, 0, Point::new(1.0, 1.0), 3, Some(past)),
+            nearest(&trees, 0, Point::new(1.0, 1.0), 3, Some(past)),
             Outcome::DeadlineExceeded
         );
     }
@@ -597,16 +528,14 @@ mod tests {
     fn join_matches_core_and_respects_deadline() {
         let trees = set();
         let want = psj_core::join_refined(&trees.trees[0], &trees.trees[1]);
-        let got = join(&trees, 0, 1, true, None, JoinTuning::threads(2), None)
-            .ok()
-            .unwrap();
+        let got = join(&trees, 0, 1, true, None, TWO, None).ok().unwrap();
         assert!(got.tasks > 0, "phase-1 task count travels with the result");
         let as_set =
             |v: &[(u64, u64)]| v.iter().copied().collect::<std::collections::BTreeSet<_>>();
         assert_eq!(as_set(&got.pairs), as_set(&want));
         let past = Instant::now() - Duration::from_millis(1);
         assert_eq!(
-            join(&trees, 0, 1, true, None, JoinTuning::threads(2), Some(past)),
+            join(&trees, 0, 1, true, None, TWO, Some(past)),
             Outcome::DeadlineExceeded
         );
     }
@@ -619,7 +548,7 @@ mod tests {
     #[test]
     fn owner_intervals_partition_the_join_exactly_once() {
         let trees = set();
-        let all = join(&trees, 0, 1, true, None, JoinTuning::threads(2), None)
+        let all = join(&trees, 0, 1, true, None, TWO, None)
             .ok()
             .unwrap()
             .pairs;
@@ -629,18 +558,10 @@ mod tests {
         let mut union: Vec<(u64, u64)> = Vec::new();
         let mut total = 0usize;
         for w in cuts.windows(2) {
-            let owned = join(
-                &trees,
-                0,
-                1,
-                true,
-                Some((w[0], w[1])),
-                JoinTuning::threads(2),
-                None,
-            )
-            .ok()
-            .unwrap()
-            .pairs;
+            let owned = join(&trees, 0, 1, true, Some((w[0], w[1])), TWO, None)
+                .ok()
+                .unwrap()
+                .pairs;
             total += owned.len();
             union.extend(owned);
         }
@@ -653,19 +574,68 @@ mod tests {
 
     #[test]
     fn injected_corruption_degrades_to_storage_not_wrong_answers() {
-        // Every fetch corrupt: all queries must report Storage, none may
+        // Every read corrupt: all queries must report Storage, none may
         // return results.
-        let trees = set().with_fault(Arc::new(FaultPlan::new(3).with_flip(1.0)));
-        let cache = SharedPageCache::new(1, 256, 4, Policy::Lru);
-        let got = window(&trees, &cache, 0, 0, &Rect::new(0.0, 0.0, 40.0, 40.0), None);
+        let trees = faulty(&Arc::new(FaultPlan::new(3).with_flip(1.0)));
+        let got = window(&trees, 0, &Rect::new(0.0, 0.0, 40.0, 40.0), None);
         assert!(
             matches!(&got, Outcome::Storage(e) if e.is_corrupt()),
             "{got:?}"
         );
-        let nn = nearest(&trees, &cache, 0, 0, Point::new(1.0, 1.0), 3, None);
+        let nn = nearest(&trees, 0, Point::new(1.0, 1.0), 3, None);
         assert!(matches!(nn, Outcome::Storage(_)), "{nn:?}");
-        assert!(cache.corrupt_detected() > 0);
-        assert!(cache.quarantined_pages() > 0);
+        assert_eq!(trees.corrupt_pages(), 1, "both stopped at tree 0's root");
+        assert_eq!((trees.frames.get(), trees.retries.get()), (0, 0));
+    }
+
+    /// A permanently flipped page fails every read of it the same way, and
+    /// counts once however often it is read.
+    #[test]
+    fn an_injected_flip_fails_every_read_of_its_page() {
+        for seed in 0..8u64 {
+            let trees = faulty(&Arc::new(FaultPlan::new(seed).with_flip(0.3)));
+            let first: Vec<_> = tiles().map(|r| window(&trees, 0, &r, None)).collect();
+            let refused = trees.corrupt_pages();
+            for _ in 0..3 {
+                let again: Vec<_> = tiles().map(|r| window(&trees, 0, &r, None)).collect();
+                assert_eq!(again, first, "seed {seed}: the same outcome every read");
+            }
+            assert_eq!(trees.corrupt_pages(), refused, "seed {seed}");
+            let failed = first.iter().filter(|o| !o.is_ok()).count() as u64;
+            assert_eq!(failed > 0, refused > 0, "seed {seed}: {first:?}");
+        }
+    }
+
+    /// Transient bursts shorter than the retry budget cost retries, never
+    /// an answer.
+    #[test]
+    fn a_transient_burst_within_the_retry_budget_succeeds() {
+        let plan = Arc::new(FaultPlan::new(9).with_transient(1.0, 2));
+        let retry = RetryPolicy {
+            max_attempts: 3,
+            ..RetryPolicy::default()
+        };
+        let trees = set().with_fault(Arc::clone(&plan), retry, None);
+        for rect in tiles() {
+            assert_eq!(
+                window(&trees, 0, &rect, None),
+                Outcome::Ok(direct(&trees, 0, &rect))
+            );
+        }
+        let q = Point::new(11.3, 4.2);
+        let got = nearest(&trees, 0, q, 7, None).ok().unwrap();
+        let want = trees.trees[0].nearest_neighbors(&q, 7);
+        assert_eq!(
+            got,
+            want.iter().map(|(d, e)| (*d, e.oid)).collect::<Vec<_>>()
+        );
+        assert!(trees.retries.get() > 0);
+        assert_eq!(trees.retries.get(), plan.transient_injected());
+        assert_eq!(
+            trees.frames.get(),
+            trees.reads.get(),
+            "every read returned a frame"
+        );
     }
 
     #[test]
@@ -677,14 +647,11 @@ mod tests {
         // holds in every single run.
         let (mut completed, mut failed) = (0u32, 0u32);
         for seed in 0..8u64 {
-            let trees = set().with_fault(Arc::new(FaultPlan::new(seed).with_flip(0.3)));
-            let cache = SharedPageCache::new(1, 256, 4, Policy::Lru);
-            // Small tiles: each touches only a few pages, so a 30% flip
-            // rate leaves many queries with an all-clean path.
-            for i in 0..16 {
-                let (x, y) = (((i % 4) * 9) as f64, ((i / 4) * 7) as f64);
-                let rect = Rect::new(x, y, x + 3.0, y + 3.0);
-                match window(&trees, &cache, 0, 0, &rect, None) {
+            let trees = faulty(&Arc::new(FaultPlan::new(seed).with_flip(0.3)));
+            // A 30% flip rate leaves many small tiles with an all-clean
+            // path.
+            for (i, rect) in tiles().enumerate() {
+                match window(&trees, 0, &rect, None) {
                     Outcome::Ok(oids) => {
                         completed += 1;
                         assert_eq!(
@@ -715,7 +682,7 @@ mod tests {
         victim_src.save_to(&path).unwrap();
         let leaf = (0..victim_src.num_pages())
             .rev()
-            .find(|&n| victim_src.node(PageId(n as u32)).is_leaf())
+            .find(|&n| victim_src.frame(PageId(n as u32)).is_leaf())
             .unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let off = 30 + leaf * psj_store::PAGE_RECORD_SIZE + 100;
@@ -726,23 +693,23 @@ mod tests {
         assert_eq!(loaded.tree.poisoned_count(), 1);
 
         let trees = TreeSet::new(vec![Arc::new(loaded.tree), healthy]).unwrap();
-        // The placeholder is never served: its fetch is a typed error.
-        let key = trees.key(0, PageId(leaf as u32));
-        match psj_buffer::PageSource::fetch_page(&trees, key) {
-            Err(PageError::Corrupt { page, context }) => {
-                assert_eq!(page, key);
+        assert_eq!(trees.corrupt_pages(), 1, "counted from the start");
+        // The placeholder is never served: reading it is a typed error.
+        match window(&trees, 0, &Rect::new(-1.0, -1.0, 50.0, 50.0), None) {
+            Outcome::Storage(PageError::Corrupt { page, context }) => {
+                assert_eq!(page, PageId(leaf as u32));
                 assert!(context.contains("poisoned at load time"), "{context}");
             }
-            other => panic!("poisoned page fetched: {other:?}"),
+            other => panic!("poisoned page served: {other:?}"),
         }
-        let got = join(&trees, 0, 1, true, None, JoinTuning::threads(2), None);
+        let got = join(&trees, 0, 1, true, None, TWO, None);
         assert!(
             matches!(&got, Outcome::Storage(e) if e.is_corrupt()),
             "{got:?}"
         );
         // The healthy tree still serves window queries.
-        let cache = SharedPageCache::new(1, 256, 4, Policy::Lru);
-        let got = window(&trees, &cache, 0, 1, &Rect::new(0.0, 0.0, 40.0, 40.0), None);
+        let got = window(&trees, 1, &Rect::new(0.0, 0.0, 40.0, 40.0), None);
         assert!(got.is_ok(), "healthy tree unaffected");
+        assert_eq!(trees.corrupt_pages(), 1, "read again, counted once");
     }
 }

@@ -3,15 +3,15 @@
 //! The paper's parallel join executes one large operation across
 //! processors; this crate puts the same machinery behind a network
 //! service where many small operations (window queries, k-NN, joins)
-//! arrive concurrently and share the buffer pool — the server-side
-//! counterpart of the paper's multi-user buffer discussion.
+//! arrive concurrently and share the resident trees themselves: every
+//! operation reads their arenas of page frames in place.
 //!
 //! The pieces:
 //!
 //! * [`protocol`] — length-prefixed binary frames; decoding is total
 //!   (malformed bytes produce errors, never panics).
-//! * [`exec`] — cache-routed query execution: window descent,
-//!   best-first k-NN, deadline-checked joins.
+//! * [`exec`] — in-place execution: window and best-first k-NN through one
+//!   deadline-checked node access, deadline-cancelled joins.
 //! * [`server`] — acceptor and connection threads that execute their own
 //!   requests under a bounded set of execution slots; admission control
 //!   sheds load past a bound, deadlines cancel cooperatively.
@@ -61,7 +61,6 @@ mod e2e {
         let trees = vec![tree(2000, 0.0), tree(1500, 0.4)];
         let cfg = ServeConfig {
             workers: 2,
-            cache_pages: 512,
             join_threads: 2,
             read_timeout: Duration::from_millis(50),
             ..ServeConfig::default()

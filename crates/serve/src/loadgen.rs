@@ -143,13 +143,6 @@ impl LoadReport {
             s.push_str(&format!("    \"p99_ms\": {:.6},\n", sv.p99_ms));
             s.push_str(&format!("    \"cache_requests\": {},\n", sv.cache_requests));
             s.push_str(&format!("    \"cache_hits\": {},\n", sv.cache_hits));
-            s.push_str(&format!("    \"cache_misses\": {},\n", sv.cache_misses));
-            s.push_str(&format!(
-                "    \"cache_evictions\": {},\n",
-                sv.cache_evictions
-            ));
-            s.push_str(&format!("    \"resident_pages\": {},\n", sv.resident_pages));
-            s.push_str(&format!("    \"capacity_pages\": {},\n", sv.capacity_pages));
             s.push_str(&format!(
                 "    \"storage_corrupt\": {},\n",
                 sv.storage_corrupt
@@ -161,10 +154,6 @@ impl LoadReport {
             s.push_str(&format!(
                 "    \"corrupt_pages_detected\": {},\n",
                 sv.corrupt_pages_detected
-            ));
-            s.push_str(&format!(
-                "    \"quarantined_pages\": {},\n",
-                sv.quarantined_pages
             ));
             s.push_str(&format!("    \"page_retries\": {}\n", sv.page_retries));
             s.push_str("  }");

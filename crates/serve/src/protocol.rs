@@ -89,7 +89,7 @@ pub enum Request {
         /// shards own half-lines); `None` keeps all pairs.
         owner: Option<(f64, f64)>,
     },
-    /// Server statistics (histogram percentiles, queue depth, cache deltas).
+    /// Server statistics (histogram percentiles, queue depth, node reads).
     Stats,
     /// Prometheus-text metrics exposition (same counters as [`Request::Stats`]).
     Metrics,
@@ -135,30 +135,22 @@ pub struct ServerStats {
     pub p95_ms: f64,
     /// 99th percentile latency, milliseconds.
     pub p99_ms: f64,
-    /// Page-cache requests since server start.
+    /// Tree-node reads by window / nearest queries since start. There is no
+    /// page cache; the name stays because `benchmark/` reads it.
     pub cache_requests: u64,
-    /// Page-cache hits (local + remote + in-flight) since start.
+    /// Tree-node reads that returned a frame (all but those refused by an
+    /// expired deadline or an unreadable page); named as above.
     pub cache_hits: u64,
-    /// Page-cache misses since start.
-    pub cache_misses: u64,
-    /// Page-cache evictions since start.
-    pub cache_evictions: u64,
-    /// Pages resident at report time.
-    pub resident_pages: u32,
-    /// Page-cache capacity.
-    pub capacity_pages: u32,
     /// Requests answered with [`Response::Storage`] of kind
     /// [`StorageErrorKind::Corrupt`].
     pub storage_corrupt: u64,
     /// Requests answered with [`Response::Storage`] of kind
     /// [`StorageErrorKind::Unavailable`].
     pub storage_unavailable: u64,
-    /// Distinct corrupt pages detected since start (checksum failures at
-    /// cache fill plus pages poisoned at load time).
+    /// Distinct corrupt pages detected since start: pages poisoned at load
+    /// time plus pages an injected permanent fault refused.
     pub corrupt_pages_detected: u64,
-    /// Pages currently quarantined in the page cache.
-    pub quarantined_pages: u64,
-    /// Page fetches retried by the cache's retry policy since start.
+    /// Tree-node reads retried under the server's retry policy since start.
     pub page_retries: u64,
     /// Request-handler panics caught and recovered (the server kept
     /// serving).
@@ -182,24 +174,17 @@ impl std::fmt::Display for ServerStats {
             "latency:    p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms",
             self.p50_ms, self.p95_ms, self.p99_ms
         )?;
-        writeln!(f, "queries:    {} window / nearest executed", self.batches)?;
         writeln!(
             f,
-            "page cache: {} requests, {} hits, {} misses, {} evictions, {}/{} pages resident",
-            self.cache_requests,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.resident_pages,
-            self.capacity_pages
+            "queries:    {} window / nearest executed, {} node reads",
+            self.batches, self.cache_requests
         )?;
         write!(
             f,
-            "storage:    {} corrupt replies, {} unavailable replies, {} corrupt pages detected, {} quarantined, {} retries",
+            "storage:    {} corrupt replies, {} unavailable replies, {} corrupt pages detected, {} retries",
             self.storage_corrupt,
             self.storage_unavailable,
             self.corrupt_pages_detected,
-            self.quarantined_pages,
             self.page_retries
         )
     }
@@ -208,7 +193,7 @@ impl std::fmt::Display for ServerStats {
 /// Classification of a storage failure carried by [`Response::Storage`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageErrorKind {
-    /// Data failed its checksum (or the page was quarantined/poisoned):
+    /// Data failed its checksum (or the page was poisoned at load):
     /// retrying will not help, the index needs repair.
     Corrupt,
     /// The page could not be read (transient or permanent I/O failure that
@@ -625,14 +610,9 @@ impl Response {
                 put_f64(&mut out, s.p99_ms);
                 put_u64(&mut out, s.cache_requests);
                 put_u64(&mut out, s.cache_hits);
-                put_u64(&mut out, s.cache_misses);
-                put_u64(&mut out, s.cache_evictions);
-                put_u32(&mut out, s.resident_pages);
-                put_u32(&mut out, s.capacity_pages);
                 put_u64(&mut out, s.storage_corrupt);
                 put_u64(&mut out, s.storage_unavailable);
                 put_u64(&mut out, s.corrupt_pages_detected);
-                put_u64(&mut out, s.quarantined_pages);
                 put_u64(&mut out, s.page_retries);
                 put_u64(&mut out, s.worker_panics);
             }
@@ -740,14 +720,9 @@ impl Response {
                 p99_ms: c.f64()?,
                 cache_requests: c.u64()?,
                 cache_hits: c.u64()?,
-                cache_misses: c.u64()?,
-                cache_evictions: c.u64()?,
-                resident_pages: c.u32()?,
-                capacity_pages: c.u32()?,
                 storage_corrupt: c.u64()?,
                 storage_unavailable: c.u64()?,
                 corrupt_pages_detected: c.u64()?,
-                quarantined_pages: c.u64()?,
                 page_retries: c.u64()?,
                 worker_panics: c.u64()?,
             }),
@@ -934,8 +909,9 @@ mod tests {
             shed: 2,
             p99_ms: 1.5,
             storage_corrupt: 3,
+            cache_requests: 40,
+            cache_hits: 38,
             corrupt_pages_detected: 5,
-            quarantined_pages: 2,
             page_retries: 17,
             worker_panics: 1,
             ..Default::default()

@@ -1,5 +1,5 @@
 //! The server: an acceptor and one thread per connection, each of which
-//! executes its own requests against the shared page cache.
+//! executes its own requests against the loaded trees, read in place.
 //!
 //! ```text
 //! acceptor ──► connection thread: read ─► admit ─► slot ─► execute ─► reply
@@ -12,9 +12,8 @@
 //!   requests, so the bound covers requests waiting for a slot and
 //!   requests executing alike.
 //! * **Execution slots** — an admitted request takes one of `workers`
-//!   slots and runs on its own connection thread; the slot number is the
-//!   worker index of the cache's per-worker statistics, and at most
-//!   `workers` requests (joins included) execute at once. When every slot
+//!   slots and runs on its own connection thread; at most `workers`
+//!   requests (joins included) execute at once. When every slot
 //!   is busy the thread waits; a released slot is handed to the longest
 //!   waiter, so a new arrival cannot barge past the queue.
 //! * **Deadlines** — `deadline_ms` is converted to an absolute instant at
@@ -31,12 +30,11 @@ use crate::protocol::{
     read_frame, write_frame, Request, Response, ServerStats, StorageErrorKind, TreeInfo,
     MAX_REQUEST_FRAME,
 };
-use crate::telemetry::{GaugeSnapshot, Telemetry};
-use psj_buffer::{Policy, SharedPageCache};
+use crate::telemetry::Telemetry;
 use psj_geom::Point;
 use psj_obs::trace::TID_SERVE;
 use psj_obs::TraceSink;
-use psj_rtree::{Node, PagedTree};
+use psj_rtree::PagedTree;
 use psj_store::{FaultPlan, PageError, RetryPolicy};
 use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter};
@@ -59,18 +57,13 @@ use psj_store::lock_clean;
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (`:0` picks a free port).
     pub addr: String,
-    /// Execution slots: how many requests run at once (each slot also
-    /// indexes per-worker cache stats).
+    /// Execution slots: how many requests, joins included, run at once.
     pub workers: usize,
     /// Admission bound: maximum admitted-but-unanswered requests.
     pub queue_bound: usize,
     /// Ignored: the server no longer batches, and nothing reads this. The
     /// field remains only because `benchmark/` still sets it.
     pub batch_window: Duration,
-    /// Shared page-cache capacity, in decoded nodes.
-    pub cache_pages: usize,
-    /// Page-cache lock shards.
-    pub cache_shards: usize,
     /// Threads per join request.
     pub join_threads: usize,
     /// Join engine answering every join request: the R-tree traversal
@@ -79,14 +72,15 @@ pub struct ServeConfig {
     /// Socket read timeout; also the cadence at which idle connection
     /// threads re-check the halt flag.
     pub read_timeout: Duration,
-    /// Injected fault plan applied to query-cache fills (chaos testing;
-    /// joins are unaffected, see [`exec::join`]).
+    /// Injected fault plan run before every node read of a window or
+    /// nearest query (chaos testing; joins are unaffected, see
+    /// [`exec::join`]).
     pub fault: Option<Arc<FaultPlan>>,
-    /// Retry policy for failed page-cache fills.
+    /// Retry policy for node reads the fault plan fails transiently.
     pub retry: RetryPolicy,
-    /// Structured-trace sink: when set, admissions and sheds emit instants
-    /// on the server's trace row and the query cache emits page events.
-    /// `None` (the default) costs one pointer check per admission.
+    /// Structured-trace sink: when set, admissions, sheds and retried node
+    /// reads emit instants on the server's trace row. `None` (the default)
+    /// costs one pointer check per admission.
     pub trace: Option<Arc<TraceSink>>,
     /// This server's shard id, echoed in [`Response::Info`] so cluster
     /// routers can verify a dialed address is the shard their topology
@@ -101,8 +95,6 @@ impl Default for ServeConfig {
             workers: 4,
             queue_bound: 256,
             batch_window: Duration::ZERO,
-            cache_pages: 4096,
-            cache_shards: 16,
             join_threads: 4,
             join_engine: psj_core::JoinEngine::RTree,
             read_timeout: Duration::from_millis(250),
@@ -192,7 +184,6 @@ impl Slots {
 struct Shared {
     cfg: ServeConfig,
     trees: TreeSet,
-    cache: SharedPageCache<Node>,
     telemetry: Telemetry,
     /// Admitted-but-unanswered requests.
     queued: AtomicUsize,
@@ -212,9 +203,7 @@ impl Shared {
 
     /// A point-in-time stats report.
     fn stats(&self) -> ServerStats {
-        let t = &self.telemetry;
-        let snap = self.cache.snapshot();
-        let requests = snap.stats.requests();
+        let (t, trees) = (&self.telemetry, &self.trees);
         ServerStats {
             completed: t.completed.get(),
             shed: t.shed.get(),
@@ -226,39 +215,14 @@ impl Shared {
             p50_ms: t.latency.quantile_ms(0.50),
             p95_ms: t.latency.quantile_ms(0.95),
             p99_ms: t.latency.quantile_ms(0.99),
-            cache_requests: requests,
-            cache_hits: requests - snap.stats.misses,
-            cache_misses: snap.stats.misses,
-            cache_evictions: snap.stats.evictions,
-            resident_pages: snap.resident_pages as u32,
-            capacity_pages: snap.capacity_pages as u32,
+            cache_requests: trees.reads.get(),
+            cache_hits: trees.frames.get(),
             storage_corrupt: t.storage_corrupt.get(),
             storage_unavailable: t.storage_unavailable.get(),
-            corrupt_pages_detected: snap.corrupt_detected + self.trees.poisoned_total(),
-            quarantined_pages: snap.quarantined_pages as u64,
-            page_retries: snap.stats.retries,
+            corrupt_pages_detected: trees.corrupt_pages(),
+            page_retries: trees.retries.get(),
             worker_panics: t.worker_panics.get(),
         }
-    }
-
-    /// Prometheus-text exposition of every counter plus point-in-time
-    /// gauges; by construction the counters match [`Shared::stats`].
-    fn metrics_text(&self) -> String {
-        let snap = self.cache.snapshot();
-        self.telemetry.render_prometheus(&GaugeSnapshot {
-            queue_depth: self.queued.load(Ordering::Relaxed) as u64,
-            cache_requests: snap.stats.requests(),
-            cache_hits: snap.stats.requests() - snap.stats.misses,
-            cache_misses: snap.stats.misses,
-            cache_evictions: snap.stats.evictions,
-            resident_pages: snap.resident_pages as u64,
-            capacity_pages: snap.capacity_pages as u64,
-            corrupt_pages: snap.corrupt_detected + self.trees.poisoned_total(),
-            quarantined_pages: snap.quarantined_pages as u64,
-            page_retries: snap.stats.retries,
-            cache_opt_hits: snap.opt.hits,
-            cache_opt_fallbacks: snap.opt.fallbacks,
-        })
     }
 
     /// Emits a trace instant on the server's row, if tracing is on.
@@ -310,32 +274,22 @@ impl std::fmt::Display for ServerReport {
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 impl Server {
-    /// Binds `cfg.addr`, loads `trees` behind a fresh shared cache, and
-    /// starts the acceptor.
+    /// Binds `cfg.addr`, serves `trees` and starts the acceptor.
     pub fn start(cfg: ServeConfig, trees: Vec<Arc<PagedTree>>) -> io::Result<Server> {
         let mut trees =
             TreeSet::new(trees).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        if let Some(trace) = &cfg.trace {
+            trace.set_thread_name(TID_SERVE, "psj-serve");
+        }
         if let Some(plan) = cfg.fault.clone() {
-            trees = trees.with_fault(plan);
+            trees = trees.with_fault(plan, cfg.retry, cfg.trace.clone());
         }
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let workers = cfg.workers.max(1);
-        let mut cache = SharedPageCache::new(
-            workers,
-            cfg.cache_pages.max(workers),
-            cfg.cache_shards.max(1),
-            Policy::Lru,
-        )
-        .with_retry(cfg.retry);
-        if let Some(trace) = &cfg.trace {
-            trace.set_thread_name(TID_SERVE, "psj-serve");
-            cache = cache.with_trace(Arc::clone(trace));
-        }
         let (shutdown_tx, shutdown_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
             trees,
-            cache,
             telemetry: Telemetry::new(),
             queued: AtomicUsize::new(0),
             shutting_down: AtomicBool::new(false),
@@ -494,13 +448,13 @@ fn admit(shared: &Shared) -> Option<Admitted<'_>> {
 
 /// One query or join request, start to reply, on the calling connection
 /// thread: checks `trees` are loaded, admits, takes an execution slot
-/// (waiting at most until the deadline), runs `work` with the slot number
-/// and the absolute deadline, and maps its outcome to the reply.
+/// (waiting at most until the deadline), runs `work` with the absolute
+/// deadline, and maps its outcome to the reply.
 fn execute<T>(
     shared: &Shared,
     trees: &[u16],
     deadline_ms: u32,
-    work: impl FnOnce(usize, Option<Instant>) -> Outcome<T>,
+    work: impl FnOnce(Option<Instant>) -> Outcome<T>,
     ok: impl FnOnce(T) -> Response,
 ) -> Response {
     let t = &shared.telemetry;
@@ -518,13 +472,13 @@ fn execute<T>(
     let deadline =
         (deadline_ms > 0).then(|| arrival + Duration::from_millis(u64::from(deadline_ms)));
     admitted.slot = shared.slots.acquire(deadline);
-    let Some(worker) = admitted.slot else {
+    if admitted.slot.is_none() {
         t.timeout(arrival.elapsed());
         return Response::DeadlineExceeded;
-    };
+    }
     // A panicking executor must not take the connection (or the slot)
     // down: contain it, count it, answer with a typed error, keep serving.
-    match catch_unwind(AssertUnwindSafe(|| work(worker, deadline))) {
+    match catch_unwind(AssertUnwindSafe(|| work(deadline))) {
         Ok(outcome) => respond(t, arrival.elapsed(), outcome, ok),
         Err(_) => {
             t.worker_panics.inc();
@@ -588,7 +542,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
         let t = &shared.telemetry;
         let resp = match req {
             Request::Stats => Response::Stats(shared.stats()),
-            Request::Metrics => Response::Metrics(shared.metrics_text()),
+            Request::Metrics => Response::Metrics(t.render_prometheus(&shared.stats())),
             Request::Info => Response::Info {
                 shard: shared.cfg.shard_id,
                 trees: shared.info(),
@@ -608,9 +562,9 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                 shared,
                 &[tree],
                 deadline_ms,
-                |worker, deadline| {
+                |deadline| {
                     count_query(t);
-                    exec::window(&shared.trees, &shared.cache, worker, tree, &rect, deadline)
+                    exec::window(&shared.trees, tree, &rect, deadline)
                 },
                 Response::Entries,
             ),
@@ -624,17 +578,9 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                 shared,
                 &[tree],
                 deadline_ms,
-                |worker, deadline| {
+                |deadline| {
                     count_query(t);
-                    exec::nearest(
-                        &shared.trees,
-                        &shared.cache,
-                        worker,
-                        tree,
-                        Point::new(x, y),
-                        k as usize,
-                        deadline,
-                    )
+                    exec::nearest(&shared.trees, tree, Point::new(x, y), k as usize, deadline)
                 },
                 Response::Neighbors,
             ),
@@ -648,7 +594,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                 shared,
                 &[tree_a, tree_b],
                 deadline_ms,
-                |_, deadline| {
+                |deadline| {
                     let result = exec::join(
                         &shared.trees,
                         tree_a,

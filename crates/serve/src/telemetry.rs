@@ -10,11 +10,12 @@
 //! All counters and the histogram live in one [`Registry`], so the same
 //! values that feed [`crate::protocol::ServerStats`] render as
 //! Prometheus text for the `Metrics` request — the two reports cannot
-//! drift apart. Point-in-time values (queue depth, cache residency) are
-//! published as gauges refreshed at scrape time.
+//! drift apart. Values kept elsewhere (queue depth, node reads) are gauges
+//! refreshed from the stats report at scrape time.
 
 pub use psj_obs::{Histogram, BUCKETS};
 
+use crate::protocol::ServerStats;
 use psj_obs::{Counter, Gauge, Registry};
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,19 +52,8 @@ pub struct Telemetry {
     queue_depth: Arc<Gauge>,
     cache_requests: Arc<Gauge>,
     cache_hits: Arc<Gauge>,
-    cache_misses: Arc<Gauge>,
-    cache_evictions: Arc<Gauge>,
-    resident_pages: Arc<Gauge>,
-    capacity_pages: Arc<Gauge>,
     corrupt_pages: Arc<Gauge>,
-    quarantined_pages: Arc<Gauge>,
     page_retries: Arc<Gauge>,
-    // Monotonic cache counters mirrored from the shared cache's own
-    // atomics at scrape time (delta-add in `render_prometheus`), exposed
-    // as `counter` so rate()/increase() work on them — they only ever
-    // grow. Names kept from the earlier gauge exposition.
-    cache_opt_hits: Arc<Counter>,
-    cache_opt_fallbacks: Arc<Counter>,
 }
 
 impl Default for Telemetry {
@@ -103,61 +93,19 @@ impl Default for Telemetry {
             ),
             join_tasks: r.counter("psj_join_tasks_total", "Phase-1 join tasks created"),
             queue_depth: r.gauge("psj_queue_depth", "Admitted-but-unanswered requests"),
-            cache_requests: r.gauge("psj_cache_requests", "Page-cache requests since start"),
-            cache_hits: r.gauge("psj_cache_hits", "Page-cache hits since start"),
-            cache_misses: r.gauge("psj_cache_misses", "Page-cache misses since start"),
-            cache_evictions: r.gauge("psj_cache_evictions", "Page-cache evictions since start"),
-            resident_pages: r.gauge("psj_cache_resident_pages", "Pages resident right now"),
-            capacity_pages: r.gauge("psj_cache_capacity_pages", "Page-cache capacity"),
+            cache_requests: r.gauge("psj_cache_requests", "Query node reads since start"),
+            cache_hits: r.gauge(
+                "psj_cache_hits",
+                "Query node reads that returned a frame since start",
+            ),
             corrupt_pages: r.gauge(
                 "psj_corrupt_pages_detected",
                 "Distinct corrupt pages detected",
             ),
-            quarantined_pages: r.gauge("psj_quarantined_pages", "Pages currently quarantined"),
-            page_retries: r.gauge("psj_page_retries", "Page fetches retried by the cache"),
-            cache_opt_hits: r.counter(
-                "psj_cache_opt_hits",
-                "Cache hits served without taking a shard mutex",
-            ),
-            cache_opt_fallbacks: r.counter(
-                "psj_cache_opt_fallbacks",
-                "Guard reads that went to the shard mutex after a failed validation",
-            ),
+            page_retries: r.gauge("psj_page_retries", "Query node reads retried"),
             registry: r,
         }
     }
-}
-
-/// Point-in-time values the scrape publishes as gauges; the caller reads
-/// them from the cache snapshot and admission counter.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GaugeSnapshot {
-    /// Admitted-but-unanswered requests.
-    pub queue_depth: u64,
-    /// Page-cache requests since start.
-    pub cache_requests: u64,
-    /// Page-cache hits since start.
-    pub cache_hits: u64,
-    /// Page-cache misses since start.
-    pub cache_misses: u64,
-    /// Page-cache evictions since start.
-    pub cache_evictions: u64,
-    /// Pages resident at scrape time.
-    pub resident_pages: u64,
-    /// Page-cache capacity.
-    pub capacity_pages: u64,
-    /// Distinct corrupt pages detected since start.
-    pub corrupt_pages: u64,
-    /// Pages currently quarantined.
-    pub quarantined_pages: u64,
-    /// Page fetches retried by the cache since start.
-    pub page_retries: u64,
-    /// Cache hits served by a borrowing guard, i.e. without taking any
-    /// shard mutex.
-    pub cache_opt_hits: u64,
-    /// Guard reads that went to the mutex path after a failed validation
-    /// (the slot was being replaced).
-    pub cache_opt_fallbacks: u64,
 }
 
 impl Telemetry {
@@ -189,26 +137,15 @@ impl Telemetry {
         self.latency.record(latency);
     }
 
-    /// Refreshes the point-in-time gauges and renders every metric as
+    /// Refreshes the gauges from `stats` — the server's report, whose
+    /// counters are this registry's — and renders every metric as
     /// Prometheus text exposition.
-    pub fn render_prometheus(&self, snap: &GaugeSnapshot) -> String {
-        self.queue_depth.set(snap.queue_depth);
-        self.cache_requests.set(snap.cache_requests);
-        self.cache_hits.set(snap.cache_hits);
-        self.cache_misses.set(snap.cache_misses);
-        self.cache_evictions.set(snap.cache_evictions);
-        self.resident_pages.set(snap.resident_pages);
-        self.capacity_pages.set(snap.capacity_pages);
-        self.corrupt_pages.set(snap.corrupt_pages);
-        self.quarantined_pages.set(snap.quarantined_pages);
-        self.page_retries.set(snap.page_retries);
-        // The cache's own atomics are the source of truth for these
-        // monotonic counts; advance the exported counters by the delta so
-        // the exposition stays a counter (never decreases, never resets
-        // while the process lives).
-        let sync = |c: &Counter, v: u64| c.add(v.saturating_sub(c.get()));
-        sync(&self.cache_opt_hits, snap.cache_opt_hits);
-        sync(&self.cache_opt_fallbacks, snap.cache_opt_fallbacks);
+    pub fn render_prometheus(&self, stats: &ServerStats) -> String {
+        self.queue_depth.set(u64::from(stats.queue_depth));
+        self.cache_requests.set(stats.cache_requests);
+        self.cache_hits.set(stats.cache_hits);
+        self.corrupt_pages.set(stats.corrupt_pages_detected);
+        self.page_retries.set(stats.page_retries);
         self.registry.render_prometheus()
     }
 }
@@ -260,9 +197,9 @@ mod tests {
         t.timeout(Duration::from_millis(80));
         t.storage(Duration::from_millis(1), true);
         t.worker_panics.inc();
-        let text = t.render_prometheus(&GaugeSnapshot {
+        let text = t.render_prometheus(&ServerStats {
             queue_depth: 3,
-            resident_pages: 17,
+            cache_requests: 17,
             ..Default::default()
         });
         assert!(text.contains("psj_requests_completed_total 2"), "{text}");
@@ -270,47 +207,14 @@ mod tests {
         assert!(text.contains("psj_storage_corrupt_total 1"), "{text}");
         assert!(text.contains("psj_worker_panics_total 1"), "{text}");
         assert!(text.contains("psj_queue_depth 3"), "{text}");
-        assert!(text.contains("psj_cache_resident_pages 17"), "{text}");
+        assert!(text.contains("psj_cache_requests 17"), "{text}");
         assert!(
             text.contains("psj_request_latency_seconds_count 4"),
             "{text}"
         );
         // Scrape twice: gauges are refreshed, counters keep accumulating.
-        let text2 = t.render_prometheus(&GaugeSnapshot::default());
+        let text2 = t.render_prometheus(&ServerStats::default());
         assert!(text2.contains("psj_queue_depth 0"), "{text2}");
         assert!(text2.contains("psj_requests_completed_total 2"), "{text2}");
-    }
-
-    #[test]
-    fn optimistic_cache_metrics_are_exposed_as_counters() {
-        // Regression: these are monotonic counts (the cache's atomics only
-        // grow) but were exported with `# TYPE gauge`, which breaks
-        // rate()/increase() in Prometheus. Same names, counter type.
-        let t = Telemetry::new();
-        let text = t.render_prometheus(&GaugeSnapshot {
-            cache_opt_hits: 41,
-            cache_opt_fallbacks: 2,
-            ..Default::default()
-        });
-        for name in ["psj_cache_opt_hits", "psj_cache_opt_fallbacks"] {
-            assert!(
-                text.contains(&format!("# TYPE {name} counter")),
-                "{name} must be a counter:\n{text}"
-            );
-            assert!(
-                !text.contains(&format!("# TYPE {name} gauge")),
-                "{name} must not be a gauge:\n{text}"
-            );
-        }
-        assert!(text.contains("psj_cache_opt_hits 41"), "{text}");
-        // A later scrape with larger cache counts advances the counters by
-        // the delta — values track the cache exactly, monotonically.
-        let text2 = t.render_prometheus(&GaugeSnapshot {
-            cache_opt_hits: 55,
-            cache_opt_fallbacks: 4,
-            ..Default::default()
-        });
-        assert!(text2.contains("psj_cache_opt_hits 55"), "{text2}");
-        assert!(text2.contains("psj_cache_opt_fallbacks 4"), "{text2}");
     }
 }

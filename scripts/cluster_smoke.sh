@@ -29,7 +29,7 @@ start_shard() { # id -> pid, log at $WORK/shard$1.log
   local id=$1
   "$PSJ" serve --trees "$WORK/cluster/shard${id}_a.psjt,$WORK/cluster/shard${id}_b.psjt" \
     --addr "127.0.0.1:$((BASE_PORT + id))" --shard-id "$id" \
-    --workers 2 --cache 1024 > "$WORK/shard${id}.log" 2>&1 &
+    --workers 2 > "$WORK/shard${id}.log" 2>&1 &
 }
 wait_for() { # pattern, log, pid
   for _ in $(seq 1 100); do

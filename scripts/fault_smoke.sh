@@ -62,7 +62,7 @@ grep -qi "corrupt" "$WORK/strict.err" || {
 
 echo "== serve healthy + poisoned (lenient) =="
 "$PSJ" serve --trees "$WORK/healthy.psjt,$WORK/victim.psjt" --addr "$ADDR" \
-  --workers 2 --cache 1024 --lenient > "$WORK/server.log" 2>&1 &
+  --workers 2 --lenient > "$WORK/server.log" 2>&1 &
 SERVER_PID=$!
 for _ in $(seq 1 100); do
   grep -q "serving on" "$WORK/server.log" 2>/dev/null && break

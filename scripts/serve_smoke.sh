@@ -21,7 +21,7 @@ echo "== generate + build =="
 
 echo "== start server =="
 "$PSJ" serve --trees "$WORK/t1.psjt,$WORK/t2.psjt" --addr "$ADDR" \
-  --workers 2 --cache 1024 > "$WORK/server.log" 2>&1 &
+  --workers 2 > "$WORK/server.log" 2>&1 &
 SERVER_PID=$!
 
 # Wait for the listener to come up.

@@ -47,7 +47,7 @@ grep -q '"ph":"M"' "$WORK/join.jsonl" || { echo "FAIL: no thread metadata"; exit
 
 echo "== metrics scrape =="
 "$PSJ" serve --trees "$WORK/t1.psjt,$WORK/t2.psjt" --addr "$ADDR" \
-  --workers 2 --cache 1024 > "$WORK/server.log" 2>&1 &
+  --workers 2 > "$WORK/server.log" 2>&1 &
 SERVER_PID=$!
 for _ in $(seq 1 100); do
   if grep -q "serving on" "$WORK/server.log" 2>/dev/null; then break; fi

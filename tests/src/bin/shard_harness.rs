@@ -76,7 +76,6 @@ fn main() {
         addr,
         workers: 2,
         join_threads: 2,
-        cache_pages: 2048,
         shard_id,
         fault,
         read_timeout: Duration::from_millis(100),

@@ -91,7 +91,6 @@ fn no_product_path_builds_the_decoded_view() {
     let (a, b) = (Arc::new(a), Arc::new(b));
     let cfg = ServeConfig {
         workers: 2,
-        cache_pages: 64,
         ..ServeConfig::default()
     };
     let server = Server::start(cfg, vec![a.clone(), b.clone()]).expect("serve");

@@ -36,7 +36,6 @@ fn serve_cfg(shard_id: u16) -> ServeConfig {
     ServeConfig {
         workers: 2,
         join_threads: 2,
-        cache_pages: 2048,
         shard_id,
         read_timeout: Duration::from_millis(50),
         ..ServeConfig::default()

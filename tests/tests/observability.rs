@@ -106,7 +106,6 @@ fn metrics_scrape_matches_stats_report_end_to_end() {
     let cfg = ServeConfig {
         workers: 2,
         join_threads: 2,
-        cache_pages: 256,
         ..ServeConfig::default()
     };
     let trees = vec![

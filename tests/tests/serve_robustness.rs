@@ -29,14 +29,12 @@ fn start(cfg: ServeConfig) -> (Server, SocketAddr) {
     (server, addr)
 }
 
-/// One execution slot over a one-page cache whose every fill sleeps for
-/// `fill`: each node a query reads costs that long, so a query holds the
-/// slot for a time the test chooses.
+/// One execution slot whose every node read sleeps for `fill`: each node
+/// a query reads costs that long, so a query holds the slot for a time
+/// the test chooses.
 fn slow_cfg(fill: Duration) -> ServeConfig {
     ServeConfig {
         workers: 1,
-        cache_pages: 1,
-        cache_shards: 1,
         fault: Some(Arc::new(FaultPlan::new(7).with_latency(1.0, fill))),
         ..quick_cfg()
     }
@@ -46,7 +44,6 @@ fn quick_cfg() -> ServeConfig {
     ServeConfig {
         workers: 2,
         read_timeout: Duration::from_millis(50),
-        cache_pages: 512,
         ..ServeConfig::default()
     }
 }
