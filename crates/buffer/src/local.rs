@@ -35,13 +35,8 @@ impl LocalBuffers {
     }
 
     /// Creates `n` buffers splitting `total_pages` evenly (the paper quotes
-    /// buffer sizes as totals, e.g. "800 pages" for 8 processors = 100 each).
-    /// Every buffer gets at least one page.
-    pub fn with_total(n: usize, total_pages: usize) -> Self {
-        Self::new(n, (total_pages / n).max(1))
-    }
-
-    /// As [`LocalBuffers::with_total`] with an explicit replacement policy.
+    /// buffer sizes as totals, e.g. "800 pages" for 8 processors = 100 each),
+    /// each with replacement `policy`. Every buffer gets at least one page.
     pub fn with_total_policy(n: usize, total_pages: usize, policy: Policy) -> Self {
         Self::with_policy(n, (total_pages / n).max(1), policy)
     }
@@ -120,7 +115,7 @@ mod tests {
 
     #[test]
     fn with_total_splits_evenly() {
-        let lb = LocalBuffers::with_total(8, 800);
+        let lb = LocalBuffers::with_total_policy(8, 800, Policy::Lru);
         assert_eq!(lb.num_procs(), 8);
         // Each buffer holds 100 pages: verify via fill behaviour.
         let mut lb = lb;
@@ -134,7 +129,7 @@ mod tests {
 
     #[test]
     fn with_total_gives_minimum_one_page() {
-        let mut lb = LocalBuffers::with_total(8, 4);
+        let mut lb = LocalBuffers::with_total_policy(8, 4, Policy::Lru);
         lb.load(0, p(1));
         assert!(lb.contains(0, p(1)));
     }

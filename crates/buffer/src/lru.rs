@@ -18,9 +18,10 @@ struct Slot {
 
 /// A least-recently-used buffer of page ids with fixed capacity.
 ///
-/// The buffer tracks only *which* pages are resident; page contents stay in
-/// the master [`psj_store::PageStore`]. This split keeps the cost model (what
-/// the buffer decides) separate from the data model (real bytes, held once).
+/// The buffer tracks only *which* pages are resident; page contents stay
+/// with their owner (the loaded tree's arena, or the shared cache's slots).
+/// This split keeps the cost model (what the buffer decides) separate from
+/// the data model (real bytes, held once).
 #[derive(Debug, Clone)]
 pub struct Lru {
     map: HashMap<PageId, u32>,

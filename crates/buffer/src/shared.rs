@@ -20,10 +20,10 @@
 //!   machinery, LRU by default.
 //!
 //! The cache is generic over what a page decodes to (`T`): the native join
-//! caches fixed-size node frames, the serve layer decoded R\*-tree nodes,
-//! the pager tests raw 4 KB pages. Values live **in place** in their slot:
-//! a miss fills the slot through [`PageSource::fill_page`] and a hit lends
-//! out `&T` from it, so the cache allocates nothing after construction.
+//! caches fixed-size node frames, the tests plain integers. Values live
+//! **in place** in their slot: a miss fills the slot through
+//! [`PageSource::fill_page`] and a hit lends out `&T` from it, so the cache
+//! allocates nothing after construction.
 //!
 //! Sharding: a page's shard is `hash(page) % shards`. Each shard has its own
 //! mutex, slots (`capacity / shards`, the first `capacity % shards` shards
@@ -79,7 +79,7 @@
 //!
 //! If every slot of the shard is pinned or reserved, the fill serves the
 //! page **unbuffered** ([`PageRef::Unbuffered`]): booked as a miss, nothing
-//! evicted, the page not cached ([`CacheSnapshot::unbuffered`] counts
+//! evicted, the page not cached ([`SharedPageCache::unbuffered`] counts
 //! them). A join holds at most two pins per worker, so a shard with more
 //! than `2 × workers` slots never overflows.
 //!
@@ -104,7 +104,7 @@
 
 use crate::policy::{PageBuffer, Policy};
 use crate::stats::{BufferStats, OptStats};
-use psj_store::{lock_clean, wait_clean, FaultPlan, Page, PageError, PageId, RetryPolicy};
+use psj_store::{lock_clean, wait_clean, FaultPlan, PageError, PageId, RetryPolicy};
 use std::cell::UnsafeCell;
 use std::collections::{HashMap, HashSet};
 use std::mem::MaybeUninit;
@@ -113,9 +113,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Where a page's value comes from on a cache miss.
 ///
-/// Implemented by the disk-backed [`psj_store::FilePager`] (raw pages) and,
-/// in `psj-core` and `psj-serve`, by adapters over `PagedTree` (node frames
-/// and decoded nodes).
+/// Implemented in `psj-core` by the join's adapter over `PagedTree`, which
+/// fills node frames in place from the tree's arena, and in tests by small
+/// fakes, which [`FaultSource`] wraps with a fault plan.
 pub trait PageSource {
     /// What a fetched page decodes to.
     type Item;
@@ -595,7 +595,6 @@ pub struct SharedPageCache<T> {
     shards: Vec<Shard<T>>,
     stats: Vec<WorkerStats>,
     retry: RetryPolicy,
-    corrupt_detected: AtomicU64,
     unbuffered: AtomicU64,
     trace: Option<Arc<psj_obs::TraceSink>>,
     /// The test hook [`SharedPageCache::set_schedule_point`] installs.
@@ -655,7 +654,6 @@ impl<T> SharedPageCache<T> {
                 .collect(),
             stats: (0..workers).map(|_| WorkerStats::default()).collect(),
             retry: RetryPolicy::default(),
-            corrupt_detected: AtomicU64::new(0),
             unbuffered: AtomicU64::new(0),
             trace: None,
             #[cfg(feature = "schedule-points")]
@@ -678,11 +676,6 @@ impl<T> SharedPageCache<T> {
     pub fn with_trace(mut self, trace: Arc<psj_obs::TraceSink>) -> Self {
         self.trace = Some(trace);
         self
-    }
-
-    /// Number of workers stats are tracked for.
-    pub fn num_workers(&self) -> usize {
-        self.stats.len()
     }
 
     /// Maximum number of resident pages: the slots of all shards.
@@ -718,10 +711,10 @@ impl<T> SharedPageCache<T> {
             .contains_key(&page)
     }
 
-    /// Total corrupt fills detected over the cache's lifetime (monotone;
-    /// counts first detections, not replays to later requesters).
-    pub fn corrupt_detected(&self) -> u64 {
-        self.corrupt_detected.load(Ordering::Relaxed)
+    /// Fills served unbuffered because every slot of their shard was
+    /// pinned or reserved (monotone; each is also one miss).
+    pub fn unbuffered(&self) -> u64 {
+        self.unbuffered.load(Ordering::Relaxed)
     }
 
     #[inline]
@@ -929,7 +922,6 @@ impl<T> SharedPageCache<T> {
                     // Unrecoverable: quarantine so later requesters get
                     // the typed error without hitting the device again.
                     state.quarantined.insert(page, e.clone());
-                    self.corrupt_detected.fetch_add(1, Ordering::Relaxed);
                     if let Some(t) = &self.trace {
                         t.instant(
                             psj_obs::trace::cache_tid(worker),
@@ -1044,24 +1036,6 @@ impl<T> SharedPageCache<T> {
             .fold(OptStats::default(), |acc, s| acc.merged(&s))
     }
 
-    /// A point-in-time view of the cache: aggregate counters plus residency.
-    ///
-    /// Counters are monotone, so the delta between two snapshots
-    /// ([`CacheSnapshot::since`]) isolates the activity in between — the
-    /// serving layer takes one snapshot at startup and reports deltas in its
-    /// stats endpoint without ever resetting the live counters.
-    pub fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            stats: self.total_stats(),
-            opt: self.opt_stats(),
-            resident_pages: self.len(),
-            capacity_pages: self.capacity(),
-            quarantined_pages: self.quarantined_pages(),
-            corrupt_detected: self.corrupt_detected(),
-            unbuffered: self.unbuffered.load(Ordering::Relaxed),
-        }
-    }
-
     /// Structural invariant check for tests; call only while no access is
     /// concurrently in flight (guards may be held).
     ///
@@ -1163,66 +1137,14 @@ impl<T> std::fmt::Debug for SharedPageCache<T> {
     }
 }
 
-/// A point-in-time view of a [`SharedPageCache`], from
-/// [`SharedPageCache::snapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheSnapshot {
-    /// Aggregate counters over all workers at snapshot time.
-    pub stats: BufferStats,
-    /// Aggregate guard-path counters at snapshot time.
-    pub opt: OptStats,
-    /// Pages resident at snapshot time.
-    pub resident_pages: usize,
-    /// Maximum resident pages (constant over the cache's life).
-    pub capacity_pages: usize,
-    /// Pages quarantined as corrupt at snapshot time.
-    pub quarantined_pages: usize,
-    /// Corrupt fills detected so far (monotone).
-    pub corrupt_detected: u64,
-    /// Fills served unbuffered because every slot of their shard was
-    /// pinned (monotone; each is also one miss).
-    pub unbuffered: u64,
-}
-
-impl CacheSnapshot {
-    /// Counter activity between `earlier` and this snapshot (both must be
-    /// of the same cache, this one taken later).
-    pub fn since(&self, earlier: &CacheSnapshot) -> BufferStats {
-        self.stats.since(&earlier.stats)
-    }
-}
-
-impl PageSource for psj_store::FilePager {
-    type Item = Page;
-
-    fn fetch_page(&self, page: PageId) -> Result<Page, PageError> {
-        self.read_page(page)
-    }
-
-    fn page_count(&self) -> usize {
-        self.num_pages()
-    }
-}
-
-impl PageSource for psj_store::FaultPager {
-    type Item = Page;
-
-    fn fetch_page(&self, page: PageId) -> Result<Page, PageError> {
-        self.read_page(page)
-    }
-
-    fn page_count(&self) -> usize {
-        self.num_pages()
-    }
-}
-
 /// A fault-injecting decorator over any [`PageSource`].
 ///
-/// For *decoded* sources (nodes, not raw bytes) there are no record bytes
-/// to flip, so permanent flip/torn faults from the [`FaultPlan`] are
+/// The source's values are decoded, not raw bytes, so there are no record
+/// bytes to flip: permanent flip/torn faults from the [`FaultPlan`] are
 /// synthesized directly as [`PageError::Corrupt`] (see
-/// [`FaultPlan::before_fetch`]); transient faults and latency behave
-/// exactly as in the byte-level [`psj_store::FaultPager`].
+/// [`FaultPlan::before_fetch`]), and transient faults and latency fire
+/// before the inner fetch. The cache's retry loop and quarantine are
+/// tested through it.
 #[derive(Debug)]
 pub struct FaultSource<S> {
     inner: S,
@@ -1331,13 +1253,17 @@ mod tests {
         }
     }
 
-    /// A source that always reports its pages corrupt.
-    struct Rotten;
+    /// A source that always reports its pages corrupt, counting fetches.
+    #[derive(Default)]
+    struct Rotten {
+        fetches: AtomicU64,
+    }
 
     impl PageSource for Rotten {
         type Item = u32;
 
         fn fetch_page(&self, page: PageId) -> Result<u32, PageError> {
+            self.fetches.fetch_add(1, Ordering::Relaxed);
             Err(PageError::Corrupt {
                 page,
                 context: "rotten source".into(),
@@ -1463,7 +1389,7 @@ mod tests {
         assert_eq!(sink.event_count(), 4);
 
         // Corruption: page_read span + page_quarantine instant.
-        assert!(cache.try_get(0, p(3), &Rotten).is_err());
+        assert!(cache.try_get(0, p(3), &Rotten::default()).is_err());
         assert_eq!(sink.event_count(), 6);
 
         let mut out = Vec::new();
@@ -1514,15 +1440,14 @@ mod tests {
         let cache: SharedPageCache<u32> = SharedPageCache::new(1, 1, 1, Policy::Lru);
         let src = Counting::new(100);
         let pinned = cache.get(0, p(1), &src);
-        let before = cache.snapshot();
+        let before = cache.total_stats();
         let read = cache.get(0, p(2), &src);
         assert!(matches!(read, PageRef::Unbuffered(_)));
         assert_eq!((*read, read.access()), (2, SharedAccess::Miss));
         drop(read);
-        let after = cache.snapshot();
-        let delta = after.since(&before);
+        let delta = cache.total_stats().since(&before);
         assert_eq!((delta.misses, delta.evictions), (1, 0));
-        assert_eq!(after.unbuffered - before.unbuffered, 1);
+        assert_eq!(cache.unbuffered(), 1);
         assert_eq!(cache.len(), cache.capacity());
         assert!(cache.contains(p(1)) && !cache.contains(p(2)));
         // Nothing was cached, so the next read of page 2 misses again.
@@ -1533,7 +1458,7 @@ mod tests {
         // Unpinned, the slot is evictable again.
         assert!(matches!(cache.get(0, p(2), &src), PageRef::Guard(_)));
         assert_eq!(cache.total_stats().evictions, 1);
-        assert_eq!(cache.snapshot().unbuffered, 2);
+        assert_eq!(cache.unbuffered(), 2);
         cache.check_invariants().unwrap();
     }
 
@@ -1554,7 +1479,7 @@ mod tests {
         assert!(cache.contains(p(1)), "the guarded page stays resident");
         assert!(!cache.contains(p(2)), "the next LRU page was evicted");
         assert_eq!(*guard, 1);
-        assert_eq!(cache.snapshot().unbuffered, 0);
+        assert_eq!(cache.unbuffered(), 0);
         cache.check_invariants().unwrap();
     }
 
@@ -1685,12 +1610,11 @@ mod tests {
     #[test]
     fn corrupt_fill_quarantines_and_replays() {
         let cache: SharedPageCache<u32> = SharedPageCache::new(2, 8, 2, Policy::Lru);
-        let src = Rotten;
+        let src = Rotten::default();
         let err = cache.try_get(0, p(9), &src).unwrap_err();
         assert!(err.is_corrupt());
         assert!(cache.is_quarantined(p(9)));
         assert_eq!(cache.quarantined_pages(), 1);
-        assert_eq!(cache.corrupt_detected(), 1);
         // A later request (different worker) replays the stored error
         // without touching the source again.
         let counting_gate = Counting::new(100); // healthy source
@@ -1701,7 +1625,11 @@ mod tests {
             0,
             "quarantined page never re-fetched"
         );
-        assert_eq!(cache.corrupt_detected(), 1, "replays are not re-detections");
+        assert_eq!(
+            cache.quarantined_pages(),
+            1,
+            "replays quarantine nothing new"
+        );
         // Healthy pages are unaffected.
         let v = cache.try_get(0, p(10), &counting_gate).unwrap();
         assert_eq!(*v, 10);
@@ -1848,7 +1776,7 @@ mod tests {
     #[test]
     fn concurrent_waiters_on_a_corrupt_page_all_get_the_typed_error() {
         let cache: SharedPageCache<u32> = SharedPageCache::new(8, 64, 2, Policy::Lru);
-        let src = Rotten;
+        let src = Rotten::default();
         let corrupt = AtomicU64::new(0);
         std::thread::scope(|scope| {
             for w in 0..8 {
@@ -1864,7 +1792,11 @@ mod tests {
             }
         });
         assert_eq!(corrupt.load(Ordering::Relaxed), 8);
-        assert_eq!(cache.corrupt_detected(), 1, "one detection, many replays");
+        assert_eq!(
+            src.fetches.load(Ordering::Relaxed),
+            1,
+            "one detection, many replays"
+        );
         cache.check_invariants().unwrap();
     }
 
@@ -1900,10 +1832,11 @@ mod tests {
         }
         assert!(corrupt > 0, "plan with flip=0.5 should poison some pages");
         assert_eq!(cache.quarantined_pages(), corrupt);
-        assert_eq!(cache.corrupt_detected(), corrupt as u64);
         cache.check_invariants().unwrap();
     }
 
+    /// Counters are monotone, so the delta between two snapshots of
+    /// [`SharedPageCache::total_stats`] isolates the activity in between.
     #[test]
     fn snapshot_delta_isolates_activity() {
         let cache: SharedPageCache<u32> = SharedPageCache::new(2, 16, 2, Policy::Lru);
@@ -1911,18 +1844,16 @@ mod tests {
         for n in 0..8 {
             cache.get(0, p(n), &src);
         }
-        let before = cache.snapshot();
-        assert_eq!(before.stats.misses, 8);
-        assert_eq!(before.resident_pages, 8);
+        let before = cache.total_stats();
+        assert_eq!(before.misses, 8);
+        assert_eq!(cache.len(), 8);
         for n in 0..8 {
             cache.get(1, p(n), &src); // all remote hits
         }
-        let after = cache.snapshot();
-        let delta = after.since(&before);
+        let delta = cache.total_stats().since(&before);
         assert_eq!(delta.misses, 0);
         assert_eq!(delta.hits_remote, 8);
         assert_eq!(delta.requests(), 8);
-        assert_eq!(after.capacity_pages, cache.capacity());
-        assert_eq!(after.quarantined_pages, 0);
+        assert_eq!(cache.quarantined_pages(), 0);
     }
 }

@@ -198,7 +198,6 @@ fn opt_counters_aggregate_across_workers() {
         acc.merged(&cache.opt_stats_for(w))
     });
     assert_eq!(summed, cache.opt_stats(), "striped counters aggregate");
-    assert_eq!(cache.snapshot().opt, cache.opt_stats());
     // Worker 0 filled everything; workers 1 and 2 only ever hit.
     assert_eq!(cache.opt_stats_for(1).hits, 16);
     assert_eq!(cache.opt_stats_for(2).hits, 16);

@@ -862,13 +862,13 @@ mod tests {
                 let at = format!("{capacity}/T={threads}");
                 let total = res.buffer.unwrap();
                 assert_eq!(total.requests(), 2 * res.node_pairs, "{at}");
-                let snap = cache.snapshot();
+                let unbuffered = cache.unbuffered();
                 assert!(
-                    snap.unbuffered <= total.misses,
+                    unbuffered <= total.misses,
                     "{at}: unbuffered fills are misses"
                 );
                 if capacity / shards > 2 * threads {
-                    assert_eq!(snap.unbuffered, 0, "{at}: {snap:?}");
+                    assert_eq!(unbuffered, 0, "{at}: {total:?}");
                 }
             }
         }

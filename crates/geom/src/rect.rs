@@ -53,12 +53,6 @@ impl Rect {
         self.xl > self.xu || self.yl > self.yu
     }
 
-    /// A rectangle that covers exactly one point.
-    #[inline]
-    pub fn from_point(p: Point) -> Self {
-        Rect::new(p.x, p.y, p.x, p.y)
-    }
-
     /// Width along the x axis.
     #[inline]
     pub fn width(&self) -> f64 {
@@ -204,13 +198,16 @@ impl Default for Rect {
 }
 
 /// Computes the MBR of a set of points. Returns [`Rect::empty`] for an empty
-/// slice.
+/// slice. A NaN coordinate adds nothing (`f64::min`/`max` skip it), in
+/// debug builds too: a stored geometry is read as found, so a corrupt
+/// vertex must not trip [`Rect::new`]'s bounds assertion.
 pub fn mbr_of_points(pts: &[Point]) -> Rect {
-    let mut r = Rect::empty();
-    for p in pts {
-        r = r.union(&Rect::from_point(*p));
-    }
-    r
+    pts.iter().fold(Rect::empty(), |r, p| Rect {
+        xl: r.xl.min(p.x),
+        yl: r.yl.min(p.y),
+        xu: r.xu.max(p.x),
+        yu: r.yu.max(p.y),
+    })
 }
 
 #[cfg(test)]
@@ -327,5 +324,19 @@ mod tests {
         let m = mbr_of_points(&pts);
         assert_eq!(m, r(-2.0, 0.0, 3.0, 5.0));
         assert!(mbr_of_points(&[]).is_empty());
+    }
+
+    /// A NaN coordinate (a corrupt stored vertex) adds nothing to the MBR
+    /// and trips no bounds assertion, in debug builds too.
+    #[test]
+    fn mbr_of_points_skips_nan_coordinates() {
+        let pts = [
+            Point::new(1.0, 5.0),
+            Point::new(f64::NAN, 7.0),
+            Point::new(3.0, f64::NAN),
+        ];
+        assert_eq!(mbr_of_points(&pts), r(1.0, 5.0, 3.0, 7.0));
+        let line = [Point::new(0.0, 0.0), Point::new(4.0, 4.0)];
+        assert!(!crate::polyline::intersects(&pts, &line));
     }
 }

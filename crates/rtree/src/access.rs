@@ -171,14 +171,13 @@ mod tests {
         impl NodeAccess for Failing {
             type Ref<'a> = &'a Node;
             fn read(&mut self, page: PageId) -> Result<&'static Node, PageError> {
-                Err(PageError::OutOfRange {
+                Err(PageError::Corrupt {
                     page,
-                    num_pages: 0,
                     context: "test".into(),
                 })
             }
         }
         let err = window_query_via(&mut Failing, PageId(7), &Rect::new(0.0, 0.0, 1.0, 1.0));
-        assert!(matches!(err, Err(PageError::OutOfRange { .. })));
+        assert!(matches!(err, Err(PageError::Corrupt { .. })));
     }
 }

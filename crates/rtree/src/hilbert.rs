@@ -123,8 +123,8 @@ pub fn bulk_load_hilbert(items: &[(Rect, u64)]) -> RTree {
     bulk_load_hilbert_with_fanout(items, DATA_FANOUT, DIR_FANOUT)
 }
 
-/// Average pairwise-leaf overlap, a rough quality metric used by tests and
-/// the ablation bench to compare packing strategies (lower = better).
+/// Average pairwise-leaf overlap, a rough quality metric for comparing
+/// packing strategies (lower = better).
 pub fn leaf_overlap_score(tree: &RTree) -> f64 {
     let leaves: Vec<Rect> = tree
         .nodes()

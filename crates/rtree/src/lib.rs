@@ -30,7 +30,6 @@
 
 pub mod access;
 pub mod bulk;
-pub mod delete;
 pub mod entry;
 pub mod frame;
 pub mod hilbert;

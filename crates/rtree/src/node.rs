@@ -209,18 +209,10 @@ impl Node {
         }
     }
 
-    /// MBRs of all entries, in entry order (used by the join's plane sweep).
-    pub fn entry_mbrs(&self) -> Vec<Rect> {
-        match &self.kind {
-            NodeKind::Dir(v) => v.iter().map(|e| e.mbr).collect(),
-            NodeKind::Leaf(v) => v.iter().map(|e| e.mbr).collect(),
-        }
-    }
-
-    /// Frozen struct-of-arrays view of the entry MBRs (same entry order as
-    /// [`Node::entry_mbrs`]), built on first use and cached for the node's
-    /// lifetime. A join kernel sweeping `Node`s filters restriction windows
-    /// over this view instead of copying `Rect`s per call.
+    /// Frozen struct-of-arrays view of the entry MBRs (in entry order),
+    /// built on first use and cached for the node's lifetime. A join kernel
+    /// sweeping `Node`s filters restriction windows over this view instead
+    /// of copying `Rect`s per call.
     pub fn soa_mbrs(&self) -> &SoaMbrs {
         self.soa.get_or_init(|| match &self.kind {
             NodeKind::Dir(v) => SoaMbrs::from_iter(v.iter().map(|e| e.mbr)),

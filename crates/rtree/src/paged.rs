@@ -313,13 +313,15 @@ impl PagedTree {
         }
     }
 
-    /// Verifies that every page's entries are xl-sorted, that directory
-    /// entries name pages in range whose MBR is exactly the entry's
-    /// rectangle and whose level is one below, that every set geometry
-    /// reference of a data page names a slot of that page's own cluster,
-    /// and that the pages form one tree under the header: the root sits at
-    /// level `height − 1`, and no page is reached twice from it. Used by
-    /// tests and by loading.
+    /// Verifies that every page's entries are xl-sorted, that no data
+    /// entry's MBR is inverted (a lower bound above its upper bound: the
+    /// R-tree sweep and the grid engine would disagree on its pairs), that
+    /// directory entries name pages in range whose MBR is exactly the
+    /// entry's rectangle and whose level is one below, that every set
+    /// geometry reference of a data page names a slot of that page's own
+    /// cluster, and that the pages form one tree under the header: the root
+    /// sits at level `height − 1`, and no page is reached twice from it.
+    /// Used by tests and by loading.
     ///
     /// Poisoned pages (lenient load) are skipped entirely, and directory
     /// entries pointing at a poisoned child skip the MBR/level checks —
@@ -361,6 +363,11 @@ impl PagedTree {
                 self.verify_geometry_refs(page)?;
             }
             if node.is_leaf() {
+                let inverted = (0..node.len())
+                    .find(|&i| lanes.xl[i] > lanes.xh[i] || lanes.yl[i] > lanes.yh[i]);
+                if let Some(i) = inverted {
+                    return Err(format!("page {}: entry {i} has an inverted MBR", page.0));
+                }
                 leaf_entries += node.len() as u64;
                 continue;
             }
@@ -382,7 +389,7 @@ impl PagedTree {
                 if child.mbr() != lanes.rect(i) {
                     return Err(format!("page {}: stale child MBR", page.0));
                 }
-                if child.level() + 1 != node.level() {
+                if node.level().checked_sub(1) != Some(child.level()) {
                     return Err(format!("page {}: level mismatch", page.0));
                 }
             }

@@ -3,9 +3,10 @@
 //! A [`PagedTree`] serializes to a single file: a fixed header, the page
 //! *records* (each 4 KB payload followed by its 16-byte CRC32 footer, see
 //! [`psj_store::checksum`]), and the geometry clusters, the whole file
-//! additionally protected by an FNV-1a checksum. Each payload is a node in
-//! the PSJT3 page layout ([`crate::node`]): header, MBR lanes, ids and
-//! geometry words, then zeros. Buffered I/O throughout. A loaded tree is
+//! additionally protected by an FNV-1a checksum whose prime is
+//! `0x1_0000_01b3`, not FNV-1a-64's `0x100_0000_01b3`. Each payload is a
+//! node in the PSJT3 page layout ([`crate::node`]): header, MBR lanes, ids
+//! and geometry words, then zeros. Buffered I/O throughout. A loaded tree is
 //! two arenas and holds no 4 KB page and no decoded node: loading checks
 //! each record's CRC, then appends only the page's used words to the
 //! tree's [`PrefixArena`] through its checked page reader
@@ -25,7 +26,7 @@
 //! |                  |   vertex count u32 + count × (f64, f64);
 //! |                  |   data pages only, ascending
 //! +------------------+
-//! | checksum         | FNV-1a 64 over everything above
+//! | checksum         | FNV-1a over everything above (prime 2^32 + 0x1b3)
 //! +------------------+
 //! ```
 //!
@@ -145,16 +146,21 @@ impl std::error::Error for PoisonedTree {}
 /// payload); a corrupt header must not drive allocation.
 const MAX_PAGES: usize = 1 << 24;
 
-/// The FNV-1a 64-bit prime.
+/// The trailer hash's prime: `0x1_0000_01b3` (2^32 + 0x1b3), not
+/// FNV-1a-64's `0x100_0000_01b3` (2^40 + 0x1b3). The hash is otherwise
+/// FNV-1a (64-bit state, FNV-1a-64's offset basis, xor then multiply per
+/// byte). Every PSJT3 file's trailer is computed with this prime, so it
+/// stays: a standard FNV-1a-64 reseal fails with "checksum mismatch".
 const FNV_PRIME: u64 = 0x1_0000_01b3;
 
 /// What eight zero bytes do to an FNV-1a state: `h ^ 0 == h`, so each
 /// only multiplies by the prime.
 const FNV_PRIME_POW8: u64 = FNV_PRIME.wrapping_pow(8);
 
-/// FNV-1a 64-bit, incrementally updatable. An all-zero 8-byte word is one
-/// multiply by [`FNV_PRIME_POW8`]; any other word goes byte by byte. The
-/// value is FNV-1a's however the input is split into calls.
+/// The trailer hash (FNV-1a with [`FNV_PRIME`]), incrementally updatable.
+/// An all-zero 8-byte word is one multiply by [`FNV_PRIME_POW8`]; any
+/// other word goes byte by byte. The value is the byte-at-a-time hash's
+/// however the input is split into calls.
 #[derive(Debug, Clone, Copy)]
 struct Fnv(u64);
 
@@ -208,7 +214,7 @@ struct HashReader<R: Read> {
 
 impl<R: Read> HashReader<R> {
     fn read_exact_hashed(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        self.inner.read_exact(buf)?;
+        self.inner.read_exact(buf).map_err(ends_early)?;
         self.hash.update(buf);
         Ok(())
     }
@@ -229,6 +235,16 @@ const VERTEX_BYTES: usize = 16;
 
 fn corrupt(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+}
+
+/// A file that ends before its header's counts say it does is corrupt
+/// data like any other mismatch, not an I/O failure: `InvalidData`.
+fn ends_early(e: io::Error) -> io::Error {
+    if e.kind() == io::ErrorKind::UnexpectedEof {
+        corrupt("file ends early: truncated, or a count in it is wrong")
+    } else {
+        e
+    }
 }
 
 /// The result of a lenient load: the salvaged tree plus what was wrong.
@@ -343,7 +359,7 @@ fn read_clusters<R: Read>(
 fn read_trailer<R: Read>(r: &mut HashReader<R>) -> io::Result<()> {
     let computed = r.hash.0;
     let mut cs = [0u8; 8];
-    r.inner.read_exact(&mut cs)?;
+    r.inner.read_exact(&mut cs).map_err(ends_early)?;
     if u64::from_le_bytes(cs) != computed {
         return Err(corrupt("checksum mismatch"));
     }
@@ -875,6 +891,7 @@ mod tests {
     use super::*;
     use crate::entry::GeomRef;
     use crate::tree::RTree;
+    use crate::Node;
     use psj_geom::{Polyline, Rect};
 
     fn sample_tree(n: usize) -> PagedTree {
@@ -979,8 +996,21 @@ mod tests {
     /// then reseals the page's CRC and the file's FNV trailer, so only
     /// structural verification can object.
     fn with_geom_ref(bytes: &mut [u8], tree: &PagedTree, victim: PageId, geom: GeomRef) {
+        with_node_edit(bytes, tree, victim, |node| {
+            node.data_entries_mut()[0].geom = geom;
+        });
+    }
+
+    /// Rewrites page `victim` as its node after `edit`, then reseals the
+    /// page's CRC and the file's FNV trailer.
+    fn with_node_edit(
+        bytes: &mut [u8],
+        tree: &PagedTree,
+        victim: PageId,
+        edit: impl FnOnce(&mut Node),
+    ) {
         let mut node = tree.node(victim).clone();
-        node.data_entries_mut()[0].geom = geom;
+        edit(&mut node);
         let mut page = Page::zeroed();
         node.encode(&mut page);
         let at = record_offset(victim.index());
@@ -1119,6 +1149,42 @@ mod tests {
         let loaded = PagedTree::load_from(&path);
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded.unwrap().len(), tree.len());
+    }
+
+    /// Resealed page edits that a reader would trip over fail the load
+    /// instead: a data entry whose MBR is inverted (the R-tree sweep and
+    /// the grid engine disagree on its pairs), and a leaf whose level
+    /// field is `u32::MAX` (its parent's level check must not overflow).
+    #[test]
+    fn a_resealed_page_edit_that_breaks_a_reader_is_rejected() {
+        let tree = sample_tree(400);
+        let path = tmpfile("page-edits");
+        tree.save_to(&path).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let victim = (0..tree.num_pages() as u32)
+            .map(PageId)
+            .find(|&p| tree.node(p).is_leaf() && tree.node(p).len() >= 2)
+            .expect("a data page with two entries");
+        let invert = |node: &mut Node| {
+            // The entry with the lowest upper x bound: another entry keeps
+            // the page's MBR, so the parent's entry still matches it.
+            let entries = node.data_entries_mut();
+            let i = (0..entries.len())
+                .min_by(|&i, &j| entries[i].mbr.xu.total_cmp(&entries[j].mbr.xu))
+                .unwrap();
+            entries[i].mbr.xu = entries[i].mbr.xl - 0.5;
+        };
+        let rejected = |edit: &dyn Fn(&mut Node), why: &str| {
+            let mut bytes = clean.clone();
+            with_node_edit(&mut bytes, &tree, victim, edit);
+            std::fs::write(&path, &bytes).unwrap();
+            let err = PagedTree::load_from(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains(why), "{why}: {err}");
+        };
+        rejected(&invert, "has an inverted MBR");
+        rejected(&|node| node.level = u32::MAX, "level mismatch");
+        std::fs::remove_file(&path).ok();
     }
 
     /// A header whose root, height or object count disagrees with the
@@ -1410,7 +1476,8 @@ mod tests {
         tree.save_to(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
-        assert!(PagedTree::load_from(&path).is_err());
+        let err = PagedTree::load_from(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -98,41 +98,6 @@ impl RTree {
         &self.nodes[idx as usize]
     }
 
-    /// Mutable node access (crate-internal: deletion/condensation).
-    pub(crate) fn node_mut(&mut self, idx: u32) -> &mut Node {
-        &mut self.nodes[idx as usize]
-    }
-
-    /// Decrements the item counter (crate-internal: deletion).
-    pub(crate) fn dec_items(&mut self) {
-        self.num_items -= 1;
-    }
-
-    /// Replaces the root (crate-internal: root collapse on deletion).
-    pub(crate) fn set_root(&mut self, idx: u32) {
-        self.root = idx;
-    }
-
-    /// Appends a node to the arena, returning its index (crate-internal).
-    pub(crate) fn push_node(&mut self, node: Node) -> u32 {
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(node);
-        idx
-    }
-
-    /// Reinserts a data entry (crate-internal: condensation).
-    pub(crate) fn reinsert_data(&mut self, entry: DataEntry) {
-        let mut flags = vec![false; self.height() as usize + 1];
-        self.insert_entry(EntryUnion::Data(entry), &mut flags);
-    }
-
-    /// Reinserts a directory entry at its subtree's level (crate-internal:
-    /// condensation).
-    pub(crate) fn reinsert_dir(&mut self, entry: DirEntry) {
-        let mut flags = vec![false; self.height() as usize + 1];
-        self.insert_entry(EntryUnion::Dir(entry), &mut flags);
-    }
-
     /// MBR of the whole tree.
     pub fn mbr(&self) -> Rect {
         self.nodes[self.root as usize].mbr()
@@ -478,6 +443,14 @@ impl Default for RTree {
 mod tests {
     use super::*;
     use crate::node::DATA_FANOUT;
+
+    impl RTree {
+        /// Mutable node access, for tests that plant entries insertion
+        /// would refuse.
+        pub(crate) fn node_mut(&mut self, idx: u32) -> &mut Node {
+            &mut self.nodes[idx as usize]
+        }
+    }
 
     fn rect_at(i: usize) -> Rect {
         let x = (i % 100) as f64 * 2.0;

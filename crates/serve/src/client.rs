@@ -156,13 +156,6 @@ impl Client {
         })
     }
 
-    /// Enables transparent reconnect-with-backoff on transport failures
-    /// (builder form).
-    pub fn with_reconnect(mut self, policy: BackoffPolicy) -> Client {
-        self.reconnect = Some(policy);
-        self
-    }
-
     /// Enables (or with `None` disables) transparent reconnect.
     pub fn set_reconnect(&mut self, policy: Option<BackoffPolicy>) {
         self.reconnect = policy;
@@ -390,14 +383,13 @@ mod tests {
     #[test]
     fn reconnect_survives_a_dropped_connection() {
         let addr = one_shot_server(3);
-        let mut c = Client::connect(addr)
-            .unwrap()
-            .with_reconnect(BackoffPolicy {
-                max_retries: 3,
-                base: Duration::from_millis(1),
-                cap: Duration::from_millis(5),
-                jitter_seed: 7,
-            });
+        let mut c = Client::connect(addr).unwrap();
+        c.set_reconnect(Some(BackoffPolicy {
+            max_retries: 3,
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(5),
+            jitter_seed: 7,
+        }));
         c.stats().unwrap();
         // The server dropped the connection after the reply; the next
         // request hits EOF and must transparently redial.
@@ -424,14 +416,13 @@ mod tests {
         // Server accepts one connection total; after it drops, redials
         // reach a dead listener... bind-then-drop leaves the port closed.
         let addr = one_shot_server(1);
-        let mut c = Client::connect(addr)
-            .unwrap()
-            .with_reconnect(BackoffPolicy {
-                max_retries: 2,
-                base: Duration::from_millis(1),
-                cap: Duration::from_millis(2),
-                jitter_seed: 1,
-            });
+        let mut c = Client::connect(addr).unwrap();
+        c.set_reconnect(Some(BackoffPolicy {
+            max_retries: 2,
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(2),
+            jitter_seed: 1,
+        }));
         c.stats().unwrap();
         let start = std::time::Instant::now();
         assert!(c.stats().is_err(), "budget exhausted stays an error");

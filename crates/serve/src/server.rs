@@ -12,10 +12,10 @@
 //!   requests, so the bound covers requests waiting for a slot and
 //!   requests executing alike.
 //! * **Execution slots** — an admitted request takes one of `workers`
-//!   slots and runs on its own connection thread; at most `workers`
-//!   requests (joins included) execute at once. When every slot
-//!   is busy the thread waits; a released slot is handed to the longest
-//!   waiter, so a new arrival cannot barge past the queue.
+//!   permits and runs on its own connection thread; at most `workers`
+//!   requests (joins included) execute at once. When no permit is free
+//!   the thread waits; a released permit is handed to the longest waiter,
+//!   so a new arrival cannot barge past the queue.
 //! * **Deadlines** — `deadline_ms` is converted to an absolute instant at
 //!   arrival; a request whose deadline passes while it waits for a slot is
 //!   answered [`Response::DeadlineExceeded`] without executing, executors
@@ -47,9 +47,9 @@ use std::time::{Duration, Instant};
 
 // A thread that panicked while holding one of the server's locks must not
 // wedge every later request and the shutdown drain — the protected state
-// (slot lists, join-handle lists) stays structurally valid across a panic,
-// so `lock_clean` recovers the guard and the panic is surfaced through the
-// `worker_panics` counter instead.
+// (the permit queue, join-handle lists) stays structurally valid across a
+// panic, so `lock_clean` recovers the guard and the panic is surfaced
+// through the `worker_panics` counter instead.
 use psj_store::lock_clean;
 
 /// Server configuration.
@@ -108,18 +108,18 @@ impl Default for ServeConfig {
 
 #[derive(Default)]
 struct SlotState {
-    /// Slot numbers nobody holds. Non-empty only while `waiters` is empty.
-    idle: Vec<usize>,
-    /// Threads waiting for a slot, longest wait first: arrival ticket and
+    /// Permits nobody holds. Non-zero only while `waiters` is empty.
+    free: usize,
+    /// Threads waiting for a permit, longest wait first: arrival ticket and
     /// the condvar that thread waits on (one each, so a release wakes
-    /// exactly the thread it hands the slot to).
+    /// exactly the thread it hands the permit to).
     waiters: VecDeque<(u64, Arc<Condvar>)>,
-    /// Slots handed to a waiter that has not woken yet: (ticket, slot).
-    handed: Vec<(u64, usize)>,
+    /// Tickets of waiters handed a permit that have not woken yet.
+    handed: Vec<u64>,
     next_ticket: u64,
 }
 
-/// The `workers` execution slots, handed out first come, first served.
+/// The `workers` execution permits, handed out first come, first served.
 struct Slots {
     state: Mutex<SlotState>,
 }
@@ -128,35 +128,37 @@ impl Slots {
     fn new(n: usize) -> Self {
         Slots {
             state: Mutex::new(SlotState {
-                idle: (0..n).rev().collect(),
+                free: n,
                 ..SlotState::default()
             }),
         }
     }
 
-    /// Takes an idle slot, or waits in arrival order for a released one.
-    /// `None` when `deadline` passes first.
-    fn acquire(&self, deadline: Option<Instant>) -> Option<usize> {
+    /// Takes a free permit, or waits in arrival order for a released one.
+    /// `false` when `deadline` passes first.
+    fn acquire(&self, deadline: Option<Instant>) -> bool {
         let mut st = lock_clean(&self.state);
-        if let Some(slot) = st.idle.pop() {
-            return Some(slot);
+        if st.free > 0 {
+            st.free -= 1;
+            return true;
         }
         let ticket = st.next_ticket;
         st.next_ticket += 1;
         let ready = Arc::new(Condvar::new());
         st.waiters.push_back((ticket, Arc::clone(&ready)));
         loop {
-            if let Some(i) = st.handed.iter().position(|&(t, _)| t == ticket) {
-                return Some(st.handed.swap_remove(i).1);
+            if let Some(i) = st.handed.iter().position(|&t| t == ticket) {
+                st.handed.swap_remove(i);
+                return true;
             }
             st = match deadline {
                 None => ready.wait(st).unwrap_or_else(|e| e.into_inner()),
                 Some(d) => {
                     let now = Instant::now();
                     if now >= d {
-                        // Not handed a slot, so still queued: leave.
+                        // Not handed a permit, so still queued: leave.
                         st.waiters.retain(|&(t, _)| t != ticket);
-                        return None;
+                        return false;
                     }
                     let (st, _) = ready
                         .wait_timeout(st, d - now)
@@ -167,16 +169,16 @@ impl Slots {
         }
     }
 
-    /// Returns `slot`: to the longest waiter if there is one, else to the
-    /// idle list.
-    fn release(&self, slot: usize) {
+    /// Returns a permit: to the longest waiter if there is one, else to
+    /// the free count.
+    fn release(&self) {
         let mut st = lock_clean(&self.state);
         match st.waiters.pop_front() {
             Some((ticket, ready)) => {
-                st.handed.push((ticket, slot));
+                st.handed.push(ticket);
                 ready.notify_one();
             }
-            None => st.idle.push(slot),
+            None => st.free += 1,
         }
     }
 }
@@ -414,17 +416,17 @@ fn storage_response(e: &PageError) -> Response {
 }
 
 /// An admitted request: holds its admission count and, once it has one,
-/// its execution slot. Dropping it releases both, on every path out of
+/// its execution permit. Dropping it releases both, on every path out of
 /// [`execute`] including an unwinding one.
 struct Admitted<'a> {
     shared: &'a Shared,
-    slot: Option<usize>,
+    held: bool,
 }
 
 impl Drop for Admitted<'_> {
     fn drop(&mut self) {
-        if let Some(slot) = self.slot {
-            self.shared.slots.release(slot);
+        if self.held {
+            self.shared.slots.release();
         }
         self.shared.queued.fetch_sub(1, Ordering::SeqCst);
     }
@@ -443,7 +445,10 @@ fn admit(shared: &Shared) -> Option<Admitted<'_>> {
         return None;
     }
     shared.trace_instant("admit", &[("queued", q as u64)]);
-    Some(Admitted { shared, slot: None })
+    Some(Admitted {
+        shared,
+        held: false,
+    })
 }
 
 /// One query or join request, start to reply, on the calling connection
@@ -471,8 +476,8 @@ fn execute<T>(
     let arrival = Instant::now();
     let deadline =
         (deadline_ms > 0).then(|| arrival + Duration::from_millis(u64::from(deadline_ms)));
-    admitted.slot = shared.slots.acquire(deadline);
-    if admitted.slot.is_none() {
+    admitted.held = shared.slots.acquire(deadline);
+    if !admitted.held {
         t.timeout(arrival.elapsed());
         return Response::DeadlineExceeded;
     }
@@ -752,7 +757,7 @@ mod tests {
 
         // The test holds the only slot, so the requests below can only
         // wait — for exactly as long as their deadline allows.
-        let held = server.shared.slots.acquire(None).expect("idle slot");
+        assert!(server.shared.slots.acquire(None), "a free permit");
         match c.window(0, rect, 20) {
             Err(ClientError::Unexpected(r)) => assert_eq!(*r, Response::DeadlineExceeded),
             other => panic!("expected DeadlineExceeded, got {other:?}"),
@@ -769,7 +774,7 @@ mod tests {
         assert_eq!(waiting(&server.shared), 0, "both left the slot queue");
 
         // With the slot back, a viable deadline is served normally.
-        server.shared.slots.release(held);
+        server.shared.slots.release();
         assert!(!c.window(0, rect, 5_000).unwrap().is_empty());
         server.stop();
     }
@@ -777,26 +782,26 @@ mod tests {
     #[test]
     fn waiters_get_the_slot_in_arrival_order() {
         let slots = Slots::new(1);
-        let held = slots.acquire(None).expect("idle slot");
+        assert!(slots.acquire(None), "a free permit");
         let order = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             for i in 0..8 {
                 let (slots, order) = (&slots, &order);
                 scope.spawn(move || {
-                    let slot = slots.acquire(None).expect("no deadline");
+                    assert!(slots.acquire(None), "no deadline");
                     order.lock().unwrap().push(i);
-                    slots.release(slot);
+                    slots.release();
                 });
                 // Thread i is queued before thread i + 1 starts.
                 until("the waiter to queue", || {
                     lock_clean(&slots.state).waiters.len() == i + 1
                 });
             }
-            slots.release(held);
+            slots.release();
         });
         assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
         let st = lock_clean(&slots.state);
-        assert_eq!(st.idle, vec![0], "the slot ends up idle again");
+        assert_eq!(st.free, 1, "one permit free again");
         assert!(st.waiters.is_empty() && st.handed.is_empty());
     }
 
@@ -808,7 +813,7 @@ mod tests {
         });
         let addr = server.local_addr();
         let shared = Arc::clone(&server.shared);
-        let held = shared.slots.acquire(None).expect("idle slot");
+        assert!(shared.slots.acquire(None), "a free permit");
         let rect = Rect::new(0.0, 0.0, 8.0, 8.0);
 
         let report = std::thread::scope(|scope| {
@@ -828,7 +833,7 @@ mod tests {
                 shared.shutting_down.load(Ordering::SeqCst)
             });
             assert_eq!(shared.queued.load(Ordering::SeqCst), 3, "still admitted");
-            shared.slots.release(held);
+            shared.slots.release();
             for c in clients {
                 let got = c.join().unwrap().expect("answered during the drain");
                 assert!(!got.is_empty());

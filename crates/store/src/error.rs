@@ -1,14 +1,12 @@
 //! Typed page-level storage errors.
 //!
-//! Every storage failure the out-of-core stack can produce is classified
-//! into one of three kinds, because the *response* differs per kind:
+//! Every storage failure a page read can produce is classified into one of
+//! two kinds, because the *response* differs per kind:
 //!
 //! * [`PageError::Corrupt`] — the bytes came back but their checksum does
 //!   not match. Rereading the same sectors will return the same bytes, so
 //!   retrying is useless; the page is quarantined and the error surfaces
 //!   as a typed reply instead of garbage results.
-//! * [`PageError::OutOfRange`] — the request itself is wrong (page id past
-//!   the end of the file). Never retried.
 //! * [`PageError::Io`] — the read failed before producing bytes. Transient
 //!   kinds (EIO blips, interrupts) are retryable under a
 //!   [`crate::RetryPolicy`]; permanent kinds (truncation, missing file)
@@ -29,15 +27,6 @@ pub enum PageError {
         /// The page whose verification failed.
         page: PageId,
         /// Human-readable context (file path, which check failed).
-        context: String,
-    },
-    /// The requested page id does not exist in the backing store.
-    OutOfRange {
-        /// The out-of-range page id.
-        page: PageId,
-        /// Number of pages the store actually holds.
-        num_pages: usize,
-        /// Human-readable context (file path).
         context: String,
     },
     /// The underlying read failed before producing verifiable bytes.
@@ -64,7 +53,7 @@ impl PageError {
     /// The page involved, when known.
     pub fn page(&self) -> Option<PageId> {
         match self {
-            PageError::Corrupt { page, .. } | PageError::OutOfRange { page, .. } => Some(*page),
+            PageError::Corrupt { page, .. } => Some(*page),
             PageError::Io { page, .. } => *page,
         }
     }
@@ -74,12 +63,12 @@ impl PageError {
         matches!(self, PageError::Corrupt { .. })
     }
 
-    /// Per-class retryability: corruption and bad requests always fail the
-    /// same way again; I/O errors are retryable unless the kind indicates a
-    /// permanent condition (truncated or vanished backing file, bad input).
+    /// Per-class retryability: corruption always fails the same way again;
+    /// I/O errors are retryable unless the kind indicates a permanent
+    /// condition (truncated or vanished backing file, bad input).
     pub fn is_retryable(&self) -> bool {
         match self {
-            PageError::Corrupt { .. } | PageError::OutOfRange { .. } => false,
+            PageError::Corrupt { .. } => false,
             PageError::Io { kind, .. } => !matches!(
                 kind,
                 io::ErrorKind::UnexpectedEof
@@ -98,11 +87,6 @@ impl std::fmt::Display for PageError {
             PageError::Corrupt { page, context } => {
                 write!(f, "page {page} corrupt: {context}")
             }
-            PageError::OutOfRange {
-                page,
-                num_pages,
-                context,
-            } => write!(f, "page {page} out of range ({num_pages} pages): {context}"),
             PageError::Io {
                 page: Some(page),
                 kind,
@@ -123,7 +107,6 @@ impl From<PageError> for io::Error {
     fn from(e: PageError) -> io::Error {
         let kind = match &e {
             PageError::Corrupt { .. } => io::ErrorKind::InvalidData,
-            PageError::OutOfRange { .. } => io::ErrorKind::InvalidInput,
             PageError::Io { kind, .. } => *kind,
         };
         io::Error::new(kind, e.to_string())

@@ -19,13 +19,14 @@
 //! * **latency** — a per-read chance of an injected sleep, for exercising
 //!   deadline/backpressure paths without real slow disks.
 //!
-//! Two injection surfaces share one plan:
-//! [`FaultPager`](crate::FaultPager) applies faults at the *byte* level
-//! below checksum verification (real corruption detected by real CRCs),
-//! while [`FaultPlan::before_fetch`] is a hook for decoded page sources
-//! (e.g. cache fills that produce nodes, not bytes) where flip/torn faults
-//! are synthesized directly as `Corrupt` errors — justified because the
-//! byte-level tests prove the footer catches every such corruption.
+//! One injection surface: [`FaultPlan::before_fetch`] is the hook a page
+//! read calls before it touches the page (the join's cache fills, the
+//! server's node reads). Reads go to resident pages, not bytes on a
+//! device, so flip/torn faults are synthesized directly as `Corrupt`
+//! errors — justified because the checksum tests
+//! (`checksum::tests::any_flipped_bit_is_detected` and
+//! `checksum::tests::torn_record_is_detected`) prove the page footer
+//! catches every such corruption of a record.
 
 use crate::error::PageError;
 use crate::page::PageId;
@@ -42,7 +43,6 @@ const CLASS_FLIP: u64 = 0x666C_6970; // "flip"
 const CLASS_TORN: u64 = 0x746F_726E; // "torn"
 const CLASS_LATENCY: u64 = 0x6C61_7465; // "late"
 const CLASS_BURST: u64 = 0x6275_7273; // "burs"
-const CLASS_OFFSET: u64 = 0x6F66_6673; // "offs"
 
 /// A seeded, deterministic description of injected storage faults.
 #[derive(Debug, Default)]
@@ -193,7 +193,7 @@ impl FaultPlan {
 
     /// Record a read attempt on `page` and return its 0-based attempt
     /// number (monotonic across the plan's lifetime).
-    pub fn next_attempt(&self, page: PageId) -> u32 {
+    fn next_attempt(&self, page: PageId) -> u32 {
         let mut attempts = lock_clean(&self.attempts);
         let n = attempts.entry(page.0).or_insert(0);
         let attempt = *n;
@@ -203,7 +203,7 @@ impl FaultPlan {
 
     /// Whether read number `attempt` of `page` fails transiently.
     /// Counts the injection when it fires.
-    pub fn check_transient(&self, page: PageId, attempt: u32) -> bool {
+    fn check_transient(&self, page: PageId, attempt: u32) -> bool {
         if self.transient_p > 0.0
             && self.frac(CLASS_TRANSIENT, page.0) < self.transient_p
             && attempt < self.burst_len(page.0)
@@ -227,7 +227,7 @@ impl FaultPlan {
     }
 
     /// Sleep if read number `attempt` of `page` draws injected latency.
-    pub fn inject_latency(&self, page: PageId, attempt: u32) {
+    fn inject_latency(&self, page: PageId, attempt: u32) {
         if self.latency_p > 0.0 && !self.latency.is_zero() {
             let h = splitmix64(
                 self.seed
@@ -243,12 +243,11 @@ impl FaultPlan {
         }
     }
 
-    /// Fault hook for *decoded* page sources (cache fills producing nodes
-    /// rather than raw bytes): applies latency, transient, and permanent
-    /// faults before the real fetch. Permanent flip/torn faults are
-    /// synthesized as `Corrupt` errors — the byte-level path
-    /// ([`FaultPager`](crate::FaultPager)) proves the CRC footer detects
-    /// them, so modelling detection as certain is sound.
+    /// Fault hook for page reads: applies latency, transient, and
+    /// permanent faults before the real read. Permanent flip/torn faults
+    /// are synthesized as `Corrupt` errors — the checksum tests
+    /// (`any_flipped_bit_is_detected`, `torn_record_is_detected`) prove the
+    /// CRC footer detects them, so modelling detection as certain is sound.
     pub fn before_fetch(&self, page: PageId) -> Result<(), PageError> {
         if self.panic_page == Some(page.0) && !self.panic_fired.swap(true, Ordering::AcqRel) {
             panic!("injected panic on fetch of {page:?}");
@@ -280,39 +279,9 @@ impl FaultPlan {
         }
     }
 
-    /// Apply this page's permanent byte-level fault (if any) to a raw
-    /// on-disk record. Returns true when the record was modified.
-    pub fn corrupt_record(&self, page: PageId, record: &mut [u8]) -> bool {
-        match self.permanent_class(page) {
-            Some("bit flip") => {
-                let h = splitmix64(self.seed ^ CLASS_OFFSET.rotate_left(32) ^ page.0 as u64);
-                let bit = (h % (record.len() as u64 * 8)) as usize;
-                record[bit / 8] ^= 1 << (bit % 8);
-                self.flips_injected.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Some(_) => {
-                let h = splitmix64(self.seed ^ CLASS_OFFSET.rotate_left(32) ^ page.0 as u64);
-                // Keep at least one byte, zero at least one byte.
-                let keep = 1 + (h % (record.len() as u64 - 1)) as usize;
-                for b in record[keep..].iter_mut() {
-                    *b = 0;
-                }
-                self.torn_injected.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Transient faults injected so far.
     pub fn transient_injected(&self) -> u64 {
         self.transient_injected.load(Ordering::Relaxed)
-    }
-
-    /// Corruptions injected so far (flips + torn reads).
-    pub fn corrupt_injected(&self) -> u64 {
-        self.flips_injected.load(Ordering::Relaxed) + self.torn_injected.load(Ordering::Relaxed)
     }
 
     /// Latency injections so far.
@@ -414,29 +383,7 @@ mod tests {
         let plan = FaultPlan::new(3).with_flip(1.0);
         let err = plan.before_fetch(PageId(0)).unwrap_err();
         assert!(err.is_corrupt());
-        assert_eq!(plan.corrupt_injected(), 1);
-    }
-
-    #[test]
-    fn corrupt_record_modifies_selected_pages_only() {
-        let plan = FaultPlan::new(4).with_flip(1.0);
-        let mut record = vec![0xAB; 64];
-        assert!(plan.corrupt_record(PageId(1), &mut record));
-        assert_ne!(record, vec![0xAB; 64]);
-
-        let noop = FaultPlan::new(4);
-        let mut clean = vec![0xAB; 64];
-        assert!(!noop.corrupt_record(PageId(1), &mut clean));
-        assert_eq!(clean, vec![0xAB; 64]);
-    }
-
-    #[test]
-    fn torn_fault_zeroes_a_tail() {
-        let plan = FaultPlan::new(8).with_torn(1.0);
-        let mut record = vec![0xFF; 128];
-        assert!(plan.corrupt_record(PageId(2), &mut record));
-        assert_eq!(record.last(), Some(&0));
-        assert_eq!(record[0], 0xFF);
+        assert_eq!(plan.flips_injected.load(Ordering::Relaxed), 1);
     }
 
     #[test]

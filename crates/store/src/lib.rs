@@ -9,8 +9,8 @@
 //!
 //! This crate provides exactly that model:
 //!
-//! * [`Page`], [`PageId`] — fixed-size 4 KB pages with real bytes,
-//! * [`PageStore`] — the master copy of all pages ("what is on disk"),
+//! * [`Page`], [`PageId`] — fixed-size 4 KB pages with real bytes, each
+//!   stored on disk as a checksummed record ([`checksum`]),
 //! * [`DiskModel`] — the timing model and `mod d` placement function,
 //! * [`ClusterStore`] — one relation's exact geometry as one arena,
 //!   grouped into per-data-page clusters with their sizes,
@@ -26,7 +26,6 @@ pub mod disk;
 pub mod error;
 pub mod fault;
 pub mod page;
-pub mod pager;
 pub mod retry;
 pub mod sync;
 pub mod timing;
@@ -40,8 +39,7 @@ pub use cluster::ClusterStore;
 pub use disk::DiskModel;
 pub use error::PageError;
 pub use fault::FaultPlan;
-pub use page::{Page, PageId, PageStore, PAGE_SIZE};
-pub use pager::{FaultPager, FilePager};
+pub use page::{Page, PageId, PAGE_SIZE};
 pub use retry::RetryPolicy;
 pub use sync::{lock_clean, wait_clean};
 pub use timing::{Nanos, MICROS, MILLIS, SECS};

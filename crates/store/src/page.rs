@@ -1,9 +1,9 @@
-//! Fixed-size pages and the master page store.
+//! Fixed-size pages and their ids.
 //!
-//! Pages are 4 KB, matching the paper's R\*-tree page size. The
-//! [`PageStore`] holds the authoritative content of every page — what would
-//! be on the disk array — while the buffer crate decides which of those
-//! pages are currently "in memory" and what an access costs.
+//! Pages are 4 KB, matching the paper's R\*-tree page size. A page is the
+//! unit a tree file stores (as a checksummed record, see
+//! [`crate::checksum`]) and the unit the buffer crate decides is "in
+//! memory" or not.
 
 use serde::{Deserialize, Serialize};
 
@@ -68,107 +68,14 @@ impl std::fmt::Debug for Page {
     }
 }
 
-/// The master copy of all pages of one file (one R\*-tree), indexed densely
-/// by [`PageId`]. This models the contents of the simulated disk array; the
-/// actual *cost* of getting a page into a processor's memory is accounted for
-/// by the buffer and disk models, not here.
-#[derive(Debug, Default)]
-pub struct PageStore {
-    pages: Vec<Page>,
-}
-
-impl PageStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        PageStore { pages: Vec::new() }
-    }
-
-    /// Allocates a fresh zeroed page, returning its id. Ids are dense and
-    /// sequential, so `page mod d` spreads consecutive pages across disks.
-    pub fn allocate(&mut self) -> PageId {
-        let id = PageId(u32::try_from(self.pages.len()).expect("page id overflow"));
-        self.pages.push(Page::zeroed());
-        id
-    }
-
-    /// Number of pages in the store.
-    pub fn len(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Whether the store holds no pages.
-    pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
-    }
-
-    /// Read a page's content.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id was not allocated from this store.
-    pub fn read(&self, id: PageId) -> &Page {
-        &self.pages[id.index()]
-    }
-
-    /// Write access to a page's content.
-    pub fn write(&mut self, id: PageId) -> &mut Page {
-        &mut self.pages[id.index()]
-    }
-
-    /// Iterator over `(id, page)` in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (PageId, &Page)> {
-        self.pages
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (PageId(i as u32), p))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn allocate_is_dense_and_sequential() {
-        let mut s = PageStore::new();
-        assert!(s.is_empty());
-        let a = s.allocate();
-        let b = s.allocate();
-        let c = s.allocate();
-        assert_eq!((a, b, c), (PageId(0), PageId(1), PageId(2)));
-        assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn write_then_read_roundtrip() {
-        let mut s = PageStore::new();
-        let id = s.allocate();
-        s.write(id).bytes_mut()[0..4].copy_from_slice(&[1, 2, 3, 4]);
-        assert_eq!(&s.read(id).bytes()[0..4], &[1, 2, 3, 4]);
-        assert_eq!(s.read(id).bytes()[4], 0, "rest stays zeroed");
-    }
 
     #[test]
     fn pages_are_page_size() {
         let p = Page::zeroed();
         assert_eq!(p.bytes().len(), PAGE_SIZE);
         assert_eq!(PAGE_SIZE, 4096);
-    }
-
-    #[test]
-    #[should_panic]
-    fn read_unallocated_panics() {
-        let s = PageStore::new();
-        let _ = s.read(PageId(0));
-    }
-
-    #[test]
-    fn iter_yields_all_pages_in_order() {
-        let mut s = PageStore::new();
-        for _ in 0..5 {
-            s.allocate();
-        }
-        let ids: Vec<u32> = s.iter().map(|(id, _)| id.0).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
     }
 }

@@ -1,10 +1,9 @@
 //! Configurable retry policy for page reads.
 //!
-//! Replaces the ad-hoc bounded retry that used to live inside
-//! `FilePager::read_page`. The policy is owned by whoever drives the read —
-//! the shared page cache retries its fills, the CLI and executor thread a
-//! policy down through `BufferConfig` — so one knob controls the whole
-//! stack and every retry is counted in one place.
+//! The policy is owned by whoever drives the read — the shared page cache
+//! retries its fills, and a served query retries its node reads — and the
+//! page source below never retries, so one knob controls the whole stack
+//! and every retry is counted in one place.
 //!
 //! Only errors whose [`PageError::is_retryable`] is true are retried;
 //! corruption and out-of-range requests fail immediately. Backoff is
@@ -30,10 +29,9 @@ pub struct RetryPolicy {
 }
 
 impl Default for RetryPolicy {
-    /// Three attempts with no backoff: preserves the historical
-    /// `FilePager` behaviour (two retries) at zero latency cost, which
-    /// matters for tests and for transient kernel-level EIO blips that
-    /// resolve on immediate reread.
+    /// Three attempts with no backoff: two retries at zero latency cost,
+    /// which matters for tests and for transient kernel-level EIO blips
+    /// that resolve on immediate reread.
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 3,
@@ -74,7 +72,7 @@ impl RetryPolicy {
     }
 
     /// The sleep before retry number `retry` (0-based) of page `key`.
-    pub fn backoff_for(&self, retry: u32, key: u64) -> Duration {
+    fn backoff_for(&self, retry: u32, key: u64) -> Duration {
         if self.base_backoff.is_zero() {
             return Duration::ZERO;
         }

@@ -147,7 +147,7 @@ fn join_miss_path_allocates_nothing() {
         replayed.misses > 500 && replayed.evictions > 500,
         "the replay must churn the cache: {replayed:?}"
     );
-    assert_eq!(cache.snapshot().unbuffered, 0);
+    assert_eq!(cache.unbuffered(), 0);
     assert_eq!(
         allocated, 0,
         "{} misses and {} evictions allocated {allocated} times",

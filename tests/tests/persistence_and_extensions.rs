@@ -1,6 +1,6 @@
 //! Integration tests for persistence on generated TIGER-like data.
 
-use psj_core::{join_candidates, NativeConfig};
+use psj_core::NativeConfig;
 use psj_datagen::io::{load_map, save_map};
 use psj_datagen::{MapObject, Scenario};
 use psj_integration::harness::join;
@@ -58,32 +58,4 @@ fn full_pipeline_generate_save_load_join() {
     let loaded = join(&la, &lb, &NativeConfig::new(4));
     assert_eq!(as_set(&fresh.pairs), as_set(&loaded.pairs));
     assert!(!fresh.pairs.is_empty());
-}
-
-#[test]
-fn deletion_then_join_sees_fewer_pairs() {
-    let (m1, m2) = Scenario::scaled(60, 0.004).generate();
-    let mut t1 = RTree::new();
-    for o in &m1 {
-        t1.insert(o.mbr(), o.oid);
-    }
-    let b = index(&m2);
-
-    let full = {
-        let a = PagedTree::freeze(&t1, |_| None);
-        join_candidates(&a, &b).candidates.len()
-    };
-    // Remove half of map1 and re-freeze.
-    for o in m1.iter().take(m1.len() / 2) {
-        assert!(t1.delete(&o.mbr(), o.oid).is_some());
-    }
-    t1.check_invariants().unwrap();
-    let half = {
-        let a = PagedTree::freeze(&t1, |_| None);
-        join_candidates(&a, &b).candidates.len()
-    };
-    assert!(
-        half < full,
-        "deleting objects must shrink the join ({half} !< {full})"
-    );
 }
