@@ -41,11 +41,10 @@ commands:
            [--buffer <pages>] [--variant lsr|gsrr|gd|best]
   serve    --trees <tree>[,<tree>...] [--addr 127.0.0.1:7878] [--workers <n>]
            [--queue-bound <n>] [--join-threads <n>]
-           [--join-engine rtree|partition]
            [--lenient] [--inject-faults <spec>] [--retry-attempts <n>]
-           [--trace <file.jsonl>] [--shard-id <n>] — --trace writes the
-           trace at shutdown; --join-engine takes the values of `join`'s
-           --engine; --shard-id tags this server for cluster routing
+           [--trace <file.jsonl>] [--shard-id <n>] — joins run on the
+           rtree engine; --trace writes the trace at shutdown; --shard-id
+           tags this server for cluster routing
   shard-plan --map1 <map> --map2 <map> --shards <n> --out <dir>
            [--host <ip>] [--base-port <n>] — partition both maps into x-slab
            shards balanced by estimated join work; writes per-shard tree
@@ -80,16 +79,6 @@ type CmdResult = Result<(), String>;
 
 fn io_err<E: std::fmt::Display>(e: E) -> String {
     e.to_string()
-}
-
-/// Parses the join engine `psj join` (`--engine`) and `psj serve`
-/// (`--join-engine`) take, so the two spellings cannot drift.
-fn parse_engine(args: &Args, key: &str) -> Result<JoinEngine, String> {
-    match args.get(key) {
-        Some(name) => JoinEngine::parse(name)
-            .ok_or_else(|| format!("unknown --{key}: {name} (use rtree|partition)")),
-        None => Ok(JoinEngine::RTree),
-    }
 }
 
 /// `psj generate` — write a synthetic TIGER-like scenario to two map files.
@@ -169,7 +158,10 @@ pub fn join(args: &Args) -> CmdResult {
     )?;
     let mut cfg = NativeConfig::new(threads);
     cfg.refine = !args.flag("no-refine");
-    cfg.engine = parse_engine(args, "engine")?;
+    if let Some(name) = args.get("engine") {
+        cfg.engine = JoinEngine::parse(name)
+            .ok_or_else(|| format!("unknown --engine: {name} (use rtree|partition)"))?;
+    }
     if cfg.engine == JoinEngine::Partition {
         // The grid engine runs in memory and never fills a page cache, so
         // these options would otherwise be silently ignored.
@@ -386,7 +378,6 @@ pub fn serve(args: &Args) -> CmdResult {
         )?,
         queue_bound: args.parse_or("queue-bound", 256)?,
         join_threads: args.parse_or("join-threads", 4)?,
-        join_engine: parse_engine(args, "join-engine")?,
         fault: match args.get("inject-faults") {
             Some(spec) => Some(Arc::new(FaultPlan::parse(spec)?)),
             None => None,

@@ -96,7 +96,6 @@ const COMMANDS: &[Command] = &[
             "workers",
             "queue-bound",
             "join-threads",
-            "join-engine",
             "inject-faults",
             "retry-attempts",
             "trace",

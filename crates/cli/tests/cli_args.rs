@@ -125,13 +125,6 @@ fn removed_engine_value_is_an_error() {
         1,
         "error: unknown --engine: auto (use rtree|partition)",
     );
-    let (t1, _) = trees();
-    let out = psj(&["serve", "--trees", t1, "--join-engine", "auto"]);
-    assert_exit(
-        &out,
-        1,
-        "error: unknown --join-engine: auto (use rtree|partition)",
-    );
 }
 
 /// A buffered join reads through one cache shared by all threads: the
@@ -149,10 +142,11 @@ fn removed_cache_org_is_an_unknown_option() {
 }
 
 /// A server reads its trees' arenas in place: there is no page cache to
-/// size or shard, so both options are refused rather than ignored.
+/// size or shard, and its joins always run on the R-tree engine, so these
+/// options are refused rather than ignored.
 #[test]
 fn removed_serve_cache_options_are_unknown_options() {
-    for flag in ["--cache", "--cache-shards"] {
+    for flag in ["--cache", "--cache-shards", "--join-engine"] {
         let out = psj(&["serve", "--trees", "t.psjt", flag, "1024"]);
         assert_exit(&out, 2, &format!("unknown option: {flag}"));
     }

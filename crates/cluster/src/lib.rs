@@ -16,9 +16,10 @@
 //! * [`router`] — the scatter-gather router: routes window/nearest
 //!   queries to the owning shards, fans joins out with per-shard owned
 //!   intervals (cross-shard pairs deduplicated by the reference-point
-//!   test on the shards), gathers under a deadline budget with bounded
-//!   jittered retries and hedged reads, and degrades to
-//!   `Response::Partial` instead of failing when shards are down.
+//!   test on the shards), gathers under a deadline budget that bounds
+//!   every shard exchange, retries failures with bounded jitter, and
+//!   degrades to `Response::Partial` instead of failing when shards are
+//!   down.
 //!
 //! The router is itself a protocol server, so every existing client —
 //! the CLI, the load generator, another router — can point at a cluster

@@ -16,24 +16,25 @@
 //!   merges the shard views.
 //!
 //! Robustness is the point of this module. Each shard has a health state
-//! machine (`health`), a small connection pool, and a latency histogram.
-//! Failed exchanges retry under bounded jittered backoff while the
-//! request's deadline allows; slow window/nearest scatters are hedged
-//! with a second connection after a p99-based delay; shards that keep
-//! failing are marked down and skipped (a background prober readmits
-//! them). When shards are unreachable past their budget, the router
-//! answers [`Response::Partial`] with the data the live shards produced
-//! and the missing ids — degraded, never wedged: every gather is bounded
-//! by the request deadline.
+//! machine (`health`) and a small connection pool. Failed exchanges retry
+//! under bounded jittered backoff while the request's deadline allows;
+//! shards that keep failing are marked down and skipped (a background
+//! prober readmits them). Every connect, write and read of a shard
+//! exchange is bounded by the request deadline, so the gather simply
+//! joins its scatter: the first target is queried on the connection
+//! thread, each other one on a scoped thread. When shards are unreachable
+//! past their budget, the router answers [`Response::Partial`] with the
+//! data the live shards produced and the missing ids — degraded, never
+//! wedged.
 
 use crate::health::{Health, HealthPolicy, HealthState, RouteDecision, Transition};
 use psj_obs::{Counter, Gauge, Histogram, Registry};
 use psj_serve::protocol::{
     read_frame, write_frame, Request, Response, ServerStats, TreeInfo, MAX_REQUEST_FRAME,
-    ROUTER_SHARD,
+    MAX_RESPONSE_FRAME, ROUTER_SHARD,
 };
-use psj_serve::{BackoffPolicy, Client};
-use std::io::{self, BufReader, BufWriter};
+use psj_serve::BackoffPolicy;
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -61,28 +62,8 @@ pub struct RouterConfig {
     pub addr: SocketAddr,
     /// The shards, ascending by owned interval.
     pub shards: Vec<ShardAddr>,
-    /// Per-attempt connect timeout to a shard.
-    pub connect_timeout: Duration,
-    /// Per-attempt read timeout on a shard connection.
-    pub read_timeout: Duration,
-    /// Gather budget for requests that carry no deadline of their own.
-    pub default_deadline: Duration,
-    /// Retry budget and backoff shape for failed shard exchanges.
-    pub retry: BackoffPolicy,
     /// Health state machine thresholds.
     pub health: HealthPolicy,
-    /// Hedge slow window/nearest reads with a second connection.
-    pub hedge: bool,
-    /// Latency samples required before hedging engages (the p99 of an
-    /// empty histogram is meaningless).
-    pub hedge_min_samples: u64,
-    /// Concurrent in-flight client requests before the router sheds.
-    pub queue_bound: usize,
-    /// Run the background prober (tests of pure routing turn it off).
-    pub probe: bool,
-    /// Read timeout on the router's own client connections (bounds how
-    /// long a halt takes to propagate).
-    pub conn_read_timeout: Duration,
 }
 
 impl Default for RouterConfig {
@@ -90,36 +71,41 @@ impl Default for RouterConfig {
         RouterConfig {
             addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             shards: Vec::new(),
-            connect_timeout: Duration::from_millis(250),
-            read_timeout: Duration::from_secs(2),
-            default_deadline: Duration::from_secs(2),
-            retry: BackoffPolicy {
-                max_retries: 2,
-                base: Duration::from_millis(5),
-                cap: Duration::from_millis(100),
-                jitter_seed: 0x9E37,
-            },
             health: HealthPolicy::default(),
-            hedge: true,
-            hedge_min_samples: 32,
-            queue_bound: 256,
-            probe: true,
-            conn_read_timeout: Duration::from_millis(250),
         }
     }
 }
+
+/// Per-attempt connect timeout to a shard.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
+/// Longest one shard exchange may take, however far off the request's
+/// deadline is.
+const READ_TIMEOUT: Duration = Duration::from_secs(2);
+/// Gather budget for requests that carry no deadline of their own.
+const DEFAULT_DEADLINE: Duration = Duration::from_secs(2);
+/// Retry budget and backoff shape for failed shard exchanges.
+const RETRY: BackoffPolicy = BackoffPolicy {
+    max_retries: 2,
+    base: Duration::from_millis(5),
+    cap: Duration::from_millis(100),
+    jitter_seed: 0x9E37,
+};
+/// Concurrent in-flight client requests before the router sheds.
+const QUEUE_BOUND: usize = 256;
+/// Read timeout on the router's own client connections (bounds how long a
+/// halt takes to propagate).
+const CONN_READ_TIMEOUT: Duration = Duration::from_millis(250);
+/// Pause before retrying after `accept` fails, so a persistent error
+/// (EMFILE, say) does not spin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Per-shard runtime state: spec, pooled connections, health, metrics.
 struct ShardSlot {
     spec: ShardAddr,
     /// Idle connections, reused across requests (bounded).
-    pool: Mutex<Vec<Client>>,
+    pool: Mutex<Vec<TcpStream>>,
     state: Mutex<HealthState>,
-    /// Per-shard latency of successful exchanges; feeds the hedge delay.
-    /// Internal — not registered (histogram families are unlabeled).
-    latency: Histogram,
     retries: Arc<Counter>,
-    hedges: Arc<Counter>,
     failures: Arc<Counter>,
     down_total: Arc<Counter>,
     probes: Arc<Counter>,
@@ -131,7 +117,7 @@ struct ShardSlot {
 const POOL_CAP: usize = 4;
 
 struct Shared {
-    cfg: RouterConfig,
+    health: HealthPolicy,
     slots: Vec<ShardSlot>,
     registry: Registry,
     requests: Arc<Counter>,
@@ -143,6 +129,8 @@ struct Shared {
     latency: Arc<Histogram>,
     inflight: AtomicUsize,
     halt: AtomicBool,
+    /// Taken by the first client `Shutdown`; wakes [`Router::wait`].
+    shutdown_tx: Mutex<Option<mpsc::Sender<()>>>,
 }
 
 fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -174,15 +162,15 @@ impl Shared {
 pub struct Router {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    prober: Option<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
+    prober: JoinHandle<()>,
+    /// Connection threads still running as of the last accept.
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     shutdown_rx: mpsc::Receiver<()>,
-    shutdown_tx_probe: mpsc::Sender<()>,
 }
 
 impl Router {
-    /// Binds `cfg.addr` and starts the acceptor (and prober).
+    /// Binds `cfg.addr` and starts the acceptor and the prober.
     pub fn start(cfg: RouterConfig) -> io::Result<Router> {
         if cfg.shards.is_empty() {
             return Err(io::Error::new(
@@ -198,46 +186,30 @@ impl Router {
             .iter()
             .map(|&spec| {
                 let sid = spec.id.to_string();
+                let counter = |name, help| registry.counter_with_label(name, help, "shard", &sid);
                 let slot = ShardSlot {
                     spec,
                     pool: Mutex::new(Vec::new()),
                     state: Mutex::new(HealthState::new()),
-                    latency: Histogram::new(),
-                    retries: registry.counter_with_label(
+                    retries: counter(
                         "psj_router_shard_retries_total",
                         "Shard exchanges retried after a failure",
-                        "shard",
-                        &sid,
                     ),
-                    hedges: registry.counter_with_label(
-                        "psj_router_shard_hedges_total",
-                        "Hedge connections opened against a slow shard",
-                        "shard",
-                        &sid,
-                    ),
-                    failures: registry.counter_with_label(
+                    failures: counter(
                         "psj_router_shard_failures_total",
                         "Failed shard exchanges (connect, transport, timeout)",
-                        "shard",
-                        &sid,
                     ),
-                    down_total: registry.counter_with_label(
+                    down_total: counter(
                         "psj_router_shard_down_total",
                         "Transitions into the Down state",
-                        "shard",
-                        &sid,
                     ),
-                    probes: registry.counter_with_label(
+                    probes: counter(
                         "psj_router_shard_probes_total",
                         "Probe attempts against a Down shard",
-                        "shard",
-                        &sid,
                     ),
-                    recovered: registry.counter_with_label(
+                    recovered: counter(
                         "psj_router_shard_recovered_total",
                         "Recoveries from Down/Probing back to Healthy",
-                        "shard",
-                        &sid,
                     ),
                     health_gauge: registry.gauge_with_label(
                         "psj_router_shard_health",
@@ -250,6 +222,7 @@ impl Router {
                 slot
             })
             .collect();
+        let (shutdown_tx, shutdown_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
             requests: registry.counter("psj_router_requests_total", "Requests accepted"),
             completed: registry.counter(
@@ -278,17 +251,9 @@ impl Router {
             slots,
             inflight: AtomicUsize::new(0),
             halt: AtomicBool::new(false),
-            cfg,
+            shutdown_tx: Mutex::new(Some(shutdown_tx)),
+            health: cfg.health,
         });
-
-        let (shutdown_tx, shutdown_rx) = mpsc::channel();
-        let shutdown_tx = Arc::new(Mutex::new(Some(shutdown_tx)));
-        let shutdown_tx_probe = {
-            // A second sender keyed off the same channel so `stop` can
-            // unblock `wait` without a client Shutdown.
-            let guard = lock_clean(&shutdown_tx);
-            guard.as_ref().expect("fresh sender").clone()
-        };
 
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
@@ -301,34 +266,37 @@ impl Router {
                         if shared.halted() {
                             break;
                         }
-                        let Ok(stream) = stream else { continue };
+                        let Ok(stream) = stream else {
+                            std::thread::sleep(ACCEPT_BACKOFF);
+                            continue;
+                        };
                         let shared = Arc::clone(&shared);
-                        let shutdown_tx = Arc::clone(&shutdown_tx);
                         let h = std::thread::Builder::new()
                             .name("psj-router-conn".into())
-                            .spawn(move || handle_conn(&shared, stream, &shutdown_tx))
+                            .spawn(move || handle_conn(&shared, stream))
                             .expect("spawn router connection thread");
-                        lock_clean(&conns).push(h);
+                        let mut conns = lock_clean(&conns);
+                        conns.retain(|c| !c.is_finished());
+                        conns.push(h);
                     }
                 })
                 .expect("spawn router acceptor")
         };
-        let prober = shared.cfg.probe.then(|| {
+        let prober = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("psj-router-prober".into())
                 .spawn(move || prober_loop(&shared))
                 .expect("spawn router prober")
-        });
+        };
 
         Ok(Router {
             shared,
             addr,
-            acceptor: Some(acceptor),
+            acceptor,
             prober,
             conns,
             shutdown_rx,
-            shutdown_tx_probe,
         })
     }
 
@@ -351,18 +319,12 @@ impl Router {
 
     /// Stops the acceptor, prober, and connection threads. Shards are not
     /// contacted — a router shutdown never takes data nodes with it.
-    pub fn stop(mut self) {
+    pub fn stop(self) {
         self.shared.halt.store(true, Ordering::SeqCst);
-        // In case someone is blocked in `wait`.
-        let _ = self.shutdown_tx_probe.send(());
         // Unblock the acceptor with a dummy connection.
         let _ = TcpStream::connect(self.addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        if let Some(p) = self.prober.take() {
-            let _ = p.join();
-        }
+        let _ = self.acceptor.join();
+        let _ = self.prober.join();
         let conns: Vec<JoinHandle<()>> = std::mem::take(&mut *lock_clean(&self.conns));
         for c in conns {
             let _ = c.join();
@@ -381,13 +343,9 @@ enum ShardAnswer {
     Missing,
 }
 
-fn handle_conn(
-    shared: &Arc<Shared>,
-    stream: TcpStream,
-    shutdown_tx: &Arc<Mutex<Option<mpsc::Sender<()>>>>,
-) {
+fn handle_conn(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.cfg.conn_read_timeout));
+    let _ = stream.set_read_timeout(Some(CONN_READ_TIMEOUT));
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -434,7 +392,7 @@ fn handle_conn(
         };
         if matches!(req, Request::Shutdown) {
             let _ = write_frame(&mut writer, &Response::ShutdownAck.encode_or_error());
-            if let Some(tx) = lock_clean(shutdown_tx).take() {
+            if let Some(tx) = lock_clean(&shared.shutdown_tx).take() {
                 let _ = tx.send(());
             }
             return;
@@ -447,7 +405,7 @@ fn handle_conn(
 }
 
 /// Routes one decoded request and produces the reply.
-fn dispatch(shared: &Arc<Shared>, req: Request) -> Response {
+fn dispatch(shared: &Shared, req: Request) -> Response {
     shared.requests.inc();
     match req {
         Request::Stats => stats_response(shared),
@@ -456,7 +414,7 @@ fn dispatch(shared: &Arc<Shared>, req: Request) -> Response {
         Request::Shutdown => unreachable!("handled in the connection loop"),
         Request::Window { .. } | Request::Nearest { .. } | Request::Join { .. } => {
             // Admission control: bound concurrent scatters.
-            if shared.inflight.fetch_add(1, Ordering::SeqCst) >= shared.cfg.queue_bound {
+            if shared.inflight.fetch_add(1, Ordering::SeqCst) >= QUEUE_BOUND {
                 shared.inflight.fetch_sub(1, Ordering::SeqCst);
                 shared.shed.inc();
                 return Response::Overloaded;
@@ -525,7 +483,7 @@ fn targets_for(shared: &Shared, req: &Request) -> Vec<(usize, Request)> {
     }
 }
 
-fn request_deadline(shared: &Shared, req: &Request, arrival: Instant) -> Instant {
+fn request_deadline(req: &Request, arrival: Instant) -> Instant {
     let ms = match req {
         Request::Window { deadline_ms, .. }
         | Request::Nearest { deadline_ms, .. }
@@ -535,117 +493,81 @@ fn request_deadline(shared: &Shared, req: &Request, arrival: Instant) -> Instant
     let budget = if ms > 0 {
         Duration::from_millis(u64::from(ms))
     } else {
-        shared.cfg.default_deadline
+        DEFAULT_DEADLINE
     };
     arrival + budget
-}
-
-/// Whether this request kind may be hedged (reads only; a join is too
-/// expensive to run twice on a hunch).
-fn hedgeable(req: &Request) -> bool {
-    matches!(req, Request::Window { .. } | Request::Nearest { .. })
 }
 
 /// Fans the request out and gathers under the deadline. Returns the
 /// merged payload, a `Partial` when shards are missing, or a typed
 /// error/`DeadlineExceeded` for degenerate outcomes.
-fn scatter_gather(shared: &Arc<Shared>, req: &Request, arrival: Instant) -> Response {
+///
+/// The first target is queried on the calling (connection) thread and
+/// every other one on a scoped thread; the gather joins them all. That is
+/// safe because every syscall of an exchange is bounded by `deadline`
+/// (see [`Bounded`]), so a shard that never answers, or answers a byte at
+/// a time, comes back `Missing` at the deadline rather than holding the
+/// gather.
+fn scatter_gather(shared: &Shared, req: &Request, arrival: Instant) -> Response {
     let targets = targets_for(shared, req);
-    if targets.is_empty() {
+    let Some(((first, first_req), rest)) = targets.split_first() else {
         return Response::Error("request resolves to no shard".into());
-    }
-    let deadline = request_deadline(shared, req, arrival);
-    let hedge = hedgeable(req);
-
-    let (tx, rx) = mpsc::channel::<(usize, ShardAnswer)>();
-    let n = targets.len();
-    for (idx, shard_req) in targets {
-        let shared = Arc::clone(shared);
-        let tx = tx.clone();
-        // Detached on purpose: a thread stuck on a black-holed shard must
-        // not wedge the gather — the channel simply never hears from it
-        // and the deadline prevails.
-        std::thread::Builder::new()
-            .name(format!("psj-router-scatter-{}", shared.slots[idx].spec.id))
-            .spawn(move || {
-                let answer = query_shard(&shared, idx, &shard_req, deadline, hedge);
-                let _ = tx.send((idx, answer));
+    };
+    let deadline = request_deadline(req, arrival);
+    let answers: Vec<(usize, ShardAnswer)> = std::thread::scope(|s| {
+        let others: Vec<_> = rest
+            .iter()
+            .map(|(idx, shard_req)| {
+                (
+                    *idx,
+                    s.spawn(move || query_shard(shared, *idx, shard_req, deadline)),
+                )
             })
-            .expect("spawn scatter thread");
-    }
-    drop(tx);
-
-    let mut answers: Vec<(usize, ShardAnswer)> = Vec::with_capacity(n);
-    let mut deadline_hit = false;
-    while answers.len() < n {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            deadline_hit = true;
-            break;
+            .collect();
+        let mut answers = Vec::with_capacity(targets.len());
+        answers.push((*first, query_shard(shared, *first, first_req, deadline)));
+        for (idx, h) in others {
+            answers.push((idx, h.join().unwrap_or(ShardAnswer::Missing)));
         }
-        match rx.recv_timeout(remaining) {
-            Ok(a) => answers.push(a),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                deadline_hit = true;
-                break;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    if deadline_hit {
+        answers
+    });
+    let missing = answers
+        .iter()
+        .any(|(_, a)| matches!(a, ShardAnswer::Missing));
+    if missing && Instant::now() >= deadline {
         shared.deadlines.inc();
     }
 
     merge(shared, req, answers)
 }
 
-/// Merges gathered answers into the client-facing response.
+/// Merges the gathered answers, one per target, into the client-facing
+/// response.
 fn merge(shared: &Shared, req: &Request, answers: Vec<(usize, ShardAnswer)>) -> Response {
-    let mut answered: Vec<usize> = Vec::new();
     let mut payloads: Vec<Response> = Vec::new();
     let mut typed: Vec<Response> = Vec::new();
-    let mut typed_missing: Vec<u16> = Vec::new();
+    // Targets that produced no payload, typed or transport-missing, are
+    // the partial set: a window over slab 2 is not "missing" slabs 0 and 1.
+    let mut missing: Vec<u16> = Vec::new();
     for (idx, a) in answers {
         match a {
-            ShardAnswer::Payload(r) => {
-                answered.push(idx);
-                payloads.push(r);
-            }
+            ShardAnswer::Payload(r) => payloads.push(r),
             ShardAnswer::Typed(r) => {
-                typed_missing.push(shared.slots[idx].spec.id);
+                missing.push(shared.slots[idx].spec.id);
                 typed.push(r);
             }
-            ShardAnswer::Missing => {}
+            ShardAnswer::Missing => missing.push(shared.slots[idx].spec.id),
         }
     }
-    // Shards that produced no payload — transport-missing, typed, or
-    // never heard from — are the partial set.
-    let mut missing: Vec<u16> = shared
-        .slots
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !answered.contains(i))
-        // Only shards that were actually targeted count as missing: a
-        // window over slab 2 is not "missing" slabs 0 and 1.
-        .filter(|(_, s)| match req {
-            Request::Window { rect, .. } => s.spec.x_lo <= rect.xu && s.spec.x_hi > rect.xl,
-            _ => true,
-        })
-        .map(|(_, s)| s.spec.id)
-        .collect();
     missing.sort_unstable();
-    missing.dedup();
 
     if payloads.is_empty() {
-        // No data at all. If every targeted shard answered with the same
-        // kind of typed refusal, pass the first through for single-node
-        // parity (e.g. `Error("unknown tree")`); otherwise report the
-        // outage as a deadline/partial problem.
-        if missing.len() == typed_missing.len() && !typed.is_empty() {
-            return typed.into_iter().next().expect("nonempty");
-        }
-        if missing.is_empty() {
-            return Response::Error("no shard produced a response".into());
+        // No data at all. If every targeted shard answered with a typed
+        // refusal, pass the first through for single-node parity (e.g.
+        // `Error("unknown tree")`); otherwise report the outage as a
+        // partial answer.
+        if typed.len() == missing.len() {
+            return typed.into_iter().next().expect("at least one target");
         }
         return Response::Partial {
             missing_shards: missing,
@@ -721,13 +643,7 @@ fn merge_payloads(req: &Request, payloads: Vec<Response>) -> Response {
 
 /// Sends one request to one shard under the health machine, retry
 /// budget, and deadline. Returns the shard's answer classification.
-fn query_shard(
-    shared: &Arc<Shared>,
-    idx: usize,
-    req: &Request,
-    deadline: Instant,
-    hedge: bool,
-) -> ShardAnswer {
+fn query_shard(shared: &Shared, idx: usize, req: &Request, deadline: Instant) -> ShardAnswer {
     let slot = &shared.slots[idx];
     let decision = lock_clean(&slot.state).route(Instant::now());
     let attempts = match decision {
@@ -737,23 +653,18 @@ fn query_shard(
             slot.health_gauge.set(Health::Probing.as_gauge());
             1
         }
-        RouteDecision::Route => shared.cfg.retry.max_retries + 1,
+        RouteDecision::Route => RETRY.max_retries + 1,
     };
     for attempt in 0..attempts {
         if attempt > 0 {
-            let delay = shared.cfg.retry.delay(attempt - 1);
+            let delay = RETRY.delay(attempt - 1);
             if Instant::now() + delay >= deadline {
                 break;
             }
             std::thread::sleep(delay);
             slot.retries.inc();
         }
-        let result = if hedge && decision == RouteDecision::Route {
-            attempt_hedged(shared, idx, req, deadline)
-        } else {
-            attempt_once(shared, idx, req, deadline)
-        };
-        match result {
+        match attempt_once(shared, idx, req, deadline) {
             Ok(resp) => {
                 let t = lock_clean(&slot.state).on_success();
                 shared.record_transition(idx, t);
@@ -768,7 +679,7 @@ fn query_shard(
             }
             Err(_) => {
                 slot.failures.inc();
-                let t = lock_clean(&slot.state).on_failure(&shared.cfg.health, Instant::now());
+                let t = lock_clean(&slot.state).on_failure(&shared.health, Instant::now());
                 shared.record_transition(idx, t);
             }
         }
@@ -780,9 +691,9 @@ fn query_shard(
 }
 
 /// One exchange on a pooled (or fresh) connection, bounded by the
-/// remaining deadline budget.
+/// remaining deadline budget and by [`READ_TIMEOUT`].
 fn attempt_once(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     idx: usize,
     req: &Request,
     deadline: Instant,
@@ -795,18 +706,14 @@ fn attempt_once(
             "deadline exhausted before the attempt",
         ));
     }
-    let mut client = match lock_clean(&slot.pool).pop() {
-        Some(c) => c,
-        None => {
-            Client::connect_timeout(&slot.spec.addr, shared.cfg.connect_timeout.min(remaining))?
-        }
+    let pooled = lock_clean(&slot.pool).pop();
+    let stream = match pooled {
+        Some(s) => s,
+        None => connect(slot.spec.addr, CONNECT_TIMEOUT.min(remaining))?,
     };
-    let timeout = shared.cfg.read_timeout.min(remaining);
-    client.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
-    let started = Instant::now();
     // A failed exchange drops the connection (its stream may hold a
     // half-read frame); only clean exchanges return to the pool.
-    let resp = client.request(req)?;
+    let resp = exchange(&stream, req, deadline.min(Instant::now() + READ_TIMEOUT))?;
     if matches!(resp, Response::Partial { .. }) {
         // Shards never answer Partial; a shard that does is broken.
         return Err(io::Error::new(
@@ -814,79 +721,75 @@ fn attempt_once(
             "shard answered with a router-only Partial response",
         ));
     }
-    slot.latency.record(started.elapsed());
     let mut pool = lock_clean(&slot.pool);
     if pool.len() < POOL_CAP {
-        pool.push(client);
+        pool.push(stream);
     }
     Ok(resp)
 }
 
-/// The hedge delay for a shard: its observed p99, clamped to something
-/// sane (a cold or absurd histogram must not produce a 0 ns or 10 s
-/// hedge).
-fn hedge_delay(slot: &ShardSlot) -> Duration {
-    let p99_ms = slot.latency.quantile_ms(0.99);
-    Duration::from_micros((p99_ms * 1_000.0).clamp(1_000.0, 250_000.0) as u64)
+fn connect(addr: SocketAddr, timeout: Duration) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect_timeout(&addr, timeout)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
-/// An attempt with a hedge: if the primary exchange has not answered
-/// within the shard's p99, a second connection races it; first answer
-/// wins. Only engaged once enough latency samples exist.
-fn attempt_hedged(
-    shared: &Arc<Shared>,
-    idx: usize,
-    req: &Request,
+/// A shard socket seen through a deadline: every read and write first
+/// re-arms the socket's timeout to what remains of the budget, so a shard
+/// that stalls, or trickles its reply a byte at a time, cannot stretch an
+/// exchange past `deadline`.
+struct Bounded<'a> {
+    stream: &'a TcpStream,
     deadline: Instant,
-) -> io::Result<Response> {
-    let slot = &shared.slots[idx];
-    if !shared.cfg.hedge || slot.latency.count() < shared.cfg.hedge_min_samples {
-        return attempt_once(shared, idx, req, deadline);
-    }
-    let delay = hedge_delay(slot);
-    let (tx, rx) = mpsc::channel::<io::Result<Response>>();
-    let spawn_attempt = |tx: mpsc::Sender<io::Result<Response>>| {
-        let shared = Arc::clone(shared);
-        let req = req.clone();
-        std::thread::Builder::new()
-            .name("psj-router-hedge".into())
-            .spawn(move || {
-                let _ = tx.send(attempt_once(&shared, idx, &req, deadline));
-            })
-            .expect("spawn hedge thread");
-    };
-    spawn_attempt(tx.clone());
-    match rx.recv_timeout(delay) {
-        Ok(first) => first,
-        Err(mpsc::RecvTimeoutError::Disconnected) => Err(io::Error::new(
-            io::ErrorKind::BrokenPipe,
-            "hedge primary vanished",
-        )),
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            // Primary is slow: open the hedge and take whichever answers
-            // first, within what remains of the deadline.
-            slot.hedges.inc();
-            spawn_attempt(tx.clone());
-            drop(tx);
-            let mut last_err: Option<io::Error> = None;
-            loop {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Err(last_err.unwrap_or_else(|| {
-                        io::Error::new(io::ErrorKind::TimedOut, "hedged attempts timed out")
-                    }));
-                }
-                match rx.recv_timeout(remaining) {
-                    Ok(Ok(resp)) => return Ok(resp),
-                    Ok(Err(e)) => last_err = Some(e),
-                    Err(_) => {
-                        return Err(last_err.unwrap_or_else(|| {
-                            io::Error::new(io::ErrorKind::TimedOut, "hedged attempts timed out")
-                        }))
-                    }
-                }
-            }
+}
+
+impl Bounded<'_> {
+    fn remaining(&self) -> io::Result<Duration> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "shard exchange ran out of deadline",
+            ));
         }
+        Ok(left)
+    }
+}
+
+impl Read for Bounded<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.remaining()?))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
+impl Write for Bounded<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.remaining()?))?;
+        let mut stream = self.stream;
+        stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// One request/reply exchange with a shard, every syscall bounded by
+/// `deadline`.
+fn exchange(stream: &TcpStream, req: &Request, deadline: Instant) -> io::Result<Response> {
+    let mut io = Bounded { stream, deadline };
+    // Framed in memory first so the request leaves in one write.
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &req.encode())?;
+    io.write_all(&frame)?;
+    match read_frame(&mut io, MAX_RESPONSE_FRAME)? {
+        Some(reply) => Ok(Response::decode(&reply)?),
+        None => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "shard closed the connection before replying",
+        )),
     }
 }
 
@@ -894,30 +797,19 @@ fn attempt_hedged(
 /// the responder must identify as the shard the topology expects.
 fn probe_shard(shared: &Shared, idx: usize) -> bool {
     let slot = &shared.slots[idx];
-    let Ok(mut client) = Client::connect_timeout(&slot.spec.addr, shared.cfg.connect_timeout)
-    else {
+    let Ok(stream) = connect(slot.spec.addr, CONNECT_TIMEOUT) else {
         return false;
     };
-    if client
-        .set_read_timeout(Some(shared.cfg.read_timeout))
-        .is_err()
-    {
-        return false;
-    }
-    match client.info_tagged() {
-        Ok((sid, trees)) => sid == slot.spec.id && !trees.is_empty(),
-        Err(_) => false,
+    match exchange(&stream, &Request::Info, Instant::now() + READ_TIMEOUT) {
+        Ok(Response::Info { shard, trees }) => shard == slot.spec.id && !trees.is_empty(),
+        _ => false,
     }
 }
 
 /// Background prober: readmits Down shards without waiting for client
 /// traffic to trip over them.
-fn prober_loop(shared: &Arc<Shared>) {
-    let tick = shared
-        .cfg
-        .health
-        .probe_interval
-        .min(Duration::from_millis(50));
+fn prober_loop(shared: &Shared) {
+    let tick = shared.health.probe_interval.min(Duration::from_millis(50));
     let tick = tick.max(Duration::from_millis(5));
     while !shared.halted() {
         std::thread::sleep(tick);
@@ -939,7 +831,7 @@ fn prober_loop(shared: &Arc<Shared>) {
             let t = if ok {
                 lock_clean(&slot.state).on_success()
             } else {
-                lock_clean(&slot.state).on_failure(&shared.cfg.health, Instant::now())
+                lock_clean(&slot.state).on_failure(&shared.health, Instant::now())
             };
             shared.record_transition(idx, t);
         }
@@ -976,8 +868,8 @@ fn metrics_text(shared: &Shared) -> String {
 /// across the shards that answered. Replicated items are counted once
 /// per replica — the numbers describe the physical cluster, not the
 /// logical dataset.
-fn info_response(shared: &Arc<Shared>) -> Response {
-    let deadline = Instant::now() + shared.cfg.default_deadline;
+fn info_response(shared: &Shared) -> Response {
+    let deadline = Instant::now() + DEFAULT_DEADLINE;
     let mut merged: Vec<TreeInfo> = Vec::new();
     let mut any = false;
     for idx in 0..shared.slots.len() {
@@ -1005,5 +897,49 @@ fn info_response(shared: &Arc<Shared>) -> Response {
     Response::Info {
         shard: ROUTER_SHARD,
         trees: merged,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use psj_serve::Client;
+
+    #[test]
+    fn finished_connection_handles_are_dropped_at_accept() {
+        // The router never dials its shard here; the listener only gives
+        // the topology a live address.
+        let shard = TcpListener::bind("127.0.0.1:0").unwrap();
+        let router = Router::start(RouterConfig {
+            shards: vec![ShardAddr {
+                id: 0,
+                addr: shard.local_addr().unwrap(),
+                x_lo: f64::NEG_INFINITY,
+                x_hi: f64::INFINITY,
+            }],
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        let addr = router.local_addr();
+        for _ in 0..50 {
+            Client::connect(addr).unwrap().stats().unwrap();
+        }
+        // Each accept drops the handles of threads that have exited; a
+        // hung-up client's thread exits as soon as it reads EOF, so a few
+        // more accepts see all 50 gone.
+        let t0 = Instant::now();
+        loop {
+            drop(TcpStream::connect(addr));
+            if lock_clean(&router.conns).len() <= 4 {
+                break;
+            }
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "{} connection handles still held",
+                lock_clean(&router.conns).len()
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        router.stop();
     }
 }

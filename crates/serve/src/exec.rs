@@ -16,7 +16,7 @@
 //! other queries and trees are unaffected. A query never returns a
 //! silently partial result.
 
-use psj_core::{try_run_join, CancelToken, JoinEngine, NativeConfig, NativeError, RunControl};
+use psj_core::{try_run_join, CancelToken, NativeConfig, NativeError, RunControl};
 use psj_geom::{Point, Rect};
 use psj_obs::trace::TID_SERVE;
 use psj_obs::{Counter, TraceSink};
@@ -274,25 +274,14 @@ pub struct JoinRun {
     pub tasks: u64,
 }
 
-/// Join-executor tuning copied from the server configuration: thread count
-/// and engine, threaded through to [`NativeConfig`].
-#[derive(Debug, Clone, Copy)]
-pub struct JoinTuning {
-    /// Worker threads per join request.
-    pub threads: usize,
-    /// Join engine: the R-tree traversal or the in-memory grid partition,
-    /// as configured; nothing picks one per request. Served joins read the
-    /// trees' arenas in place, so either engine is safe here.
-    pub engine: JoinEngine,
-}
-
-/// Spatial join of two loaded trees with a deadline, on `tuning.threads`
-/// worker threads. The join kernel reads both trees' arenas itself, so
-/// neither the deadline-checked [`NodeAccess`] of the queries nor an
-/// injected [`TreeSet`] fault plan applies to joins; the deadline cancels
-/// the join's workers instead. A tree with load-time poisoned pages is
-/// refused outright with [`Outcome::Storage`] — the direct descent would
-/// read the placeholder nodes and silently return wrong pairs.
+/// Spatial join of two loaded trees with a deadline, on `threads` worker
+/// threads of the R-tree engine. The join kernel reads both trees' arenas
+/// itself, so neither the deadline-checked [`NodeAccess`] of the queries
+/// nor an injected [`TreeSet`] fault plan applies to joins; the deadline
+/// cancels the join's workers instead. A tree with load-time poisoned
+/// pages is refused outright with [`Outcome::Storage`] — the direct
+/// descent would read the placeholder nodes and silently return wrong
+/// pairs.
 ///
 /// `owner` restricts the result to pairs this shard *owns* (sharded
 /// clusters replicate boundary items into every overlapping shard, so an
@@ -307,7 +296,7 @@ pub fn join(
     tree_b: u16,
     refine: bool,
     owner: Option<(f64, f64)>,
-    tuning: JoinTuning,
+    threads: usize,
     deadline: Option<Instant>,
 ) -> Outcome<JoinRun> {
     let a = &trees.trees[tree_a as usize];
@@ -324,9 +313,8 @@ pub fn join(
             });
         }
     }
-    let mut cfg = NativeConfig::new(tuning.threads.max(1));
+    let mut cfg = NativeConfig::new(threads.max(1));
     cfg.refine = refine;
-    cfg.engine = tuning.engine;
     let token = match deadline {
         Some(d) => CancelToken::with_deadline(d),
         None => CancelToken::new(),
@@ -409,11 +397,6 @@ mod tests {
     fn faulty(plan: &Arc<FaultPlan>) -> TreeSet {
         set().with_fault(Arc::clone(plan), RetryPolicy::default(), None)
     }
-
-    const TWO: JoinTuning = JoinTuning {
-        threads: 2,
-        engine: JoinEngine::RTree,
-    };
 
     fn direct(trees: &TreeSet, tree: u16, rect: &Rect) -> Vec<u64> {
         trees.trees[tree as usize]
@@ -528,14 +511,14 @@ mod tests {
     fn join_matches_core_and_respects_deadline() {
         let trees = set();
         let want = psj_core::join_refined(&trees.trees[0], &trees.trees[1]);
-        let got = join(&trees, 0, 1, true, None, TWO, None).ok().unwrap();
+        let got = join(&trees, 0, 1, true, None, 2, None).ok().unwrap();
         assert!(got.tasks > 0, "phase-1 task count travels with the result");
         let as_set =
             |v: &[(u64, u64)]| v.iter().copied().collect::<std::collections::BTreeSet<_>>();
         assert_eq!(as_set(&got.pairs), as_set(&want));
         let past = Instant::now() - Duration::from_millis(1);
         assert_eq!(
-            join(&trees, 0, 1, true, None, TWO, Some(past)),
+            join(&trees, 0, 1, true, None, 2, Some(past)),
             Outcome::DeadlineExceeded
         );
     }
@@ -548,17 +531,14 @@ mod tests {
     #[test]
     fn owner_intervals_partition_the_join_exactly_once() {
         let trees = set();
-        let all = join(&trees, 0, 1, true, None, TWO, None)
-            .ok()
-            .unwrap()
-            .pairs;
+        let all = join(&trees, 0, 1, true, None, 2, None).ok().unwrap().pairs;
         // Half-open intervals tiling the x-axis, boundary chosen to split
         // the data; pair ownership must partition the unrestricted result.
         let cuts = [f64::NEG_INFINITY, 13.0, 27.5, f64::INFINITY];
         let mut union: Vec<(u64, u64)> = Vec::new();
         let mut total = 0usize;
         for w in cuts.windows(2) {
-            let owned = join(&trees, 0, 1, true, Some((w[0], w[1])), TWO, None)
+            let owned = join(&trees, 0, 1, true, Some((w[0], w[1])), 2, None)
                 .ok()
                 .unwrap()
                 .pairs;
@@ -702,7 +682,7 @@ mod tests {
             }
             other => panic!("poisoned page served: {other:?}"),
         }
-        let got = join(&trees, 0, 1, true, None, TWO, None);
+        let got = join(&trees, 0, 1, true, None, 2, None);
         assert!(
             matches!(&got, Outcome::Storage(e) if e.is_corrupt()),
             "{got:?}"

@@ -66,9 +66,6 @@ pub struct ServeConfig {
     pub batch_window: Duration,
     /// Threads per join request.
     pub join_threads: usize,
-    /// Join engine answering every join request: the R-tree traversal
-    /// (the default) or the in-memory grid partition.
-    pub join_engine: psj_core::JoinEngine,
     /// Socket read timeout; also the cadence at which idle connection
     /// threads re-check the halt flag.
     pub read_timeout: Duration,
@@ -96,7 +93,6 @@ impl Default for ServeConfig {
             queue_bound: 256,
             batch_window: Duration::ZERO,
             join_threads: 4,
-            join_engine: psj_core::JoinEngine::RTree,
             read_timeout: Duration::from_millis(250),
             fault: None,
             retry: RetryPolicy::default(),
@@ -606,10 +602,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                         tree_b,
                         refine,
                         owner,
-                        exec::JoinTuning {
-                            threads: shared.cfg.join_threads,
-                            engine: shared.cfg.join_engine,
-                        },
+                        shared.cfg.join_threads,
                         deadline,
                     );
                     if let Outcome::Ok(run) = &result {

@@ -11,7 +11,7 @@ use psj_datagen::Scenario;
 use psj_geom::Rect;
 use psj_rtree::{bulk::bulk_load_str, PagedTree, RTree};
 use psj_serve::{Client, ClientError, Response, ServeConfig, Server};
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -413,6 +413,105 @@ fn black_holed_shard_hits_the_deadline_not_a_hang() {
     }
     assert!(
         t0.elapsed() < Duration::from_secs(5),
+        "deadline-bounded scatter took {:?}",
+        t0.elapsed()
+    );
+
+    router.stop();
+    server.stop();
+}
+
+#[test]
+fn trickling_shard_hits_the_deadline_not_a_hang() {
+    let (items1, items2) = items();
+    let mbr = world_mbr(&items1);
+    let mid = (mbr.xl + mbr.xu) / 2.0;
+
+    // Shard 0: a real server owning everything. Shard 1: reads the
+    // request, then sends a valid length prefix and one payload byte
+    // every 50 ms — every read succeeds, yet the reply never completes.
+    let server = Server::start(
+        ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            read_timeout: Duration::from_millis(50),
+            ..ServeConfig::default()
+        },
+        vec![Arc::new(freeze(&items1)), Arc::new(freeze(&items2))],
+    )
+    .expect("bind shard 0");
+    let trickle = TcpListener::bind("127.0.0.1:0").expect("bind trickling shard");
+    let trickle_addr = trickle.local_addr().expect("trickle addr");
+    std::thread::spawn(move || {
+        for conn in trickle.incoming() {
+            let Ok(mut conn) = conn else { continue };
+            std::thread::spawn(move || {
+                let mut prefix = [0u8; 4];
+                if conn.read_exact(&mut prefix).is_err() {
+                    return;
+                }
+                let mut request = vec![0u8; u32::from_le_bytes(prefix) as usize];
+                if conn.read_exact(&mut request).is_err() {
+                    return;
+                }
+                if conn.write_all(&4096u32.to_le_bytes()).is_err() {
+                    return;
+                }
+                // Ends when the router drops the connection.
+                loop {
+                    std::thread::sleep(Duration::from_millis(50));
+                    if conn.write_all(&[0]).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+
+    let router = Router::start(RouterConfig {
+        shards: vec![
+            ShardAddr {
+                id: 0,
+                addr: server.local_addr(),
+                x_lo: f64::NEG_INFINITY,
+                x_hi: f64::INFINITY,
+            },
+            ShardAddr {
+                id: 1,
+                addr: trickle_addr,
+                x_lo: mid,
+                x_hi: f64::INFINITY,
+            },
+        ],
+        ..RouterConfig::default()
+    })
+    .expect("bind router");
+    let mut client = Client::connect(router.local_addr()).expect("connect router");
+
+    let everything = Rect::new(mbr.xl - 1.0, mbr.yl - 1.0, mbr.xu + 1.0, mbr.yu + 1.0);
+    let mut want: Vec<u64> = items1.iter().map(|&(_, oid)| oid).collect();
+    want.sort_unstable();
+
+    let t0 = Instant::now();
+    match client.window(0, everything, 300) {
+        Err(ClientError::Unexpected(r)) => match *r {
+            Response::Partial {
+                missing_shards,
+                inner,
+            } => {
+                assert_eq!(missing_shards, vec![1]);
+                let Response::Entries(mut oids) = *inner else {
+                    panic!("partial wraps {inner:?}");
+                };
+                oids.sort_unstable();
+                assert_eq!(oids, want, "shard 0's full answer must survive");
+            }
+            other => panic!("unexpected response: {other:?}"),
+        },
+        other => panic!("expected a partial answer, got {other:?}"),
+    }
+    assert!(
+        t0.elapsed() < Duration::from_secs(2),
         "deadline-bounded scatter took {:?}",
         t0.elapsed()
     );
