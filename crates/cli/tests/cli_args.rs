@@ -2,7 +2,8 @@
 //! zero count is a usage error of its command (exit 1), and an unknown
 //! command, an undeclared option or a value-less option is a parse error
 //! (exit 2). None of them may reach a panic, and a tree file of an earlier
-//! format is refused with its version named.
+//! format is refused with its version named. The grid engine's success
+//! path agrees with the R-tree engine's on the same trees.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -199,6 +200,45 @@ fn declared_options_still_run() {
         tail[1].starts_with("load time:          ") && tail[1].ends_with(" (both trees)"),
         "{stdout}"
     );
+}
+
+#[test]
+fn partition_engine_joins_like_the_rtree_engine() {
+    // The lines both engines must agree on: the filter's candidates and
+    // the result count (exact, or the candidates without refinement).
+    let agreed = |stdout: &str| -> Vec<String> {
+        stdout
+            .lines()
+            .filter(|l| {
+                ["filter candidates:", "exact results:", "candidate results:"]
+                    .iter()
+                    .any(|p| l.starts_with(p))
+            })
+            .map(str::to_owned)
+            .collect()
+    };
+    for refine in [&[][..], &["--no-refine"][..]] {
+        let run = |engine: &str| {
+            let mut extra = vec!["--threads", "2", "--engine", engine];
+            extra.extend_from_slice(refine);
+            let out = on_trees("join", &extra);
+            assert!(
+                out.status.success(),
+                "{engine} {refine:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            String::from_utf8_lossy(&out.stdout).into_owned()
+        };
+        let (grid, rtree) = (run("partition"), run("rtree"));
+        assert!(grid.contains("engine:             partition"), "{grid}");
+        assert!(
+            grid.lines().any(|l| l.starts_with("grid replication:")),
+            "{grid}"
+        );
+        let lines = agreed(&grid);
+        assert_eq!(lines.len(), 2, "{grid}");
+        assert_eq!(lines, agreed(&rtree), "{refine:?}\n{grid}\n{rtree}");
+    }
 }
 
 #[test]

@@ -271,14 +271,18 @@ fn plan_sides(
     })
 }
 
-/// Runs the partition join with runtime controls. Cancellation is honored
-/// between planning phases and at cell granularity; tracing emits
-/// `plan_partition`/`join` driver spans, one `plan.count`/`plan.scatter`/
-/// `plan.sort` span per worker, and per-morsel `task` spans like the
-/// R-tree engine. Fault plans and retry policies are inert here (they
-/// act on page-cache fills; this engine has no cache) — callers that need
-/// fault coverage keep [`JoinEngine::RTree`]; `psj join` rejects the
-/// cache and fault options with `--engine partition`.
+/// Runs the partition join with runtime controls. Planning runs on the
+/// join's workers in three timed phases: `plan.count` (placements per
+/// cell), `plan.scatter` (each placement's index and its four coordinates
+/// into the cell's run) and `plan.sort` (each run by `(xl, position)`,
+/// reading only the run). Cancellation is honored between planning phases
+/// and at cell granularity; tracing emits `plan_partition`/`join` driver
+/// spans, one `plan.count`/`plan.scatter`/`plan.sort` span per worker, and
+/// per-morsel `task` spans like the R-tree engine. Fault plans and retry
+/// policies are inert here (they act on page-cache fills; this engine has
+/// no cache) — callers that need fault coverage keep [`JoinEngine::RTree`];
+/// `psj join` rejects the cache and fault options with `--engine
+/// partition`.
 ///
 /// [`NativeResult::elapsed`] starts before planning: the grid, the
 /// replication passes and the per-cell sorts are real costs of answering

@@ -8,11 +8,12 @@
 //! parallelism, average entry extents bound how finely it may be cut before
 //! replication explodes. Every item is then *replicated* into each cell its
 //! MBR overlaps (CSR layout, one index per side, each cell's run sorted by
-//! `xl` for the plane sweep; [`build_cells`] does this on the join's
-//! threads), and cross-cell duplicate results are
-//! suppressed at execution time with the **reference-point test**: a pair is
-//! reported only by the cell containing the bottom-left corner of its MBR
-//! intersection, which lies in exactly one cell.
+//! `xl` for the plane sweep, its coordinates in lanes beside it;
+//! [`build_cells`] counts, scatters and sorts on the join's threads), and
+//! cross-cell duplicate results are suppressed at execution time with the
+//! **reference-point test**: a pair is reported only by the cell containing
+//! the bottom-left corner of its MBR intersection, which lies in exactly one
+//! cell.
 //!
 //! Cell membership is decided by [`GridPlan::cell_x`]/[`GridPlan::cell_y`]
 //! everywhere — item placement and the reference-point test share the same
@@ -20,6 +21,9 @@
 //! cells both items were placed in (the mapping is monotone and
 //! `a.xl ≤ ref.x ≤ a.xu` brackets the reference point inside both items'
 //! cell ranges). Floating-point cell *boundaries* never enter any decision.
+//! The mapping truncates rather than calling `f64::floor` (a library call
+//! on the baseline x86-64 target); after clamping at 0 truncation equals
+//! `floor`, so it picks the same cell for every `f64`.
 
 use super::RectItem;
 use crate::native::{NativeError, RunControl};
@@ -77,20 +81,28 @@ impl GridPlan {
         self.nx as usize * self.ny as usize
     }
 
-    /// Column of coordinate `x`, clamped into the grid. Monotone in `x`
-    /// (`sx > 0` and subtraction, multiplication, floor and clamp all
+    /// Column of coordinate `x`, clamped into the grid: the column
+    /// `floor((x − xl) · sx)` clamped to `0..nx`. Monotone in `x` (`sx ≥ 0`
+    /// and subtraction, multiplication, `max`, the cast and `min` all
     /// preserve order; a degenerate axis maps everything to column 0).
+    ///
+    /// The mapping truncates instead of calling `f64::floor`, which the
+    /// baseline x86-64 target (no SSE4.1 `roundsd`) lowers to a library
+    /// call, four per placed item. Truncation picks the same cell for
+    /// every `f64`: on `t ≥ 0` it equals `floor`; negatives, `−0.0` and
+    /// `NaN` meet `max(0.0)` first (`f64::max` returns the non-`NaN`
+    /// operand) and map to 0, as `floor` then clamping does; `±∞`
+    /// saturate in the cast the same way.
     #[inline]
     pub fn cell_x(&self, x: f64) -> u32 {
-        let t = (x - self.universe.xl) * self.sx;
-        (t.floor() as i64).clamp(0, i64::from(self.nx) - 1) as u32
+        cell_of((x - self.universe.xl) * self.sx, self.nx)
     }
 
-    /// Row of coordinate `y`, clamped into the grid. Monotone in `y`.
+    /// Row of coordinate `y`, clamped into the grid; the same mapping as
+    /// [`GridPlan::cell_x`] on the `y` axis. Monotone in `y`.
     #[inline]
     pub fn cell_y(&self, y: f64) -> u32 {
-        let t = (y - self.universe.yl) * self.sy;
-        (t.floor() as i64).clamp(0, i64::from(self.ny) - 1) as u32
+        cell_of((y - self.universe.yl) * self.sy, self.ny)
     }
 
     /// Row-major id of cell `(cx, cy)`.
@@ -196,6 +208,13 @@ pub fn plan_grid(universe: Rect, a: &ItemStats, b: &ItemStats, workers: usize) -
     GridPlan::new(universe, nx, ny)
 }
 
+/// Cell `floor(t)` clamped to `0..n`, computed by truncation — exact for
+/// every `f64` (see [`GridPlan::cell_x`]).
+#[inline]
+fn cell_of(t: f64, n: u32) -> u32 {
+    (t.max(0.0) as i64).min(i64::from(n) - 1) as u32
+}
+
 /// `f64` → `u64` map that preserves [`f64::total_cmp`] order: flip the
 /// sign bit on non-negatives, flip every bit on negatives. Sorting the
 /// mapped keys sorts exactly like `sort_by(total_cmp)`, with integer
@@ -251,6 +270,16 @@ pub struct RunCoords {
 }
 
 impl RunCoords {
+    /// `n` placements' lanes, zeroed.
+    fn zeroed(n: usize) -> Self {
+        RunCoords {
+            xl: vec![0.0; n],
+            xh: vec![0.0; n],
+            yl: vec![0.0; n],
+            yh: vec![0.0; n],
+        }
+    }
+
     /// The SoA view of placements `lo..hi`.
     pub fn run(&self, lo: usize, hi: usize) -> SoaRun<'_> {
         SoaRun {
@@ -283,11 +312,17 @@ impl RunCoords {
 /// 2. **prefix sum** (on the caller) — the CSR offsets, and each chunk's
 ///    sub-run inside every cell (cell-major, chunk-minor);
 /// 3. **scatter** — thread `k` writes its chunk's indices, in input order,
-///    into its own sub-runs, handed out with `split_at_mut`;
+///    into its own sub-runs, handed out with `split_at_mut`, and each
+///    placement's four coordinates beside its index in the lanes;
 /// 4. **sort** — thread `k` takes a contiguous group of cells balanced by
-///    placement count, sorts each run by `(xl, index)` (the keys are
-///    unique, so `sort_unstable` is deterministic) and writes the run's
-///    coordinate lanes in the same pass.
+///    placement count and sorts each run by `(xl, position in the run)`,
+///    permuting indices and lanes through per-thread scratch. It reads
+///    only the run, never the side's items: each placement's MBR was
+///    copied next to it in phase 3, so no random gather into the input
+///    is left. A cell's sub-runs follow chunk order and each chunk
+///    scatters in input order, so position rises with the item index and
+///    the order is exactly `(xl, index)` (the keys are unique, so
+///    `sort_unstable` is deterministic).
 ///
 /// Every cell's run is the same set at any thread count and its order is
 /// a total order on that set, so the result is identical for every
@@ -343,32 +378,32 @@ pub fn build_cells(
         }
     }
     let mut items = [0, 1].map(|s| vec![0u32; offsets[s][cells] as usize]);
-    let mut runs: Vec<[Vec<&mut [u32]>; 2]> = (0..threads)
+    let mut coords = [0, 1].map(|s| RunCoords::zeroed(items[s].len()));
+    let mut runs: Vec<[Vec<Slots<'_>>; 2]> = (0..threads)
         .map(|_| [Vec::with_capacity(cells), Vec::with_capacity(cells)])
         .collect();
-    for (s, side_items) in items.iter_mut().enumerate() {
-        let mut rest = side_items.as_mut_slice();
+    for (s, (side_items, lanes)) in items.iter_mut().zip(coords.iter_mut()).enumerate() {
+        let mut rest = Slots::new(side_items, lanes);
         for c in 0..cells {
             for (run, count) in runs.iter_mut().zip(&counts) {
-                run[s].push(split_front(&mut rest, count[s].cells[c] as usize));
+                run[s].push(rest.split_front(count[s].cells[c] as usize));
             }
         }
     }
 
-    // Phase 3: each chunk scatters its indices, in input order.
+    // Phase 3: each chunk scatters its indices and coordinates, in input
+    // order.
     fan_out(runs, |k, mut runs| {
         let start = now();
         let mut placements = 0u64;
         for (s, runs) in runs.iter_mut().enumerate() {
             let range = chunk(s, k);
             let base = range.start;
+            let mut filled = vec![0usize; runs.len()];
             for (j, item) in sides[s][range].iter().enumerate() {
                 place(grid, &item.mbr, |c, _| {
-                    let (first, tail) = std::mem::take(&mut runs[c])
-                        .split_first_mut()
-                        .expect("the count pass sized every sub-run");
-                    *first = (base + j) as u32;
-                    runs[c] = tail;
+                    runs[c].put(filled[c], (base + j) as u32, &item.mbr);
+                    filled[c] += 1;
                     placements += 1;
                 });
             }
@@ -378,7 +413,7 @@ pub fn build_cells(
     check()?;
 
     // Phase 4: contiguous cell groups balanced by placements; each cell's
-    // run is sorted and its coordinates gathered.
+    // run is sorted in place.
     let totals: Vec<u64> = (0..=cells)
         .map(|c| u64::from(offsets[0][c]) + u64::from(offsets[1][c]))
         .collect();
@@ -386,62 +421,28 @@ pub fn build_cells(
         .map(|k| totals.partition_point(|&t| t < totals[cells] * k as u64 / threads as u64))
         .collect();
     cuts.push(cells);
-    let mut coords = [0, 1].map(|s| {
-        let n = items[s].len();
-        RunCoords {
-            xl: vec![0.0; n],
-            xh: vec![0.0; n],
-            yl: vec![0.0; n],
-            yh: vec![0.0; n],
-        }
-    });
-    let mut groups: Vec<[SortGroup<'_>; 2]> = (0..threads).map(|_| Default::default()).collect();
+    let mut groups: Vec<[(Range<usize>, Slots<'_>); 2]> =
+        (0..threads).map(|_| Default::default()).collect();
     for (s, (side_items, lanes)) in items.iter_mut().zip(coords.iter_mut()).enumerate() {
-        let mut rest = side_items.as_mut_slice();
-        let mut rest_lanes = [
-            lanes.xl.as_mut_slice(),
-            lanes.xh.as_mut_slice(),
-            lanes.yl.as_mut_slice(),
-            lanes.yh.as_mut_slice(),
-        ];
+        let mut rest = Slots::new(side_items, lanes);
         for (k, group) in groups.iter_mut().enumerate() {
             let (c0, c1) = (cuts[k], cuts[k + 1]);
             let len = (offsets[s][c1] - offsets[s][c0]) as usize;
-            group[s] = SortGroup {
-                cells: c0..c1,
-                items: split_front(&mut rest, len),
-                lanes: rest_lanes.each_mut().map(|lane| split_front(lane, len)),
-            };
+            group[s] = (c0..c1, rest.split_front(len));
         }
     }
     fan_out(groups, |k, mut group| {
         let start = now();
-        let mut keys: Vec<(u64, u32)> = Vec::new();
+        let mut scratch = SortScratch::default();
         let mut placements = 0u64;
-        for (s, g) in group.iter_mut().enumerate() {
-            let base = offsets[s][g.cells.start] as usize;
-            for c in g.cells.clone() {
-                let (lo, hi) = (
-                    offsets[s][c] as usize - base,
-                    offsets[s][c + 1] as usize - base,
-                );
-                keys.clear();
-                keys.extend(
-                    g.items[lo..hi]
-                        .iter()
-                        .map(|&i| (f64_key(sides[s][i as usize].mbr.xl), i)),
-                );
-                keys.sort_unstable();
-                for (p, &(_, i)) in (lo..hi).zip(&keys) {
-                    let r = &sides[s][i as usize].mbr;
-                    g.items[p] = i;
-                    g.lanes[0][p] = r.xl;
-                    g.lanes[1][p] = r.xu;
-                    g.lanes[2][p] = r.yl;
-                    g.lanes[3][p] = r.yu;
-                }
+        for (s, (group_cells, run)) in group.iter_mut().enumerate() {
+            let base = offsets[s][group_cells.start] as usize;
+            for c in group_cells.clone() {
+                let lo = offsets[s][c] as usize - base;
+                let hi = offsets[s][c + 1] as usize - base;
+                run.sort_run(lo..hi, &mut scratch);
             }
-            placements += g.items.len() as u64;
+            placements += run.items.len() as u64;
         }
         span(k, "plan.sort", start, ("placements", placements));
     });
@@ -499,14 +500,85 @@ impl ChunkCounts {
     }
 }
 
-/// One thread's share of the sort phase on one side: cells `cells`, their
-/// placements and coordinate lanes (`xl`, `xh`, `yl`, `yh`), indexed from
-/// the group's first placement.
+/// A stretch of one side's placements: item indices and, aligned with
+/// them, the coordinate lanes (`xl`, `xh`, `yl`, `yh`). The scatter hands
+/// each chunk one per cell, the sort one per thread.
 #[derive(Default)]
-struct SortGroup<'a> {
-    cells: Range<usize>,
+struct Slots<'a> {
     items: &'a mut [u32],
     lanes: [&'a mut [f64]; 4],
+}
+
+impl<'a> Slots<'a> {
+    /// All of a side's placements.
+    fn new(items: &'a mut [u32], coords: &'a mut RunCoords) -> Self {
+        Slots {
+            items,
+            lanes: [
+                coords.xl.as_mut_slice(),
+                coords.xh.as_mut_slice(),
+                coords.yl.as_mut_slice(),
+                coords.yh.as_mut_slice(),
+            ],
+        }
+    }
+
+    /// Splits the first `len` placements off.
+    fn split_front(&mut self, len: usize) -> Slots<'a> {
+        Slots {
+            items: split_front(&mut self.items, len),
+            lanes: self.lanes.each_mut().map(|lane| split_front(lane, len)),
+        }
+    }
+
+    /// Writes item `i` with MBR `r` at placement `p`.
+    #[inline]
+    fn put(&mut self, p: usize, i: u32, r: &Rect) {
+        self.items[p] = i;
+        self.lanes[0][p] = r.xl;
+        self.lanes[1][p] = r.xu;
+        self.lanes[2][p] = r.yl;
+        self.lanes[3][p] = r.yu;
+    }
+
+    /// Sorts placements `run` by `(xl, position)`, reading nothing but the
+    /// run itself. Position in a cell's run rises with the item index (the
+    /// scatter fills a cell chunk after chunk, each in input order), so
+    /// this is the `(xl, index)` order; the keys are unique, so
+    /// `sort_unstable` is deterministic.
+    fn sort_run(&mut self, run: Range<usize>, scratch: &mut SortScratch) {
+        let keys = &mut scratch.keys;
+        keys.clear();
+        keys.extend(
+            self.lanes[0][run.clone()]
+                .iter()
+                .zip(0u32..)
+                .map(|(&xl, j)| (f64_key(xl), j)),
+        );
+        keys.sort_unstable();
+        permute(&mut self.items[run.clone()], keys, &mut scratch.items);
+        for lane in &mut self.lanes {
+            permute(&mut lane[run.clone()], keys, &mut scratch.coords);
+        }
+    }
+}
+
+/// One sort thread's reusable buffers.
+#[derive(Default)]
+struct SortScratch {
+    keys: Vec<(u64, u32)>,
+    items: Vec<u32>,
+    coords: Vec<f64>,
+}
+
+/// Rearranges `run` so position `p` holds what position `keys[p].1` held,
+/// through the copy `tmp`.
+fn permute<T: Copy>(run: &mut [T], keys: &[(u64, u32)], tmp: &mut Vec<T>) {
+    tmp.clear();
+    tmp.extend_from_slice(run);
+    for (slot, &(_, j)) in run.iter_mut().zip(keys) {
+        *slot = tmp[j as usize];
+    }
 }
 
 /// Splits the first `len` elements off `rest`.
@@ -619,6 +691,72 @@ mod tests {
             let c = g.cell_x(i as f64 * 0.1);
             assert!(c >= prev, "cell_x must be monotone");
             prev = c;
+        }
+    }
+
+    /// `x` and the `f64`s one ulp below and above it (`x` finite).
+    fn ulp_neighbours(x: f64) -> [f64; 3] {
+        let step = |up: bool| {
+            if x == 0.0 {
+                let tiny = f64::from_bits(1);
+                return if up { tiny } else { -tiny };
+            }
+            let bits = x.to_bits();
+            f64::from_bits(if (x > 0.0) == up { bits + 1 } else { bits - 1 })
+        };
+        [step(false), x, step(true)]
+    }
+
+    #[test]
+    fn cell_mapping_matches_floor_and_clamp() {
+        // The mapping as it was before truncation replaced `floor`.
+        let floor_clamp = |t: f64, n: u32| (t.floor() as i64).clamp(0, i64::from(n) - 1) as u32;
+        let check = |g: &GridPlan, x: f64, y: f64| {
+            let want_x = floor_clamp((x - g.universe.xl) * g.sx, g.nx);
+            let want_y = floor_clamp((y - g.universe.yl) * g.sy, g.ny);
+            assert_eq!(g.cell_x(x), want_x, "cell_x({x:e}) on {g:?}");
+            assert_eq!(g.cell_y(y), want_y, "cell_y({y:e}) on {g:?}");
+        };
+        let specials = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            -f64::MIN_POSITIVE / 2.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN,
+            f64::MAX,
+        ];
+        let grids = [
+            GridPlan::new(r(0.0, 0.0, 10.0, 10.0), 4, 4),
+            GridPlan::new(r(0.0, 0.0, 3.0, 1.0), 16384, 1),
+            GridPlan::new(r(-7.25, -1e6, -0.5, 3e-3), 4, 4),
+            GridPlan::new(r(-3.0, 2.0, 1e9, 2.0), 16384, 1),
+            GridPlan::new(r(5.0, -1.0, 5.0, 1.0), 4, 4),
+        ];
+        assert_eq!(grids[4].sx, 0.0, "a degenerate axis has no scale");
+        for g in &grids {
+            for v in specials {
+                check(g, v, v);
+                assert_eq!(cell_of(v, g.nx), floor_clamp(v, g.nx), "cell_of({v:e})");
+            }
+            // One ulp either side of every cell boundary `k`, in cell
+            // space and in coordinate space.
+            let boundary =
+                |lo: f64, s: f64, k: u32| if s == 0.0 { lo } else { lo + f64::from(k) / s };
+            for k in 0..=g.nx.max(g.ny) {
+                for t in ulp_neighbours(f64::from(k)) {
+                    assert_eq!(cell_of(t, g.nx), floor_clamp(t, g.nx), "cell_of({t:e})");
+                }
+                let xs = ulp_neighbours(boundary(g.universe.xl, g.sx, k.min(g.nx)));
+                let ys = ulp_neighbours(boundary(g.universe.yl, g.sy, k.min(g.ny)));
+                for (x, y) in xs.into_iter().zip(ys) {
+                    check(g, x, y);
+                }
+            }
         }
     }
 
