@@ -37,5 +37,5 @@ pub use local::LocalBuffers;
 pub use lru::Lru;
 pub use path::PathBuffer;
 pub use policy::{Clock, Fifo, PageBuffer, Policy};
-pub use shared::{FaultSource, PageGuard, PageRef, PageSource, SharedAccess, SharedPageCache};
+pub use shared::{PageGuard, PageRef, PageSource, SharedAccess, SharedPageCache};
 pub use stats::{BufferStats, OptStats};

@@ -34,15 +34,13 @@
 //!
 //! ## Failure handling
 //!
-//! Fills are fallible and typed ([`psj_store::PageError`]). The cache owns
-//! the retry policy for the whole stack: a transient source error is
-//! retried in place under the cache's [`RetryPolicy`] (counted in
-//! [`BufferStats::retries`]), so neither the pager below nor the executor
-//! above needs its own loop. A *corrupt* fill (checksum mismatch) is never
-//! retried — the page is **quarantined** in its shard: the original error
-//! is stored and replayed to every later requester without touching the
-//! source again, so one poisoned page degrades exactly the requests that
-//! need it while the device is spared a re-read storm.
+//! Fills are fallible and typed ([`psj_store::PageError`]). The cache
+//! neither retries a fill nor remembers its failure: a failed fill frees
+//! its slot, clears the in-flight marker, wakes the requesters waiting on
+//! it and returns the source's error to its own requester, and the next
+//! request for the page fetches it again. Fault injection and retries
+//! belong to the reader above the cache: the R-tree join runs its fault
+//! plan on every node read, before it asks the cache.
 //!
 //! ## Slots, the page table and guards
 //!
@@ -60,12 +58,11 @@
 //! value until it drops. A tag that no longer names the page means the slot
 //! is being replaced right now, and the read goes straight to the mutex
 //! path, booking one [`OptStats::fallbacks`]. The mutex path owns
-//! single-flight fills, quarantine replay and replacement promotion; it
-//! also returns a guard.
+//! single-flight fills and replacement promotion; it also returns a guard.
 //!
 //! ## Why a pinned slot needs no deferred free
 //!
-//! Mutations — fills, evictions, quarantine — run under the shard mutex. A
+//! Mutations — fills and evictions — run under the shard mutex. A
 //! fill reserves its slot before it fetches: a free slot, else the slot of
 //! the replacement policy's first **unpinned** page. To test a candidate
 //! the remover clears its tag and then reads its pins, both SeqCst; the
@@ -104,9 +101,9 @@
 
 use crate::policy::{PageBuffer, Policy};
 use crate::stats::{BufferStats, OptStats};
-use psj_store::{lock_clean, wait_clean, FaultPlan, PageError, PageId, RetryPolicy};
+use psj_store::{lock_clean, wait_clean, PageError, PageId};
 use std::cell::UnsafeCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -115,18 +112,16 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 ///
 /// Implemented in `psj-core` by the join's adapter over `PagedTree`, which
 /// fills node frames in place from the tree's arena, and in tests by small
-/// fakes, which [`FaultSource`] wraps with a fault plan.
+/// fakes.
 pub trait PageSource {
     /// What a fetched page decodes to.
     type Item;
 
     /// Fetches/decodes `page`. Called outside all cache locks; concurrent
     /// calls for *distinct* pages may overlap, the cache guarantees at most
-    /// one in-flight fetch per page. Retryable failures are retried by the
-    /// cache under its [`RetryPolicy`]; a corrupt result quarantines the
-    /// page; other final failures are propagated to the requester by
-    /// [`SharedPageCache::try_get`] and cached nowhere — the next request
-    /// for the page retries the source.
+    /// one in-flight fetch per page. A failure is propagated to the
+    /// requester by [`SharedPageCache::try_get`] and cached nowhere — the
+    /// next request for the page fetches it again.
     fn fetch_page(&self, page: PageId) -> Result<Self::Item, PageError>;
 
     /// Total number of pages this source can serve (page ids `0..n`).
@@ -217,9 +212,6 @@ struct ShardState {
     free: Vec<u32>,
     /// Pages some worker is currently fetching.
     loading: HashSet<PageId>,
-    /// Pages whose fill returned a corrupt (unrecoverable) error: the
-    /// stored error is replayed to every later requester.
-    quarantined: HashMap<PageId, PageError>,
     /// Requesters blocked on [`Shard::loaded`] for an in-flight fill.
     /// `std`'s condvar does not track waiters, so every `notify_all` is a
     /// futex syscall; a fill consults this (under the mutex the waiter
@@ -260,7 +252,6 @@ impl<T> Shard<T> {
                 buf: PageBuffer::new(policy, slots),
                 free: (0..slots as u32).rev().collect(),
                 loading: HashSet::new(),
-                quarantined: HashMap::new(),
                 waiters: 0,
             }),
             loaded: Condvar::new(),
@@ -431,7 +422,7 @@ impl<T> Drop for Shard<T> {
 }
 
 /// Undoes a fill's reservation if the fill unwinds: a source that panics
-/// mid-fetch (worker bug, injected fault) must not leave every later
+/// mid-fetch must not leave every later
 /// requester of the page blocked on the condvar, nor lose the slot.
 struct LoadingGuard<'a, T> {
     shard: &'a Shard<T>,
@@ -465,7 +456,6 @@ struct WorkerStats {
     hits_in_flight: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    retries: AtomicU64,
     /// Guard-path counters (see [`OptStats`]); striped with the rest so
     /// the guard hit path touches only this worker's line.
     opt_hits: AtomicU64,
@@ -485,7 +475,7 @@ impl WorkerStats {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             hits_path: 0,
-            retries: self.retries.load(Ordering::Relaxed),
+            retries: 0,
         }
     }
 
@@ -594,7 +584,6 @@ impl<T: std::fmt::Debug> std::fmt::Debug for PageRef<'_, T> {
 pub struct SharedPageCache<T> {
     shards: Vec<Shard<T>>,
     stats: Vec<WorkerStats>,
-    retry: RetryPolicy,
     unbuffered: AtomicU64,
     trace: Option<Arc<psj_obs::TraceSink>>,
     /// The test hook [`SharedPageCache::set_schedule_point`] installs.
@@ -634,9 +623,6 @@ impl<T> SharedPageCache<T> {
     /// evenly as possible: the first `capacity % shards` shards get one
     /// more.
     ///
-    /// The cache starts with [`RetryPolicy::default`] (three attempts, no
-    /// backoff) — use [`SharedPageCache::with_retry`] to change it.
-    ///
     /// # Panics
     ///
     /// Panics if `shards` or `workers` is zero.
@@ -653,7 +639,6 @@ impl<T> SharedPageCache<T> {
                 })
                 .collect(),
             stats: (0..workers).map(|_| WorkerStats::default()).collect(),
-            retry: RetryPolicy::default(),
             unbuffered: AtomicU64::new(0),
             trace: None,
             #[cfg(feature = "schedule-points")]
@@ -661,16 +646,9 @@ impl<T> SharedPageCache<T> {
         }
     }
 
-    /// Replace the retry policy applied to fills (builder style).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Attach a trace sink (builder style): every fill that reaches the
-    /// source emits a `page_read` span, every retried attempt a
-    /// `page_retry` instant, and every quarantine a `page_quarantine`
-    /// instant, all on the requesting worker's cache thread row. Hits stay
+    /// source emits a `page_read` span on the requesting worker's cache
+    /// thread row. Hits stay
     /// untraced — the slow path is the only place the `Option` is checked,
     /// so a disabled trace costs nothing on the hit path.
     pub fn with_trace(mut self, trace: Arc<psj_obs::TraceSink>) -> Self {
@@ -694,21 +672,6 @@ impl<T> SharedPageCache<T> {
     /// Whether no page is resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of pages currently quarantined as corrupt.
-    pub fn quarantined_pages(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock_clean(&s.state).quarantined.len())
-            .sum()
-    }
-
-    /// Whether `page` is quarantined.
-    pub fn is_quarantined(&self, page: PageId) -> bool {
-        lock_clean(&self.shard_of(page).state)
-            .quarantined
-            .contains_key(&page)
     }
 
     /// Fills served unbuffered because every slot of their shard was
@@ -748,18 +711,6 @@ impl<T> SharedPageCache<T> {
             SharedAccess::HitInFlight => s.hits_in_flight.fetch_add(1, Ordering::Relaxed),
             SharedAccess::Miss => s.misses.fetch_add(1, Ordering::Relaxed),
         };
-    }
-
-    /// Books a fill's eviction and retried attempts, whether or not the
-    /// fill succeeded.
-    fn bump_fill(&self, worker: usize, evicted: bool, retries: u64) {
-        let s = &self.stats[worker];
-        if evicted {
-            s.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        if retries > 0 {
-            s.retries.fetch_add(retries, Ordering::Relaxed);
-        }
     }
 
     /// Mutex-free read of a resident page: a [`PageGuard`] when the page
@@ -820,13 +771,10 @@ impl<T> SharedPageCache<T> {
     /// `worker` indexes the per-worker statistics and is recorded as the
     /// page's owner when this call fetches it.
     ///
-    /// Retryable source errors are retried in place under the cache's
-    /// [`RetryPolicy`] before failing. A final *corrupt* error quarantines
-    /// the page — the stored error is replayed to every later requester
-    /// without re-fetching. Any other final error caches nothing and clears
+    /// A source error is returned as is: the fill caches nothing and clears
     /// the in-flight marker, so concurrent waiters on the same page wake up
-    /// and retry the fetch themselves; one degraded request does not poison
-    /// the page for others.
+    /// and fetch it themselves; one degraded request does not poison the
+    /// page for others.
     pub fn try_get<S>(
         &self,
         worker: usize,
@@ -842,8 +790,8 @@ impl<T> SharedPageCache<T> {
         }
     }
 
-    /// The mutex path: quarantine replay, a hit the guard read missed,
-    /// single-flight fill into a reserved slot.
+    /// The mutex path: a hit the guard read missed, or a single-flight
+    /// fill into a reserved slot.
     fn locked_get<S>(
         &self,
         worker: usize,
@@ -857,9 +805,6 @@ impl<T> SharedPageCache<T> {
         let mut state = lock_clean(&shard.state);
         let mut waited = false;
         loop {
-            if let Some(err) = state.quarantined.get(&page) {
-                return Err(err.clone());
-            }
             if let Some((_, slot)) = shard.probe(page) {
                 state.buf.touch(page);
                 let access = if waited {
@@ -880,7 +825,7 @@ impl<T> SharedPageCache<T> {
                 // rather than issuing a second fetch (paper §3.1). If that
                 // load *fails* or is served unbuffered, the marker is
                 // cleared and the wakeup sends us around the loop to fetch
-                // ourselves (or to pick up the quarantine entry).
+                // ourselves.
                 waited = true;
                 state.waiters += 1;
                 state = wait_clean(&shard.loaded, state);
@@ -909,27 +854,16 @@ impl<T> SharedPageCache<T> {
                 Some(slot) => unsafe { &mut *shard.value(slot) },
                 None => &mut **spill.insert(Box::new_uninit()),
             };
-            let (filled, retries) = self.fill(worker, page, source, dst);
+            let filled = self.fill(worker, page, source, dst);
             guard.armed = false;
-            self.bump_fill(worker, evicted, retries);
+            if evicted {
+                self.stats[worker].evictions.fetch_add(1, Ordering::Relaxed);
+            }
             let mut state = lock_clean(&shard.state);
             state.loading.remove(&page);
             if let Err(e) = filled {
                 if let Some(slot) = slot {
                     state.free.push(slot as u32);
-                }
-                if e.is_corrupt() {
-                    // Unrecoverable: quarantine so later requesters get
-                    // the typed error without hitting the device again.
-                    state.quarantined.insert(page, e.clone());
-                    if let Some(t) = &self.trace {
-                        t.instant(
-                            psj_obs::trace::cache_tid(worker),
-                            "page_quarantine",
-                            "storage",
-                            &[("page", page.0 as u64)],
-                        );
-                    }
                 }
                 shard.release_fill(state);
                 return Err(e);
@@ -949,56 +883,40 @@ impl<T> SharedPageCache<T> {
         }
     }
 
-    /// Runs `source`'s fill of `page` into `dst` under the retry policy,
-    /// traced when a sink is attached. Returns the outcome — `Ok` only once
-    /// `dst` holds the value — and the retried attempts.
+    /// Runs `source`'s fill of `page` into `dst`, traced when a sink is
+    /// attached. `Ok` only once `dst` holds the value.
     fn fill<S>(
         &self,
         worker: usize,
         page: PageId,
         source: &S,
         dst: &mut MaybeUninit<T>,
-    ) -> (Result<(), PageError>, u64)
+    ) -> Result<(), PageError>
     where
         S: PageSource<Item = T> + ?Sized,
     {
         let slot = dst.as_ptr();
-        let mut attempt = |_| {
-            source.fill_page(page, dst).map(|filled| {
-                assert!(
-                    std::ptr::eq(filled, slot),
-                    "PageSource::fill_page must return the slot it filled"
-                );
-            })
-        };
-        let Some(t) = &self.trace else {
-            return self.retry.run(page.0 as u64, attempt);
-        };
-        let start = t.now_ns();
-        let tid = psj_obs::trace::cache_tid(worker);
-        let (filled, retries) =
-            self.retry
-                .run_observed(page.0 as u64, &mut attempt, |attempt, _| {
-                    t.instant(
-                        tid,
-                        "page_retry",
-                        "storage",
-                        &[("page", page.0 as u64), ("attempt", attempt as u64)],
-                    );
-                });
-        t.span(
-            tid,
-            "page_read",
-            "storage",
-            start,
-            &[
-                ("page", page.0 as u64),
-                ("worker", worker as u64),
-                ("retries", retries),
-                ("ok", filled.is_ok() as u64),
-            ],
-        );
-        (filled, retries)
+        let start = self.trace.as_ref().map(|t| t.now_ns());
+        let filled = source.fill_page(page, dst).map(|filled| {
+            assert!(
+                std::ptr::eq(filled, slot),
+                "PageSource::fill_page must return the slot it filled"
+            );
+        });
+        if let (Some(t), Some(start)) = (&self.trace, start) {
+            t.span(
+                psj_obs::trace::cache_tid(worker),
+                "page_read",
+                "storage",
+                start,
+                &[
+                    ("page", page.0 as u64),
+                    ("worker", worker as u64),
+                    ("ok", filled.is_ok() as u64),
+                ],
+            );
+        }
+        filled
     }
 
     /// Read-only residency test (no promotion, no stats).
@@ -1043,8 +961,7 @@ impl<T> SharedPageCache<T> {
     /// or holds a resident page (tag set, one table entry naming it, in
     /// the replacement order, owner in range); pins sit only on resident
     /// slots; the table holds nothing else and every entry is reachable by
-    /// its probe; no load is marked in flight, no waiter registered, and no
-    /// quarantined page resident.
+    /// its probe; no load is marked in flight and no waiter registered.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, shard) in self.shards.iter().enumerate() {
             let state = lock_clean(&shard.state);
@@ -1116,11 +1033,6 @@ impl<T> SharedPageCache<T> {
                     state.waiters
                 ));
             }
-            for page in state.quarantined.keys() {
-                if state.buf.contains(*page) {
-                    return Err(format!("shard {i}: quarantined page {page} is resident"));
-                }
-            }
         }
         Ok(())
     }
@@ -1132,61 +1044,7 @@ impl<T> std::fmt::Debug for SharedPageCache<T> {
             .field("shards", &self.shards.len())
             .field("capacity", &self.capacity())
             .field("len", &self.len())
-            .field("quarantined", &self.quarantined_pages())
             .finish()
-    }
-}
-
-/// A fault-injecting decorator over any [`PageSource`].
-///
-/// The source's values are decoded, not raw bytes, so there are no record
-/// bytes to flip: permanent flip/torn faults from the [`FaultPlan`] are
-/// synthesized directly as [`PageError::Corrupt`] (see
-/// [`FaultPlan::before_fetch`]), and transient faults and latency fire
-/// before the inner fetch. The cache's retry loop and quarantine are
-/// tested through it.
-#[derive(Debug)]
-pub struct FaultSource<S> {
-    inner: S,
-    plan: Arc<FaultPlan>,
-}
-
-impl<S: PageSource> FaultSource<S> {
-    /// Wrap `inner` with the fault plan.
-    pub fn new(inner: S, plan: Arc<FaultPlan>) -> Self {
-        FaultSource { inner, plan }
-    }
-
-    /// The fault plan driving this source.
-    pub fn plan(&self) -> &Arc<FaultPlan> {
-        &self.plan
-    }
-
-    /// The wrapped source.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: PageSource> PageSource for FaultSource<S> {
-    type Item = S::Item;
-
-    fn fetch_page(&self, page: PageId) -> Result<S::Item, PageError> {
-        self.plan.before_fetch(page)?;
-        self.inner.fetch_page(page)
-    }
-
-    fn page_count(&self) -> usize {
-        self.inner.page_count()
-    }
-
-    fn fill_page<'s>(
-        &self,
-        page: PageId,
-        slot: &'s mut MaybeUninit<S::Item>,
-    ) -> Result<&'s mut S::Item, PageError> {
-        self.plan.before_fetch(page)?;
-        self.inner.fill_page(page, slot)
     }
 }
 
@@ -1367,39 +1225,41 @@ mod tests {
         drop(cache.get(0, p(1), &Liar));
     }
 
+    /// Every fill that reaches the source is one `page_read` span, failed
+    /// or not; hits and failures add nothing else.
     #[test]
-    fn traced_fills_emit_read_retry_and_quarantine_events() {
+    fn traced_fills_emit_one_read_span_each() {
         let sink = psj_obs::TraceSink::new(1 << 12);
         let cache: SharedPageCache<u32> =
             SharedPageCache::new(2, 8, 2, Policy::Lru).with_trace(Arc::clone(&sink));
 
-        // A clean miss: one page_read span, no retry instants.
+        // A clean miss: one page_read span.
         let src = Counting::new(100);
         cache.get(0, p(1), &src);
         // A hit: no new events (the fast path never sees the sink).
         cache.get(0, p(1), &src);
         assert_eq!(sink.event_count(), 1);
 
-        // Two transient failures then success: two page_retry instants
-        // plus the page_read span.
+        // A transient failure, then the refetch: one span each.
         let flaky = Flaky {
-            failures: AtomicU64::new(2),
+            failures: AtomicU64::new(1),
         };
+        assert!(cache.try_get(1, p(2), &flaky).is_err());
         cache.try_get(1, p(2), &flaky).unwrap();
-        assert_eq!(sink.event_count(), 4);
+        assert_eq!(sink.event_count(), 3);
 
-        // Corruption: page_read span + page_quarantine instant.
+        // Corruption: one span.
         assert!(cache.try_get(0, p(3), &Rotten::default()).is_err());
-        assert_eq!(sink.event_count(), 6);
+        assert_eq!(sink.event_count(), 4);
 
         let mut out = Vec::new();
         sink.write_jsonl(&mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         let summary = psj_obs::validate_jsonl(&text).unwrap();
-        assert_eq!(summary.spans, 3, "{text}");
-        assert_eq!(summary.instants, 3, "{text}");
-        assert!(text.contains("page_quarantine"));
-        assert!(text.contains("page_retry"));
+        assert_eq!(summary.spans, 4, "{text}");
+        assert_eq!(summary.instants, 0, "{text}");
+        assert_eq!(text.matches("\"page_read\"").count(), 4, "{text}");
+        assert_eq!(text.matches("\"ok\":0").count(), 2, "{text}");
     }
 
     #[test]
@@ -1560,9 +1420,7 @@ mod tests {
 
     #[test]
     fn failed_fetch_degrades_one_request_only() {
-        // RetryPolicy::none so the single injected failure is not absorbed.
-        let cache: SharedPageCache<u32> =
-            SharedPageCache::new(1, 8, 2, Policy::Lru).with_retry(RetryPolicy::none());
+        let cache: SharedPageCache<u32> = SharedPageCache::new(1, 8, 2, Policy::Lru);
         let src = Flaky {
             failures: AtomicU64::new(1),
         };
@@ -1577,69 +1435,37 @@ mod tests {
         cache.check_invariants().unwrap();
     }
 
+    /// The cache remembers no failure: a corrupt fill caches nothing, a
+    /// second request for the page fetches again (here from a healthy
+    /// source), and the retries counter stays 0.
     #[test]
-    fn transient_errors_absorbed_by_retry_policy() {
-        // Default policy: 3 attempts. Two failures are retried in place and
-        // the request still succeeds, with the retries counted.
-        let cache: SharedPageCache<u32> = SharedPageCache::new(1, 8, 2, Policy::Lru);
-        let src = Flaky {
-            failures: AtomicU64::new(2),
-        };
-        let v = cache.try_get(0, p(3), &src).unwrap();
-        assert_eq!((*v, v.access()), (3, SharedAccess::Miss));
-        drop(v);
-        assert_eq!(cache.total_stats().retries, 2);
-        assert_eq!(cache.total_stats().misses, 1);
-        cache.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn retry_budget_exhaustion_fails_and_counts() {
-        let cache: SharedPageCache<u32> = SharedPageCache::new(1, 8, 2, Policy::Lru);
-        let src = Flaky {
-            failures: AtomicU64::new(10),
-        };
-        let err = cache.try_get(0, p(3), &src).unwrap_err();
-        assert!(matches!(err, PageError::Io { .. }));
-        // 3 attempts = 2 retries, all counted even though the fill failed.
-        assert_eq!(cache.total_stats().retries, 2);
-        assert!(!cache.contains(p(3)));
-        cache.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn corrupt_fill_quarantines_and_replays() {
+    fn corrupt_fill_caches_nothing_and_refetches() {
         let cache: SharedPageCache<u32> = SharedPageCache::new(2, 8, 2, Policy::Lru);
         let src = Rotten::default();
         let err = cache.try_get(0, p(9), &src).unwrap_err();
         assert!(err.is_corrupt());
-        assert!(cache.is_quarantined(p(9)));
-        assert_eq!(cache.quarantined_pages(), 1);
-        // A later request (different worker) replays the stored error
-        // without touching the source again.
-        let counting_gate = Counting::new(100); // healthy source
-        let replay = cache.try_get(1, p(9), &counting_gate).unwrap_err();
-        assert!(replay.is_corrupt());
+        assert!(cache.try_get(1, p(9), &src).unwrap_err().is_corrupt());
         assert_eq!(
-            counting_gate.fetches.load(Ordering::Relaxed),
-            0,
-            "quarantined page never re-fetched"
+            src.fetches.load(Ordering::Relaxed),
+            2,
+            "each request fetches"
         );
-        assert_eq!(
-            cache.quarantined_pages(),
-            1,
-            "replays quarantine nothing new"
-        );
+        assert!(!cache.contains(p(9)), "a failed fill caches nothing");
+        cache.check_invariants().unwrap();
+        let healthy = Counting::new(100);
+        let v = cache.try_get(1, p(9), &healthy).unwrap();
+        assert_eq!((*v, v.access()), (9, SharedAccess::Miss));
+        drop(v);
+        assert_eq!(healthy.fetches.load(Ordering::Relaxed), 1);
         // Healthy pages are unaffected.
-        let v = cache.try_get(0, p(10), &counting_gate).unwrap();
-        assert_eq!(*v, 10);
+        assert_eq!(*cache.try_get(0, p(10), &healthy).unwrap(), 10);
+        assert_eq!(cache.total_stats().retries, 0, "the cache never retries");
         cache.check_invariants().unwrap();
     }
 
     #[test]
     fn concurrent_waiters_survive_a_failed_fetch() {
-        let cache: SharedPageCache<u32> =
-            SharedPageCache::new(8, 64, 2, Policy::Lru).with_retry(RetryPolicy::none());
+        let cache: SharedPageCache<u32> = SharedPageCache::new(8, 64, 2, Policy::Lru);
         let src = Flaky {
             failures: AtomicU64::new(3),
         };
@@ -1732,8 +1558,7 @@ mod tests {
     #[test]
     fn waiter_on_an_in_flight_fill_is_woken_by_success_and_by_failure() {
         for fail in [false, true] {
-            let cache: SharedPageCache<u32> =
-                SharedPageCache::new(2, 8, 1, Policy::Lru).with_retry(RetryPolicy::none());
+            let cache: SharedPageCache<u32> = SharedPageCache::new(2, 8, 1, Policy::Lru);
             let src = Gated::new(fail.then_some(3));
             let shard = &cache.shards[0];
             let poll = |done: &dyn Fn() -> bool| {
@@ -1792,46 +1617,7 @@ mod tests {
             }
         });
         assert_eq!(corrupt.load(Ordering::Relaxed), 8);
-        assert_eq!(
-            src.fetches.load(Ordering::Relaxed),
-            1,
-            "one detection, many replays"
-        );
-        cache.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn fault_source_injects_per_plan() {
-        let plan = Arc::new(FaultPlan::new(21).with_transient(1.0, 1));
-        let src = FaultSource::new(Counting::new(100), plan.clone());
-        // Default retry policy (3 attempts) absorbs the burst of 1.
-        let cache: SharedPageCache<u32> = SharedPageCache::new(1, 32, 2, Policy::Lru);
-        for n in 0..20 {
-            let v = cache.try_get(0, p(n), &src).unwrap();
-            assert_eq!(*v, n);
-        }
-        assert_eq!(plan.transient_injected(), 20);
-        assert_eq!(cache.total_stats().retries, plan.transient_injected());
-        cache.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn fault_source_corruption_quarantines() {
-        let plan = Arc::new(FaultPlan::new(22).with_flip(0.5));
-        let src = FaultSource::new(Counting::new(100), plan.clone());
-        let cache: SharedPageCache<u32> = SharedPageCache::new(1, 64, 2, Policy::Lru);
-        let mut corrupt = 0;
-        for n in 0..40 {
-            match cache.try_get(0, p(n), &src) {
-                Ok(v) => assert_eq!(*v, n),
-                Err(e) => {
-                    assert!(e.is_corrupt());
-                    corrupt += 1;
-                }
-            }
-        }
-        assert!(corrupt > 0, "plan with flip=0.5 should poison some pages");
-        assert_eq!(cache.quarantined_pages(), corrupt);
+        assert!(!cache.contains(p(5)), "a corrupt page is never cached");
         cache.check_invariants().unwrap();
     }
 
@@ -1854,6 +1640,6 @@ mod tests {
         assert_eq!(delta.misses, 0);
         assert_eq!(delta.hits_remote, 8);
         assert_eq!(delta.requests(), 8);
-        assert_eq!(cache.quarantined_pages(), 0);
+        cache.check_invariants().unwrap();
     }
 }

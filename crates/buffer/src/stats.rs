@@ -25,8 +25,10 @@ pub struct BufferStats {
     pub evictions: u64,
     /// Hits on the R\*-tree path buffers (bypass the page buffer entirely).
     pub hits_path: u64,
-    /// Fetch attempts retried under the cache's `RetryPolicy` after a
-    /// transient source error (each retry of each fill counts once).
+    /// Always 0 from [`SharedPageCache`](crate::SharedPageCache), which
+    /// never retries a fill (a join's retries are
+    /// `psj_core::TaskTrace::retries`). The field stays only because
+    /// `benchmark/` still reads it.
     pub retries: u64,
 }
 

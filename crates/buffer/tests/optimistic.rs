@@ -1,15 +1,17 @@
 //! Stress tests for the optimistic (guard) read path of
 //! [`SharedPageCache`]: readers hammer hot resident pages without taking
-//! any shard mutex while churn threads drive evictions, quarantines, and
-//! fault retries through the mutex path. Every payload carries
+//! any shard mutex while churn threads drive evictions and failed fills
+//! through the mutex path. Every payload carries
 //! a checksum, so a torn read (a reader observing a page mid-replacement)
 //! cannot go unnoticed. The one race the churn cannot be counted on to hit
 //! — a reader losing its slot to a replacement — is forced through the
 //! cache's schedule point instead.
 
-use psj_buffer::{FaultSource, OptStats, PageSource, Policy, SharedAccess, SharedPageCache};
-use psj_store::{FaultPlan, PageError, PageId, RetryPolicy};
-use std::sync::atomic::{AtomicBool, Ordering};
+use psj_buffer::{OptStats, PageSource, Policy, SharedAccess, SharedPageCache};
+use psj_store::{PageError, PageId};
+use std::collections::HashSet;
+use std::io;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 /// A page payload whose consistency is checkable on every read.
@@ -50,6 +52,69 @@ impl PageSource for CheckedSource {
     type Item = Checked;
 
     fn fetch_page(&self, page: PageId) -> Result<Checked, PageError> {
+        Ok(expect_page(page.0))
+    }
+
+    fn page_count(&self) -> usize {
+        self.pages
+    }
+}
+
+/// A [`CheckedSource`] whose cold pages misbehave, chosen by a seeded
+/// hash: about 1 in 32 is corrupt on every fetch, and about 1 in 32 fails
+/// its first fetch with a retryable I/O error and then reads clean.
+struct FailingSource {
+    seed: u64,
+    hot: u32,
+    pages: usize,
+    /// Flaky pages whose one failure has been served.
+    failed: Mutex<HashSet<u32>>,
+    /// Flaky failures served.
+    flaky_failures: AtomicU64,
+}
+
+impl FailingSource {
+    fn new(seed: u64, hot: u32, pages: usize) -> Self {
+        FailingSource {
+            seed,
+            hot,
+            pages,
+            failed: Mutex::new(HashSet::new()),
+            flaky_failures: AtomicU64::new(0),
+        }
+    }
+
+    fn class(&self, page: u32) -> u64 {
+        if page < self.hot {
+            u64::MAX
+        } else {
+            mix(page, self.seed) >> 59
+        }
+    }
+
+    fn corrupt(&self, page: u32) -> bool {
+        self.class(page) == 0
+    }
+
+    fn flaky(&self, page: u32) -> bool {
+        self.class(page) == 1
+    }
+}
+
+impl PageSource for FailingSource {
+    type Item = Checked;
+
+    fn fetch_page(&self, page: PageId) -> Result<Checked, PageError> {
+        if self.corrupt(page.0) {
+            return Err(PageError::Corrupt {
+                page,
+                context: "test corruption".into(),
+            });
+        }
+        if self.flaky(page.0) && self.failed.lock().unwrap().insert(page.0) {
+            self.flaky_failures.fetch_add(1, Ordering::Relaxed);
+            return Err(PageError::io(page, io::ErrorKind::Other, "test blip"));
+        }
         Ok(expect_page(page.0))
     }
 
@@ -204,18 +269,19 @@ fn opt_counters_aggregate_across_workers() {
 }
 
 /// Readers hammer clean hot pages while churn workers sweep a large cold
-/// range through a small cache: evictions, quarantines (injected
-/// corruption), and fault retries (injected transients) all mutate shards
-/// under the optimistic readers. Checks:
+/// range through a small cache: evictions and failed fills (corrupt pages,
+/// and pages whose first fetch fails) all mutate shards under the
+/// optimistic readers. Checks:
 ///
 /// * no torn or stale payload is ever observed (checksums verify),
 /// * optimistic hits happen under churn,
-/// * every injected transient is absorbed as exactly one counted retry,
-/// * corrupt pages end up quarantined,
-/// * the cache's structural invariants hold at rest,
+/// * every failure reaches its requester typed as its page's class: a
+///   corrupt page always as `Corrupt`, a flaky page once as retryable,
+/// * no failed page is left resident, and the cache's structural
+///   invariants hold at rest,
 ///
-/// in each of 24 rounds with fresh fault seeds. Whether a reader collides
-/// with a replacement here is up to the scheduler;
+/// in each of 24 rounds with fresh seeds. Whether a reader collides with a
+/// replacement here is up to the scheduler;
 /// `a_replaced_slot_forces_exactly_one_fallback` forces that collision.
 #[test]
 fn optimistic_reads_survive_concurrent_churn() {
@@ -226,28 +292,13 @@ fn optimistic_reads_survive_concurrent_churn() {
     const ROUNDS: u64 = 24;
 
     for round in 0..ROUNDS {
-        let plan = Arc::new(
-            FaultPlan::new(42 + round)
-                .with_transient(0.05, 1)
-                .with_flip(0.03),
-        );
-        // Hot pages must be permanently clean so readers always succeed
-        // (transient faults on them are fine: retries absorb those).
-        let hot: Vec<u32> = (0..16)
-            .filter(|&p| plan.permanent_class(PageId(p)).is_none())
-            .take(8)
-            .collect();
-        assert!(hot.len() >= 4, "seed left too few clean hot pages");
-
+        // Hot pages are below `COLD_LO` and always clean, so readers
+        // always succeed.
+        let src = FailingSource::new(42 + round, COLD_LO, COLD_HI as usize);
+        let hot: Vec<u32> = (0..8).collect();
         let cache: SharedPageCache<Checked> =
-            SharedPageCache::new(READERS + CHURNERS, 48, 4, Policy::Lru)
-                .with_retry(RetryPolicy::attempts(4));
-        let src = FaultSource::new(
-            CheckedSource {
-                pages: COLD_HI as usize,
-            },
-            Arc::clone(&plan),
-        );
+            SharedPageCache::new(READERS + CHURNERS, 48, 4, Policy::Lru);
+        let (corrupt_errors, flaky_errors) = (AtomicU64::new(0), AtomicU64::new(0));
 
         std::thread::scope(|s| {
             for r in 0..READERS {
@@ -264,19 +315,26 @@ fn optimistic_reads_survive_concurrent_churn() {
             }
             for c in 0..CHURNERS {
                 let (cache, src) = (&cache, &src);
+                let (corrupt_errors, flaky_errors) = (&corrupt_errors, &flaky_errors);
                 s.spawn(move || {
                     let w = READERS + c;
                     let span = COLD_HI - COLD_LO;
                     for i in 0..3000u32 {
                         let p = COLD_LO + (i.wrapping_mul(17).wrapping_add(c as u32 * 131)) % span;
                         match cache.try_get(w, PageId(p), src) {
-                            Ok(v) => verify(p, &v),
-                            // Corrupt / quarantined pages are the point of
-                            // the churn; transients were retried away.
-                            Err(e) => assert!(
-                                e.is_corrupt() || cache.is_quarantined(PageId(p)),
-                                "unexpected error on page {p}: {e}"
-                            ),
+                            Ok(v) => {
+                                assert!(!src.corrupt(p), "corrupt page {p} was served");
+                                verify(p, &v);
+                            }
+                            // Failed fills are the point of the churn.
+                            Err(e) if e.is_corrupt() => {
+                                assert!(src.corrupt(p), "clean page {p} failed: {e}");
+                                corrupt_errors.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Err(e) => {
+                                assert!(e.is_retryable() && src.flaky(p), "page {p}: {e}");
+                                flaky_errors.fetch_add(1, Ordering::Relaxed);
+                            }
                         }
                     }
                 });
@@ -289,13 +347,21 @@ fn optimistic_reads_survive_concurrent_churn() {
         assert!(opt.hits > 0, "hot pages must serve optimistic hits");
         assert!(stats.evictions > 0, "cold sweep must evict");
         assert!(
-            cache.quarantined_pages() > 0,
-            "injected corruption must quarantine"
+            corrupt_errors.load(Ordering::Relaxed) > 0,
+            "corrupt pages must fail their reads"
         );
+        let flaky = src.flaky_failures.load(Ordering::Relaxed);
+        assert!(flaky > 0, "flaky pages must fail a read");
         assert_eq!(
-            stats.retries,
-            plan.transient_injected(),
-            "every injected transient is exactly one counted retry"
+            flaky_errors.load(Ordering::Relaxed),
+            flaky,
+            "every flaky failure reaches exactly one requester"
         );
+        for p in COLD_LO..COLD_HI {
+            if src.corrupt(p) {
+                assert!(!cache.contains(PageId(p)), "corrupt page {p} is resident");
+            }
+        }
+        assert_eq!(stats.retries, 0, "the cache never retries");
     }
 }

@@ -259,9 +259,8 @@ pub fn join(args: &Args) -> CmdResult {
     }
     if let Some(plan) = &fault {
         println!("injected faults:    {}", plan.summary());
-        if let Some(stats) = &res.buffer {
-            println!("page retries:       {}", stats.retries);
-        }
+        let retries: u64 = res.task_traces.iter().map(|t| t.retries).sum();
+        println!("page retries:       {retries}");
     }
     if !res.task_traces.is_empty() {
         println!("task segments:      {}", res.task_traces.len());

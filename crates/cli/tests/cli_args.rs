@@ -3,7 +3,8 @@
 //! command, an undeclared option or a value-less option is a parse error
 //! (exit 2). None of them may reach a panic, and a tree file of an earlier
 //! format is refused with its version named. The grid engine's success
-//! path agrees with the R-tree engine's on the same trees.
+//! path agrees with the R-tree engine's on the same trees, and a faulted
+//! join reads no cache it was not asked for.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -239,6 +240,39 @@ fn partition_engine_joins_like_the_rtree_engine() {
         assert_eq!(lines.len(), 2, "{grid}");
         assert_eq!(lines, agreed(&rtree), "{refine:?}\n{grid}\n{rtree}");
     }
+}
+
+/// A fault plan runs on the join's node reads and builds no cache: a
+/// transient-only plan leaves the result count alone, its retries are
+/// printed, and no page-cache line appears without `--cache`.
+#[test]
+fn faulted_join_without_a_cache_prints_retries_and_no_cache_line() {
+    let run = |extra: &[&str]| {
+        let mut args = vec!["--threads", "2", "--no-refine"];
+        args.extend_from_slice(extra);
+        let out = on_trees("join", &args);
+        assert!(
+            out.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let count = |stdout: &str| {
+        stdout
+            .lines()
+            .find(|l| l.starts_with("candidate results:"))
+            .map(str::to_owned)
+    };
+    let clean = run(&[]);
+    let faulted = run(&["--inject-faults", "seed=42,transient=0.05,burst=1"]);
+    assert!(count(&clean).is_some(), "{clean}");
+    assert_eq!(count(&faulted), count(&clean), "{faulted}");
+    assert!(
+        faulted.lines().any(|l| l.starts_with("page retries:")),
+        "{faulted}"
+    );
+    assert!(!faulted.contains("page cache"), "{faulted}");
 }
 
 #[test]

@@ -101,7 +101,9 @@ pub struct TaskTrace {
     pub hits_remote: u64,
     /// Cache misses (pages fetched from the source).
     pub misses: u64,
-    /// Page-fetch retries absorbed inside the cache.
+    /// Node reads retried after an injected transient fault (R-tree
+    /// engine only: its fault plan runs on every node read, under
+    /// [`crate::RunControl::retry`]).
     pub retries: u64,
     /// Wall-clock time from acquiring the task to finishing it.
     pub wall: std::time::Duration,

@@ -298,7 +298,7 @@ impl FailState<'_> {
 pub(crate) trait MorselBody<M> {
     /// Runs `morsel`, appending its result pairs to `out` in the oracle's
     /// order and counting its work into `tt` (tasks, node pairs,
-    /// candidates, replication, dedup). Returns `false` when it saw
+    /// candidates, read retries, replication, dedup). Returns `false` when it saw
     /// [`FailState::stopped`] mid-morsel: the partial output is then
     /// discarded and the worker retires.
     fn run(
@@ -513,7 +513,6 @@ impl<'c> Driver<'c> {
                     tt.hits_local = delta.hits_local;
                     tt.hits_remote = delta.hits_remote;
                     tt.misses = delta.misses;
-                    tt.retries = delta.retries;
                 }
                 _ => tt.pages = 2 * tt.node_pairs,
             }

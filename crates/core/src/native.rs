@@ -46,14 +46,16 @@
 //!
 //! # Faults and storage errors
 //!
-//! Page fetches may be disturbed by an injected [`FaultPlan`] (see
-//! [`RunControl::fault`]) or, in a real deployment, fail outright.
-//! Transient failures are retried inside the cache per
-//! [`RunControl::retry`] and show up only as [`BufferStats::retries`];
-//! unrecoverable failures (checksum corruption, quarantined pages) abort
-//! the join with [`NativeError::Storage`] — a parallel join never silently
-//! drops a subtree, so a storage error yields a typed error rather than a
-//! wrong answer.
+//! Node reads may be disturbed by an injected [`FaultPlan`] (see
+//! [`RunControl::fault`]). A worker runs the plan on each node read, before
+//! it reads the arena or asks the cache, under [`RunControl::retry`]:
+//! transient failures are retried there and counted in
+//! [`TaskTrace::retries`]; an unrecoverable failure (an injected
+//! corruption, on every read of its page) aborts the join with
+//! [`NativeError::Storage`] — a parallel join never silently drops a
+//! subtree, so a storage error yields a typed error rather than a wrong
+//! answer. A fault plan builds no cache: the unbuffered join reads the
+//! arena after the check, as it does without one.
 
 use crate::cancel::CancelToken;
 use crate::cost::CandidateEstimator;
@@ -63,6 +65,7 @@ use crate::partition::JoinEngine;
 use crate::task::{create_tasks, expand_pair, Candidate, KernelScratch, TaskPair};
 use psj_buffer::{BufferStats, PageRef, PageSource, Policy, SharedPageCache};
 use psj_geom::polyline::intersects;
+use psj_obs::trace::worker_tid;
 use psj_obs::TraceSink;
 use psj_rtree::{FrameRef, JoinNode, NodeFrame, PagedTree};
 use psj_store::{FaultPlan, PageError, PageId, RetryPolicy};
@@ -140,17 +143,17 @@ impl NativeConfig {
 pub struct RunControl<'c> {
     /// Cooperative cancellation token, checked once per node pair.
     pub cancel: Option<&'c CancelToken>,
-    /// Deterministic fault plan applied to every page fetch. Faults act on
-    /// cache fills, so the R-tree engine reads an unbuffered config
-    /// through an implicit cache sized to both trees when `fault` is set;
-    /// the grid engine fills no cache and ignores it.
+    /// Deterministic fault plan the R-tree engine runs on every node read,
+    /// buffered or not (with a cache, hits included); the grid engine
+    /// reads no nodes and ignores it.
     pub fault: Option<Arc<FaultPlan>>,
-    /// Retry policy for failed page fetches (applied inside the cache).
+    /// Retry policy for node reads the fault plan fails transiently.
     pub retry: RetryPolicy,
     /// Trace sink for structured tracing. When set, the run emits its
     /// planning spans and the `join` span on the driver row, one `task`
-    /// span per morsel on each worker row, and (via the cache this run
-    /// builds) `page_read`/`page_retry`/`page_quarantine` events. When
+    /// span per morsel and a `page_retry` instant per retried node read on
+    /// each worker row, and, with a cache, a `page_read` span per fill on
+    /// the worker's cache row. When
     /// `None`, tracing costs one `Option` check per morsel boundary —
     /// per-morsel attribution itself is always collected.
     pub trace: Option<Arc<TraceSink>>,
@@ -295,24 +298,20 @@ const TREE_B_TAG: u32 = 1 << 31;
 
 /// A [`PageSource`] over both join inputs: a fill copies the node's words
 /// from the owning tree's page arena into the cache's [`NodeFrame`] slot,
-/// in place, after the injected fault plan (if any) has had its say.
+/// in place.
 struct JoinSource<'t> {
     a: &'t PagedTree,
     b: &'t PagedTree,
-    fault: Option<Arc<FaultPlan>>,
 }
 
 impl<'t> JoinSource<'t> {
     /// The arena page behind a (tagged) page id.
-    fn read(&self, page: PageId) -> Result<FrameRef<'t>, PageError> {
-        if let Some(plan) = &self.fault {
-            plan.before_fetch(page)?;
-        }
-        Ok(if page.0 & TREE_B_TAG != 0 {
+    fn read(&self, page: PageId) -> FrameRef<'t> {
+        if page.0 & TREE_B_TAG != 0 {
             self.b.frame(PageId(page.0 & !TREE_B_TAG))
         } else {
             self.a.frame(page)
-        })
+        }
     }
 }
 
@@ -320,7 +319,7 @@ impl PageSource for JoinSource<'_> {
     type Item = NodeFrame;
 
     fn fetch_page(&self, page: PageId) -> Result<NodeFrame, PageError> {
-        Ok(NodeFrame::from_frame(self.read(page)?))
+        Ok(NodeFrame::from_frame(self.read(page)))
     }
 
     fn page_count(&self) -> usize {
@@ -332,7 +331,7 @@ impl PageSource for JoinSource<'_> {
         page: PageId,
         slot: &'s mut MaybeUninit<NodeFrame>,
     ) -> Result<&'s mut NodeFrame, PageError> {
-        Ok(NodeFrame::fill(self.read(page)?, slot))
+        Ok(NodeFrame::fill(self.read(page), slot))
     }
 }
 
@@ -422,12 +421,43 @@ impl<'t> Fetch<'t> for Cached<'t> {
     }
 }
 
+/// The injected fault plan one worker runs before each of its node reads,
+/// under the run's retry policy.
+struct Faults<'t> {
+    plan: &'t FaultPlan,
+    retry: RetryPolicy,
+    /// Gets a `page_retry` instant on the worker's row per retry.
+    trace: Option<&'t TraceSink>,
+    worker: usize,
+}
+
+impl Faults<'_> {
+    /// Runs the plan on a read of `key` (a tagged page id) and adds its
+    /// retries to `tt`; `Err` when the read failed for good.
+    fn check(&self, key: PageId, tt: &mut TaskTrace) -> Result<(), PageError> {
+        let (checked, retries) = self.retry.run_observed(
+            u64::from(key.0),
+            |_| self.plan.before_fetch(key),
+            |attempt, _| {
+                if let Some(t) = self.trace {
+                    let args = [("page", u64::from(key.0)), ("attempt", u64::from(attempt))];
+                    t.instant(worker_tid(self.worker), "page_retry", "storage", &args);
+                }
+            },
+        );
+        tt.retries += retries;
+        checked
+    }
+}
+
 /// One R-tree worker: its node reads and the kernel's reusable buffers.
 struct Expand<'t, F> {
     a: &'t PagedTree,
     b: &'t PagedTree,
     refine: bool,
     fetch: F,
+    /// `None` without a fault plan: a node read is then the fetch alone.
+    faults: Option<Faults<'t>>,
     scratch: KernelScratch,
     children: Vec<TaskPair>,
     cands: Vec<Candidate>,
@@ -437,17 +467,41 @@ struct Expand<'t, F> {
 }
 
 impl<'t, F: Fetch<'t>> Expand<'t, F> {
-    fn new(a: &'t PagedTree, b: &'t PagedTree, refine: bool, fetch: F) -> Self {
+    fn new(
+        a: &'t PagedTree,
+        b: &'t PagedTree,
+        refine: bool,
+        fetch: F,
+        faults: Option<Faults<'t>>,
+    ) -> Self {
         Expand {
             a,
             b,
             refine,
             fetch,
+            faults,
             scratch: KernelScratch::default(),
             children: Vec::new(),
             cands: Vec::new(),
             stack: Vec::new(),
         }
+    }
+
+    /// Reads a pair's two nodes, each after the fault plan (if any) passed
+    /// its read; tree B's key carries [`TREE_B_TAG`], as in the cache.
+    fn read_pair(
+        &self,
+        pair: &TaskPair,
+        tt: &mut TaskTrace,
+    ) -> Result<(F::Ref, F::Ref), PageError> {
+        if let Some(f) = &self.faults {
+            f.check(pair.a, tt)?;
+        }
+        let ra = self.fetch.node_a(pair.a)?;
+        if let Some(f) = &self.faults {
+            f.check(PageId(pair.b.0 | TREE_B_TAG), tt)?;
+        }
+        Ok((ra, self.fetch.node_b(pair.b)?))
     }
 }
 
@@ -472,11 +526,7 @@ impl<'t, F: Fetch<'t>> MorselBody<Morsel> for Expand<'t, F> {
                 return false;
             }
             tt.node_pairs += 1;
-            let fetched = self
-                .fetch
-                .node_a(pair.a)
-                .and_then(|na| self.fetch.node_b(pair.b).map(|nb| (na, nb)));
-            let (ra, rb) = match fetched {
+            let (ra, rb) = match self.read_pair(&pair, tt) {
                 Ok(v) => v,
                 Err(e) => {
                     fail.record(e);
@@ -532,11 +582,10 @@ impl<'t, F: Fetch<'t>> MorselBody<Morsel> for Expand<'t, F> {
 /// real threads under full runtime control — cancellation, fault
 /// injection, and a storage retry policy.
 ///
-/// Faults act on cache fills, so a fault plan on an *unbuffered* config
-/// reads through an implicit cache sized to both trees (the result then
-/// carries [`NativeResult::buffer`] stats even though `cfg.buffer` was
-/// `None`). Transient faults are absorbed by retries and reported in
-/// [`BufferStats::retries`]; an unrecoverable page failure aborts all
+/// A fault plan runs on each node read, so it changes nothing about where
+/// nodes are read from: [`NativeResult::buffer`] is `Some` only when
+/// `cfg.buffer` is. Transient faults are absorbed by retries and reported
+/// in [`TaskTrace::retries`]; an unrecoverable page failure aborts all
 /// workers and returns [`NativeError::Storage`].
 pub(crate) fn try_run_native_join(
     a: &PagedTree,
@@ -580,16 +629,22 @@ pub(crate) fn try_run_native_join(
         ],
     );
 
-    let faulted = ctl.fault.as_ref().is_some_and(|p| !p.is_noop());
-    let forced = faulted.then(|| BufferConfig::global((a.num_pages() + b.num_pages()).max(1)));
-    let cache = cfg.buffer.as_ref().or(forced.as_ref()).map(|buf| {
+    let faults = |worker| {
+        let fault = ctl.fault.as_deref().filter(|p| !p.is_noop());
+        fault.map(|plan| Faults {
+            plan,
+            retry: ctl.retry,
+            trace: ctl.trace.as_deref(),
+            worker,
+        })
+    };
+    let cache = cfg.buffer.as_ref().map(|buf| {
         let cache = SharedPageCache::new(
             cfg.num_threads,
             buf.capacity_pages,
             buf.shards.max(1),
             Policy::Lru,
-        )
-        .with_retry(ctl.retry);
+        );
         match &ctl.trace {
             Some(t) => cache.with_trace(Arc::clone(t)),
             None => cache,
@@ -597,25 +652,17 @@ pub(crate) fn try_run_native_join(
     });
     let since = Instant::now();
     let mut res = match &cache {
-        None => driver.run_morsels(&plan.morsels, tasks, since, |_| {
-            Expand::new(a, b, cfg.refine, Direct { a, b })
+        None => driver.run_morsels(&plan.morsels, tasks, since, |worker| {
+            Expand::new(a, b, cfg.refine, Direct { a, b }, faults(worker))
         }),
         Some(cache) => driver.run_morsels(&plan.morsels, tasks, since, |worker| {
-            let source = JoinSource {
-                a,
-                b,
-                fault: ctl.fault.clone(),
+            let source = JoinSource { a, b };
+            let fetch = Cached {
+                source,
+                cache,
+                worker,
             };
-            Expand::new(
-                a,
-                b,
-                cfg.refine,
-                Cached {
-                    source,
-                    cache,
-                    worker,
-                },
-            )
+            Expand::new(a, b, cfg.refine, fetch, faults(worker))
         }),
     }?;
     if let Some(cache) = &cache {
@@ -682,17 +729,13 @@ mod tests {
         let driver = Driver::start(threads, JoinEngine::RTree, &ctl);
         let mut res = driver
             .run_morsels(&plan.morsels, tc.tasks.len(), Instant::now(), |worker| {
-                let source = JoinSource { a, b, fault: None };
-                Expand::new(
-                    a,
-                    b,
-                    false,
-                    Cached {
-                        source,
-                        cache,
-                        worker,
-                    },
-                )
+                let source = JoinSource { a, b };
+                let fetch = Cached {
+                    source,
+                    cache,
+                    worker,
+                };
+                Expand::new(a, b, false, fetch, None)
             })
             .expect("in-memory join");
         res.buffer_per_worker = cache
@@ -731,11 +774,7 @@ mod tests {
         let frame = a.frame(leaf);
         assert!(frame.is_leaf() && frame.is_empty() && frame.level() == 0);
 
-        let source = JoinSource {
-            a,
-            b: &src,
-            fault: None,
-        };
+        let source = JoinSource { a, b: &src };
         let mut slot = MaybeUninit::new(NodeFrame::from_frame(src.frame(PageId(0))));
         let filled = source.fill_page(leaf, &mut slot).unwrap();
         assert!(filled.is_leaf() && filled.is_empty() && filled.level() == 0);
@@ -919,10 +958,11 @@ mod tests {
         let res = try_run_native_join(&a, &b, &NativeConfig::new(4), &ctl)
             .expect("transient faults must be retried away");
         assert_eq!(as_set(&res.pairs), want);
-        let stats = res.buffer.expect("fault run forces a buffer");
+        assert!(res.buffer.is_none(), "a fault plan builds no cache");
         assert!(plan.transient_injected() > 0, "plan injected nothing");
+        let retries: u64 = res.task_traces.iter().map(|t| t.retries).sum();
         assert_eq!(
-            stats.retries,
+            retries,
             plan.transient_injected(),
             "every injected transient shows up as exactly one retry"
         );
@@ -946,18 +986,18 @@ mod tests {
     }
 
     /// A panic inside one morsel (here: an injected one-shot panic on a
-    /// page fetch) must not take down the run's other morsels: the hit
-    /// worker catches the unwind and keeps taking morsels, the caches'
-    /// poison-recovering locks and fill guard keep the other workers
-    /// unblocked, and the driver reports a typed error instead of merging
-    /// a silently incomplete result.
+    /// node read) must not take down the run's other morsels: the hit
+    /// worker catches the unwind and keeps taking morsels, the fault
+    /// plan's poison-recovering lock keeps the other workers unblocked,
+    /// and the driver reports a typed error instead of merging a silently
+    /// incomplete result.
     #[test]
     fn worker_panic_is_contained_and_other_morsels_complete() {
         let a = tree(600, 0.0);
         let b = tree(600, 0.4);
         // Page 0 is the root, which only the (unfaulted) phase-1 descent
         // reads; the last page is the rightmost leaf, which some morsel is
-        // certain to fetch through the cache.
+        // certain to read.
         let last_leaf = (a.num_pages() - 1) as u32;
         let plan = Arc::new(FaultPlan::new(5).with_panic_page(last_leaf));
         let ctl = RunControl::default().with_fault(plan);
@@ -989,7 +1029,7 @@ mod tests {
         let res = try_run_native_join(&a, &b, &NativeConfig::new(2), &RunControl::default())
             .expect("no faults, no cancel");
         assert_eq!(as_set(&res.pairs), want);
-        assert!(res.buffer.is_none(), "no fault plan: no forced buffer");
+        assert!(res.buffer.is_none(), "no buffer config: no cache");
     }
 
     #[test]

@@ -35,6 +35,7 @@ use crate::morsel::{auto_budget, Driver, FailState, MorselBody};
 use crate::native::{NativeConfig, NativeError, NativeResult, RunControl};
 use psj_geom::polyline::intersects;
 use psj_geom::{sweep_pairs_soa_runs, Point, Rect, SweepPair, SweepScratch};
+use psj_obs::trace::TID_MAIN;
 use psj_rtree::{GeomRef, JoinNode, PagedTree};
 use std::borrow::Cow;
 use std::time::Instant;
@@ -160,15 +161,28 @@ const PLAN_GRAIN: usize = 8;
 
 /// Plans over both sides on `cfg.num_threads` threads (see
 /// [`build_cells`]); the plan is identical at every thread count except
-/// for the morsel packing, which follows the thread count's budget.
+/// for the morsel packing, which follows the thread count's budget. With
+/// `ctl.trace` set, the steps only the calling thread runs each get a span
+/// on the driver row: `plan.stats` (both sides' extents), `plan.rate`
+/// (occupied cells' estimates) and `plan.pack` (morsels), beside
+/// [`build_cells`]' own.
 fn plan_sides(
     a: &Side<'_>,
     b: &Side<'_>,
     cfg: &NativeConfig,
     ctl: &RunControl<'_>,
 ) -> Result<PartitionPlan, NativeError> {
+    let now = || ctl.trace.as_ref().map(|t| t.now_ns());
+    let span = |name: &'static str, start: Option<u64>, arg: (&'static str, u64)| {
+        if let (Some(t), Some(start)) = (ctl.trace.as_ref(), start) {
+            t.span(TID_MAIN, name, "join", start, &[arg]);
+        }
+    };
+    let start = now();
     let sa = ItemStats::scan(a.items.iter().map(|i| &i.mbr));
     let sb = ItemStats::scan(b.items.iter().map(|i| &i.mbr));
+    let items = (a.items.len() + b.items.len()) as u64;
+    span("plan.stats", start, ("items", items));
     let universe = match (sa.bbox, sb.bbox) {
         (Some(ra), Some(rb)) if ra.intersects(&rb) => Rect {
             xl: ra.xl.max(rb.xl),
@@ -208,6 +222,7 @@ fn plan_sides(
     // Rate occupied cells with the morsel planner's Minkowski model: two
     // uniformly placed entries in a cell intersect with probability
     // `min(1, (wa+wb)/cell_w) × min(1, (ha+hb)/cell_h)`.
+    let start = now();
     let cell_w = grid.universe.width() / f64::from(grid.nx);
     let cell_h = grid.universe.height() / f64::from(grid.ny);
     let p_axis = |ext_a: f64, ext_b: f64, span: f64| {
@@ -233,9 +248,11 @@ fn plan_sides(
     }
     let occupied = rated.len();
     let budget = auto_budget(total, cfg.num_threads);
+    span("plan.rate", start, ("occupied", occupied as u64));
 
     // Next-fit pack in cell order, same discipline as `morselize`: a morsel
     // exceeds the budget only when it holds exactly one cell.
+    let start = now();
     let mut morsels: Vec<CellMorsel> = Vec::new();
     let mut cur_cells: Vec<u32> = Vec::new();
     let mut cur_est = 0.0f64;
@@ -257,6 +274,7 @@ fn plan_sides(
         cur_est += e;
     }
     flush(&mut cur_cells, &mut cur_est, &mut morsels);
+    span("plan.pack", start, ("morsels", morsels.len() as u64));
 
     Ok(PartitionPlan {
         grid,
@@ -277,12 +295,13 @@ fn plan_sides(
 /// into the cell's run) and `plan.sort` (each run by `(xl, position)`,
 /// reading only the run). Cancellation is honored between planning phases
 /// and at cell granularity; tracing emits `plan_partition`/`join` driver
-/// spans, one `plan.count`/`plan.scatter`/`plan.sort` span per worker, and
-/// per-morsel `task` spans like the R-tree engine. Fault plans and retry
-/// policies are inert here (they act on page-cache fills; this engine has
-/// no cache) — callers that need fault coverage keep [`JoinEngine::RTree`];
-/// `psj join` rejects the cache and fault options with `--engine
-/// partition`.
+/// spans with the driver-only planning steps (`plan.stats`, `plan.prefix`,
+/// `plan.rate`, `plan.pack`) inside `plan_partition`, one
+/// `plan.count`/`plan.scatter`/`plan.sort` span per worker, and per-morsel
+/// `task` spans like the R-tree engine. Fault plans and retry policies are
+/// inert here (they act on node reads; this engine reads no nodes) —
+/// callers that need fault coverage keep [`JoinEngine::RTree`]; `psj join`
+/// rejects the cache and fault options with `--engine partition`.
 ///
 /// [`NativeResult::elapsed`] starts before planning: the grid, the
 /// replication passes and the per-cell sorts are real costs of answering
@@ -407,7 +426,7 @@ mod tests {
     use crate::morsel::{AUTO_BUDGET_MAX, AUTO_BUDGET_MIN};
     use crate::seq::{join_candidates, join_refined};
     use psj_geom::{Point, Polyline};
-    use psj_obs::trace::{worker_tid, TID_MAIN};
+    use psj_obs::trace::worker_tid;
     use psj_rtree::RTree;
 
     fn tree(n: usize, offset: f64) -> PagedTree {
@@ -700,6 +719,57 @@ mod tests {
                 plan.get("args").and_then(|a| a.get(arg)).is_some(),
                 "plan_partition keeps its {arg} arg"
             );
+        }
+    }
+
+    /// The steps only the driver runs (extents, prefix sums, rating,
+    /// packing) each get one span on the driver row, in order, inside
+    /// `plan_partition`.
+    #[test]
+    fn traced_planning_records_each_driver_step_once() {
+        let a = tree(800, 0.0);
+        let b = tree(800, 0.4);
+        let sink = psj_obs::TraceSink::new(1 << 16);
+        let ctl = RunControl::default().with_trace(std::sync::Arc::clone(&sink));
+        let mut cfg = NativeConfig::new(2);
+        cfg.refine = false;
+        try_run_partition_join(
+            PartitionInput::Tree(&a),
+            PartitionInput::Tree(&b),
+            &cfg,
+            &ctl,
+        )
+        .expect("no cancel token");
+        let mut text = Vec::new();
+        sink.write_jsonl(&mut text).expect("write to a Vec");
+        let text = String::from_utf8(text).expect("JSONL is UTF-8");
+        psj_obs::validate_jsonl(&text).expect("trace validates");
+        let events: Vec<psj_obs::json::Value> = text
+            .lines()
+            .map(|l| psj_obs::json::parse(l).expect("line parses"))
+            .collect();
+        // (tid, begin, end) of the one span named `name`.
+        let span = |name: &str| -> (f64, f64, f64) {
+            let found: Vec<_> = events
+                .iter()
+                .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some(name))
+                .collect();
+            assert_eq!(found.len(), 1, "{name}: one span");
+            let num = |k: &str| found[0].get(k).and_then(|v| v.as_f64()).expect(k);
+            (num("tid"), num("ts"), num("ts") + num("dur"))
+        };
+        // Times are printed in µs to the ns, so sums may be a rounding off.
+        let ns = 1e-3;
+        let (_, plan_begin, plan_end) = span("plan_partition");
+        let mut last_end = plan_begin;
+        for step in ["plan.stats", "plan.prefix", "plan.rate", "plan.pack"] {
+            let (tid, begin, end) = span(step);
+            assert_eq!(tid, f64::from(TID_MAIN), "{step} is on the driver row");
+            assert!(
+                begin + ns >= last_end && end <= plan_end + ns,
+                "{step} in order"
+            );
+            last_end = end;
         }
     }
 }

@@ -28,7 +28,7 @@
 use super::RectItem;
 use crate::native::{NativeError, RunControl};
 use psj_geom::{Rect, SoaRun};
-use psj_obs::trace::worker_tid;
+use psj_obs::trace::{worker_tid, TID_MAIN};
 use std::ops::Range;
 
 /// Target combined items per cell: small enough that a per-cell sweep stays
@@ -328,7 +328,8 @@ impl RunCoords {
 /// a total order on that set, so the result is identical for every
 /// `threads`. One thread runs every phase inline, with no spawn. With
 /// `ctl.trace` set, each thread records one `plan.count`, `plan.scatter`
-/// and `plan.sort` span on its worker row; `ctl.cancel` is checked
+/// and `plan.sort` span on its worker row, and the calling thread one
+/// `plan.prefix` span (phase 2) on the driver row; `ctl.cancel` is checked
 /// between phases.
 pub fn build_cells(
     grid: &GridPlan,
@@ -364,6 +365,7 @@ pub fn build_cells(
     check()?;
 
     // Phase 2: prefix sums, then each chunk's sub-run of every cell.
+    let start = now();
     let mut offsets = [0, 1].map(|_| Vec::with_capacity(cells + 1));
     let mut replicas = [0, 1].map(|_| vec![0u32; cells]);
     for (s, (offsets, replicas)) in offsets.iter_mut().zip(&mut replicas).enumerate() {
@@ -389,6 +391,15 @@ pub fn build_cells(
                 run[s].push(rest.split_front(count[s].cells[c] as usize));
             }
         }
+    }
+    if let (Some(t), Some(start)) = (ctl.trace.as_ref(), start) {
+        t.span(
+            TID_MAIN,
+            "plan.prefix",
+            "join",
+            start,
+            &[("cells", cells as u64)],
+        );
     }
 
     // Phase 3: each chunk scatters its indices and coordinates, in input

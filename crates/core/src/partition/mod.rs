@@ -110,8 +110,8 @@ pub enum PartitionInput<'t> {
 /// the benchmark ([`try_run_partition_join`] also takes unindexed inputs).
 /// A fired token returns [`NativeError::Cancelled`] and a panicked morsel
 /// [`NativeError::WorkerPanic`]; fault plans, retries and
-/// [`NativeError::Storage`] act on the R-tree engine's page cache (see
-/// [`crate::native`]).
+/// [`NativeError::Storage`] act on the R-tree engine's node reads, with or
+/// without its page cache (see [`crate::native`]).
 pub fn try_run_join(
     a: &PagedTree,
     b: &PagedTree,

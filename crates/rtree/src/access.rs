@@ -1,14 +1,15 @@
 //! Borrow-generic node access for paged-tree traversals.
 //!
 //! The window and nearest-neighbor descents only need to *look at* one node
-//! at a time. [`NodeAccess`] abstracts where that look comes from: an
+//! at a time. [`NodeAccess`] abstracts what happens around that look: an
 //! in-memory [`PagedTree`] hands out its pages viewed in place in its
-//! arena ([`Frame`]), while a cache-backed reader (the serve executor)
-//! hands out pin-guarded borrows from a shared page cache — same
-//! traversal, zero Arc clones either way. The associated `Ref` type only
-//! has to deref to a [`JoinNode`]; each borrow is dropped before the next
-//! page is read, so guard-style accessors never hold more than one pin per
-//! traversal step.
+//! arena ([`Frame`]), and the serve executor's reader hands out the same
+//! frames after it has checked the query's deadline, refused a poisoned
+//! page and run any injected fault plan — same traversal, nothing copied
+//! either way. The associated `Ref` type only has to deref to a
+//! [`JoinNode`]; each borrow is dropped before the next page is read, so a
+//! guard-style accessor would never hold more than one pin per traversal
+//! step.
 
 use crate::entry::DataEntry;
 use crate::frame::{FrameRef, JoinNode};

@@ -5,15 +5,15 @@
 //!
 //! * [`PageError::Corrupt`] — the bytes came back but their checksum does
 //!   not match. Rereading the same sectors will return the same bytes, so
-//!   retrying is useless; the page is quarantined and the error surfaces
-//!   as a typed reply instead of garbage results.
+//!   retrying is useless; the error surfaces as a typed reply (or aborts
+//!   a join) instead of garbage results.
 //! * [`PageError::Io`] — the read failed before producing bytes. Transient
 //!   kinds (EIO blips, interrupts) are retryable under a
 //!   [`crate::RetryPolicy`]; permanent kinds (truncation, missing file)
 //!   are not.
 //!
-//! Errors are `Clone` so a quarantined page can replay its original error
-//! to every later requester without re-reading the device.
+//! Errors are `Clone`, so the typed results that carry them
+//! (`NativeError`, a served query's outcome) are too.
 
 use crate::page::PageId;
 use std::io;
@@ -58,7 +58,7 @@ impl PageError {
         }
     }
 
-    /// Whether the error is a checksum failure (quarantinable).
+    /// Whether the error is a checksum failure (never retryable).
     pub fn is_corrupt(&self) -> bool {
         matches!(self, PageError::Corrupt { .. })
     }

@@ -19,9 +19,9 @@
 //! * **latency** — a per-read chance of an injected sleep, for exercising
 //!   deadline/backpressure paths without real slow disks.
 //!
-//! One injection surface: [`FaultPlan::before_fetch`] is the hook a page
-//! read calls before it touches the page (the join's cache fills, the
-//! server's node reads). Reads go to resident pages, not bytes on a
+//! One injection surface: [`FaultPlan::before_fetch`] is the hook a node
+//! read calls before it touches the page (the R-tree join's and the
+//! server's, each under its retry policy). Reads go to resident pages, not bytes on a
 //! device, so flip/torn faults are synthesized directly as `Corrupt`
 //! errors — justified because the checksum tests
 //! (`checksum::tests::any_flipped_bit_is_detected` and
@@ -201,13 +201,15 @@ impl FaultPlan {
         attempt
     }
 
+    /// Whether `page` is selected for a transient burst.
+    fn transient_selected(&self, page: PageId) -> bool {
+        self.transient_p > 0.0 && self.frac(CLASS_TRANSIENT, page.0) < self.transient_p
+    }
+
     /// Whether read number `attempt` of `page` fails transiently.
     /// Counts the injection when it fires.
     fn check_transient(&self, page: PageId, attempt: u32) -> bool {
-        if self.transient_p > 0.0
-            && self.frac(CLASS_TRANSIENT, page.0) < self.transient_p
-            && attempt < self.burst_len(page.0)
-        {
+        if self.transient_selected(page) && attempt < self.burst_len(page.0) {
             self.transient_injected.fetch_add(1, Ordering::Relaxed);
             true
         } else {
@@ -226,9 +228,14 @@ impl FaultPlan {
         }
     }
 
+    /// Whether reads may draw injected latency.
+    fn has_latency(&self) -> bool {
+        self.latency_p > 0.0 && !self.latency.is_zero()
+    }
+
     /// Sleep if read number `attempt` of `page` draws injected latency.
     fn inject_latency(&self, page: PageId, attempt: u32) {
-        if self.latency_p > 0.0 && !self.latency.is_zero() {
+        if self.has_latency() {
             let h = splitmix64(
                 self.seed
                     ^ CLASS_LATENCY.rotate_left(32)
@@ -248,11 +255,20 @@ impl FaultPlan {
     /// are synthesized as `Corrupt` errors — the checksum tests
     /// (`any_flipped_bit_is_detected`, `torn_record_is_detected`) prove the
     /// CRC footer detects them, so modelling detection as certain is sound.
+    ///
+    /// Only a page selected for transients, or any page when latency is
+    /// configured, has its attempt counted (under the plan's one mutex):
+    /// for every other page the attempt number changes no outcome, so it
+    /// reads as 0 and concurrent readers of those pages share no lock.
     pub fn before_fetch(&self, page: PageId) -> Result<(), PageError> {
         if self.panic_page == Some(page.0) && !self.panic_fired.swap(true, Ordering::AcqRel) {
             panic!("injected panic on fetch of {page:?}");
         }
-        let attempt = self.next_attempt(page);
+        let attempt = if self.transient_selected(page) || self.has_latency() {
+            self.next_attempt(page)
+        } else {
+            0
+        };
         self.inject_latency(page, attempt);
         if self.check_transient(page, attempt) {
             return Err(PageError::io(
@@ -376,6 +392,41 @@ mod tests {
         let attempt = plan.next_attempt(page);
         assert!(!plan.check_transient(page, attempt));
         assert_eq!(plan.transient_injected(), burst as u64);
+    }
+
+    /// Reads of unselected pages take no attempt number, so however many
+    /// of them interleave, a selected page fails exactly its burst and
+    /// then succeeds.
+    #[test]
+    fn unselected_reads_do_not_shift_a_selected_burst() {
+        let plan = FaultPlan::new(17).with_transient(0.3, 4);
+        let selected = (0..)
+            .map(PageId)
+            .find(|&p| plan.transient_selected(p) && plan.burst_len(p.0) > 1)
+            .unwrap();
+        let burst = plan.burst_len(selected.0);
+        let others: Vec<PageId> = (0..200)
+            .map(PageId)
+            .filter(|&p| !plan.transient_selected(p))
+            .collect();
+        assert!(others.len() > 100);
+        let mut failed = 0;
+        for round in 0..burst + 3 {
+            for &p in others.iter().skip(round as usize % 7).step_by(3) {
+                plan.before_fetch(p)
+                    .expect("an unselected page never fails");
+            }
+            if plan.before_fetch(selected).is_err() {
+                assert_eq!(failed, round, "the burst's failures come first");
+                failed += 1;
+            }
+        }
+        assert_eq!(failed, burst);
+        assert_eq!(plan.transient_injected(), u64::from(burst));
+        assert!(
+            !lock_clean(&plan.attempts).contains_key(&others[0].0),
+            "an unselected page takes no attempt number"
+        );
     }
 
     #[test]

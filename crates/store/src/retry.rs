@@ -1,9 +1,9 @@
 //! Configurable retry policy for page reads.
 //!
-//! The policy is owned by whoever drives the read — the shared page cache
-//! retries its fills, and a served query retries its node reads — and the
-//! page source below never retries, so one knob controls the whole stack
-//! and every retry is counted in one place.
+//! The policy is owned by whoever drives the read — the R-tree join and a
+//! served query each retry their node reads — and the page source below
+//! never retries, so one knob controls the whole stack and every retry is
+//! counted in one place.
 //!
 //! Only errors whose [`PageError::is_retryable`] is true are retried;
 //! corruption and out-of-range requests fail immediately. Backoff is
@@ -92,21 +92,13 @@ impl RetryPolicy {
         delay
     }
 
-    /// Run `op` under this policy. Returns the final result and the number
-    /// of retries performed (0 if the first attempt settled it).
-    pub fn run<T>(
-        &self,
-        key: u64,
-        op: impl FnMut(u32) -> Result<T, PageError>,
-    ) -> (Result<T, PageError>, u64) {
-        self.run_observed(key, op, |_, _| {})
-    }
-
-    /// Like [`RetryPolicy::run`], but calls `on_retry(attempt, error)` for
+    /// Run `op` under this policy, calling `on_retry(attempt, error)` for
     /// every attempt that is about to be retried (before the backoff
-    /// sleep). Tracing hooks in here: a retry storm shows up in the trace
-    /// as it happens, with the failing attempt's error, rather than as one
-    /// summary count after the final attempt settles.
+    /// sleep). Returns the final result and the number of retries
+    /// performed (0 if the first attempt settled it). Tracing hooks in
+    /// `on_retry`: a retry storm shows up in the trace as it happens, with
+    /// the failing attempt's error, rather than as one summary count after
+    /// the final attempt settles.
     pub fn run_observed<T>(
         &self,
         key: u64,
@@ -147,11 +139,19 @@ mod tests {
     use crate::page::PageId;
     use std::io;
 
+    /// `run_observed` with no observer.
+    fn run<T>(
+        policy: &RetryPolicy,
+        op: impl FnMut(u32) -> Result<T, PageError>,
+    ) -> (Result<T, PageError>, u64) {
+        policy.run_observed(0, op, |_, _| {})
+    }
+
     #[test]
     fn retries_transient_errors_up_to_budget() {
         let policy = RetryPolicy::attempts(3);
         let mut fails = 2;
-        let (res, retries) = policy.run(0, |_| {
+        let (res, retries) = run(&policy, |_| {
             if fails > 0 {
                 fails -= 1;
                 Err(PageError::io(PageId(0), io::ErrorKind::Other, "blip"))
@@ -189,7 +189,7 @@ mod tests {
     fn gives_up_after_max_attempts() {
         let policy = RetryPolicy::attempts(3);
         let mut calls = 0;
-        let (res, retries) = policy.run(0, |_| {
+        let (res, retries) = run(&policy, |_| {
             calls += 1;
             Err::<(), _>(PageError::io(PageId(0), io::ErrorKind::Other, "blip"))
         });
@@ -202,7 +202,7 @@ mod tests {
     fn corruption_is_never_retried() {
         let policy = RetryPolicy::attempts(5);
         let mut calls = 0;
-        let (res, retries) = policy.run(0, |_| {
+        let (res, retries) = run(&policy, |_| {
             calls += 1;
             Err::<(), _>(PageError::Corrupt {
                 page: PageId(0),
@@ -218,7 +218,7 @@ mod tests {
     fn none_policy_fails_fast() {
         let policy = RetryPolicy::none();
         let mut calls = 0;
-        let (res, retries) = policy.run(0, |_| {
+        let (res, retries) = run(&policy, |_| {
             calls += 1;
             Err::<(), _>(PageError::io(PageId(0), io::ErrorKind::Other, "blip"))
         });
