@@ -27,7 +27,7 @@ use crate::native::{JoinError, NativeError, NativeResult, RunControl};
 use crate::partition::JoinEngine;
 use crate::task::{expand_pair, KernelScratch, TaskPair};
 use psj_buffer::BufferStats;
-use psj_obs::trace::{cache_tid, worker_tid, TID_MAIN};
+use psj_obs::trace::{worker_tid, TID_MAIN};
 use psj_obs::{ThreadTracer, TraceSink};
 use psj_rtree::{JoinNode, PagedTree};
 use psj_store::{lock_clean, PageError};
@@ -327,7 +327,8 @@ pub(crate) struct Driver<'c> {
 }
 
 impl<'c> Driver<'c> {
-    /// Names the trace rows and opens the `join` span.
+    /// Names the driver's and the workers' trace rows and opens the `join`
+    /// span. A run with a page cache names the cache rows itself.
     pub(crate) fn start(threads: usize, engine: JoinEngine, ctl: &'c RunControl<'_>) -> Self {
         assert!(threads > 0, "need at least one thread");
         let trace = ctl.trace.as_ref();
@@ -335,9 +336,6 @@ impl<'c> Driver<'c> {
             t.set_thread_name(TID_MAIN, "join driver");
             for id in 0..threads {
                 t.set_thread_name(worker_tid(id), format!("worker {id}"));
-                if engine == JoinEngine::RTree {
-                    t.set_thread_name(cache_tid(id), format!("cache (worker {id})"));
-                }
             }
             t.now_ns()
         });

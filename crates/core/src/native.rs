@@ -65,7 +65,7 @@ use crate::partition::JoinEngine;
 use crate::task::{create_tasks, expand_pair, Candidate, KernelScratch, TaskPair};
 use psj_buffer::{BufferStats, PageRef, PageSource, Policy, SharedPageCache};
 use psj_geom::polyline::intersects;
-use psj_obs::trace::worker_tid;
+use psj_obs::trace::{cache_tid, worker_tid};
 use psj_obs::TraceSink;
 use psj_rtree::{FrameRef, JoinNode, NodeFrame, PagedTree};
 use psj_store::{FaultPlan, PageError, PageId, RetryPolicy};
@@ -293,8 +293,29 @@ pub struct NativeResult {
 }
 
 /// High bit of a [`PageId`] distinguishes tree B's pages from tree A's in
-/// the shared cache's key space.
+/// the shared cache's key space and the fault plan's.
 const TREE_B_TAG: u32 = 1 << 31;
+
+/// `e`, a failed node read keyed by a (tagged) page id, with its page
+/// named as its tree's own: the tag stripped, and the tree named in the
+/// context, so an error never cites a page id that exists in neither
+/// file. Applied where a worker records the error, off the read path, so
+/// a faulted read and a cached one report alike.
+fn name_tree(mut e: PageError) -> PageError {
+    let (page, context) = match &mut e {
+        PageError::Corrupt { page, context } => (Some(page), context),
+        PageError::Io { page, context, .. } => (page.as_mut(), context),
+    };
+    if let Some(page) = page {
+        context.push_str(if page.0 & TREE_B_TAG != 0 {
+            " (tree B)"
+        } else {
+            " (tree A)"
+        });
+        page.0 &= !TREE_B_TAG;
+    }
+    e
+}
 
 /// A [`PageSource`] over both join inputs: a fill copies the node's words
 /// from the owning tree's page arena into the cache's [`NodeFrame`] slot,
@@ -529,7 +550,7 @@ impl<'t, F: Fetch<'t>> MorselBody<Morsel> for Expand<'t, F> {
             let (ra, rb) = match self.read_pair(&pair, tt) {
                 Ok(v) => v,
                 Err(e) => {
-                    fail.record(e);
+                    fail.record(name_tree(e));
                     return false;
                 }
             };
@@ -646,7 +667,12 @@ pub(crate) fn try_run_native_join(
             Policy::Lru,
         );
         match &ctl.trace {
-            Some(t) => cache.with_trace(Arc::clone(t)),
+            Some(t) => {
+                for id in 0..cfg.num_threads {
+                    t.set_thread_name(cache_tid(id), format!("cache (worker {id})"));
+                }
+                cache.with_trace(Arc::clone(t))
+            }
             None => cache,
         }
     });
@@ -982,6 +1008,75 @@ mod tests {
                 assert!(e.failed_tasks >= 1);
             }
             other => panic!("expected a storage error, got {other}"),
+        }
+    }
+
+    /// A storage error names the page by its own tree's id, below that
+    /// tree's page count, and names the tree — buffered or not, whichever
+    /// tree's read failed.
+    #[test]
+    fn storage_errors_name_the_trees_own_page() {
+        let a = tree(150, 0.0);
+        let b = tree(150, 0.4);
+        let keys = |t: &PagedTree, tag: u32| {
+            (0..t.num_pages() as u32)
+                .map(move |p| PageId(p | tag))
+                .collect::<Vec<_>>()
+        };
+        // A plan that corrupts every page of tree B and none of tree A's.
+        let only_b = (0..1u64 << 20)
+            .map(|seed| FaultPlan::new(seed).with_flip(0.5))
+            .find(|plan| {
+                keys(&a, 0)
+                    .iter()
+                    .all(|&k| plan.permanent_class(k).is_none())
+                    && keys(&b, TREE_B_TAG)
+                        .iter()
+                        .all(|&k| plan.permanent_class(k).is_some())
+            })
+            .expect("a seed that flips exactly tree B's pages");
+        let only_b = Arc::new(only_b);
+        let every_page = Arc::new(FaultPlan::new(3).with_flip(1.0));
+        let cases = [(&only_b, "(tree B)", &b), (&every_page, "(tree A)", &a)];
+        for (plan, tree_name, faulted) in cases {
+            for cfg in [
+                NativeConfig::new(1),
+                NativeConfig::buffered(1, BufferConfig::global(64)),
+            ] {
+                let ctl = RunControl::default().with_fault(Arc::clone(plan));
+                let err = try_run_native_join(&a, &b, &cfg, &ctl).expect_err("corrupt pages");
+                let NativeError::Storage(e) = err else {
+                    panic!("expected a storage error, got {err}");
+                };
+                let page = e.error.page().expect("a corrupt read names its page");
+                assert!(page.index() < faulted.num_pages(), "{}", e.error);
+                assert!(e.error.to_string().contains(tree_name), "{}", e.error);
+            }
+        }
+    }
+
+    /// Only a run with a page cache names the workers' cache rows.
+    #[test]
+    fn traced_runs_name_cache_rows_only_with_a_cache() {
+        let a = tree(300, 0.0);
+        let b = tree(300, 0.4);
+        for (cfg, cached) in [
+            (NativeConfig::new(2), false),
+            (NativeConfig::buffered(2, BufferConfig::global(64)), true),
+        ] {
+            let sink = psj_obs::TraceSink::new(1 << 20);
+            let ctl = RunControl::default().with_trace(Arc::clone(&sink));
+            try_run_native_join(&a, &b, &cfg, &ctl).unwrap();
+            let mut buf = Vec::new();
+            sink.write_jsonl(&mut buf).unwrap();
+            let text = String::from_utf8(buf).unwrap();
+            psj_obs::validate_jsonl(&text).expect("trace must validate");
+            let rows = text
+                .lines()
+                .filter(|l| l.contains("\"ph\":\"M\"") && l.contains("cache (worker"))
+                .count();
+            assert_eq!(rows, if cached { 2 } else { 0 }, "cached: {cached}");
+            assert!(text.contains("worker 1"), "worker rows are always named");
         }
     }
 

@@ -25,10 +25,10 @@
 //!
 //! The engine runs entirely in memory: no page cache, no fault surface.
 //! [`RunControl::cancel`] and [`RunControl::trace`] are honored;
-//! [`RunControl::fault`] and [`RunControl::retry`] act on cache fills,
+//! [`RunControl::fault`] and [`RunControl::retry`] act on node reads,
 //! which this engine never performs, and are therefore inert.
 
-use super::grid::{build_cells, plan_grid, CellIndex, GridPlan, ItemStats, RunCoords};
+use super::grid::{build_cells, fan_out, plan_grid, CellIndex, GridPlan, ItemStats, RunCoords};
 use super::{JoinEngine, PartitionInput, RectItem};
 use crate::metrics::TaskTrace;
 use crate::morsel::{auto_budget, Driver, FailState, MorselBody};
@@ -161,11 +161,13 @@ const PLAN_GRAIN: usize = 8;
 
 /// Plans over both sides on `cfg.num_threads` threads (see
 /// [`build_cells`]); the plan is identical at every thread count except
-/// for the morsel packing, which follows the thread count's budget. With
-/// `ctl.trace` set, the steps only the calling thread runs each get a span
-/// on the driver row: `plan.stats` (both sides' extents), `plan.rate`
-/// (occupied cells' estimates) and `plan.pack` (morsels), beside
-/// [`build_cells`]' own.
+/// for the morsel packing, which follows the thread count's budget. The
+/// extents scan takes two threads when there are two (side B's on a
+/// scoped thread, side A's on the caller), each side's sums in item
+/// order. With `ctl.trace` set, the steps the calling thread drives each
+/// get a span on the driver row: `plan.stats` (both sides' extents),
+/// `plan.rate` (occupied cells' estimates) and `plan.pack` (morsels),
+/// beside [`build_cells`]' own.
 fn plan_sides(
     a: &Side<'_>,
     b: &Side<'_>,
@@ -178,9 +180,16 @@ fn plan_sides(
             t.span(TID_MAIN, name, "join", start, &[arg]);
         }
     };
+    // A side's sums add in item order on whichever thread scans it, so
+    // the stats are the same at every thread count.
     let start = now();
-    let sa = ItemStats::scan(a.items.iter().map(|i| &i.mbr));
-    let sb = ItemStats::scan(b.items.iter().map(|i| &i.mbr));
+    let scan = |side: &Side<'_>| ItemStats::scan(side.items.iter().map(|i| &i.mbr));
+    let stats = if cfg.num_threads >= 2 {
+        fan_out(vec![a, b], |_, side| scan(side))
+    } else {
+        vec![scan(a), scan(b)]
+    };
+    let (sa, sb) = (stats[0], stats[1]);
     let items = (a.items.len() + b.items.len()) as u64;
     span("plan.stats", start, ("items", items));
     let universe = match (sa.bbox, sb.bbox) {
@@ -295,8 +304,10 @@ fn plan_sides(
 /// into the cell's run) and `plan.sort` (each run by `(xl, position)`,
 /// reading only the run). Cancellation is honored between planning phases
 /// and at cell granularity; tracing emits `plan_partition`/`join` driver
-/// spans with the driver-only planning steps (`plan.stats`, `plan.prefix`,
-/// `plan.rate`, `plan.pack`) inside `plan_partition`, one
+/// spans with the driver-only planning steps (`plan.stream` — a tree
+/// input's leaves streamed into items, recorded only when an input is a
+/// tree — then `plan.stats`, `plan.prefix`, `plan.rate`, `plan.pack`)
+/// inside `plan_partition`, one
 /// `plan.count`/`plan.scatter`/`plan.sort` span per worker, and per-morsel
 /// `task` spans like the R-tree engine. Fault plans and retry policies are
 /// inert here (they act on node reads; this engine reads no nodes) —
@@ -318,6 +329,14 @@ pub fn try_run_partition_join(
     let start = driver.now_ns();
     let side_a = Side::new(a);
     let side_b = Side::new(b);
+    let streamed: Vec<&Side<'_>> = [&side_a, &side_b]
+        .into_iter()
+        .filter(|s| s.tree.is_some())
+        .collect();
+    if !streamed.is_empty() {
+        let items = streamed.iter().map(|s| s.items.len() as u64).sum();
+        driver.span("plan.stream", start, &[("items", items)]);
+    }
     driver.check()?;
     let plan = plan_sides(&side_a, &side_b, cfg, ctl)?;
     driver.span(
@@ -722,9 +741,10 @@ mod tests {
         }
     }
 
-    /// The steps only the driver runs (extents, prefix sums, rating,
-    /// packing) each get one span on the driver row, in order, inside
-    /// `plan_partition`.
+    /// The steps only the driver runs (streaming tree leaves, extents,
+    /// prefix sums, rating, packing) each get one span on the driver row,
+    /// in order, inside `plan_partition`; raw-rect inputs stream nothing
+    /// and get no `plan.stream` span.
     #[test]
     fn traced_planning_records_each_driver_step_once() {
         let a = tree(800, 0.0);
@@ -762,7 +782,13 @@ mod tests {
         let ns = 1e-3;
         let (_, plan_begin, plan_end) = span("plan_partition");
         let mut last_end = plan_begin;
-        for step in ["plan.stats", "plan.prefix", "plan.rate", "plan.pack"] {
+        for step in [
+            "plan.stream",
+            "plan.stats",
+            "plan.prefix",
+            "plan.rate",
+            "plan.pack",
+        ] {
             let (tid, begin, end) = span(step);
             assert_eq!(tid, f64::from(TID_MAIN), "{step} is on the driver row");
             assert!(
@@ -771,5 +797,33 @@ mod tests {
             );
             last_end = end;
         }
+
+        let items = |t: &PagedTree| -> Vec<RectItem> {
+            t.window_query(&t.mbr())
+                .into_iter()
+                .map(|e| RectItem {
+                    mbr: e.mbr,
+                    oid: e.oid,
+                })
+                .collect()
+        };
+        let (ra, rb) = (items(&a), items(&b));
+        let sink = psj_obs::TraceSink::new(1 << 16);
+        let ctl = RunControl::default().with_trace(std::sync::Arc::clone(&sink));
+        try_run_partition_join(
+            PartitionInput::Rects(&ra),
+            PartitionInput::Rects(&rb),
+            &cfg,
+            &ctl,
+        )
+        .expect("no cancel token");
+        let mut text = Vec::new();
+        sink.write_jsonl(&mut text).expect("write to a Vec");
+        let text = String::from_utf8(text).expect("JSONL is UTF-8");
+        assert!(text.contains("\"name\":\"plan.stats\""));
+        assert!(
+            !text.contains("\"name\":\"plan.stream\""),
+            "raw rects stream nothing"
+        );
     }
 }

@@ -321,8 +321,11 @@ impl RunCoords {
 ///    copied next to it in phase 3, so no random gather into the input
 ///    is left. A cell's sub-runs follow chunk order and each chunk
 ///    scatters in input order, so position rises with the item index and
-///    the order is exactly `(xl, index)` (the keys are unique, so
-///    `sort_unstable` is deterministic).
+///    the order is exactly `(xl, index)`. The sort runs on one packed
+///    `u64` per placement, `xl`'s order key with its low bits replaced
+///    by the position, then re-sorts every group of keys that share a
+///    prefix by the exact `(xl, position)` key (see `Slots::sort_run`);
+///    the keys are unique, so the order is deterministic.
 ///
 /// Every cell's run is the same set at any thread count and its order is
 /// a total order on that set, so the result is identical for every
@@ -555,40 +558,69 @@ impl<'a> Slots<'a> {
     /// Sorts placements `run` by `(xl, position)`, reading nothing but the
     /// run itself. Position in a cell's run rises with the item index (the
     /// scatter fills a cell chunk after chunk, each in input order), so
-    /// this is the `(xl, index)` order; the keys are unique, so
-    /// `sort_unstable` is deterministic.
+    /// this is the `(xl, index)` order.
+    ///
+    /// Each placement sorts as one word: `xl`'s order key ([`f64_key`])
+    /// with the bits under `mask` (wide enough for any position in the
+    /// run) replaced by its position. Keys whose prefixes differ are
+    /// already in exact order; a group of adjacent keys sharing a prefix
+    /// (`xl`s equal or a few ulps apart) is in position order only, so each
+    /// such group is re-sorted by the exact `(f64_key(xl), position)` key
+    /// — an `O(g log g)` sort, so near-ties cannot go quadratic. The
+    /// result is the exact-key order for every `f64`, and the keys are
+    /// unique, so `sort_unstable` is deterministic.
     fn sort_run(&mut self, run: Range<usize>, scratch: &mut SortScratch) {
+        let xl = &self.lanes[0][run.clone()];
+        let mask = position_mask(xl.len());
         let keys = &mut scratch.keys;
         keys.clear();
         keys.extend(
-            self.lanes[0][run.clone()]
-                .iter()
-                .zip(0u32..)
-                .map(|(&xl, j)| (f64_key(xl), j)),
+            xl.iter()
+                .zip(0u64..)
+                .map(|(&x, j)| (f64_key(x) & !mask) | j),
         );
         keys.sort_unstable();
-        permute(&mut self.items[run.clone()], keys, &mut scratch.items);
+        // Within a group the prefixes are equal, so `k` orders as the
+        // position does.
+        let mut lo = 0;
+        for hi in 1..=keys.len() {
+            if hi == keys.len() || keys[hi] ^ keys[hi - 1] > mask {
+                if hi - lo > 1 {
+                    keys[lo..hi].sort_unstable_by_key(|&k| (f64_key(xl[(k & mask) as usize]), k));
+                }
+                lo = hi;
+            }
+        }
+        permute(&mut self.items[run.clone()], keys, mask, &mut scratch.items);
         for lane in &mut self.lanes {
-            permute(&mut lane[run.clone()], keys, &mut scratch.coords);
+            permute(&mut lane[run.clone()], keys, mask, &mut scratch.coords);
         }
     }
+}
+
+/// The low-bit mask that holds every position of a run of `len`: all ones
+/// over the bit width of `len − 1` (0 for `len ≤ 1`).
+#[inline]
+fn position_mask(len: usize) -> u64 {
+    let top = len.saturating_sub(1) as u64;
+    u64::MAX.checked_shr(top.leading_zeros()).unwrap_or(0)
 }
 
 /// One sort thread's reusable buffers.
 #[derive(Default)]
 struct SortScratch {
-    keys: Vec<(u64, u32)>,
+    keys: Vec<u64>,
     items: Vec<u32>,
     coords: Vec<f64>,
 }
 
-/// Rearranges `run` so position `p` holds what position `keys[p].1` held,
-/// through the copy `tmp`.
-fn permute<T: Copy>(run: &mut [T], keys: &[(u64, u32)], tmp: &mut Vec<T>) {
+/// Rearranges `run` so position `p` holds what position `keys[p] & mask`
+/// held, through the copy `tmp`.
+fn permute<T: Copy>(run: &mut [T], keys: &[u64], mask: u64, tmp: &mut Vec<T>) {
     tmp.clear();
     tmp.extend_from_slice(run);
-    for (slot, &(_, j)) in run.iter_mut().zip(keys) {
-        *slot = tmp[j as usize];
+    for (slot, &k) in run.iter_mut().zip(keys) {
+        *slot = tmp[(k & mask) as usize];
     }
 }
 
@@ -602,7 +634,10 @@ fn split_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
 /// Runs `job(k, w)` for the `k`-th work item, one thread each: item 0 on
 /// the caller, the rest on scoped threads. A single item runs inline, with
 /// no spawn.
-fn fan_out<W: Send, R: Send>(work: Vec<W>, job: impl Fn(usize, W) -> R + Sync) -> Vec<R> {
+pub(super) fn fan_out<W: Send, R: Send>(
+    work: Vec<W>,
+    job: impl Fn(usize, W) -> R + Sync,
+) -> Vec<R> {
     let mut work = work.into_iter();
     let Some(first) = work.next() else {
         return Vec::new();
@@ -879,6 +914,125 @@ mod tests {
                 "coordinate lanes follow the placements"
             );
         }
+    }
+
+    /// The `f64` whose [`f64_key`] is `k`.
+    fn from_key(k: u64) -> f64 {
+        f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
+    }
+
+    /// Sorts `xs` as one run between padding that must stay put, and
+    /// checks the permutation against a reference sort by the exact
+    /// `(f64_key(xl), position)` key.
+    fn check_packed_sort(xs: &[f64], what: &str) {
+        const PAD: usize = 3;
+        let (n, len) = (xs.len(), xs.len() + 2 * PAD);
+        let mut xl = vec![-9.0; len];
+        xl[PAD..PAD + n].copy_from_slice(xs);
+        let mut coords = RunCoords::zeroed(len);
+        coords.xl.copy_from_slice(&xl);
+        coords.xh = (0..len).map(|p| p as f64).collect();
+        let mut items: Vec<u32> = (0..len as u32).collect();
+        Slots::new(&mut items, &mut coords).sort_run(PAD..PAD + n, &mut SortScratch::default());
+
+        let mut want: Vec<u32> = (PAD as u32..(PAD + n) as u32).collect();
+        want.sort_by_key(|&i| (f64_key(xl[i as usize]), i));
+        assert!(
+            items[PAD..PAD + n] == want,
+            "{what} (n = {n}): packed order differs"
+        );
+        for (p, &i) in items.iter().enumerate() {
+            if !(PAD..PAD + n).contains(&p) {
+                assert_eq!(i as usize, p, "{what}: padding moved");
+            }
+            assert_eq!(coords.xh[p], f64::from(i), "{what}: lanes follow items");
+            assert_eq!(coords.xl[p].to_bits(), xl[i as usize].to_bits(), "{what}");
+        }
+    }
+
+    #[test]
+    fn packed_sort_matches_exact_order() {
+        // SplitMix64, so each run mixes its values differently.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let specials = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            -f64::MIN_POSITIVE / 3.0,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            1.5,
+            -1.5,
+        ];
+        let lengths = [1usize, 2, 3, 4, 5, 16, 17, 256, 257, 1024, 1025, 70_001];
+        for &n in &lengths {
+            let mask = position_mask(n);
+            // A prefix-aligned key and its last key, so `top + 1` starts
+            // the next prefix: neighbours inside one prefix, and across.
+            let base = f64_key(1234.5) & !mask;
+            let top = base | mask;
+            let pools: [(&str, Vec<f64>); 5] = [
+                ("equal xl", vec![7.25; 3]),
+                (
+                    "one ulp apart inside a prefix",
+                    (0..=mask.min(7)).map(|d| from_key(base + d)).collect(),
+                ),
+                (
+                    "one ulp apart across a prefix boundary",
+                    vec![
+                        from_key(top - 1),
+                        from_key(top),
+                        from_key(top + 1),
+                        from_key(top + 2),
+                    ],
+                ),
+                (
+                    "signed zeros, subnormals, NaN, infinities",
+                    specials.to_vec(),
+                ),
+                (
+                    "all of it, with random values",
+                    specials
+                        .iter()
+                        .copied()
+                        .chain([7.25, from_key(top), from_key(top + 1), from_key(base)])
+                        .chain((0..8).map(|_| f64::from_bits(next())))
+                        .collect(),
+                ),
+            ];
+            for (what, pool) in &pools {
+                // Picks in descending pool order first, so positions run
+                // against the exact order, then at random.
+                let xs: Vec<f64> = (0..n)
+                    .map(|p| {
+                        if p < pool.len() {
+                            pool[pool.len() - 1 - p]
+                        } else {
+                            pool[(next() % pool.len() as u64) as usize]
+                        }
+                    })
+                    .collect();
+                check_packed_sort(&xs, what);
+            }
+        }
+        assert_eq!(position_mask(0), 0);
+        assert_eq!(position_mask(1), 0);
+        assert_eq!(position_mask(2), 1);
+        assert_eq!(position_mask(65_537), (1 << 17) - 1);
     }
 
     #[test]
