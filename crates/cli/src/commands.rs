@@ -40,11 +40,13 @@ commands:
   simulate --tree1 <tree> --tree2 <tree> [--procs <n>] [--disks <n>]
            [--buffer <pages>] [--variant lsr|gsrr|gd|best]
   serve    --trees <tree>[,<tree>...] [--addr 127.0.0.1:7878] [--workers <n>]
-           [--queue-bound <n>] [--join-threads <n>]
-           [--lenient] [--inject-faults <spec>] [--retry-attempts <n>]
-           [--trace <file.jsonl>] [--shard-id <n>] — joins run on the
-           rtree engine; --trace writes the trace at shutdown; --shard-id
-           tags this server for cluster routing
+           [--queue-bound <n>] [--lenient] [--inject-faults <spec>]
+           [--retry-attempts <n>] [--trace <file.jsonl>] [--shard-id <n>]
+           — --workers execution slots (default: the CPU count) bound the
+           threads running requests; a join runs on the rtree engine with
+           one worker per slot it holds (its own plus every free one);
+           --trace writes the trace at shutdown; --shard-id tags this
+           server for cluster routing
   shard-plan --map1 <map> --map2 <map> --shards <n> --out <dir>
            [--host <ip>] [--base-port <n>] — partition both maps into x-slab
            shards balanced by estimated join work; writes per-shard tree
@@ -376,7 +378,6 @@ pub fn serve(args: &Args) -> CmdResult {
                 .unwrap_or(4),
         )?,
         queue_bound: args.parse_or("queue-bound", 256)?,
-        join_threads: args.parse_or("join-threads", 4)?,
         fault: match args.get("inject-faults") {
             Some(spec) => Some(Arc::new(FaultPlan::parse(spec)?)),
             None => None,

@@ -95,7 +95,6 @@ const COMMANDS: &[Command] = &[
             "addr",
             "workers",
             "queue-bound",
-            "join-threads",
             "inject-faults",
             "retry-attempts",
             "trace",

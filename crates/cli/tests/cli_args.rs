@@ -148,7 +148,12 @@ fn removed_cache_org_is_an_unknown_option() {
 /// options are refused rather than ignored.
 #[test]
 fn removed_serve_cache_options_are_unknown_options() {
-    for flag in ["--cache", "--cache-shards", "--join-engine"] {
+    for flag in [
+        "--cache",
+        "--cache-shards",
+        "--join-engine",
+        "--join-threads",
+    ] {
         let out = psj(&["serve", "--trees", "t.psjt", flag, "1024"]);
         assert_exit(&out, 2, &format!("unknown option: {flag}"));
     }

@@ -260,9 +260,8 @@ impl TreeProfile {
 
 /// Analytic estimator of the filter-step candidates one task (a pair of
 /// subtrees plus a restriction window) will produce. The morsel planner
-/// sizes work units by these estimates; the reassignment policy uses the
-/// same numbers as its live `(remaining work, remaining morsels)` load
-/// signal.
+/// ([`crate::morselize`]) sizes work units by these estimates, and
+/// `psj-cluster`'s shard planner balances shards by them.
 ///
 /// The model is the classic uniform-density one: each subtree contributes
 /// `entries × clip` objects inside the window (`clip` = the window's share

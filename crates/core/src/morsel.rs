@@ -13,12 +13,13 @@
 //! together so scheduling overhead stays amortized.
 //!
 //! Morsels are numbered in plane-sweep order. Both real-thread engines run
-//! them on one runtime (`Driver::run_morsels`): T workers hand them out
-//! through one shared cursor, in id order, and the driver merges the
-//! worker-local outputs in morsel-id order (`MorselOutputs`), which makes
-//! the parallel result byte-identical to the sequential oracle regardless
-//! of which worker ran which morsel (see `DESIGN.md` §11). An engine
-//! brings only its plan and its per-morsel body (`MorselBody`).
+//! them on one runtime (`Driver::run_morsels`): T workers, the calling
+//! thread being worker 0, hand them out through one shared cursor, in id
+//! order, and the driver merges the worker-local outputs in morsel-id
+//! order (`MorselOutputs`), which makes the parallel result byte-identical
+//! to the sequential oracle regardless of which worker ran which morsel
+//! (see `DESIGN.md` §11). An engine brings only its plan and its
+//! per-morsel body (`MorselBody`).
 
 use crate::cancel::CancelToken;
 use crate::cost::CandidateEstimator;
@@ -31,6 +32,7 @@ use psj_obs::trace::{worker_tid, TID_MAIN};
 use psj_obs::{ThreadTracer, TraceSink};
 use psj_rtree::{JoinNode, PagedTree};
 use psj_store::{lock_clean, PageError};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -197,9 +199,10 @@ pub fn morselize(
     }
 }
 
-/// One worker's run output: its completed morsels' result pairs keyed by
-/// morsel id, and its attribution traces.
-type WorkerOutput = (Vec<(u32, Vec<(u64, u64)>)>, Vec<TaskTrace>);
+/// One worker's run output: the result pairs of the morsels it completed,
+/// in the order it ran them; each such morsel's id and its range of those
+/// pairs; and the worker's attribution traces.
+type WorkerOutput = (Vec<(u64, u64)>, Vec<(u32, Range<usize>)>, Vec<TaskTrace>);
 
 /// The deterministic merge of both real-thread engines: every completed
 /// morsel's output in its id slot. Concatenating the slots in id order
@@ -207,7 +210,11 @@ type WorkerOutput = (Vec<(u32, Vec<(u64, u64)>)>, Vec<TaskTrace>);
 /// A morsel that ran twice or got lost is an executor bug, not a data
 /// error, so either one panics.
 struct MorselOutputs {
-    slots: Vec<Option<Vec<(u64, u64)>>>,
+    /// Each worker's pairs.
+    pairs: Vec<Vec<(u64, u64)>>,
+    /// Per morsel id: the worker that completed it and its range of that
+    /// worker's pairs.
+    slots: Vec<Option<(usize, Range<usize>)>>,
 }
 
 impl MorselOutputs {
@@ -218,18 +225,19 @@ impl MorselOutputs {
     ///
     /// Panics if a morsel id appears twice.
     fn place(morsels: usize, workers: Vec<WorkerOutput>) -> (Self, Vec<TaskTrace>) {
-        let mut slots = Vec::new();
-        slots.resize_with(morsels, || None);
+        let mut slots = vec![None; morsels];
+        let mut pairs = Vec::with_capacity(workers.len());
         let mut traces = Vec::with_capacity(morsels);
-        for (outputs, mut t) in workers {
-            for (id, out) in outputs {
+        for (w, (out, ranges, mut t)) in workers.into_iter().enumerate() {
+            for (id, range) in ranges {
                 let slot = &mut slots[id as usize];
                 assert!(slot.is_none(), "morsel {id} executed twice");
-                *slot = Some(out);
+                *slot = Some((w, range));
             }
             traces.append(&mut t);
+            pairs.push(out);
         }
-        (MorselOutputs { slots }, traces)
+        (MorselOutputs { pairs, slots }, traces)
     }
 
     /// Morsels whose output was placed.
@@ -237,19 +245,25 @@ impl MorselOutputs {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
-    /// The outputs concatenated in morsel-id order.
+    /// The outputs concatenated in morsel-id order. When one worker ran
+    /// every morsel (always at T=1), it ran them in id order, so its pairs
+    /// are the result as they stand.
     ///
     /// # Panics
     ///
     /// Panics if a morsel's output is missing.
-    fn concat(self) -> Vec<(u64, u64)> {
-        let len = self.slots.iter().flatten().map(Vec::len).sum();
-        let mut pairs = Vec::with_capacity(len);
-        for (id, slot) in self.slots.into_iter().enumerate() {
-            match slot {
-                Some(mut out) => pairs.append(&mut out),
-                None => panic!("morsel {id} lost"),
+    fn concat(mut self) -> Vec<(u64, u64)> {
+        let slots: Vec<(usize, Range<usize>)> = (self.slots.into_iter().enumerate())
+            .map(|(id, slot)| slot.unwrap_or_else(|| panic!("morsel {id} lost")))
+            .collect();
+        if let Some(&(w, _)) = slots.first() {
+            if slots.iter().all(|&(v, _)| v == w) {
+                return std::mem::take(&mut self.pairs[w]);
             }
+        }
+        let mut pairs = Vec::with_capacity(slots.iter().map(|(_, r)| r.len()).sum());
+        for (w, range) in slots {
+            pairs.extend_from_slice(&self.pairs[w][range]);
         }
         pairs
     }
@@ -298,9 +312,10 @@ impl FailState<'_> {
 pub(crate) trait MorselBody<M> {
     /// Runs `morsel`, appending its result pairs to `out` in the oracle's
     /// order and counting its work into `tt` (tasks, node pairs,
-    /// candidates, read retries, replication, dedup). Returns `false` when it saw
-    /// [`FailState::stopped`] mid-morsel: the partial output is then
-    /// discarded and the worker retires.
+    /// candidates, read retries, replication, dedup). `out` holds the
+    /// pairs of the worker's earlier morsels, so the body only appends.
+    /// Returns `false` when it saw [`FailState::stopped`] mid-morsel: the
+    /// partial output is then discarded and the worker retires.
     fn run(
         &mut self,
         morsel: &M,
@@ -375,8 +390,10 @@ impl<'c> Driver<'c> {
 
     /// Runs `morsels` (ids `0..n` in plan order) on the driver's workers,
     /// each built by `worker` on its thread, and merges their outputs in id
-    /// order. `tasks` is the plan's unit count and `since` the start of
-    /// [`NativeResult::elapsed`]; the caller adds its cache statistics.
+    /// order. Worker 0 runs on the calling thread and workers `1..T` on
+    /// T − 1 scoped threads. `tasks` is the plan's unit count and `since`
+    /// the start of [`NativeResult::elapsed`]; the caller adds its cache
+    /// statistics.
     ///
     /// Every morsel runs under `catch_unwind`: a panic (a kernel bug, an
     /// injected fault) is contained to the morsel that hit it, and its
@@ -402,20 +419,28 @@ impl<'c> Driver<'c> {
         // publishes no data (the plan is immutable and visible to every
         // worker from its spawn).
         let next = AtomicUsize::new(0);
+        let run = |id| {
+            let tracer = self.trace.map(|t| t.tracer(worker_tid(id)));
+            self.work(id, morsels, &next, &fail, &mut worker(id), tracer)
+        };
+        // Worker 0 is the calling thread, so a T=1 join starts no thread
+        // and a served join runs on the connection thread that holds its
+        // first execution slot.
         let results: Vec<WorkerOutput> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.threads)
+            let helpers: Vec<_> = (1..self.threads)
                 .map(|id| {
-                    let (driver, fail, next, worker) = (&self, &fail, &next, &worker);
-                    let tracer = self.trace.map(|t| t.tracer(worker_tid(id)));
-                    scope.spawn(move || {
-                        driver.work(id, morsels, next, fail, &mut worker(id), tracer)
-                    })
+                    let run = &run;
+                    scope.spawn(move || run(id))
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("a worker panicked outside its morsels"))
-                .collect()
+            let mut results = Vec::with_capacity(self.threads);
+            results.push(run(0));
+            results.extend(
+                helpers
+                    .into_iter()
+                    .map(|h| h.join().expect("a worker panicked outside its morsels")),
+            );
+            results
         });
         let elapsed = since.elapsed();
         let count = match self.engine {
@@ -480,7 +505,7 @@ impl<'c> Driver<'c> {
         body: &mut W,
         mut tracer: Option<ThreadTracer>,
     ) -> WorkerOutput {
-        let (mut outputs, mut traces) = (Vec::new(), Vec::new());
+        let (mut pairs, mut ranges, mut traces) = (Vec::new(), Vec::new(), Vec::new());
         // The plan is fixed before workers start, so nothing can appear
         // after the cursor passes the end: the worker retires without a
         // termination barrier.
@@ -500,9 +525,9 @@ impl<'c> Driver<'c> {
                 engine: self.engine,
                 ..TaskTrace::default()
             };
-            let mut out = Vec::new();
+            let first = pairs.len();
             let done = catch_unwind(AssertUnwindSafe(|| {
-                body.run(morsel, fail, &mut tt, &mut out)
+                body.run(morsel, fail, &mut tt, &mut pairs)
             }));
             match (base, body.stats()) {
                 (Some(base), Some(now)) => {
@@ -541,15 +566,20 @@ impl<'c> Driver<'c> {
                 tr.span("task", "join", start_ns, args);
             }
             traces.push(tt);
+            if let Ok(true) = done {
+                ranges.push((tt.morsel, first..pairs.len()));
+                continue;
+            }
+            // The buffer keeps only completed morsels' pairs.
+            pairs.truncate(first);
             match done {
-                Ok(true) => outputs.push((tt.morsel, out)),
-                Ok(false) => break,
+                Ok(_) => break,
                 // The morsel's output is lost (the driver reports a typed
                 // error), but this worker keeps taking morsels.
                 Err(payload) => fail.record_panic(payload.as_ref()),
             }
         }
-        (outputs, traces)
+        (pairs, ranges, traces)
     }
 }
 
@@ -665,42 +695,44 @@ mod tests {
     }
 
     /// Morsel `id`'s output in the merge tests: two pairs tagged by id.
-    fn out(id: u32) -> (u32, Vec<(u64, u64)>) {
+    fn out(id: u32) -> Vec<(u64, u64)> {
         let id64 = u64::from(id);
-        (id, vec![(id64, 0), (id64, 1)])
+        vec![(id64, 0), (id64, 1)]
+    }
+
+    /// A worker that completed the morsels `ids`, in that order.
+    fn worker(ids: &[u32]) -> WorkerOutput {
+        let (mut pairs, mut ranges) = (Vec::new(), Vec::new());
+        for &id in ids {
+            let start = pairs.len();
+            pairs.extend(out(id));
+            ranges.push((id, start..pairs.len()));
+        }
+        (pairs, ranges, Vec::new())
     }
 
     /// Per-worker outputs arrive in whatever order the workers took their
     /// morsels; the merge still concatenates them in id order.
     #[test]
     fn merge_concatenates_scrambled_outputs_in_id_order() {
-        let workers = vec![
-            (vec![out(4), out(1)], Vec::new()),
-            (Vec::new(), Vec::new()),
-            (vec![out(2), out(0), out(3)], Vec::new()),
-        ];
+        let workers = vec![worker(&[4, 1]), worker(&[]), worker(&[2, 0, 3])];
         let (merged, traces) = MorselOutputs::place(5, workers);
         assert!(traces.is_empty());
         assert_eq!(merged.completed(), 5);
-        let want: Vec<(u64, u64)> = (0..5u32).flat_map(|id| out(id).1).collect();
+        let want: Vec<(u64, u64)> = (0..5u32).flat_map(out).collect();
         assert_eq!(merged.concat(), want);
     }
 
     #[test]
     #[should_panic(expected = "morsel 1 executed twice")]
     fn merge_panics_on_a_morsel_executed_twice() {
-        let workers = vec![
-            (vec![out(0), out(1)], Vec::new()),
-            (vec![out(1)], Vec::new()),
-        ];
-        MorselOutputs::place(2, workers);
+        MorselOutputs::place(2, vec![worker(&[0, 1]), worker(&[1])]);
     }
 
     #[test]
     #[should_panic(expected = "morsel 1 lost")]
     fn merge_panics_on_a_lost_morsel() {
-        let workers = vec![(vec![out(2)], Vec::new()), (vec![out(0)], Vec::new())];
-        let (merged, _) = MorselOutputs::place(3, workers);
+        let (merged, _) = MorselOutputs::place(3, vec![worker(&[2]), worker(&[0])]);
         assert_eq!(merged.completed(), 2);
         merged.concat();
     }
@@ -766,6 +798,33 @@ mod tests {
                 .task_traces
                 .iter()
                 .all(|t| t.engine == JoinEngine::Partition));
+        }
+    }
+
+    /// Worker 0 is the caller's thread; workers `1..T` run on T − 1 other
+    /// threads, one each.
+    #[test]
+    fn worker_zero_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let morsels: Vec<usize> = (0..12).collect();
+        for threads in [1, 2, 4] {
+            let seen = Mutex::new(Vec::new());
+            let ctl = RunControl::default();
+            Driver::start(threads, JoinEngine::RTree, &ctl)
+                .run_morsels(&morsels, 12, Instant::now(), |id| {
+                    seen.lock().unwrap().push((id, std::thread::current().id()));
+                    PanicOn(usize::MAX)
+                })
+                .expect("a clean run");
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_by_key(|&(id, _)| id);
+            let ids: Vec<usize> = seen.iter().map(|&(id, _)| id).collect();
+            assert_eq!(ids, (0..threads).collect::<Vec<_>>(), "T={threads}");
+            assert_eq!(seen[0].1, caller, "T={threads}: worker 0 is the caller");
+            let helpers: std::collections::HashSet<_> =
+                seen[1..].iter().map(|&(_, tid)| tid).collect();
+            assert_eq!(helpers.len(), threads - 1, "T={threads}: one thread each");
+            assert!(!helpers.contains(&caller), "T={threads}");
         }
     }
 

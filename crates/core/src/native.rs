@@ -16,8 +16,8 @@
 //! reassignment are reproduced in virtual time by [`crate::sim`], where the
 //! figures measure them.
 //!
-//! Each morsel's result pairs go to a morsel-local output buffer; the
-//! driver concatenates the buffers in morsel-id order (the runtime and
+//! Each worker appends its morsels' result pairs to a buffer of its own;
+//! the driver concatenates them in morsel-id order (the runtime and
 //! merge in [`crate::morsel`] both engines share), which makes the output
 //! **byte-identical to the sequential oracle** ([`crate::seq`]) at every
 //! thread count and under every schedule (morsels hold contiguous runs of
@@ -301,20 +301,14 @@ const TREE_B_TAG: u32 = 1 << 31;
 /// context, so an error never cites a page id that exists in neither
 /// file. Applied where a worker records the error, off the read path, so
 /// a faulted read and a cached one report alike.
-fn name_tree(mut e: PageError) -> PageError {
-    let (page, context) = match &mut e {
-        PageError::Corrupt { page, context } => (Some(page), context),
-        PageError::Io { page, context, .. } => (page.as_mut(), context),
-    };
-    if let Some(page) = page {
-        context.push_str(if page.0 & TREE_B_TAG != 0 {
-            " (tree B)"
-        } else {
-            " (tree A)"
-        });
-        page.0 &= !TREE_B_TAG;
+fn name_tree(e: PageError) -> PageError {
+    match e.page() {
+        Some(key) => {
+            let tree = if key.0 & TREE_B_TAG != 0 { "B" } else { "A" };
+            e.in_tree(PageId(key.0 & !TREE_B_TAG), tree)
+        }
+        None => e,
     }
-    e
 }
 
 /// A [`PageSource`] over both join inputs: a fill copies the node's words
@@ -454,14 +448,18 @@ struct Faults<'t> {
 
 impl Faults<'_> {
     /// Runs the plan on a read of `key` (a tagged page id) and adds its
-    /// retries to `tt`; `Err` when the read failed for good.
+    /// retries to `tt`; `Err` when the read failed for good. A retry's
+    /// trace instant names the tree (0 for A, 1 for B) and its own page.
     fn check(&self, key: PageId, tt: &mut TaskTrace) -> Result<(), PageError> {
         let (checked, retries) = self.retry.run_observed(
-            u64::from(key.0),
             |_| self.plan.before_fetch(key),
             |attempt, _| {
                 if let Some(t) = self.trace {
-                    let args = [("page", u64::from(key.0)), ("attempt", u64::from(attempt))];
+                    let args = [
+                        ("tree", u64::from(key.0 & TREE_B_TAG != 0)),
+                        ("page", u64::from(key.0 & !TREE_B_TAG)),
+                        ("attempt", u64::from(attempt)),
+                    ];
                     t.instant(worker_tid(self.worker), "page_retry", "storage", &args);
                 }
             },
@@ -992,6 +990,38 @@ mod tests {
             plan.transient_injected(),
             "every injected transient shows up as exactly one retry"
         );
+    }
+
+    /// A traced retry names its tree and that tree's own page, never the
+    /// tagged key tree B's reads are faulted under.
+    #[test]
+    fn traced_retries_name_the_trees_own_page() {
+        let a = tree(600, 0.0);
+        let b = tree(300, 0.4);
+        let plan = Arc::new(FaultPlan::new(7).with_transient(0.3, 2));
+        let sink = psj_obs::TraceSink::new(1 << 20);
+        let ctl = RunControl::default()
+            .with_fault(plan.clone())
+            .with_retry(RetryPolicy::attempts(4))
+            .with_trace(Arc::clone(&sink));
+        try_run_native_join(&a, &b, &NativeConfig::new(2), &ctl).expect("retried away");
+        let mut buf = Vec::new();
+        sink.write_jsonl(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let arg = |line: &str, key: &str| -> u64 {
+            let at = line.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+            let digits = line[at..].split(|c: char| !c.is_ascii_digit()).next();
+            digits.unwrap().parse().unwrap()
+        };
+        let mut per_tree = [0u64; 2];
+        for line in text.lines().filter(|l| l.contains("\"page_retry\"")) {
+            let tree = arg(line, "tree") as usize;
+            let pages = [a.num_pages(), b.num_pages()][tree];
+            assert!((arg(line, "page") as usize) < pages, "{line}");
+            per_tree[tree] += 1;
+        }
+        assert_eq!(per_tree.iter().sum::<u64>(), plan.transient_injected());
+        assert!(per_tree[1] > 0, "tree B's reads were retried too");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::io;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Low bits of a page key hold the page number; upper bits the tree index.
+/// Low bits of a fault-plan page key hold the page; upper bits the tree.
 pub const TREE_SHIFT: u32 = 24;
 
 /// Maximum number of trees a server can load (tree index fits the key's
@@ -162,11 +162,10 @@ impl NodeAccess for Reads<'_> {
 
     fn read(&mut self, page: PageId) -> Result<Frame<'_>, PageError> {
         self.set.reads.inc();
-        let key = PageId(((self.tree as u32) << TREE_SHIFT) | page.0);
         if self.deadline.is_some_and(|d| Instant::now() >= d) {
             self.expired = true;
             return Err(PageError::io(
-                key,
+                page,
                 io::ErrorKind::TimedOut,
                 "deadline passed",
             ));
@@ -176,17 +175,23 @@ impl NodeAccess for Reads<'_> {
         // it would silently return wrong answers.
         if tree.is_poisoned(page) {
             return Err(PageError::Corrupt {
-                page: key,
+                page,
                 context: format!("tree {} {page} poisoned at load time", self.tree),
             });
         }
         if let Some((plan, retry, trace)) = &self.set.fault {
+            // The plan keys on tree and page together, so each tree's
+            // pages fault independently; reports name the tree's own page.
+            let key = PageId(((self.tree as u32) << TREE_SHIFT) | page.0);
             let (fetched, retries) = retry.run_observed(
-                u64::from(key.0),
                 |_| plan.before_fetch(key),
                 |attempt, _| {
                     if let Some(t) = trace {
-                        let args = [("page", u64::from(key.0)), ("attempt", u64::from(attempt))];
+                        let args = [
+                            ("tree", self.tree as u64),
+                            ("page", u64::from(page.0)),
+                            ("attempt", u64::from(attempt)),
+                        ];
                         t.instant(TID_SERVE, "page_retry", "storage", &args);
                     }
                 },
@@ -196,7 +201,7 @@ impl NodeAccess for Reads<'_> {
                 if e.is_corrupt() {
                     lock_clean(&self.set.refused).insert(key.0);
                 }
-                return Err(e);
+                return Err(e.in_tree(page, self.tree));
             }
         }
         self.set.frames.inc();
@@ -274,8 +279,10 @@ pub struct JoinRun {
     pub tasks: u64,
 }
 
-/// Spatial join of two loaded trees with a deadline, on `threads` worker
-/// threads of the R-tree engine. The join kernel reads both trees' arenas
+/// Spatial join of two loaded trees with a deadline, on `threads` workers
+/// of the R-tree engine: the server passes the execution slots the request
+/// holds, and the calling thread is worker 0, so a one-slot join starts no
+/// thread. The join kernel reads both trees' arenas
 /// itself, so neither the deadline-checked [`NodeAccess`] of the queries
 /// nor an injected [`TreeSet`] fault plan applies to joins; the deadline
 /// cancels the join's workers instead. A tree with load-time poisoned
@@ -591,11 +598,7 @@ mod tests {
     #[test]
     fn a_transient_burst_within_the_retry_budget_succeeds() {
         let plan = Arc::new(FaultPlan::new(9).with_transient(1.0, 2));
-        let retry = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        };
-        let trees = set().with_fault(Arc::clone(&plan), retry, None);
+        let trees = set().with_fault(Arc::clone(&plan), RetryPolicy::attempts(3), None);
         for rect in tiles() {
             assert_eq!(
                 window(&trees, 0, &rect, None),
@@ -615,6 +618,29 @@ mod tests {
             trees.frames.get(),
             trees.reads.get(),
             "every read returned a frame"
+        );
+    }
+
+    /// An error on tree 1 names tree 1's own page, though the fault plan
+    /// keys it together with the tree; the plan still faults each tree's
+    /// pages independently.
+    #[test]
+    fn errors_name_the_trees_own_page() {
+        let trees = faulty(&Arc::new(FaultPlan::new(3).with_flip(1.0)));
+        let root = trees.trees[1].root();
+        let all = Rect::new(0.0, 0.0, 40.0, 40.0);
+        match window(&trees, 1, &all, None) {
+            Outcome::Storage(e @ PageError::Corrupt { .. }) => {
+                assert_eq!(e.page(), Some(root), "{e}");
+                assert!(e.to_string().ends_with("(tree 1)"), "{e}");
+            }
+            other => panic!("expected a corrupt page, got {other:?}"),
+        }
+        assert!(!window(&trees, 0, &all, None).is_ok());
+        assert_eq!(
+            trees.corrupt_pages(),
+            2,
+            "tree 0's root is a page of its own"
         );
     }
 

@@ -61,7 +61,6 @@ mod e2e {
         let trees = vec![tree(2000, 0.0), tree(1500, 0.4)];
         let cfg = ServeConfig {
             workers: 2,
-            join_threads: 2,
             read_timeout: Duration::from_millis(50),
             ..ServeConfig::default()
         };

@@ -591,6 +591,8 @@ impl Response {
             Response::Pairs(pairs) => {
                 out.push(OP_PAIRS);
                 put_u32(&mut out, wire_count(pairs.len(), "pairs")?);
+                // A join's reply is the large one: size it once.
+                out.reserve(16 * pairs.len());
                 for (a, b) in pairs {
                     put_u64(&mut out, *a);
                     put_u64(&mut out, *b);

@@ -12,10 +12,11 @@
 //!   requests, so the bound covers requests waiting for a slot and
 //!   requests executing alike.
 //! * **Execution slots** — an admitted request takes one of `workers`
-//!   permits and runs on its own connection thread; at most `workers`
-//!   requests (joins included) execute at once. When no permit is free
-//!   the thread waits; a released permit is handed to the longest waiter,
-//!   so a new arrival cannot barge past the queue.
+//!   permits and runs on its own connection thread; a join also takes
+//!   every free permit and runs a worker on each, its connection thread
+//!   being worker 0. When no permit is free the thread waits; a released
+//!   permit is handed to the longest waiter, so a new arrival cannot barge
+//!   past the queue.
 //! * **Deadlines** — `deadline_ms` is converted to an absolute instant at
 //!   arrival; a request whose deadline passes while it waits for a slot is
 //!   answered [`Response::DeadlineExceeded`] without executing, executors
@@ -57,15 +58,15 @@ use psj_store::lock_clean;
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (`:0` picks a free port).
     pub addr: String,
-    /// Execution slots: how many requests, joins included, run at once.
+    /// Execution slots, the server's one processor count: a query holds
+    /// one, a join its own plus every slot then free, and runs a worker on
+    /// each, so at most `workers` threads execute requests at once.
     pub workers: usize,
     /// Admission bound: maximum admitted-but-unanswered requests.
     pub queue_bound: usize,
     /// Ignored: the server no longer batches, and nothing reads this. The
     /// field remains only because `benchmark/` still sets it.
     pub batch_window: Duration,
-    /// Threads per join request.
-    pub join_threads: usize,
     /// Socket read timeout; also the cadence at which idle connection
     /// threads re-check the halt flag.
     pub read_timeout: Duration,
@@ -92,7 +93,6 @@ impl Default for ServeConfig {
             workers: 4,
             queue_bound: 256,
             batch_window: Duration::ZERO,
-            join_threads: 4,
             read_timeout: Duration::from_millis(250),
             fault: None,
             retry: RetryPolicy::default(),
@@ -165,16 +165,25 @@ impl Slots {
         }
     }
 
-    /// Returns a permit: to the longest waiter if there is one, else to
-    /// the free count.
-    fn release(&self) {
+    /// Takes every free permit without waiting, and returns how many. As
+    /// `free` is non-zero only while nobody waits, this never takes a
+    /// permit a queued request is owed.
+    fn take_free(&self) -> usize {
+        std::mem::take(&mut lock_clean(&self.state).free)
+    }
+
+    /// Returns `n` permits: each to the longest waiter if there is one,
+    /// else to the free count.
+    fn release(&self, n: usize) {
         let mut st = lock_clean(&self.state);
-        match st.waiters.pop_front() {
-            Some((ticket, ready)) => {
-                st.handed.push(ticket);
-                ready.notify_one();
+        for _ in 0..n {
+            match st.waiters.pop_front() {
+                Some((ticket, ready)) => {
+                    st.handed.push(ticket);
+                    ready.notify_one();
+                }
+                None => st.free += 1,
             }
-            None => st.free += 1,
         }
     }
 }
@@ -411,19 +420,17 @@ fn storage_response(e: &PageError) -> Response {
     }
 }
 
-/// An admitted request: holds its admission count and, once it has one,
-/// its execution permit. Dropping it releases both, on every path out of
-/// [`execute`] including an unwinding one.
+/// An admitted request: holds its admission count and the execution
+/// permits it has taken. Dropping it releases them all, on every path out
+/// of [`execute`] including an unwinding one.
 struct Admitted<'a> {
     shared: &'a Shared,
-    held: bool,
+    held: usize,
 }
 
 impl Drop for Admitted<'_> {
     fn drop(&mut self) {
-        if self.held {
-            self.shared.slots.release();
-        }
+        self.shared.slots.release(self.held);
         self.shared.queued.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -441,21 +448,20 @@ fn admit(shared: &Shared) -> Option<Admitted<'_>> {
         return None;
     }
     shared.trace_instant("admit", &[("queued", q as u64)]);
-    Some(Admitted {
-        shared,
-        held: false,
-    })
+    Some(Admitted { shared, held: 0 })
 }
 
 /// One query or join request, start to reply, on the calling connection
 /// thread: checks `trees` are loaded, admits, takes an execution slot
-/// (waiting at most until the deadline), runs `work` with the absolute
-/// deadline, and maps its outcome to the reply.
+/// (waiting at most until the deadline) and, if `parallel`, every free
+/// one, runs `work` with the absolute deadline and the slots it holds, and
+/// maps its outcome to the reply.
 fn execute<T>(
     shared: &Shared,
     trees: &[u16],
     deadline_ms: u32,
-    work: impl FnOnce(Option<Instant>) -> Outcome<T>,
+    parallel: bool,
+    work: impl FnOnce(Option<Instant>, usize) -> Outcome<T>,
     ok: impl FnOnce(T) -> Response,
 ) -> Response {
     let t = &shared.telemetry;
@@ -472,14 +478,17 @@ fn execute<T>(
     let arrival = Instant::now();
     let deadline =
         (deadline_ms > 0).then(|| arrival + Duration::from_millis(u64::from(deadline_ms)));
-    admitted.held = shared.slots.acquire(deadline);
-    if !admitted.held {
+    if !shared.slots.acquire(deadline) {
         t.timeout(arrival.elapsed());
         return Response::DeadlineExceeded;
     }
-    // A panicking executor must not take the connection (or the slot)
+    admitted.held = 1;
+    if parallel {
+        admitted.held += shared.slots.take_free();
+    }
+    // A panicking executor must not take the connection (or the slots)
     // down: contain it, count it, answer with a typed error, keep serving.
-    match catch_unwind(AssertUnwindSafe(|| work(deadline))) {
+    match catch_unwind(AssertUnwindSafe(|| work(deadline, admitted.held))) {
         Ok(outcome) => respond(t, arrival.elapsed(), outcome, ok),
         Err(_) => {
             t.worker_panics.inc();
@@ -563,7 +572,8 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                 shared,
                 &[tree],
                 deadline_ms,
-                |deadline| {
+                false,
+                |deadline, _| {
                     count_query(t);
                     exec::window(&shared.trees, tree, &rect, deadline)
                 },
@@ -579,7 +589,8 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                 shared,
                 &[tree],
                 deadline_ms,
-                |deadline| {
+                false,
+                |deadline, _| {
                     count_query(t);
                     exec::nearest(&shared.trees, tree, Point::new(x, y), k as usize, deadline)
                 },
@@ -595,14 +606,15 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                 shared,
                 &[tree_a, tree_b],
                 deadline_ms,
-                |deadline| {
+                true,
+                |deadline, slots| {
                     let result = exec::join(
                         &shared.trees,
                         tree_a,
                         tree_b,
                         refine,
                         owner,
-                        shared.cfg.join_threads,
+                        slots,
                         deadline,
                     );
                     if let Outcome::Ok(run) = &result {
@@ -636,10 +648,14 @@ mod tests {
     use psj_rtree::RTree;
 
     fn tree(n: usize) -> Arc<PagedTree> {
+        tree_at(n, 0.0)
+    }
+
+    fn tree_at(n: usize, offset: f64) -> Arc<PagedTree> {
         let mut t = RTree::new();
         for i in 0..n {
-            let x = (i % 30) as f64;
-            let y = (i / 30) as f64;
+            let x = (i % 30) as f64 + offset;
+            let y = (i / 30) as f64 + offset;
             t.insert(Rect::new(x, y, x + 0.9, y + 0.9), i as u64);
         }
         Arc::new(PagedTree::freeze(&t, |_| None))
@@ -767,7 +783,7 @@ mod tests {
         assert_eq!(waiting(&server.shared), 0, "both left the slot queue");
 
         // With the slot back, a viable deadline is served normally.
-        server.shared.slots.release();
+        server.shared.slots.release(1);
         assert!(!c.window(0, rect, 5_000).unwrap().is_empty());
         server.stop();
     }
@@ -783,19 +799,177 @@ mod tests {
                 scope.spawn(move || {
                     assert!(slots.acquire(None), "no deadline");
                     order.lock().unwrap().push(i);
-                    slots.release();
+                    slots.release(1);
                 });
                 // Thread i is queued before thread i + 1 starts.
                 until("the waiter to queue", || {
                     lock_clean(&slots.state).waiters.len() == i + 1
                 });
             }
-            slots.release();
+            slots.release(1);
         });
         assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
         let st = lock_clean(&slots.state);
         assert_eq!(st.free, 1, "one permit free again");
         assert!(st.waiters.is_empty() && st.handed.is_empty());
+    }
+
+    #[test]
+    fn a_join_takes_exactly_the_free_permits() {
+        let slots = Slots::new(4);
+        assert!(slots.acquire(None), "a window's permit");
+        assert!(slots.acquire(None), "the join's own permit");
+        assert_eq!(slots.take_free(), 2, "the two permits nobody holds");
+        assert_eq!(slots.take_free(), 0, "none left");
+        slots.release(3);
+        assert_eq!(
+            lock_clean(&slots.state).free,
+            3,
+            "the join's three are free"
+        );
+    }
+
+    /// While a request waits, a released permit goes to it and never to
+    /// the free count, so a join takes nothing a waiter is owed.
+    #[test]
+    fn no_extra_permits_are_taken_while_a_waiter_is_queued() {
+        let slots = Slots::new(2);
+        assert!(slots.acquire(None) && slots.acquire(None), "both permits");
+        std::thread::scope(|scope| {
+            for i in 0..2 {
+                let slots = &slots;
+                scope.spawn(move || assert!(slots.acquire(None), "no deadline"));
+                until("the waiter to queue", || {
+                    lock_clean(&slots.state).waiters.len() == i + 1
+                });
+            }
+            slots.release(1);
+            assert_eq!(slots.take_free(), 0, "the second waiter is still owed");
+            slots.release(1);
+            assert_eq!(slots.take_free(), 0, "handed to the second waiter");
+        });
+        // The two waiters exited holding a permit each.
+        assert_eq!(slots.take_free(), 0);
+        slots.release(2);
+        assert_eq!(lock_clean(&slots.state).free, 2);
+    }
+
+    /// Requests taking one permit and joins taking every free one besides
+    /// never hold more than `workers` permits between them.
+    #[test]
+    fn permits_held_never_exceed_workers() {
+        const WORKERS: usize = 3;
+        let slots = Slots::new(WORKERS);
+        let held = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for id in 0..6 {
+                let (slots, held) = (&slots, &held);
+                scope.spawn(move || {
+                    for round in 0..300 {
+                        assert!(slots.acquire(None), "no deadline");
+                        let mut n = 1;
+                        if (id + round) % 2 == 0 {
+                            n += slots.take_free();
+                        }
+                        let now = held.fetch_add(n, Ordering::SeqCst) + n;
+                        assert!(now <= WORKERS, "{now} permits held");
+                        std::thread::yield_now();
+                        held.fetch_sub(n, Ordering::SeqCst);
+                        slots.release(n);
+                    }
+                });
+            }
+        });
+        let st = lock_clean(&slots.state);
+        assert_eq!(st.free, WORKERS, "every permit came back");
+        assert!(st.waiters.is_empty() && st.handed.is_empty());
+    }
+
+    #[test]
+    fn a_joins_permits_return_to_waiters_in_arrival_order() {
+        let slots = Slots::new(3);
+        assert!(slots.acquire(None), "the join's own permit");
+        let held = 1 + slots.take_free();
+        assert_eq!(held, 3);
+        let woke = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for i in 0..4 {
+                let (slots, woke) = (&slots, &woke);
+                scope.spawn(move || {
+                    assert!(slots.acquire(None), "no deadline");
+                    woke.lock().unwrap().push(i);
+                });
+                until("the waiter to queue", || {
+                    lock_clean(&slots.state).waiters.len() == i + 1
+                });
+            }
+            slots.release(held);
+            until("three waiters to wake", || woke.lock().unwrap().len() == 3);
+            let mut first = woke.lock().unwrap().clone();
+            first.sort_unstable();
+            assert_eq!(first, [0, 1, 2], "the three longest waiters");
+            assert_eq!(lock_clean(&slots.state).waiters.len(), 1, "the last waits");
+            slots.release(1);
+        });
+        assert_eq!(woke.into_inner().unwrap().len(), 4);
+        slots.release(3);
+        assert_eq!(lock_clean(&slots.state).free, 3);
+    }
+
+    /// A join runs on the slots it holds: its own plus every one free when
+    /// it got it; a window or nearest query runs on its own alone. All come
+    /// back when the request ends.
+    #[test]
+    fn a_join_runs_on_its_own_slot_and_every_free_one() {
+        let server = start_with(ServeConfig {
+            workers: 4,
+            ..ServeConfig::default()
+        });
+        let shared = &server.shared;
+        let free = || lock_clean(&shared.slots.state).free;
+        // The slots a request ran on, and the slots free meanwhile.
+        let run = |parallel| {
+            let mut seen = (0, 0);
+            let reply = execute(
+                shared,
+                &[0],
+                0,
+                parallel,
+                |_, slots| {
+                    seen = (slots, free());
+                    Outcome::Ok(())
+                },
+                |()| Response::ShutdownAck,
+            );
+            assert_eq!(reply, Response::ShutdownAck);
+            seen
+        };
+        assert_eq!(run(true), (4, 0), "an idle server lends a join every slot");
+        assert_eq!(run(false), (1, 3), "a query holds one slot");
+        assert!(shared.slots.acquire(None), "a free permit");
+        assert_eq!(run(true), (3, 0), "one slot is held elsewhere");
+        shared.slots.release(1);
+        assert_eq!(free(), 4, "every slot came back");
+        server.stop();
+    }
+
+    /// A served join's pairs are the sequential oracle's, in the same
+    /// order, whatever the number of slots it runs on.
+    #[test]
+    fn a_served_join_matches_the_oracle_at_every_worker_count() {
+        let trees = vec![tree_at(1500, 0.0), tree_at(1200, 0.4)];
+        let want = psj_core::join_refined(&trees[0], &trees[1]);
+        for workers in [1, 2, 4] {
+            let cfg = ServeConfig {
+                workers,
+                read_timeout: Duration::from_millis(50),
+                ..ServeConfig::default()
+            };
+            let server = Server::start(cfg, trees.clone()).expect("bind loopback");
+            let mut c = Client::connect(server.local_addr()).unwrap();
+            assert_eq!(c.join(0, 1, true, 0).unwrap(), want, "workers={workers}");
+            server.stop();
+        }
     }
 
     #[test]
@@ -826,7 +1000,7 @@ mod tests {
                 shared.shutting_down.load(Ordering::SeqCst)
             });
             assert_eq!(shared.queued.load(Ordering::SeqCst), 3, "still admitted");
-            shared.slots.release();
+            shared.slots.release(1);
             for c in clients {
                 let got = c.join().unwrap().expect("answered during the drain");
                 assert!(!got.is_empty());

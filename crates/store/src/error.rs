@@ -58,6 +58,21 @@ impl PageError {
         }
     }
 
+    /// The error of a read keyed in a key space trees share, renamed to
+    /// `page`, the tree's own id, with ` (tree {tree})` ending the context.
+    /// An error that names no page is returned unchanged.
+    pub fn in_tree(mut self, page: PageId, tree: impl std::fmt::Display) -> Self {
+        let (at, context) = match &mut self {
+            PageError::Corrupt { page, context } => (Some(page), context),
+            PageError::Io { page, context, .. } => (page.as_mut(), context),
+        };
+        if let Some(at) = at {
+            *at = page;
+            context.push_str(&format!(" (tree {tree})"));
+        }
+        self
+    }
+
     /// Whether the error is a checksum failure (never retryable).
     pub fn is_corrupt(&self) -> bool {
         matches!(self, PageError::Corrupt { .. })

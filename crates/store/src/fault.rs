@@ -30,13 +30,20 @@
 
 use crate::error::PageError;
 use crate::page::PageId;
-use crate::retry::splitmix64;
 use crate::sync::lock_clean;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
+
+/// SplitMix64: cheap, high-quality 64-bit mixer (public-domain constants).
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
 
 const CLASS_TRANSIENT: u64 = 0x7472_616E; // "tran"
 const CLASS_FLIP: u64 = 0x666C_6970; // "flip"

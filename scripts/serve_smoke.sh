@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Smoke test for the query service: generate a small workload, start
-# `psj serve` on loopback, drive it with `psj bench-serve`, and assert the
-# run completed requests, a lone client's median request stays well under
-# a timer's worth of waiting, and the server shut down cleanly within a
-# bound.
+# `psj serve` on loopback, check a served join against `psj join`, drive
+# it with `psj bench-serve`, and assert the run completed requests, a lone
+# client's median request stays well under a timer's worth of waiting, and
+# the server shut down cleanly within a bound.
 set -euo pipefail
 
 PSJ="${PSJ:-target/release/psj}"
@@ -32,6 +32,18 @@ for _ in $(seq 1 100); do
   fi
   sleep 0.1
 done
+
+echo "== served join =="
+# A join on the two-slot server runs one worker per slot it holds; its
+# pair count must be the CLI join's on the same trees.
+WANT=$("$PSJ" join --tree1 "$WORK/t1.psjt" --tree2 "$WORK/t2.psjt" --threads 2 \
+  | sed -n 's/^exact results: *\([0-9]*\)$/\1/p')
+GOT=$("$PSJ" query --addr "$ADDR" --tree 0 --join-with 1 | sed -n 's/^\([0-9]*\) pairs$/\1/p')
+if [ -z "$WANT" ] || [ "$GOT" != "$WANT" ]; then
+  echo "FAIL: served join gave ${GOT:-no} pairs, psj join ${WANT:-no} exact results"
+  kill "$SERVER_PID"; exit 1
+fi
+echo "served join: $GOT pairs (psj join --threads 2: $WANT exact results)"
 
 echo "== bench-serve, one client: request latency =="
 # One closed-loop client never waits for a slot, so its median is the

@@ -75,7 +75,6 @@ fn main() {
     let cfg = ServeConfig {
         addr,
         workers: 2,
-        join_threads: 2,
         shard_id,
         fault,
         read_timeout: Duration::from_millis(100),

@@ -35,7 +35,6 @@ fn freeze(items: &[Item]) -> Arc<PagedTree> {
 fn serve_cfg(shard_id: u16) -> ServeConfig {
     ServeConfig {
         workers: 2,
-        join_threads: 2,
         shard_id,
         read_timeout: Duration::from_millis(50),
         ..ServeConfig::default()

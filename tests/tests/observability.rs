@@ -105,7 +105,6 @@ fn traced_join_attribution_and_spans_agree() {
 fn metrics_scrape_matches_stats_report_end_to_end() {
     let cfg = ServeConfig {
         workers: 2,
-        join_threads: 2,
         ..ServeConfig::default()
     };
     let trees = vec![

@@ -79,7 +79,6 @@ fn unbatched_large_cache_matches_direct() {
     let trees = scenario_trees();
     let cfg = ServeConfig {
         workers: 4,
-        join_threads: 2,
         read_timeout: Duration::from_millis(50),
         ..ServeConfig::default()
     };
