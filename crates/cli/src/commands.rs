@@ -2,8 +2,7 @@
 
 use crate::args::Args;
 use psj_core::{
-    run_sim_join, try_run_join, BufferConfig, JoinEngine, NativeConfig, NativeError, RunControl,
-    SimConfig,
+    run_sim_join, try_run_join, BufferConfig, NativeConfig, NativeError, RunControl, SimConfig,
 };
 use psj_datagen::io::{load_map, save_map};
 use psj_datagen::Scenario;
@@ -25,14 +24,11 @@ commands:
   build    --map <map> --out <tree> [--attrs <bytes>] [--str|--hilbert]
   stats    --tree <tree>
   join     --tree1 <tree> --tree2 <tree> [--threads <n>] [--no-refine]
-           [--engine rtree|partition]
            [--cache <pages>] [--cache-shards <n>]
            [--inject-faults <spec>] [--retry-attempts <n>]
-           [--trace <file.jsonl>] [--tasks] — --engine picks the executor:
-           rtree (the paper's synchronized traversal, default) or partition
-           (in-memory uniform grid + per-cell sweep, which takes none of the
-           cache or fault options); --cache reads nodes through one page
-           cache of that many pages shared by all threads; --trace writes a
+           [--trace <file.jsonl>] [--tasks] — the paper's synchronized
+           R-tree traversal; --cache reads nodes through one page cache of
+           that many pages shared by all threads; --trace writes a
            Perfetto/chrome://tracing-loadable JSONL trace; --tasks prints
            per-morsel attribution (pages, hits, wall time)
   fsck     <tree>  (or --tree <tree>) — prints a JSON integrity report,
@@ -43,10 +39,9 @@ commands:
            [--queue-bound <n>] [--lenient] [--inject-faults <spec>]
            [--retry-attempts <n>] [--trace <file.jsonl>] [--shard-id <n>]
            — --workers execution slots (default: the CPU count) bound the
-           threads running requests; a join runs on the rtree engine with
-           one worker per slot it holds (its own plus every free one);
-           --trace writes the trace at shutdown; --shard-id tags this
-           server for cluster routing
+           threads running requests; a join runs one worker per slot it
+           holds (its own plus every free one); --trace writes the trace
+           at shutdown; --shard-id tags this server for cluster routing
   shard-plan --map1 <map> --map2 <map> --shards <n> --out <dir>
            [--host <ip>] [--base-port <n>] — partition both maps into x-slab
            shards balanced by estimated join work; writes per-shard tree
@@ -160,25 +155,6 @@ pub fn join(args: &Args) -> CmdResult {
     )?;
     let mut cfg = NativeConfig::new(threads);
     cfg.refine = !args.flag("no-refine");
-    if let Some(name) = args.get("engine") {
-        cfg.engine = JoinEngine::parse(name)
-            .ok_or_else(|| format!("unknown --engine: {name} (use rtree|partition)"))?;
-    }
-    if cfg.engine == JoinEngine::Partition {
-        // The grid engine runs in memory and never fills a page cache, so
-        // these options would otherwise be silently ignored.
-        let conflicts: Vec<String> = ["cache", "cache-shards", "inject-faults", "retry-attempts"]
-            .iter()
-            .filter(|k| args.get(k).is_some())
-            .map(|k| format!("--{k}"))
-            .collect();
-        if !conflicts.is_empty() {
-            return Err(format!(
-                "--engine partition runs in memory and takes no {}",
-                conflicts.join(", ")
-            ));
-        }
-    }
     if let Some(pages) = args.get("cache") {
         let capacity_pages: usize = pages
             .parse()
@@ -206,7 +182,7 @@ pub fn join(args: &Args) -> CmdResult {
     if let Some(sink) = &trace {
         ctl = ctl.with_trace(Arc::clone(sink));
     }
-    // The wall time is the entry point's: it covers what each engine does
+    // The wall time is the entry point's: it covers what the join does
     // before its own clock (`res.elapsed`) starts, such as task creation.
     let t0 = Instant::now();
     let res = try_run_join(&a, &b, &cfg, &ctl);
@@ -226,17 +202,10 @@ pub fn join(args: &Args) -> CmdResult {
         Err(e @ NativeError::WorkerPanic { .. }) => return Err(e.to_string()),
     };
     println!("threads:            {threads}");
-    println!("engine:             {}", res.engine.short());
     println!("tasks:              {}", res.tasks);
     println!("morsels:            {}", res.morsels);
     println!("node pairs:         {}", res.node_pairs);
     println!("filter candidates:  {}", res.candidates);
-    if res.engine == JoinEngine::Partition {
-        println!(
-            "grid replication:   {} replicated placements, {} cross-cell pairs deduped",
-            res.replicated, res.deduped
-        );
-    }
     println!(
         "{} {}",
         if cfg.refine {
@@ -393,8 +362,8 @@ pub fn serve(args: &Args) -> CmdResult {
         "serving on {} (send a Shutdown request to stop)",
         server.local_addr()
     );
-    let report = server.wait();
-    println!("--- server report ---\n{report}");
+    let stats = server.wait();
+    println!("--- server report ---\n{stats}");
     if let Some(sink) = &trace {
         let path = args.get("trace").expect("sink exists only with --trace");
         let lines = sink.write_to_file(Path::new(path)).map_err(io_err)?;

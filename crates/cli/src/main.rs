@@ -66,7 +66,6 @@ const COMMANDS: &[Command] = &[
             "tree1",
             "tree2",
             "threads",
-            "engine",
             "cache",
             "cache-shards",
             "inject-faults",

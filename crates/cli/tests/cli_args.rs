@@ -2,9 +2,8 @@
 //! zero count is a usage error of its command (exit 1), and an unknown
 //! command, an undeclared option or a value-less option is a parse error
 //! (exit 2). None of them may reach a panic, and a tree file of an earlier
-//! format is refused with its version named. The grid engine's success
-//! path agrees with the R-tree engine's on the same trees, and a faulted
-//! join reads no cache it was not asked for.
+//! format is refused with its version named. A faulted join reads no cache
+//! it was not asked for.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -82,10 +81,15 @@ fn zero_disks_is_an_error_not_a_panic() {
     assert_exit(&out, 1, "error: invalid value for --disks: 0");
 }
 
+/// An option `join` does not declare is refused, a misspelling or a
+/// removed one: `psj join` runs the R-tree join alone, so `--engine` is
+/// unknown whatever its value.
 #[test]
 fn misspelled_option_is_a_usage_error() {
     let out = on_trees("join", &["--thread", "1"]);
     assert_exit(&out, 2, "unknown option: --thread");
+    let out = on_trees("join", &["--engine", "partition"]);
+    assert_exit(&out, 2, "unknown option: --engine");
 }
 
 #[test]
@@ -119,16 +123,6 @@ fn removed_scheduler_flags_are_usage_errors() {
     }
 }
 
-#[test]
-fn removed_engine_value_is_an_error() {
-    let out = on_trees("join", &["--threads=2", "--engine", "auto"]);
-    assert_exit(
-        &out,
-        1,
-        "error: unknown --engine: auto (use rtree|partition)",
-    );
-}
-
 /// A buffered join reads through one cache shared by all threads: the
 /// private per-thread caches are gone, and so is the option that picked
 /// them, whatever its value.
@@ -160,37 +154,8 @@ fn removed_serve_cache_options_are_unknown_options() {
 }
 
 #[test]
-fn partition_engine_rejects_cache_and_fault_options() {
-    for (flag, value) in [
-        ("--cache", "8"),
-        ("--cache-shards", "2"),
-        ("--inject-faults", "flip=1.0,seed=3"),
-        ("--retry-attempts", "2"),
-    ] {
-        let out = on_trees("join", &["--engine", "partition", flag, value]);
-        assert_exit(
-            &out,
-            1,
-            &format!("error: --engine partition runs in memory and takes no {flag}"),
-        );
-    }
-    let out = on_trees(
-        "join",
-        &[
-            "--engine",
-            "partition",
-            "--cache",
-            "8",
-            "--inject-faults",
-            "flip=1.0,seed=3",
-        ],
-    );
-    assert_exit(&out, 1, "takes no --cache, --inject-faults");
-}
-
-#[test]
 fn declared_options_still_run() {
-    let out = on_trees("join", &["--threads=2", "--no-refine", "--engine", "rtree"]);
+    let out = on_trees("join", &["--threads=2", "--no-refine"]);
     assert!(
         out.status.success(),
         "{}",
@@ -206,45 +171,6 @@ fn declared_options_still_run() {
         tail[1].starts_with("load time:          ") && tail[1].ends_with(" (both trees)"),
         "{stdout}"
     );
-}
-
-#[test]
-fn partition_engine_joins_like_the_rtree_engine() {
-    // The lines both engines must agree on: the filter's candidates and
-    // the result count (exact, or the candidates without refinement).
-    let agreed = |stdout: &str| -> Vec<String> {
-        stdout
-            .lines()
-            .filter(|l| {
-                ["filter candidates:", "exact results:", "candidate results:"]
-                    .iter()
-                    .any(|p| l.starts_with(p))
-            })
-            .map(str::to_owned)
-            .collect()
-    };
-    for refine in [&[][..], &["--no-refine"][..]] {
-        let run = |engine: &str| {
-            let mut extra = vec!["--threads", "2", "--engine", engine];
-            extra.extend_from_slice(refine);
-            let out = on_trees("join", &extra);
-            assert!(
-                out.status.success(),
-                "{engine} {refine:?}: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            String::from_utf8_lossy(&out.stdout).into_owned()
-        };
-        let (grid, rtree) = (run("partition"), run("rtree"));
-        assert!(grid.contains("engine:             partition"), "{grid}");
-        assert!(
-            grid.lines().any(|l| l.starts_with("grid replication:")),
-            "{grid}"
-        );
-        let lines = agreed(&grid);
-        assert_eq!(lines.len(), 2, "{grid}");
-        assert_eq!(lines, agreed(&rtree), "{refine:?}\n{grid}\n{rtree}");
-    }
 }
 
 /// A fault plan runs on the join's node reads and builds no cache: a

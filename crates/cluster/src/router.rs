@@ -1,8 +1,8 @@
 //! The scatter-gather router.
 //!
-//! A [`Router`] is itself a protocol server: it listens on a socket,
-//! speaks the same length-prefixed frames as `psj-serve`, and forwards
-//! each request to the shards that can answer it:
+//! A [`Router`] is itself a protocol server: a [`Service`] on psj-serve's
+//! shell ([`Listener`]), so it accepts, frames and shuts down exactly as a
+//! shard does, and forwards each request to the shards that can answer it:
 //!
 //! * window queries go to the shards whose slab overlaps the query
 //!   rectangle (often just one);
@@ -30,13 +30,13 @@
 use crate::health::{Health, HealthPolicy, HealthState, RouteDecision, Transition};
 use psj_obs::{Counter, Gauge, Histogram, Registry};
 use psj_serve::protocol::{
-    read_frame, write_frame, Request, Response, ServerStats, TreeInfo, MAX_REQUEST_FRAME,
-    MAX_RESPONSE_FRAME, ROUTER_SHARD,
+    read_frame, write_frame, Request, Response, ServerStats, TreeInfo, MAX_RESPONSE_FRAME,
+    ROUTER_SHARD,
 };
-use psj_serve::BackoffPolicy;
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use psj_serve::{BackoffPolicy, Listener, Service};
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -95,9 +95,6 @@ const QUEUE_BOUND: usize = 256;
 /// Read timeout on the router's own client connections (bounds how long a
 /// halt takes to propagate).
 const CONN_READ_TIMEOUT: Duration = Duration::from_millis(250);
-/// Pause before retrying after `accept` fails, so a persistent error
-/// (EMFILE, say) does not spin a core.
-const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Per-shard runtime state: spec, pooled connections, health, metrics.
 struct ShardSlot {
@@ -128,9 +125,6 @@ struct Shared {
     shed: Arc<Counter>,
     latency: Arc<Histogram>,
     inflight: AtomicUsize,
-    halt: AtomicBool,
-    /// Taken by the first client `Shutdown`; wakes [`Router::wait`].
-    shutdown_tx: Mutex<Option<mpsc::Sender<()>>>,
 }
 
 fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -138,10 +132,6 @@ fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Shared {
-    fn halted(&self) -> bool {
-        self.halt.load(Ordering::Acquire)
-    }
-
     /// Applies a health transition to the per-shard metrics.
     fn record_transition(&self, idx: usize, t: Option<Transition>) {
         let slot = &self.slots[idx];
@@ -161,12 +151,10 @@ impl Shared {
 /// The scatter-gather router process.
 pub struct Router {
     shared: Arc<Shared>,
-    addr: SocketAddr,
-    acceptor: JoinHandle<()>,
+    listener: Listener,
     prober: JoinHandle<()>,
-    /// Connection threads still running as of the last accept.
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    shutdown_rx: mpsc::Receiver<()>,
+    /// Dropped to stop the prober.
+    prober_stop: mpsc::Sender<()>,
 }
 
 impl Router {
@@ -178,8 +166,6 @@ impl Router {
                 "router needs at least one shard",
             ));
         }
-        let listener = TcpListener::bind(cfg.addr)?;
-        let addr = listener.local_addr()?;
         let registry = Registry::new();
         let slots: Vec<ShardSlot> = cfg
             .shards
@@ -222,7 +208,6 @@ impl Router {
                 slot
             })
             .collect();
-        let (shutdown_tx, shutdown_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
             requests: registry.counter("psj_router_requests_total", "Requests accepted"),
             completed: registry.counter(
@@ -250,59 +235,35 @@ impl Router {
             registry,
             slots,
             inflight: AtomicUsize::new(0),
-            halt: AtomicBool::new(false),
-            shutdown_tx: Mutex::new(Some(shutdown_tx)),
             health: cfg.health,
         });
 
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("psj-router-acceptor".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shared.halted() {
-                            break;
-                        }
-                        let Ok(stream) = stream else {
-                            std::thread::sleep(ACCEPT_BACKOFF);
-                            continue;
-                        };
-                        let shared = Arc::clone(&shared);
-                        let h = std::thread::Builder::new()
-                            .name("psj-router-conn".into())
-                            .spawn(move || handle_conn(&shared, stream))
-                            .expect("spawn router connection thread");
-                        let mut conns = lock_clean(&conns);
-                        conns.retain(|c| !c.is_finished());
-                        conns.push(h);
-                    }
-                })
-                .expect("spawn router acceptor")
-        };
+        let listener = Listener::start(
+            cfg.addr,
+            CONN_READ_TIMEOUT,
+            "psj-router",
+            Arc::clone(&shared),
+        )?;
+        let (prober_stop, stop) = mpsc::channel();
         let prober = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("psj-router-prober".into())
-                .spawn(move || prober_loop(&shared))
+                .spawn(move || prober_loop(&shared, &stop))
                 .expect("spawn router prober")
         };
 
         Ok(Router {
             shared,
-            addr,
-            acceptor,
+            listener,
             prober,
-            conns,
-            shutdown_rx,
+            prober_stop,
         })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// The router's metrics in Prometheus text format (same content a
@@ -313,22 +274,17 @@ impl Router {
 
     /// Blocks until a client sends [`Request::Shutdown`], then stops.
     pub fn wait(self) {
-        let _ = self.shutdown_rx.recv();
+        self.listener.wait();
         self.stop();
     }
 
-    /// Stops the acceptor, prober, and connection threads. Shards are not
-    /// contacted — a router shutdown never takes data nodes with it.
+    /// Stops the listener, its connection threads and the prober. Shards
+    /// are not contacted — a router shutdown never takes data nodes with
+    /// it.
     pub fn stop(self) {
-        self.shared.halt.store(true, Ordering::SeqCst);
-        // Unblock the acceptor with a dummy connection.
-        let _ = TcpStream::connect(self.addr);
-        let _ = self.acceptor.join();
+        self.listener.stop();
+        drop(self.prober_stop);
         let _ = self.prober.join();
-        let conns: Vec<JoinHandle<()>> = std::mem::take(&mut *lock_clean(&self.conns));
-        for c in conns {
-            let _ = c.join();
-        }
     }
 }
 
@@ -343,102 +299,47 @@ enum ShardAnswer {
     Missing,
 }
 
-fn handle_conn(shared: &Shared, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(CONN_READ_TIMEOUT));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-
-    loop {
-        let payload = match read_frame(&mut reader, MAX_REQUEST_FRAME) {
-            Ok(Some(p)) => p,
-            Ok(None) => return,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.halted() {
-                    return;
+impl Service for Shared {
+    /// Routes one decoded request and produces the reply.
+    fn respond(&self, req: Request) -> Response {
+        self.requests.inc();
+        match req {
+            Request::Stats => stats_response(self),
+            Request::Metrics => Response::Metrics(metrics_text(self)),
+            Request::Info => info_response(self),
+            Request::Shutdown => unreachable!("the listener answers Shutdown"),
+            Request::Window { .. } | Request::Nearest { .. } | Request::Join { .. } => {
+                // Admission control: bound concurrent scatters.
+                if self.inflight.fetch_add(1, Ordering::SeqCst) >= QUEUE_BOUND {
+                    self.inflight.fetch_sub(1, Ordering::SeqCst);
+                    self.shed.inc();
+                    return Response::Overloaded;
                 }
-                continue;
-            }
-            Err(e) => {
-                shared.proto_errors.inc();
-                if e.kind() == io::ErrorKind::InvalidData {
-                    let _ = write_frame(
-                        &mut writer,
-                        &Response::Error(e.to_string()).encode_or_error(),
-                    );
+                let started = Instant::now();
+                let resp = scatter_gather(self, &req, started);
+                self.inflight.fetch_sub(1, Ordering::SeqCst);
+                match &resp {
+                    Response::Entries(_) | Response::Neighbors(_) | Response::Pairs(_) => {
+                        self.completed.inc();
+                        self.latency.record(started.elapsed());
+                    }
+                    Response::Partial { .. } => {
+                        self.completed.inc();
+                        self.partials.inc();
+                        self.latency.record(started.elapsed());
+                    }
+                    Response::DeadlineExceeded => {
+                        self.deadlines.inc();
+                    }
+                    _ => {}
                 }
-                return;
+                resp
             }
-        };
-        let req = match Request::decode(&payload) {
-            Ok(req) => req,
-            Err(e) => {
-                shared.proto_errors.inc();
-                if write_frame(
-                    &mut writer,
-                    &Response::Error(e.to_string()).encode_or_error(),
-                )
-                .is_err()
-                {
-                    return;
-                }
-                continue;
-            }
-        };
-        if matches!(req, Request::Shutdown) {
-            let _ = write_frame(&mut writer, &Response::ShutdownAck.encode_or_error());
-            if let Some(tx) = lock_clean(&shared.shutdown_tx).take() {
-                let _ = tx.send(());
-            }
-            return;
-        }
-        let resp = dispatch(shared, req);
-        if write_frame(&mut writer, &resp.encode_or_error()).is_err() {
-            return;
         }
     }
-}
 
-/// Routes one decoded request and produces the reply.
-fn dispatch(shared: &Shared, req: Request) -> Response {
-    shared.requests.inc();
-    match req {
-        Request::Stats => stats_response(shared),
-        Request::Metrics => Response::Metrics(metrics_text(shared)),
-        Request::Info => info_response(shared),
-        Request::Shutdown => unreachable!("handled in the connection loop"),
-        Request::Window { .. } | Request::Nearest { .. } | Request::Join { .. } => {
-            // Admission control: bound concurrent scatters.
-            if shared.inflight.fetch_add(1, Ordering::SeqCst) >= QUEUE_BOUND {
-                shared.inflight.fetch_sub(1, Ordering::SeqCst);
-                shared.shed.inc();
-                return Response::Overloaded;
-            }
-            let started = Instant::now();
-            let resp = scatter_gather(shared, &req, started);
-            shared.inflight.fetch_sub(1, Ordering::SeqCst);
-            match &resp {
-                Response::Entries(_) | Response::Neighbors(_) | Response::Pairs(_) => {
-                    shared.completed.inc();
-                    shared.latency.record(started.elapsed());
-                }
-                Response::Partial { .. } => {
-                    shared.completed.inc();
-                    shared.partials.inc();
-                    shared.latency.record(started.elapsed());
-                }
-                Response::DeadlineExceeded => {
-                    shared.deadlines.inc();
-                }
-                _ => {}
-            }
-            resp
-        }
+    fn proto_error(&self) {
+        self.proto_errors.inc();
     }
 }
 
@@ -807,12 +708,11 @@ fn probe_shard(shared: &Shared, idx: usize) -> bool {
 }
 
 /// Background prober: readmits Down shards without waiting for client
-/// traffic to trip over them.
-fn prober_loop(shared: &Shared) {
+/// traffic to trip over them. Ticks until `stop`'s sender is dropped.
+fn prober_loop(shared: &Shared, stop: &mpsc::Receiver<()>) {
     let tick = shared.health.probe_interval.min(Duration::from_millis(50));
     let tick = tick.max(Duration::from_millis(5));
-    while !shared.halted() {
-        std::thread::sleep(tick);
+    while let Err(mpsc::RecvTimeoutError::Timeout) = stop.recv_timeout(tick) {
         for idx in 0..shared.slots.len() {
             let slot = &shared.slots[idx];
             let decision = {
@@ -907,13 +807,12 @@ mod tests {
 
     #[test]
     fn finished_connection_handles_are_dropped_at_accept() {
-        // The router never dials its shard here; the listener only gives
-        // the topology a live address.
-        let shard = TcpListener::bind("127.0.0.1:0").unwrap();
+        // The router never dials its shard here (`Stats` answers from its
+        // own counters), so the shard's address need not be live.
         let router = Router::start(RouterConfig {
             shards: vec![ShardAddr {
                 id: 0,
-                addr: shard.local_addr().unwrap(),
+                addr: SocketAddr::from(([127, 0, 0, 1], 1)),
                 x_lo: f64::NEG_INFINITY,
                 x_hi: f64::INFINITY,
             }],
@@ -930,13 +829,13 @@ mod tests {
         let t0 = Instant::now();
         loop {
             drop(TcpStream::connect(addr));
-            if lock_clean(&router.conns).len() <= 4 {
+            if router.listener.connections() <= 4 {
                 break;
             }
             assert!(
                 t0.elapsed() < Duration::from_secs(10),
                 "{} connection handles still held",
-                lock_clean(&router.conns).len()
+                router.listener.connections()
             );
             std::thread::sleep(Duration::from_millis(10));
         }

@@ -20,11 +20,11 @@
 //! * [`try_run_join`] — real threads, real geometry refinement; this is the
 //!   entry point an application uses.
 //!
-//! [`try_run_join`] runs the paper's R-tree traversal ([`native`]) or, with
-//! [`JoinEngine::Partition`], the in-memory grid join of [`partition`],
-//! which answers the same joins without descending the trees;
-//! [`try_run_partition_join`] also takes unindexed rectangle streams. Both
-//! engines run their morsels on one runtime ([`morsel`]).
+//! [`try_run_join`] runs the paper's R-tree traversal ([`native`]) over
+//! two trees. [`try_run_partition_join`], the in-memory grid join of
+//! [`partition`], is the engine for unindexed rectangle streams: it joins
+//! without an index on either side. Both engines pack their morsels with
+//! one planner step and run them on one runtime ([`morsel`]).
 //!
 //! The sequential [BKS 93] join ([`seq`]) serves as baseline and oracle.
 //!
@@ -67,10 +67,11 @@ pub use cancel::{CancelToken, Cancelled};
 pub use cost::{CandidateEstimator, CostModel, Platform, TreeProfile};
 pub use metrics::{JoinMetrics, TaskTrace};
 pub use morsel::{morselize, Morsel, MorselOptions, MorselPlan};
-pub use native::{BufferConfig, JoinError, NativeConfig, NativeError, NativeResult, RunControl};
+pub use native::{
+    try_run_join, BufferConfig, JoinError, NativeConfig, NativeError, NativeResult, RunControl,
+};
 pub use partition::{
-    plan_partition, try_run_join, try_run_partition_join, JoinEngine, PartitionInput,
-    PartitionPlan, RectItem,
+    plan_partition, try_run_partition_join, JoinEngine, PartitionInput, PartitionPlan, RectItem,
 };
 pub use seq::{join_candidates, join_refined, SeqJoinResult};
 pub use sim::{run_sim_join, BufferOrg, Reassignment, SimConfig, SimResult, VictimSelection};

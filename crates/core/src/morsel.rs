@@ -38,14 +38,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One morsel: a contiguous run of tasks (in plane-sweep order) sized to
-/// roughly one candidate budget.
+/// One morsel: a contiguous run of work units sized to roughly one
+/// candidate budget — phase-1 tasks in plane-sweep order for the R-tree
+/// join, occupied cell ids in row-major order for the grid join.
 #[derive(Debug, Clone)]
-pub struct Morsel {
-    /// Position in plane-sweep order; doubles as the merge key.
+pub struct Morsel<U = TaskPair> {
+    /// Position in plan order; doubles as the merge key.
     pub id: u32,
-    /// The tasks, in plane-sweep order. Never empty.
-    pub tasks: Vec<TaskPair>,
+    /// The units, in plan order. Never empty.
+    pub tasks: Vec<U>,
     /// Estimated filter-step candidates (≥ 1).
     pub est: u64,
 }
@@ -167,36 +168,68 @@ pub fn morselize(
         }
     }
 
-    // Pack pass: greedy contiguous next-fit. A morsel exceeds the budget
-    // only when it holds exactly one (unsplittable or depth-limited) task.
-    let mut morsels: Vec<Morsel> = Vec::new();
-    let mut cur_tasks: Vec<TaskPair> = Vec::new();
-    let mut cur_est = 0.0f64;
-    let flush = |tasks: &mut Vec<TaskPair>, est: &mut f64, morsels: &mut Vec<Morsel>| {
-        if !tasks.is_empty() {
-            morsels.push(Morsel {
-                id: morsels.len() as u32,
-                tasks: std::mem::take(tasks),
-                est: (est.round() as u64).max(1),
-            });
-            *est = 0.0;
-        }
-    };
-    for (t, e) in units {
-        if !cur_tasks.is_empty() && cur_est + e > budget as f64 {
-            flush(&mut cur_tasks, &mut cur_est, &mut morsels);
-        }
-        cur_tasks.push(t);
-        cur_est += e;
-    }
-    flush(&mut cur_tasks, &mut cur_est, &mut morsels);
-
     MorselPlan {
-        morsels,
+        morsels: pack(units, budget),
         budget,
         total_est: total.round() as u64,
         split_expansions,
     }
+}
+
+/// Packs rated units, in plan order, into morsels next-fit: a unit joins
+/// the open morsel unless that takes it past `budget`, so a morsel exceeds
+/// the budget only when it holds exactly one unit. Both planners pack
+/// through it: [`morselize`] its tasks, the grid planner its cells.
+pub(crate) fn pack<U>(units: impl IntoIterator<Item = (U, f64)>, budget: u64) -> Vec<Morsel<U>> {
+    let mut morsels: Vec<Morsel<U>> = Vec::new();
+    let mut close = |tasks: Vec<U>, est: f64| {
+        if !tasks.is_empty() {
+            morsels.push(Morsel {
+                id: morsels.len() as u32,
+                tasks,
+                est: (est.round() as u64).max(1),
+            });
+        }
+    };
+    let (mut open, mut est) = (Vec::new(), 0.0f64);
+    for (unit, e) in units {
+        if !open.is_empty() && est + e > budget as f64 {
+            close(std::mem::take(&mut open), std::mem::take(&mut est));
+        }
+        open.push(unit);
+        est += e;
+    }
+    close(open, est);
+    morsels
+}
+
+/// Runs `job(k, w)` for the `k`-th work item, one thread each: item 0 on
+/// the caller, the rest on scoped threads. A single item runs inline, with
+/// no spawn. The morsel driver's workers and the grid planner's phases
+/// both fan out through it.
+pub(crate) fn fan_out<W: Send, R: Send>(
+    work: Vec<W>,
+    job: impl Fn(usize, W) -> R + Sync,
+) -> Vec<R> {
+    let mut work = work.into_iter();
+    let Some(first) = work.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|scope| {
+        let job = &job;
+        let handles: Vec<_> = work
+            .enumerate()
+            .map(|(k, w)| scope.spawn(move || job(k + 1, w)))
+            .collect();
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(job(0, first));
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("a fanned-out thread panicked")),
+        );
+        out
+    })
 }
 
 /// One worker's run output: the result pairs of the morsels it completed,
@@ -426,22 +459,7 @@ impl<'c> Driver<'c> {
         // Worker 0 is the calling thread, so a T=1 join starts no thread
         // and a served join runs on the connection thread that holds its
         // first execution slot.
-        let results: Vec<WorkerOutput> = std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..self.threads)
-                .map(|id| {
-                    let run = &run;
-                    scope.spawn(move || run(id))
-                })
-                .collect();
-            let mut results = Vec::with_capacity(self.threads);
-            results.push(run(0));
-            results.extend(
-                helpers
-                    .into_iter()
-                    .map(|h| h.join().expect("a worker panicked outside its morsels")),
-            );
-            results
-        });
+        let results: Vec<WorkerOutput> = fan_out(vec![(); self.threads], |id, ()| run(id));
         let elapsed = since.elapsed();
         let count = match self.engine {
             JoinEngine::RTree => "tasks",

@@ -2,9 +2,9 @@
 //! real OS threads, scheduled morsel-at-a-time.
 //!
 //! While [`crate::sim`] reproduces the paper's *evaluation* (virtual time,
-//! KSR1 cost model), this executor is what a downstream user calls (through
-//! [`crate::partition::try_run_join`]) to actually join two indexed
-//! relations fast. Execution is **morsel-driven** (see [`crate::morsel`]):
+//! KSR1 cost model), this executor is what a downstream user calls
+//! ([`try_run_join`]) to actually join two indexed relations fast.
+//! Execution is **morsel-driven** (see [`crate::morsel`]):
 //! phase 1's tasks are regrouped into morsels of roughly equal *estimated
 //! candidate count*, and the workers take them through one shared cursor,
 //! in morsel-id order, until the cursor passes the end. That is the paper's
@@ -94,7 +94,9 @@ impl BufferConfig {
     }
 }
 
-/// Configuration of a native parallel join.
+/// Configuration of a native parallel join: the R-tree join
+/// ([`try_run_join`]) reads every field, the grid join
+/// ([`crate::try_run_partition_join`]) `num_threads` and `refine`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NativeConfig {
     /// Number of worker threads; morsels are sized automatically for them.
@@ -108,11 +110,9 @@ pub struct NativeConfig {
     pub refine: bool,
     /// `Some`: run out-of-core, reading nodes through a bounded page cache
     /// with this configuration. `None`: read the frozen trees directly.
+    /// The grid join ([`crate::try_run_partition_join`]) runs in memory and
+    /// ignores it.
     pub buffer: Option<BufferConfig>,
-    /// Which join executor [`crate::partition::try_run_join`] runs: the
-    /// paper's R-tree traversal (the default) or the in-memory grid
-    /// partition. The caller picks; nothing chooses for it.
-    pub engine: JoinEngine,
 }
 
 impl NativeConfig {
@@ -124,7 +124,6 @@ impl NativeConfig {
             min_tasks_factor: 8,
             refine: true,
             buffer: None,
-            engine: JoinEngine::RTree,
         }
     }
 
@@ -597,16 +596,20 @@ impl<'t, F: Fetch<'t>> MorselBody<Morsel> for Expand<'t, F> {
     }
 }
 
-/// The R-tree arm of [`crate::partition::try_run_join`]: runs the join on
-/// real threads under full runtime control — cancellation, fault
-/// injection, and a storage retry policy.
+/// Joins two trees with the paper's R-tree traversal, on real threads
+/// under `ctl`: cancellation, fault injection, a storage retry policy and
+/// tracing. The entry point of the CLI, the serving layer and the
+/// benchmark for a tree × tree join; [`crate::try_run_partition_join`]
+/// takes unindexed inputs. A fired token returns
+/// [`NativeError::Cancelled`] and a panicked morsel
+/// [`NativeError::WorkerPanic`].
 ///
 /// A fault plan runs on each node read, so it changes nothing about where
 /// nodes are read from: [`NativeResult::buffer`] is `Some` only when
 /// `cfg.buffer` is. Transient faults are absorbed by retries and reported
 /// in [`TaskTrace::retries`]; an unrecoverable page failure aborts all
 /// workers and returns [`NativeError::Storage`].
-pub(crate) fn try_run_native_join(
+pub fn try_run_join(
     a: &PagedTree,
     b: &PagedTree,
     cfg: &NativeConfig,
@@ -724,7 +727,7 @@ mod tests {
     }
 
     fn join(a: &PagedTree, b: &PagedTree, cfg: &NativeConfig) -> NativeResult {
-        try_run_native_join(a, b, cfg, &RunControl::default()).expect("in-memory join")
+        try_run_join(a, b, cfg, &RunControl::default()).expect("in-memory join")
     }
 
     fn join_until(
@@ -733,7 +736,7 @@ mod tests {
         token: &CancelToken,
     ) -> Result<NativeResult, NativeError> {
         let ctl = RunControl::default().with_cancel(token);
-        try_run_native_join(a, b, &NativeConfig::new(4), &ctl)
+        try_run_join(a, b, &NativeConfig::new(4), &ctl)
     }
 
     /// The filter step on `threads` workers through a cache the test
@@ -979,7 +982,7 @@ mod tests {
         let ctl = RunControl::default()
             .with_fault(plan.clone())
             .with_retry(RetryPolicy::attempts(4));
-        let res = try_run_native_join(&a, &b, &NativeConfig::new(4), &ctl)
+        let res = try_run_join(&a, &b, &NativeConfig::new(4), &ctl)
             .expect("transient faults must be retried away");
         assert_eq!(as_set(&res.pairs), want);
         assert!(res.buffer.is_none(), "a fault plan builds no cache");
@@ -1004,7 +1007,7 @@ mod tests {
             .with_fault(plan.clone())
             .with_retry(RetryPolicy::attempts(4))
             .with_trace(Arc::clone(&sink));
-        try_run_native_join(&a, &b, &NativeConfig::new(2), &ctl).expect("retried away");
+        try_run_join(&a, &b, &NativeConfig::new(2), &ctl).expect("retried away");
         let mut buf = Vec::new();
         sink.write_jsonl(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -1030,7 +1033,7 @@ mod tests {
         let b = tree(600, 0.4);
         let plan = Arc::new(FaultPlan::new(11).with_flip(1.0));
         let ctl = RunControl::default().with_fault(plan);
-        let err = try_run_native_join(&a, &b, &NativeConfig::new(4), &ctl)
+        let err = try_run_join(&a, &b, &NativeConfig::new(4), &ctl)
             .expect_err("every page corrupt: join must fail");
         match err {
             NativeError::Storage(e) => {
@@ -1074,7 +1077,7 @@ mod tests {
                 NativeConfig::buffered(1, BufferConfig::global(64)),
             ] {
                 let ctl = RunControl::default().with_fault(Arc::clone(plan));
-                let err = try_run_native_join(&a, &b, &cfg, &ctl).expect_err("corrupt pages");
+                let err = try_run_join(&a, &b, &cfg, &ctl).expect_err("corrupt pages");
                 let NativeError::Storage(e) = err else {
                     panic!("expected a storage error, got {err}");
                 };
@@ -1096,7 +1099,7 @@ mod tests {
         ] {
             let sink = psj_obs::TraceSink::new(1 << 20);
             let ctl = RunControl::default().with_trace(Arc::clone(&sink));
-            try_run_native_join(&a, &b, &cfg, &ctl).unwrap();
+            try_run_join(&a, &b, &cfg, &ctl).unwrap();
             let mut buf = Vec::new();
             sink.write_jsonl(&mut buf).unwrap();
             let text = String::from_utf8(buf).unwrap();
@@ -1126,7 +1129,7 @@ mod tests {
         let last_leaf = (a.num_pages() - 1) as u32;
         let plan = Arc::new(FaultPlan::new(5).with_panic_page(last_leaf));
         let ctl = RunControl::default().with_fault(plan);
-        let err = try_run_native_join(&a, &b, &NativeConfig::new(4), &ctl)
+        let err = try_run_join(&a, &b, &NativeConfig::new(4), &ctl)
             .expect_err("a panicked morsel cannot yield a full result");
         match err {
             NativeError::WorkerPanic {
@@ -1151,7 +1154,7 @@ mod tests {
         let a = tree(400, 0.0);
         let b = tree(400, 0.4);
         let want = as_set(&join_refined(&a, &b));
-        let res = try_run_native_join(&a, &b, &NativeConfig::new(2), &RunControl::default())
+        let res = try_run_join(&a, &b, &NativeConfig::new(2), &RunControl::default())
             .expect("no faults, no cancel");
         assert_eq!(as_set(&res.pairs), want);
         assert!(res.buffer.is_none(), "no buffer config: no cache");
@@ -1163,7 +1166,7 @@ mod tests {
         let b = tree(600, 0.4);
         let mut cfg = NativeConfig::buffered(4, BufferConfig::global(64));
         cfg.refine = false;
-        let res = try_run_native_join(&a, &b, &cfg, &RunControl::default()).unwrap();
+        let res = try_run_join(&a, &b, &cfg, &RunControl::default()).unwrap();
         assert!(res.tasks > 0);
         assert!(res.morsels > 0);
         assert_eq!(
@@ -1201,7 +1204,7 @@ mod tests {
         cfg.refine = false;
         let sink = psj_obs::TraceSink::new(1 << 20);
         let ctl = RunControl::default().with_trace(Arc::clone(&sink));
-        let res = try_run_native_join(&a, &b, &cfg, &ctl).unwrap();
+        let res = try_run_join(&a, &b, &cfg, &ctl).unwrap();
         assert!(res.tasks > 0);
         let mut buf = Vec::new();
         sink.write_jsonl(&mut buf).unwrap();

@@ -6,14 +6,14 @@
 //! ([`super::grid::build_cells`]), rates every *occupied* cell (items on both
 //! sides — a pair's owner cell always has both, so single-sided cells can
 //! be skipped outright) with the same Minkowski model the morsel planner
-//! uses, and packs cells into [`CellMorsel`]s next-fit in row-major cell
-//! order. Execution then runs on the runtime the R-tree engine uses
-//! ([`crate::morsel`]): the workers take morsels through one shared cursor
-//! in id order, record one [`TaskTrace`] per morsel (tagged
-//! [`JoinEngine::Partition`], carrying per-morsel replication/dedup
-//! attribution), a panicking morsel is contained the same way, and the
-//! driver runs the same morsel-id-order merge — the output sequence never
-//! depends on thread count or schedule.
+//! uses, and packs cells into [`Morsel`]s of cell ids next-fit in row-major
+//! cell order, through the packer `morselize` uses. Execution then runs on
+//! the runtime the R-tree engine uses ([`crate::morsel`]): the workers take
+//! morsels through one shared cursor in id order, record one [`TaskTrace`]
+//! per morsel (tagged [`JoinEngine::Partition`], carrying per-morsel
+//! replication/dedup attribution), a panicking morsel is contained the
+//! same way, and the driver runs the same morsel-id-order merge — the
+//! output sequence never depends on thread count or schedule.
 //!
 //! Per cell, the kernel is the PR 5 SoA sweep: both item runs are already
 //! `(xl, index)`-sorted by the planner, the universe rectangle is the
@@ -28,10 +28,10 @@
 //! [`RunControl::fault`] and [`RunControl::retry`] act on node reads,
 //! which this engine never performs, and are therefore inert.
 
-use super::grid::{build_cells, fan_out, plan_grid, CellIndex, GridPlan, ItemStats, RunCoords};
+use super::grid::{build_cells, plan_grid, CellIndex, GridPlan, ItemStats, RunCoords};
 use super::{JoinEngine, PartitionInput, RectItem};
 use crate::metrics::TaskTrace;
-use crate::morsel::{auto_budget, Driver, FailState, MorselBody};
+use crate::morsel::{auto_budget, fan_out, pack, Driver, FailState, Morsel, MorselBody};
 use crate::native::{NativeConfig, NativeError, NativeResult, RunControl};
 use psj_geom::polyline::intersects;
 use psj_geom::{sweep_pairs_soa_runs, Point, Rect, SweepPair, SweepScratch};
@@ -39,18 +39,6 @@ use psj_obs::trace::TID_MAIN;
 use psj_rtree::{GeomRef, JoinNode, PagedTree};
 use std::borrow::Cow;
 use std::time::Instant;
-
-/// One partition morsel: a run of occupied cells (row-major cell order)
-/// whose estimated candidates add up to roughly one budget.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellMorsel {
-    /// Position in cell order; doubles as the merge key.
-    pub id: u32,
-    /// Occupied cells, in row-major order. Never empty.
-    pub cells: Vec<u32>,
-    /// Estimated filter-step candidates (≥ 1).
-    pub est: u64,
-}
 
 /// Everything the partition planner decides before workers start.
 #[derive(Debug, Clone)]
@@ -61,8 +49,8 @@ pub struct PartitionPlan {
     pub a: CellIndex,
     /// Cell index of side B.
     pub b: CellIndex,
-    /// The morsels, ids `0..n` in cell order.
-    pub morsels: Vec<CellMorsel>,
+    /// The morsels of occupied cell ids, ids `0..n` in cell order.
+    pub morsels: Vec<Morsel<u32>>,
     /// The budget actually used (resolved auto budget).
     pub budget: u64,
     /// Total estimated candidates over all occupied cells.
@@ -93,14 +81,9 @@ impl<'t> Side<'t> {
                 let n = t.len() as usize;
                 let mut items = Vec::with_capacity(n);
                 let mut geoms = Vec::with_capacity(n);
-                // Stream the leaves through the borrowing node accessor —
-                // the same read surface cache-backed executors use — so the
-                // item order is pinned to page order either way.
-                let mut access = t;
+                // Leaves in page order, so the item order is the file's.
                 for p in 0..t.num_pages() {
-                    let node =
-                        psj_rtree::NodeAccess::read(&mut access, psj_store::PageId(p as u32))
-                            .expect("in-memory node access is infallible");
+                    let node = t.frame(psj_store::PageId(p as u32));
                     if !node.is_leaf() {
                         continue;
                     }
@@ -259,30 +242,8 @@ fn plan_sides(
     let budget = auto_budget(total, cfg.num_threads);
     span("plan.rate", start, ("occupied", occupied as u64));
 
-    // Next-fit pack in cell order, same discipline as `morselize`: a morsel
-    // exceeds the budget only when it holds exactly one cell.
     let start = now();
-    let mut morsels: Vec<CellMorsel> = Vec::new();
-    let mut cur_cells: Vec<u32> = Vec::new();
-    let mut cur_est = 0.0f64;
-    let flush = |cells: &mut Vec<u32>, est: &mut f64, morsels: &mut Vec<CellMorsel>| {
-        if !cells.is_empty() {
-            morsels.push(CellMorsel {
-                id: morsels.len() as u32,
-                cells: std::mem::take(cells),
-                est: (est.round() as u64).max(1),
-            });
-            *est = 0.0;
-        }
-    };
-    for (c, e) in rated {
-        if !cur_cells.is_empty() && cur_est + e > budget as f64 {
-            flush(&mut cur_cells, &mut cur_est, &mut morsels);
-        }
-        cur_cells.push(c);
-        cur_est += e;
-    }
-    flush(&mut cur_cells, &mut cur_est, &mut morsels);
+    let morsels = pack(rated, budget);
     span("plan.pack", start, ("morsels", morsels.len() as u64));
 
     Ok(PartitionPlan {
@@ -311,8 +272,8 @@ fn plan_sides(
 /// `plan.count`/`plan.scatter`/`plan.sort` span per worker, and per-morsel
 /// `task` spans like the R-tree engine. Fault plans and retry policies are
 /// inert here (they act on node reads; this engine reads no nodes) —
-/// callers that need fault coverage keep [`JoinEngine::RTree`]; `psj join`
-/// rejects the cache and fault options with `--engine partition`.
+/// callers that need fault coverage or a page cache run
+/// [`crate::try_run_join`].
 ///
 /// [`NativeResult::elapsed`] starts before planning: the grid, the
 /// replication passes and the per-cell sorts are real costs of answering
@@ -373,17 +334,17 @@ struct Sweep<'p, 't> {
     pairs: Vec<SweepPair>,
 }
 
-impl MorselBody<CellMorsel> for Sweep<'_, '_> {
+impl MorselBody<Morsel<u32>> for Sweep<'_, '_> {
     fn run(
         &mut self,
-        morsel: &CellMorsel,
+        morsel: &Morsel<u32>,
         fail: &FailState<'_>,
         tt: &mut TaskTrace,
         out: &mut Vec<(u64, u64)>,
     ) -> bool {
         let (plan, grid) = (self.plan, &self.plan.grid);
-        tt.tasks = morsel.cells.len() as u32;
-        for &cell in &morsel.cells {
+        tt.tasks = morsel.tasks.len() as u32;
+        for &cell in &morsel.tasks {
             if fail.stopped() {
                 return false;
             }
@@ -649,7 +610,7 @@ mod tests {
         let b = tree(700, 0.4);
         let mut cfg = NativeConfig::new(4);
         cfg.refine = false;
-        let rtree = super::super::try_run_join(&a, &b, &cfg, &RunControl::default()).unwrap();
+        let rtree = crate::try_run_join(&a, &b, &cfg, &RunControl::default()).unwrap();
         let part = join(PartitionInput::Tree(&a), PartitionInput::Tree(&b), &cfg);
         assert_eq!(
             part.candidates, rtree.candidates,
@@ -668,14 +629,14 @@ mod tests {
         assert_eq!(plan.morsels.len(), res.morsels);
         assert_eq!(plan.occupied, res.tasks);
         assert!(plan.budget >= AUTO_BUDGET_MIN && plan.budget <= AUTO_BUDGET_MAX);
-        let cells_in_morsels: usize = plan.morsels.iter().map(|m| m.cells.len()).sum();
+        let cells_in_morsels: usize = plan.morsels.iter().map(|m| m.tasks.len()).sum();
         assert_eq!(cells_in_morsels, plan.occupied);
         for (i, m) in plan.morsels.iter().enumerate() {
             assert_eq!(m.id as usize, i);
-            assert!(!m.cells.is_empty());
+            assert!(!m.tasks.is_empty());
             assert!(m.est >= 1);
             assert!(
-                m.est <= plan.budget || m.cells.len() == 1,
+                m.est <= plan.budget || m.tasks.len() == 1,
                 "over-budget morsel must be a singleton"
             );
         }

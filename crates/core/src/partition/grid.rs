@@ -26,6 +26,7 @@
 //! `floor`, so it picks the same cell for every `f64`.
 
 use super::RectItem;
+use crate::morsel::fan_out;
 use crate::native::{NativeError, RunControl};
 use psj_geom::{Rect, SoaRun};
 use psj_obs::trace::{worker_tid, TID_MAIN};
@@ -629,34 +630,6 @@ fn split_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
     let (head, tail) = std::mem::take(rest).split_at_mut(len);
     *rest = tail;
     head
-}
-
-/// Runs `job(k, w)` for the `k`-th work item, one thread each: item 0 on
-/// the caller, the rest on scoped threads. A single item runs inline, with
-/// no spawn.
-pub(super) fn fan_out<W: Send, R: Send>(
-    work: Vec<W>,
-    job: impl Fn(usize, W) -> R + Sync,
-) -> Vec<R> {
-    let mut work = work.into_iter();
-    let Some(first) = work.next() else {
-        return Vec::new();
-    };
-    std::thread::scope(|scope| {
-        let job = &job;
-        let handles: Vec<_> = work
-            .enumerate()
-            .map(|(k, w)| scope.spawn(move || job(k + 1, w)))
-            .collect();
-        let mut out = Vec::with_capacity(handles.len() + 1);
-        out.push(job(0, first));
-        out.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("planner thread panicked")),
-        );
-        out
-    })
 }
 
 #[cfg(test)]

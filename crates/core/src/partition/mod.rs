@@ -37,51 +37,32 @@
 //! raw [`RectItem`] slice — an *unindexed* relation can join against an
 //! indexed one, which the R-tree engine cannot do at all.
 //!
-//! [`JoinEngine`] selects between the engines; [`try_run_join`] dispatches
-//! on it.
+//! This is the engine for unindexed input: on two trees that are already
+//! indexed, the R-tree join ([`crate::try_run_join`]) is faster, so a tree
+//! × tree join runs there and only raw rectangle streams, or a stream
+//! against a tree, come here ([`try_run_partition_join`]).
 
 pub mod grid;
 
 mod exec;
 
-pub use exec::{plan_partition, try_run_partition_join, CellMorsel, PartitionPlan};
+pub use exec::{plan_partition, try_run_partition_join, PartitionPlan};
 
-use crate::native::{try_run_native_join, NativeConfig, NativeError, NativeResult, RunControl};
 use psj_geom::Rect;
 use psj_rtree::PagedTree;
 use serde::{Deserialize, Serialize};
 
-/// Which executor answers a join.
+/// Which engine produced a join result: the tag each engine puts on its
+/// [`NativeResult`](crate::NativeResult), its traces and its `join` span.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum JoinEngine {
-    /// The paper's synchronized R-tree traversal ([`crate::native`]) —
-    /// required out-of-core (it is the only engine that honors
-    /// [`NativeConfig::buffer`], fault plans, and page caches).
+    /// The paper's synchronized R-tree traversal ([`crate::try_run_join`]),
+    /// in memory or through a page cache, under fault plans.
     #[default]
     RTree,
-    /// Uniform-grid partition + per-cell plane sweep (this module) —
-    /// in-memory only. It pays off on raw, unindexed inputs; on trees
-    /// that are already indexed the R-tree engine is faster.
+    /// Uniform-grid partition + per-cell plane sweep
+    /// ([`try_run_partition_join`]), in memory only.
     Partition,
-}
-
-impl JoinEngine {
-    /// Short name used in CLI flags and experiment output.
-    pub fn short(&self) -> &'static str {
-        match self {
-            JoinEngine::RTree => "rtree",
-            JoinEngine::Partition => "partition",
-        }
-    }
-
-    /// Parses a CLI spelling (`rtree`, `partition`/`grid`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "rtree" => Some(JoinEngine::RTree),
-            "partition" | "grid" => Some(JoinEngine::Partition),
-            _ => None,
-        }
-    }
 }
 
 /// One rectangle of a raw (unindexed) join input.
@@ -103,41 +84,4 @@ pub enum PartitionInput<'t> {
     Tree(&'t PagedTree),
     /// An unindexed rectangle stream.
     Rects(&'t [RectItem]),
-}
-
-/// Runs a tree × tree join through the engine [`NativeConfig::engine`]
-/// names, under `ctl`: the entry point of the CLI, the serving layer and
-/// the benchmark ([`try_run_partition_join`] also takes unindexed inputs).
-/// A fired token returns [`NativeError::Cancelled`] and a panicked morsel
-/// [`NativeError::WorkerPanic`]; fault plans, retries and
-/// [`NativeError::Storage`] act on the R-tree engine's node reads, with or
-/// without its page cache (see [`crate::native`]).
-pub fn try_run_join(
-    a: &PagedTree,
-    b: &PagedTree,
-    cfg: &NativeConfig,
-    ctl: &RunControl<'_>,
-) -> Result<NativeResult, NativeError> {
-    match cfg.engine {
-        JoinEngine::Partition => {
-            try_run_partition_join(PartitionInput::Tree(a), PartitionInput::Tree(b), cfg, ctl)
-        }
-        JoinEngine::RTree => try_run_native_join(a, b, cfg, ctl),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn engine_round_trips_through_parse() {
-        for e in [JoinEngine::RTree, JoinEngine::Partition] {
-            assert_eq!(JoinEngine::parse(e.short()), Some(e));
-        }
-        assert_eq!(JoinEngine::parse("grid"), Some(JoinEngine::Partition));
-        assert_eq!(JoinEngine::parse("auto"), None);
-        assert_eq!(JoinEngine::parse("bogus"), None);
-        assert_eq!(JoinEngine::default(), JoinEngine::RTree);
-    }
 }

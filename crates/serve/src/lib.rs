@@ -12,7 +12,10 @@
 //!   (malformed bytes produce errors, never panics).
 //! * [`exec`] — in-place execution: window and best-first k-NN through one
 //!   deadline-checked node access, deadline-cancelled joins.
-//! * [`server`] — acceptor and connection threads that execute their own
+//! * [`listen`] — the protocol-server shell: the acceptor, the
+//!   per-connection frame loop and the shutdown handshake, run for any
+//!   [`Service`]; the server and the cluster router both sit on it.
+//! * [`server`] — the query service: connection threads execute their own
 //!   requests under a bounded set of execution slots; admission control
 //!   sheds load past a bound, deadlines cancel cooperatively.
 //! * [`telemetry`] — lock-free counters and a log-bucket latency
@@ -25,6 +28,7 @@
 
 pub mod client;
 pub mod exec;
+pub mod listen;
 pub mod loadgen;
 pub mod protocol;
 pub mod server;
@@ -32,11 +36,12 @@ pub mod telemetry;
 
 pub use client::{BackoffPolicy, Client, ClientError};
 pub use exec::{JoinRun, Outcome, TreeSet};
+pub use listen::{Listener, Service};
 pub use loadgen::{LoadConfig, LoadReport};
 pub use protocol::{
     EncodeError, Request, Response, ServerStats, StorageErrorKind, TreeInfo, ROUTER_SHARD,
 };
-pub use server::{ServeConfig, Server, ServerReport};
+pub use server::{ServeConfig, Server};
 pub use telemetry::{Histogram, Telemetry};
 
 #[cfg(test)]
@@ -99,8 +104,8 @@ mod e2e {
 
         let stats = c.stats().unwrap();
         assert!(stats.completed >= 3);
-        let report = server.stop();
-        assert_eq!(report.stats.queue_depth, 0, "drained at shutdown");
+        let stats = server.stop();
+        assert_eq!(stats.queue_depth, 0, "drained at shutdown");
     }
 
     #[test]
@@ -124,8 +129,8 @@ mod e2e {
         let mut c = Client::connect(addr).unwrap();
         c.window(0, Rect::new(0.0, 0.0, 5.0, 5.0), 0).unwrap();
         c.shutdown().unwrap();
-        let report = h.join().unwrap();
-        assert!(report.stats.completed >= 1);
-        assert_eq!(report.stats.queue_depth, 0);
+        let stats = h.join().unwrap();
+        assert!(stats.completed >= 1);
+        assert_eq!(stats.queue_depth, 0);
     }
 }

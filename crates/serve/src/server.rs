@@ -1,5 +1,6 @@
-//! The server: an acceptor and one thread per connection, each of which
-//! executes its own requests against the loaded trees, read in place.
+//! The server: a [`Service`] on the shared protocol shell
+//! ([`crate::listen`]), whose connection threads each execute their own
+//! requests against the loaded trees, read in place.
 //!
 //! ```text
 //! acceptor ──► connection thread: read ─► admit ─► slot ─► execute ─► reply
@@ -23,14 +24,13 @@
 //!   check it cooperatively at every node, and expired requests discard
 //!   their partial work.
 //! * **Shutdown** — admission closes first, then the drain waits until
-//!   `queued` reaches zero, then the acceptor is halted and joined.
-//!   Connection threads notice the halt flag at their next read timeout.
+//!   `queued` reaches zero, then the listener is stopped: the acceptor is
+//!   halted and joined, and connection threads exit at their next read
+//!   timeout.
 
 use crate::exec::{self, Outcome, TreeSet};
-use crate::protocol::{
-    read_frame, write_frame, Request, Response, ServerStats, StorageErrorKind, TreeInfo,
-    MAX_REQUEST_FRAME,
-};
+use crate::listen::{Listener, Service};
+use crate::protocol::{Request, Response, ServerStats, StorageErrorKind, TreeInfo};
 use crate::telemetry::Telemetry;
 use psj_geom::Point;
 use psj_obs::trace::TID_SERVE;
@@ -38,19 +38,18 @@ use psj_obs::TraceSink;
 use psj_rtree::PagedTree;
 use psj_store::{FaultPlan, PageError, RetryPolicy};
 use std::collections::VecDeque;
-use std::io::{self, BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 // A thread that panicked while holding one of the server's locks must not
 // wedge every later request and the shutdown drain — the protected state
-// (the permit queue, join-handle lists) stays structurally valid across a
-// panic, so `lock_clean` recovers the guard and the panic is surfaced
-// through the `worker_panics` counter instead.
+// (the permit queue) stays structurally valid across a panic, so
+// `lock_clean` recovers the guard and the panic is surfaced through the
+// `worker_panics` counter instead.
 use psj_store::lock_clean;
 
 /// Server configuration.
@@ -196,18 +195,10 @@ struct Shared {
     queued: AtomicUsize,
     /// Admission closed (drain in progress).
     shutting_down: AtomicBool,
-    /// The acceptor and connection threads must exit.
-    halt: AtomicBool,
     slots: Slots,
-    /// Signalled by a client [`Request::Shutdown`]; `Server::wait` listens.
-    shutdown_tx: Mutex<Option<mpsc::Sender<()>>>,
 }
 
 impl Shared {
-    fn halted(&self) -> bool {
-        self.halt.load(Ordering::Acquire)
-    }
-
     /// A point-in-time stats report.
     fn stats(&self) -> ServerStats {
         let (t, trees) = (&self.telemetry, &self.trees);
@@ -256,29 +247,8 @@ impl Shared {
 /// always stop explicitly.
 pub struct Server {
     shared: Arc<Shared>,
-    addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    /// Connection threads still running as of the last accept.
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    shutdown_rx: mpsc::Receiver<()>,
+    listener: Listener,
 }
-
-/// What [`Server::stop`] returns: the final stats report.
-#[derive(Debug, Clone)]
-pub struct ServerReport {
-    /// Counters and percentiles at shutdown.
-    pub stats: ServerStats,
-}
-
-impl std::fmt::Display for ServerReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.stats.fmt(f)
-    }
-}
-
-/// Pause before retrying after `accept` fails, so a persistent error
-/// (EMFILE, say) does not spin a core.
-const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 impl Server {
     /// Binds `cfg.addr`, serves `trees` and starts the acceptor.
@@ -291,73 +261,40 @@ impl Server {
         if let Some(plan) = cfg.fault.clone() {
             trees = trees.with_fault(plan, cfg.retry, cfg.trace.clone());
         }
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
         let workers = cfg.workers.max(1);
-        let (shutdown_tx, shutdown_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
             trees,
             telemetry: Telemetry::new(),
             queued: AtomicUsize::new(0),
             shutting_down: AtomicBool::new(false),
-            halt: AtomicBool::new(false),
             slots: Slots::new(workers),
-            shutdown_tx: Mutex::new(Some(shutdown_tx)),
             cfg,
         });
-
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("psj-serve-acceptor".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shared.halted() {
-                            break;
-                        }
-                        let Ok(stream) = stream else {
-                            std::thread::sleep(ACCEPT_BACKOFF);
-                            continue;
-                        };
-                        let shared = Arc::clone(&shared);
-                        let h = std::thread::Builder::new()
-                            .name("psj-serve-conn".into())
-                            .spawn(move || handle_conn(&shared, stream))
-                            .expect("spawn connection thread");
-                        let mut conns = lock_clean(&conns);
-                        conns.retain(|c| !c.is_finished());
-                        conns.push(h);
-                    }
-                })
-                .expect("spawn acceptor")
-        };
-
-        Ok(Server {
-            shared,
-            addr,
-            acceptor: Some(acceptor),
-            conns,
-            shutdown_rx,
-        })
+        let cfg = &shared.cfg;
+        let listener = Listener::start(
+            cfg.addr.as_str(),
+            cfg.read_timeout,
+            "psj-serve",
+            Arc::clone(&shared),
+        )?;
+        Ok(Server { shared, listener })
     }
 
     /// The bound address (useful with `addr = "127.0.0.1:0"`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// Blocks until a client sends [`Request::Shutdown`], then drains and
     /// stops.
-    pub fn wait(self) -> ServerReport {
-        let _ = self.shutdown_rx.recv();
+    pub fn wait(self) -> ServerStats {
+        self.listener.wait();
         self.stop()
     }
 
     /// Drains admitted requests, stops every thread, and returns the final
-    /// report.
-    pub fn stop(mut self) -> ServerReport {
+    /// stats.
+    pub fn stop(self) -> ServerStats {
         let shared = &self.shared;
         // 1. Close admission; new requests get Overloaded.
         shared.shutting_down.store(true, Ordering::SeqCst);
@@ -366,21 +303,9 @@ impl Server {
         while shared.queued.load(Ordering::SeqCst) > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        // 3. Halt, unblock the acceptor with a dummy connection, join it.
-        shared.halt.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        // 4. Connection threads exit at their next read timeout (or when
-        //    their client hangs up).
-        let conns: Vec<JoinHandle<()>> = std::mem::take(&mut *lock_clean(&self.conns));
-        for c in conns {
-            let _ = c.join();
-        }
-        ServerReport {
-            stats: shared.stats(),
-        }
+        // 3. Stop the listener and its connection threads.
+        self.listener.stop();
+        shared.stats()
     }
 }
 
@@ -497,85 +422,29 @@ fn execute<T>(
     }
 }
 
-fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-
-    loop {
-        let payload = match read_frame(&mut reader, MAX_REQUEST_FRAME) {
-            Ok(Some(p)) => p,
-            Ok(None) => return, // client closed cleanly
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.halted() {
-                    return;
-                }
-                continue;
-            }
-            Err(e) => {
-                // Oversized prefix or mid-frame EOF: the stream cannot be
-                // resynchronized — report (best effort) and hang up.
-                shared.telemetry.proto_errors.inc();
-                if e.kind() == io::ErrorKind::InvalidData {
-                    let _ = write_frame(
-                        &mut writer,
-                        &Response::Error(e.to_string()).encode_or_error(),
-                    );
-                }
-                return;
-            }
-        };
-        let req = match Request::decode(&payload) {
-            Ok(req) => req,
-            Err(e) => {
-                // Framing was sound, the payload was not: the stream is
-                // still in sync, so answer and keep serving.
-                shared.telemetry.proto_errors.inc();
-                if write_frame(
-                    &mut writer,
-                    &Response::Error(e.to_string()).encode_or_error(),
-                )
-                .is_err()
-                {
-                    return;
-                }
-                continue;
-            }
-        };
-
-        let t = &shared.telemetry;
-        let resp = match req {
-            Request::Stats => Response::Stats(shared.stats()),
-            Request::Metrics => Response::Metrics(t.render_prometheus(&shared.stats())),
+impl Service for Shared {
+    fn respond(&self, req: Request) -> Response {
+        let t = &self.telemetry;
+        match req {
+            Request::Stats => Response::Stats(self.stats()),
+            Request::Metrics => Response::Metrics(t.render_prometheus(&self.stats())),
             Request::Info => Response::Info {
-                shard: shared.cfg.shard_id,
-                trees: shared.info(),
+                shard: self.cfg.shard_id,
+                trees: self.info(),
             },
-            Request::Shutdown => {
-                let _ = write_frame(&mut writer, &Response::ShutdownAck.encode_or_error());
-                if let Some(tx) = lock_clean(&shared.shutdown_tx).take() {
-                    let _ = tx.send(());
-                }
-                return;
-            }
+            Request::Shutdown => unreachable!("the listener answers Shutdown"),
             Request::Window {
                 tree,
                 rect,
                 deadline_ms,
             } => execute(
-                shared,
+                self,
                 &[tree],
                 deadline_ms,
                 false,
                 |deadline, _| {
                     count_query(t);
-                    exec::window(&shared.trees, tree, &rect, deadline)
+                    exec::window(&self.trees, tree, &rect, deadline)
                 },
                 Response::Entries,
             ),
@@ -586,13 +455,13 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                 k,
                 deadline_ms,
             } => execute(
-                shared,
+                self,
                 &[tree],
                 deadline_ms,
                 false,
                 |deadline, _| {
                     count_query(t);
-                    exec::nearest(&shared.trees, tree, Point::new(x, y), k as usize, deadline)
+                    exec::nearest(&self.trees, tree, Point::new(x, y), k as usize, deadline)
                 },
                 Response::Neighbors,
             ),
@@ -603,20 +472,13 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                 deadline_ms,
                 owner,
             } => execute(
-                shared,
+                self,
                 &[tree_a, tree_b],
                 deadline_ms,
                 true,
                 |deadline, slots| {
-                    let result = exec::join(
-                        &shared.trees,
-                        tree_a,
-                        tree_b,
-                        refine,
-                        owner,
-                        slots,
-                        deadline,
-                    );
+                    let result =
+                        exec::join(&self.trees, tree_a, tree_b, refine, owner, slots, deadline);
                     if let Outcome::Ok(run) = &result {
                         t.join_tasks.add(run.tasks);
                     }
@@ -624,10 +486,11 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                 },
                 |run| Response::Pairs(run.pairs),
             ),
-        };
-        if write_frame(&mut writer, &resp.encode_or_error()).is_err() {
-            return;
         }
+    }
+
+    fn proto_error(&self) {
+        self.telemetry.proto_errors.inc();
     }
 }
 
@@ -718,9 +581,9 @@ mod tests {
         for _ in 0..10 {
             assert!(!c.window(0, rect, 0).unwrap().is_empty());
         }
-        let report = server.stop();
-        assert_eq!(report.stats.worker_panics, 1);
-        assert_eq!(report.stats.queue_depth, 0, "shutdown drain unaffected");
+        let stats = server.stop();
+        assert_eq!(stats.worker_panics, 1);
+        assert_eq!(stats.queue_depth, 0, "shutdown drain unaffected");
     }
 
     #[test]
@@ -750,9 +613,9 @@ mod tests {
         for _ in 0..5 {
             assert!(!c.window(0, rect, 0).unwrap().is_empty());
         }
-        let report = server.stop();
-        assert!(report.stats.completed >= 5);
-        assert_eq!(report.stats.queue_depth, 0, "drain completes");
+        let stats = server.stop();
+        assert!(stats.completed >= 5);
+        assert_eq!(stats.queue_depth, 0, "drain completes");
     }
 
     #[test]
@@ -983,7 +846,7 @@ mod tests {
         assert!(shared.slots.acquire(None), "a free permit");
         let rect = Rect::new(0.0, 0.0, 8.0, 8.0);
 
-        let report = std::thread::scope(|scope| {
+        let stats = std::thread::scope(|scope| {
             let clients: Vec<_> = (0..3)
                 .map(|_| {
                     scope.spawn(move || {
@@ -1007,8 +870,8 @@ mod tests {
             }
             stopper.join().unwrap()
         });
-        assert_eq!(report.stats.queue_depth, 0, "drained");
-        assert_eq!(report.stats.completed, 3);
+        assert_eq!(stats.queue_depth, 0, "drained");
+        assert_eq!(stats.completed, 3);
     }
 
     #[test]
@@ -1023,7 +886,7 @@ mod tests {
         // more accepts see all 200 gone.
         until("finished handles to be dropped", || {
             drop(Client::connect(addr));
-            lock_clean(&server.conns).len() <= 4
+            server.listener.connections() <= 4
         });
         server.stop();
     }

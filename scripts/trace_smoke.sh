@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Smoke test for the observability layer: run a traced native join and a
-# traced grid join and validate the emitted JSONL with `psj trace-check`,
-# then start a server, scrape the Prometheus exposition with `psj metrics`,
-# and assert the scrape agrees with the binary stats report.
+# Smoke test for the observability layer: run a traced join and validate
+# the emitted JSONL with `psj trace-check`, then start a server, scrape the
+# Prometheus exposition with `psj metrics`, and assert the scrape agrees
+# with the binary stats report.
 set -euo pipefail
 
 PSJ="${PSJ:-target/release/psj}"
@@ -44,19 +44,6 @@ fi
 # At least one task span and the worker thread-name metadata must be present.
 grep -q '"name":"task"' "$WORK/join.jsonl" || { echo "FAIL: no task spans"; exit 1; }
 grep -q '"ph":"M"' "$WORK/join.jsonl" || { echo "FAIL: no thread metadata"; exit 1; }
-
-echo "== traced grid join =="
-# The partition engine plans on the join's threads: the trace must
-# validate and carry the planner's driver spans (streaming the trees'
-# leaves, the extents scan) and its per-worker sort spans.
-"$PSJ" join --tree1 "$WORK/t1.psjt" --tree2 "$WORK/t2.psjt" --engine partition \
-  --threads 2 --no-refine --trace "$WORK/grid.jsonl" > "$WORK/grid.log"
-"$PSJ" trace-check "$WORK/grid.jsonl"
-for span in plan.stream plan.stats plan.sort; do
-  grep -q "\"name\":\"$span\"" "$WORK/grid.jsonl" || {
-    echo "FAIL: grid trace has no $span span"; exit 1
-  }
-done
 
 echo "== metrics scrape =="
 "$PSJ" serve --trees "$WORK/t1.psjt,$WORK/t2.psjt" --addr "$ADDR" \

@@ -22,8 +22,8 @@ use psj_datagen::{MapObject, Scenario};
 use psj_rtree::{PagedTree, RTree};
 use std::collections::{BTreeSet, HashMap};
 
-/// Runs `cfg`'s engine over two in-memory trees, which cannot fail without
-/// a cancel token or a fault plan.
+/// Runs the R-tree join over two in-memory trees, which cannot fail
+/// without a cancel token or a fault plan.
 pub fn join(a: &PagedTree, b: &PagedTree, cfg: &NativeConfig) -> NativeResult {
     try_run_join(a, b, cfg, &RunControl::default()).expect("in-memory join")
 }

@@ -10,9 +10,10 @@ use psj_cluster::{plan_shards, HealthPolicy, Router, RouterConfig, ShardAddr, Sh
 use psj_datagen::Scenario;
 use psj_geom::Rect;
 use psj_rtree::{bulk::bulk_load_str, PagedTree, RTree};
-use psj_serve::{Client, ClientError, Response, ServeConfig, Server};
+use psj_serve::protocol::{read_frame, write_frame, MAX_REQUEST_FRAME};
+use psj_serve::{Client, ClientError, Request, Response, ServeConfig, Server, ROUTER_SHARD};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
@@ -514,6 +515,82 @@ fn trickling_shard_hits_the_deadline_not_a_hang() {
         t0.elapsed() < Duration::from_secs(2),
         "deadline-bounded scatter took {:?}",
         t0.elapsed()
+    );
+
+    router.stop();
+    server.stop();
+}
+
+/// The router frames its clients on psj-serve's shell, so a bad frame
+/// gets what a shard gives it: a well-framed garbage payload is answered
+/// with an error, counted, and the connection keeps serving; an oversized
+/// length prefix gets an error frame and a hang-up.
+#[test]
+fn router_answers_bad_frames_like_a_shard() {
+    let (items1, items2) = items();
+    let server = Server::start(
+        ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            read_timeout: Duration::from_millis(50),
+            ..ServeConfig::default()
+        },
+        vec![Arc::new(freeze(&items1)), Arc::new(freeze(&items2))],
+    )
+    .expect("bind shard");
+    let router = Router::start(RouterConfig {
+        shards: vec![ShardAddr {
+            id: 0,
+            addr: server.local_addr(),
+            x_lo: f64::NEG_INFINITY,
+            x_hi: f64::INFINITY,
+        }],
+        ..RouterConfig::default()
+    })
+    .expect("bind router");
+    let addr = router.local_addr();
+    let exchange = |s: &mut TcpStream, payload: &[u8]| -> Option<Response> {
+        write_frame(s, payload).expect("write frame");
+        let reply = read_frame(s, usize::MAX).expect("read reply")?;
+        Some(Response::decode(&reply).expect("reply decodes"))
+    };
+
+    let mut s = TcpStream::connect(addr).expect("connect router");
+    let reply = exchange(&mut s, &[0xff; 10]);
+    assert!(
+        matches!(reply, Some(Response::Error(_))),
+        "garbage payload: {reply:?}"
+    );
+    let proto_errors = metric_value(&router.metrics_text(), "psj_router_proto_errors_total");
+    assert_eq!(proto_errors, 1.0, "the garbage payload is counted");
+    match exchange(&mut s, &Request::Info.encode()) {
+        Some(Response::Info { shard, trees }) => {
+            assert_eq!(shard, ROUTER_SHARD);
+            assert_eq!(trees.len(), 2, "the shard's two trees");
+        }
+        other => panic!("Info on the same connection: {other:?}"),
+    }
+    drop(s);
+
+    let mut s = TcpStream::connect(addr).expect("connect router");
+    s.write_all(&((MAX_REQUEST_FRAME as u32) + 1).to_le_bytes())
+        .expect("write prefix");
+    let reply = read_frame(&mut s, usize::MAX)
+        .expect("read reply")
+        .expect("an error frame before the hang-up");
+    assert!(
+        matches!(Response::decode(&reply), Ok(Response::Error(_))),
+        "oversized prefix: {reply:?}"
+    );
+    let mut rest = Vec::new();
+    assert_eq!(
+        s.read_to_end(&mut rest).expect("read to EOF"),
+        0,
+        "the router hung up"
+    );
+    assert_eq!(
+        metric_value(&router.metrics_text(), "psj_router_proto_errors_total"),
+        2.0
     );
 
     router.stop();

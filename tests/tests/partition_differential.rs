@@ -21,6 +21,15 @@ fn grid_join(a: PartitionInput<'_>, b: PartitionInput<'_>, cfg: &NativeConfig) -
     try_run_partition_join(a, b, cfg, &RunControl::default()).expect("in-memory join")
 }
 
+/// The grid engine over the scenario's two trees.
+fn tree_grid(scenario: &JoinScenario, cfg: &NativeConfig) -> NativeResult {
+    grid_join(
+        PartitionInput::Tree(&scenario.a),
+        PartitionInput::Tree(&scenario.b),
+        cfg,
+    )
+}
+
 fn sorted(mut pairs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     pairs.sort_unstable();
     pairs
@@ -39,8 +48,7 @@ fn partition_sweep(scenario: &JoinScenario) -> usize {
         for round in 0..ROUNDS {
             let mut cfg = NativeConfig::new(threads);
             cfg.refine = false;
-            cfg.engine = JoinEngine::Partition;
-            let res = join(&scenario.a, &scenario.b, &cfg);
+            let res = tree_grid(scenario, &cfg);
             assert_eq!(res.engine, JoinEngine::Partition, "{name}: engine tag");
             assert_eq!(
                 sorted(res.pairs.clone()),
@@ -81,8 +89,7 @@ fn engines_agree(scenario: &JoinScenario, threads: usize) {
     let mut cfg = NativeConfig::new(threads);
     cfg.refine = false;
     let rtree = join(&scenario.a, &scenario.b, &cfg);
-    cfg.engine = JoinEngine::Partition;
-    let part = join(&scenario.a, &scenario.b, &cfg);
+    let part = tree_grid(scenario, &cfg);
     assert_eq!(
         sorted(rtree.pairs),
         sorted(part.pairs),
@@ -121,8 +128,7 @@ fn disjoint_partition_yields_empty() {
     assert!(oracle.is_empty());
     let mut cfg = NativeConfig::new(4);
     cfg.refine = false;
-    cfg.engine = JoinEngine::Partition;
-    let res = join(&scenario.a, &scenario.b, &cfg);
+    let res = tree_grid(&scenario, &cfg);
     assert!(res.pairs.is_empty());
     assert_eq!(res.replicated, 0);
     assert_eq!(res.deduped, 0);
@@ -137,8 +143,7 @@ fn refined_paper_maps_engines_agree() {
     let mut cfg = NativeConfig::new(4);
     cfg.refine = true;
     let rtree = join(&scenario.a, &scenario.b, &cfg);
-    cfg.engine = JoinEngine::Partition;
-    let part = join(&scenario.a, &scenario.b, &cfg);
+    let part = tree_grid(&scenario, &cfg);
     assert_eq!(
         sorted(rtree.pairs),
         sorted(part.pairs),

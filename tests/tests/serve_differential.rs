@@ -118,6 +118,6 @@ fn unbatched_large_cache_matches_direct() {
         stats.cache_hits, stats.cache_requests,
         "every node read of a healthy tree returns its frame: {stats:?}"
     );
-    let report = server.stop();
-    assert_eq!(report.stats.queue_depth, 0, "clean drain");
+    let stats = server.stop();
+    assert_eq!(stats.queue_depth, 0, "clean drain");
 }

@@ -114,8 +114,8 @@ fn truncated_and_garbage_frames_never_panic_the_server() {
     let mut c = Client::connect(addr).unwrap();
     let stats = c.stats().unwrap();
     assert!(stats.proto_errors >= 3, "attacks were counted: {stats:?}");
-    let report = server.stop();
-    assert_eq!(report.stats.queue_depth, 0);
+    let stats = server.stop();
+    assert_eq!(stats.queue_depth, 0);
 }
 
 #[test]
@@ -133,8 +133,8 @@ fn client_disconnect_mid_request_leaves_server_healthy() {
         drop(s); // gone before the response
     }
     assert_alive(addr);
-    let report = server.stop();
-    assert_eq!(report.stats.queue_depth, 0, "orphaned requests drained");
+    let stats = server.stop();
+    assert_eq!(stats.queue_depth, 0, "orphaned requests drained");
 }
 
 #[test]
@@ -188,8 +188,8 @@ fn overload_sheds_with_overloaded_not_a_panic() {
     let mut c = Client::connect(addr).unwrap();
     let stats = c.stats().unwrap();
     assert_eq!(stats.shed, shed, "server-side shed count matches clients");
-    let report = server.stop();
-    assert_eq!(report.stats.queue_depth, 0);
+    let stats = server.stop();
+    assert_eq!(stats.queue_depth, 0);
 }
 
 #[test]
@@ -212,8 +212,8 @@ fn expired_deadline_returns_timeout_and_server_keeps_serving() {
     let stats = c.stats().unwrap();
     assert!(stats.timeouts >= 1);
     assert!(stats.completed >= 1);
-    let report = server.stop();
-    assert_eq!(report.stats.queue_depth, 0);
+    let stats = server.stop();
+    assert_eq!(stats.queue_depth, 0);
 }
 
 /// A server shared by all fuzz cases (leaked on purpose: the process ends

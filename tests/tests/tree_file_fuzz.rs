@@ -14,7 +14,9 @@
 //! integer field takes 0, ±1 around its old value, all-ones and a random
 //! value.
 
-use psj_core::{join_refined, try_run_join, JoinEngine, NativeConfig, RunControl};
+use psj_core::{
+    join_refined, try_run_join, try_run_partition_join, NativeConfig, PartitionInput, RunControl,
+};
 use psj_geom::{Point, Rect};
 use psj_integration::harness::index_map;
 use psj_rtree::PagedTree;
@@ -251,11 +253,14 @@ fn readers_agree(a: &PagedTree, b: &PagedTree, saved: &std::path::Path) {
     let ctl = RunControl::default();
     let rtree = try_run_join(a, b, &NativeConfig::new(2), &ctl).expect("R-tree engine");
     assert_eq!(rtree.pairs, oracle, "R-tree engine differs from the oracle");
-    let mut grid_cfg = NativeConfig::new(2);
-    grid_cfg.engine = JoinEngine::Partition;
-    let mut grid = try_run_join(a, b, &grid_cfg, &ctl)
-        .expect("grid engine")
-        .pairs;
+    let mut grid = try_run_partition_join(
+        PartitionInput::Tree(a),
+        PartitionInput::Tree(b),
+        &NativeConfig::new(2),
+        &ctl,
+    )
+    .expect("grid engine")
+    .pairs;
     let mut sorted = oracle.clone();
     grid.sort_unstable();
     sorted.sort_unstable();
